@@ -99,23 +99,6 @@ pub struct DtssConfig {
     /// values can dominate the group's key, turning per-point checks into
     /// TO-only comparisons. Exact; off by default (paper-plain checks).
     pub filter_dominators: bool,
-    /// Parallel stratum-evaluation mode: `0` (default) keeps the classic
-    /// serial group walk; `>= 1` evaluates each *rank stratum* — the
-    /// maximal run of groups sharing one ordinal-sum rank — concurrently
-    /// with up to that many worker threads.
-    ///
-    /// Groups of equal rank are mutually incomparable (a dominating
-    /// group's key has a strictly smaller ordinal sum), so their dismissal
-    /// checks and, with [`precompute_local`](Self::precompute_local), their
-    /// local-skyline candidate screening run against the global skyline
-    /// *frozen at stratum start*. Outcomes and emission order equal the
-    /// serial walk's for every worker count; the examined-pair counts
-    /// depend only on the stratum partition, never on `eval_threads`.
-    /// Groups that need a live tree traversal (no local skyline, or a
-    /// fully dynamic reference point) are walked serially inside the
-    /// stratum, unchanged. Ignored when [`fast_check`](Self::fast_check)
-    /// is on (the virtual-point index mutates per confirmation).
-    pub eval_threads: usize,
 }
 
 /// One PO-value group: key, members, TO R-tree, optional local skyline.
@@ -700,8 +683,6 @@ impl SkyList {
     /// positions of skyline entries whose PO values can dominate the group
     /// `key`, paired with their PO strictness — the input of the
     /// strictness-precomputed TO kernel. One dominance check per entry.
-    /// Shared by the serial group setup and the parallel stratum workers,
-    /// so the two modes can never screen differently.
     fn filter_dominators(
         &self,
         domains: &[PoDomain],
@@ -723,19 +704,6 @@ impl SkyList {
             })
             .collect()
     }
-}
-
-/// A precomputed stratum verdict for one group (parallel mode): what the
-/// frozen-skyline evaluation decided before the group is entered.
-enum GroupPlan {
-    /// Root corner dominated — dismiss without touching the tree.
-    Dismissed,
-    /// Local-skyline group: the candidates that survived the frozen
-    /// screen, ready to emit.
-    Local(VecDeque<u32>),
-    /// Not dismissed, but needs its live tree walk (no local skyline, or
-    /// a folded reference point).
-    Live,
 }
 
 /// Per-query labelings handed to the executor, with the session-cache
@@ -786,13 +754,6 @@ enum DtssPhase<'a> {
         filtered: Option<Vec<(u32, bool)>>,
         ix: usize,
     },
-    /// Emitting the frozen-screened survivors of a local-skyline group
-    /// (parallel stratum mode — the screening already happened in
-    /// [`DtssCursor::plan_stratum`]).
-    LocalPre {
-        gi: usize,
-        survivors: VecDeque<u32>,
-    },
     /// Best-first traversal of a group's TO R-tree.
     Tree {
         gi: usize,
@@ -820,12 +781,6 @@ pub struct DtssCursor<'a> {
     reference: Option<Vec<u32>>,
     /// Group visit order by ascending ordinal-sum rank.
     order: Vec<usize>,
-    /// Ordinal-sum rank per group index (stratum boundaries of the
-    /// parallel mode).
-    ranks: Vec<u64>,
-    /// Precomputed verdicts of the current rank stratum (parallel mode),
-    /// consumed as each group is entered.
-    plans: HashMap<usize, GroupPlan>,
     order_ix: usize,
     start: Instant,
     m: Metrics,
@@ -863,9 +818,7 @@ impl<'a> DtssCursor<'a> {
             .cfg
             .page
             .data_pages(dtss.groups.len(), dtss.domain_sizes.len() + 2 * to_dims);
-        // Visit groups by ascending sum of ordinals: precedence across
-        // groups. The ranks double as the stratum boundaries of the
-        // parallel evaluation mode (equal rank ⇒ mutually incomparable).
+        // Visit groups by ascending sum of ordinals: precedence across groups.
         let ranks: Vec<u64> = dtss
             .groups
             .iter()
@@ -891,8 +844,6 @@ impl<'a> DtssCursor<'a> {
             domains,
             reference,
             order,
-            ranks,
-            plans: HashMap::new(),
             order_ix: 0,
             start,
             m,
@@ -921,8 +872,6 @@ impl<'a> DtssCursor<'a> {
             domains: Vec::new(),
             reference: None,
             order: Vec::new(),
-            ranks: Vec::new(),
-            plans: HashMap::new(),
             order_ix: 0,
             // lint:allow(time-source): Metrics.cpu timing site — replay-cursor wall clock
             start: Instant::now(),
@@ -987,103 +936,6 @@ impl<'a> DtssCursor<'a> {
         };
     }
 
-    /// True iff this cursor precomputes rank-stratum verdicts in parallel
-    /// (see [`DtssConfig::eval_threads`]); the fast-check configuration
-    /// always stays serial.
-    fn parallel(&self) -> bool {
-        self.dtss.cfg.eval_threads >= 1 && self.vpi.is_none()
-    }
-
-    /// Evaluates the whole rank stratum starting at `start_ix` of the
-    /// visit order against the skyline *frozen now*: dismissal verdicts
-    /// for every group, plus the candidate screening of local-skyline
-    /// groups, fanned out on up to `eval_threads` workers. Sound because
-    /// same-rank groups are mutually incomparable (a dominating key has a
-    /// strictly smaller ordinal sum), so nothing emitted inside the
-    /// stratum can change these verdicts; deterministic because every
-    /// check runs against the frozen state and the results are merged in
-    /// group order — the worker count never shows in the metrics.
-    fn plan_stratum(&mut self, start_ix: usize) {
-        let dtss = self.dtss;
-        let threads = dtss.cfg.eval_threads.max(1);
-        let rank0 = self.ranks[self.order[start_ix]];
-        let end_ix = self.order[start_ix..]
-            .iter()
-            .position(|&gi| self.ranks[gi] != rank0)
-            .map_or(self.order.len(), |off| start_ix + off);
-
-        struct Job<'b> {
-            gi: usize,
-            key: &'b [u32],
-            corner: Vec<u32>,
-            local: Option<&'b [u32]>,
-        }
-        let jobs: Vec<Job<'_>> = self.order[start_ix..end_ix]
-            .iter()
-            .map(|&gi| {
-                let group = &dtss.groups[gi];
-                // Local skylines are invalid under folding (§V-B).
-                let local = match &self.reference {
-                    None => group.local_skyline.as_deref(),
-                    Some(_) => None,
-                };
-                Job {
-                    gi,
-                    key: &group.key,
-                    corner: group.root_corner(self.reference.as_deref()),
-                    local,
-                }
-            })
-            .collect();
-
-        let sky = &self.sky;
-        let table = &dtss.table;
-        let domains: &[PoDomain] = &self.domains;
-        let filter = dtss.cfg.filter_dominators;
-        let results = crate::parallel::map_slice(threads, &jobs, |job| {
-            let mut m = Metrics::default();
-            let (hit, examined) = sky.group_dismissed(domains, table, &job.corner, job.key);
-            m.batch(examined);
-            if hit {
-                return (job.gi, GroupPlan::Dismissed, m);
-            }
-            let Some(local) = job.local else {
-                return (job.gi, GroupPlan::Live, m);
-            };
-            // Frozen screen of the local candidates, mirroring the serial
-            // `point_dominated` paths (plain scan, or the per-group
-            // dominator prefilter feeding the TO-strictness kernel).
-            let survivors: VecDeque<u32> = if filter {
-                let filtered = sky.filter_dominators(domains, table, job.key, &mut m);
-                local
-                    .iter()
-                    .copied()
-                    .filter(|&r| {
-                        let (hit, examined) =
-                            sky.folded.dominated_with_strictness(&filtered, table.to(r));
-                        m.batch(examined);
-                        !hit
-                    })
-                    .collect()
-            } else {
-                local
-                    .iter()
-                    .copied()
-                    .filter(|&r| {
-                        let (hit, examined) = sky.t_dominated(domains, table, table.to(r), job.key);
-                        m.batch(examined);
-                        !hit
-                    })
-                    .collect()
-            };
-            (job.gi, GroupPlan::Local(survivors), m)
-        });
-        for (gi, plan, m) in results {
-            self.m = self.m.merge(&m);
-            self.plans.insert(gi, plan);
-        }
-    }
-
     /// Sets up the next group: dismissal check, prefilter, and the phase
     /// that will stream its points. Returns the new phase, or `None` when
     /// the group was dismissed.
@@ -1096,49 +948,22 @@ impl<'a> DtssCursor<'a> {
             .enumerate()
             .map(|(d, &v)| self.domains[d].labeling().post(ValueId(v)))
             .collect();
-        let plan = self.plans.remove(&gi);
-        match plan {
-            Some(GroupPlan::Dismissed) => {
-                self.groups_skipped += 1;
-                return None;
-            }
-            Some(GroupPlan::Local(survivors)) => {
-                // §V-B io charge for reading the stored local-skyline file
-                // (the screen consumed the whole list, as in serial mode).
-                let local_len = group
-                    .local_skyline
-                    .as_ref()
-                    .expect("Local plans come from local-skyline groups")
-                    .len();
-                self.m.io_reads += dtss
-                    .cfg
-                    .page
-                    .data_pages(local_len, dtss.table.to_dims() + key.len());
-                return Some(DtssPhase::LocalPre { gi, survivors });
-            }
-            Some(GroupPlan::Live) => {
-                // Dismissal already decided against the frozen skyline;
-                // fall through to the live traversal setup.
-            }
-            None => {
-                // Serial mode: dismissal check against the current skyline.
-                let corner = group.root_corner(self.reference.as_deref());
-                let dominated = if let Some(vpi) = self.vpi.as_ref() {
-                    let (hit, queries) = vpi.covers_value(&corner, &posts);
-                    self.m.dominance_checks += queries;
-                    hit
-                } else {
-                    let (hit, examined) =
-                        self.sky
-                            .group_dismissed(&self.domains, &dtss.table, &corner, key);
-                    self.m.batch(examined);
-                    hit
-                };
-                if dominated {
-                    self.groups_skipped += 1;
-                    return None;
-                }
-            }
+        // Dismissal check against the current skyline.
+        let corner = group.root_corner(self.reference.as_deref());
+        let dominated = if let Some(vpi) = self.vpi.as_ref() {
+            let (hit, queries) = vpi.covers_value(&corner, &posts);
+            self.m.dominance_checks += queries;
+            hit
+        } else {
+            let (hit, examined) =
+                self.sky
+                    .group_dismissed(&self.domains, &dtss.table, &corner, key);
+            self.m.batch(examined);
+            hit
+        };
+        if dominated {
+            self.groups_skipped += 1;
+            return None;
         }
 
         // Optional per-group dominator prefilter: global entries whose PO
@@ -1235,9 +1060,6 @@ impl SkylineCursor for DtssCursor<'_> {
                         self.phase = DtssPhase::Extras(self.compute_extras());
                         continue;
                     };
-                    if self.parallel() && !self.plans.contains_key(&gi) {
-                        self.plan_stratum(self.order_ix);
-                    }
                     self.order_ix += 1;
                     if let Some(next) = self.enter_group(gi) {
                         self.phase = next;
@@ -1289,27 +1111,6 @@ impl SkylineCursor for DtssCursor<'_> {
                             };
                             return Some(self.yielded(r));
                         }
-                    }
-                    self.phase = DtssPhase::NextGroup;
-                }
-                DtssPhase::LocalPre { gi, mut survivors } => {
-                    let dtss = self.dtss;
-                    let group = &dtss.groups[gi];
-                    if let Some(r) = survivors.pop_front() {
-                        let to = dtss.table.to(r);
-                        dtss.emit(
-                            r,
-                            to,
-                            &group.key,
-                            &self.domains,
-                            &mut self.sky,
-                            None,
-                            None,
-                            &mut self.m,
-                        );
-                        self.take_sample(0);
-                        self.phase = DtssPhase::LocalPre { gi, survivors };
-                        return Some(self.yielded(r));
                     }
                     self.phase = DtssPhase::NextGroup;
                 }
@@ -1485,16 +1286,6 @@ mod tests {
                 precompute_local: true,
                 ..Default::default()
             },
-            DtssConfig {
-                precompute_local: true,
-                eval_threads: 2,
-                ..Default::default()
-            },
-            DtssConfig {
-                filter_dominators: true,
-                eval_threads: 3,
-                ..Default::default()
-            },
         ]
     }
 
@@ -1560,89 +1351,6 @@ mod tests {
         // A different order is a cache miss.
         let third = dtss.query(&PoQuery::new(vec![order_a_c_over_b()])).unwrap();
         assert!(!third.from_cache);
-    }
-
-    #[test]
-    fn parallel_strata_match_serial_exactly() {
-        // Rank-stratum evaluation must reproduce the serial emission
-        // sequence and dismissal counts, and its metrics must be invariant
-        // to the worker count — across the plain, local-skyline and
-        // prefilter configurations, for both example queries.
-        let mut t = fig5_table();
-        t.push(&[1, 2], &[0]); // duplicate of p1
-        let serial_cfgs = [
-            DtssConfig::default(),
-            DtssConfig {
-                precompute_local: true,
-                ..Default::default()
-            },
-            DtssConfig {
-                precompute_local: true,
-                filter_dominators: true,
-                ..Default::default()
-            },
-        ];
-        for base in serial_cfgs {
-            let serial = Dtss::build(t.clone(), vec![3], base).unwrap();
-            for dag_fn in [order_b_over_c as fn() -> Dag, order_a_c_over_b] {
-                let q = PoQuery::new(vec![dag_fn()]);
-                let want = serial.query(&q).unwrap();
-                let mut reference: Option<Metrics> = None;
-                for threads in [1usize, 2, 4] {
-                    let cfg = DtssConfig {
-                        eval_threads: threads,
-                        ..base
-                    };
-                    let dtss = Dtss::build(t.clone(), vec![3], cfg).unwrap();
-                    let run = dtss.query(&q).unwrap();
-                    assert_eq!(
-                        run.skyline_records(),
-                        want.skyline_records(),
-                        "emission order: {base:?} threads={threads}"
-                    );
-                    assert_eq!(run.groups_skipped, want.groups_skipped);
-                    assert_eq!(run.metrics.io_reads, want.metrics.io_reads);
-                    assert_eq!(run.metrics.results, want.metrics.results);
-                    match &reference {
-                        None => reference = Some(run.metrics),
-                        Some(m) => {
-                            assert_eq!(
-                                run.metrics.dominance_checks, m.dominance_checks,
-                                "thread-count-invariant checks: threads={threads}"
-                            );
-                            assert_eq!(run.metrics.dominance_batch_calls, m.dominance_batch_calls);
-                            assert_eq!(run.metrics.heap_pops, m.heap_pops);
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn parallel_strata_handle_folded_queries() {
-        // Under a reference point local skylines are invalid, so every
-        // non-dismissed group walks its tree — but the dismissal verdicts
-        // still come from the parallel stratum pass.
-        let cfg = DtssConfig {
-            precompute_local: true,
-            eval_threads: 2,
-            ..Default::default()
-        };
-        let dtss = Dtss::build(fig5_table(), vec![3], cfg).unwrap();
-        for r in [[0u32, 0], [3, 3], [5, 1]] {
-            for dag_fn in [order_b_over_c as fn() -> Dag, order_a_c_over_b] {
-                let dag = dag_fn();
-                let run = dtss
-                    .query_fully_dynamic(&PoQuery::new(vec![dag.clone()]), &r)
-                    .unwrap();
-                let mut got = run.skyline_records();
-                got.sort_unstable();
-                let mut expect = folded_oracle(&fig5_table(), &dag, &r);
-                expect.sort_unstable();
-                assert_eq!(got, expect, "ref={r:?}");
-            }
-        }
     }
 
     #[test]
@@ -1835,7 +1543,7 @@ mod tests {
         fn equals_oracle(
             rows in proptest::collection::vec((0u32..10, 0u32..10, 0u32..5), 1..60),
             edge_mask in 0u32..1024,
-            cfg_ix in 0usize..7,
+            cfg_ix in 0usize..configs().len(),
         ) {
             let mut t = Table::new(2, 1);
             for &(a, b, v) in &rows {

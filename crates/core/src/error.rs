@@ -101,7 +101,7 @@ impl ShardErrorKind {
 /// the shard's **final** attempt, after the bounded retry ladder and the
 /// scalar-oracle fallback of last resort were both exhausted.
 ///
-/// A `ShardError` escaping [`sharded_skyline`](crate::sharded_skyline)
+/// A `ShardError` escaping [`sharded_skyline_exec`](crate::sharded_skyline_exec)
 /// therefore means the shard failed deterministically on every path — a
 /// real engine bug, not a transient fault (or crashed worker process).
 /// The error is structured — variant, shard index, the shard's global

@@ -84,9 +84,9 @@ pub use ipc::{SubprocessExecutor, WorkerSpec};
 pub use mapping::PoDomain;
 pub use metrics::{CostModel, Metrics};
 pub use parallel::{
-    parallel_classic_skyline, sharded_skyline, sharded_skyline_exec, sharded_skyline_with,
-    ExecPolicy, FaultKind, FaultPlan, ParallelRun, ProcessFaultKind, ShardCtx, ShardExecutor,
-    ShardJob, ShardOutcome, ShardPlan, ShardSpec, ThreadShardExecutor,
+    parallel_classic_skyline, sharded_skyline_exec, ExecPolicy, FaultKind, FaultPlan, ParallelRun,
+    ProcessFaultKind, ShardCtx, ShardExecutor, ShardJob, ShardOutcome, ShardPlan, ShardSpec,
+    ThreadShardExecutor,
 };
 pub use progressive::{ProgressLog, ProgressSample};
 pub use session::{QuerySession, SessionStats};

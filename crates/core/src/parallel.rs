@@ -5,10 +5,10 @@
 //! `S₁ ∪ … ∪ Sₖ` is the skyline of the union of the per-shard skylines.
 //! The columnar [`PointStore`] makes the partitioning free —
 //! [`PointStore::shards`] hands out zero-copy [`ShardView`] windows over
-//! the flat TO/PO blocks — so any exact engine can run per shard on scoped
-//! OS threads ([`run_jobs`]; no extra dependencies, `std::thread::scope`
-//! only) and the local skylines are folded back together by
-//! [`merge_shard_skylines`] with the store's batched
+//! the flat TO/PO blocks — so any exact engine can run per shard on the
+//! scoped OS threads of a [`ThreadShardExecutor`] (no extra dependencies,
+//! `std::thread::scope` only) and the local skylines are folded back
+//! together by [`merge_shard_skylines`] with the store's batched
 //! [`t_dominated_by_any`](PointStore::t_dominated_by_any) kernels.
 //!
 //! # Determinism contract
@@ -62,11 +62,10 @@
 //!   so each one needs checking only against the *already-confirmed*
 //!   global-skyline prefix of the other shards — an SFS/SaLSa-style
 //!   filter. Equal-score candidates can never dominate each other, so
-//!   each equal-score stratum is evaluated concurrently ([`map_slice`])
-//!   against the prefix frozen at stratum start, the same frozen-stratum
-//!   pattern the cursors use. Per-candidate pair work is bounded by the
-//!   all-pairs bound above and is typically a fraction of it
-//!   ([`Metrics::merge_pair_checks`] counts it exactly).
+//!   each equal-score stratum is evaluated concurrently (`map_slice`)
+//!   against the prefix frozen at stratum start. Per-candidate pair work
+//!   is bounded by the all-pairs bound above and is typically a fraction
+//!   of it ([`Metrics::merge_pair_checks`] counts it exactly).
 //! * **Cost-model shard counts** ([`ShardPlan`]): the planner samples two
 //!   store prefixes, fits the skyline-growth exponent, and picks the shard
 //!   count whose *estimated pair-check total* — parallel run phase plus
@@ -84,7 +83,7 @@
 //! [`FaultPlan`] (`TSS_FAULTS=seed:rate`) can deterministically inject
 //! panics and corrupted local skylines to prove the recovery ladder
 //! keeps every byte-identity invariant — see the
-//! [`executor` docs](ShardExecutor). The sharded fronts therefore return
+//! [`executor` docs](ShardExecutor). The sharded front therefore returns
 //! `Result<ParallelRun, ShardError>`: an `Err` means a shard failed on
 //! *every* path, including the oracle — a real bug, not a transient
 //! fault. A [`Budget`] (pair-check units) can bound the
@@ -115,12 +114,9 @@ use crate::budget::Budget;
 use crate::classic::{ClassicAlgo, ClassicEngine};
 use crate::cursor::SkylineEngine;
 use crate::error::ShardError;
-use crate::executor::panic_message;
 use crate::store::{PointStore, RecordId, ShardView};
 use crate::{Metrics, PoDomain};
 use skyline::PointBlock;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 pub use crate::executor::{
     ExecPolicy, FaultKind, FaultPlan, ProcessFaultKind, ShardCtx, ShardExecutor, ShardJob,
@@ -135,91 +131,6 @@ pub fn sum_metrics<'a>(metrics: impl IntoIterator<Item = &'a Metrics>) -> Metric
         .fold(Metrics::default(), |acc, m| acc.merge(m))
 }
 
-/// Runs independent jobs on up to `threads` scoped OS threads and returns
-/// their results **in job order**. Work is claimed dynamically (an atomic
-/// cursor), so uneven jobs balance; results are slotted by index, so the
-/// output — unlike the schedule — is deterministic. `threads <= 1` (or a
-/// single job) runs inline on the caller's thread.
-///
-/// A job that panics on a worker is reported as
-/// [`ShardErrorKind::Panicked`](crate::ShardErrorKind::Panicked) (with
-/// the job's index as the shard) instead
-/// of tearing the process down; jobs a dead worker never claimed are
-/// recomputed inline on the caller's thread, so one failure never loses
-/// the others' results. Executors that want retries and fallbacks
-/// instead of an error run their jobs through
-/// [`ThreadShardExecutor`].
-pub fn run_jobs<T, F>(threads: usize, jobs: Vec<F>) -> Result<Vec<T>, ShardError>
-where
-    F: FnOnce() -> T + Send,
-    T: Send,
-{
-    let n = jobs.len();
-    if threads <= 1 || n <= 1 {
-        return Ok(jobs.into_iter().map(|f| f()).collect());
-    }
-    let slots: Vec<Mutex<Option<F>>> = jobs.into_iter().map(|f| Mutex::new(Some(f))).collect();
-    let results: Vec<Mutex<Option<T>>> = (0..n).map(|_| Mutex::new(None)).collect();
-    let next = AtomicUsize::new(0);
-    let mut panic_msgs: Vec<String> = Vec::new();
-    std::thread::scope(|s| {
-        let handles: Vec<_> = (0..threads.min(n))
-            .map(|_| {
-                s.spawn(|| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= n {
-                        break;
-                    }
-                    // Locks are claimed uncontended (the atomic cursor
-                    // hands each index to exactly one worker); a poisoned
-                    // lock still owns its data, so poisoning — only
-                    // possible if a job panicked mid-slot-write — never
-                    // cascades.
-                    let job = slots[i].lock().unwrap_or_else(|p| p.into_inner()).take();
-                    if let Some(job) = job {
-                        let value = job();
-                        *results[i].lock().unwrap_or_else(|p| p.into_inner()) = Some(value);
-                    }
-                })
-            })
-            .collect();
-        for h in handles {
-            // Joining explicitly consumes a worker's panic payload, so the
-            // scope does not resume unwinding on the caller; the payload
-            // becomes the structured error below.
-            if let Err(payload) = h.join() {
-                panic_msgs.push(panic_message(payload.as_ref()));
-            }
-        }
-    });
-    let mut out = Vec::with_capacity(n);
-    let mut panics = panic_msgs.into_iter();
-    for (i, (slot, result)) in slots.into_iter().zip(results).enumerate() {
-        match result.into_inner().unwrap_or_else(|p| p.into_inner()) {
-            Some(v) => out.push(v),
-            // Unclaimed (its would-be workers died first): run inline. A
-            // deterministic panic in the job itself resurfaces on the
-            // caller's thread, which is the job's own failure, not ours.
-            None => match slot.into_inner().unwrap_or_else(|p| p.into_inner()) {
-                Some(job) => out.push(job()),
-                // Claimed but never finished: this job panicked. `run_jobs`
-                // has no record-range context, so the error's range stays
-                // empty (and Display omits it).
-                None => {
-                    return Err(ShardError::panicked(
-                        i,
-                        0,
-                        panics
-                            .next()
-                            .unwrap_or_else(|| "worker panicked".to_string()),
-                    ))
-                }
-            },
-        }
-    }
-    Ok(out)
-}
-
 /// Minimum items per worker before [`map_slice`] bothers spawning.
 const MIN_ITEMS_PER_THREAD: usize = 16;
 
@@ -228,7 +139,7 @@ const MIN_ITEMS_PER_THREAD: usize = 16;
 /// The chunking never changes what is computed — `f` sees each item
 /// exactly once — so any per-item counting embedded in `R` is invariant to
 /// the worker count. Small inputs run inline.
-pub fn map_slice<T, R, F>(threads: usize, items: &[T], f: F) -> Vec<R>
+pub(crate) fn map_slice<T, R, F>(threads: usize, items: &[T], f: F) -> Vec<R>
 where
     T: Sync,
     R: Send,
@@ -300,9 +211,10 @@ pub const PLAN_SAMPLE: usize = 512;
 ///                                    Σᵢ |localᵢ| · Σⱼ≠ᵢ |localⱼ|)
 /// ```
 ///
-/// and picks the `s` minimizing `run + merge`, smallest `s` on ties — so
-/// an exact wash (e.g. anti-correlated data at one worker) degrades to the
-/// unsharded run instead of paying merge overhead for nothing.
+/// and picks the `s` minimizing `run + merge`, smallest `s` on ties. At
+/// one worker only `s = 1` is costed: the shards would run back to back,
+/// so sharding can only add merge work, while the per-shard run term
+/// `x · k̂(x)` falls as `s` grows and would favour more shards.
 /// Deterministic (prefix samples, integer-rounded estimates, no RNG, no
 /// clock), so two runs over the same store always produce the same plan.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -352,7 +264,8 @@ impl ShardPlan {
     /// Samples the store and picks the shard count in `1..=max_shards`
     /// whose estimated pair-check total (parallel run phase + serial merge
     /// bound) is minimal under `workers` — see the type docs for the
-    /// model. Ties go to the smallest count.
+    /// model. Ties go to the smallest count; `workers <= 1` plans one
+    /// shard.
     pub fn adaptive(
         store: &PointStore,
         domains: &[PoDomain],
@@ -390,8 +303,10 @@ impl ShardPlan {
         };
         let k_hat =
             |x: f64| (sample_skyline as f64 * (x / sampled as f64).powf(alpha)).clamp(1.0, x);
+        // One worker runs the shards back to back: sharding only adds merge.
+        let candidates = if w == 1 { 1 } else { max.min(len) };
         let mut best: Option<u64> = None;
-        for s in 1..=max.min(len) {
+        for s in 1..=candidates {
             let x = len as f64 / s as f64;
             let k = k_hat(x);
             // Shards run in ⌈s/w⌉ waves; the merge bound is charged
@@ -412,17 +327,6 @@ impl ShardPlan {
             }
         }
         plan
-    }
-
-    /// The sampled local-skyline ratio (0.0 for fixed plans). Note this is
-    /// the *sample's* ratio; the shard count minimizes the cost model
-    /// described in the type docs.
-    pub fn sample_ratio(&self) -> f64 {
-        if self.sampled == 0 {
-            0.0
-        } else {
-            self.sample_skyline as f64 / self.sampled as f64
-        }
     }
 }
 
@@ -573,7 +477,7 @@ pub fn merge_shard_skylines_all_pairs(
 ///
 /// Equal-score candidates can never dominate each other (strict
 /// monotonicity), so each stratum is evaluated concurrently on up to
-/// `threads` workers ([`map_slice`]) against the per-shard confirmed
+/// `threads` workers (`map_slice`) against the per-shard confirmed
 /// prefixes *frozen* at stratum start — no intra-stratum reconciliation is
 /// needed, survivors apply in sorted order, and every verdict and count is
 /// invariant to the worker count. Exact duplicates always tie on score and
@@ -685,7 +589,7 @@ pub fn merge_shard_skylines_budgeted(
 /// already yielding its local skyline as **global** record ids plus its
 /// metrics — through a [`ShardExecutor`], then folds the recovered locals
 /// with the sorted [`merge_shard_skylines_budgeted`] on `threads`
-/// workers. [`sharded_skyline`] and the bench runners are thin fronts
+/// workers. [`sharded_skyline_exec`] and the bench runners are thin fronts
 /// over this; the returned plan is the implied fixed one — callers that
 /// planned adaptively overwrite [`ParallelRun::plan`].
 ///
@@ -730,22 +634,15 @@ where
     })
 }
 
-/// [`merge_jobs_exec`] on the default in-process executor
-/// ([`ThreadShardExecutor::new`], i.e. the environment's
-/// [`ExecPolicy`]) with no budget.
-pub fn merge_jobs(
-    store: &PointStore,
-    domains: &[PoDomain],
-    threads: usize,
-    jobs: Vec<ShardJob<'_>>,
-) -> Result<ParallelRun, ShardError> {
-    let executor = ThreadShardExecutor::new(threads);
-    merge_jobs_exec(store, domains, &executor, threads, Budget::UNLIMITED, jobs)
-}
-
 /// Runs one exact skyline engine per shard behind the fault-tolerant
-/// [`ThreadShardExecutor`] and merges the local skylines — the generic
-/// sharded front every engine-specific runner builds on.
+/// [`ThreadShardExecutor`] and merges the local skylines — the one
+/// sharded entry point every engine-specific runner builds on.
+///
+/// `spec` is resolved first (running the sampling planner for
+/// [`ShardSpec::Adaptive`]) and the decision is recorded in
+/// [`ParallelRun::plan`]. The merged record-id vector is identical
+/// whatever the plan resolves to — only the per-shard locals and work
+/// counters depend on the partition.
 ///
 /// `run_shard(ctx, view)` evaluates shard [`ctx.shard`](ShardCtx::shard)
 /// and returns its local skyline as **shard-local** record ids
@@ -754,55 +651,13 @@ pub fn merge_jobs(
 /// back to global ones here. The closure may be invoked several times
 /// per shard — once per recovery attempt — and should honor
 /// [`ctx.kernel`](ShardCtx::kernel) so the final-resort fallback really
-/// recomputes on the scalar oracle. The shard partition is fixed by
-/// `shards`, so the result is identical for every `threads` value — see
-/// the module docs for the full determinism contract. For a
-/// planner-chosen shard count use [`sharded_skyline_with`]; for explicit
-/// fault/budget control use [`sharded_skyline_exec`].
-pub fn sharded_skyline<F>(
-    store: &PointStore,
-    domains: &[PoDomain],
-    shards: usize,
-    threads: usize,
-    run_shard: F,
-) -> Result<ParallelRun, ShardError>
-where
-    F: Fn(ShardCtx, &ShardView<'_>) -> (Vec<RecordId>, Metrics) + Sync,
-{
-    sharded_skyline_with(store, domains, ShardSpec::Fixed(shards), threads, run_shard)
-}
-
-/// [`sharded_skyline`] with an explicit [`ShardSpec`]: resolves the spec
-/// (running the sampling planner for [`ShardSpec::Adaptive`]) and records
-/// the decision in [`ParallelRun::plan`]. The merged record-id vector is
-/// identical whatever the plan resolves to — only the per-shard locals
-/// and work counters depend on the partition.
-pub fn sharded_skyline_with<F>(
-    store: &PointStore,
-    domains: &[PoDomain],
-    spec: ShardSpec,
-    threads: usize,
-    run_shard: F,
-) -> Result<ParallelRun, ShardError>
-where
-    F: Fn(ShardCtx, &ShardView<'_>) -> (Vec<RecordId>, Metrics) + Sync,
-{
-    sharded_skyline_exec(
-        store,
-        domains,
-        spec,
-        threads,
-        ExecPolicy::default(),
-        Budget::UNLIMITED,
-        run_shard,
-    )
-}
-
-/// The fully explicit sharded front: shard spec, worker count, retry /
-/// fault-injection [`ExecPolicy`] and a pair-check
-/// [`Budget`], all caller-controlled (the fault-tolerance
-/// proptests and the bench harness drive this directly; the simpler
-/// fronts fill in environment defaults).
+/// recomputes on the scalar oracle.
+///
+/// The retry / fault-injection [`ExecPolicy`] and the pair-check
+/// [`Budget`] are caller-controlled: [`ExecPolicy::default`] reads the
+/// environment, [`Budget::UNLIMITED`] never stops early. The partition is
+/// fixed by the plan, so the result is identical for every `threads`
+/// value — see the module docs for the full determinism contract.
 pub fn sharded_skyline_exec<F>(
     store: &PointStore,
     domains: &[PoDomain],
@@ -850,16 +705,24 @@ pub fn parallel_classic_skyline(
     assert_eq!(
         store.po_dims(),
         0,
-        "classic algorithms are totally ordered; use sharded_skyline with \
-         a PO-aware engine for mixed stores"
+        "classic algorithms are totally ordered; use sharded_skyline_exec \
+         with a PO-aware engine for mixed stores"
     );
-    sharded_skyline(store, &[], shards, threads, |ctx, view| {
-        let block = PointBlock::from_flat(store.to_dims(), view.to_block().to_vec())
-            .with_kernel(ctx.kernel);
-        let engine = ClassicEngine::new(block, algo);
-        let (points, metrics) = engine.collect_skyline();
-        (points.into_iter().map(|p| p.record).collect(), metrics)
-    })
+    sharded_skyline_exec(
+        store,
+        &[],
+        ShardSpec::Fixed(shards),
+        threads,
+        ExecPolicy::default(),
+        Budget::UNLIMITED,
+        |ctx, view| {
+            let block = PointBlock::from_flat(store.to_dims(), view.to_block().to_vec())
+                .with_kernel(ctx.kernel);
+            let engine = ClassicEngine::new(block, algo);
+            let (points, metrics) = engine.collect_skyline();
+            (points.into_iter().map(|p| p.record).collect(), metrics)
+        },
+    )
 }
 
 #[cfg(test)]
@@ -875,40 +738,6 @@ mod tests {
             t.push(&[(i * 17) % 50, (i * 31) % 50], &[]);
         }
         t
-    }
-
-    #[test]
-    fn run_jobs_preserves_order_and_runs_everything() {
-        for threads in [1usize, 2, 4, 9] {
-            let jobs: Vec<_> = (0..7u32).map(|i| move || i * i).collect();
-            assert_eq!(
-                run_jobs(threads, jobs).unwrap(),
-                vec![0, 1, 4, 9, 16, 25, 36],
-                "threads={threads}"
-            );
-        }
-        assert!(run_jobs::<u32, fn() -> u32>(4, vec![]).unwrap().is_empty());
-    }
-
-    #[test]
-    fn run_jobs_reports_a_panicking_job_as_a_shard_error() {
-        let jobs: Vec<Box<dyn FnOnce() -> u32 + Send>> = (0..6u32)
-            .map(|i| {
-                Box::new(move || {
-                    assert!(i != 3, "job 3 exploded");
-                    i * 10
-                }) as Box<dyn FnOnce() -> u32 + Send>
-            })
-            .collect();
-        match run_jobs(3, jobs) {
-            Err(e) => {
-                assert_eq!(e.shard(), 3);
-                let rendered = e.to_string();
-                assert!(rendered.contains("job 3 exploded"), "{rendered}");
-                assert!(rendered.contains("panicked"), "{rendered}");
-            }
-            other => unreachable!("expected a structured panic report, got {other:?}"),
-        }
     }
 
     #[test]
@@ -1105,9 +934,8 @@ mod tests {
     #[test]
     fn cost_model_plans_follow_the_estimated_minimum() {
         // Anti-diagonal data: every tuple is skyline, so α fits to 1 and
-        // k̂(x) = x. At one worker, run(s) = (len/s)²·s and the merge bound
-        // s(s−1)(len/s)² sum to len² for every s — an exact wash, and ties
-        // go to the smallest count: stay unsharded.
+        // k̂(x) = x. At one worker only the unsharded run is costed:
+        // run(1) = len².
         let anti = anti_table(600);
         let plan = ShardPlan::adaptive(&anti, &[], 8, 1);
         assert!(plan.adaptive);
@@ -1123,8 +951,7 @@ mod tests {
         assert_eq!(plan8.est_run_checks, 300 * 300);
         assert_eq!(plan8.est_merge_checks, 2 * 300 * 300);
         // Dominance-heavy data: a chain has a single skyline point, so
-        // k̂ ≡ 1 and merge costs only s(s−1). At one worker sharding buys
-        // nothing (run(s) = len for every s) and merge overhead decides.
+        // k̂ ≡ 1 and merge costs only s(s−1).
         let mut chain = Table::new(2, 0);
         for i in 0..600u32 {
             chain.push(&[i, i], &[]);
@@ -1162,11 +989,13 @@ mod tests {
     fn adaptive_executor_matches_fixed_byte_for_byte() {
         let t = to_only_table(200);
         let fixed = parallel_classic_skyline(&t, ClassicAlgo::Sfs, 5, 2).unwrap();
-        let adaptive = sharded_skyline_with(
+        let adaptive = sharded_skyline_exec(
             &t,
             &[],
             ShardSpec::Adaptive { max: 8, workers: 2 },
             2,
+            ExecPolicy::default(),
+            Budget::UNLIMITED,
             |_ctx, view: &ShardView<'_>| {
                 let block = PointBlock::from_flat(t.to_dims(), view.to_block().to_vec());
                 let engine = ClassicEngine::new(block, ClassicAlgo::Sfs);
@@ -1195,12 +1024,20 @@ mod tests {
         let domains = vec![PoDomain::new(dag.clone())];
         let mut expect = brute_force_po_skyline(&domains, &t);
         expect.sort_unstable();
-        let run = sharded_skyline(&t, &domains, 4, 2, |_ctx, view| {
-            let stss = Stss::build(view.to_store(), vec![dag.clone()], StssConfig::default())
-                .expect("shard build");
-            let r = stss.run();
-            (r.skyline_records(), r.metrics)
-        })
+        let run = sharded_skyline_exec(
+            &t,
+            &domains,
+            ShardSpec::Fixed(4),
+            2,
+            ExecPolicy::default(),
+            Budget::UNLIMITED,
+            |_ctx, view| {
+                let stss = Stss::build(view.to_store(), vec![dag.clone()], StssConfig::default())
+                    .expect("shard build");
+                let r = stss.run();
+                (r.skyline_records(), r.metrics)
+            },
+        )
         .unwrap();
         let mut got = run.records.clone();
         got.sort_unstable();

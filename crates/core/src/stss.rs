@@ -59,24 +59,6 @@ pub struct StssConfig {
     /// "IO cost can be mitigated using buffers" remark; `None` (default)
     /// matches the paper's no-buffer benchmark setting.
     pub buffer_pages: Option<usize>,
-    /// Parallel stratum-evaluation mode: `0` (default) keeps the classic
-    /// serial traversal; `>= 1` switches the cursor to frozen-stratum
-    /// batched evaluation with up to that many worker threads.
-    ///
-    /// A *stratum* is the maximal run of heap entries sharing one mindist.
-    /// Precedence guarantees entries of a stratum cannot dominate (or
-    /// prune) each other, so each batch is checked against the skyline
-    /// *frozen at batch start* — concurrently, but with outcomes and
-    /// counts that depend only on the batch partition, never on the worker
-    /// count: `eval_threads = 1` and `eval_threads = 8` produce the
-    /// identical emission sequence and identical metrics. (The batched
-    /// counts can be *lower* than serial mode's, which also scans
-    /// same-stratum confirmations that can never dominate.)
-    ///
-    /// Ignored when [`fast_check`](Self::fast_check) is on — the
-    /// virtual-point index mutates at each confirmation, so that
-    /// configuration stays on the serial path.
-    pub eval_threads: usize,
 }
 
 impl Default for StssConfig {
@@ -88,7 +70,6 @@ impl Default for StssConfig {
             fast_check: false,
             multi_cover_mbb: false,
             buffer_pages: None,
-            eval_threads: 0,
         }
     }
 }
@@ -289,9 +270,8 @@ impl Stss {
         c.metrics()
     }
 
-    /// The thread-shareable context of the dominance checks: everything a
-    /// worker needs except the (interior-mutable, hence single-threaded)
-    /// disk R-tree and virtual-point index.
+    /// The pure-data context of the dominance checks: everything they need
+    /// except the (interior-mutable) disk R-tree and virtual-point index.
     fn checks(&self) -> StssChecks<'_> {
         StssChecks {
             table: &self.table,
@@ -303,8 +283,7 @@ impl Stss {
 }
 
 /// The pure-data slice of an [`Stss`] operator that dominance checks run
-/// on. `Copy` and `Sync`: the frozen-stratum parallel mode hands one to
-/// every worker thread.
+/// on.
 #[derive(Clone, Copy)]
 struct StssChecks<'a> {
     table: &'a Table,
@@ -505,10 +484,6 @@ pub struct StssCursor<'a> {
     /// `Some` once the traversal is exhausted and the duplicate-completion
     /// queue has been computed.
     extras: Option<VecDeque<SkylinePoint>>,
-    /// Confirmed-but-not-yet-yielded records (frozen-stratum mode only —
-    /// one batch can confirm several points, the stream hands them out one
-    /// per [`next`](SkylineCursor::next) call).
-    ready: VecDeque<RecordId>,
     /// Reused scratch for the fast-check path's per-candidate folded post
     /// coordinates (grown once, never reallocated per candidate).
     posts_scratch: Vec<u32>,
@@ -537,25 +512,14 @@ impl<'a> StssCursor<'a> {
             vpi,
             keys: HashMap::new(),
             extras: None,
-            ready: VecDeque::new(),
             posts_scratch: Vec::new(),
             last_sample: ProgressSample::default(),
             finished: false,
         }
     }
 
-    /// True iff this cursor runs the frozen-stratum batched evaluation
-    /// (see [`StssConfig::eval_threads`]); the fast-check configuration
-    /// always stays serial.
-    fn batched(&self) -> bool {
-        self.stss.cfg.eval_threads >= 1 && self.vpi.is_none()
-    }
-
     /// Resumes the best-first traversal until the next confirmation.
     fn advance_traversal(&mut self) -> Option<SkylinePoint> {
-        if self.batched() {
-            return self.advance_batched();
-        }
         let stss = self.stss;
         let checks = stss.checks();
         let to_dims = stss.table.to_dims();
@@ -610,100 +574,6 @@ impl<'a> StssCursor<'a> {
             }
         }
         None
-    }
-
-    /// Yields one record confirmed by the frozen-stratum batched
-    /// evaluation, processing further strata on demand.
-    fn advance_batched(&mut self) -> Option<SkylinePoint> {
-        while self.ready.is_empty() {
-            self.bf.peek_mindist()?;
-            self.process_stratum();
-        }
-        let record = self.ready.pop_front().expect("non-empty ready queue");
-        self.m.results += 1;
-        self.m.io_reads = self.stss.tree.io_count();
-        self.last_sample = ProgressSample {
-            results: self.m.results,
-            elapsed_cpu: self.start.elapsed(),
-            io_reads: self.m.io_reads,
-            dominance_checks: self.m.dominance_checks,
-        };
-        Some(SkylinePoint {
-            record,
-            to: self.stss.table.to_row(record as usize).to_vec(),
-            po: self.stss.table.po_row(record as usize).to_vec(),
-        })
-    }
-
-    /// Processes one mindist stratum: all heap entries at the current
-    /// minimum, evaluated in parallel against the skyline frozen at batch
-    /// start. Sound because dominance implies a strictly smaller mindist
-    /// (the precedence theorem), so entries of a stratum can neither
-    /// dominate nor prune each other; deterministic because batches are
-    /// collected and applied in heap (FIFO-tied) order and each entry's
-    /// check depends only on the frozen state — never on the worker count.
-    /// Node expansions can enqueue children at the same mindist; they form
-    /// the next sub-batch of the same stratum.
-    fn process_stratum(&mut self) {
-        let stss = self.stss;
-        let checks = stss.checks();
-        let to_dims = stss.table.to_dims();
-        let threads = stss.cfg.eval_threads.max(1);
-        let Some(d0) = self.bf.peek_mindist() else {
-            return;
-        };
-        loop {
-            let mut batch: Vec<Popped<'_>> = Vec::new();
-            while self.bf.peek_mindist() == Some(d0) {
-                batch.push(self.bf.pop().expect("peeked entry"));
-                self.m.heap_pops += 1;
-            }
-            if batch.is_empty() {
-                break;
-            }
-            // Fan the frozen checks out; results come back in batch order.
-            let table = &stss.table;
-            let frozen: &[RecordId] = &self.skyline;
-            let keys = &self.keys;
-            let verdicts = crate::parallel::map_slice(threads, &batch, |popped| {
-                let mut local = Metrics::default();
-                // The batched mode never runs under fast checks (vpi is
-                // None), so the posts scratch is untouched — an empty Vec
-                // costs nothing here.
-                let mut posts = Vec::new();
-                let dominated = match popped {
-                    Popped::Node { mbb, .. } => checks.mbb_dominated(mbb, frozen, None, &mut local),
-                    Popped::Record { point, record, .. } => checks.point_dominated(
-                        &point[..to_dims],
-                        table.po_row(*record as usize),
-                        frozen,
-                        None,
-                        keys,
-                        &mut posts,
-                        &mut local,
-                    ),
-                };
-                (dominated, local)
-            });
-            // Apply in batch order: counts first, then expansions and
-            // confirmations — the emission sequence equals the serial one.
-            for (popped, (dominated, local)) in batch.iter().zip(&verdicts) {
-                self.m = self.m.merge(local);
-                if *dominated {
-                    continue;
-                }
-                match popped {
-                    Popped::Node { id, .. } => self.bf.expand(*id),
-                    Popped::Record { record, .. } => {
-                        self.skyline.push(*record);
-                        self.ready.push_back(*record);
-                    }
-                }
-            }
-            if self.bf.peek_mindist() != Some(d0) {
-                break;
-            }
-        }
     }
 
     /// Duplicate completion: exact copies of skyline points whose leaves
@@ -991,96 +861,6 @@ mod tests {
         assert_eq!(r, vec![0]);
     }
 
-    #[test]
-    fn frozen_stratum_mode_matches_serial_exactly() {
-        // The batched evaluator must reproduce the serial emission
-        // *sequence* (not just the set), and its metrics must not depend
-        // on the worker count — only the batch partition, which is fixed
-        // by the data, decides what is examined.
-        let mut t = fig3_table();
-        t.push(&[2], &[2]); // duplicate of p1, exercises keep-all
-        t.push(&[0], &[8]); // extra cheap point on the worst PO value
-        let dag = Dag::paper_example();
-        for (strategy, multi) in [
-            (RangeStrategy::Dyadic, false),
-            (RangeStrategy::Naive, true),
-            (RangeStrategy::Full, false),
-        ] {
-            let base = StssConfig {
-                range_strategy: strategy,
-                multi_cover_mbb: multi,
-                node_capacity: Some(3),
-                ..Default::default()
-            };
-            let serial = Stss::build(t.clone(), vec![dag.clone()], base).unwrap();
-            let serial_run = serial.run();
-            let mut reference: Option<(Vec<u32>, Metrics)> = None;
-            for threads in [1usize, 2, 4] {
-                let cfg = StssConfig {
-                    eval_threads: threads,
-                    ..base
-                };
-                let stss = Stss::build(t.clone(), vec![dag.clone()], cfg).unwrap();
-                let run = stss.run();
-                assert_eq!(
-                    run.skyline_records(),
-                    serial_run.skyline_records(),
-                    "emission order: {strategy:?} multi={multi} threads={threads}"
-                );
-                assert_eq!(run.metrics.results, serial_run.metrics.results);
-                assert_eq!(run.metrics.io_reads, serial_run.metrics.io_reads);
-                assert_eq!(run.metrics.heap_pops, serial_run.metrics.heap_pops);
-                match &reference {
-                    None => reference = Some((run.skyline_records(), run.metrics)),
-                    Some((records, metrics)) => {
-                        assert_eq!(&run.skyline_records(), records, "threads={threads}");
-                        assert_eq!(
-                            run.metrics.dominance_checks, metrics.dominance_checks,
-                            "thread-count-invariant checks: threads={threads}"
-                        );
-                        assert_eq!(
-                            run.metrics.dominance_batch_calls,
-                            metrics.dominance_batch_calls
-                        );
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn frozen_stratum_mode_streams_prefixes() {
-        let cfg = StssConfig {
-            eval_threads: 2,
-            node_capacity: Some(3),
-            ..Default::default()
-        };
-        let stss = Stss::build(fig3_table(), vec![Dag::paper_example()], cfg).unwrap();
-        let full = stss.run().skyline_records();
-        let mut c = stss.cursor();
-        let mut prefix = Vec::new();
-        for _ in 0..3 {
-            prefix.push(c.next().unwrap().record);
-        }
-        assert_eq!(prefix, full[..3]);
-        assert_eq!(c.metrics().results, 3);
-    }
-
-    #[test]
-    fn fast_check_ignores_eval_threads() {
-        // fast_check keeps the serial path (the virtual-point index is
-        // interior-mutable); results must stay correct either way.
-        let cfg = StssConfig {
-            fast_check: true,
-            eval_threads: 4,
-            ..Default::default()
-        };
-        let stss = Stss::build(fig3_table(), vec![Dag::paper_example()], cfg).unwrap();
-        let mut got = stss.run().skyline_records();
-        got.sort_unstable();
-        assert_eq!(got, (0..5).collect::<Vec<u32>>());
-    }
-
     fn random_table(
         n: usize,
         to_dims: usize,
@@ -1163,28 +943,6 @@ mod tests {
             let mut got = stss.run().skyline_records();
             got.sort_unstable();
             prop_assert_eq!(got, expect);
-        }
-
-        /// The frozen-stratum parallel mode reproduces the serial emission
-        /// sequence on random tables, for any worker count.
-        #[test]
-        fn frozen_stratum_equals_serial(
-            rows in proptest::collection::vec((0u32..10, 0u32..10, 0u32..9), 1..60),
-            threads in 1usize..5,
-            cap in 2usize..8,
-        ) {
-            let mut t = Table::new(2, 1);
-            for &(a, b, v) in &rows {
-                t.push(&[a, b], &[v]);
-            }
-            let dag = Dag::paper_example();
-            let base = StssConfig { node_capacity: Some(cap), ..Default::default() };
-            let serial = Stss::build(t.clone(), vec![dag.clone()], base).unwrap().run();
-            let cfg = StssConfig { eval_threads: threads, ..base };
-            let batched = Stss::build(t, vec![dag], cfg).unwrap().run();
-            prop_assert_eq!(batched.skyline_records(), serial.skyline_records());
-            prop_assert_eq!(batched.metrics.heap_pops, serial.metrics.heap_pops);
-            prop_assert_eq!(batched.metrics.io_reads, serial.metrics.io_reads);
         }
     }
 }

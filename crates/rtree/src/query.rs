@@ -203,11 +203,6 @@ impl<'a> BestFirst<'a> {
         })
     }
 
-    /// Peeks at the smallest mindist currently enqueued.
-    pub fn peek_mindist(&self) -> Option<u64> {
-        self.heap.peek().map(|Reverse(e)| e.mindist)
-    }
-
     /// Expands a node previously popped: reads it (one IO) and enqueues its
     /// children / points.
     pub fn expand(&mut self, id: NodeId) {
@@ -355,7 +350,6 @@ mod tests {
     fn best_first_on_empty_tree() {
         let t = RTree::new(3, 4);
         assert!(t.best_first().pop().is_none());
-        assert_eq!(t.best_first().peek_mindist(), None);
     }
 
     #[test]

@@ -146,154 +146,6 @@ impl<'a> SdcCursor<'a> {
     /// Runs one stratum to completion, pushing its confirmations (with
     /// their moment-of-confirmation samples) into the buffer.
     fn run_stratum(&mut self) {
-        if self.index.cfg.eval_threads >= 1 {
-            return self.run_stratum_batched();
-        }
-        self.run_stratum_serial()
-    }
-
-    /// The parallel-screening stratum engine (see
-    /// [`SdcConfig::eval_threads`](crate::SdcConfig::eval_threads)): pops
-    /// are collected into same-mindist batches and screened against the
-    /// global/local lists frozen at batch start, on scoped worker threads.
-    /// Strict transformed-space dominance implies a strictly smaller
-    /// mindist, so batch members can never m-prune or m-dominate each
-    /// other; exact dominance *between* batch survivors (false-hit
-    /// relationships only) is reconciled serially in batch order, so the
-    /// emission sequence equals the serial engine's and every count is
-    /// invariant to the worker count.
-    fn run_stratum_batched(&mut self) {
-        let index = self.index;
-        let table = &index.table;
-        let ctx = &index.ctx;
-        let threads = index.cfg.eval_threads.max(1);
-        let stratum = &index.strata[self.stratum_ix];
-        self.stratum_ix += 1;
-
-        let sample = |m: &Metrics, start: &Instant| ProgressSample {
-            results: m.results,
-            elapsed_cpu: start.elapsed(),
-            io_reads: m.io_reads,
-            dominance_checks: m.dominance_checks,
-        };
-
-        stratum.tree.reset_io();
-        let mut local = EntryList::new(index.ctx.transformed_dims(), index.table.kernel());
-        let mut bf = stratum.tree.best_first();
-        // Record ids confirmed within the current batch's apply phase —
-        // the only entries the frozen screens cannot have seen.
-        let mut batch_added: Vec<u32> = Vec::new();
-        while let Some(d0) = bf.peek_mindist() {
-            let mut batch: Vec<Popped<'_>> = Vec::new();
-            while bf.peek_mindist() == Some(d0) {
-                batch.push(bf.pop().expect("peeked entry"));
-                self.m.heap_pops += 1;
-            }
-            // Frozen screens, fanned out; verdict `true` = keep.
-            let global = &self.global;
-            let frozen_local = &local;
-            let exact = stratum.exact;
-            let verdicts = tss_core::parallel::map_slice(threads, &batch, |popped| {
-                let mut lm = Metrics::default();
-                let keep = match popped {
-                    Popped::Node { mbb, .. } => {
-                        let corner = mbb.lo();
-                        let (hit_g, ex_g) = global.tcoords.corner_pruned(corner);
-                        lm.batch(ex_g);
-                        let pruned = hit_g || {
-                            let (hit_l, ex_l) = frozen_local.tcoords.corner_pruned(corner);
-                            lm.batch(ex_l);
-                            hit_l
-                        };
-                        !pruned
-                    }
-                    Popped::Record { point, record, .. } => {
-                        let (hit_g, ex_g) = global.tcoords.dominated(point);
-                        lm.batch(ex_g);
-                        let m_dominated = hit_g || {
-                            let (hit_l, ex_l) = frozen_local.tcoords.dominated(point);
-                            lm.batch(ex_l);
-                            hit_l
-                        };
-                        if m_dominated {
-                            false
-                        } else if exact {
-                            true
-                        } else {
-                            let (to_p, po_p) = (
-                                table.to_row(*record as usize),
-                                table.po_row(*record as usize),
-                            );
-                            let dominated =
-                                global.ids.iter().chain(frozen_local.ids.iter()).any(|&r| {
-                                    lm.dominance_checks += 1;
-                                    ctx.exact_dominates(table.to(r), table.po(r), to_p, po_p)
-                                });
-                            !dominated
-                        }
-                    }
-                };
-                (keep, lm)
-            });
-            // Apply in batch (= serial pop) order.
-            batch_added.clear();
-            for (popped, (keep, lm)) in batch.iter().zip(&verdicts) {
-                self.m = self.m.merge(lm);
-                if !keep {
-                    continue;
-                }
-                match popped {
-                    Popped::Node { id, .. } => bf.expand(*id),
-                    Popped::Record { point, record, .. } => {
-                        let record = *record;
-                        let (to_p, po_p) =
-                            (table.to_row(record as usize), table.po_row(record as usize));
-                        if !stratum.exact {
-                            // Reconcile against intra-batch survivors the
-                            // frozen screen could not see. (Checking ones
-                            // later evicted is harmless: exact dominance
-                            // is transitive, so their evictor screens the
-                            // same candidates.)
-                            let dominated = batch_added.iter().any(|&r| {
-                                self.m.dominance_checks += 1;
-                                ctx.exact_dominates(table.to(r), table.po(r), to_p, po_p)
-                            });
-                            if dominated {
-                                continue;
-                            }
-                            let before = local.len();
-                            local.tcoords.retain_with_ids(&mut local.ids, |r, _| {
-                                self.m.dominance_checks += 1;
-                                !ctx.exact_dominates(to_p, po_p, table.to(r), table.po(r))
-                            });
-                            self.false_hits_removed += (before - local.len()) as u64;
-                        }
-                        local.push(record, point);
-                        batch_added.push(record);
-                        if stratum.exact {
-                            self.m.results += 1;
-                            self.m.io_reads += stratum.tree.io_count();
-                            stratum.tree.reset_io();
-                            self.buffer
-                                .push_back((record, sample(&self.m, &self.start)));
-                        }
-                    }
-                }
-            }
-        }
-        self.m.io_reads += stratum.tree.io_count();
-        if !stratum.exact {
-            for &r in &local.ids {
-                self.m.results += 1;
-                self.buffer.push_back((r, sample(&self.m, &self.start)));
-            }
-        }
-        self.per_stratum.push(local.len());
-        self.global.append(&mut local);
-    }
-
-    /// The classic single-threaded stratum engine.
-    fn run_stratum_serial(&mut self) {
         let index = self.index;
         let table = &index.table;
         let ctx = &index.ctx;
@@ -598,52 +450,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn parallel_screening_matches_serial_exactly() {
-        // The batched engine must reproduce the serial confirmation
-        // sequence, per-stratum counts and false-hit evictions, with
-        // metrics invariant to the worker count.
-        let dag = Dag::paper_example();
-        let mut t = fig3_table();
-        t.push(&[2], &[2]); // duplicate of p1
-        t.push(&[5], &[7]); // h-point: false-hit fodder
-        t.push(&[5], &[5]); // f-point that exactly dominates it
-        for variant in [Variant::BbsPlus, Variant::Sdc, Variant::SdcPlus] {
-            let serial =
-                SdcIndex::build(t.clone(), vec![dag.clone()], variant, SdcConfig::default())
-                    .unwrap()
-                    .run();
-            let mut reference: Option<tss_core::Metrics> = None;
-            for threads in [1usize, 2, 4] {
-                let cfg = SdcConfig {
-                    eval_threads: threads,
-                    ..Default::default()
-                };
-                let idx = SdcIndex::build(t.clone(), vec![dag.clone()], variant, cfg).unwrap();
-                let run = idx.run();
-                assert_eq!(
-                    run.skyline, serial.skyline,
-                    "confirmation order: {variant:?} threads={threads}"
-                );
-                assert_eq!(run.per_stratum, serial.per_stratum);
-                assert_eq!(run.false_hits_removed, serial.false_hits_removed);
-                assert_eq!(run.metrics.io_reads, serial.metrics.io_reads);
-                assert_eq!(run.metrics.heap_pops, serial.metrics.heap_pops);
-                assert_eq!(run.metrics.results, serial.metrics.results);
-                match &reference {
-                    None => reference = Some(run.metrics),
-                    Some(m) => {
-                        assert_eq!(
-                            run.metrics.dominance_checks, m.dominance_checks,
-                            "thread-count-invariant checks: {variant:?} threads={threads}"
-                        );
-                        assert_eq!(run.metrics.dominance_batch_calls, m.dominance_batch_calls);
-                    }
-                }
-            }
-        }
-    }
-
     fn random_table(n: usize, seed: u64, v: u32) -> Table {
         let mut rng = StdRng::seed_from_u64(seed);
         let mut t = Table::new(2, 1);
@@ -685,7 +491,6 @@ mod tests {
         fn equals_oracle(
             rows in proptest::collection::vec((0u32..10, 0u32..10, 0u32..9), 1..50),
             variant_ix in 0usize..3,
-            threads in 0usize..4,
         ) {
             let mut t = Table::new(2, 1);
             for &(a, b, v) in &rows {
@@ -694,8 +499,7 @@ mod tests {
             let dag = Dag::paper_example();
             let expect = oracle(&t, &dag);
             let variant = [Variant::BbsPlus, Variant::Sdc, Variant::SdcPlus][variant_ix];
-            let cfg = SdcConfig { eval_threads: threads, ..Default::default() };
-            let idx = SdcIndex::build(t, vec![dag], variant, cfg).unwrap();
+            let idx = SdcIndex::build(t, vec![dag], variant, SdcConfig::default()).unwrap();
             let mut got = idx.run().skyline;
             got.sort_unstable();
             prop_assert_eq!(got, expect);

@@ -27,18 +27,6 @@ pub struct SdcConfig {
     /// Optional LRU page buffer (pages *per stratum tree*); `None` matches
     /// the paper's no-buffer setting.
     pub buffer_pages: Option<usize>,
-    /// Parallel candidate-screening mode: `0` (default) keeps the classic
-    /// serial stratum engine; `>= 1` screens each same-mindist batch of
-    /// heap entries against the global/local lists *frozen at batch
-    /// start*, concurrently on up to that many worker threads.
-    ///
-    /// Sound because strict dominance in the transformed space implies a
-    /// strictly smaller mindist, so entries of one batch can never m-prune
-    /// or m-dominate each other; exact screens are reconciled against
-    /// intra-batch survivors serially in batch order. Outcomes, emission
-    /// order and metrics depend only on the batch partition — never on
-    /// the worker count.
-    pub eval_threads: usize,
 }
 
 impl Default for SdcConfig {
@@ -48,7 +36,6 @@ impl Default for SdcConfig {
             node_capacity: None,
             spanning: SpanningStrategy::Dfs,
             buffer_pages: None,
-            eval_threads: 0,
         }
     }
 }
@@ -67,7 +54,6 @@ pub struct SdcIndex {
     pub(crate) table: Table,
     pub(crate) ctx: MdContext,
     pub(crate) strata: Vec<Stratum>,
-    pub(crate) cfg: SdcConfig,
     variant: Variant,
 }
 
@@ -140,7 +126,6 @@ impl SdcIndex {
             table,
             ctx,
             strata,
-            cfg,
             variant,
         })
     }

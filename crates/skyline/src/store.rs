@@ -101,13 +101,6 @@ impl Default for Kernel {
 /// the dimension-major mirror the lane-chunked kernels scan (see the
 /// module docs); equality compares the logical contents only (`dims` +
 /// row-major data), not the mirror or the configured [`Kernel`].
-/// Like `tss_core::PointStore`, the block carries an **epoch-versioned
-/// mutable form**: every mutation bumps a [`generation`](Self::generation)
-/// counter, [`expire`](Self::expire) retires a row into a tombstone bitmap
-/// without moving data, and [`compact`](Self::compact) rewrites the matrix
-/// densely (rebuilding the SoA mirror). The full-block and id-gather
-/// kernels keep scanning *physical* rows — streaming callers pass live id
-/// lists — so the lane machinery needs no liveness branches.
 #[derive(Debug, Clone, Default)]
 pub struct PointBlock {
     dims: usize,
@@ -117,13 +110,6 @@ pub struct PointBlock {
     /// `u32::MAX` pads.
     soa: Vec<u32>,
     kernel: Kernel,
-    /// Tombstone bitmap, one bit per physical row; may be shorter than
-    /// `len.div_ceil(64)` words — missing bits mean live.
-    tombstones: Vec<u64>,
-    /// Tombstoned rows (`len() - dead` rows are live).
-    dead: usize,
-    /// Epoch counter: bumped by every mutation.
-    generation: u64,
 }
 
 impl PartialEq for PointBlock {
@@ -157,9 +143,6 @@ impl PointBlock {
             data: Vec::new(),
             soa: Vec::new(),
             kernel: Kernel::default(),
-            tombstones: Vec::new(),
-            dead: 0,
-            generation: 0,
         }
     }
 
@@ -170,9 +153,6 @@ impl PointBlock {
             data: Vec::with_capacity(dims * points),
             soa: Vec::with_capacity(points.div_ceil(LANES) * LANES * dims),
             kernel: Kernel::default(),
-            tombstones: Vec::new(),
-            dead: 0,
-            generation: 0,
         }
     }
 
@@ -186,9 +166,6 @@ impl PointBlock {
             data,
             soa: Vec::new(),
             kernel: Kernel::default(),
-            tombstones: Vec::new(),
-            dead: 0,
-            generation: 0,
         };
         b.rebuild_soa();
         b
@@ -266,7 +243,6 @@ impl PointBlock {
     pub fn push(&mut self, coords: &[u32]) {
         assert_eq!(coords.len(), self.dims, "point width");
         self.data.extend_from_slice(coords);
-        self.generation += 1;
         if self.dims == 0 {
             return;
         }
@@ -286,22 +262,13 @@ impl PointBlock {
     pub fn clear(&mut self) {
         self.data.clear();
         self.soa.clear();
-        self.tombstones.clear();
-        self.dead = 0;
-        self.generation += 1;
     }
 
     /// Moves all points of `other` (same stride) to the end of this block.
-    /// `other` must carry no tombstones (compact it first): row indices
-    /// shift on append, and silently re-basing other's tombstone bits
-    /// would retire the wrong rows.
     pub fn append(&mut self, other: &mut PointBlock) {
         assert_eq!(self.dims, other.dims, "stride mismatch");
-        assert_eq!(other.dead, 0, "append: compact `other` first");
         self.data.append(&mut other.data);
         other.soa.clear();
-        other.generation += 1;
-        self.generation += 1;
         self.rebuild_soa();
     }
 
@@ -325,8 +292,6 @@ impl PointBlock {
         mut keep: impl FnMut(u32, &[u32]) -> bool,
     ) {
         debug_assert_eq!(ids.len(), self.len());
-        assert_eq!(self.dead, 0, "retain_with_ids: compact tombstones first");
-        self.generation += 1;
         let dims = self.dims;
         let mut write = 0usize;
         for read in 0..ids.len() {
@@ -343,80 +308,6 @@ impl PointBlock {
         ids.truncate(write);
         self.data.truncate(write * dims);
         self.rebuild_soa();
-    }
-
-    // --- Epoch-versioned mutation ---------------------------------------
-
-    /// Word index and mask of one row's tombstone bit.
-    #[inline]
-    fn tomb_bit(i: usize) -> (usize, u64) {
-        (i / 64, 1u64 << (i % 64))
-    }
-
-    /// The epoch counter: bumped by every mutation (push, clear, append,
-    /// retain, expire, compact). Equal generations imply byte-identical
-    /// logical contents.
-    #[inline]
-    pub fn generation(&self) -> u64 {
-        self.generation
-    }
-
-    /// True iff physical row `i` has not been tombstoned.
-    #[inline]
-    pub fn is_live(&self, i: usize) -> bool {
-        debug_assert!(i < self.len());
-        let (w, m) = Self::tomb_bit(i);
-        self.tombstones.get(w).is_none_or(|&x| x & m == 0)
-    }
-
-    /// Number of live (non-tombstoned) rows; [`len`](Self::len) keeps
-    /// counting physical rows until [`compact`](Self::compact).
-    #[inline]
-    pub fn live_len(&self) -> usize {
-        self.len() - self.dead
-    }
-
-    /// Retires row `i` into the tombstone bitmap without touching the
-    /// matrix or the SoA mirror. Returns `true` (and bumps the generation)
-    /// iff the row was live.
-    pub fn expire(&mut self, i: usize) -> bool {
-        assert!(i < self.len(), "expire: row {i} out of range");
-        let (w, m) = Self::tomb_bit(i);
-        if self.tombstones.len() <= w {
-            self.tombstones.resize(w + 1, 0);
-        }
-        if self.tombstones[w] & m != 0 {
-            return false;
-        }
-        self.tombstones[w] |= m;
-        self.dead += 1;
-        self.generation += 1;
-        true
-    }
-
-    /// Drops tombstoned rows, compacting in place (order preserved) and
-    /// rebuilding the SoA mirror. Returns the surviving *old* row indices
-    /// in ascending order (survivor `i` is the new row `i`).
-    pub fn compact(&mut self) -> Vec<u32> {
-        let dims = self.dims;
-        let mut survivors = Vec::with_capacity(self.live_len());
-        let mut w = 0usize;
-        for r in 0..self.len() {
-            if !self.is_live(r) {
-                continue;
-            }
-            if w != r {
-                self.data.copy_within(r * dims..(r + 1) * dims, w * dims);
-            }
-            survivors.push(r as u32);
-            w += 1;
-        }
-        self.data.truncate(w * dims);
-        self.dead = 0;
-        self.tombstones.clear();
-        self.generation += 1;
-        self.rebuild_soa();
-        survivors
     }
 
     /// Re-derives the dimension-major mirror from the row-major matrix
@@ -796,32 +687,6 @@ mod tests {
         assert_eq!(b.dominated(&[u32::MAX, u32::MAX]), (false, 1));
         b.push(&[0, 0]);
         assert_eq!(b.dominated(&[u32::MAX, u32::MAX]), (true, 2));
-    }
-
-    #[test]
-    fn epoch_expire_and_compact_keep_the_mirror_synced() {
-        let mut b = PointBlock::new(2);
-        for i in 0..11u32 {
-            b.push(&[i, 20 - i]);
-        }
-        let g = b.generation();
-        assert!(b.expire(3) && b.expire(8) && b.expire(10));
-        assert!(!b.expire(3), "double expiry is a no-op");
-        assert_eq!(b.generation(), g + 3);
-        assert_eq!((b.len(), b.live_len()), (11, 8));
-        assert!(b.is_live(0) && !b.is_live(8));
-        // Kernels keep scanning physical rows until compaction: [11, 10]
-        // is dominated only by the tombstoned row 10 = (10, 10).
-        assert!(b.dominated(&[11, 10]).0);
-        let survivors = b.compact();
-        assert_eq!(survivors, vec![0, 1, 2, 4, 5, 6, 7, 9]);
-        assert_eq!((b.len(), b.live_len()), (8, 8));
-        // Compaction dropped the tombstoned rows from the scan.
-        assert!(!b.dominated(&[11, 10]).0);
-        // The mirror matches a from-scratch rebuild of the compacted data.
-        let expect = PointBlock::from_flat(2, b.flat().to_vec());
-        assert_eq!(b.soa, expect.soa);
-        assert_eq!(b.point(3), &[4, 16], "old row 4 is new row 3");
     }
 
     #[test]

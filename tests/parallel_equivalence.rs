@@ -8,11 +8,12 @@
 use proptest::prelude::*;
 use tss::core::parallel::{
     all_pairs_merge_bound, merge_shard_skylines, merge_shard_skylines_all_pairs,
-    parallel_classic_skyline, sharded_skyline, sum_metrics,
+    parallel_classic_skyline, sum_metrics,
 };
 use tss::core::{
-    brute_force_po_skyline, ClassicAlgo, ClassicEngine, Dtss, DtssConfig, Metrics, PoDomain,
-    PoQuery, RecordId, ShardPlan, SkylineEngine, Stss, StssConfig, Table,
+    brute_force_po_skyline, sharded_skyline_exec, Budget, ClassicAlgo, ClassicEngine, Dtss,
+    DtssConfig, ExecPolicy, Metrics, PoDomain, PoQuery, RecordId, ShardPlan, ShardSpec,
+    SkylineEngine, Stss, StssConfig, Table,
 };
 use tss::datagen::{Distribution, ExperimentParams};
 use tss::poset::Dag;
@@ -121,10 +122,19 @@ proptest! {
             })),
         ];
         for (name, run_shard) in &engines {
-            let single = sharded_skyline(&t, &domains, shards, 1, run_shard)
-                .expect("no faults active in this test");
-            let multi = sharded_skyline(&t, &domains, shards, threads, run_shard)
-                .expect("no faults active in this test");
+            let run = |threads| {
+                sharded_skyline_exec(
+                    &t,
+                    &domains,
+                    ShardSpec::Fixed(shards),
+                    threads,
+                    ExecPolicy::default(),
+                    Budget::UNLIMITED,
+                    run_shard,
+                )
+                .expect("no faults active in this test")
+            };
+            let (single, multi) = (run(1), run(threads));
             // Parallel set == single-thread set == oracle.
             prop_assert_eq!(&multi.records, &single.records, "{}", name);
             prop_assert_eq!(&multi.locals, &single.locals, "{}", name);
@@ -309,4 +319,32 @@ fn anti_correlated_merge_does_less_pair_work() {
         plan.shards
     );
     assert!(plan.est_merge_checks > 0 && plan.workers == 4);
+}
+
+/// At one worker the shards would run back to back, so the planner must
+/// stay unsharded. On the Fig. 7 point (independent data, n = 10 000,
+/// seed 42) the run term `x·k̂(x)` falls as shards are added, so costing
+/// every count at one worker would pick 3 shards. Plans at two and four
+/// workers are pinned: the one-worker rule leaves them alone.
+#[test]
+fn one_worker_plans_stay_unsharded() {
+    let mut p = ExperimentParams::paper_static_default(Distribution::Independent, 42);
+    p.n = 10_000;
+    let (table, dags) = p.materialize();
+    let domains: Vec<PoDomain> = dags.into_iter().map(PoDomain::new).collect();
+    let plan = ShardPlan::adaptive(&table, &domains, 8, 1);
+    assert!(plan.adaptive && plan.sampled > 0);
+    assert_eq!(plan.shards, 1, "one worker must not shard: {plan:?}");
+    assert_eq!(plan.est_merge_checks, 0);
+    for (workers, shards, run, merge) in [
+        (2usize, 2usize, 11_556_209u64, 10_683_677u64),
+        (4, 3, 5_454_895, 16_068_174),
+    ] {
+        let plan = ShardPlan::adaptive(&table, &domains, 8, workers);
+        assert_eq!(
+            (plan.shards, plan.est_run_checks, plan.est_merge_checks),
+            (shards, run, merge),
+            "workers={workers}"
+        );
+    }
 }
