@@ -223,30 +223,12 @@ fn dynamic_point(p: &ExperimentParams) -> (bench::runner::AlgoResult, bench::run
         sdc_sum = sdc_sum.merge(&a.metrics);
         tss_sum = tss_sum.merge(&b.metrics);
     }
-    let div = |m: tss_core::Metrics| tss_core::Metrics {
-        dominance_checks: m.dominance_checks / seeds.len() as u64,
-        dominance_batch_calls: m.dominance_batch_calls / seeds.len() as u64,
-        kernel_chunks: m.kernel_chunks / seeds.len() as u64,
-        io_reads: m.io_reads / seeds.len() as u64,
-        io_writes: m.io_writes / seeds.len() as u64,
-        heap_pops: m.heap_pops / seeds.len() as u64,
-        results: m.results / seeds.len() as u64,
-        label_cache_hits: m.label_cache_hits / seeds.len() as u64,
-        label_cache_misses: m.label_cache_misses / seeds.len() as u64,
-        merge_pair_checks: m.merge_pair_checks / seeds.len() as u64,
-        merge_strata: m.merge_strata / seeds.len() as u64,
-        shard_retries: m.shard_retries / seeds.len() as u64,
-        shard_fallbacks: m.shard_fallbacks / seeds.len() as u64,
-        faults_injected: m.faults_injected / seeds.len() as u64,
-        stream_inserts: m.stream_inserts / seeds.len() as u64,
-        stream_expirations: m.stream_expirations / seeds.len() as u64,
-        stream_repairs: m.stream_repairs / seeds.len() as u64,
-        repair_candidates: m.repair_candidates / seeds.len() as u64,
-        worker_crashes: m.worker_crashes / seeds.len() as u64,
-        worker_timeouts: m.worker_timeouts / seeds.len() as u64,
-        frames_corrupted: m.frames_corrupted / seeds.len() as u64,
-        ipc_bytes: m.ipc_bytes / seeds.len() as u64,
-        cpu: m.cpu / seeds.len() as u32,
+    let div = |mut m: tss_core::Metrics| {
+        for c in m.counters_mut() {
+            *c /= seeds.len() as u64;
+        }
+        m.cpu /= seeds.len() as u32;
+        m
     };
     (
         bench::runner::AlgoResult {

@@ -172,57 +172,13 @@ fn assert_records_identical(label: &str, a: &Option<Vec<u32>>, b: &Option<Vec<u3
 /// Panics naming the first divergent *column* and both values when two
 /// counter sets differ — the counter-side counterpart of
 /// [`assert_records_identical`]. Compares every count the determinism
-/// contract covers; wall clock (`cpu`) is deliberately absent.
+/// contract covers; wall clock (`cpu`) is deliberately absent. The IPC
+/// counters are pool-size-invariant too: the supervisor instructs process
+/// faults by (shard, attempt), never by worker slot, so retries — and
+/// therefore frames and bytes — don't depend on how many workers drained
+/// the queue.
 fn assert_counters_identical(label: &str, a: &Metrics, b: &Metrics) {
-    let columns = [
-        ("dominance_checks", a.dominance_checks, b.dominance_checks),
-        (
-            "dominance_batch_calls",
-            a.dominance_batch_calls,
-            b.dominance_batch_calls,
-        ),
-        ("kernel_chunks", a.kernel_chunks, b.kernel_chunks),
-        ("io_reads", a.io_reads, b.io_reads),
-        ("io_writes", a.io_writes, b.io_writes),
-        ("heap_pops", a.heap_pops, b.heap_pops),
-        ("results", a.results, b.results),
-        ("label_cache_hits", a.label_cache_hits, b.label_cache_hits),
-        (
-            "label_cache_misses",
-            a.label_cache_misses,
-            b.label_cache_misses,
-        ),
-        (
-            "merge_pair_checks",
-            a.merge_pair_checks,
-            b.merge_pair_checks,
-        ),
-        ("merge_strata", a.merge_strata, b.merge_strata),
-        ("shard_retries", a.shard_retries, b.shard_retries),
-        ("shard_fallbacks", a.shard_fallbacks, b.shard_fallbacks),
-        ("faults_injected", a.faults_injected, b.faults_injected),
-        ("stream_inserts", a.stream_inserts, b.stream_inserts),
-        (
-            "stream_expirations",
-            a.stream_expirations,
-            b.stream_expirations,
-        ),
-        ("stream_repairs", a.stream_repairs, b.stream_repairs),
-        (
-            "repair_candidates",
-            a.repair_candidates,
-            b.repair_candidates,
-        ),
-        // The IPC counters are pool-size-invariant too: the supervisor
-        // instructs process faults by (shard, attempt), never by worker
-        // slot, so retries — and therefore frames and bytes — don't
-        // depend on how many workers drained the queue.
-        ("worker_crashes", a.worker_crashes, b.worker_crashes),
-        ("worker_timeouts", a.worker_timeouts, b.worker_timeouts),
-        ("frames_corrupted", a.frames_corrupted, b.frames_corrupted),
-        ("ipc_bytes", a.ipc_bytes, b.ipc_bytes),
-    ];
-    for (column, x, y) in columns {
+    for ((column, x), y) in Metrics::COUNTERS.iter().zip(a.counters()).zip(b.counters()) {
         assert_eq!(x, y, "{label}: column {column} diverges: {x} vs {y}");
     }
 }
@@ -487,6 +443,17 @@ pub fn grid(smoke: bool, threads_axis: &[usize], spec: ShardSpec) -> Vec<BenchRo
     rows
 }
 
+/// The `metrics` object of a bench row: every counter in
+/// [`Metrics::COUNTERS`] order, then the skyline size.
+pub(crate) fn metrics_json(m: &Metrics, skyline: usize) -> String {
+    let mut out = String::from("{");
+    for (name, v) in Metrics::COUNTERS.iter().zip(m.counters()) {
+        out.push_str(&format!("\"{name}\": {v}, "));
+    }
+    out.push_str(&format!("\"skyline\": {skyline}}}"));
+    out
+}
+
 /// Renders the rows as a JSON array (hand-rolled: the workspace builds
 /// offline, so no serde). All strings are plain ASCII grid keys.
 pub fn to_json(rows: &[BenchRow]) -> String {
@@ -495,7 +462,6 @@ pub fn to_json(rows: &[BenchRow]) -> String {
     }
     let mut out = String::from("[\n");
     for (i, r) in rows.iter().enumerate() {
-        let m = &r.metrics;
         out.push_str(&format!(
             "  {{\"algo\": \"{}\", \"workload\": \"{}\", \"threads\": {}, \"shards\": {}, \
              \"adaptive\": {}, \"kernel\": \"{}\", \"pair_check_picos\": {}, \
@@ -503,17 +469,7 @@ pub fn to_json(rows: &[BenchRow]) -> String {
              \"executor\": \"{}\", \"workers\": {}, \
              \"available_parallelism\": {}, \
              \"wall_ns\": {}, \"fault_seed\": {}, \"fault_rate\": {}, \
-             \"budget_limit\": {}, \"metrics\": \
-             {{\"dominance_checks\": {}, \"dominance_batch_calls\": {}, \
-             \"kernel_chunks\": {}, \"io_reads\": {}, \
-             \"io_writes\": {}, \"heap_pops\": {}, \"label_cache_hits\": {}, \
-             \"label_cache_misses\": {}, \"merge_pair_checks\": {}, \
-             \"merge_strata\": {}, \"shard_retries\": {}, \"shard_fallbacks\": {}, \
-             \"faults_injected\": {}, \"stream_inserts\": {}, \
-             \"stream_expirations\": {}, \"stream_repairs\": {}, \
-             \"repair_candidates\": {}, \"worker_crashes\": {}, \
-             \"worker_timeouts\": {}, \"frames_corrupted\": {}, \
-             \"ipc_bytes\": {}, \"results\": {}, \"skyline\": {}}}}}{}\n",
+             \"budget_limit\": {}, \"metrics\": {}}}{}\n",
             r.algo,
             r.workload,
             r.threads,
@@ -531,29 +487,7 @@ pub fn to_json(rows: &[BenchRow]) -> String {
             opt(r.fault_seed),
             r.fault_rate,
             opt(r.budget_limit),
-            m.dominance_checks,
-            m.dominance_batch_calls,
-            m.kernel_chunks,
-            m.io_reads,
-            m.io_writes,
-            m.heap_pops,
-            m.label_cache_hits,
-            m.label_cache_misses,
-            m.merge_pair_checks,
-            m.merge_strata,
-            m.shard_retries,
-            m.shard_fallbacks,
-            m.faults_injected,
-            m.stream_inserts,
-            m.stream_expirations,
-            m.stream_repairs,
-            m.repair_candidates,
-            m.worker_crashes,
-            m.worker_timeouts,
-            m.frames_corrupted,
-            m.ipc_bytes,
-            m.results,
-            r.skyline,
+            metrics_json(&r.metrics, r.skyline),
             if i + 1 == rows.len() { "" } else { "," }
         ));
     }
@@ -562,9 +496,29 @@ pub fn to_json(rows: &[BenchRow]) -> String {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use std::time::Duration;
+
+    /// Every counter set to a distinct three-digit value.
+    pub(crate) fn distinct_counters() -> Metrics {
+        let mut m = Metrics {
+            cpu: Duration::from_nanos(123),
+            ..Default::default()
+        };
+        for (v, c) in (101..).zip(m.counters_mut()) {
+            *c = v;
+        }
+        m
+    }
+
+    /// A rendered row carries `"<name>": <value>` for every counter.
+    pub(crate) fn assert_every_counter(json: &str, m: &Metrics) {
+        for (name, v) in Metrics::COUNTERS.iter().zip(m.counters()) {
+            let cell = format!("\"{name}\": {v},");
+            assert!(json.contains(&cell), "missing {cell} in {json}");
+        }
+    }
 
     #[test]
     fn json_shape_is_stable() {
@@ -586,28 +540,7 @@ mod tests {
             fault_seed: Some(7),
             fault_rate: 0.25,
             budget_limit: None,
-            metrics: Metrics {
-                dominance_checks: 7,
-                kernel_chunks: 6,
-                merge_pair_checks: 5,
-                merge_strata: 2,
-                io_reads: 3,
-                label_cache_hits: 9,
-                label_cache_misses: 4,
-                shard_retries: 12,
-                shard_fallbacks: 1,
-                faults_injected: 13,
-                stream_inserts: 21,
-                stream_expirations: 22,
-                stream_repairs: 23,
-                repair_candidates: 24,
-                worker_crashes: 31,
-                worker_timeouts: 32,
-                frames_corrupted: 33,
-                ipc_bytes: 34,
-                cpu: Duration::from_nanos(123),
-                ..Default::default()
-            },
+            metrics: distinct_counters(),
             skyline: 2,
         }];
         let s = to_json(&rows);
@@ -623,36 +556,17 @@ mod tests {
         assert!(s.contains("\"est_merge_checks\": 60"));
         assert!(s.contains("\"available_parallelism\": 4"));
         assert!(s.contains("\"wall_ns\": 123"));
-        assert!(s.contains("\"dominance_checks\": 7"));
-        assert!(s.contains("\"kernel_chunks\": 6"));
-        assert!(s.contains("\"merge_pair_checks\": 5"));
-        assert!(s.contains("\"merge_strata\": 2"));
-        // dTSS session-cache visibility: the PR 6 metrics-exhaustiveness
-        // lint pins these two to the row shape for good.
-        assert!(s.contains("\"label_cache_hits\": 9"));
-        assert!(s.contains("\"label_cache_misses\": 4"));
-        // Fault-tolerance observability: injection config and recovery
-        // counters are part of the row shape (unset config emits null).
+        // Fault-tolerance observability: injection config is part of the
+        // row shape (unset config emits null).
         assert!(s.contains("\"fault_seed\": 7"));
         assert!(s.contains("\"fault_rate\": 0.25"));
         assert!(s.contains("\"budget_limit\": null"));
-        assert!(s.contains("\"shard_retries\": 12"));
-        assert!(s.contains("\"shard_fallbacks\": 1"));
-        assert!(s.contains("\"faults_injected\": 13"));
-        // Streaming-maintenance observability (PR 9): the stream counters
-        // are part of the row shape, on static and dynamic rows alike.
-        assert!(s.contains("\"stream_inserts\": 21"));
-        assert!(s.contains("\"stream_expirations\": 22"));
-        assert!(s.contains("\"stream_repairs\": 23"));
-        assert!(s.contains("\"repair_candidates\": 24"));
-        // Out-of-process observability (PR 10): the executor axis and the
-        // IPC counters are part of the row shape.
+        // Out-of-process observability: the executor axis is part of the
+        // row shape.
         assert!(s.contains("\"executor\": \"subprocess\""));
         assert!(s.contains("\"workers\": 2"));
-        assert!(s.contains("\"worker_crashes\": 31"));
-        assert!(s.contains("\"worker_timeouts\": 32"));
-        assert!(s.contains("\"frames_corrupted\": 33"));
-        assert!(s.contains("\"ipc_bytes\": 34"));
+        assert_every_counter(&s, &rows[0].metrics);
+        assert!(s.contains("\"skyline\": 2}"));
         assert!(s.trim_end().ends_with(']'));
     }
 

@@ -22,7 +22,7 @@
 //! and asserts the remaining columns byte-identical, and the grid builder
 //! itself asserts it while measuring.
 
-use crate::jsonbench::available_parallelism;
+use crate::jsonbench::{available_parallelism, metrics_json};
 use crate::runner::{generate, pair_check_picos, Workload};
 use datagen::{Distribution, ExperimentParams};
 use std::time::Instant;
@@ -301,7 +301,6 @@ pub fn stream_grid(smoke: bool, threads_axis: &[usize]) -> Vec<StreamBenchRow> {
 pub fn stream_to_json(rows: &[StreamBenchRow]) -> String {
     let mut out = String::from("[\n");
     for (i, r) in rows.iter().enumerate() {
-        let m = &r.metrics;
         out.push_str(&format!(
             "  {{\"algo\": \"{}\", \"workload\": \"{}\", \"threads\": {}, \
              \"repair_shards\": {}, \"window\": {}, \"kernel\": \"{}\", \
@@ -309,16 +308,7 @@ pub fn stream_to_json(rows: &[StreamBenchRow]) -> String {
              \"wall_ns\": {}, \"updates_per_sec\": {}, \"cursor_points_served\": {}, \
              \"repair_ns_p50\": {}, \"repair_ns_p95\": {}, \"repair_ns_p99\": {}, \
              \"maintained_checks_sampled\": {}, \"recompute_checks_sampled\": {}, \
-             \"sampled_repairs\": {}, \"metrics\": \
-             {{\"dominance_checks\": {}, \"dominance_batch_calls\": {}, \
-             \"kernel_chunks\": {}, \"io_reads\": {}, \"io_writes\": {}, \
-             \"heap_pops\": {}, \"label_cache_hits\": {}, \"label_cache_misses\": {}, \
-             \"merge_pair_checks\": {}, \"merge_strata\": {}, \"shard_retries\": {}, \
-             \"shard_fallbacks\": {}, \"faults_injected\": {}, \"stream_inserts\": {}, \
-             \"stream_expirations\": {}, \"stream_repairs\": {}, \
-             \"repair_candidates\": {}, \"worker_crashes\": {}, \
-             \"worker_timeouts\": {}, \"frames_corrupted\": {}, \
-             \"ipc_bytes\": {}, \"results\": {}, \"skyline\": {}}}}}{}\n",
+             \"sampled_repairs\": {}, \"metrics\": {}}}{}\n",
             r.algo,
             r.workload,
             r.threads,
@@ -336,29 +326,7 @@ pub fn stream_to_json(rows: &[StreamBenchRow]) -> String {
             r.maintained_checks_sampled,
             r.recompute_checks_sampled,
             r.sampled_repairs,
-            m.dominance_checks,
-            m.dominance_batch_calls,
-            m.kernel_chunks,
-            m.io_reads,
-            m.io_writes,
-            m.heap_pops,
-            m.label_cache_hits,
-            m.label_cache_misses,
-            m.merge_pair_checks,
-            m.merge_strata,
-            m.shard_retries,
-            m.shard_fallbacks,
-            m.faults_injected,
-            m.stream_inserts,
-            m.stream_expirations,
-            m.stream_repairs,
-            m.repair_candidates,
-            m.worker_crashes,
-            m.worker_timeouts,
-            m.frames_corrupted,
-            m.ipc_bytes,
-            m.results,
-            r.skyline,
+            metrics_json(&r.metrics, r.skyline),
             if i + 1 == rows.len() { "" } else { "," }
         ));
     }
@@ -369,7 +337,7 @@ pub fn stream_to_json(rows: &[StreamBenchRow]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::time::Duration;
+    use crate::jsonbench::tests::{assert_every_counter, distinct_counters};
 
     #[test]
     fn percentiles_use_nearest_rank() {
@@ -400,14 +368,7 @@ mod tests {
             maintained_checks_sampled: 9,
             recompute_checks_sampled: 90,
             sampled_repairs: 4,
-            metrics: Metrics {
-                stream_inserts: 100,
-                stream_expirations: 84,
-                stream_repairs: 5,
-                repair_candidates: 40,
-                cpu: Duration::from_nanos(123),
-                ..Default::default()
-            },
+            metrics: distinct_counters(),
             skyline: 6,
         }];
         let s = stream_to_json(&rows);
@@ -418,8 +379,8 @@ mod tests {
         assert!(s.contains("\"repair_ns_p99\": 3"));
         assert!(s.contains("\"maintained_checks_sampled\": 9"));
         assert!(s.contains("\"recompute_checks_sampled\": 90"));
-        assert!(s.contains("\"stream_inserts\": 100"));
-        assert!(s.contains("\"repair_candidates\": 40"));
+        assert_every_counter(&s, &rows[0].metrics);
+        assert!(s.contains("\"skyline\": 6}"));
         assert!(s.trim_end().ends_with(']'));
     }
 

@@ -15,8 +15,8 @@
 //!   then opaque task bytes (first task byte selects a codec — see
 //!   [`tasks`](super::tasks)).
 //! * `RESP_OK` — the record-id list plus the **full** [`Metrics`] struct,
-//!   every field in declaration order (`cpu` as nanoseconds). The metrics
-//!   exhaustiveness lint pins [`put_metrics`] as a sink, so a new counter
+//!   every counter in [`Metrics::COUNTERS`] order, then `cpu` as
+//!   nanoseconds. [`put_metrics`] loops over that table, so a new counter
 //!   cannot silently vanish across the process boundary.
 //! * `RESP_ERR` — a UTF-8 error message from the worker.
 //!
@@ -151,8 +151,16 @@ pub fn read_frame(r: &mut impl Read) -> Result<Vec<u8>, FrameError> {
     if len > MAX_FRAME {
         return Err(FrameError::TooLarge(len));
     }
-    let mut payload = vec![0u8; len as usize];
-    read_full(r, &mut payload, false)?;
+    // Grow the buffer as bytes arrive: a corrupt prefix must not size an
+    // allocation before the payload it promises exists.
+    let mut payload = Vec::new();
+    r.by_ref()
+        .take(u64::from(len))
+        .read_to_end(&mut payload)
+        .map_err(|e| FrameError::Io(e.to_string()))?;
+    if payload.len() < len as usize {
+        return Err(FrameError::Truncated);
+    }
     let mut sum_buf = [0u8; 8];
     read_full(r, &mut sum_buf, false)?;
     if fnv64(&payload) != u64::from_le_bytes(sum_buf) {
@@ -360,7 +368,7 @@ pub enum Response {
 
 /// Encodes a successful response payload.
 pub fn encode_ok(records: &[u32], metrics: &Metrics) -> Vec<u8> {
-    let mut p = Vec::with_capacity(1 + 4 + records.len() * 4 + 23 * 8);
+    let mut p = Vec::with_capacity(1 + 4 + records.len() * 4 + (Metrics::COUNTERS.len() + 1) * 8);
     p.push(RESP_OK);
     put_u32s(&mut p, records);
     put_metrics(&mut p, metrics);
@@ -394,63 +402,23 @@ pub fn decode_response(payload: &[u8]) -> Result<Response, DecodeError> {
     }
 }
 
-/// Serializes the **entire** [`Metrics`] struct, every field in
-/// declaration order, `cpu` as nanoseconds. Pinned as a sink by the
-/// metrics-exhaustiveness lint: adding a counter without plumbing it
-/// through the wire fails `cargo run -p xtask -- lint`.
+/// Serializes the **entire** [`Metrics`] struct: every counter in
+/// [`Metrics::COUNTERS`] order, then `cpu` as nanoseconds.
 pub fn put_metrics(buf: &mut Vec<u8>, m: &Metrics) {
-    put_u64(buf, m.dominance_checks);
-    put_u64(buf, m.dominance_batch_calls);
-    put_u64(buf, m.kernel_chunks);
-    put_u64(buf, m.io_reads);
-    put_u64(buf, m.io_writes);
-    put_u64(buf, m.heap_pops);
-    put_u64(buf, m.results);
-    put_u64(buf, m.label_cache_hits);
-    put_u64(buf, m.label_cache_misses);
-    put_u64(buf, m.merge_pair_checks);
-    put_u64(buf, m.merge_strata);
-    put_u64(buf, m.shard_retries);
-    put_u64(buf, m.shard_fallbacks);
-    put_u64(buf, m.faults_injected);
-    put_u64(buf, m.stream_inserts);
-    put_u64(buf, m.stream_expirations);
-    put_u64(buf, m.stream_repairs);
-    put_u64(buf, m.repair_candidates);
-    put_u64(buf, m.worker_crashes);
-    put_u64(buf, m.worker_timeouts);
-    put_u64(buf, m.frames_corrupted);
-    put_u64(buf, m.ipc_bytes);
+    for c in m.counters() {
+        put_u64(buf, c);
+    }
     put_u64(buf, m.cpu.as_nanos() as u64);
 }
 
 /// Inverse of [`put_metrics`].
 pub fn get_metrics(r: &mut Reader<'_>) -> Result<Metrics, DecodeError> {
-    Ok(Metrics {
-        dominance_checks: r.u64()?,
-        dominance_batch_calls: r.u64()?,
-        kernel_chunks: r.u64()?,
-        io_reads: r.u64()?,
-        io_writes: r.u64()?,
-        heap_pops: r.u64()?,
-        results: r.u64()?,
-        label_cache_hits: r.u64()?,
-        label_cache_misses: r.u64()?,
-        merge_pair_checks: r.u64()?,
-        merge_strata: r.u64()?,
-        shard_retries: r.u64()?,
-        shard_fallbacks: r.u64()?,
-        faults_injected: r.u64()?,
-        stream_inserts: r.u64()?,
-        stream_expirations: r.u64()?,
-        stream_repairs: r.u64()?,
-        repair_candidates: r.u64()?,
-        worker_crashes: r.u64()?,
-        worker_timeouts: r.u64()?,
-        frames_corrupted: r.u64()?,
-        ipc_bytes: r.u64()?,
-        cpu: Duration::from_nanos(r.u64()?),
-    })
+    let mut m = Metrics::default();
+    for c in m.counters_mut() {
+        *c = r.u64()?;
+    }
+    m.cpu = Duration::from_nanos(r.u64()?);
+    Ok(m)
 }
 
 // --- Shared store-window / DAG codecs (reused by the bench codecs) -------
@@ -537,6 +505,30 @@ mod tests {
     }
 
     #[test]
+    fn a_huge_length_prefix_allocates_only_what_arrives() {
+        /// Serves `bytes`, then EOF, recording the widest buffer a caller
+        /// asked it to fill.
+        struct Widest<'a> {
+            bytes: &'a [u8],
+            widest: usize,
+        }
+        impl Read for Widest<'_> {
+            fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+                self.widest = self.widest.max(buf.len());
+                self.bytes.read(buf)
+            }
+        }
+        let mut frame = MAX_FRAME.to_le_bytes().to_vec();
+        frame.extend_from_slice(&[1, 2, 3, 4, 5]);
+        let mut r = Widest {
+            bytes: &frame,
+            widest: 0,
+        };
+        assert_eq!(read_frame(&mut r), Err(FrameError::Truncated));
+        assert!(r.widest <= 64 << 10, "asked to fill {} bytes", r.widest);
+    }
+
+    #[test]
     fn every_bit_flip_is_rejected() {
         let payload = [3u8, 1, 4, 1, 5, 9, 2, 6];
         let frame = encode_frame(&payload);
@@ -587,31 +579,13 @@ mod tests {
 
     #[test]
     fn responses_round_trip_the_full_metrics() {
-        let m = Metrics {
-            dominance_checks: 1,
-            dominance_batch_calls: 2,
-            kernel_chunks: 3,
-            io_reads: 4,
-            io_writes: 5,
-            heap_pops: 6,
-            results: 7,
-            label_cache_hits: 8,
-            label_cache_misses: 9,
-            merge_pair_checks: 10,
-            merge_strata: 11,
-            shard_retries: 12,
-            shard_fallbacks: 13,
-            faults_injected: 14,
-            stream_inserts: 15,
-            stream_expirations: 16,
-            stream_repairs: 17,
-            repair_candidates: 18,
-            worker_crashes: 19,
-            worker_timeouts: 20,
-            frames_corrupted: 21,
-            ipc_bytes: 22,
+        let mut m = Metrics {
             cpu: Duration::from_nanos(23),
+            ..Default::default()
         };
+        for (v, c) in (1..).zip(m.counters_mut()) {
+            *c = v;
+        }
         match decode_response(&encode_ok(&[4, 5], &m)).unwrap() {
             Response::Ok(records, got) => {
                 assert_eq!(records, vec![4, 5]);

@@ -1,10 +1,46 @@
 use std::time::Duration;
 
-/// Execution metrics common to all paper algorithms: the efficiency measures
-/// of §III-A plus wall-clock CPU time, combined by the paper's IO charging
-/// model (§VI-B "after charging 5 msec for each IO").
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct Metrics {
+/// Declares [`Metrics`] from one table of its `u64` counters: the struct
+/// (the counters in table order, then `cpu`) and the table-order views
+/// [`Metrics::COUNTERS`], [`Metrics::counters`] and
+/// [`Metrics::counters_mut`]. Every sink — [`Metrics::merge`], the IPC
+/// codec, the bench rows and reports — loops over those views, so a
+/// counter added to the table reaches all of them.
+macro_rules! metrics {
+    ($($(#[$doc:meta])* pub $name:ident: u64,)*) => {
+        /// Execution metrics common to all paper algorithms: the efficiency
+        /// measures of §III-A plus wall-clock CPU time, combined by the
+        /// paper's IO charging model (§VI-B "after charging 5 msec for each
+        /// IO").
+        #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+        pub struct Metrics {
+            $($(#[$doc])* pub $name: u64,)*
+            /// Measured CPU time (single-threaded wall clock of the run).
+            pub cpu: Duration,
+        }
+
+        impl Metrics {
+            /// Names of the `u64` counters, in declaration order: the order
+            /// of [`counters`](Metrics::counters), of the IPC wire codec and
+            /// of the bench rows' `metrics` object.
+            pub const COUNTERS: &'static [&'static str] = &[$(stringify!($name)),*];
+
+            /// Every counter's value, in [`COUNTERS`](Metrics::COUNTERS)
+            /// order.
+            pub fn counters(&self) -> [u64; Metrics::COUNTERS.len()] {
+                [$(self.$name),*]
+            }
+
+            /// Every counter, mutably, in [`COUNTERS`](Metrics::COUNTERS)
+            /// order.
+            pub fn counters_mut(&mut self) -> [&mut u64; Metrics::COUNTERS.len()] {
+                [$(&mut self.$name),*]
+            }
+        }
+    };
+}
+
+metrics! {
     /// Pairwise dominance / containment checks.
     pub dominance_checks: u64,
     /// Invocations of a batched dominance kernel (each call examines zero
@@ -82,8 +118,6 @@ pub struct Metrics {
     /// A pure function of the jobs and the fault plan — pool-size- and
     /// thread-invariant like every other counter.
     pub ipc_bytes: u64,
-    /// Measured CPU time (single-threaded wall clock of the run).
-    pub cpu: Duration,
 }
 
 impl Metrics {
@@ -94,31 +128,12 @@ impl Metrics {
 
     /// Componentwise sum.
     pub fn merge(&self, other: &Metrics) -> Metrics {
-        Metrics {
-            dominance_checks: self.dominance_checks + other.dominance_checks,
-            dominance_batch_calls: self.dominance_batch_calls + other.dominance_batch_calls,
-            kernel_chunks: self.kernel_chunks + other.kernel_chunks,
-            io_reads: self.io_reads + other.io_reads,
-            io_writes: self.io_writes + other.io_writes,
-            heap_pops: self.heap_pops + other.heap_pops,
-            results: self.results + other.results,
-            label_cache_hits: self.label_cache_hits + other.label_cache_hits,
-            label_cache_misses: self.label_cache_misses + other.label_cache_misses,
-            merge_pair_checks: self.merge_pair_checks + other.merge_pair_checks,
-            merge_strata: self.merge_strata + other.merge_strata,
-            shard_retries: self.shard_retries + other.shard_retries,
-            shard_fallbacks: self.shard_fallbacks + other.shard_fallbacks,
-            faults_injected: self.faults_injected + other.faults_injected,
-            stream_inserts: self.stream_inserts + other.stream_inserts,
-            stream_expirations: self.stream_expirations + other.stream_expirations,
-            stream_repairs: self.stream_repairs + other.stream_repairs,
-            repair_candidates: self.repair_candidates + other.repair_candidates,
-            worker_crashes: self.worker_crashes + other.worker_crashes,
-            worker_timeouts: self.worker_timeouts + other.worker_timeouts,
-            frames_corrupted: self.frames_corrupted + other.frames_corrupted,
-            ipc_bytes: self.ipc_bytes + other.ipc_bytes,
-            cpu: self.cpu + other.cpu,
+        let mut sum = *self;
+        for (s, o) in sum.counters_mut().into_iter().zip(other.counters()) {
+            *s += o;
         }
+        sum.cpu += other.cpu;
+        sum
     }
 
     /// Accounts one batched-kernel invocation that examined `examined`
@@ -170,52 +185,19 @@ mod tests {
 
     #[test]
     fn merge_sums_fields() {
-        let a = Metrics {
-            dominance_checks: 1,
-            dominance_batch_calls: 8,
-            kernel_chunks: 11,
-            io_reads: 2,
-            io_writes: 3,
-            heap_pops: 4,
-            results: 5,
-            label_cache_hits: 6,
-            label_cache_misses: 7,
-            merge_pair_checks: 9,
-            merge_strata: 10,
-            shard_retries: 11,
-            shard_fallbacks: 12,
-            faults_injected: 13,
-            stream_inserts: 14,
-            stream_expirations: 15,
-            stream_repairs: 16,
-            repair_candidates: 17,
-            worker_crashes: 18,
-            worker_timeouts: 19,
-            frames_corrupted: 20,
-            ipc_bytes: 21,
+        let mut a = Metrics {
             cpu: Duration::from_millis(10),
+            ..Default::default()
         };
-        let b = a;
-        let m = a.merge(&b);
-        assert_eq!(m.dominance_checks, 2);
-        assert_eq!(m.dominance_batch_calls, 16);
-        assert_eq!(m.kernel_chunks, 22);
-        assert_eq!(m.io_total(), 10);
-        assert_eq!(m.label_cache_hits, 12);
-        assert_eq!(m.label_cache_misses, 14);
-        assert_eq!(m.merge_pair_checks, 18);
-        assert_eq!(m.merge_strata, 20);
-        assert_eq!(m.shard_retries, 22);
-        assert_eq!(m.shard_fallbacks, 24);
-        assert_eq!(m.faults_injected, 26);
-        assert_eq!(m.stream_inserts, 28);
-        assert_eq!(m.stream_expirations, 30);
-        assert_eq!(m.stream_repairs, 32);
-        assert_eq!(m.repair_candidates, 34);
-        assert_eq!(m.worker_crashes, 36);
-        assert_eq!(m.worker_timeouts, 38);
-        assert_eq!(m.frames_corrupted, 40);
-        assert_eq!(m.ipc_bytes, 42);
+        for (v, c) in (1..).zip(a.counters_mut()) {
+            *c = v;
+        }
+        assert_eq!((a.dominance_checks, a.ipc_bytes), (1, 22), "table order");
+        let m = a.merge(&a);
+        for ((name, got), v) in Metrics::COUNTERS.iter().zip(m.counters()).zip(a.counters()) {
+            assert_eq!(got, 2 * v, "{name}");
+        }
+        assert_eq!(m.io_total(), 2 * (a.io_reads + a.io_writes));
         assert_eq!(m.cpu, Duration::from_millis(20));
     }
 

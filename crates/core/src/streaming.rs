@@ -277,17 +277,6 @@ impl StreamingSkyline {
         self.exhausted
     }
 
-    /// The monotone score of a not-yet-stored row.
-    fn score_of(&self, to_row: &[u32], po_row: &[u32]) -> u64 {
-        let to_sum: u64 = to_row.iter().map(|&x| x as u64).sum();
-        let po_sum: u64 = po_row
-            .iter()
-            .zip(self.domains.iter())
-            .map(|(&v, d)| d.ordinal(v) as u64)
-            .sum();
-        to_sum + po_sum
-    }
-
     /// Latches the budget flag once the spend crosses the allowance.
     fn note_spend(&mut self) {
         if self
@@ -313,7 +302,8 @@ impl StreamingSkyline {
             );
         }
         let id = self.store.insert(to_row, po_row);
-        self.scores.push(self.score_of(to_row, po_row));
+        self.scores
+            .push(self.store.monotone_score(&self.domains, id));
         self.metrics.stream_inserts += 1;
         let (dominated, examined) =
             self.store

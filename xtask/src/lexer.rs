@@ -16,8 +16,7 @@ pub enum TokKind {
     Ident,
     /// Single punctuation character (`::` arrives as two `:` tokens).
     Punct(char),
-    /// String/char/numeric literal. `text` keeps the raw contents so rules
-    /// may search inside (the metrics rule matches JSON key strings).
+    /// String/char/numeric literal. `text` keeps the raw contents.
     Literal,
     /// A lifetime such as `'a` (distinguished from char literals).
     Lifetime,
@@ -343,50 +342,6 @@ pub fn in_ranges(ranges: &[(usize, usize)], i: usize) -> bool {
     ranges.iter().any(|&(a, b)| (a..b).contains(&i))
 }
 
-/// The token range (half-open, body braces included) of the first
-/// `fn <name>` item, or `None`. Enough for the metrics rule, which needs
-/// "somewhere inside this function" granularity.
-pub fn fn_body(toks: &[Tok], name: &str) -> Option<(usize, usize)> {
-    let mut i = 0;
-    while i + 1 < toks.len() {
-        if toks[i].is_ident("fn") && toks[i + 1].is_ident(name) {
-            let mut j = i + 2;
-            // Skip the signature: the body brace is the first `{` outside
-            // any parens/brackets/angles. Angle depth needs `->` care-free
-            // handling; `<`/`>` as comparison can't appear in a signature.
-            let (mut par, mut ang) = (0i32, 0i32);
-            while j < toks.len() {
-                match toks[j].kind {
-                    TokKind::Punct('(') | TokKind::Punct('[') => par += 1,
-                    TokKind::Punct(')') | TokKind::Punct(']') => par -= 1,
-                    TokKind::Punct('<') => ang += 1,
-                    // `->` is an arrow, not an angle close.
-                    TokKind::Punct('>') if !(j > 0 && toks[j - 1].is_punct('-')) => ang -= 1,
-                    TokKind::Punct('{') if par == 0 && ang <= 0 => break,
-                    TokKind::Punct(';') if par == 0 => return None, // trait decl
-                    _ => {}
-                }
-                j += 1;
-            }
-            let open = j;
-            let mut depth = 0;
-            for (idx, t) in toks.iter().enumerate().skip(open) {
-                if t.is_punct('{') {
-                    depth += 1;
-                } else if t.is_punct('}') {
-                    depth -= 1;
-                    if depth == 0 {
-                        return Some((i, idx + 1));
-                    }
-                }
-            }
-            return Some((i, toks.len()));
-        }
-        i += 1;
-    }
-    None
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -453,19 +408,5 @@ mod tests {
         assert!(outside.contains(&"live") && outside.contains(&"tail"));
         assert!(!outside.contains(&"y"));
         assert_eq!(outside.iter().filter(|s| **s == "unwrap").count(), 1);
-    }
-
-    #[test]
-    fn fn_body_spans_the_braces() {
-        let src = "impl M { fn merge(&self, o: &M) -> M { self.a + o.a } }\nfn merge_other() {}";
-        let l = lex(src);
-        let (a, b) = fn_body(&l.toks, "merge").unwrap();
-        let body: Vec<&str> = l.toks[a..b]
-            .iter()
-            .filter(|t| t.kind == TokKind::Ident)
-            .map(|t| t.text.as_str())
-            .collect();
-        assert!(body.contains(&"a"));
-        assert!(!body.contains(&"merge_other"));
     }
 }

@@ -1,13 +1,12 @@
 //! In-repo static analysis for the TSS workspace.
 //!
-//! `cargo run -p xtask -- lint` runs seven rule families that turn the
+//! `cargo run -p xtask -- lint` runs six rule families that turn the
 //! repo's doc-comment contracts into red builds:
 //!
 //! | rule          | contract it guards                                          |
 //! |---------------|-------------------------------------------------------------|
 //! | `hash-iter`   | engine crates never observe `HashMap`/`HashSet` order       |
 //! | `hasher`      | no `DefaultHasher`/`RandomState` (pinned FNV-1a everywhere) |
-//! | `metrics`     | every `Metrics` field reaches merge + JSON rows + reports   |
 //! | `panic-path`  | per-crate unwrap/expect/panic! counts only ratchet down     |
 //! | `process`     | `Command`/`process::exit` only in `core::ipc` + worker bins |
 //! | `time-source` | wall clocks only in `bench` and waived Metrics.cpu sites    |
@@ -22,7 +21,6 @@ pub mod findings;
 pub mod lexer;
 pub mod rules {
     pub mod determinism;
-    pub mod metrics;
     pub mod panics;
     pub mod process;
     pub mod timesrc;
@@ -36,7 +34,6 @@ use std::path::{Path, PathBuf};
 pub const ALL_RULES: &[&str] = &[
     "hash-iter",
     "hasher",
-    "metrics",
     "panic-path",
     "process",
     "time-source",
@@ -71,9 +68,6 @@ pub fn lint(root: &Path, only: Option<&str>) -> Vec<Finding> {
         if run("unwind") {
             rules::unwind::check(&rel, &lexed, &mut out);
         }
-    }
-    if run("metrics") {
-        rules::metrics::check(root, &mut out);
     }
     if run("panic-path") {
         rules::panics::check(root, &mut out);

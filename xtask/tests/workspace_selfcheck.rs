@@ -38,17 +38,3 @@ fn every_rule_family_actually_scans_the_workspace() {
         "panic_baseline.txt out of sync with the crate set"
     );
 }
-
-#[test]
-fn the_metrics_struct_is_where_the_rule_expects_it() {
-    // The metrics rule reads fixed paths; if the struct moves, this test
-    // points at the rule configuration rather than a cryptic finding.
-    let root = default_root();
-    for p in [
-        "crates/core/src/metrics.rs",
-        "crates/bench/src/jsonbench.rs",
-        "crates/bench/src/bin/harness.rs",
-    ] {
-        assert!(root.join(p).is_file(), "metrics-rule sink moved: {p}");
-    }
-}
