@@ -30,7 +30,9 @@ use crate::runner::permuted_order;
 use poset::Dag;
 use sdc::{DynamicSdc, SdcConfig, SdcIndex, Variant};
 use std::time::Duration;
-use tss_core::ipc::protocol::{get_window, put_u32, put_u64, put_window, DecodeError, Reader};
+use tss_core::ipc::protocol::{
+    get_dags, get_window, put_dags, put_u32, put_u64, put_window, Reader,
+};
 use tss_core::ipc::tasks::dispatch_builtin;
 use tss_core::ipc::worker::serve_io;
 use tss_core::{Dtss, DtssConfig, Metrics, PoQuery, ShardCtx, ShardView, Stss, StssConfig};
@@ -98,43 +100,6 @@ fn deadline_from(var: Option<&str>) -> Option<Duration> {
     })
 }
 
-/// Appends the data DAGs as raw structure (vertex count + edge pairs) —
-/// the same layout as `tss_core::ipc::protocol::put_dags`, minus the
-/// domain wrapper: the engines consume [`Dag`]s and derive their own
-/// labelings.
-fn put_engine_dags(buf: &mut Vec<u8>, dags: &[Dag]) {
-    put_u32(buf, dags.len() as u32);
-    for dag in dags {
-        put_u32(buf, dag.len() as u32);
-        put_u32(buf, dag.num_edges() as u32);
-        for (u, v) in dag.edges() {
-            put_u32(buf, u.idx() as u32);
-            put_u32(buf, v.idx() as u32);
-        }
-    }
-}
-
-/// Inverse of [`put_engine_dags`]. Labels are regenerated; every derived
-/// structure (labelings, reachability) is a deterministic function of the
-/// edge structure, so dominance decisions and examined-pair counts match
-/// the sender's.
-fn get_engine_dags(r: &mut Reader<'_>) -> Result<Vec<Dag>, DecodeError> {
-    let count = r.u32()? as usize;
-    let mut dags = Vec::with_capacity(count.min(64));
-    for _ in 0..count {
-        let n = r.u32()?;
-        let edges = r.u32()? as usize;
-        let mut pairs = Vec::with_capacity(edges.min(1 << 20));
-        for _ in 0..edges {
-            let u = r.u32()?;
-            let v = r.u32()?;
-            pairs.push((u, v));
-        }
-        dags.push(Dag::from_edges(n, &pairs).map_err(|_| "dag edges")?);
-    }
-    Ok(dags)
-}
-
 /// Encodes one sharded engine task: tag, the shard's global start, its
 /// record window, the data DAGs, and — for the dynamic tags — the query
 /// seed. The worker rebuilds the engine the in-process closure builds
@@ -160,7 +125,7 @@ pub fn encode_engine_task(
         view.to_block(),
         view.po_block(),
     );
-    put_engine_dags(&mut t, dags);
+    put_dags(&mut t, dags);
     if let Some(seed) = query_seed {
         put_u64(&mut t, seed);
     }
@@ -176,7 +141,7 @@ fn run_engine(tag: u8, body: &[u8], ctx: ShardCtx) -> Result<(Vec<u32>, Metrics)
     let store = get_window(&mut r)
         .map_err(str::to_string)?
         .with_kernel(ctx.kernel);
-    let dags = get_engine_dags(&mut r).map_err(str::to_string)?;
+    let dags = get_dags(&mut r).map_err(str::to_string)?;
     let seed = match tag {
         TASK_DTSS | TASK_DYNAMIC_SDC => Some(r.u64().map_err(str::to_string)?),
         _ => None,

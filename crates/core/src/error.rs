@@ -66,7 +66,7 @@ pub enum ShardErrorKind {
     /// The shard job panicked; the payload is the rendered panic message
     /// (`"<non-string panic payload>"` when it is not a string).
     Panicked(String),
-    /// The shard's local skyline failed the merge-side minimality
+    /// The shard's local skyline failed the recovery ladder's minimality
     /// validation: the carried record id is dominated by another local
     /// member, so the local result cannot be a skyline.
     Corrupted(u32),

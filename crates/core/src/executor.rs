@@ -2,57 +2,74 @@
 //! sharded fronts in [`parallel`](crate::parallel) and the per-shard
 //! engine runs.
 //!
-//! A shard job used to be an infallible closure: one worker panic tore
-//! down the whole query. Here every job runs behind the [`ShardExecutor`]
-//! trait and returns `Result<ShardOutcome, ShardError>` instead, with the
-//! in-process [`ThreadShardExecutor`] recovering failures through a
-//! deterministic ladder:
+//! Every shard job runs behind the [`ShardExecutor`] trait and returns
+//! `Result<ShardOutcome, ShardError>`. Both executors — the in-process
+//! [`ThreadShardExecutor`] and the out-of-process
+//! [`SubprocessExecutor`](crate::SubprocessExecutor) — schedule shards
+//! with one claim loop (`claim_shards`) and recover each shard through one
+//! deterministic ladder (`run_ladder`):
 //!
-//! 1. **Panic isolation** — each attempt runs under
-//!    [`std::panic::catch_unwind`] (this module is the only place in the
-//!    workspace allowed to call it — `cargo run -p xtask -- lint` fences
-//!    it), so a panicking shard becomes a [`ShardError::Panicked`] value,
-//!    not a process abort.
-//! 2. **Bounded retries** — a failed attempt is retried up to
-//!    [`ExecPolicy::retries`] times on the store's configured kernel.
+//! 1. **Regular attempts** — `retries + 1` attempts
+//!    ([`ExecPolicy::retries`]) on the store's configured kernel, each
+//!    through a *transport*:
+//!    * **in process**, the job's closure under
+//!      [`std::panic::catch_unwind`] (this module is the only place in the
+//!      workspace allowed to call it — `cargo run -p xtask -- lint` fences
+//!      it), so a panicking shard becomes a [`ShardError::Panicked`]
+//!      value, not a process abort;
+//!    * **out of process**, the job's wire payload on a supervised worker
+//!      process, whose crash, timeout or untrusted reply becomes a
+//!      `WorkerDied` / `WorkerTimeout` / `FrameCorrupted` error (see
+//!      [`crate::ipc::supervisor`]).
+//! 2. **Minimality validation** — whenever a fault plan is set, a job
+//!    whose result is a local skyline (every [`ShardJob::new`] job unless
+//!    it opts out with [`ShardJob::without_minimality_check`]) is checked
+//!    after each successful attempt; a dominated member fails the attempt
+//!    like a panic.
 //! 3. **Scalar-oracle fallback** — a shard that failed every regular
-//!    attempt is recomputed once more with [`ShardCtx::kernel`] forced to
-//!    [`Kernel::Scalar`], the reference path. Kernel equivalence (PR 7's
-//!    bit-identity contract) guarantees the fallback's records *and
+//!    attempt is recomputed once more, in process, with
+//!    [`ShardCtx::kernel`] forced to [`Kernel::Scalar`], the reference
+//!    path. Kernel equivalence guarantees the fallback's records *and
 //!    counters* match what the regular path would have produced, so
 //!    recovery is invisible to every byte-identity invariant.
 //!
-//! Recovery is observable through three [`Metrics`] counters —
-//! [`shard_retries`](Metrics::shard_retries),
-//! [`shard_fallbacks`](Metrics::shard_fallbacks),
-//! [`faults_injected`](Metrics::faults_injected) — folded into the
-//! successful attempt's metrics. Failed attempts' work counters are
-//! discarded, which is what keeps `dominance_checks` et al. identical to
-//! a fault-free run.
+//! The ladder keeps every recovery tally and folds it into the successful
+//! attempt's [`Metrics`]: [`shard_retries`](Metrics::shard_retries) per
+//! failed attempt, [`shard_fallbacks`](Metrics::shard_fallbacks) for the
+//! fallback, and [`worker_crashes`](Metrics::worker_crashes) /
+//! [`worker_timeouts`](Metrics::worker_timeouts) /
+//! [`frames_corrupted`](Metrics::frames_corrupted) by the failed
+//! attempt's [`ShardErrorKind`] — always zero in process, where attempts
+//! only panic or fail validation. The transport adds what only it sees:
+//! [`faults_injected`](Metrics::faults_injected) at its fault sites and,
+//! out of process, [`ipc_bytes`](Metrics::ipc_bytes). Failed attempts'
+//! work counters are discarded, which is what keeps `dominance_checks` et
+//! al. identical to a fault-free run.
 //!
 //! # Deterministic fault injection
 //!
 //! A seeded [`FaultPlan`] (env `TSS_FAULTS=seed:rate`, plumbed like
 //! `TSS_KERNEL`; or passed explicitly through [`ExecPolicy`]) decides —
 //! by hashing `(seed, shard, attempt)` with the pinned
-//! [`poset::Fnv64`] — whether a given attempt is sabotaged and how:
-//! an **injected panic**, or a **corrupted local skyline** (a
-//! deterministically chosen dominated record appended to the local
-//! result). Corruption is caught by the merge-side validation pass: a
-//! minimality spot-check of the local skyline against the scalar oracle
-//! kernel ([`PointStore::t_dominated_by_any_oracle`]), on whose failure
-//! the attempt is treated exactly like a panic. The plan never injects
-//! into the fallback attempt, so a fault-injected run always terminates
-//! with the fault-free answer. No clock is consulted anywhere (the xtask
-//! time-fencing lint holds), so the same plan on the same store produces
-//! the same injections, retries and counters at any thread count.
+//! [`poset::Fnv64`] — whether a given attempt is sabotaged and how. In
+//! process that is an **injected panic** or a **corrupted local skyline**
+//! (a deterministically chosen dominated record appended to the local
+//! result), which the minimality validation catches: a check of the local
+//! skyline against the scalar oracle kernel
+//! ([`PointStore::t_dominated_by_any_oracle`]). Out of process it is a
+//! worker kill, stall or flipped reply byte
+//! ([`FaultPlan::injects_process`]). The plan never injects into the
+//! fallback attempt, so a fault-injected run always terminates with the
+//! fault-free answer. No clock is consulted here (the xtask time-fencing
+//! lint holds), so the same plan on the same store produces the same
+//! injections, retries and counters at any thread count.
 //!
 //! Validation pair work is deliberately **not** charged to
 //! [`Metrics::dominance_checks`]: it is recovery overhead, not query
 //! work, and charging it would break the byte-identity contract between
 //! fault-injected and fault-free runs that CI enforces.
 
-use crate::error::ShardError;
+use crate::error::{ShardError, ShardErrorKind};
 use crate::store::{PointStore, RecordId};
 use crate::{Metrics, PoDomain};
 use skyline::Kernel;
@@ -68,7 +85,7 @@ pub enum FaultKind {
     /// The attempt panics before producing a result.
     Panic,
     /// The attempt's local skyline is corrupted (a dominated record is
-    /// appended), exercising the merge-side validation path.
+    /// appended), exercising the ladder's minimality validation.
     Corrupt,
 }
 
@@ -156,12 +173,12 @@ impl FaultPlan {
     /// Whether this plan sabotages the **remote** execution of
     /// `(shard, attempt)`, and how. Process-level sites hash with their
     /// own salt, independent of the in-process [`injects`](Self::injects)
-    /// sites, so the same `TSS_FAULTS` plan exercises both ladders; the
+    /// sites, so the same `TSS_FAULTS` plan exercises both transports; the
     /// kind cycles through all three process failure modes. Only the
     /// out-of-process executor's remote attempts consult this — in-process
     /// attempts (including its degraded mode and fallback) see the
     /// in-process sites, keeping degraded runs byte-identical to
-    /// [`ThreadShardExecutor`](crate::ThreadShardExecutor) ones.
+    /// [`ThreadShardExecutor`] ones.
     pub fn injects_process(&self, shard: usize, attempt: u32) -> Option<ProcessFaultKind> {
         let h = self.site_hash(shard, attempt, 2);
         if (h % 1_000_000) as u32 >= self.rate_ppm {
@@ -237,11 +254,16 @@ pub struct ShardJob<'a> {
     run: Box<dyn Fn(ShardCtx) -> (Vec<RecordId>, Metrics) + Send + Sync + 'a>,
     wire: Option<Box<dyn Fn() -> Vec<u8> + Send + Sync + 'a>>,
     range: Range<RecordId>,
+    /// The result is a local skyline, so the ladder may check it for
+    /// minimality.
+    local_skyline: bool,
 }
 
 impl<'a> ShardJob<'a> {
     /// Wraps a shard evaluation closure. `run` must be deterministic per
-    /// `ShardCtx` and return **global** record ids.
+    /// `ShardCtx` and return **global** record ids — the shard's local
+    /// skyline, which the ladder checks for minimality whenever a fault
+    /// plan is set.
     pub fn new(
         range: Range<RecordId>,
         run: impl Fn(ShardCtx) -> (Vec<RecordId>, Metrics) + Send + Sync + 'a,
@@ -250,6 +272,7 @@ impl<'a> ShardJob<'a> {
             run: Box::new(run),
             wire: None,
             range,
+            local_skyline: true,
         }
     }
 
@@ -260,6 +283,15 @@ impl<'a> ShardJob<'a> {
     /// equivalence proptests pin.
     pub fn with_wire(mut self, encode: impl Fn() -> Vec<u8> + Send + Sync + 'a) -> Self {
         self.wire = Some(Box::new(encode));
+        self
+    }
+
+    /// Marks the job's result as **not** a local skyline (streaming's
+    /// repair screens return promotion candidates, which may dominate one
+    /// another), so the ladder never checks it for minimality. Such a job
+    /// must verify its results itself when faults are injected.
+    pub fn without_minimality_check(mut self) -> Self {
+        self.local_skyline = false;
         self
     }
 
@@ -280,13 +312,10 @@ pub struct ExecPolicy {
     /// Regular-path retry attempts after the first (the ladder runs
     /// `retries + 1` regular attempts, then one scalar-oracle fallback).
     pub retries: u32,
-    /// Active fault plan, if any.
+    /// Active fault plan, if any. While one is set, the ladder checks
+    /// every local-skyline job's result for minimality (corruption would
+    /// otherwise go unnoticed); fault-free runs skip the oracle pair work.
     pub faults: Option<FaultPlan>,
-    /// Run the merge-side local-skyline minimality validation on every
-    /// attempt. Forced on whenever faults are injected (corruption would
-    /// otherwise go unnoticed); off by default on fault-free runs, where
-    /// it would only add oracle pair work.
-    pub validate: bool,
     /// Per-attempt deadline of the out-of-process executor: a remote
     /// attempt that has not answered within it is killed and retried
     /// (counted in [`Metrics::worker_timeouts`]). `None` uses the
@@ -301,13 +330,11 @@ impl ExecPolicy {
     /// Default bounded retry count.
     pub const DEFAULT_RETRIES: u32 = 2;
 
-    /// A policy with the default retry budget and the given plan;
-    /// validation follows the plan (on iff faults are injected).
+    /// A policy with the default retry budget and the given plan.
     pub fn with_faults(faults: Option<FaultPlan>) -> ExecPolicy {
         ExecPolicy {
             retries: Self::DEFAULT_RETRIES,
             faults,
-            validate: faults.is_some(),
             deadline: None,
         }
     }
@@ -318,8 +345,8 @@ impl ExecPolicy {
         self
     }
 
-    /// The policy with no injection and no validation — what fault-free
-    /// production runs use when `TSS_FAULTS` is unset.
+    /// The policy with no injection (hence no validation) — what
+    /// fault-free production runs use when `TSS_FAULTS` is unset.
     pub fn fault_free() -> ExecPolicy {
         ExecPolicy::with_faults(None)
     }
@@ -335,8 +362,8 @@ impl Default for ExecPolicy {
 
 /// The executor seam of the sharded fronts: evaluates a batch of shard
 /// jobs and reports per-shard `Result`s. The in-process implementation is
-/// [`ThreadShardExecutor`]; the ROADMAP's distributed backend implements
-/// the same trait over worker processes.
+/// [`ThreadShardExecutor`]; the out-of-process one is
+/// [`SubprocessExecutor`](crate::SubprocessExecutor).
 pub trait ShardExecutor {
     /// Evaluates every job (order-preserving: result `i` belongs to job
     /// `i`). Implementations must be deterministic — results and metrics
@@ -375,64 +402,6 @@ impl ThreadShardExecutor {
             policy,
         }
     }
-
-    /// The policy this executor runs shards under.
-    pub fn policy(&self) -> &ExecPolicy {
-        &self.policy
-    }
-
-    /// The full per-shard recovery ladder; never panics, never loses the
-    /// shard silently.
-    fn run_ladder(
-        &self,
-        store: &PointStore,
-        domains: &[PoDomain],
-        shard: usize,
-        job: &ShardJob<'_>,
-    ) -> Result<ShardOutcome, ShardError> {
-        run_ladder(&self.policy, store, domains, shard, job)
-    }
-}
-
-/// The full in-process per-shard recovery ladder — `retries + 1` regular
-/// attempts on the store's kernel, then one scalar-oracle fallback; never
-/// panics, never loses the shard silently. Shared by
-/// [`ThreadShardExecutor`] and the out-of-process executor's degraded
-/// mode, which is what keeps degraded runs byte-identical to in-process
-/// ones (same attempts, same fault sites, same counters).
-pub(crate) fn run_ladder(
-    policy: &ExecPolicy,
-    store: &PointStore,
-    domains: &[PoDomain],
-    shard: usize,
-    job: &ShardJob<'_>,
-) -> Result<ShardOutcome, ShardError> {
-    let mut retries = 0u64;
-    let mut injected = 0u64;
-    for attempt in 0..=policy.retries {
-        let ctx = ShardCtx {
-            shard,
-            attempt,
-            kernel: store.kernel(),
-        };
-        let fault = policy
-            .faults
-            .as_ref()
-            .and_then(|p| p.injects(shard, attempt));
-        match attempt_shard(store, domains, policy, job, ctx, fault, &mut injected) {
-            Ok((records, metrics)) => return Ok(outcome(records, metrics, retries, 0, injected)),
-            Err(_) => retries += 1,
-        }
-    }
-    // Last resort: one recompute on the scalar oracle kernel, never
-    // injected — a fault-injected run always terminates exactly.
-    let ctx = ShardCtx {
-        shard,
-        attempt: policy.retries + 1,
-        kernel: Kernel::Scalar,
-    };
-    let (records, metrics) = attempt_shard(store, domains, policy, job, ctx, None, &mut injected)?;
-    Ok(outcome(records, metrics, retries, 1, injected))
 }
 
 impl ShardExecutor for ThreadShardExecutor {
@@ -442,97 +411,182 @@ impl ShardExecutor for ThreadShardExecutor {
         domains: &[PoDomain],
         jobs: &[ShardJob<'_>],
     ) -> Vec<Result<ShardOutcome, ShardError>> {
-        let n = jobs.len();
-        let workers = self.threads.min(n);
-        if workers <= 1 {
-            return jobs
-                .iter()
-                .enumerate()
-                .map(|(i, job)| self.run_ladder(store, domains, i, job))
-                .collect();
-        }
-        let results: Vec<Mutex<Option<Result<ShardOutcome, ShardError>>>> =
-            (0..n).map(|_| Mutex::new(None)).collect();
-        let next = AtomicUsize::new(0);
-        std::thread::scope(|s| {
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    s.spawn(|| loop {
+        claim_shards(
+            self.threads,
+            jobs.len(),
+            || (),
+            |(), i| run_in_process(&self.policy, store, domains, i, &jobs[i]),
+        )
+    }
+}
+
+/// What one attempt yields: the records and the attempt's own work
+/// counters, or why it failed.
+pub(crate) type Attempt = Result<(Vec<RecordId>, Metrics), ShardError>;
+
+/// The one shard scheduler of both executors: up to `threads` scoped
+/// threads claim shard indices `0..n` off an atomic cursor, each running
+/// `run` with its own state from `init` — nothing in process, one worker
+/// process out of process. A single worker runs inline on the caller's
+/// thread, and a shard whose thread died is rescued inline on a fresh
+/// state. Results are slotted by index, so the output — unlike the
+/// schedule — is deterministic.
+pub(crate) fn claim_shards<S, R: Send>(
+    threads: usize,
+    n: usize,
+    init: impl Fn() -> S + Sync,
+    run: impl Fn(&mut S, usize) -> R + Sync,
+) -> Vec<R> {
+    let workers = threads.min(n);
+    if workers <= 1 {
+        let mut state = init();
+        return (0..n).map(|i| run(&mut state, i)).collect();
+    }
+    let results: Vec<Mutex<Option<R>>> = (0..n).map(|_| Mutex::new(None)).collect();
+    let next = AtomicUsize::new(0);
+    std::thread::scope(|s| {
+        let handles: Vec<_> = (0..workers)
+            .map(|_| {
+                s.spawn(|| {
+                    let mut state = init();
+                    loop {
                         let i = next.fetch_add(1, Ordering::Relaxed);
                         if i >= n {
                             break;
                         }
-                        // The ladder is panic-free, so this write always
-                        // happens; poisoning is impossible but handled
-                        // anyway (a poisoned lock still owns its data).
-                        let r = self.run_ladder(store, domains, i, &jobs[i]);
+                        // Both executors run the panic-free ladder, so this
+                        // write always happens; poisoning is impossible but
+                        // handled anyway (a poisoned lock still owns its
+                        // data).
+                        let r = run(&mut state, i);
                         *results[i].lock().unwrap_or_else(|p| p.into_inner()) = Some(r);
-                    })
+                    }
                 })
-                .collect();
-            for h in handles {
-                // Joining explicitly keeps an (impossible) worker panic
-                // from propagating out of the scope; an abandoned shard
-                // is recomputed inline below instead.
-                let _ = h.join();
-            }
-        });
-        results
-            .into_iter()
-            .enumerate()
-            .map(|(i, slot)| {
-                slot.into_inner()
-                    .unwrap_or_else(|p| p.into_inner())
-                    .unwrap_or_else(|| self.run_ladder(store, domains, i, &jobs[i]))
             })
-            .collect()
-    }
+            .collect();
+        for h in handles {
+            // Joining explicitly keeps an (impossible) worker panic from
+            // propagating out of the scope; an abandoned shard is
+            // rescued inline below instead.
+            let _ = h.join();
+        }
+    });
+    let mut rescue = None;
+    results
+        .into_iter()
+        .enumerate()
+        .map(|(i, slot)| {
+            slot.into_inner()
+                .unwrap_or_else(|p| p.into_inner())
+                .unwrap_or_else(|| run(rescue.get_or_insert_with(&init), i))
+        })
+        .collect()
 }
 
-/// Folds the ladder's recovery bookkeeping into the successful attempt's
-/// metrics.
-pub(crate) fn outcome(
-    records: Vec<RecordId>,
-    mut metrics: Metrics,
-    retries: u64,
-    fallbacks: u64,
-    injected: u64,
-) -> ShardOutcome {
-    metrics.shard_retries += retries;
-    metrics.shard_fallbacks += fallbacks;
-    metrics.faults_injected += injected;
-    ShardOutcome { records, metrics }
-}
-
-/// One attempt of one shard: inject the planned fault (if any), run the
-/// job under `catch_unwind`, then validate the local skyline when the
-/// policy asks for it.
-pub(crate) fn attempt_shard(
+/// [`run_ladder`] over the in-process transport: every regular attempt
+/// runs the job's closure at the plan's in-process fault sites.
+pub(crate) fn run_in_process(
+    policy: &ExecPolicy,
     store: &PointStore,
     domains: &[PoDomain],
+    shard: usize,
+    job: &ShardJob<'_>,
+) -> Result<ShardOutcome, ShardError> {
+    run_ladder(policy, store, domains, shard, job, |ctx, tally| {
+        attempt_in_process(job, ctx, policy.faults.as_ref(), tally)
+    })
+}
+
+/// The one per-shard recovery ladder: `retries + 1` regular attempts on
+/// the store's kernel through `transport`, then one in-process
+/// scalar-oracle fallback; never panics, never loses the shard silently.
+///
+/// `transport` runs one regular attempt — in process or on a worker
+/// process — and adds to `tally` what only it sees: `faults_injected`
+/// and `ipc_bytes`. Every other recovery tally is kept here (see the
+/// module docs) and folded into the successful attempt's metrics.
+pub(crate) fn run_ladder(
     policy: &ExecPolicy,
+    store: &PointStore,
+    domains: &[PoDomain],
+    shard: usize,
+    job: &ShardJob<'_>,
+    mut transport: impl FnMut(ShardCtx, &mut Metrics) -> Attempt,
+) -> Result<ShardOutcome, ShardError> {
+    let validate = job.local_skyline && policy.faults.is_some();
+    let checked = |ctx: ShardCtx, attempt: Attempt| -> Attempt {
+        let (records, metrics) = attempt?;
+        if validate {
+            if let Some(offender) = validate_minimal(store, domains, &records) {
+                let e = ShardError::corrupted(ctx.shard, ctx.attempt, offender);
+                return Err(e.with_range(job.range()));
+            }
+        }
+        Ok((records, metrics))
+    };
+    let mut tally = Metrics::default();
+    for attempt in 0..=policy.retries {
+        let ctx = ShardCtx {
+            shard,
+            attempt,
+            kernel: store.kernel(),
+        };
+        match checked(ctx, transport(ctx, &mut tally)) {
+            Ok((records, metrics)) => {
+                let metrics = metrics.merge(&tally);
+                return Ok(ShardOutcome { records, metrics });
+            }
+            Err(e) => {
+                tally.shard_retries += 1;
+                match e.kind() {
+                    ShardErrorKind::WorkerDied(_) => tally.worker_crashes += 1,
+                    ShardErrorKind::WorkerTimeout => tally.worker_timeouts += 1,
+                    ShardErrorKind::FrameCorrupted(_) => tally.frames_corrupted += 1,
+                    ShardErrorKind::Panicked(_) | ShardErrorKind::Corrupted(_) => {}
+                }
+            }
+        }
+    }
+    // Last resort: one in-process recompute on the scalar oracle kernel,
+    // never injected and never on a worker — a fault-injected run always
+    // terminates exactly.
+    let ctx = ShardCtx {
+        shard,
+        attempt: policy.retries + 1,
+        kernel: Kernel::Scalar,
+    };
+    let (records, metrics) = checked(ctx, attempt_in_process(job, ctx, None, &mut tally))?;
+    tally.shard_fallbacks = 1;
+    let metrics = metrics.merge(&tally);
+    Ok(ShardOutcome { records, metrics })
+}
+
+/// The in-process transport: one attempt of one shard at `plan`'s
+/// in-process fault site (if it fires), the job's closure run under
+/// `catch_unwind`.
+fn attempt_in_process(
     job: &ShardJob<'_>,
     ctx: ShardCtx,
-    fault: Option<FaultKind>,
-    injected: &mut u64,
-) -> Result<(Vec<RecordId>, Metrics), ShardError> {
+    plan: Option<&FaultPlan>,
+    tally: &mut Metrics,
+) -> Attempt {
     let ShardCtx { shard, attempt, .. } = ctx;
+    let fault = plan.and_then(|p| p.injects(shard, attempt).map(|kind| (p, kind)));
     if fault.is_some() {
         // Both kinds always fire (corruption degrades to a panic on
         // all-skyline shards), so the site counts up front.
-        *injected += 1;
+        tally.faults_injected += 1;
     }
-    let plan = policy.faults;
     // The closure only touches its own locals and `Fn` (immutable) state;
     // on a panic everything it produced is discarded and the attempt is
     // rerun from scratch, so broken invariants cannot leak.
-    let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        if matches!(fault, Some(FaultKind::Panic)) {
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        if let Some((_, FaultKind::Panic)) = fault {
             injected_panic(shard, attempt);
         }
         let (mut records, metrics) = (job.run)(ctx);
-        if matches!(fault, Some(FaultKind::Corrupt)) {
-            match plan.and_then(|p| corruption_target(&p, shard, attempt, &job.range, &records)) {
+        if let Some((plan, FaultKind::Corrupt)) = fault {
+            match corruption_target(plan, shard, attempt, &job.range, &records) {
                 Some(bogus) => records.push(bogus),
                 // Every shard record is locally skyline: no detectably
                 // corrupt append exists, degrade to a panic so the
@@ -541,22 +595,11 @@ pub(crate) fn attempt_shard(
             }
         }
         (records, metrics)
-    }));
-    let (records, metrics) = match run {
-        Ok(out) => out,
-        Err(payload) => {
-            return Err(
-                ShardError::panicked(shard, attempt, panic_message(payload.as_ref()))
-                    .with_range(job.range()),
-            )
-        }
-    };
-    if policy.validate {
-        if let Some(offender) = validate_minimal(store, domains, &records) {
-            return Err(ShardError::corrupted(shard, attempt, offender).with_range(job.range()));
-        }
-    }
-    Ok((records, metrics))
+    }))
+    .map_err(|payload| {
+        ShardError::panicked(shard, attempt, panic_message(payload.as_ref()))
+            .with_range(job.range())
+    })
 }
 
 /// The single deliberate panic site of the workspace's fault injection.
@@ -604,13 +647,13 @@ fn corruption_target(
     None
 }
 
-/// Merge-side validation: a local skyline must be *minimal* — no member
+/// Minimality validation: a local skyline must be *minimal* — no member
 /// dominated by another member. Checked record by record against the
 /// scalar oracle kernel (a record never dominates its own equal self, so
 /// the full list is a valid reference set). Returns the first dominated
 /// member found. The oracle pair work is deliberately uncounted — see the
 /// module docs.
-pub(crate) fn validate_minimal(
+fn validate_minimal(
     store: &PointStore,
     domains: &[PoDomain],
     records: &[RecordId],
@@ -625,7 +668,7 @@ pub(crate) fn validate_minimal(
 }
 
 /// Renders a caught panic payload for [`ShardError::Panicked`].
-pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {
@@ -766,20 +809,15 @@ mod tests {
         assert_eq!(m.faults_injected, 0);
     }
 
-    #[test]
-    fn corruption_is_always_detected() {
-        let t = table(90);
-        // Forge corrupt jobs directly: a shard job that appends a
-        // dominated record on regular attempts but behaves on the
-        // fallback kernel — validation must catch every regular attempt.
-        let domains: &[PoDomain] = &[];
-        let jobs: Vec<ShardJob<'_>> = t
-            .shards(3)
+    /// Forged corrupt jobs: each appends a dominated record of its shard
+    /// on regular attempts but behaves on the fallback kernel.
+    fn corrupt_jobs(t: &Table) -> Vec<ShardJob<'_>> {
+        t.shards(3)
             .into_iter()
             .map(|view| {
                 ShardJob::new(view.range(), move |ctx: ShardCtx| {
                     let sub = view.to_store();
-                    let mut local: Vec<RecordId> = brute_force_po_skyline(domains, &sub)
+                    let mut local: Vec<RecordId> = brute_force_po_skyline(&[], &sub)
                         .into_iter()
                         .map(|r| r + view.start())
                         .collect();
@@ -792,11 +830,17 @@ mod tests {
                     (local, Metrics::default())
                 })
             })
-            .collect();
-        let mut policy = ExecPolicy::fault_free();
-        policy.validate = true;
+            .collect()
+    }
+
+    #[test]
+    fn corruption_is_always_detected() {
+        let t = table(90);
+        // A zero-rate plan never injects, but arms validation: it must
+        // catch every corrupt regular attempt.
+        let policy = ExecPolicy::with_faults(Some(FaultPlan::new(3, 0.0)));
         let exec = ThreadShardExecutor::with_policy(2, policy);
-        let results = exec.execute(&t, &[], &jobs);
+        let results = exec.execute(&t, &[], &corrupt_jobs(&t));
         let clean = ThreadShardExecutor::with_policy(1, ExecPolicy::fault_free());
         let (clean_locals, _) = collect(clean.execute(&t, &[], &brute_jobs(&t, &[], 3)));
         for (r, clean_local) in results.into_iter().zip(clean_locals) {
@@ -807,6 +851,22 @@ mod tests {
                 o.metrics.shard_retries,
                 u64::from(ExecPolicy::DEFAULT_RETRIES + 1)
             );
+        }
+    }
+
+    #[test]
+    fn opted_out_jobs_are_never_checked_for_minimality() {
+        let t = table(90);
+        let policy = ExecPolicy::with_faults(Some(FaultPlan::new(3, 0.0)));
+        let exec = ThreadShardExecutor::with_policy(2, policy);
+        let jobs: Vec<ShardJob<'_>> = corrupt_jobs(&t)
+            .into_iter()
+            .map(ShardJob::without_minimality_check)
+            .collect();
+        for r in exec.execute(&t, &[], &jobs) {
+            let o = r.expect("first attempt accepted");
+            assert_eq!(o.metrics.shard_retries, 0);
+            assert_eq!(o.metrics.shard_fallbacks, 0);
         }
     }
 

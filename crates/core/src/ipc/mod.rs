@@ -13,9 +13,10 @@
 //! * [`tasks`] — the builtin task codecs and the shared compute
 //!   functions both sides call (byte identity by construction);
 //! * [`worker`] — the blocking serve loop a `tss-worker` entry runs;
-//! * [`supervisor`] — [`SubprocessExecutor`]: pool management,
+//! * [`supervisor`] — [`SubprocessExecutor`]: the remote transport of
+//!   the executors' shared recovery ladder — worker processes,
 //!   per-attempt deadlines, crash/timeout/corruption detection mapped
-//!   onto [`ShardError`](crate::ShardError), graceful degradation to
+//!   onto [`ShardError`](crate::ShardError) — and graceful degradation to
 //!   fully in-process execution.
 //!
 //! This is the only module in the workspace (together with the harness

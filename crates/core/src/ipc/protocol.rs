@@ -21,8 +21,9 @@
 //! * `RESP_ERR` — a UTF-8 error message from the worker.
 //!
 //! Corruption is detected at two independent layers: the frame checksum
-//! (flipped bytes, torn writes) and the supervisor's merge-side
-//! validation (a well-formed frame carrying a wrong local skyline).
+//! (flipped bytes, torn writes) and, under a fault plan, the recovery
+//! ladder's minimality validation (a well-formed frame carrying a wrong
+//! local skyline).
 //! [`encode_frame_corrupted`] deliberately produces the first kind — one
 //! hash-picked payload byte flipped under a stale checksum — for the
 //! deterministic `CorruptFrame` fault injection.
@@ -441,13 +442,16 @@ pub fn get_window(r: &mut Reader<'_>) -> Result<crate::PointStore, DecodeError> 
     crate::PointStore::from_parts(to_dims, po_dims, to, po).map_err(|_| "window blocks")
 }
 
-/// Appends the PO domain DAGs (vertex count + edge pairs each). Labels do
+/// Appends PO domain DAGs (vertex count + edge pairs each). Labels do
 /// not travel: dominance is a pure function of the structure, and the
 /// receiving side regenerates placeholder labels.
-pub fn put_dags(buf: &mut Vec<u8>, domains: &[crate::PoDomain]) {
-    put_u32(buf, domains.len() as u32);
-    for d in domains {
-        let dag = d.dag();
+pub fn put_dags<'d>(
+    buf: &mut Vec<u8>,
+    dags: impl IntoIterator<Item = &'d poset::Dag, IntoIter: ExactSizeIterator>,
+) {
+    let dags = dags.into_iter();
+    put_u32(buf, dags.len() as u32);
+    for dag in dags {
         put_u32(buf, dag.len() as u32);
         put_u32(buf, dag.num_edges() as u32);
         for (u, v) in dag.edges() {
@@ -457,13 +461,13 @@ pub fn put_dags(buf: &mut Vec<u8>, domains: &[crate::PoDomain]) {
     }
 }
 
-/// Inverse of [`put_dags`]: rebuilds the domains (labelings, dyadic
-/// indexes and reachability are recomputed deterministically from the
-/// structure, so dominance decisions — and examined-pair counts — are
-/// identical to the sender's).
-pub fn get_dags(r: &mut Reader<'_>) -> Result<Vec<crate::PoDomain>, DecodeError> {
+/// Inverse of [`put_dags`]: rebuilds the DAGs. Every structure derived
+/// from them (labelings, dyadic indexes, reachability) is a deterministic
+/// function of the edges, so dominance decisions — and examined-pair
+/// counts — are identical to the sender's.
+pub fn get_dags(r: &mut Reader<'_>) -> Result<Vec<poset::Dag>, DecodeError> {
     let count = r.u32()? as usize;
-    let mut domains = Vec::with_capacity(count.min(64));
+    let mut dags = Vec::with_capacity(count.min(64));
     for _ in 0..count {
         let n = r.u32()?;
         let edges = r.u32()? as usize;
@@ -473,10 +477,9 @@ pub fn get_dags(r: &mut Reader<'_>) -> Result<Vec<crate::PoDomain>, DecodeError>
             let v = r.u32()?;
             pairs.push((u, v));
         }
-        let dag = poset::Dag::from_edges(n, &pairs).map_err(|_| "dag edges")?;
-        domains.push(crate::PoDomain::new(dag));
+        dags.push(poset::Dag::from_edges(n, &pairs).map_err(|_| "dag edges")?);
     }
-    Ok(domains)
+    Ok(dags)
 }
 
 #[cfg(test)]
@@ -607,10 +610,9 @@ mod tests {
         t.push(&[1, 2], &[0]);
         t.push(&[3, 4], &[2]);
         let dag = poset::Dag::from_edges(3, &[(0, 1), (0, 2)]).unwrap();
-        let domains = vec![crate::PoDomain::new(dag)];
         let mut buf = Vec::new();
         put_window(&mut buf, 2, 1, t.to_block(), t.po_block());
-        put_dags(&mut buf, &domains);
+        put_dags(&mut buf, [&dag]);
         let mut r = Reader::new(&buf);
         let t2 = get_window(&mut r).unwrap();
         let d2 = get_dags(&mut r).unwrap();
@@ -619,8 +621,10 @@ mod tests {
         assert_eq!(t2.to_block(), t.to_block());
         assert_eq!(t2.po_block(), t.po_block());
         assert_eq!(d2.len(), 1);
-        assert_eq!(d2[0].dag().len(), 3);
-        assert_eq!(d2[0].dag().num_edges(), 2);
-        assert!(d2[0].pref(0, 1) == domains[0].pref(0, 1));
+        assert_eq!(d2[0].len(), 3);
+        assert_eq!(
+            d2[0].edges().collect::<Vec<_>>(),
+            dag.edges().collect::<Vec<_>>()
+        );
     }
 }

@@ -2,42 +2,44 @@
 //! [`SubprocessExecutor`], a supervised pool of worker subprocesses
 //! behind the [`ShardExecutor`] trait.
 //!
-//! # Supervision ladder
+//! # The remote transport
 //!
-//! Each shard walks the same ladder shape as the in-process executor —
-//! `retries + 1` regular attempts, then one never-injected fallback —
-//! but the regular attempts run **remotely**: the supervisor ships the
-//! job's wire payload to a worker process and maps everything that can
-//! go wrong onto [`ShardError`]s, so worker crashes ride the exact
-//! recovery machinery PR 8 built for injected panics:
+//! Scheduling and recovery live in [`crate::executor`]: shards are
+//! claimed by the claim loop both executors share — here with one worker
+//! process per pool thread — and every shard walks the one recovery
+//! ladder (`retries + 1` regular attempts, then the in-process
+//! scalar-oracle fallback, every recovery tally kept by the ladder).
+//! What stays here is the **remote transport** those regular attempts
+//! ride: it ships the job's wire payload to the thread's worker, at the
+//! plan's process-fault site, and maps everything that can go wrong onto
+//! [`ShardError`]s, whose kind the ladder counts:
 //!
 //! * **worker death** (nonzero exit, EOF, truncated frame, failed
 //!   spawn/write) → [`WorkerDied`](ShardErrorKind::WorkerDied), counted
-//!   in [`Metrics::worker_crashes`], worker respawned, attempt retried;
+//!   in [`Metrics::worker_crashes`], worker respawned by the next attempt;
 //! * **deadline blown** (no response within [`ExecPolicy::deadline`],
 //!   default [`DEFAULT_DEADLINE`]) →
 //!   [`WorkerTimeout`](ShardErrorKind::WorkerTimeout), counted in
-//!   [`Metrics::worker_timeouts`], worker killed, attempt retried;
+//!   [`Metrics::worker_timeouts`], worker killed;
 //! * **untrusted frame** (checksum mismatch, undecodable payload,
 //!   records outside the shard range) →
 //!   [`FrameCorrupted`](ShardErrorKind::FrameCorrupted), counted in
-//!   [`Metrics::frames_corrupted`], worker killed, attempt retried;
-//! * **exhausted retries** → one in-process scalar-oracle fallback
-//!   attempt ([`Metrics::shard_fallbacks`]), which cannot involve a
-//!   worker at all.
+//!   [`Metrics::frames_corrupted`], worker killed;
+//! * **refused task** (the worker answered with an error) →
+//!   [`Panicked`](ShardErrorKind::Panicked), worker kept.
 //!
 //! # Degradation order
 //!
 //! A job without a wire payload, or a pool whose very first spawn fails,
-//! degrades to the in-process ladder (`run_ladder`) — same attempts,
-//! same (salt-0) fault sites, same counters as
+//! degrades to the in-process transport — same attempts, same (salt-0)
+//! fault sites, same counters as
 //! [`ThreadShardExecutor`](crate::ThreadShardExecutor) — so a query
 //! issued with zero spawnable workers still completes byte-identically,
 //! with all four IPC counters zero.
 //!
 //! # Determinism
 //!
-//! Process faults are injected by *instruction*: the supervisor computes
+//! Process faults are injected by *instruction*: the transport computes
 //! [`FaultPlan::injects_process`](crate::FaultPlan::injects_process) per
 //! `(shard, attempt)` — salt-2 sites, independent of the in-process
 //! salt-0 sites — and tells the worker what to do, so injections,
@@ -55,17 +57,15 @@ use super::protocol::{
 };
 use crate::error::{ShardError, ShardErrorKind};
 use crate::executor::{
-    attempt_shard, outcome, run_ladder, validate_minimal, ExecPolicy, ProcessFaultKind, ShardCtx,
-    ShardExecutor, ShardJob, ShardOutcome,
+    claim_shards, run_in_process, run_ladder, Attempt, ExecPolicy, ShardCtx, ShardExecutor,
+    ShardJob, ShardOutcome, ThreadShardExecutor,
 };
 use crate::store::{PointStore, RecordId};
 use crate::{Metrics, PoDomain};
-use skyline::Kernel;
 use std::io::Write;
 use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::process::{Child, ChildStdin, Command, Stdio};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::{Receiver, RecvTimeoutError};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
@@ -122,7 +122,8 @@ impl WorkerSpec {
 /// pipe into frames (`recv_timeout` is what gives the supervisor a
 /// deadline over a blocking pipe read). Respawns build a fresh
 /// `Worker`, so a stale frame from a killed process can never be
-/// attributed to a later attempt.
+/// attributed to a later attempt. Dropping a worker kills and reaps its
+/// process.
 struct Worker {
     child: Child,
     stdin: ChildStdin,
@@ -164,46 +165,21 @@ impl Worker {
             frames,
         })
     }
-
-    /// Kills (a healthy worker sees EOF first and exits on its own; a
-    /// wedged one is killed) and reaps the process.
-    fn shutdown(self) {
-        let Worker {
-            mut child,
-            stdin,
-            frames,
-        } = self;
-        drop(stdin);
-        let _ = child.kill();
-        let _ = child.wait();
-        drop(frames);
-    }
 }
 
-/// Retires the slot's worker, if any.
-fn retire(slot: &mut Option<Worker>) {
-    if let Some(w) = slot.take() {
-        w.shutdown();
+impl Drop for Worker {
+    fn drop(&mut self) {
+        let _ = self.child.kill();
+        let _ = self.child.wait();
     }
-}
-
-/// Everything one remote attempt needs besides the worker.
-struct RemoteCall<'a> {
-    shard: usize,
-    attempt: u32,
-    fault: Option<ProcessFaultKind>,
-    wire: &'a [u8],
-    range: Range<RecordId>,
-    deadline: Duration,
 }
 
 /// The out-of-process [`ShardExecutor`]: a supervised pool of worker
-/// subprocesses launched from a [`WorkerSpec`], scheduling shards over
-/// an atomic cursor exactly like the in-process executor, under the
-/// byte-identity contract — identical records and non-fault, non-IPC
-/// [`Metrics`] columns as
-/// [`ThreadShardExecutor`](crate::ThreadShardExecutor) at any worker
-/// count. See the module docs for the supervision ladder and the
+/// subprocesses launched from a [`WorkerSpec`], scheduling shards with
+/// the same claim loop and recovery ladder as the in-process executor,
+/// under the byte-identity contract — identical records and non-fault,
+/// non-IPC [`Metrics`] columns as [`ThreadShardExecutor`] at any worker
+/// count. See the module docs for the remote transport and the
 /// degradation order.
 pub struct SubprocessExecutor {
     spec: WorkerSpec,
@@ -227,20 +203,9 @@ impl SubprocessExecutor {
         }
     }
 
-    /// The policy shards run under.
-    pub fn policy(&self) -> &ExecPolicy {
-        &self.policy
-    }
-
-    /// The worker-pool size cap.
-    pub fn workers(&self) -> usize {
-        self.workers
-    }
-
-    /// The per-shard supervision ladder: remote attempts with
-    /// crash/timeout/corruption recovery, then the in-process
-    /// scalar-oracle fallback. Jobs without a wire payload run the
-    /// plain in-process ladder.
+    /// The recovery ladder over the remote transport, on the calling
+    /// pool thread's worker. Jobs without a wire payload take the
+    /// in-process transport.
     fn remote_ladder(
         &self,
         slot: &mut Option<Worker>,
@@ -250,210 +215,104 @@ impl SubprocessExecutor {
         job: &ShardJob<'_>,
     ) -> Result<ShardOutcome, ShardError> {
         let Some(wire) = job.wire_bytes() else {
-            return run_ladder(&self.policy, store, domains, shard, job);
+            return run_in_process(&self.policy, store, domains, shard, job);
         };
-        let deadline = self.policy.deadline.unwrap_or(DEFAULT_DEADLINE);
-        let mut retries = 0u64;
-        let mut injected = 0u64;
-        let mut crashes = 0u64;
-        let mut timeouts = 0u64;
-        let mut corrupted = 0u64;
-        let mut bytes = 0u64;
-        fn deliver(
-            mut o: ShardOutcome,
-            crashes: u64,
-            timeouts: u64,
-            corrupted: u64,
-            bytes: u64,
-        ) -> ShardOutcome {
-            o.metrics.worker_crashes += crashes;
-            o.metrics.worker_timeouts += timeouts;
-            o.metrics.frames_corrupted += corrupted;
-            o.metrics.ipc_bytes += bytes;
-            o
-        }
-        for attempt in 0..=self.policy.retries {
-            let fault = self
-                .policy
-                .faults
-                .as_ref()
-                .and_then(|p| p.injects_process(shard, attempt));
-            if fault.is_some() {
-                injected += 1;
-            }
-            let call = RemoteCall {
-                shard,
-                attempt,
-                fault,
-                wire: &wire,
-                range: job.range(),
-                deadline,
-            };
-            match self.remote_attempt(slot, store, domains, &call, &mut bytes) {
-                Ok((records, metrics)) => {
-                    return Ok(deliver(
-                        outcome(records, metrics, retries, 0, injected),
-                        crashes,
-                        timeouts,
-                        corrupted,
-                        bytes,
-                    ))
-                }
-                Err(e) => {
-                    match e.kind() {
-                        ShardErrorKind::WorkerDied(_) => crashes += 1,
-                        ShardErrorKind::WorkerTimeout => timeouts += 1,
-                        ShardErrorKind::FrameCorrupted(_) => corrupted += 1,
-                        ShardErrorKind::Panicked(_) | ShardErrorKind::Corrupted(_) => {}
-                    }
-                    retries += 1;
-                }
-            }
-        }
-        // Last resort, like the in-process ladder: one scalar-oracle
-        // recompute, never injected, no worker involved.
-        let ctx = ShardCtx {
-            shard,
-            attempt: self.policy.retries + 1,
-            kernel: Kernel::Scalar,
-        };
-        let mut fallback_injected = 0u64;
-        let (records, metrics) = attempt_shard(
-            store,
-            domains,
-            &self.policy,
-            job,
-            ctx,
-            None,
-            &mut fallback_injected,
-        )?;
-        Ok(deliver(
-            outcome(records, metrics, retries, 1, injected),
-            crashes,
-            timeouts,
-            corrupted,
-            bytes,
-        ))
+        let range = job.range();
+        run_ladder(&self.policy, store, domains, shard, job, |ctx, tally| {
+            self.remote_attempt(slot, &wire, &range, ctx, tally)
+        })
     }
 
-    /// One remote attempt: ship the request, await the response within
-    /// the deadline, distrust everything.
+    /// The remote transport: one attempt at the plan's process-fault
+    /// site, on the slot's worker. Any failure but a refused task retires
+    /// the worker, so the next attempt starts on a fresh process.
     fn remote_attempt(
         &self,
         slot: &mut Option<Worker>,
-        store: &PointStore,
-        domains: &[PoDomain],
-        call: &RemoteCall<'_>,
-        bytes: &mut u64,
-    ) -> Result<(Vec<RecordId>, Metrics), ShardError> {
-        let RemoteCall { shard, attempt, .. } = *call;
+        wire: &[u8],
+        range: &Range<RecordId>,
+        ctx: ShardCtx,
+        tally: &mut Metrics,
+    ) -> Attempt {
+        let ShardCtx {
+            shard,
+            attempt,
+            kernel,
+        } = ctx;
+        let fault = self
+            .policy
+            .faults
+            .as_ref()
+            .and_then(|p| p.injects_process(shard, attempt));
+        if fault.is_some() {
+            tally.faults_injected += 1;
+        }
+        let request = encode_frame(&encode_request(shard, attempt, kernel, fault, wire));
+        let reply = self.exchange(slot, &request, range, &mut tally.ipc_bytes);
+        reply.map_err(|kind| {
+            if !matches!(kind, ShardErrorKind::Panicked(_)) {
+                *slot = None;
+            }
+            ShardError::new(shard, attempt, kind).with_range(range.clone())
+        })
+    }
+
+    /// Ships one request frame to the slot's worker (spawned on demand)
+    /// and awaits its response within the deadline, distrusting
+    /// everything: the remote failure mapping of the module docs.
+    /// Complete frames count into `ipc_bytes`.
+    fn exchange(
+        &self,
+        slot: &mut Option<Worker>,
+        request: &[u8],
+        range: &Range<RecordId>,
+        ipc_bytes: &mut u64,
+    ) -> Result<(Vec<RecordId>, Metrics), ShardErrorKind> {
+        use ShardErrorKind::{FrameCorrupted, Panicked, WorkerDied, WorkerTimeout};
         let started = Instant::now();
         let worker = match slot {
             Some(w) => w,
-            None => match Worker::spawn(&self.spec) {
-                Ok(w) => slot.insert(w),
-                Err(e) => {
-                    return Err(
-                        ShardError::worker_died(shard, attempt, e).with_range(call.range.clone())
-                    )
-                }
-            },
+            None => slot.insert(Worker::spawn(&self.spec).map_err(WorkerDied)?),
         };
-        let frame = encode_frame(&encode_request(
-            shard,
-            attempt,
-            store.kernel(),
-            call.fault,
-            call.wire,
-        ));
-        if let Err(e) = worker
+        worker
             .stdin
-            .write_all(&frame)
+            .write_all(request)
             .and_then(|()| worker.stdin.flush())
+            .map_err(|e| WorkerDied(format!("request write failed: {e}")))?;
+        *ipc_bytes += request.len() as u64;
+        let deadline = self.policy.deadline.unwrap_or(DEFAULT_DEADLINE);
+        let payload = match worker
+            .frames
+            .recv_timeout(deadline.saturating_sub(started.elapsed()))
         {
-            retire(slot);
-            return Err(ShardError::worker_died(
-                shard,
-                attempt,
-                format!("request write failed: {e}"),
-            )
-            .with_range(call.range.clone()));
-        }
-        *bytes += frame.len() as u64;
-        let left = call.deadline.saturating_sub(started.elapsed());
-        let received = worker.frames.recv_timeout(left);
-        let err = |e: ShardError| Err(e.with_range(call.range.clone()));
-        match received {
-            Ok(Ok(payload)) => {
-                *bytes += payload.len() as u64 + FRAME_OVERHEAD;
-                match decode_response(&payload) {
-                    Ok(Response::Ok(records, metrics)) => {
-                        if let Some(&out) = records.iter().find(|r| !call.range.contains(r)) {
-                            retire(slot);
-                            return err(ShardError::frame_corrupted(
-                                shard,
-                                attempt,
-                                format!("record {out} outside the shard range"),
-                            ));
-                        }
-                        if self.policy.validate {
-                            if let Some(offender) = validate_minimal(store, domains, &records) {
-                                return err(ShardError::corrupted(shard, attempt, offender));
-                            }
-                        }
-                        Ok((records, metrics))
-                    }
-                    Ok(Response::Err(msg)) => {
-                        // The worker is healthy but refused the task
-                        // (undecodable payload, unknown codec) — retries
-                        // will exhaust into the in-process fallback.
-                        err(ShardError::panicked(
-                            shard,
-                            attempt,
-                            format!("worker reported: {msg}"),
-                        ))
-                    }
-                    Err(defect) => {
-                        retire(slot);
-                        err(ShardError::frame_corrupted(
-                            shard,
-                            attempt,
-                            format!("undecodable response: {defect}"),
-                        ))
-                    }
-                }
-            }
+            Ok(Ok(payload)) => payload,
             Ok(Err(FrameError::BadChecksum { frame_bytes })) => {
                 // The frame was read completely — it still counts as
                 // exchanged bytes — but its payload cannot be trusted.
-                *bytes += frame_bytes;
-                retire(slot);
-                err(ShardError::frame_corrupted(
-                    shard,
-                    attempt,
-                    "response checksum mismatch",
-                ))
+                *ipc_bytes += frame_bytes;
+                return Err(FrameCorrupted("response checksum mismatch".into()));
             }
-            Ok(Err(e)) => {
-                retire(slot);
-                err(ShardError::worker_died(
-                    shard,
-                    attempt,
-                    format!("response stream: {e}"),
-                ))
-            }
-            Err(RecvTimeoutError::Timeout) => {
-                retire(slot);
-                err(ShardError::worker_timeout(shard, attempt))
-            }
+            Ok(Err(e)) => return Err(WorkerDied(format!("response stream: {e}"))),
+            Err(RecvTimeoutError::Timeout) => return Err(WorkerTimeout),
             Err(RecvTimeoutError::Disconnected) => {
-                retire(slot);
-                err(ShardError::worker_died(
-                    shard,
-                    attempt,
-                    "response reader ended",
-                ))
+                return Err(WorkerDied("response reader ended".into()))
             }
+        };
+        *ipc_bytes += payload.len() as u64 + FRAME_OVERHEAD;
+        match decode_response(&payload) {
+            Ok(Response::Ok(records, metrics)) => {
+                if let Some(out) = records.iter().find(|r| !range.contains(r)) {
+                    return Err(FrameCorrupted(format!(
+                        "record {out} outside the shard range"
+                    )));
+                }
+                Ok((records, metrics))
+            }
+            // The worker is healthy but refused the task (undecodable
+            // payload, unknown codec) — retries will exhaust into the
+            // in-process fallback.
+            Ok(Response::Err(msg)) => Err(Panicked(format!("worker reported: {msg}"))),
+            Err(defect) => Err(FrameCorrupted(format!("undecodable response: {defect}"))),
         }
     }
 }
@@ -465,75 +324,24 @@ impl ShardExecutor for SubprocessExecutor {
         domains: &[PoDomain],
         jobs: &[ShardJob<'_>],
     ) -> Vec<Result<ShardOutcome, ShardError>> {
-        let n = jobs.len();
-        if n == 0 {
+        if jobs.is_empty() {
             return Vec::new();
         }
         // Probe spawn. A pool that cannot start at all degrades the
-        // whole batch to the in-process ladder — byte-identical to
+        // whole batch to the in-process executor — byte-identical to
         // ThreadShardExecutor, IPC counters all zero.
-        let probe = match Worker::spawn(&self.spec) {
-            Ok(w) => w,
-            Err(_) => {
-                return jobs
-                    .iter()
-                    .enumerate()
-                    .map(|(i, job)| run_ladder(&self.policy, store, domains, i, job))
-                    .collect();
-            }
+        let Ok(probe) = Worker::spawn(&self.spec) else {
+            return ThreadShardExecutor::with_policy(1, self.policy).execute(store, domains, jobs);
         };
-        let pool = self.workers.min(n);
-        if pool <= 1 {
-            let mut slot = Some(probe);
-            let out = jobs
-                .iter()
-                .enumerate()
-                .map(|(i, job)| self.remote_ladder(&mut slot, store, domains, i, job))
-                .collect();
-            retire(&mut slot);
-            return out;
-        }
-        let results: Vec<Mutex<Option<Result<ShardOutcome, ShardError>>>> =
-            (0..n).map(|_| Mutex::new(None)).collect();
-        let next = AtomicUsize::new(0);
-        let probe_slot = Mutex::new(Some(probe));
-        std::thread::scope(|s| {
-            let handles: Vec<_> = (0..pool)
-                .map(|_| {
-                    s.spawn(|| {
-                        // Each pool thread owns one worker process; the
-                        // probe is handed to whichever thread gets there
-                        // first, the rest spawn on demand.
-                        let mut slot: Option<Worker> =
-                            probe_slot.lock().unwrap_or_else(|p| p.into_inner()).take();
-                        loop {
-                            let i = next.fetch_add(1, Ordering::Relaxed);
-                            if i >= n {
-                                break;
-                            }
-                            let r = self.remote_ladder(&mut slot, store, domains, i, &jobs[i]);
-                            *results[i].lock().unwrap_or_else(|p| p.into_inner()) = Some(r);
-                        }
-                        retire(&mut slot);
-                    })
-                })
-                .collect();
-            for h in handles {
-                // The ladder is panic-free; an (impossible) abandoned
-                // shard is recomputed inline below.
-                let _ = h.join();
-            }
-        });
-        retire(&mut probe_slot.lock().unwrap_or_else(|p| p.into_inner()));
-        results
-            .into_iter()
-            .enumerate()
-            .map(|(i, m)| {
-                m.into_inner()
-                    .unwrap_or_else(|p| p.into_inner())
-                    .unwrap_or_else(|| run_ladder(&self.policy, store, domains, i, &jobs[i]))
-            })
-            .collect()
+        // Each pool thread owns one worker process; the probe goes to
+        // whichever thread asks first, the rest spawn on demand.
+        let probe = Mutex::new(Some(probe));
+        claim_shards(
+            self.workers,
+            jobs.len(),
+            || probe.lock().unwrap_or_else(|p| p.into_inner()).take(),
+            |slot, i| self.remote_ladder(slot, store, domains, i, &jobs[i]),
+        )
     }
 }
 

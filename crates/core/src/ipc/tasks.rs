@@ -115,7 +115,7 @@ pub fn encode_local_skyline(view: &ShardView<'_>, domains: &[PoDomain]) -> Vec<u
         view.to_block(),
         view.po_block(),
     );
-    put_dags(&mut t, domains);
+    put_dags(&mut t, domains.iter().map(PoDomain::dag));
     t
 }
 
@@ -123,7 +123,7 @@ fn run_local_skyline(body: &[u8], ctx: ShardCtx) -> Result<(Vec<RecordId>, Metri
     let mut r = Reader::new(body);
     let start = r.u32()?;
     let store = get_window(&mut r)?.with_kernel(ctx.kernel);
-    let domains = get_dags(&mut r)?;
+    let domains: Vec<PoDomain> = get_dags(&mut r)?.into_iter().map(PoDomain::new).collect();
     if r.remaining() != 0 {
         return Err("trailing task bytes");
     }
@@ -168,7 +168,7 @@ pub fn encode_screen(
         mem_po.extend_from_slice(store.po(m));
     }
     put_window(&mut t, store.to_dims(), store.po_dims(), &mem_to, &mem_po);
-    put_dags(&mut t, domains);
+    put_dags(&mut t, domains.iter().map(PoDomain::dag));
     t
 }
 
@@ -178,7 +178,7 @@ fn run_screen(body: &[u8], ctx: ShardCtx) -> Result<(Vec<RecordId>, Metrics), De
     let cand_to = r.u32s()?;
     let cand_po = r.u32s()?;
     let member_store = get_window(&mut r)?.with_kernel(ctx.kernel);
-    let domains = get_dags(&mut r)?;
+    let domains: Vec<PoDomain> = get_dags(&mut r)?.into_iter().map(PoDomain::new).collect();
     if r.remaining() != 0 {
         return Err("trailing task bytes");
     }

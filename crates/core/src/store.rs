@@ -301,8 +301,8 @@ impl PointStore {
 
     /// [`t_dominated_by_any`](Self::t_dominated_by_any) forced onto the
     /// scalar oracle path, ignoring the store's configured kernel — the
-    /// reference check the fault-tolerant executor's merge-side validation
-    /// uses, so corruption detection never depends on the kernel variant
+    /// reference check the executor ladder's minimality validation uses,
+    /// so corruption detection never depends on the kernel variant
     /// under suspicion. Returns `(dominated, pairs_examined)`; callers that
     /// must stay counter-identical to a validation-free run deliberately
     /// do **not** feed the pair count into their [`Metrics`](crate::Metrics).

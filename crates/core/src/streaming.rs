@@ -58,14 +58,16 @@
 //!
 //! # Fault injection
 //!
-//! Repair jobs run with the executor's *minimality validation off*: their
-//! results are promotion candidates, not local skylines, so the
-//! merge-side minimality check does not apply. Instead, when a fault plan
-//! is active, the merge side re-verifies every returned record against the
-//! repair predicate with the scalar oracle (membership, liveness,
-//! dominance region, post-removal screen) — uncounted, like
-//! `validate_minimal` — so an injected corruption can never promote a
-//! wrong record *and* never perturbs the counted work.
+//! Repair jobs opt out of the executor ladder's minimality check
+//! ([`ShardJob::without_minimality_check`]): their results are promotion
+//! candidates, not local skylines, and a chunk may hold a dominance chain.
+//! Instead, whenever a repair's outcomes report an injected fault (from
+//! the built-in pool's plan or an injected executor's), the merge side
+//! re-verifies every returned record against the repair predicate with
+//! the scalar oracle (membership, liveness, dominance region,
+//! post-removal screen) — uncounted, like the ladder's own validation —
+//! so an injected corruption can never promote a wrong record *and*
+//! never perturbs the counted work.
 //!
 //! # Budget bounding
 //!
@@ -126,8 +128,8 @@ pub struct StreamingConfig {
     pub repair_shards: usize,
     /// Admission-control pair-check allowance — see the module docs.
     pub budget: Budget,
-    /// Retry/fault policy repair jobs inherit (the executor's validation
-    /// flag is ignored; repairs bring their own merge-side verification).
+    /// Retry/fault policy of the built-in repair pool (repairs bring their
+    /// own merge-side verification when faults are injected).
     pub exec: ExecPolicy,
 }
 
@@ -220,10 +222,7 @@ impl StreamingSkyline {
     /// out-of-process backend. The jobs carry candidate-screen wire
     /// payloads (see [`crate::ipc::tasks`]), so any executor honoring
     /// the [`ShardExecutor`] contract yields byte-identical skylines and
-    /// counters. The executor's own policy applies; it should have
-    /// minimality validation **off** (repair results are promotion
-    /// candidates, not local skylines — the built-in path disables it
-    /// the same way) — repairs bring their own merge-side verification.
+    /// counters. The executor's own policy applies.
     pub fn with_executor(mut self, executor: Arc<dyn ShardExecutor + Send + Sync>) -> Self {
         self.executor = Some(executor);
         self
@@ -422,21 +421,16 @@ impl StreamingSkyline {
                 // records and counters identical); the wire payload ships
                 // the same screen to a worker process — both sides call
                 // `screen_one` on the same rows, in the same order.
+                // Survivors are promotion candidates, not a local skyline:
+                // they are verified below instead.
                 ShardJob::new(lo..hi + 1, move |ctx| {
                     screen_part(store, domains, ctx.kernel, skyline, part)
                 })
                 .with_wire(move || encode_screen(store, domains, skyline, part))
+                .without_minimality_check()
             })
             .collect();
-        // Repairs bring their own merge-side verification (below), so the
-        // executor's local-skyline minimality validation — wrong for
-        // promotion-candidate results — is disabled.
-        let policy = ExecPolicy {
-            validate: false,
-            ..self.config.exec
-        };
-        let faults_active = policy.faults.is_some();
-        let pool = ThreadShardExecutor::with_policy(self.config.threads, policy);
+        let pool = ThreadShardExecutor::with_policy(self.config.threads, self.config.exec);
         let exec: &dyn ShardExecutor = match self.executor.as_deref() {
             Some(e) => e,
             None => &pool,
@@ -452,11 +446,11 @@ impl StreamingSkyline {
                     survivors.extend(o.records);
                 }
                 Err(_) => {
-                    // Unreachable with the in-process executor (the
-                    // uninjected scalar fallback of a panic-free job always
-                    // succeeds), but a remote executor may lose a worker:
-                    // recompute the chunk inline so no repair is ever
-                    // dropped.
+                    // Unreachable with either built-in executor (the
+                    // uninjected in-process scalar fallback of a panic-free
+                    // job always succeeds), but another executor may fail
+                    // a shard: recompute the chunk inline so no repair is
+                    // ever dropped.
                     let (alive, m) = screen_part(store, domains, Kernel::Scalar, skyline, part);
                     gathered = gathered.merge(&m);
                     survivors.extend(alive);
@@ -464,11 +458,12 @@ impl StreamingSkyline {
             }
         }
         self.metrics = self.metrics.merge(&gathered);
-        if faults_active {
-            // Merge-side verification under fault injection: an injected
-            // corruption appends an arbitrary in-range record, so re-check
-            // the full repair predicate with the scalar oracle. Uncounted,
-            // like the executor's own validation — recovery overhead must
+        if gathered.faults_injected > 0 {
+            // Merge-side verification whenever an attempt was injected,
+            // whichever executor's plan did it: an injected corruption
+            // appends an arbitrary in-range record, so re-check the full
+            // repair predicate with the scalar oracle. Uncounted,
+            // like the ladder's own validation — recovery overhead must
             // not perturb the byte-identity contract with fault-free runs.
             let (store, domains, skyline) = (&self.store, &self.domains, &self.skyline);
             survivors.retain(|&p| {
@@ -763,26 +758,40 @@ mod tests {
 
     #[test]
     fn fault_injection_is_invisible_to_the_maintained_state() {
-        let run = |faults: Option<FaultPlan>, threads: usize| {
+        // `on_executor`: the plan arms an injected executor while the
+        // config stays fault-free, so only the repair outcomes can tell
+        // the maintainer that faults were injected.
+        let run = |faults: Option<FaultPlan>, threads: usize, on_executor: bool| {
+            let policy = ExecPolicy::with_faults(faults);
             let cfg = StreamingConfig {
                 window: WindowPolicy::Count(10),
                 threads,
                 repair_shards: 3,
-                exec: ExecPolicy::with_faults(faults),
+                exec: if on_executor {
+                    ExecPolicy::fault_free()
+                } else {
+                    policy
+                },
                 ..StreamingConfig::default()
             };
             let mut s = StreamingSkyline::new(2, domains(), cfg);
+            if on_executor {
+                s = s.with_executor(Arc::new(ThreadShardExecutor::with_policy(threads, policy)));
+            }
             for i in 0..70u32 {
                 let (to, po) = row(i);
                 s.insert(&to, &po);
+                assert_matches_recompute(&s);
             }
-            assert_matches_recompute(&s);
             (s.skyline_records().to_vec(), s.metrics())
         };
-        let (clean_sky, clean_m) = run(None, 1);
-        for threads in [1usize, 3] {
-            let (sky, m) = run(Some(FaultPlan::new(7, 1.0)), threads);
-            assert_eq!(sky, clean_sky, "threads={threads}");
+        let (clean_sky, clean_m) = run(None, 1, false);
+        for (threads, on_executor) in [(1usize, false), (3, false), (1, true), (3, true)] {
+            let (sky, m) = run(Some(FaultPlan::new(7, 1.0)), threads, on_executor);
+            assert_eq!(
+                sky, clean_sky,
+                "threads={threads} on_executor={on_executor}"
+            );
             // Work counters match the fault-free run bit for bit; only the
             // recovery counters report what the ladder absorbed.
             assert_eq!(m.dominance_checks, clean_m.dominance_checks);

@@ -296,7 +296,13 @@ fn echo_worker_is_detected_as_frame_corruption() {
         assert_eq!(portable_counts(&c.metrics), portable_counts(&e.metrics));
     }
     let m = merged(&echoed);
-    assert!(m.frames_corrupted > 0, "echoed frames must be distrusted");
+    let attempts = shards as u64 * (ExecPolicy::DEFAULT_RETRIES as u64 + 1);
+    assert_eq!(
+        m.frames_corrupted, attempts,
+        "every echoed frame is distrusted"
+    );
+    assert_eq!(m.shard_retries, attempts);
+    assert_eq!(m.worker_crashes, 0);
     assert_eq!(m.worker_timeouts, 0);
     assert_eq!(m.shard_fallbacks, shards as u64);
 }
@@ -327,8 +333,17 @@ fn truncating_worker_is_detected_as_a_crash() {
         assert_eq!(c.records, x.records);
         assert_eq!(portable_counts(&c.metrics), portable_counts(&x.metrics));
     }
+    // Whether an attempt's request write lands before the worker exits
+    // is a race, so `ipc_bytes` is left unasserted here.
     let m = merged(&truncated);
-    assert!(m.worker_crashes > 0, "truncated frames are worker deaths");
+    let attempts = shards as u64 * (ExecPolicy::DEFAULT_RETRIES as u64 + 1);
+    assert_eq!(
+        m.worker_crashes, attempts,
+        "truncated frames are worker deaths"
+    );
+    assert_eq!(m.shard_retries, attempts);
+    assert_eq!(m.frames_corrupted, 0);
+    assert_eq!(m.worker_timeouts, 0);
     assert_eq!(m.shard_fallbacks, shards as u64);
 }
 
@@ -368,7 +383,8 @@ fn unspawnable_pool_degrades_to_in_process_execution() {
 /// jobs run on an injected subprocess pool tracks the default in-process
 /// maintainer byte-for-byte after every operation — inserts, oldest
 /// expiry and member expiry (the delta-repair path that actually fans
-/// candidate screens across the pipe).
+/// candidate screens across the pipe). A second case puts a dominance
+/// chain inside each repair chunk and arms the pool with a fault plan.
 #[test]
 fn streaming_repairs_over_subprocess_pool_match_in_process() {
     let dag = mask_dag(0b1001011010);
@@ -422,4 +438,37 @@ fn streaming_repairs_over_subprocess_pool_match_in_process() {
     assert_eq!(vm.worker_crashes, 0);
     assert_eq!(vm.worker_timeouts, 0);
     assert_eq!(vm.frames_corrupted, 0);
+
+    // Record 0 dominates the chain [i, i] for i in 1..20, so expiring it
+    // screens all 19 against an empty skyline and both repair chunks
+    // return dominance chains. Those are promotion candidates, not local
+    // skylines: a pool armed with a plan that never fires must screen
+    // them remotely exactly like a fault-free pool.
+    let chain = |policy: ExecPolicy| {
+        let chain_dag = Dag::from_edges(5, &[(0, 1), (1, 2), (2, 3), (3, 4)]).expect("acyclic");
+        let cfg = StreamingConfig {
+            repair_shards: 2,
+            ..cfg
+        };
+        let mut s = StreamingSkyline::new(2, vec![PoDomain::new(chain_dag)], cfg).with_executor(
+            Arc::new(SubprocessExecutor::with_policy(worker_spec(), 2, policy)),
+        );
+        for i in 0..20u32 {
+            s.insert(&[i, i], &[0]);
+        }
+        assert!(s.expire(0));
+        (s.skyline_records().to_vec(), wallless(&s.metrics()))
+    };
+    let (clean_sky, clean_m) = chain(ExecPolicy::fault_free());
+    let (armed_sky, armed_m) = chain(ExecPolicy::with_faults(Some(FaultPlan::new(3, 0.0))));
+    assert_eq!(clean_sky, [1]);
+    assert_eq!(armed_sky, [1]);
+    assert_eq!(
+        armed_m, clean_m,
+        "an armed pool that never fires does fault-free work"
+    );
+    assert!(
+        armed_m.ipc_bytes > 0,
+        "the chain screens must cross the pipe"
+    );
 }
