@@ -1,6 +1,5 @@
 //! Ablation — the §V-B design choices of dTSS: local-skyline
-//! precomputation, the global Tm fast check, the dominator prefilter, and
-//! the query cache.
+//! precomputation, the dominator prefilter, and the query cache.
 
 mod common;
 
@@ -17,13 +16,6 @@ fn bench(c: &mut Criterion) {
             "local_skylines",
             DtssConfig {
                 precompute_local: true,
-                ..Default::default()
-            },
-        ),
-        (
-            "fast_check",
-            DtssConfig {
-                fast_check: true,
                 ..Default::default()
             },
         ),

@@ -1,6 +1,6 @@
-//! Ablation — the §IV-B design choices of sTSS: dyadic range index, fast
-//! main-memory-R-tree checks, multi-cover MBB pruning; plus the SDC-family
-//! ladder (BBS+ vs SDC vs SDC+) on identical data.
+//! Ablation — the §IV-B range-set strategies of sTSS (naive merging, the
+//! dyadic index, the full range table), plus the SDC-family ladder (BBS+ vs
+//! SDC vs SDC+) on identical data.
 
 mod common;
 
@@ -25,13 +25,6 @@ fn bench(c: &mut Criterion) {
             "full_ranges",
             StssConfig {
                 range_strategy: RangeStrategy::Full,
-                ..Default::default()
-            },
-        ),
-        (
-            "multi_cover",
-            StssConfig {
-                multi_cover_mbb: true,
                 ..Default::default()
             },
         ),

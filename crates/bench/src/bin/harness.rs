@@ -508,7 +508,9 @@ fn bench_json(args: &[String]) {
     }
 }
 
-/// Ablations over the design choices DESIGN.md calls out (§IV-B, §V-B).
+/// Ablations over the paper's optional design choices (§IV-B range-set
+/// strategies; §V-B local skylines, prefilter and query cache) and the LRU
+/// page buffer.
 fn ablations() {
     banner("Ablation — sTSS optimizations (independent, defaults)");
     let p = params::static_params(Distribution::Independent, 42);
@@ -527,20 +529,6 @@ fn ablations() {
             "full range table",
             StssConfig {
                 range_strategy: RangeStrategy::Full,
-                ..Default::default()
-            },
-        ),
-        (
-            "fast Tm check",
-            StssConfig {
-                fast_check: true,
-                ..Default::default()
-            },
-        ),
-        (
-            "multi-cover MBB",
-            StssConfig {
-                multi_cover_mbb: true,
                 ..Default::default()
             },
         ),
@@ -565,13 +553,6 @@ fn ablations() {
             "local skylines",
             DtssConfig {
                 precompute_local: true,
-                ..Default::default()
-            },
-        ),
-        (
-            "fast Tm check",
-            DtssConfig {
-                fast_check: true,
                 ..Default::default()
             },
         ),

@@ -116,8 +116,8 @@ impl BudgetOutcome {
 
 /// A [`SkylineCursor`] decorator that stops confirming once its inner
 /// cursor's `dominance_checks` spend exhausts a [`Budget`]. Works over
-/// every cursor family in the workspace — sTSS, dTSS, the SDC baselines
-/// and the classic engines all stream through the same trait.
+/// every cursor family in the workspace — sTSS, dTSS and the SDC baselines
+/// all stream through the same trait.
 pub struct BudgetedCursor<C> {
     inner: C,
     budget: Budget,

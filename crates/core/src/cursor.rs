@@ -15,9 +15,8 @@
 //! a `k`-prefix pull performs strictly fewer page reads than a full run.
 //!
 //! [`SkylineEngine`] is the object-safe factory trait every engine
-//! implements: sTSS, dTSS (bound to a query), the three m-dominance
-//! baselines (BBS+/SDC/SDC+ in the `sdc` crate) and the classic totally
-//! ordered algorithms (via [`ClassicEngine`](crate::ClassicEngine)).
+//! implements: sTSS, dTSS (bound to a query) and the three m-dominance
+//! baselines (BBS+/SDC/SDC+ in the `sdc` crate).
 //!
 //! # Top-k prefix example
 //!
@@ -102,7 +101,7 @@ impl<C: SkylineCursor + ?Sized> SkylineCursor for Box<C> {
 /// a time if the engine tracks page IOs on a shared counter — see the
 /// engine's own docs).
 pub trait SkylineEngine {
-    /// Human-readable engine name (`"sTSS"`, `"SDC+"`, `"BNL"`, …).
+    /// Human-readable engine name (`"sTSS"`, `"dTSS"`, `"SDC+"`, …).
     fn name(&self) -> &str;
 
     /// Opens a cursor over a fresh run of this engine.

@@ -15,8 +15,9 @@ impl<'a> Dominance<'a> {
         Dominance { domains }
     }
 
-    /// **t-dominance** (Definition 2, with the corrected condition (ii) —
-    /// see DESIGN.md §1.1): `a` t-dominates `b` iff
+    /// **t-dominance** (Definition 2, with condition (ii) corrected to the
+    /// form the paper's own Table II applies — see
+    /// [`t_dominates_weak_printed`]): `a` t-dominates `b` iff
     /// * `a.to[d] <= b.to[d]` on every TO dimension,
     /// * `a.po[d]` equals or is t-preferred over `b.po[d]` on every PO
     ///   dimension, and
@@ -114,7 +115,7 @@ pub(crate) fn po_tail(domains: &[PoDomain], po_a: &[u32], po_b: &[u32], to_stric
 /// This contradicts the paper's own worked example (Table II step 6 keeps
 /// `p2` although `p1` beats it on the TO attribute and is merely
 /// incomparable on the PO one) and is provided only so the discrepancy can
-/// be studied; see `DESIGN.md` §1.1 and the test below.
+/// be studied; the `table2_pairs` test below pins it.
 pub fn t_dominates_weak_printed(
     domains: &[PoDomain],
     to_a: &[u32],
@@ -187,8 +188,8 @@ mod tests {
         // despite the better TO value (the step-6 observation).
         assert!(!t_dominates(&doms, &[2], &[2], &[3], &[3]));
         assert!(!t_dominates(&doms, &[3], &[3], &[2], &[2]));
-        // ... but the PRINTED Definition 2 would claim dominance, which is
-        // exactly the discrepancy DESIGN.md documents:
+        // ... but the PRINTED Definition 2 would claim dominance, which
+        // contradicts Table II step 6:
         assert!(t_dominates_weak_printed(&doms, &[2], &[2], &[3], &[3]));
     }
 

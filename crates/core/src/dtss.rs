@@ -27,8 +27,8 @@ use crate::dominance::t_dominates;
 use crate::progressive::ProgressSample;
 use crate::store::RecordId;
 use crate::stss::SkylinePoint;
-use crate::{CoreError, Metrics, PoDomain, Table, VirtualPointIndex};
-use poset::{Dag, Fnv64, ValueId};
+use crate::{CoreError, Metrics, PoDomain, Table};
+use poset::{Dag, Fnv64};
 use rtree::{BestFirst, PageConfig, Popped, RTree};
 use skyline::PointBlock;
 use std::cell::RefCell;
@@ -89,8 +89,6 @@ pub struct DtssConfig {
     pub page: PageConfig,
     /// Explicit node capacity override.
     pub node_capacity: Option<usize>,
-    /// Use the global main-memory virtual-point R-tree (§V-A).
-    pub fast_check: bool,
     /// Precompute per-group local skylines at build time (§V-B).
     pub precompute_local: bool,
     /// Cache query results by digest (§V-B).
@@ -454,55 +452,33 @@ impl Dtss {
     }
 
     /// Emits a confirmed skyline point, updating all side structures.
-    #[allow(clippy::too_many_arguments)]
     fn emit(
-        &self,
         record: RecordId,
         to: &[u32],
-        key: &[u32],
-        domains: &[PoDomain],
         sky: &mut SkyList,
-        vpi: Option<&mut VirtualPointIndex>,
         filtered: Option<&mut Vec<(u32, bool)>>,
         m: &mut Metrics,
     ) {
-        if let Some(vpi) = vpi {
-            let sets: Vec<&poset::IntervalSet> = key
-                .iter()
-                .enumerate()
-                .map(|(d, &v)| domains[d].intervals(v))
-                .collect();
-            vpi.insert(to, &sets, record);
-        }
         if let Some(filtered) = filtered {
             // Same-key entry: can dominate later points of this group via TO.
             filtered.push((sky.len() as u32, false));
         }
-        sky.push(record, to, key);
+        sky.push(record, to);
         m.results += 1;
     }
 
-    /// Exact point check against the global skyline.
-    #[allow(clippy::too_many_arguments)]
+    /// Exact point check against the global skyline. Strict dominance never
+    /// holds between exact duplicates, so every copy of a skyline point is
+    /// confirmed on its own.
     fn point_dominated(
         &self,
         to: &[u32],
         key: &[u32],
-        posts: &[u32],
         domains: &[PoDomain],
         sky: &SkyList,
-        vpi: Option<&VirtualPointIndex>,
         filtered: Option<&[(u32, bool)]>,
         m: &mut Metrics,
     ) -> bool {
-        if let Some(vpi) = vpi {
-            if sky.contains_key(to, key, &self.table) {
-                return false; // exact duplicate of a skyline point
-            }
-            let (hit, queries) = vpi.covers_value(to, posts);
-            m.dominance_checks += queries;
-            return hit;
-        }
         if let Some(filtered) = filtered {
             // Same-key group: PO strictness was decided once per group, the
             // remaining comparison is the TO-only strictness kernel.
@@ -520,23 +496,15 @@ impl Dtss {
     /// most the corner on every dimension and either `s` is PO-strictly
     /// better or `s.to` differs from the corner (the corner-equality
     /// argument of `skyline::bbs`, extended with PO strictness).
-    #[allow(clippy::too_many_arguments)]
     fn node_dominated(
         &self,
         corner: &[u32],
         key: &[u32],
-        posts: &[u32],
         domains: &[PoDomain],
         sky: &SkyList,
-        vpi: Option<&VirtualPointIndex>,
         filtered: Option<&[(u32, bool)]>,
         m: &mut Metrics,
     ) -> bool {
-        if let Some(vpi) = vpi {
-            let (hit, queries) = vpi.covers_value(corner, posts);
-            m.dominance_checks += queries;
-            return hit;
-        }
         if let Some(filtered) = filtered {
             let (hit, examined) = sky.folded.dominated_with_strictness(filtered, corner);
             m.batch(examined);
@@ -548,16 +516,13 @@ impl Dtss {
     }
 }
 
-/// The cursor's working skyline, columnar: record ids, the *folded* TO
-/// coordinates (the dominance space), and a row-hash multimap for exact
-/// duplicate detection — PO values are fetched from the store by id, and
-/// no per-point rows or owned key tuples exist anywhere.
+/// The cursor's working skyline, columnar: record ids and the *folded* TO
+/// coordinates (the dominance space) — PO values are fetched from the store
+/// by id, and no per-point rows or owned key tuples exist anywhere.
 struct SkyList {
     ids: Vec<RecordId>,
     /// Folded TO coordinates, parallel to `ids` (stride = `|TO|`).
     folded: PointBlock,
-    /// Row hash of `(folded TO, PO key)` -> positions in `ids`.
-    keys: HashMap<u64, Vec<u32>>,
 }
 
 impl SkyList {
@@ -565,7 +530,6 @@ impl SkyList {
         SkyList {
             ids: Vec::new(),
             folded: PointBlock::new(to_dims.max(1)).with_kernel(kernel),
-            keys: HashMap::new(),
         }
     }
 
@@ -573,26 +537,9 @@ impl SkyList {
         self.ids.len()
     }
 
-    fn push(&mut self, record: RecordId, folded_to: &[u32], po: &[u32]) {
-        self.keys
-            .entry(crate::store::row_hash(folded_to, po))
-            .or_default()
-            .push(self.ids.len() as u32);
+    fn push(&mut self, record: RecordId, folded_to: &[u32]) {
         self.ids.push(record);
         self.folded.push(folded_to);
-    }
-
-    /// Is `(folded_to, po)` the exact key of some skyline entry? Hash probe
-    /// plus slice comparison against the blocks — no allocation.
-    fn contains_key(&self, folded_to: &[u32], po: &[u32], table: &Table) -> bool {
-        self.keys
-            .get(&crate::store::row_hash(folded_to, po))
-            .is_some_and(|positions| {
-                positions.iter().any(|&p| {
-                    self.folded.point(p as usize) == folded_to
-                        && table.po(self.ids[p as usize]) == po
-                })
-            })
     }
 
     /// Batched exact t-dominance of the whole list over one candidate
@@ -750,19 +697,15 @@ enum DtssPhase<'a> {
     /// Iterating a precomputed local skyline (§V-B).
     Local {
         gi: usize,
-        posts: Vec<u32>,
         filtered: Option<Vec<(u32, bool)>>,
         ix: usize,
     },
     /// Best-first traversal of a group's TO R-tree.
     Tree {
         gi: usize,
-        posts: Vec<u32>,
         filtered: Option<Vec<(u32, bool)>>,
         bf: BestFirst<'a>,
     },
-    /// Draining the duplicate-completion queue.
-    Extras(VecDeque<SkylinePoint>),
     /// Replaying a digest-cache hit.
     Replay(VecDeque<SkylinePoint>),
     Done,
@@ -774,6 +717,11 @@ enum DtssPhase<'a> {
 ///
 /// Yielded points always carry their **original** TO coordinates, also for
 /// fully dynamic (folded) queries.
+///
+/// Unlike sTSS, the walk needs no duplicate-completion pass: node checks
+/// exclude exact ties, the prefiltered kernel needs strictness, and a
+/// group's dismissal check runs before any of its own members is
+/// confirmed, so no check ever drops an exact copy of a skyline point.
 pub struct DtssCursor<'a> {
     dtss: &'a Dtss,
     /// Per-query labelings (owned: possibly cloned out of a session cache).
@@ -787,7 +735,6 @@ pub struct DtssCursor<'a> {
     /// Working skyline in *folded* coordinates (the dominance space):
     /// record ids plus a columnar folded-TO block.
     sky: SkyList,
-    vpi: Option<VirtualPointIndex>,
     /// Reused buffer for folded candidate coordinates (fully dynamic
     /// queries fold every popped point; plain queries never touch this).
     fold_scratch: Vec<u32>,
@@ -832,13 +779,6 @@ impl<'a> DtssCursor<'a> {
             .collect();
         let mut order: Vec<usize> = (0..dtss.groups.len()).collect();
         order.sort_by_key(|&gi| (ranks[gi], gi));
-        let vpi = dtss.cfg.fast_check.then(|| {
-            VirtualPointIndex::new(
-                to_dims,
-                &domains,
-                dtss.cfg.page.capacity(to_dims + 2 * domains.len()),
-            )
-        });
         DtssCursor {
             dtss,
             domains,
@@ -848,7 +788,6 @@ impl<'a> DtssCursor<'a> {
             start,
             m,
             sky: SkyList::new(to_dims, dtss.table.kernel()),
-            vpi,
             fold_scratch: Vec::new(),
             groups_skipped: 0,
             phase: DtssPhase::NextGroup,
@@ -877,7 +816,6 @@ impl<'a> DtssCursor<'a> {
             start: Instant::now(),
             m: Metrics::default(),
             sky: SkyList::new(dtss.table.to_dims(), dtss.table.kernel()),
-            vpi: None,
             fold_scratch: Vec::new(),
             groups_skipped: 0,
             phase: DtssPhase::Replay(queue),
@@ -900,20 +838,6 @@ impl<'a> DtssCursor<'a> {
     /// True iff this cursor replays a digest-cache hit.
     pub fn from_cache(&self) -> bool {
         self.from_cache
-    }
-
-    /// Folded view of TO coordinates: `|x − reference|` (identity when no
-    /// reference is given). All dominance checks and the working skyline
-    /// list operate on folded coordinates.
-    fn fold(&self, to: &[u32]) -> Vec<u32> {
-        match &self.reference {
-            None => to.to_vec(),
-            Some(r) => to
-                .iter()
-                .zip(r.iter())
-                .map(|(&a, &b)| a.abs_diff(b))
-                .collect(),
-        }
     }
 
     /// The owned point handed to the caller: original TO coordinates.
@@ -943,24 +867,12 @@ impl<'a> DtssCursor<'a> {
         let dtss = self.dtss;
         let group = &dtss.groups[gi];
         let key = &group.key;
-        let posts: Vec<u32> = key
-            .iter()
-            .enumerate()
-            .map(|(d, &v)| self.domains[d].labeling().post(ValueId(v)))
-            .collect();
         // Dismissal check against the current skyline.
         let corner = group.root_corner(self.reference.as_deref());
-        let dominated = if let Some(vpi) = self.vpi.as_ref() {
-            let (hit, queries) = vpi.covers_value(&corner, &posts);
-            self.m.dominance_checks += queries;
-            hit
-        } else {
-            let (hit, examined) =
-                self.sky
-                    .group_dismissed(&self.domains, &dtss.table, &corner, key);
-            self.m.batch(examined);
-            hit
-        };
+        let (dominated, examined) =
+            self.sky
+                .group_dismissed(&self.domains, &dtss.table, &corner, key);
+        self.m.batch(examined);
         if dominated {
             self.groups_skipped += 1;
             return None;
@@ -985,42 +897,13 @@ impl<'a> DtssCursor<'a> {
                 .data_pages(local.len(), dtss.table.to_dims() + key.len());
             return Some(DtssPhase::Local {
                 gi,
-                posts,
                 filtered,
                 ix: 0,
             });
         }
         group.tree.reset_io();
         let bf = group.tree.best_first_from(self.reference.as_deref());
-        Some(DtssPhase::Tree {
-            gi,
-            posts,
-            filtered,
-            bf,
-        })
-    }
-
-    /// Duplicate completion, as in sTSS (see `StssCursor`): closed Boolean
-    /// bounds in the fast path can coalesce exact duplicates of skyline
-    /// points inside pruned subtrees. Tuples identical in folded coordinates
-    /// and PO values are skyline iff their representative is.
-    fn compute_extras(&self) -> VecDeque<SkylinePoint> {
-        let table = &self.dtss.table;
-        let mut emitted = vec![false; table.len()];
-        for &r in &self.sky.ids {
-            emitted[r as usize] = true;
-        }
-        let mut extras = VecDeque::new();
-        for (i, done) in emitted.iter().enumerate() {
-            if *done {
-                continue;
-            }
-            let folded = self.fold(table.to_row(i));
-            if self.sky.contains_key(&folded, table.po_row(i), table) {
-                extras.push_back(self.yielded(i as u32));
-            }
-        }
-        extras
+        Some(DtssPhase::Tree { gi, filtered, bf })
     }
 
     fn finish(&mut self) {
@@ -1045,20 +928,10 @@ impl SkylineCursor for DtssCursor<'_> {
                     self.phase = DtssPhase::Replay(queue);
                     return Some(sp);
                 }
-                DtssPhase::Extras(mut queue) => {
-                    let Some(sp) = queue.pop_front() else {
-                        self.finish();
-                        return None;
-                    };
-                    self.m.results += 1;
-                    self.take_sample(0);
-                    self.phase = DtssPhase::Extras(queue);
-                    return Some(sp);
-                }
                 DtssPhase::NextGroup => {
                     let Some(&gi) = self.order.get(self.order_ix) else {
-                        self.phase = DtssPhase::Extras(self.compute_extras());
-                        continue;
+                        self.finish();
+                        return None;
                     };
                     self.order_ix += 1;
                     if let Some(next) = self.enter_group(gi) {
@@ -1069,7 +942,6 @@ impl SkylineCursor for DtssCursor<'_> {
                 }
                 DtssPhase::Local {
                     gi,
-                    posts,
                     mut filtered,
                     mut ix,
                 } => {
@@ -1085,30 +957,14 @@ impl SkylineCursor for DtssCursor<'_> {
                         if !dtss.point_dominated(
                             to,
                             &group.key,
-                            &posts,
                             &self.domains,
                             &self.sky,
-                            self.vpi.as_ref(),
                             filtered.as_deref(),
                             &mut self.m,
                         ) {
-                            dtss.emit(
-                                r,
-                                to,
-                                &group.key,
-                                &self.domains,
-                                &mut self.sky,
-                                self.vpi.as_mut(),
-                                filtered.as_mut(),
-                                &mut self.m,
-                            );
+                            Dtss::emit(r, to, &mut self.sky, filtered.as_mut(), &mut self.m);
                             self.take_sample(0);
-                            self.phase = DtssPhase::Local {
-                                gi,
-                                posts,
-                                filtered,
-                                ix,
-                            };
+                            self.phase = DtssPhase::Local { gi, filtered, ix };
                             return Some(self.yielded(r));
                         }
                     }
@@ -1116,7 +972,6 @@ impl SkylineCursor for DtssCursor<'_> {
                 }
                 DtssPhase::Tree {
                     gi,
-                    posts,
                     mut filtered,
                     mut bf,
                 } => {
@@ -1140,10 +995,8 @@ impl SkylineCursor for DtssCursor<'_> {
                                 if !dtss.node_dominated(
                                     corner,
                                     key,
-                                    &posts,
                                     &self.domains,
                                     &self.sky,
-                                    self.vpi.as_ref(),
                                     filtered.as_deref(),
                                     &mut self.m,
                                 ) {
@@ -1170,30 +1023,20 @@ impl SkylineCursor for DtssCursor<'_> {
                                 if !dtss.point_dominated(
                                     folded,
                                     key,
-                                    &posts,
                                     &self.domains,
                                     &self.sky,
-                                    self.vpi.as_ref(),
                                     filtered.as_deref(),
                                     &mut self.m,
                                 ) {
-                                    dtss.emit(
+                                    Dtss::emit(
                                         record,
                                         folded,
-                                        key,
-                                        &self.domains,
                                         &mut self.sky,
-                                        self.vpi.as_mut(),
                                         filtered.as_mut(),
                                         &mut self.m,
                                     );
                                     self.take_sample(group.tree.io_count());
-                                    self.phase = DtssPhase::Tree {
-                                        gi,
-                                        posts,
-                                        filtered,
-                                        bf,
-                                    };
+                                    self.phase = DtssPhase::Tree { gi, filtered, bf };
                                     return Some(self.yielded(record));
                                 }
                             }
@@ -1270,10 +1113,6 @@ mod tests {
         vec![
             DtssConfig::default(),
             DtssConfig {
-                fast_check: true,
-                ..Default::default()
-            },
-            DtssConfig {
                 precompute_local: true,
                 ..Default::default()
             },
@@ -1282,8 +1121,8 @@ mod tests {
                 ..Default::default()
             },
             DtssConfig {
-                fast_check: true,
                 precompute_local: true,
+                filter_dominators: true,
                 ..Default::default()
             },
         ]
@@ -1538,12 +1377,16 @@ mod tests {
 
         #![proptest_config(ProptestConfig::with_cases(24))]
         /// dTSS equals the oracle for random tables and random query orders,
-        /// across configurations.
+        /// across configurations, plain or fully dynamic around a random
+        /// reference point. Small value ranges make exact duplicates, in
+        /// plain and in folded coordinates, common.
         #[test]
         fn equals_oracle(
             rows in proptest::collection::vec((0u32..10, 0u32..10, 0u32..5), 1..60),
             edge_mask in 0u32..1024,
             cfg_ix in 0usize..configs().len(),
+            reference in (proptest::bool::ANY, 0u32..10, 0u32..10)
+                .prop_map(|(some, a, b)| some.then_some([a, b])),
         ) {
             let mut t = Table::new(2, 1);
             for &(a, b, v) in &rows {
@@ -1562,12 +1405,18 @@ mod tests {
                 }
             }
             let dag = poset::Dag::from_edges(5, &edges).unwrap();
-            let domains = vec![PoDomain::new(dag.clone())];
-            let mut expect = brute_force_po_skyline(&domains, &t);
+            let mut expect = match &reference {
+                None => brute_force_po_skyline(&[PoDomain::new(dag.clone())], &t),
+                Some(r) => folded_oracle(&t, &dag, r),
+            };
             expect.sort_unstable();
             let cfg = configs()[cfg_ix];
             let dtss = Dtss::build(t, vec![5], cfg).unwrap();
-            let run = dtss.query(&PoQuery::new(vec![dag])).unwrap();
+            let q = PoQuery::new(vec![dag]);
+            let run = match &reference {
+                None => dtss.query(&q).unwrap(),
+                Some(r) => dtss.query_fully_dynamic(&q, r).unwrap(),
+            };
             let mut got = run.skyline_records();
             got.sort_unstable();
             prop_assert_eq!(got, expect);

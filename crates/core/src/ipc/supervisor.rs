@@ -4,7 +4,7 @@
 //!
 //! # The remote transport
 //!
-//! Scheduling and recovery live in [`crate::executor`]: shards are
+//! Scheduling and recovery live in the `executor` module: shards are
 //! claimed by the claim loop both executors share — here with one worker
 //! process per pool thread — and every shard walks the one recovery
 //! ladder (`retries + 1` regular attempts, then the in-process
@@ -33,7 +33,7 @@
 //! A job without a wire payload, or a pool whose very first spawn fails,
 //! degrades to the in-process transport — same attempts, same (salt-0)
 //! fault sites, same counters as
-//! [`ThreadShardExecutor`](crate::ThreadShardExecutor) — so a query
+//! [`ThreadShardExecutor`] — so a query
 //! issued with zero spawnable workers still completes byte-identically,
 //! with all four IPC counters zero.
 //!

@@ -25,10 +25,13 @@
 //!    preference with neither false hits nor false misses, unlike the
 //!    single-interval *m-dominance* of earlier work.
 //!
-//! [`Stss`] implements the static algorithm (§IV) with both optimizations of
-//! §IV-B — the dyadic-range interval index and the main-memory R-tree fast
-//! check — and [`Dtss`] the dynamic variant (§V), where each query supplies
-//! its own partial orders and the data-resident structures are reused.
+//! [`Stss`] implements the static algorithm (§IV) with the dyadic-range
+//! interval index of §IV-B, checking candidates against the skyline list as
+//! the paper's benchmarks do, and [`Dtss`] the dynamic variant (§V), where
+//! each query supplies its own partial orders and the data-resident
+//! structures are reused. §IV-B's main-memory R-tree fast check is not
+//! implemented: it measured nine times slower than the list scan (README,
+//! "Options measured and removed").
 //!
 //! ```
 //! use poset::PartialOrderBuilder;
@@ -56,13 +59,11 @@
 #![forbid(unsafe_code)]
 
 mod budget;
-mod classic;
 mod cursor;
 mod dominance;
 mod dtss;
 mod error;
 mod executor;
-mod fastcheck;
 pub mod ipc;
 mod mapping;
 mod metrics;
@@ -74,19 +75,16 @@ mod streaming;
 mod stss;
 
 pub use budget::{Budget, BudgetOutcome, BudgetedCursor};
-pub use classic::{ClassicAlgo, ClassicEngine};
 pub use cursor::{CursorIter, SkylineCursor, SkylineEngine};
 pub use dominance::{brute_force_po_skyline, t_dominates, t_dominates_weak_printed, Dominance};
 pub use dtss::{Dtss, DtssConfig, DtssCursor, DtssQueryEngine, DtssRun, PoQuery};
 pub use error::{CoreError, ShardError, ShardErrorKind};
-pub use fastcheck::VirtualPointIndex;
 pub use ipc::{SubprocessExecutor, WorkerSpec};
 pub use mapping::PoDomain;
 pub use metrics::{CostModel, Metrics};
 pub use parallel::{
-    parallel_classic_skyline, sharded_skyline_exec, ExecPolicy, FaultKind, FaultPlan, ParallelRun,
-    ProcessFaultKind, ShardCtx, ShardExecutor, ShardJob, ShardOutcome, ShardPlan, ShardSpec,
-    ThreadShardExecutor,
+    sharded_skyline_exec, ExecPolicy, FaultKind, FaultPlan, ParallelRun, ProcessFaultKind,
+    ShardCtx, ShardExecutor, ShardJob, ShardOutcome, ShardPlan, ShardSpec, ThreadShardExecutor,
 };
 pub use progressive::{ProgressLog, ProgressSample};
 pub use session::{QuerySession, SessionStats};

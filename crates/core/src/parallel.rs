@@ -91,32 +91,47 @@
 //! [`ParallelRun::exhausted`] with a sound confirmed prefix.
 //!
 //! ```
-//! use skyline::PointBlock;
-//! use tss_core::parallel::parallel_classic_skyline;
-//! use tss_core::{ClassicAlgo, Table};
+//! use tss_core::{
+//!     sharded_skyline_exec, Budget, ExecPolicy, ShardSpec, Stss, StssConfig, Table,
+//! };
 //!
 //! let mut t = Table::new(2, 0);
 //! for (a, b) in [(5, 1), (1, 5), (3, 3), (4, 4), (2, 6), (6, 2)] {
 //!     t.push(&[a, b], &[]);
 //! }
-//! let run = parallel_classic_skyline(&t, ClassicAlgo::Sfs, 3, 2).unwrap();
+//! // One sTSS per shard, built on the attempt's kernel so a fallback
+//! // recomputes on the scalar oracle.
+//! let run_on = |threads| {
+//!     sharded_skyline_exec(
+//!         &t,
+//!         &[],
+//!         ShardSpec::Fixed(3),
+//!         threads,
+//!         ExecPolicy::default(),
+//!         Budget::UNLIMITED,
+//!         |ctx, view| {
+//!             let store = view.to_store().with_kernel(ctx.kernel);
+//!             let run = Stss::build(store, vec![], StssConfig::default()).unwrap().run();
+//!             (run.skyline_records(), run.metrics)
+//!         },
+//!     )
+//!     .unwrap()
+//! };
+//! let run = run_on(2);
 //! let mut got = run.records.clone();
 //! got.sort_unstable();
 //! assert_eq!(got, vec![0, 1, 2]);
 //! // The same shards at one worker produce the identical result and
 //! // counts — threads only change the wall clock.
-//! let serial = parallel_classic_skyline(&t, ClassicAlgo::Sfs, 3, 1).unwrap();
+//! let serial = run_on(1);
 //! assert_eq!(serial.records, run.records);
 //! assert_eq!(serial.metrics().dominance_checks, run.metrics().dominance_checks);
 //! ```
 
 use crate::budget::Budget;
-use crate::classic::{ClassicAlgo, ClassicEngine};
-use crate::cursor::SkylineEngine;
 use crate::error::ShardError;
 use crate::store::{PointStore, RecordId, ShardView};
 use crate::{Metrics, PoDomain};
-use skyline::PointBlock;
 
 pub use crate::executor::{
     ExecPolicy, FaultKind, FaultPlan, ProcessFaultKind, ShardCtx, ShardExecutor, ShardJob,
@@ -689,42 +704,6 @@ where
     Ok(run)
 }
 
-/// Sharded parallel run of a classic totally ordered algorithm
-/// (brute/BNL/SFS/SaLSa/BBS/…): each shard's window of the flat TO block
-/// becomes one [`PointBlock`], a [`ClassicEngine`] computes its local
-/// skyline, and the locals are merged with the TO-only dominance kernels.
-/// The store must be TO-only (`po_dims == 0`). Each attempt honors the
-/// executor's [`ShardCtx::kernel`], so fallback recomputes really run on
-/// the scalar oracle.
-pub fn parallel_classic_skyline(
-    store: &PointStore,
-    algo: ClassicAlgo,
-    shards: usize,
-    threads: usize,
-) -> Result<ParallelRun, ShardError> {
-    assert_eq!(
-        store.po_dims(),
-        0,
-        "classic algorithms are totally ordered; use sharded_skyline_exec \
-         with a PO-aware engine for mixed stores"
-    );
-    sharded_skyline_exec(
-        store,
-        &[],
-        ShardSpec::Fixed(shards),
-        threads,
-        ExecPolicy::default(),
-        Budget::UNLIMITED,
-        |ctx, view| {
-            let block = PointBlock::from_flat(store.to_dims(), view.to_block().to_vec())
-                .with_kernel(ctx.kernel);
-            let engine = ClassicEngine::new(block, algo);
-            let (points, metrics) = engine.collect_skyline();
-            (points.into_iter().map(|p| p.record).collect(), metrics)
-        },
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -738,6 +717,30 @@ mod tests {
             t.push(&[(i * 17) % 50, (i * 31) % 50], &[]);
         }
         t
+    }
+
+    /// One sTSS over a TO-only shard, built on the attempt's kernel so the
+    /// fallback really recomputes on the scalar oracle.
+    fn stss_shard(ctx: ShardCtx, view: &ShardView<'_>) -> (Vec<RecordId>, Metrics) {
+        let store = view.to_store().with_kernel(ctx.kernel);
+        let run = Stss::build(store, vec![], StssConfig::default())
+            .expect("shard build")
+            .run();
+        (run.skyline_records(), run.metrics)
+    }
+
+    /// A TO-only store sharded by `spec`, one sTSS per shard.
+    fn sharded_stss(t: &Table, spec: ShardSpec, threads: usize) -> ParallelRun {
+        sharded_skyline_exec(
+            t,
+            &[],
+            spec,
+            threads,
+            ExecPolicy::default(),
+            Budget::UNLIMITED,
+            stss_shard,
+        )
+        .unwrap()
     }
 
     #[test]
@@ -755,34 +758,25 @@ mod tests {
     }
 
     #[test]
-    fn classic_sharded_equals_whole_run() {
+    fn to_only_sharded_equals_whole_run() {
         let t = to_only_table(120);
-        let block = PointBlock::from_flat(2, t.to_block().to_vec());
-        let mut expect = skyline::brute_force(&block);
+        let mut expect = brute_force_po_skyline(&[], &t);
         expect.sort_unstable();
-        for algo in [
-            ClassicAlgo::Brute,
-            ClassicAlgo::Bnl { window: 8 },
-            ClassicAlgo::Sfs,
-            ClassicAlgo::Salsa,
-            ClassicAlgo::Bbs { node_capacity: 8 },
-        ] {
-            for shards in [1usize, 2, 3, 8] {
-                let run = parallel_classic_skyline(&t, algo, shards, 2).unwrap();
-                let mut got = run.records.clone();
-                got.sort_unstable();
-                assert_eq!(got, expect, "{algo:?} shards={shards}");
-                assert_eq!(run.locals.len(), shards.min(t.len()));
-            }
+        for shards in [1usize, 2, 3, 8] {
+            let run = sharded_stss(&t, ShardSpec::Fixed(shards), 2);
+            let mut got = run.records.clone();
+            got.sort_unstable();
+            assert_eq!(got, expect, "shards={shards}");
+            assert_eq!(run.locals.len(), shards.min(t.len()));
         }
     }
 
     #[test]
     fn thread_count_never_changes_results_or_counts() {
         let t = to_only_table(200);
-        let baseline = parallel_classic_skyline(&t, ClassicAlgo::Sfs, 5, 1).unwrap();
+        let baseline = sharded_stss(&t, ShardSpec::Fixed(5), 1);
         for threads in [2usize, 3, 4, 8] {
-            let run = parallel_classic_skyline(&t, ClassicAlgo::Sfs, 5, threads).unwrap();
+            let run = sharded_stss(&t, ShardSpec::Fixed(5), threads);
             assert_eq!(run.records, baseline.records, "threads={threads}");
             assert_eq!(run.locals, baseline.locals);
             let (a, b) = (run.metrics(), baseline.metrics());
@@ -797,7 +791,7 @@ mod tests {
     #[test]
     fn total_metrics_are_the_exact_shard_sum() {
         let t = to_only_table(90);
-        let run = parallel_classic_skyline(&t, ClassicAlgo::Salsa, 4, 3).unwrap();
+        let run = sharded_stss(&t, ShardSpec::Fixed(4), 3);
         let total = run.metrics();
         let mut by_hand = run
             .shard_metrics
@@ -822,7 +816,7 @@ mod tests {
             t.push(&[1, 1], &[]); // skyline, duplicated across shards
             t.push(&[3, 3], &[]); // dominated
         }
-        let run = parallel_classic_skyline(&t, ClassicAlgo::Sfs, 4, 2).unwrap();
+        let run = sharded_stss(&t, ShardSpec::Fixed(4), 2);
         let mut got = run.records.clone();
         got.sort_unstable();
         assert_eq!(got, vec![0, 2, 4, 6]);
@@ -988,22 +982,8 @@ mod tests {
     #[test]
     fn adaptive_executor_matches_fixed_byte_for_byte() {
         let t = to_only_table(200);
-        let fixed = parallel_classic_skyline(&t, ClassicAlgo::Sfs, 5, 2).unwrap();
-        let adaptive = sharded_skyline_exec(
-            &t,
-            &[],
-            ShardSpec::Adaptive { max: 8, workers: 2 },
-            2,
-            ExecPolicy::default(),
-            Budget::UNLIMITED,
-            |_ctx, view: &ShardView<'_>| {
-                let block = PointBlock::from_flat(t.to_dims(), view.to_block().to_vec());
-                let engine = ClassicEngine::new(block, ClassicAlgo::Sfs);
-                let (points, metrics) = engine.collect_skyline();
-                (points.into_iter().map(|p| p.record).collect(), metrics)
-            },
-        )
-        .unwrap();
+        let fixed = sharded_stss(&t, ShardSpec::Fixed(5), 2);
+        let adaptive = sharded_stss(&t, ShardSpec::Adaptive { max: 8, workers: 2 }, 2);
         assert!(adaptive.plan.adaptive);
         assert!(!fixed.plan.adaptive);
         assert_eq!(fixed.plan.shards, 5);

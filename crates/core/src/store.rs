@@ -37,8 +37,8 @@ const LANE_MAX_DIMS: usize = 16;
 /// Index of a tuple in a [`PointStore`] — the currency engines trade in.
 pub type RecordId = u32;
 
-/// Digest of one tuple's attribute values, the key of the engines'
-/// duplicate-detection multimaps (hash -> records, resolved against the
+/// Digest of one tuple's attribute values, the key of sTSS's
+/// duplicate-completion multimap (hash -> records, resolved against the
 /// store by slice comparison).
 ///
 /// Hashed with [`poset::Fnv64`] — fixed published constants — rather than

@@ -14,7 +14,7 @@
 use crate::cursor::{SkylineCursor, SkylineEngine};
 use crate::progressive::{ProgressLog, ProgressSample};
 use crate::store::RecordId;
-use crate::{CoreError, Metrics, PoDomain, Table, VirtualPointIndex};
+use crate::{CoreError, Metrics, PoDomain, Table};
 use poset::{Dag, FullRangeIndex, IntervalSet};
 use rtree::{BestFirst, Mbb, PageConfig, Popped, RTree};
 use std::collections::{HashMap, VecDeque};
@@ -35,10 +35,11 @@ pub enum RangeStrategy {
     Full,
 }
 
-/// Tuning knobs for [`Stss`]. The defaults reproduce the configuration the
-/// paper benchmarks ("for fairness we implement TSS without the main memory
-/// R-tree optimization"): dyadic range index on, fast check off,
-/// single-dominator MBB checks.
+/// Tuning knobs for [`Stss`]. sTSS runs the configuration the paper
+/// benchmarks ("for fairness we implement TSS without the main memory
+/// R-tree optimization"): point checks scan the skyline list, and an MBB is
+/// pruned only when one skyline point dominates all of it. The dyadic range
+/// index is on by default.
 #[derive(Debug, Clone, Copy)]
 pub struct StssConfig {
     /// Page model used to derive the node capacity.
@@ -47,14 +48,6 @@ pub struct StssConfig {
     pub node_capacity: Option<usize>,
     /// Range-set lookup strategy for MBB checks (§IV-B first optimization).
     pub range_strategy: RangeStrategy,
-    /// Use the main-memory virtual-point R-tree for dominance checks
-    /// (§IV-B second optimization). Off = scan the skyline list.
-    pub fast_check: bool,
-    /// MBB pruning flavor when `fast_check` is off: `false` = the paper's
-    /// single-dominator check (one skyline point must cover every run);
-    /// `true` = allow different skyline points to cover different run
-    /// combinations (strictly more pruning, still sound).
-    pub multi_cover_mbb: bool,
     /// Optional LRU page buffer (in pages) on the disk R-tree — the paper's
     /// "IO cost can be mitigated using buffers" remark; `None` (default)
     /// matches the paper's no-buffer benchmark setting.
@@ -67,8 +60,6 @@ impl Default for StssConfig {
             page: PageConfig::default(),
             node_capacity: None,
             range_strategy: RangeStrategy::Dyadic,
-            fast_check: false,
-            multi_cover_mbb: false,
             buffer_pages: None,
         }
     }
@@ -271,7 +262,7 @@ impl Stss {
     }
 
     /// The pure-data context of the dominance checks: everything they need
-    /// except the (interior-mutable) disk R-tree and virtual-point index.
+    /// except the (interior-mutable) disk R-tree.
     fn checks(&self) -> StssChecks<'_> {
         StssChecks {
             table: &self.table,
@@ -295,57 +286,21 @@ struct StssChecks<'a> {
 impl StssChecks<'_> {
     /// Is the candidate point t-dominated by the current skyline (given as
     /// record ids; attribute values are fetched from the store)?
-    ///
-    /// `posts` is caller-owned scratch for the fast-check path's folded
-    /// post coordinates — reused across candidates so the probe really
-    /// allocates nothing; the scan path never touches it.
-    #[allow(clippy::too_many_arguments)]
     fn point_dominated(
         &self,
         to: &[u32],
         po: &[u32],
         skyline: &[RecordId],
-        vpi: Option<&VirtualPointIndex>,
-        keys: &HashMap<u64, Vec<RecordId>>,
-        posts: &mut Vec<u32>,
         m: &mut Metrics,
     ) -> bool {
-        if let Some(vpi) = vpi {
-            // Exact duplicates of skyline points are never dominated. The
-            // key set is a row-hash multimap resolved against the store, so
-            // the per-candidate probe allocates nothing.
-            if let Some(cands) = keys.get(&crate::store::row_hash(to, po)) {
-                if cands
-                    .iter()
-                    .any(|&r| self.table.to(r) == to && self.table.po(r) == po)
-                {
-                    return false;
-                }
-            }
-            posts.clear();
-            posts.extend(
-                po.iter()
-                    .enumerate()
-                    .map(|(d, &v)| self.domains[d].labeling().post(poset::ValueId(v))),
-            );
-            let (hit, queries) = vpi.covers_value(to, posts);
-            m.dominance_checks += queries;
-            return hit;
-        }
         let (hit, examined) = self.table.t_dominated_by_any(self.domains, to, po, skyline);
         m.batch(examined);
         hit
     }
 
     /// Can the whole MBB be pruned?
-    fn mbb_dominated(
-        &self,
-        mbb: &Mbb,
-        skyline: &[u32],
-        vpi: Option<&VirtualPointIndex>,
-        m: &mut Metrics,
-    ) -> bool {
-        if skyline.is_empty() && vpi.is_none() {
+    fn mbb_dominated(&self, mbb: &Mbb, skyline: &[u32], m: &mut Metrics) -> bool {
+        if skyline.is_empty() {
             return false;
         }
         let to_dims = self.table.to_dims();
@@ -367,15 +322,6 @@ impl StssChecks<'_> {
                 }
             })
             .collect();
-        if let Some(vpi) = vpi {
-            let refs: Vec<&IntervalSet> = run_sets.iter().collect();
-            let (hit, queries) = vpi.covers_runs(to_min, &refs);
-            m.dominance_checks += queries;
-            return hit;
-        }
-        if self.cfg.multi_cover_mbb {
-            return self.mbb_multi_cover(to_min, &run_sets, skyline, m);
-        }
         // Paper-faithful single-dominator check: one skyline point must be
         // at least as good on every TO dim and cover every run on every PO
         // dim (§IV-A step 7).
@@ -395,57 +341,6 @@ impl StssChecks<'_> {
         }
         false
     }
-
-    /// Multi-cover MBB check: every combination of runs must be covered by
-    /// *some* skyline point (different points may cover different
-    /// combinations). Sound by the own-post argument in `fastcheck.rs`.
-    fn mbb_multi_cover(
-        &self,
-        to_min: &[u32],
-        run_sets: &[IntervalSet],
-        skyline: &[u32],
-        m: &mut Metrics,
-    ) -> bool {
-        if run_sets.iter().any(|s| s.is_empty()) {
-            return false;
-        }
-        let k = run_sets.len();
-        let mut combo = vec![0usize; k];
-        loop {
-            let covered = skyline.iter().any(|&r| {
-                m.dominance_checks += 1;
-                let s_to = self.table.to_row(r as usize);
-                let s_po = self.table.po_row(r as usize);
-                if s_to.iter().zip(to_min.iter()).any(|(sv, mv)| sv > mv) {
-                    return false;
-                }
-                combo
-                    .iter()
-                    .zip(run_sets.iter())
-                    .enumerate()
-                    .all(|(d, (&i, runs))| {
-                        self.domains[d]
-                            .intervals(s_po[d])
-                            .covers_interval(&runs.intervals()[i])
-                    })
-            });
-            if !covered {
-                return false;
-            }
-            let mut d = 0;
-            loop {
-                if d == k {
-                    return true;
-                }
-                combo[d] += 1;
-                if combo[d] < run_sets[d].len() {
-                    break;
-                }
-                combo[d] = 0;
-                d += 1;
-            }
-        }
-    }
 }
 
 impl SkylineEngine for Stss {
@@ -464,9 +359,10 @@ impl SkylineEngine for Stss {
 /// consumers control how much of the skyline — and of the index — is ever
 /// touched.
 ///
-/// Two phases: the live traversal, then the duplicate-completion scan (exact
-/// copies of skyline points coalesced by closed-bound MBB pruning are
-/// restored from one table pass — see DESIGN.md §1.2).
+/// Two phases: the live traversal, then the duplicate-completion scan. The
+/// MBB check's bounds are closed, so it prunes a leaf that holds only exact
+/// copies of a skyline point, yet copies never dominate each other; one
+/// table pass restores them.
 pub struct StssCursor<'a> {
     stss: &'a Stss,
     bf: BestFirst<'a>,
@@ -476,17 +372,9 @@ pub struct StssCursor<'a> {
     /// fetched from the table on demand, so confirmation allocates exactly
     /// one owned [`SkylinePoint`] — the one handed to the caller.
     skyline: Vec<RecordId>,
-    vpi: Option<VirtualPointIndex>,
-    /// Exact-key multimap (row hash -> skyline records with that hash):
-    /// keeps duplicate handling exact under fast checks, with candidate
-    /// probes resolved against the store instead of owned key tuples.
-    keys: HashMap<u64, Vec<RecordId>>,
     /// `Some` once the traversal is exhausted and the duplicate-completion
     /// queue has been computed.
     extras: Option<VecDeque<SkylinePoint>>,
-    /// Reused scratch for the fast-check path's per-candidate folded post
-    /// coordinates (grown once, never reallocated per candidate).
-    posts_scratch: Vec<u32>,
     last_sample: ProgressSample,
     finished: bool,
 }
@@ -494,14 +382,6 @@ pub struct StssCursor<'a> {
 impl<'a> StssCursor<'a> {
     fn new(stss: &'a Stss) -> Self {
         stss.tree.reset_io();
-        let to_dims = stss.table.to_dims();
-        let vpi = stss.cfg.fast_check.then(|| {
-            VirtualPointIndex::new(
-                to_dims,
-                &stss.domains,
-                stss.cfg.page.capacity(to_dims + 2 * stss.domains.len()),
-            )
-        });
         StssCursor {
             stss,
             bf: stss.tree.best_first(),
@@ -509,10 +389,7 @@ impl<'a> StssCursor<'a> {
             start: Instant::now(),
             m: Metrics::default(),
             skyline: Vec::new(),
-            vpi,
-            keys: HashMap::new(),
             extras: None,
-            posts_scratch: Vec::new(),
             last_sample: ProgressSample::default(),
             finished: false,
         }
@@ -527,34 +404,14 @@ impl<'a> StssCursor<'a> {
             self.m.heap_pops += 1;
             match popped {
                 Popped::Node { id, mbb, .. } => {
-                    if !checks.mbb_dominated(mbb, &self.skyline, self.vpi.as_ref(), &mut self.m) {
+                    if !checks.mbb_dominated(mbb, &self.skyline, &mut self.m) {
                         self.bf.expand(id);
                     }
                 }
                 Popped::Record { point, record, .. } => {
                     let to = &point[..to_dims];
                     let po = stss.table.po_row(record as usize);
-                    if !checks.point_dominated(
-                        to,
-                        po,
-                        &self.skyline,
-                        self.vpi.as_ref(),
-                        &self.keys,
-                        &mut self.posts_scratch,
-                        &mut self.m,
-                    ) {
-                        if let Some(vpi) = self.vpi.as_mut() {
-                            let sets: Vec<&IntervalSet> = po
-                                .iter()
-                                .enumerate()
-                                .map(|(d, &v)| stss.domains[d].intervals(v))
-                                .collect();
-                            vpi.insert(to, &sets, record);
-                            self.keys
-                                .entry(crate::store::row_hash(to, po))
-                                .or_default()
-                                .push(record);
-                        }
+                    if !checks.point_dominated(to, po, &self.skyline, &mut self.m) {
                         self.skyline.push(record);
                         self.m.results += 1;
                         self.m.io_reads = stss.tree.io_count();
@@ -586,8 +443,7 @@ impl<'a> StssCursor<'a> {
             return extras;
         }
         let mut emitted = vec![false; stss.table.len()];
-        let mut by_hash: std::collections::HashMap<u64, Vec<u32>> =
-            std::collections::HashMap::new();
+        let mut by_hash: HashMap<u64, Vec<u32>> = HashMap::new();
         for &r in &self.skyline {
             emitted[r as usize] = true;
             by_hash
@@ -711,22 +567,12 @@ mod tests {
             RangeStrategy::Dyadic,
             RangeStrategy::Full,
         ] {
-            for fast_check in [false, true] {
-                for multi in [false, true] {
-                    let cfg = StssConfig {
-                        range_strategy: strategy,
-                        fast_check,
-                        multi_cover_mbb: multi,
-                        node_capacity: Some(3),
-                        ..Default::default()
-                    };
-                    assert_eq!(
-                        run_config(cfg),
-                        expect,
-                        "{strategy:?} fast={fast_check} multi={multi}"
-                    );
-                }
-            }
+            let cfg = StssConfig {
+                range_strategy: strategy,
+                node_capacity: Some(3),
+                ..Default::default()
+            };
+            assert_eq!(run_config(cfg), expect, "{strategy:?}");
         }
     }
 
@@ -766,7 +612,7 @@ mod tests {
     /// Regression (found by proptest): exact duplicates of a skyline point
     /// sitting in a *different leaf* used to be coalesced by the
     /// closed-bound MBB pruning; the duplicate-completion pass must restore
-    /// them under keep-all semantics — in every configuration.
+    /// them under keep-all semantics.
     #[test]
     fn duplicates_across_pruned_leaves_are_completed() {
         let mut t = Table::new(2, 1);
@@ -782,20 +628,14 @@ mod tests {
         let domains = vec![PoDomain::new(dag.clone())];
         let mut expect = brute_force_po_skyline(&domains, &t);
         expect.sort_unstable();
-        for fast in [false, true] {
-            for multi in [false, true] {
-                let cfg = StssConfig {
-                    fast_check: fast,
-                    multi_cover_mbb: multi,
-                    node_capacity: Some(2),
-                    ..Default::default()
-                };
-                let stss = Stss::build(t.clone(), vec![dag.clone()], cfg).unwrap();
-                let mut got = stss.run().skyline_records();
-                got.sort_unstable();
-                assert_eq!(got, expect, "fast={fast} multi={multi}");
-            }
-        }
+        let cfg = StssConfig {
+            node_capacity: Some(2),
+            ..Default::default()
+        };
+        let stss = Stss::build(t, vec![dag], cfg).unwrap();
+        let mut got = stss.run().skyline_records();
+        got.sort_unstable();
+        assert_eq!(got, expect);
     }
 
     #[test]
@@ -804,20 +644,10 @@ mod tests {
         t.push(&[5], &[2]);
         t.push(&[5], &[2]); // exact duplicate
         t.push(&[9], &[2]); // dominated
-        for fast_check in [false, true] {
-            let stss = Stss::build(
-                t.clone(),
-                vec![Dag::paper_example()],
-                StssConfig {
-                    fast_check,
-                    ..Default::default()
-                },
-            )
-            .unwrap();
-            let mut r = stss.run().skyline_records();
-            r.sort_unstable();
-            assert_eq!(r, vec![0, 1], "fast_check={fast_check}");
-        }
+        let stss = Stss::build(t, vec![Dag::paper_example()], StssConfig::default()).unwrap();
+        let mut r = stss.run().skyline_records();
+        r.sort_unstable();
+        assert_eq!(r, vec![0, 1]);
     }
 
     #[test]
@@ -898,11 +728,6 @@ mod tests {
             for cfg in [
                 StssConfig::default(),
                 StssConfig {
-                    fast_check: true,
-                    ..Default::default()
-                },
-                StssConfig {
-                    multi_cover_mbb: true,
                     range_strategy: RangeStrategy::Naive,
                     ..Default::default()
                 },
@@ -927,7 +752,6 @@ mod tests {
         #[test]
         fn equals_oracle(
             rows in proptest::collection::vec((0u32..12, 0u32..12, 0u32..9), 1..80),
-            fast in proptest::bool::ANY,
             cap in 2usize..8,
         ) {
             let mut t = Table::new(2, 1);
@@ -938,7 +762,7 @@ mod tests {
             let domains = vec![PoDomain::new(dag.clone())];
             let mut expect = brute_force_po_skyline(&domains, &t);
             expect.sort_unstable();
-            let cfg = StssConfig { fast_check: fast, node_capacity: Some(cap), ..Default::default() };
+            let cfg = StssConfig { node_capacity: Some(cap), ..Default::default() };
             let stss = Stss::build(t, vec![dag], cfg).unwrap();
             let mut got = stss.run().skyline_records();
             got.sort_unstable();

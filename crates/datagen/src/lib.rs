@@ -6,7 +6,8 @@
 //! assigning each tuple values from one or two partially ordered domains
 //! sampled from subset-containment lattices. This crate reimplements those
 //! distributions from the published description (the original C source is
-//! not vendored; see DESIGN.md §1.3 for the substitution argument) plus the
+//! not vendored; the figures depend on the distributions' shape, which the
+//! description fixes, not on the original random streams) plus the
 //! *Correlated* variant for completeness.
 //!
 //! Everything is seeded and deterministic. Matrices are returned flattened

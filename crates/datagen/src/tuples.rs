@@ -38,7 +38,7 @@ pub fn gen_to_matrix(cfg: TupleConfig) -> Vec<u32> {
 /// `0..domain_sizes[d]`.
 ///
 /// The paper does not state the PO assignment; uniform over the DAG's nodes
-/// is the natural choice (documented in DESIGN.md §1.4).
+/// is the natural choice, since it favors no value of the domain.
 pub fn gen_po_matrix(n: usize, domain_sizes: &[u32], seed: u64) -> Vec<u32> {
     assert!(domain_sizes.iter().all(|&s| s >= 1), "empty PO domain");
     let mut rng = StdRng::seed_from_u64(seed);

@@ -83,13 +83,6 @@ impl Mbb {
         }
     }
 
-    /// The smallest box covering both inputs.
-    pub fn union(&self, other: &Mbb) -> Mbb {
-        let mut out = self.clone();
-        out.expand_mbb(other);
-        out
-    }
-
     /// True iff `p` lies inside the box (inclusive).
     pub fn contains_point(&self, p: &[u32]) -> bool {
         debug_assert_eq!(p.len(), self.dims());
@@ -105,22 +98,6 @@ impl Mbb {
     /// True iff `other` lies fully inside `self`.
     pub fn contains_mbb(&self, other: &Mbb) -> bool {
         (0..self.dims()).all(|d| self.lo[d] <= other.lo[d] && other.hi[d] <= self.hi[d])
-    }
-
-    /// Volume as `f64` (exact volumes overflow integer types in high
-    /// dimensions; the split heuristics only compare magnitudes).
-    pub fn volume(&self) -> f64 {
-        (0..self.dims())
-            .map(|d| (self.hi[d] - self.lo[d]) as f64 + 1.0)
-            .product()
-    }
-
-    /// Volume of the union minus own volume — the *enlargement* used by
-    /// ChooseLeaf.
-    pub fn enlargement(&self, p: &[u32]) -> f64 {
-        let mut grown = self.clone();
-        grown.expand_point(p);
-        grown.volume() - self.volume()
     }
 
     /// L1 mindist from an arbitrary reference point: per dimension, the
@@ -156,13 +133,6 @@ impl Mbb {
                 }
             })
             .collect()
-    }
-
-    /// Sum of side lengths (margin); tie-breaker in split heuristics.
-    pub fn margin(&self) -> u64 {
-        (0..self.dims())
-            .map(|d| (self.hi[d] - self.lo[d]) as u64)
-            .sum()
     }
 }
 
@@ -222,9 +192,9 @@ mod tests {
         m.expand_point(&[2, 8]);
         assert_eq!(m.lo(), &[2, 5]);
         assert_eq!(m.hi(), &[5, 8]);
-        let u = m.union(&Mbb::from_point(&[10, 0]));
-        assert_eq!(u.lo(), &[2, 0]);
-        assert_eq!(u.hi(), &[10, 8]);
+        m.expand_mbb(&Mbb::from_point(&[10, 0]));
+        assert_eq!(m.lo(), &[2, 0]);
+        assert_eq!(m.hi(), &[10, 8]);
     }
 
     #[test]
@@ -241,15 +211,6 @@ mod tests {
         // Touching boxes intersect (closed boxes).
         let touching = Mbb::new(vec![10, 10], vec![12, 12]);
         assert!(big.intersects(&touching));
-    }
-
-    #[test]
-    fn volume_margin_enlargement() {
-        let m = Mbb::new(vec![0, 0], vec![1, 3]);
-        assert_eq!(m.volume(), 8.0); // 2 * 4 integer cells
-        assert_eq!(m.margin(), 4);
-        assert_eq!(m.enlargement(&[0, 0]), 0.0);
-        assert!(m.enlargement(&[5, 0]) > 0.0);
     }
 
     #[test]

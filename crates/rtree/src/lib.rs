@@ -3,16 +3,10 @@
 //!
 //! * **STR bulk loading** (`Sort-Tile-Recursive`) for the static disk-style
 //!   indexes the paper's algorithms traverse,
-//! * **Guttman-style insertion** with quadratic splits for the incremental
-//!   main-memory tree `Tm` of §IV-B / §V-A, and **deletion** with
-//!   condense-tree reinsertion and root shrink so streaming maintenance
-//!   can retire expired entries in place,
 //! * **best-first traversal** ([`BestFirst`]) — the caller-driven heap walk
 //!   underlying BBS and all of its descendants (entries are popped in
 //!   ascending L1 *mindist* to the origin, the "most preferable point"),
-//! * **range and Boolean range queries** — the Boolean variant returns as
-//!   soon as any point falls in the box, which is how TSS implements its
-//!   fast t-dominance check,
+//! * **range queries** over closed boxes,
 //! * **IO accounting** — every node access is counted, so experiments can
 //!   charge the paper's 5 ms per page IO.
 //!
@@ -26,9 +20,7 @@
 
 mod buffer;
 mod bulk;
-mod delete;
 mod geom;
-mod insert;
 mod node;
 mod query;
 mod stats;

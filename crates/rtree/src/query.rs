@@ -1,6 +1,5 @@
-//! Read-side algorithms: axis-aligned range queries, Boolean (emptiness)
-//! range queries with early exit, and the caller-driven best-first traversal
-//! that BBS-family algorithms are built on.
+//! Read-side algorithms: axis-aligned range queries and the caller-driven
+//! best-first traversal that BBS-family algorithms are built on.
 
 use crate::geom::{point_mindist_l1, point_mindist_l1_from};
 use crate::node::{NodeId, NodeKind};
@@ -14,38 +13,20 @@ impl RTree {
     pub fn range_query(&self, lo: &[u32], hi: &[u32]) -> Vec<(Vec<u32>, u32)> {
         let mut out = Vec::new();
         self.range_visit(lo, hi, &mut |point, record| {
-            out.push((point.to_vec(), record));
-            true
+            out.push((point.to_vec(), record))
         });
         out
-    }
-
-    /// Boolean range query (§IV-B): returns `true` as soon as *any* indexed
-    /// point falls inside the closed box `[lo, hi]`. This is the primitive
-    /// behind TSS's fast t-dominance check, where "the answer is a single
-    /// Boolean value that is false when the range is empty".
-    pub fn range_nonempty(&self, lo: &[u32], hi: &[u32]) -> bool {
-        let mut found = false;
-        self.range_visit(lo, hi, &mut |_, _| {
-            found = true;
-            false // stop traversal
-        });
-        found
     }
 
     /// Counts points inside the closed box.
     pub fn range_count(&self, lo: &[u32], hi: &[u32]) -> usize {
         let mut n = 0usize;
-        self.range_visit(lo, hi, &mut |_, _| {
-            n += 1;
-            true
-        });
+        self.range_visit(lo, hi, &mut |_, _| n += 1);
         n
     }
 
-    /// Shared traversal: calls `visit(point, record)` for every match;
-    /// `visit` returning `false` aborts the walk (early exit).
-    fn range_visit(&self, lo: &[u32], hi: &[u32], visit: &mut dyn FnMut(&[u32], u32) -> bool) {
+    /// Shared traversal: calls `visit(point, record)` for every match.
+    fn range_visit(&self, lo: &[u32], hi: &[u32], visit: &mut dyn FnMut(&[u32], u32)) {
         assert_eq!(lo.len(), self.dims, "query dimensionality");
         assert_eq!(hi.len(), self.dims, "query dimensionality");
         let query = Mbb::new(lo.to_vec(), hi.to_vec());
@@ -56,8 +37,8 @@ impl RTree {
             match &self.nodes[id.idx()].kind {
                 NodeKind::Leaf(entries) => {
                     for e in entries {
-                        if query.contains_point(&e.point) && !visit(&e.point, e.record) {
-                            return;
+                        if query.contains_point(&e.point) {
+                            visit(&e.point, e.record);
                         }
                     }
                 }
@@ -157,9 +138,7 @@ pub enum Popped<'a> {
 ///
 /// ```
 /// # use rtree::{RTree, Popped};
-/// let mut t = RTree::new(2, 4);
-/// t.insert(&[3, 3], 0);
-/// t.insert(&[1, 1], 1);
+/// let t = RTree::bulk_load(2, 4, vec![(vec![3, 3], 0), (vec![1, 1], 1)]);
 /// let mut bf = t.best_first();
 /// let mut order = Vec::new();
 /// while let Some(popped) = bf.pop() {
@@ -293,22 +272,6 @@ mod tests {
         expect.sort_unstable();
         assert_eq!(got, expect);
         assert_eq!(t.range_count(&lo, &hi), expect.len());
-        assert_eq!(t.range_nonempty(&lo, &hi), !expect.is_empty());
-    }
-
-    #[test]
-    fn boolean_query_early_exits() {
-        let (t, _) = sample_tree(8);
-        t.reset_io();
-        assert!(t.range_nonempty(&[0, 0], &[99, 99]));
-        let io_hit = t.io_count();
-        t.reset_io();
-        let full = t.range_query(&[0, 0], &[99, 99]);
-        let io_full = t.io_count();
-        assert_eq!(full.len(), 300);
-        assert!(io_hit < io_full, "early exit must touch fewer pages");
-        // A miss still terminates.
-        assert!(!t.range_nonempty(&[200, 200], &[300, 300]));
     }
 
     #[test]
@@ -390,31 +353,20 @@ mod tests {
                 .collect();
             expect.sort_unstable();
             prop_assert_eq!(&got, &expect);
-            prop_assert_eq!(t.range_nonempty(&lo, &hi), !expect.is_empty());
         }
 
-        /// Best-first yields every record exactly once, in ascending mindist,
-        /// for both bulk-loaded and inserted trees.
+        /// Best-first yields every record exactly once, in ascending mindist.
         #[test]
         fn best_first_complete_and_ordered(
             pts in proptest::collection::vec((0u32..40, 0u32..40), 1..80),
             cap in 2usize..8,
-            use_insert in proptest::bool::ANY,
         ) {
             let data: Vec<(Vec<u32>, u32)> = pts
                 .iter()
                 .enumerate()
                 .map(|(i, &(x, y))| (vec![x, y], i as u32))
                 .collect();
-            let t = if use_insert {
-                let mut t = RTree::new(2, cap);
-                for (p, r) in &data {
-                    t.insert(p, *r);
-                }
-                t
-            } else {
-                RTree::bulk_load(2, cap, data.clone())
-            };
+            let t = RTree::bulk_load(2, cap, data.clone());
             t.validate().unwrap();
             let mut bf = t.best_first();
             let mut seen = Vec::new();

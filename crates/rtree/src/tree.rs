@@ -9,14 +9,12 @@ pub const DEFAULT_CAPACITY: usize = 64;
 /// An R-tree over `u32` coordinates with IO accounting.
 ///
 /// See the [crate docs](crate) for the design rationale. Build one with
-/// [`RTree::bulk_load`] (STR), grow one incrementally with
-/// [`RTree::insert`], or — for reproducing the paper's worked examples —
-/// assemble an exact structure with [`RTree::from_structure`].
+/// [`RTree::bulk_load`] (STR) or — for reproducing the paper's worked
+/// examples — assemble an exact structure with [`RTree::from_structure`].
 #[derive(Debug, Clone)]
 pub struct RTree {
     pub(crate) dims: usize,
     pub(crate) cap: usize,
-    pub(crate) min_fill: usize,
     pub(crate) nodes: Vec<Node>,
     pub(crate) root: Option<NodeId>,
     pub(crate) height: usize,
@@ -36,7 +34,6 @@ impl RTree {
         RTree {
             dims,
             cap,
-            min_fill: (cap * 2 / 5).max(1),
             nodes: Vec::new(),
             root: None,
             height: 0,

@@ -1,27 +1,19 @@
-//! Classic skyline algorithms over **totally ordered** integer domains
-//! (smaller is better in every dimension), reproducing the related-work
-//! algorithms of §II-A that TSS builds on and is compared against:
+//! Skyline computation over **totally ordered** integer domains (smaller is
+//! better in every dimension): the pieces of §II-A that TSS builds on.
 //!
-//! * [`brute_force`] — the `O(n²)` oracle every other algorithm is tested
-//!   against,
-//! * [`bnl`] — Block Nested Loops with a bounded window and multi-pass
-//!   overflow handling (Börzsönyi et al.),
-//! * [`sfs`] — Sort-Filter-Skyline: presort by a monotone function, then a
-//!   single filtering pass with *precedence* (Chomicki et al.),
-//! * [`salsa`] — Sort and Limit Skyline algorithm: SFS plus an early-stop
-//!   condition (Bartolini et al.),
+//! * [`brute_force`] — the `O(n²)` oracle the engines are tested against,
 //! * [`bbs`] — Branch-and-Bound Skyline over an R-tree (Papadias et al.),
-//!   the algorithm sTSS and dTSS instantiate,
-//! * [`bitmap`] / [`index_skyline`] — Tan et al.'s two progressive
-//!   techniques (bit-sliced dominance tests; min-coordinate lists with
-//!   early termination).
+//!   the algorithm sTSS and dTSS instantiate; dTSS runs it to precompute
+//!   per-group local skylines,
+//! * [`PointBlock`] — the columnar point layout with the batched dominance
+//!   kernels every engine in the workspace calls.
 //!
 //! # Data layout
 //!
 //! Inputs are columnar: a [`PointBlock`] stores all coordinates in one flat
-//! `Vec<u32>` with a fixed stride, and the window/presort loops test
-//! candidates with the block's batched, branch-free dominance kernels
-//! instead of per-point `Vec<u32>` rows. Build one with
+//! `Vec<u32>` with a fixed stride, and skyline-list checks test candidates
+//! with the block's batched, branch-free dominance kernels instead of
+//! per-point `Vec<u32>` rows. Build one with
 //! [`PointBlock::from_flat`] (zero-copy over an existing row-major matrix)
 //! or [`PointBlock::from_rows`]. Alongside the row-major matrix the block
 //! maintains a dimension-major (structure-of-arrays) mirror in
@@ -34,40 +26,24 @@
 //!
 //! `p` dominates `q` iff `p[d] <= q[d]` on every dimension and `p[d] < q[d]`
 //! on at least one. Exact duplicates therefore do **not** dominate each
-//! other: all copies belong to the skyline. Every algorithm here, including
-//! BBS's MBB pruning rule, is exact under that convention (see
-//! `bbs.rs` for the corner-equality argument).
+//! other: all copies belong to the skyline. BBS, including its MBB pruning
+//! rule, is exact under that convention (see `bbs.rs` for the
+//! corner-equality argument).
 //!
-//! All algorithms report [`Stats`]: pairwise dominance checks and page IOs
-//! (for BBS), the two efficiency measures of the paper's §III-A.
-//!
-//! # Incremental (pull-based) variants
-//!
-//! The algorithms with the *precedence* property also come as explicit-state
-//! iterators — [`BbsCursor`], [`SfsCursor`], [`SalsaCursor`] — that confirm
-//! one skyline point per `next()` call, plus [`BnlCursor`], which is lazy at
-//! pass granularity (BNL cannot confirm mid-pass). Pulling a `k`-prefix and
-//! stopping costs proportionally less work; the eager functions are thin
-//! adapters over these cursors.
+//! BBS reports [`Stats`]: pairwise dominance checks and page IOs, the two
+//! efficiency measures of the paper's §III-A. It also comes as the
+//! explicit-state iterator [`BbsCursor`], which confirms one skyline point
+//! per `next()` call, so pulling a `k`-prefix and stopping costs
+//! proportionally less work.
 
 #![forbid(unsafe_code)]
 
 mod bbs;
-mod bitmap;
-mod bnl;
 mod brute;
-mod index;
-mod salsa;
-mod sfs;
 mod store;
 mod types;
 
 pub use bbs::{bbs, bbs_visit, BbsCursor};
-pub use bitmap::bitmap;
-pub use bnl::{bnl, BnlCursor};
 pub use brute::brute_force;
-pub use index::index_skyline;
-pub use salsa::{salsa, SalsaCursor};
-pub use sfs::{sfs, SfsCursor};
 pub use store::{Kernel, PointBlock, LANES};
-pub use types::{dominates, dominates_or_equal, monotone_sum, Stats};
+pub use types::{dominates, monotone_sum, Stats};

@@ -2,7 +2,7 @@
 //! single flat `Vec<u32>` with a fixed stride, indexed by `u32` record ids.
 //!
 //! Per-point `Vec<u32>` rows (the seed layout) cost one heap allocation and
-//! one pointer chase per point; on the window/presort hot loops that — not
+//! one pointer chase per point; on the skyline-list hot loops that — not
 //! the comparison work — dominates the CPU side of the paper's cost model.
 //! A [`PointBlock`] stores all coordinates contiguously, so a dominance
 //! scan over a candidate list walks memory linearly, and the batched
@@ -29,9 +29,9 @@
 //! contiguous. Tail lanes past `len` are padded with `u32::MAX`, which can
 //! tie a candidate on every dimension but never beat it strictly — a pad
 //! lane's `lt` mask is always zero, so pads can never report dominance.
-//! The id-gather kernels transpose each group of [`LANES`] listed rows
-//! into a stack scratch instead (ids are arbitrary, so no mirror window
-//! applies).
+//! The id-gather kernel (the strictness variant) transposes each group of
+//! [`LANES`] listed rows into a stack scratch instead (ids are arbitrary,
+//! so no mirror window applies).
 //!
 //! Counting convention: every kernel returns `(answer, pairs_examined)`.
 //! One *examined pair* is exactly one scalar dominance check of the seed
@@ -48,7 +48,7 @@ use std::sync::OnceLock;
 /// widths stable rustc reliably autovectorizes the accumulator loops to.
 pub const LANES: usize = 8;
 
-/// Widest stride the id-gather lane kernels transpose through their stack
+/// Widest stride the id-gather lane kernel transposes through its stack
 /// scratch; wider blocks take the scalar path (the workloads in this repo
 /// top out at 16 attributes).
 const LANE_MAX_DIMS: usize = 16;
@@ -224,12 +224,6 @@ impl PointBlock {
         &self.data[i * self.dims..(i + 1) * self.dims]
     }
 
-    /// Coordinate `d` of point `i`.
-    #[inline]
-    pub fn coord(&self, i: usize, d: usize) -> u32 {
-        self.data[i * self.dims + d]
-    }
-
     /// One bounds check per row instead of two: split the flat matrix at
     /// the row start, then take the stride window off the tail.
     #[inline]
@@ -394,81 +388,6 @@ impl PointBlock {
         (false, self.len() as u64)
     }
 
-    /// Does any of the listed points strictly dominate `cand`? `ids` index
-    /// into this block. Returns `(dominated, pairs_examined)`.
-    #[inline]
-    pub fn dominated_by(&self, ids: &[u32], cand: &[u32]) -> (bool, u64) {
-        debug_assert_eq!(cand.len(), self.dims);
-        match self.kernel {
-            Kernel::Scalar => self.dominated_by_scalar(ids, cand),
-            Kernel::Lanes => self.dominated_by_lanes(ids, cand),
-        }
-    }
-
-    fn dominated_by_scalar(&self, ids: &[u32], cand: &[u32]) -> (bool, u64) {
-        let mut examined = 0u64;
-        for &id in ids {
-            examined += 1;
-            if row_dominates(self.row(id), cand) {
-                return (true, examined);
-            }
-        }
-        (false, examined)
-    }
-
-    /// Id-gather lane kernel: each group of [`LANES`] listed rows is
-    /// transposed into a dimension-major stack scratch (one row slice per
-    /// id), then compared with the same mask loop as the full-block scan;
-    /// the sub-[`LANES`] tail runs scalar.
-    fn dominated_by_lanes(&self, ids: &[u32], cand: &[u32]) -> (bool, u64) {
-        let dims = self.dims;
-        if dims > LANE_MAX_DIMS {
-            return self.dominated_by_scalar(ids, cand);
-        }
-        let mut scratch = [0u32; LANES * LANE_MAX_DIMS];
-        let mut examined = 0u64;
-        let groups = ids.chunks_exact(LANES);
-        let tail = groups.remainder();
-        for group in groups {
-            for (l, &id) in group.iter().enumerate() {
-                let row = self.row(id);
-                for d in 0..dims {
-                    scratch[d * LANES + l] = row[d];
-                }
-            }
-            let mut le = [1u32; LANES];
-            let mut lt = [0u32; LANES];
-            for (col, &cd) in scratch[..dims * LANES].chunks_exact(LANES).zip(cand.iter()) {
-                for l in 0..LANES {
-                    le[l] &= (col[l] <= cd) as u32;
-                    lt[l] |= (col[l] < cd) as u32;
-                }
-                if dims > 4 && le.iter().fold(0u32, |a, &x| a | x) == 0 {
-                    break;
-                }
-            }
-            let mut any = 0u32;
-            for l in 0..LANES {
-                any |= le[l] & lt[l];
-            }
-            if any != 0 {
-                for l in 0..LANES {
-                    if le[l] & lt[l] != 0 {
-                        return (true, examined + l as u64 + 1);
-                    }
-                }
-            }
-            examined += LANES as u64;
-        }
-        for &id in tail {
-            examined += 1;
-            if row_dominates(self.row(id), cand) {
-                return (true, examined);
-            }
-        }
-        (false, examined)
-    }
-
     /// Corner pruning: is some point `<=` the MBB corner on every dimension
     /// *and* different from it? (The strict-corner rule that keeps exact
     /// duplicates of skyline points alive — see `bbs.rs`.) Scans all rows.
@@ -520,6 +439,10 @@ impl PointBlock {
         (false, examined)
     }
 
+    /// Id-gather lane kernel: each group of [`LANES`] listed rows is
+    /// transposed into a dimension-major stack scratch (one row slice per
+    /// id), then compared with the same mask loop as the full-block scan;
+    /// the sub-[`LANES`] tail runs scalar.
     fn dominated_with_strictness_lanes(
         &self,
         entries: &[(u32, bool)],
@@ -602,7 +525,6 @@ mod tests {
         assert_eq!(b.len(), 2);
         assert_eq!(b.point(0), &[1, 2]);
         assert_eq!(b.point(1), &[3, 4]);
-        assert_eq!(b.coord(1, 0), 3);
         assert_eq!(b.flat(), &[1, 2, 3, 4]);
         let again = PointBlock::from_flat(2, b.flat().to_vec());
         assert_eq!(again, b);
@@ -647,9 +569,6 @@ mod tests {
             assert_eq!(b.dominated(&[1, 1]), (false, 3));
             // Duplicates never dominate.
             assert!(!b.dominated(&[2, 2]).0);
-            // id-restricted scan skips unlisted dominators.
-            assert!(!b.dominated_by(&[1], &[3, 3]).0);
-            assert_eq!(b.dominated_by(&[1, 0], &[3, 3]), (true, 2));
         }
     }
 
@@ -759,12 +678,10 @@ mod tests {
             prop_assert_eq!(lanes.corner_pruned(&cand), scalar.corner_pruned(&cand));
             prop_assert_eq!(scalar.corner_pruned(&cand), (s_hit, s_ex));
 
-            // dominated_by over a permuted id list.
+            // dominated_with_strictness over a permuted id list with mixed
+            // strict flags.
             let mut ids: Vec<u32> = (0..n as u32).collect();
             ids.rotate_left(seed as usize % n);
-            prop_assert_eq!(lanes.dominated_by(&ids, &cand), scalar.dominated_by(&ids, &cand));
-
-            // dominated_with_strictness with mixed strict flags.
             let entries: Vec<(u32, bool)> =
                 ids.iter().map(|&id| (id, id % 3 == 0)).collect();
             prop_assert_eq!(

@@ -53,16 +53,9 @@ pub fn dominates(a: &[u32], b: &[u32]) -> bool {
     strict
 }
 
-/// `a <= b` on every dimension (dominates or coincides).
-#[inline]
-pub fn dominates_or_equal(a: &[u32], b: &[u32]) -> bool {
-    debug_assert_eq!(a.len(), b.len());
-    a.iter().zip(b.iter()).all(|(x, y)| x <= y)
-}
-
-/// The monotone preference function used for presorting (SFS/SaLSa): the sum
-/// of coordinates (the L1 distance to the ideal point). Any point can only
-/// be dominated by points with a strictly smaller — or, for duplicates and
+/// The monotone preference function used for presorting: the sum of
+/// coordinates (the L1 distance to the ideal point). Any point can only be
+/// dominated by points with a strictly smaller — or, for duplicates and
 /// permutations, equal — sum, which is what gives sorted algorithms
 /// *precedence*.
 #[inline]
@@ -81,13 +74,6 @@ mod tests {
         assert!(!dominates(&[1, 2], &[1, 2]), "duplicates do not dominate");
         assert!(!dominates(&[1, 3], &[2, 2]), "incomparable");
         assert!(!dominates(&[2, 2], &[1, 3]));
-    }
-
-    #[test]
-    fn weak_dominance() {
-        assert!(dominates_or_equal(&[1, 2], &[1, 2]));
-        assert!(dominates_or_equal(&[1, 2], &[1, 3]));
-        assert!(!dominates_or_equal(&[2, 2], &[1, 3]));
     }
 
     #[test]

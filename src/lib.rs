@@ -7,9 +7,10 @@
 //!   spanning-tree interval labelings (exact TSS labels and the
 //!   single-interval m-labels), dyadic range indexes, DAG generators.
 //! * [`rtree`] — the R-tree substrate with STR bulk loading, best-first
-//!   traversal, Boolean range queries and IO accounting.
-//! * [`skyline`] — classic skyline algorithms over totally ordered domains
-//!   (brute force, BNL, SFS, SaLSa, BBS).
+//!   traversal, range queries and IO accounting.
+//! * [`skyline`] — skylines over totally ordered domains: the brute-force
+//!   oracle, BBS, and the columnar `PointBlock` with its batched dominance
+//!   kernels.
 //! * [`core`] (crate `tss_core`) — the paper's contribution: t-dominance,
 //!   the progressive **sTSS** algorithm for static skylines and **dTSS** for
 //!   dynamic (query-defined) partial orders.

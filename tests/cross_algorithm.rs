@@ -55,11 +55,6 @@ fn check_all(table: &Table, dags: &[Dag], label: &str) {
     for cfg in [
         StssConfig::default(),
         StssConfig {
-            fast_check: true,
-            ..Default::default()
-        },
-        StssConfig {
-            multi_cover_mbb: true,
             range_strategy: RangeStrategy::Naive,
             ..Default::default()
         },
@@ -86,7 +81,6 @@ fn check_all(table: &Table, dags: &[Dag], label: &str) {
     for cfg in [
         DtssConfig::default(),
         DtssConfig {
-            fast_check: true,
             precompute_local: true,
             ..Default::default()
         },

@@ -6,8 +6,7 @@
 //! DAG labelings across dynamic queries.
 
 use tss::core::{
-    ClassicAlgo, ClassicEngine, Dtss, DtssConfig, PoQuery, QuerySession, SkylineCursor,
-    SkylineEngine, Stss, StssConfig, Table,
+    Dtss, DtssConfig, PoQuery, QuerySession, SkylineCursor, SkylineEngine, Stss, StssConfig, Table,
 };
 use tss::datagen::{gen_po_matrix, gen_to_matrix, Distribution, TupleConfig};
 use tss::poset::generator::{subset_lattice, DensityMode, LatticeParams};
@@ -96,25 +95,6 @@ fn cursor_equals_run_for_every_engine() {
         let s_expect = idx.run().skyline;
         assert_eq!(drain(&idx), s_expect, "{variant:?} cursor vs run");
         assert_eq!(sorted(s_expect), sorted(expect.clone()), "{variant:?}");
-    }
-
-    // The classic TO algorithms over the TO projection of the same table —
-    // the store's flat TO block is the columnar input, zero-copy.
-    let data = tss::skyline::PointBlock::from_flat(table.to_dims(), table.to_block().to_vec());
-    let to_expect = sorted(tss::skyline::brute_force(&data));
-    for algo in [
-        ClassicAlgo::Brute,
-        ClassicAlgo::Bnl { window: 16 },
-        ClassicAlgo::Sfs,
-        ClassicAlgo::Salsa,
-        ClassicAlgo::Bbs {
-            node_capacity: SCALED_CAPACITY,
-        },
-        ClassicAlgo::Bitmap,
-        ClassicAlgo::Index,
-    ] {
-        let engine = ClassicEngine::new(data.clone(), algo);
-        assert_eq!(sorted(drain(&engine)), to_expect, "{algo:?}");
     }
 }
 

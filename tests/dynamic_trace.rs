@@ -99,10 +99,6 @@ fn optimizations_do_not_change_results() {
     let plain = Dtss::build(fig5_table(), vec![3], DtssConfig::default()).unwrap();
     for cfg in [
         DtssConfig {
-            fast_check: true,
-            ..Default::default()
-        },
-        DtssConfig {
             precompute_local: true,
             ..Default::default()
         },
@@ -115,8 +111,8 @@ fn optimizations_do_not_change_results() {
             ..Default::default()
         },
         DtssConfig {
-            fast_check: true,
             precompute_local: true,
+            filter_dominators: true,
             cache: true,
             ..Default::default()
         },

@@ -7,18 +7,15 @@
 
 use proptest::prelude::*;
 use tss::core::parallel::{
-    all_pairs_merge_bound, merge_shard_skylines, merge_shard_skylines_all_pairs,
-    parallel_classic_skyline, sum_metrics,
+    all_pairs_merge_bound, merge_shard_skylines, merge_shard_skylines_all_pairs, sum_metrics,
 };
 use tss::core::{
-    brute_force_po_skyline, sharded_skyline_exec, Budget, ClassicAlgo, ClassicEngine, Dtss,
-    DtssConfig, ExecPolicy, Metrics, PoDomain, PoQuery, RecordId, ShardPlan, ShardSpec,
-    SkylineEngine, Stss, StssConfig, Table,
+    brute_force_po_skyline, sharded_skyline_exec, Budget, Dtss, DtssConfig, ExecPolicy, Metrics,
+    PoDomain, PoQuery, RecordId, ShardPlan, ShardSpec, Stss, StssConfig, Table,
 };
 use tss::datagen::{Distribution, ExperimentParams};
 use tss::poset::Dag;
 use tss::sdc::{SdcConfig, SdcIndex, Variant};
-use tss::skyline::PointBlock;
 
 /// A random 5-value partial order from a 10-bit forward-edge mask (forward
 /// edges only, hence acyclic).
@@ -153,11 +150,12 @@ proptest! {
         }
     }
 
-    /// TO-only stores through the classic algorithms.
+    /// Classic (TO-only, no PO attribute) stores through one sTSS per
+    /// shard, each built on the attempt's kernel so a fallback runs the
+    /// scalar oracle.
     #[test]
     fn classic_shard_merge_equivalence(
         rows in proptest::collection::vec((0u32..15, 0u32..15), 1..60),
-        algo_ix in 0usize..4,
         shards in 1usize..=8,
         threads in 2usize..=4,
     ) {
@@ -165,26 +163,28 @@ proptest! {
         for &(a, b) in &rows {
             t.push(&[a, b], &[]);
         }
-        let algo = [
-            ClassicAlgo::Brute,
-            ClassicAlgo::Bnl { window: 4 },
-            ClassicAlgo::Sfs,
-            ClassicAlgo::Salsa,
-        ][algo_ix];
-        let block = PointBlock::from_flat(2, t.to_block().to_vec());
-        let engine = ClassicEngine::new(block, algo);
-        let mut expect: Vec<u32> = engine
-            .collect_skyline()
-            .0
-            .iter()
-            .map(|p| p.record)
-            .collect();
+        let mut expect = brute_force_po_skyline(&[], &t);
         expect.sort_unstable();
 
-        let single = parallel_classic_skyline(&t, algo, shards, 1)
-            .expect("no faults active in this test");
-        let multi = parallel_classic_skyline(&t, algo, shards, threads)
-            .expect("no faults active in this test");
+        let run = |threads| {
+            sharded_skyline_exec(
+                &t,
+                &[],
+                ShardSpec::Fixed(shards),
+                threads,
+                ExecPolicy::default(),
+                Budget::UNLIMITED,
+                |ctx, view| {
+                    let store = view.to_store().with_kernel(ctx.kernel);
+                    let r = Stss::build(store, vec![], StssConfig::default())
+                        .expect("shard build")
+                        .run();
+                    (r.skyline_records(), r.metrics)
+                },
+            )
+            .expect("no faults active in this test")
+        };
+        let (single, multi) = (run(1), run(threads));
         prop_assert_eq!(&multi.records, &single.records);
         let mut got = multi.records.clone();
         got.sort_unstable();

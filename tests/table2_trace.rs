@@ -124,25 +124,16 @@ fn bulk_loaded_tree_gives_same_skyline() {
 }
 
 #[test]
-fn fast_check_and_multi_cover_reproduce_the_trace_results() {
-    for cfg in [
-        StssConfig {
-            fast_check: true,
-            ..Default::default()
-        },
-        StssConfig {
-            multi_cover_mbb: true,
-            ..Default::default()
-        },
-        StssConfig {
-            range_strategy: RangeStrategy::Naive,
-            ..Default::default()
-        },
-        StssConfig {
-            range_strategy: RangeStrategy::Full,
-            ..Default::default()
-        },
+fn range_strategies_reproduce_the_trace_results() {
+    for range_strategy in [
+        RangeStrategy::Naive,
+        RangeStrategy::Dyadic,
+        RangeStrategy::Full,
     ] {
+        let cfg = StssConfig {
+            range_strategy,
+            ..Default::default()
+        };
         let stss =
             Stss::with_tree(fig3_table(), vec![Dag::paper_example()], fig3_tree(), cfg).unwrap();
         let mut recs = stss.run().skyline_records();

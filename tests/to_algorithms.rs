@@ -1,10 +1,10 @@
-//! All seven totally ordered skyline algorithms (§II-A substrate) must agree
-//! on the paper's generated workloads — including the R-tree-based BBS — and
-//! exhibit their signature efficiency properties.
+//! The totally ordered substrate (§II-A): BBS over the R-tree must agree
+//! with the brute-force oracle on the paper's generated workloads and keep
+//! its signature IO frugality.
 
 use tss::datagen::{gen_to_matrix, Distribution, TupleConfig};
 use tss::rtree::RTree;
-use tss::skyline::{bbs, bitmap, bnl, brute_force, index_skyline, salsa, sfs, PointBlock};
+use tss::skyline::{bbs, brute_force, PointBlock};
 
 fn workload(n: usize, dims: usize, domain: u32, dist: Distribution, seed: u64) -> PointBlock {
     // The generated flat matrix is the columnar layout already: zero-copy.
@@ -40,15 +40,6 @@ fn all_algorithms_agree() {
         for dims in [2usize, 3, 4] {
             let data = workload(800, dims, 50, dist, seed);
             let expect = brute_force(&data);
-            assert_eq!(sorted(bnl(&data, 16).0), expect, "BNL {dist:?} d={dims}");
-            assert_eq!(sorted(sfs(&data).0), expect, "SFS {dist:?} d={dims}");
-            assert_eq!(sorted(salsa(&data).0), expect, "SaLSa {dist:?} d={dims}");
-            assert_eq!(sorted(bitmap(&data).0), expect, "Bitmap {dist:?} d={dims}");
-            assert_eq!(
-                sorted(index_skyline(&data).0),
-                expect,
-                "Index {dist:?} d={dims}"
-            );
             assert_eq!(
                 sorted(bbs(&tree_of(&data)).0),
                 expect,
@@ -56,20 +47,6 @@ fn all_algorithms_agree() {
             );
         }
     }
-}
-
-#[test]
-fn sorted_algorithms_do_fewer_checks_than_bnl() {
-    // Precedence saves work: SFS never re-examines, BNL's window churns.
-    let data = workload(4000, 2, 1000, Distribution::AntiCorrelated, 7);
-    let (_, bnl_stats) = bnl(&data, 32);
-    let (_, sfs_stats) = sfs(&data);
-    assert!(
-        sfs_stats.dominance_checks < bnl_stats.dominance_checks,
-        "SFS {} vs BNL {}",
-        sfs_stats.dominance_checks,
-        bnl_stats.dominance_checks
-    );
 }
 
 #[test]
@@ -86,11 +63,4 @@ fn bbs_is_io_frugal_on_clustered_data() {
         stats.io_reads,
         tree.node_count()
     );
-}
-
-#[test]
-fn bitmap_uses_constant_checks_per_point() {
-    let data = workload(2000, 3, 20, Distribution::Independent, 13);
-    let (_, stats) = bitmap(&data);
-    assert_eq!(stats.dominance_checks, 2000);
 }
