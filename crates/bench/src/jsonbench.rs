@@ -332,9 +332,39 @@ fn emit_point(
     }
 }
 
+/// One static grid point: sTSS and SDC+ over the workload of `p`, serial
+/// and sharded, after the in-process scalar-vs-lanes check.
+fn static_point(
+    rows: &mut Vec<BenchRow>,
+    label: &str,
+    p: &ExperimentParams,
+    threads_axis: &[usize],
+    spec: ShardSpec,
+) {
+    let w = generate(p);
+    assert_kernel_equivalence(&w, false);
+    emit_point(
+        rows,
+        label,
+        threads_axis,
+        spec,
+        [
+            ("sTSS", run_stss(&w, StssConfig::default())),
+            ("SDC+", run_sdc_plus(&w)),
+        ],
+        |t, s| {
+            [
+                ("sTSS", run_stss_sharded(&w, StssConfig::default(), s, t)),
+                ("SDC+", run_sdc_plus_sharded(&w, s, t)),
+            ]
+        },
+    );
+}
+
 /// The fixed grid: one seed (42), Fig. 7 cardinalities x Fig. 8
-/// dimensionalities for the static engines, Fig. 12 cardinalities for the
-/// dynamic ones. `smoke` shrinks every `n` to 2 000 tuples. `threads_axis`
+/// dimensionalities plus one anti-correlated 2 TO + 2 PO point for the
+/// static engines, Fig. 12 cardinalities for the dynamic ones. `smoke`
+/// shrinks every `n` to 2 000 tuples. `threads_axis`
 /// adds one sharded-parallel row set per entry (e.g. `[1, 2, 4]`); pass
 /// `[]` for the serial grid alone. `spec` picks the shard plan of the
 /// parallel rows — fixed or adaptive; either way each workload is
@@ -362,24 +392,7 @@ pub fn grid(smoke: bool, threads_axis: &[usize], spec: ShardSpec) -> Vec<BenchRo
         if smoke {
             p.dag_height = 4;
         }
-        let w = generate(&p);
-        assert_kernel_equivalence(&w, false);
-        emit_point(
-            &mut rows,
-            &format!("fig07:n={n}"),
-            threads_axis,
-            spec,
-            [
-                ("sTSS", run_stss(&w, StssConfig::default())),
-                ("SDC+", run_sdc_plus(&w)),
-            ],
-            |t, s| {
-                [
-                    ("sTSS", run_stss_sharded(&w, StssConfig::default(), s, t)),
-                    ("SDC+", run_sdc_plus_sharded(&w, s, t)),
-                ]
-            },
-        );
+        static_point(&mut rows, &format!("fig07:n={n}"), &p, threads_axis, spec);
     }
 
     // Fig. 8 axis: static dimensionality sweep at a fixed cardinality.
@@ -391,25 +404,17 @@ pub fn grid(smoke: bool, threads_axis: &[usize], spec: ShardSpec) -> Vec<BenchRo
         if smoke {
             p.dag_height = 4;
         }
-        let w = generate(&p);
-        assert_kernel_equivalence(&w, false);
-        emit_point(
-            &mut rows,
-            &format!("fig08:n={dims_n}:dims=({to_d},{po_d})"),
-            threads_axis,
-            spec,
-            [
-                ("sTSS", run_stss(&w, StssConfig::default())),
-                ("SDC+", run_sdc_plus(&w)),
-            ],
-            |t, s| {
-                [
-                    ("sTSS", run_stss_sharded(&w, StssConfig::default(), s, t)),
-                    ("SDC+", run_sdc_plus_sharded(&w, s, t)),
-                ]
-            },
-        );
+        let label = format!("fig08:n={dims_n}:dims=({to_d},{po_d})");
+        static_point(&mut rows, &label, &p, threads_axis, spec);
     }
+
+    // Anti-correlated data in the paper's default shape (2 TO + 2 PO,
+    // h = 8, d = 0.8): the largest skylines, where the box filter skips
+    // most PO refines. Cheap enough to keep h = 8 in the smoke grid.
+    let mut p = ExperimentParams::paper_static_default(Distribution::AntiCorrelated, SEED);
+    p.n = dims_n;
+    let label = format!("anti:n={dims_n}:dims=(2,2)");
+    static_point(&mut rows, &label, &p, threads_axis, spec);
 
     // Fig. 12 axis: the dynamic counterpart of the cardinality sweep.
     for &n in card {
@@ -575,6 +580,7 @@ pub(crate) mod tests {
         let rows = grid(true, &[], ShardSpec::Fixed(BENCH_SHARDS));
         assert!(rows.iter().any(|r| r.workload.starts_with("fig07:")));
         assert!(rows.iter().any(|r| r.workload.starts_with("fig08:")));
+        assert!(rows.iter().any(|r| r.workload.starts_with("anti:")));
         assert!(rows.iter().any(|r| r.workload.starts_with("fig12:")));
         assert!(rows.iter().any(|r| r.algo == "sTSS"));
         assert!(rows.iter().any(|r| r.algo == "dTSS"));

@@ -187,9 +187,7 @@ impl Dtss {
                 .or_default()
                 .push(i as u32);
         }
-        let cap = cfg
-            .node_capacity
-            .unwrap_or_else(|| cfg.page.capacity(table.to_dims()));
+        let cap = crate::node_capacity(cfg.node_capacity, &cfg.page, table.to_dims())?;
         // lint:allow(hash-iter): keys are sorted on the next line, so the group layout never sees the hasher's order
         let mut group_keys: Vec<Vec<u32>> = by_key.keys().cloned().collect();
         group_keys.sort_unstable(); // deterministic group layout
@@ -1239,6 +1237,20 @@ mod tests {
         let replay = dtss.query_fully_dynamic(&q, &[3, 3]).unwrap();
         assert!(replay.from_cache);
         assert_eq!(folded.skyline_records(), replay.skyline_records());
+    }
+
+    #[test]
+    fn node_capacity_below_two_is_a_typed_error() {
+        for capacity in [0, 1] {
+            let cfg = DtssConfig {
+                node_capacity: Some(capacity),
+                ..DtssConfig::default()
+            };
+            assert_eq!(
+                Dtss::build(fig5_table(), vec![3], cfg).unwrap_err(),
+                CoreError::NodeCapacityTooSmall { capacity }
+            );
+        }
     }
 
     #[test]

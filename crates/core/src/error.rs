@@ -27,6 +27,9 @@ pub enum CoreError {
     },
     /// The table needs at least one TO or PO dimension.
     NoDimensions,
+    /// An explicit R-tree node capacity below
+    /// [`rtree::MIN_CAPACITY`]: a node must hold two entries.
+    NodeCapacityTooSmall { capacity: usize },
 }
 
 impl fmt::Display for CoreError {
@@ -53,6 +56,11 @@ impl fmt::Display for CoreError {
                 "query partial order for PO dim {dim} has {got} values, data uses {expected}"
             ),
             CoreError::NoDimensions => write!(f, "table must have at least one dimension"),
+            CoreError::NodeCapacityTooSmall { capacity } => write!(
+                f,
+                "node capacity {capacity} is below the minimum of {}",
+                rtree::MIN_CAPACITY
+            ),
         }
     }
 }

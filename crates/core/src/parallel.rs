@@ -8,8 +8,8 @@
 //! the flat TO/PO blocks — so any exact engine can run per shard on the
 //! scoped OS threads of a [`ThreadShardExecutor`] (no extra dependencies,
 //! `std::thread::scope` only) and the local skylines are folded back
-//! together by [`merge_shard_skylines`] with the store's batched
-//! [`t_dominated_by_any`](PointStore::t_dominated_by_any) kernels.
+//! together by [`merge_shard_skylines`], which checks candidates against
+//! per-shard key blocks of confirmed members, box first.
 //!
 //! # Determinism contract
 //!
@@ -65,7 +65,12 @@
 //!   each equal-score stratum is evaluated concurrently (`map_slice`)
 //!   against the prefix frozen at stratum start. Per-candidate pair work
 //!   is bounded by the all-pairs bound above and is typically a fraction
-//!   of it ([`Metrics::merge_pair_checks`] counts it exactly).
+//!   of it ([`Metrics::merge_pair_checks`] counts it exactly). Each
+//!   shard's confirmed prefix is a key block (see the
+//!   [`store` docs](crate::PointStore)) and each candidate's key is
+//!   computed once, so a check runs box first: only members whose key is
+//!   `<=` the candidate's on every dimension reach the exact PO test, in
+//!   list order, with the list loop's verdict and pair count.
 //! * **Cost-model shard counts** ([`ShardPlan`]): the planner samples two
 //!   store prefixes, fits the skyline-growth exponent, and picks the shard
 //!   count whose *estimated pair-check total* — parallel run phase plus
@@ -130,7 +135,7 @@
 
 use crate::budget::Budget;
 use crate::error::ShardError;
-use crate::store::{PointStore, RecordId, ShardView};
+use crate::store::{KeyBlock, PointStore, RecordId, ShardView};
 use crate::{Metrics, PoDomain};
 
 pub use crate::executor::{
@@ -483,8 +488,9 @@ pub fn merge_shard_skylines_all_pairs(
 /// dominatees, so a candidate only needs checking against the
 /// **already-confirmed** global-skyline members — and only those from
 /// *other* shards (its own shard's local run already cleared it), walked
-/// shard by shard with the early-exiting batched
-/// [`t_dominated_by_any`](PointStore::t_dominated_by_any) kernel. Pair
+/// shard by shard with the early-exiting, box-filtered key-block scan (the
+/// [`t_dominated_by_any`](PointStore::t_dominated_by_any) list loop under
+/// [`Kernel::Scalar`](crate::Kernel::Scalar)). Pair
 /// work is therefore bounded by [`all_pairs_merge_bound`] and is usually a
 /// fraction of it; every examined pair is counted in `dominance_checks`
 /// and [`Metrics::merge_pair_checks`], and each equal-score stratum bumps
@@ -538,7 +544,7 @@ pub fn merge_shard_skylines_budgeted(
 ) -> (Vec<RecordId>, Metrics, bool) {
     let mut m = Metrics::default();
     let mut exhausted = false;
-    let shard_count = locals.len();
+    let dims = store.to_dims() + store.po_dims();
     // (score, id, shard) per candidate, sorted by (score, id).
     let mut cands: Vec<(u64, RecordId, u32)> = Vec::new();
     for (shard, local) in locals.iter().enumerate() {
@@ -547,11 +553,20 @@ pub fn merge_shard_skylines_budgeted(
         }
     }
     cands.sort_unstable_by_key(|&(score, r, _)| (score, r));
+    // Each candidate's transformed key, computed once, in sorted order.
+    let mut keys = Vec::with_capacity(cands.len() * dims);
+    for &(_, r, _) in &cands {
+        store.key_into(domains, r, &mut keys);
+    }
+    let key = |i: usize| &keys[i * dims..(i + 1) * dims];
 
     let mut records: Vec<RecordId> = Vec::with_capacity(cands.len());
     // Confirmed global-skyline members per shard, each in ascending score
-    // order — the candidate's own shard is skipped during checks.
-    let mut confirmed: Vec<Vec<RecordId>> = vec![Vec::new(); shard_count];
+    // order with its key — the candidate's own shard is skipped during
+    // checks.
+    let mut confirmed: Vec<KeyBlock> = vec![KeyBlock::new(dims); locals.len()];
+    // Candidate positions of the current stratum.
+    let mut stratum: Vec<usize> = Vec::new();
     let mut start = 0;
     while start < cands.len() {
         if budget.exhausted_by(m.dominance_checks) {
@@ -563,21 +578,23 @@ pub fn merge_shard_skylines_budgeted(
         while end < cands.len() && cands[end].0 == score {
             end += 1;
         }
-        let stratum = &cands[start..end];
+        stratum.clear();
+        stratum.extend(start..end);
         m.merge_strata += 1;
         // Frozen-prefix fan-out: every stratum member is checked against
-        // the confirmed lists as of stratum start, so verdicts and counts
+        // the confirmed blocks as of stratum start, so verdicts and counts
         // depend only on the (data-determined) stratum partition.
         let frozen = &confirmed;
-        let verdicts = map_slice(threads, stratum, |&(_, r, shard)| {
-            let (to, po) = (store.to(r), store.po(r));
+        let verdicts = map_slice(threads, &stratum, |&i| {
+            let (_, r, shard) = cands[i];
+            let po = store.po(r);
             let mut local = Metrics::default();
             let mut dominated = false;
             for (j, other) in frozen.iter().enumerate() {
                 if j == shard as usize || other.is_empty() {
                     continue;
                 }
-                let (hit, examined) = store.t_dominated_by_any(domains, to, po, other);
+                let (hit, examined) = store.t_dominated_by_keys(domains, key(i), po, other);
                 local.batch(examined);
                 local.merge_pair_checks += examined;
                 if hit {
@@ -587,10 +604,11 @@ pub fn merge_shard_skylines_budgeted(
             }
             (dominated, local)
         });
-        for (&(_, r, shard), (dominated, local)) in stratum.iter().zip(&verdicts) {
+        for (&i, (dominated, local)) in stratum.iter().zip(&verdicts) {
             m = m.merge(local);
             if !*dominated {
-                confirmed[shard as usize].push(r);
+                let (_, r, shard) = cands[i];
+                confirmed[shard as usize].push(r, key(i));
                 records.push(r);
             }
         }

@@ -22,12 +22,28 @@
 //! tail in record order — results *and* examined-pair counts are identical
 //! across variants on every input.
 //!
+//! # The confirmed-skyline key block
+//!
+//! sTSS's point and MBB checks and the sharded merge test candidates
+//! against a list of *confirmed* skyline members, which they keep as a
+//! [`KeyBlock`]: the members' record ids plus a dense, dimension-major
+//! [`PointBlock`] of their transformed keys (TO values, then one
+//! topological ordinal per PO attribute — the point sTSS indexes). By the
+//! precedence argument of §IV-A a member can dominate a candidate only if
+//! its key is `<=` the candidate's key on every dimension, so under
+//! [`Kernel::Lanes`] the scan runs **box first, then refine**: one `<=`
+//! mask per [`LANES`] members rules out every member outside the box, and
+//! only the in-box ones, in list order, reach the exact refine (the PO
+//! closure probes). The first member the refine accepts is the list loop's
+//! first dominator, so the verdict and the examined-pair count are the
+//! list loop's, which [`Kernel::Scalar`] still runs as the oracle.
+//!
 //! `Table` (the facade name the paper-facing API keeps) is an alias of this
 //! type.
 
 use crate::dominance::{po_tail, t_dominates};
 use crate::{CoreError, PoDomain};
-use skyline::{Kernel, LANES};
+use skyline::{Kernel, PointBlock, LANES};
 
 /// Widest TO stride the id-gather lane kernels transpose through their
 /// stack scratch (matches the `PointBlock` limit); wider stores take the
@@ -396,6 +412,45 @@ impl PointStore {
         (false, examined)
     }
 
+    /// [`t_dominated_by_any`](Self::t_dominated_by_any) over a confirmed
+    /// [`KeyBlock`], box first: `cand_key` is the candidate's transformed
+    /// key (see [`key_into`](Self::key_into)) and `cand_po` its PO value
+    /// ids. A t-dominator's key is `<=` the candidate's on every dimension
+    /// (TO values directly; ordinals because a preferred-or-equal value
+    /// never sorts later), so under [`Kernel::Lanes`] the block's box scan
+    /// skips every out-of-box member and refines the rest in list order
+    /// with the exact [`po_tail`], TO strictness read off the member's TO
+    /// row. [`Kernel::Scalar`] runs the scalar list loop over the block's
+    /// ids. Both return the list loop's `(dominated, pairs_examined)`.
+    #[inline]
+    pub(crate) fn t_dominated_by_keys(
+        &self,
+        domains: &[PoDomain],
+        cand_key: &[u32],
+        cand_po: &[u32],
+        block: &KeyBlock,
+    ) -> (bool, u64) {
+        debug_assert_eq!(cand_key.len(), self.to_dims + self.po_dims);
+        let cand_to = &cand_key[..self.to_dims];
+        match self.kernel {
+            Kernel::Scalar => {
+                self.t_dominated_by_any_scalar(domains, cand_to, cand_po, block.ids())
+            }
+            Kernel::Lanes => block.first_in_box(cand_key, |r| {
+                po_tail(domains, self.po(r), cand_po, self.to_window(r) != cand_to)
+            }),
+        }
+    }
+
+    /// Appends record `id`'s **transformed key** to `out`: its TO values,
+    /// then one topological ordinal per PO attribute — the point sTSS
+    /// indexes in its R-tree, and the coordinates of a [`KeyBlock`].
+    #[inline]
+    pub(crate) fn key_into(&self, domains: &[PoDomain], id: RecordId, out: &mut Vec<u32>) {
+        out.extend_from_slice(self.to(id));
+        out.extend(self.po(id).iter().zip(domains).map(|(&v, d)| d.ordinal(v)));
+    }
+
     /// A **monotone score** of one record under t-dominance: the sum of
     /// its TO coordinates plus one topological ordinal per PO attribute.
     ///
@@ -671,8 +726,78 @@ impl<'a> ShardView<'a> {
     }
 }
 
+/// Confirmed skyline members in list order — their record ids plus a
+/// dense, dimension-major [`PointBlock`] of their transformed keys (TO
+/// values, then one topological ordinal per PO attribute; see
+/// [`PointStore::key_into`]).
+///
+/// The key block is what the box filter scans: by the precedence argument
+/// of §IV-A, a member can t-dominate a candidate, or cover an MBB, only if
+/// its key is `<=` the candidate's key (the MBB's low corner) on every
+/// dimension. [`first_in_box`](Self::first_in_box) tests that box for
+/// [`LANES`] members at a time and hands only the in-box ones, in list
+/// order, to the caller's exact refine — so the verdict and the
+/// examined-pair count are those of the list loop over
+/// [`ids`](Self::ids), which [`Kernel::Scalar`] callers still run.
+#[derive(Debug, Clone)]
+pub(crate) struct KeyBlock {
+    ids: Vec<RecordId>,
+    keys: PointBlock,
+}
+
+impl KeyBlock {
+    /// An empty block of `dims`-wide keys.
+    pub(crate) fn new(dims: usize) -> Self {
+        KeyBlock {
+            ids: Vec::new(),
+            keys: PointBlock::new(dims),
+        }
+    }
+
+    /// Appends member `id` with transformed key `key`.
+    #[inline]
+    pub(crate) fn push(&mut self, id: RecordId, key: &[u32]) {
+        self.ids.push(id);
+        self.keys.push(key);
+    }
+
+    /// The members' record ids, in list order.
+    #[inline]
+    pub(crate) fn ids(&self) -> &[RecordId] {
+        &self.ids
+    }
+
+    /// True iff the block holds no members.
+    #[inline]
+    pub(crate) fn is_empty(&self) -> bool {
+        self.ids.is_empty()
+    }
+
+    /// The first member, in list order, whose key is `<=` `corner` on
+    /// every dimension and that `refine` accepts. Returns `(hit,
+    /// examined)` with `examined` counted as the list loop counts it: the
+    /// hit's position plus one, or every member on a miss. `refine` must
+    /// accept only in-box members for that to equal the list loop's
+    /// answer.
+    #[inline]
+    pub(crate) fn first_in_box(
+        &self,
+        corner: &[u32],
+        mut refine: impl FnMut(RecordId) -> bool,
+    ) -> (bool, u64) {
+        if self.keys.dims() == 0 {
+            // A zero-width box holds every member.
+            return match self.ids.iter().position(|&r| refine(r)) {
+                Some(i) => (true, i as u64 + 1),
+                None => (false, self.ids.len() as u64),
+            };
+        }
+        self.keys.first_in_box(corner, |i| refine(self.ids[i]))
+    }
+}
+
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::Dominance;
     use poset::Dag;
@@ -915,6 +1040,131 @@ mod tests {
         assert_ne!(row_hash(&[1, 2], &[3]), row_hash(&[1, 2], &[4]));
         assert_ne!(row_hash(&[1, 2], &[3]), row_hash(&[1], &[2, 3]));
         assert_eq!(row_hash(&[], &[]), 0x8820_1fb9_60ff_6465);
+    }
+
+    /// A store of `n` rows over the paper domain (tight TO values force
+    /// `<=`/`<`/equality collisions; `max_to` pins every TO value at
+    /// `u32::MAX`), the key block of a rotated id list over all rows with
+    /// one repeated record, and a candidate `(key, po)` that is fresh, a
+    /// copy of a listed row, or a listed row worsened on TO.
+    #[allow(clippy::type_complexity)]
+    pub(crate) fn box_scan_case(
+        to_dims: usize,
+        po_dims: usize,
+        n: usize,
+        seed: u64,
+        max_to: bool,
+    ) -> (PointStore, Vec<PoDomain>, KeyBlock, Vec<u32>, Vec<u32>) {
+        let mut s = seed;
+        let mut next = move |m: u32| {
+            s = s
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (s >> 33) as u32 % m
+        };
+        let doms = vec![PoDomain::new(Dag::paper_example()); po_dims];
+        let mut store = PointStore::new(to_dims, po_dims);
+        for _ in 0..n {
+            let to: Vec<u32> = (0..to_dims)
+                .map(|_| if max_to { u32::MAX } else { next(4) })
+                .collect();
+            let po: Vec<u32> = (0..po_dims).map(|_| next(9)).collect();
+            store.push(&to, &po);
+        }
+        let mut ids: Vec<RecordId> = (0..n as u32).collect();
+        ids.rotate_left(seed as usize % n);
+        // An exact duplicate member: the list repeats one record.
+        ids[n / 2] = ids[0];
+        let mut block = KeyBlock::new(to_dims + po_dims);
+        let mut key = Vec::new();
+        for &r in &ids {
+            key.clear();
+            store.key_into(&doms, r, &mut key);
+            block.push(r, &key);
+        }
+        let pivot = ids[(seed / 7) as usize % n];
+        let (cand_to, cand_po): (Vec<u32>, Vec<u32>) = match seed % 3 {
+            0 if !max_to => (
+                (0..to_dims).map(|_| next(4)).collect(),
+                (0..po_dims).map(|_| next(9)).collect(),
+            ),
+            1 if !max_to => (
+                store.to(pivot).iter().map(|&x| x + next(2)).collect(),
+                store.po(pivot).to_vec(),
+            ),
+            _ => (store.to(pivot).to_vec(), store.po(pivot).to_vec()),
+        };
+        let mut cand = PointStore::new(to_dims, po_dims);
+        cand.push(&cand_to, &cand_po);
+        let mut cand_key = Vec::new();
+        cand.key_into(&doms, 0, &mut cand_key);
+        (store, doms, block, cand_key, cand_po)
+    }
+
+    /// The list lengths the box-scan equivalence tests cover: just below,
+    /// at and just above multiples of [`LANES`].
+    pub(crate) const BOX_SCAN_LENGTHS: [usize; 9] = [
+        1,
+        LANES - 1,
+        LANES,
+        LANES + 1,
+        2 * LANES - 1,
+        2 * LANES,
+        2 * LANES + 1,
+        3 * LANES - 1,
+        5 * LANES + 3,
+    ];
+
+    /// `(to_dims, po_dims, max_to)` shapes of the box-scan equivalence
+    /// tests: mixed, PO-only, TO-only (the shape of TO-only sharding),
+    /// `u32::MAX` TO values with no PO dims — the one shape whose pad lanes
+    /// pass the box — and no dimensions at all (a zero-width key block).
+    pub(crate) const BOX_SCAN_SHAPES: [(usize, usize, bool); 9] = [
+        (2, 2, false),
+        (1, 1, false),
+        (3, 1, false),
+        (0, 1, false),
+        (0, 2, false),
+        (2, 0, false),
+        (1, 0, false),
+        (2, 0, true),
+        (0, 0, false),
+    ];
+
+    #[test]
+    fn key_into_is_the_stss_transformed_point() {
+        let doms = vec![PoDomain::new(Dag::paper_example())];
+        let mut t = PointStore::new(2, 1);
+        t.push(&[4, 7], &[8]);
+        let mut key = vec![99];
+        t.key_into(&doms, 0, &mut key);
+        assert_eq!(key, vec![99, 4, 7, doms[0].ordinal(8)]);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+        /// The key-block scan, in point form, returns the scalar list
+        /// scan's `(hit, examined)` under both kernels, on every shape and
+        /// list length.
+        #[test]
+        fn box_scan_point_form_matches_the_scalar_list_scan(seed in 0u64..1 << 20) {
+            for (to_dims, po_dims, max_to) in BOX_SCAN_SHAPES {
+                for n in BOX_SCAN_LENGTHS {
+                    let (store, doms, block, key, po) =
+                        box_scan_case(to_dims, po_dims, n, seed, max_to);
+                    let expect =
+                        store.t_dominated_by_any_oracle(&doms, &key[..to_dims], &po, block.ids());
+                    for kernel in [Kernel::Scalar, Kernel::Lanes] {
+                        let store = store.clone().with_kernel(kernel);
+                        prop_assert_eq!(
+                            store.t_dominated_by_keys(&doms, &key, &po, &block),
+                            expect,
+                            "{:?} dims=({},{}) max_to={} n={}", kernel, to_dims, po_dims, max_to, n
+                        );
+                    }
+                }
+            }
+        }
     }
 
     proptest! {

@@ -7,14 +7,25 @@
 //! Query phase: a BBS-style best-first traversal by L1 mindist. Precedence
 //! holds because dominance implies a strictly smaller mindist (ordinals
 //! extend the partial orders; ties only between exact duplicates, which do
-//! not dominate). Every check uses the exact interval labels, so a point
-//! that survives is immediately — and permanently — a skyline point:
-//! optimal progressiveness.
+//! not dominate). Every check is exact, so a point that survives is
+//! immediately — and permanently — a skyline point: optimal
+//! progressiveness.
+//!
+//! Checks run against the confirmed skyline, kept as a key block of the
+//! popped points (see the [`store` docs](crate::PointStore)): box first,
+//! then refine. A popped point is compared with every member's key for
+//! `key <= point`; only in-box members reach the exact PO test (closure
+//! probes). A popped MBB is compared the same way against its low corner;
+//! only in-box members reach the interval-set cover test of the MBB's
+//! ordinal runs, and the run sets are built only once some member is in
+//! the box. The paper's list loops stay as the [`Kernel::Scalar`] oracle;
+//! both kernels find the same first dominator after the same number of
+//! examined members.
 
 use crate::cursor::{SkylineCursor, SkylineEngine};
 use crate::progressive::{ProgressLog, ProgressSample};
-use crate::store::RecordId;
-use crate::{CoreError, Metrics, PoDomain, Table};
+use crate::store::{KeyBlock, RecordId};
+use crate::{CoreError, Kernel, Metrics, PoDomain, Table};
 use poset::{Dag, FullRangeIndex, IntervalSet};
 use rtree::{BestFirst, Mbb, PageConfig, Popped, RTree};
 use std::collections::{HashMap, VecDeque};
@@ -62,6 +73,24 @@ impl Default for StssConfig {
             range_strategy: RangeStrategy::Dyadic,
             buffer_pages: None,
         }
+    }
+}
+
+/// Resolves an engine's R-tree node capacity: the explicit override, else
+/// the page model's capacity for `dims`-wide entries. An override below
+/// [`rtree::MIN_CAPACITY`] is a [`CoreError::NodeCapacityTooSmall`], not a
+/// panic inside the tree.
+pub fn node_capacity(
+    explicit: Option<usize>,
+    page: &PageConfig,
+    dims: usize,
+) -> Result<usize, CoreError> {
+    match explicit {
+        Some(capacity) if capacity < rtree::MIN_CAPACITY => {
+            Err(CoreError::NodeCapacityTooSmall { capacity })
+        }
+        Some(capacity) => Ok(capacity),
+        None => Ok(page.capacity(dims)),
     }
 }
 
@@ -123,17 +152,14 @@ impl Stss {
         if dims == 0 {
             return Err(CoreError::NoDimensions);
         }
-        let cap = cfg.node_capacity.unwrap_or_else(|| cfg.page.capacity(dims));
-        // Transformed coordinates, materialized columnar: TO values then one
+        let cap = node_capacity(cfg.node_capacity, &cfg.page, dims)?;
+        // Transformed keys, materialized columnar: TO values then one
         // topological ordinal per PO attribute — no per-point rows.
-        let mut coords = Vec::with_capacity(table.len() * dims);
-        for i in 0..table.len() {
-            coords.extend_from_slice(table.to_row(i));
-            for (dom, &v) in domains.iter().zip(table.po_row(i)) {
-                coords.push(dom.ordinal(v));
-            }
-        }
         let ids: Vec<u32> = (0..table.len() as u32).collect();
+        let mut coords = Vec::with_capacity(table.len() * dims);
+        for &r in &ids {
+            table.key_into(&domains, r, &mut coords);
+        }
         let mut tree = RTree::bulk_load_flat(dims, cap, &coords, &ids);
         if let Some(pages) = cfg.buffer_pages {
             tree.enable_buffer(pages);
@@ -158,7 +184,10 @@ impl Stss {
     }
 
     /// Builds over an explicitly structured tree (tests reproducing the
-    /// paper's hand-drawn Fig. 3 index).
+    /// paper's hand-drawn Fig. 3 index). Its points must be the records'
+    /// transformed keys — TO values, then one topological ordinal per PO
+    /// attribute — as [`build`](Self::build) indexes them: the MBB checks
+    /// and the skyline's box filter read them as such.
     pub fn with_tree(
         table: Table,
         dags: Vec<Dag>,
@@ -284,29 +313,27 @@ struct StssChecks<'a> {
 }
 
 impl StssChecks<'_> {
-    /// Is the candidate point t-dominated by the current skyline (given as
-    /// record ids; attribute values are fetched from the store)?
+    /// Is the candidate (transformed key `key`, PO value ids `po`)
+    /// t-dominated by the current skyline? Box first under
+    /// [`Kernel::Lanes`]; see [`PointStore::t_dominated_by_keys`].
     fn point_dominated(
         &self,
-        to: &[u32],
+        key: &[u32],
         po: &[u32],
-        skyline: &[RecordId],
+        skyline: &KeyBlock,
         m: &mut Metrics,
     ) -> bool {
-        let (hit, examined) = self.table.t_dominated_by_any(self.domains, to, po, skyline);
+        let (hit, examined) = self
+            .table
+            .t_dominated_by_keys(self.domains, key, po, skyline);
         m.batch(examined);
         hit
     }
 
-    /// Can the whole MBB be pruned?
-    fn mbb_dominated(&self, mbb: &Mbb, skyline: &[u32], m: &mut Metrics) -> bool {
-        if skyline.is_empty() {
-            return false;
-        }
+    /// Merged interval sets of the MBB's ordinal ranges, one per PO dim.
+    fn run_sets(&self, mbb: &Mbb) -> Vec<IntervalSet> {
         let to_dims = self.table.to_dims();
-        let to_min = &mbb.lo()[..to_dims];
-        // Merged interval sets of the MBB's ordinal ranges, per PO dim.
-        let run_sets: Vec<IntervalSet> = (0..self.domains.len())
+        (0..self.domains.len())
             .map(|d| {
                 let lo = mbb.lo()[to_dims + d];
                 let hi = mbb.hi()[to_dims + d];
@@ -321,25 +348,51 @@ impl StssChecks<'_> {
                         .clone(),
                 }
             })
-            .collect();
-        // Paper-faithful single-dominator check: one skyline point must be
-        // at least as good on every TO dim and cover every run on every PO
-        // dim (§IV-A step 7).
-        'outer: for &r in skyline {
-            m.dominance_checks += 1;
-            let s_to = self.table.to_row(r as usize);
-            let s_po = self.table.po_row(r as usize);
-            if s_to.iter().zip(to_min.iter()).any(|(sv, mv)| sv > mv) {
-                continue;
-            }
-            for (d, runs) in run_sets.iter().enumerate() {
-                if !self.domains[d].intervals(s_po[d]).covers_set(runs) {
-                    continue 'outer;
+            .collect()
+    }
+
+    /// Can the whole MBB be pruned? Paper-faithful single-dominator check:
+    /// one skyline point must be at least as good on every TO dim and
+    /// cover every run on every PO dim (§IV-A step 7).
+    ///
+    /// Under [`Kernel::Lanes`] the skyline's key block is box-scanned
+    /// against the MBB's low corner first. That is sound: a point that
+    /// covers the runs of the ordinal range `[lo, hi]` covers the value at
+    /// ordinal `lo`, so it is preferred-or-equal to that value and its own
+    /// ordinal is `<= lo`. The run sets are built only once some member is
+    /// in the box. [`Kernel::Scalar`] keeps the list loop as the oracle.
+    fn mbb_dominated(&self, mbb: &Mbb, skyline: &KeyBlock, m: &mut Metrics) -> bool {
+        if skyline.is_empty() {
+            return false;
+        }
+        let covers = |r: RecordId, runs: &[IntervalSet]| {
+            let s_po = self.table.po(r);
+            runs.iter()
+                .enumerate()
+                .all(|(d, runs)| self.domains[d].intervals(s_po[d]).covers_set(runs))
+        };
+        let (hit, examined) = match self.table.kernel() {
+            Kernel::Scalar => {
+                let runs = self.run_sets(mbb);
+                let to_min = &mbb.lo()[..self.table.to_dims()];
+                let ids = skyline.ids();
+                match ids.iter().position(|&r| {
+                    let s_to = self.table.to(r);
+                    s_to.iter().zip(to_min).all(|(sv, mv)| sv <= mv) && covers(r, &runs)
+                }) {
+                    Some(i) => (true, i as u64 + 1),
+                    None => (false, ids.len() as u64),
                 }
             }
-            return true;
-        }
-        false
+            Kernel::Lanes => {
+                let mut runs = None;
+                skyline.first_in_box(mbb.lo(), |r| {
+                    covers(r, runs.get_or_insert_with(|| self.run_sets(mbb)))
+                })
+            }
+        };
+        m.dominance_checks += examined;
+        hit
     }
 }
 
@@ -368,10 +421,11 @@ pub struct StssCursor<'a> {
     bf: BestFirst<'a>,
     start: Instant,
     m: Metrics,
-    /// Confirmed skyline records in emission order; attribute values are
-    /// fetched from the table on demand, so confirmation allocates exactly
-    /// one owned [`SkylinePoint`] — the one handed to the caller.
-    skyline: Vec<RecordId>,
+    /// Confirmed skyline records in emission order, with their transformed
+    /// keys (the popped R-tree points) for the box filter; attribute values
+    /// are fetched from the table on demand, so confirmation allocates one
+    /// owned [`SkylinePoint`] — the one handed to the caller.
+    skyline: KeyBlock,
     /// `Some` once the traversal is exhausted and the duplicate-completion
     /// queue has been computed.
     extras: Option<VecDeque<SkylinePoint>>,
@@ -388,7 +442,7 @@ impl<'a> StssCursor<'a> {
             // lint:allow(time-source): Metrics.cpu timing site — cursor wall clock
             start: Instant::now(),
             m: Metrics::default(),
-            skyline: Vec::new(),
+            skyline: KeyBlock::new(stss.tree.dims()),
             extras: None,
             last_sample: ProgressSample::default(),
             finished: false,
@@ -409,10 +463,9 @@ impl<'a> StssCursor<'a> {
                     }
                 }
                 Popped::Record { point, record, .. } => {
-                    let to = &point[..to_dims];
                     let po = stss.table.po_row(record as usize);
-                    if !checks.point_dominated(to, po, &self.skyline, &mut self.m) {
-                        self.skyline.push(record);
+                    if !checks.point_dominated(point, po, &self.skyline, &mut self.m) {
+                        self.skyline.push(record, point);
                         self.m.results += 1;
                         self.m.io_reads = stss.tree.io_count();
                         self.last_sample = ProgressSample {
@@ -423,7 +476,7 @@ impl<'a> StssCursor<'a> {
                         };
                         return Some(SkylinePoint {
                             record,
-                            to: to.to_vec(),
+                            to: point[..to_dims].to_vec(),
                             po: po.to_vec(),
                         });
                     }
@@ -444,7 +497,7 @@ impl<'a> StssCursor<'a> {
         }
         let mut emitted = vec![false; stss.table.len()];
         let mut by_hash: HashMap<u64, Vec<u32>> = HashMap::new();
-        for &r in &self.skyline {
+        for &r in self.skyline.ids() {
             emitted[r as usize] = true;
             by_hash
                 .entry(crate::store::row_hash(
@@ -665,6 +718,21 @@ mod tests {
     }
 
     #[test]
+    fn node_capacity_below_two_is_a_typed_error() {
+        for capacity in [0, 1] {
+            let cfg = StssConfig {
+                node_capacity: Some(capacity),
+                ..Default::default()
+            };
+            assert_eq!(
+                Stss::build(fig3_table(), vec![Dag::paper_example()], cfg).unwrap_err(),
+                CoreError::NodeCapacityTooSmall { capacity }
+            );
+        }
+        assert!(node_capacity(Some(2), &PageConfig::default(), 3).is_ok());
+    }
+
+    #[test]
     fn empty_table_runs() {
         let stss = Stss::build(
             Table::new(2, 1),
@@ -741,6 +809,100 @@ mod tests {
                 let mut got = stss.run().skyline_records();
                 got.sort_unstable();
                 assert_eq!(got, expect, "seed={seed} cfg={cfg:?}");
+            }
+        }
+    }
+
+    /// The lemma the MBB check's box corner rests on: a value whose
+    /// interval set covers the merged runs of the ordinal range `[lo, hi]`
+    /// is preferred-or-equal to the value at ordinal `lo`, so its own
+    /// ordinal is `<= lo`. Checked for every range of the paper domain and
+    /// of two subset lattices, under the naive and the dyadic range sets.
+    #[test]
+    fn covering_a_range_implies_an_ordinal_at_most_its_low_end() {
+        let lattice = |height, density, seed| {
+            poset::generator::subset_lattice(poset::generator::LatticeParams {
+                height,
+                density,
+                seed,
+                mode: poset::generator::DensityMode::Literal,
+            })
+            .unwrap()
+        };
+        for dag in [
+            Dag::paper_example(),
+            lattice(4, 0.8, 5),
+            lattice(5, 0.6, 11),
+        ] {
+            let dom = PoDomain::new(dag);
+            let n = dom.len() as u32;
+            for lo in 1..=n {
+                for hi in lo..=n {
+                    let runs = dom.range_intervals(lo, hi);
+                    assert_eq!(runs, dom.labeling().range_intervals(lo, hi));
+                    for v in 0..n {
+                        if dom.intervals(v).covers_set(&runs) {
+                            assert!(
+                                dom.ordinal(v) <= lo,
+                                "value {v} (ordinal {}) covers [{lo}, {hi}]",
+                                dom.ordinal(v)
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+        /// The key-block scan in MBB-corner form (box at the MBB's low
+        /// corner, `covers_set` refine) prunes exactly when the scalar list
+        /// loop does, after the same number of examined members, on every
+        /// shape and list length of the point-form test.
+        #[test]
+        fn box_scan_mbb_form_matches_the_scalar_list_scan(seed in 0u64..1 << 20) {
+            use crate::store::tests::{box_scan_case, BOX_SCAN_LENGTHS, BOX_SCAN_SHAPES};
+            for (to_dims, po_dims, max_to) in BOX_SCAN_SHAPES {
+                for n in BOX_SCAN_LENGTHS {
+                    let (store, doms, block, lo, _) =
+                        box_scan_case(to_dims, po_dims, n, seed, max_to);
+                    // Widen the candidate's key into an MBB: TO extents of
+                    // up to 2, ordinal extents clamped to the domain.
+                    let hi: Vec<u32> = lo
+                        .iter()
+                        .enumerate()
+                        .map(|(d, &x)| {
+                            let grow = ((seed >> (2 * d)) % 3) as u32;
+                            if d < to_dims {
+                                x.saturating_add(grow)
+                            } else {
+                                (x + grow).min(doms[d - to_dims].len() as u32)
+                            }
+                        })
+                        .collect();
+                    let mbb = Mbb::new(lo, hi);
+                    for range_strategy in [RangeStrategy::Naive, RangeStrategy::Dyadic] {
+                        let cfg = StssConfig { range_strategy, ..Default::default() };
+                        let verdict = |kernel| {
+                            let table = store.clone().with_kernel(kernel);
+                            let checks = StssChecks {
+                                table: &table,
+                                domains: &doms,
+                                cfg,
+                                full_ranges: None,
+                            };
+                            let mut m = Metrics::default();
+                            let hit = checks.mbb_dominated(&mbb, &block, &mut m);
+                            (hit, m.dominance_checks)
+                        };
+                        prop_assert_eq!(
+                            verdict(Kernel::Lanes),
+                            verdict(Kernel::Scalar),
+                            "dims=({},{}) max_to={} n={} {:?}", to_dims, po_dims, max_to, n, range_strategy
+                        );
+                    }
+                }
             }
         }
     }

@@ -30,4 +30,4 @@ pub use geom::Mbb;
 pub use node::{ChildEntry, NodeId};
 pub use query::{BestFirst, Popped};
 pub use stats::PageConfig;
-pub use tree::{BuildNode, RTree, DEFAULT_CAPACITY};
+pub use tree::{BuildNode, RTree, DEFAULT_CAPACITY, MIN_CAPACITY};

@@ -34,19 +34,34 @@ impl PageConfig {
     ///
     /// Inner entries store an MBB (2 corners); we conservatively size every
     /// entry that way so leaf and inner nodes share one capacity, as in the
-    /// paper's implementation.
+    /// paper's implementation. Saturating, never below
+    /// [`MIN_CAPACITY`](crate::MIN_CAPACITY).
     pub fn capacity(&self, dims: usize) -> usize {
-        let entry = 2 * dims * self.bytes_per_coord + self.bytes_per_pointer;
-        ((self.page_size - self.header) / entry).max(2)
+        let entry = dims
+            .saturating_mul(2)
+            .saturating_mul(self.bytes_per_coord)
+            .saturating_add(self.bytes_per_pointer);
+        self.per_page(entry).max(crate::MIN_CAPACITY)
     }
 
     /// Number of pages a sequential file of `n` records occupies, for the
     /// external-sort IO charging of the dynamic SDC+ adaptation (§VI-C).
     /// A record stores `dims` coordinates plus a record id.
     pub fn data_pages(&self, n: usize, dims: usize) -> u64 {
-        let record = dims * self.bytes_per_coord + self.bytes_per_pointer;
-        let per_page = ((self.page_size - self.header) / record).max(1);
-        n.div_ceil(per_page) as u64
+        let record = dims
+            .saturating_mul(self.bytes_per_coord)
+            .saturating_add(self.bytes_per_pointer);
+        n.div_ceil(self.per_page(record).max(1)) as u64
+    }
+
+    /// Entries of `entry` bytes that fit after the header, saturating: a
+    /// header larger than the page leaves room for none, and zero-byte
+    /// entries fit without bound.
+    fn per_page(&self, entry: usize) -> usize {
+        self.page_size
+            .saturating_sub(self.header)
+            .checked_div(entry)
+            .unwrap_or(usize::MAX)
     }
 }
 
@@ -72,6 +87,28 @@ mod tests {
             header: 16,
         };
         assert_eq!(tiny.capacity(8), 2);
+    }
+
+    #[test]
+    fn header_larger_than_the_page_saturates() {
+        let cfg = PageConfig {
+            header: 8192,
+            ..PageConfig::default()
+        };
+        assert_eq!(cfg.capacity(2), 2);
+        assert_eq!(cfg.data_pages(10, 2), 10);
+    }
+
+    #[test]
+    fn zero_byte_entries_saturate() {
+        let cfg = PageConfig {
+            bytes_per_coord: 0,
+            bytes_per_pointer: 0,
+            ..PageConfig::default()
+        };
+        assert_eq!(cfg.capacity(3), usize::MAX);
+        assert_eq!(cfg.data_pages(10, 3), 1);
+        assert_eq!(cfg.data_pages(0, 3), 0);
     }
 
     #[test]

@@ -6,6 +6,9 @@ use std::cell::Cell;
 /// Default maximum entries per node when no [`crate::PageConfig`] is used.
 pub const DEFAULT_CAPACITY: usize = 64;
 
+/// Smallest node capacity a tree accepts: a node must hold two entries.
+pub const MIN_CAPACITY: usize = 2;
+
 /// An R-tree over `u32` coordinates with IO accounting.
 ///
 /// See the [crate docs](crate) for the design rationale. Build one with
@@ -30,7 +33,7 @@ impl RTree {
     /// An empty tree with the given dimensionality and node capacity.
     pub fn new(dims: usize, cap: usize) -> Self {
         assert!(dims >= 1, "R-tree needs at least one dimension");
-        assert!(cap >= 2, "node capacity must be at least 2");
+        assert!(cap >= MIN_CAPACITY, "node capacity must be at least 2");
         RTree {
             dims,
             cap,

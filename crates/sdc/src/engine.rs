@@ -340,6 +340,24 @@ mod tests {
     }
 
     #[test]
+    fn node_capacity_below_two_is_a_typed_error() {
+        for capacity in [0, 1] {
+            let cfg = SdcConfig {
+                node_capacity: Some(capacity),
+                ..SdcConfig::default()
+            };
+            let err = SdcIndex::build(
+                fig3_table(),
+                vec![Dag::paper_example()],
+                Variant::SdcPlus,
+                cfg,
+            )
+            .unwrap_err();
+            assert_eq!(err, tss_core::CoreError::NodeCapacityTooSmall { capacity });
+        }
+    }
+
+    #[test]
     fn sdc_plus_builds_multiple_strata() {
         let dag = Dag::paper_example();
         let idx = SdcIndex::build(

@@ -78,7 +78,7 @@ impl SdcIndex {
         if dims == 0 {
             return Err(CoreError::NoDimensions);
         }
-        let cap = cfg.node_capacity.unwrap_or_else(|| cfg.page.capacity(dims));
+        let cap = tss_core::node_capacity(cfg.node_capacity, &cfg.page, dims)?;
 
         // Partition records into strata per the variant.
         let stratum_of = |po: &[u32]| -> usize {

@@ -33,6 +33,12 @@
 //! [`LANES`] listed rows into a stack scratch instead (ids are arbitrary,
 //! so no mirror window applies).
 //!
+//! One scan exists in lane form only: [`PointBlock::first_in_box`], the
+//! box-then-refine filter over the mirror, which hands the in-box rows to
+//! a caller's exact test in record order. Its oracle is the caller's own
+//! list loop, which `tss_core`'s skyline checks keep under
+//! [`Kernel::Scalar`].
+//!
 //! Counting convention: every kernel returns `(answer, pairs_examined)`.
 //! One *examined pair* is exactly one scalar dominance check of the seed
 //! implementation — early exit means the batched count is never larger
@@ -388,6 +394,56 @@ impl PointBlock {
         (false, self.len() as u64)
     }
 
+    /// Box-then-refine scan: the first point, in record order, that lies in
+    /// the box below `corner` (`point <= corner` on every dimension) *and*
+    /// that `refine(index)` accepts. Returns `(hit, examined)`, where
+    /// `examined` is the hit's position plus one, or `len()` on a miss —
+    /// exactly what a list loop calling `refine` on every point returns,
+    /// provided `refine` only accepts in-box points. A caller whose exact
+    /// test implies the box therefore keeps its counts and its first hit,
+    /// and pays `refine` only for in-box points.
+    ///
+    /// Lane form only (the block's [`Kernel`] is not consulted): the oracle
+    /// of a box-then-refine scan is the caller's own list loop. Each chunk
+    /// of [`LANES`] points ANDs one `<=` accumulator per lane over the SoA
+    /// columns, then walks the in-box lanes in order through the mask's
+    /// trailing zeros. Pad lanes (`u32::MAX` everywhere) can pass the box
+    /// when `corner` is `u32::MAX` everywhere, so the last chunk's mask is
+    /// cut at `len()` and `refine` never sees a position past it.
+    #[inline]
+    pub fn first_in_box(
+        &self,
+        corner: &[u32],
+        mut refine: impl FnMut(usize) -> bool,
+    ) -> (bool, u64) {
+        debug_assert_eq!(corner.len(), self.dims);
+        let n = self.len();
+        for (chunk_no, chunk) in self.soa.chunks_exact(self.dims * LANES).enumerate() {
+            let mut le = [1u32; LANES];
+            for (col, &cd) in chunk.chunks_exact(LANES).zip(corner.iter()) {
+                for l in 0..LANES {
+                    le[l] &= (col[l] <= cd) as u32;
+                }
+            }
+            let mut mask = 0u32;
+            for (l, &x) in le.iter().enumerate() {
+                mask |= x << l;
+            }
+            let base = chunk_no * LANES;
+            if n - base < LANES {
+                mask &= (1u32 << (n - base)) - 1;
+            }
+            while mask != 0 {
+                let pos = base + mask.trailing_zeros() as usize;
+                if refine(pos) {
+                    return (true, pos as u64 + 1);
+                }
+                mask &= mask - 1;
+            }
+        }
+        (false, n as u64)
+    }
+
     /// Corner pruning: is some point `<=` the MBB corner on every dimension
     /// *and* different from it? (The strict-corner rule that keeps exact
     /// duplicates of skyline points alive — see `bbs.rs`.) Scans all rows.
@@ -609,6 +665,23 @@ mod tests {
     }
 
     #[test]
+    fn box_scan_stops_at_the_block_length() {
+        // A corner at u32::MAX everywhere admits the pad lanes too; refine
+        // must still never see a position past the last point.
+        let mut b = PointBlock::new(2);
+        for _ in 0..(LANES + 3) {
+            b.push(&[u32::MAX, u32::MAX]);
+        }
+        let mut seen = Vec::new();
+        let got = b.first_in_box(&[u32::MAX, u32::MAX], |i| {
+            seen.push(i);
+            false
+        });
+        assert_eq!(got, (false, LANES as u64 + 3));
+        assert_eq!(seen, (0..LANES + 3).collect::<Vec<_>>());
+    }
+
+    #[test]
     fn retain_compacts_in_order() {
         let mut b = PointBlock::from_rows(&[vec![1, 1], vec![2, 2], vec![3, 3], vec![4, 4]]);
         let mut ids = vec![10, 20, 30, 40];
@@ -688,6 +761,24 @@ mod tests {
                 lanes.dominated_with_strictness(&entries, &cand),
                 scalar.dominated_with_strictness(&entries, &cand)
             );
+
+            // first_in_box ≡ a list loop whose exact test implies the box:
+            // same first hit, same examined count, and refine sees only
+            // in-box rows, in order.
+            let accept = |i: usize| (i as u64 ^ seed).is_multiple_of(3);
+            let in_box = |i: usize| rows[i].iter().zip(&cand).all(|(a, b)| a <= b);
+            let expect = match (0..n).position(|i| in_box(i) && accept(i)) {
+                Some(i) => (true, i as u64 + 1),
+                None => (false, n as u64),
+            };
+            let mut seen = Vec::new();
+            let got = lanes.first_in_box(&cand, |i| {
+                seen.push(i);
+                accept(i)
+            });
+            prop_assert_eq!(got, expect);
+            let upto = got.1 as usize;
+            prop_assert_eq!(seen, (0..upto).filter(|&i| in_box(i)).collect::<Vec<_>>());
         }
     }
 }
