@@ -1,7 +1,8 @@
 //! The machine-readable perf-trajectory grid behind `harness bench --json`.
 //!
 //! A fixed small grid — the Fig. 7 cardinality sweep crossed with a Fig. 8
-//! dimensionality subset, plus the dynamic (Fig. 12) cardinality points —
+//! dimensionality subset, plus the dynamic (Fig. 12) cardinality points and
+//! one two-PO dynamic (Fig. 13) point —
 //! at one seed, emitted as JSON rows
 //! `{algo, workload, threads, shards, wall_ns, metrics}`. Serial rows
 //! (`threads = 0`) are the same measurement as `BENCH_PR3.json`, so the
@@ -361,9 +362,43 @@ fn static_point(
     );
 }
 
+/// One dynamic grid point: dTSS and the rebuilding SDC+ baseline over the
+/// workload of `p`, serial and sharded, after the in-process
+/// scalar-vs-lanes check.
+fn dynamic_point(
+    rows: &mut Vec<BenchRow>,
+    label: &str,
+    p: &ExperimentParams,
+    threads_axis: &[usize],
+    spec: ShardSpec,
+) {
+    let w = generate(p);
+    assert_kernel_equivalence(&w, true);
+    emit_point(
+        rows,
+        label,
+        threads_axis,
+        spec,
+        [
+            ("dTSS", run_dtss(&w, 11, DtssConfig::default())),
+            ("SDC+rebuild", run_dynamic_sdc(&w, 11)),
+        ],
+        |t, s| {
+            [
+                (
+                    "dTSS",
+                    run_dtss_sharded(&w, 11, DtssConfig::default(), s, t),
+                ),
+                ("SDC+rebuild", run_dynamic_sdc_sharded(&w, 11, s, t)),
+            ]
+        },
+    );
+}
+
 /// The fixed grid: one seed (42), Fig. 7 cardinalities x Fig. 8
 /// dimensionalities plus one anti-correlated 2 TO + 2 PO point for the
-/// static engines, Fig. 12 cardinalities for the dynamic ones. `smoke`
+/// static engines, Fig. 12 cardinalities plus one 3 TO + 2 PO Fig. 13
+/// point for the dynamic ones. `smoke`
 /// shrinks every `n` to 2 000 tuples. `threads_axis`
 /// adds one sharded-parallel row set per entry (e.g. `[1, 2, 4]`); pass
 /// `[]` for the serial grid alone. `spec` picks the shard plan of the
@@ -423,28 +458,20 @@ pub fn grid(smoke: bool, threads_axis: &[usize], spec: ShardSpec) -> Vec<BenchRo
         if smoke {
             p.dag_height = 4;
         }
-        let w = generate(&p);
-        assert_kernel_equivalence(&w, true);
-        emit_point(
-            &mut rows,
-            &format!("fig12:n={n}"),
-            threads_axis,
-            spec,
-            [
-                ("dTSS", run_dtss(&w, 11, DtssConfig::default())),
-                ("SDC+rebuild", run_dynamic_sdc(&w, 11)),
-            ],
-            |t, s| {
-                [
-                    (
-                        "dTSS",
-                        run_dtss_sharded(&w, 11, DtssConfig::default(), s, t),
-                    ),
-                    ("SDC+rebuild", run_dynamic_sdc_sharded(&w, 11, s, t)),
-                ]
-            },
-        );
+        dynamic_point(&mut rows, &format!("fig12:n={n}"), &p, threads_axis, spec);
     }
+
+    // Fig. 13 point: two PO attributes. With one, groups are visited in
+    // ordinal order, so every confirmed member's ordinal is <= the
+    // candidate's; with two, dTSS's box tests the ordinals too.
+    let mut p = ExperimentParams::paper_dynamic_default(Distribution::Independent, SEED);
+    p.n = dims_n;
+    p.po_dims = 2;
+    if smoke {
+        p.dag_height = 4;
+    }
+    let label = format!("fig13:n={dims_n}:dims=(3,2)");
+    dynamic_point(&mut rows, &label, &p, threads_axis, spec);
     rows
 }
 
@@ -582,6 +609,9 @@ pub(crate) mod tests {
         assert!(rows.iter().any(|r| r.workload.starts_with("fig08:")));
         assert!(rows.iter().any(|r| r.workload.starts_with("anti:")));
         assert!(rows.iter().any(|r| r.workload.starts_with("fig12:")));
+        assert!(rows
+            .iter()
+            .any(|r| r.workload.starts_with("fig13:") && r.algo == "dTSS"));
         assert!(rows.iter().any(|r| r.algo == "sTSS"));
         assert!(rows.iter().any(|r| r.algo == "dTSS"));
         assert!(rows.iter().all(|r| r.threads == 0));

@@ -18,19 +18,22 @@
 //! * **Group skipping:** before touching a group's tree, its root MBB corner
 //!   is checked against the global skyline; a dominated corner dismisses the
 //!   whole group without reading a single page (the Fig. 5 `Gc` moment).
+//! * **One check:** the working skyline is a key block of folded TO values
+//!   followed by the query's ordinals of each member's PO values. A
+//!   dominator's key is `<=` the candidate's (or corner's) on every
+//!   dimension, so point, subtree and group checks are all one
+//!   [`KeyBlock::first_match`] call: the box, then the exact refine.
 //! * **Optimizations (§V-B):** precomputed per-group *local skylines* (order
 //!   independent!) shrink each group to the only points that can possibly
 //!   qualify; a query-digest cache reuses full results of repeated orders.
 
 use crate::cursor::{SkylineCursor, SkylineEngine};
-use crate::dominance::t_dominates;
 use crate::progressive::ProgressSample;
-use crate::store::RecordId;
+use crate::store::{KeyBlock, RecordId};
 use crate::stss::SkylinePoint;
 use crate::{CoreError, Metrics, PoDomain, Table};
 use poset::{Dag, Fnv64};
-use rtree::{BestFirst, PageConfig, Popped, RTree};
-use skyline::PointBlock;
+use rtree::{BestFirst, Mbb, PageConfig, Popped, RTree};
 use std::cell::RefCell;
 use std::collections::{HashMap, VecDeque};
 use std::hash::{Hash, Hasher};
@@ -94,8 +97,10 @@ pub struct DtssConfig {
     /// Cache query results by digest (§V-B).
     pub cache: bool,
     /// Pre-filter the global skyline once per group to the entries whose PO
-    /// values can dominate the group's key, turning per-point checks into
-    /// TO-only comparisons. Exact; off by default (paper-plain checks).
+    /// values are preferred-or-equal to the group's key: a key block of
+    /// their folded TO values, each tagged with its PO strictness, so the
+    /// group's point and subtree checks compare TO values only. Exact; off
+    /// by default (paper-plain checks).
     pub filter_dominators: bool,
 }
 
@@ -110,14 +115,10 @@ struct Group {
 }
 
 impl Group {
-    /// The root MBB corner the dismissal check runs on, folded around
-    /// `reference` for fully dynamic queries.
-    fn root_corner(&self, reference: Option<&[u32]>) -> Vec<u32> {
-        let root = self.tree.root().expect("groups are non-empty");
-        match reference {
-            None => self.tree.mbb(root).lo().to_vec(),
-            Some(r) => self.tree.mbb(root).folded_corner(r),
-        }
+    /// The root MBB, whose corner the dismissal check runs on.
+    fn root_mbb(&self) -> &Mbb {
+        self.tree
+            .mbb(self.tree.root().expect("groups are non-empty"))
     }
 }
 
@@ -448,207 +449,6 @@ impl Dtss {
             reference.map(<[u32]>::to_vec),
         ))
     }
-
-    /// Emits a confirmed skyline point, updating all side structures.
-    fn emit(
-        record: RecordId,
-        to: &[u32],
-        sky: &mut SkyList,
-        filtered: Option<&mut Vec<(u32, bool)>>,
-        m: &mut Metrics,
-    ) {
-        if let Some(filtered) = filtered {
-            // Same-key entry: can dominate later points of this group via TO.
-            filtered.push((sky.len() as u32, false));
-        }
-        sky.push(record, to);
-        m.results += 1;
-    }
-
-    /// Exact point check against the global skyline. Strict dominance never
-    /// holds between exact duplicates, so every copy of a skyline point is
-    /// confirmed on its own.
-    fn point_dominated(
-        &self,
-        to: &[u32],
-        key: &[u32],
-        domains: &[PoDomain],
-        sky: &SkyList,
-        filtered: Option<&[(u32, bool)]>,
-        m: &mut Metrics,
-    ) -> bool {
-        if let Some(filtered) = filtered {
-            // Same-key group: PO strictness was decided once per group, the
-            // remaining comparison is the TO-only strictness kernel.
-            let (hit, examined) = sky.folded.dominated_with_strictness(filtered, to);
-            m.batch(examined);
-            return hit;
-        }
-        let (hit, examined) = sky.t_dominated(domains, &self.table, to, key);
-        m.batch(examined);
-        hit
-    }
-
-    /// Sound subtree check: the group's PO values are fixed, so only the TO
-    /// corner varies. A global entry `s` prunes the subtree iff `s.to` is at
-    /// most the corner on every dimension and either `s` is PO-strictly
-    /// better or `s.to` differs from the corner (the corner-equality
-    /// argument of `skyline::bbs`, extended with PO strictness).
-    fn node_dominated(
-        &self,
-        corner: &[u32],
-        key: &[u32],
-        domains: &[PoDomain],
-        sky: &SkyList,
-        filtered: Option<&[(u32, bool)]>,
-        m: &mut Metrics,
-    ) -> bool {
-        if let Some(filtered) = filtered {
-            let (hit, examined) = sky.folded.dominated_with_strictness(filtered, corner);
-            m.batch(examined);
-            return hit;
-        }
-        let (hit, examined) = sky.node_dominated(domains, &self.table, corner, key);
-        m.batch(examined);
-        hit
-    }
-}
-
-/// The cursor's working skyline, columnar: record ids and the *folded* TO
-/// coordinates (the dominance space) — PO values are fetched from the store
-/// by id, and no per-point rows or owned key tuples exist anywhere.
-struct SkyList {
-    ids: Vec<RecordId>,
-    /// Folded TO coordinates, parallel to `ids` (stride = `|TO|`).
-    folded: PointBlock,
-}
-
-impl SkyList {
-    fn new(to_dims: usize, kernel: skyline::Kernel) -> Self {
-        SkyList {
-            ids: Vec::new(),
-            folded: PointBlock::new(to_dims.max(1)).with_kernel(kernel),
-        }
-    }
-
-    fn len(&self) -> usize {
-        self.ids.len()
-    }
-
-    fn push(&mut self, record: RecordId, folded_to: &[u32]) {
-        self.ids.push(record);
-        self.folded.push(folded_to);
-    }
-
-    /// Batched exact t-dominance of the whole list over one candidate
-    /// (folded TO coordinates, PO values from the store).
-    fn t_dominated(
-        &self,
-        domains: &[PoDomain],
-        table: &Table,
-        cand_to: &[u32],
-        cand_po: &[u32],
-    ) -> (bool, u64) {
-        let mut examined = 0u64;
-        for (pos, &r) in self.ids.iter().enumerate() {
-            examined += 1;
-            if t_dominates(
-                domains,
-                self.folded.point(pos),
-                table.po(r),
-                cand_to,
-                cand_po,
-            ) {
-                return (true, examined);
-            }
-        }
-        (false, examined)
-    }
-
-    /// Shared corner kernel: some entry has `s.to <= corner` everywhere,
-    /// its PO values at-least-as-good on the group key, and — when
-    /// `exclude_ties` — is not an exact tie on both parts.
-    fn corner_dominated(
-        &self,
-        domains: &[PoDomain],
-        table: &Table,
-        corner: &[u32],
-        key: &[u32],
-        exclude_ties: bool,
-    ) -> (bool, u64) {
-        let mut examined = 0u64;
-        for (pos, &r) in self.ids.iter().enumerate() {
-            examined += 1;
-            let s_to = self.folded.point(pos);
-            let mut le = true;
-            for (&a, &b) in s_to.iter().zip(corner.iter()) {
-                le &= a <= b;
-            }
-            if !le {
-                continue;
-            }
-            let s_po = table.po(r);
-            if key
-                .iter()
-                .enumerate()
-                .all(|(d, &kv)| domains[d].pref_or_equal(s_po[d], kv))
-                && (!exclude_ties || s_po != key || s_to != corner)
-            {
-                return (true, examined);
-            }
-        }
-        (false, examined)
-    }
-
-    /// Batched subtree check (see [`Dtss::node_dominated`]): the corner
-    /// kernel with the tie exclusion that keeps exact duplicates alive.
-    fn node_dominated(
-        &self,
-        domains: &[PoDomain],
-        table: &Table,
-        corner: &[u32],
-        key: &[u32],
-    ) -> (bool, u64) {
-        self.corner_dominated(domains, table, corner, key, true)
-    }
-
-    /// Batched group-dismissal check: like [`Self::node_dominated`] but
-    /// without the tie exclusion (the paper's root-corner test).
-    fn group_dismissed(
-        &self,
-        domains: &[PoDomain],
-        table: &Table,
-        corner: &[u32],
-        key: &[u32],
-    ) -> (bool, u64) {
-        self.corner_dominated(domains, table, corner, key, false)
-    }
-
-    /// Per-group dominator prefilter ([`DtssConfig::filter_dominators`]):
-    /// positions of skyline entries whose PO values can dominate the group
-    /// `key`, paired with their PO strictness — the input of the
-    /// strictness-precomputed TO kernel. One dominance check per entry.
-    fn filter_dominators(
-        &self,
-        domains: &[PoDomain],
-        table: &Table,
-        key: &[u32],
-        m: &mut Metrics,
-    ) -> Vec<(u32, bool)> {
-        self.ids
-            .iter()
-            .enumerate()
-            .filter_map(|(pos, &r)| {
-                m.dominance_checks += 1;
-                let s_po = table.po(r);
-                let ok = key
-                    .iter()
-                    .enumerate()
-                    .all(|(d, &kv)| domains[d].pref_or_equal(s_po[d], kv));
-                ok.then(|| (pos as u32, s_po != key))
-            })
-            .collect()
-    }
 }
 
 /// Per-query labelings handed to the executor, with the session-cache
@@ -695,13 +495,13 @@ enum DtssPhase<'a> {
     /// Iterating a precomputed local skyline (§V-B).
     Local {
         gi: usize,
-        filtered: Option<Vec<(u32, bool)>>,
+        filtered: Option<KeyBlock<bool>>,
         ix: usize,
     },
     /// Best-first traversal of a group's TO R-tree.
     Tree {
         gi: usize,
-        filtered: Option<Vec<(u32, bool)>>,
+        filtered: Option<KeyBlock<bool>>,
         bf: BestFirst<'a>,
     },
     /// Replaying a digest-cache hit.
@@ -717,9 +517,10 @@ enum DtssPhase<'a> {
 /// fully dynamic (folded) queries.
 ///
 /// Unlike sTSS, the walk needs no duplicate-completion pass: node checks
-/// exclude exact ties, the prefiltered kernel needs strictness, and a
-/// group's dismissal check runs before any of its own members is
-/// confirmed, so no check ever drops an exact copy of a skyline point.
+/// exclude exact ties, prefiltered checks need PO strictness or a TO
+/// difference, and a group's dismissal check runs before any of its own
+/// members is confirmed, so no check ever drops an exact copy of a skyline
+/// point.
 pub struct DtssCursor<'a> {
     dtss: &'a Dtss,
     /// Per-query labelings (owned: possibly cloned out of a session cache).
@@ -730,12 +531,13 @@ pub struct DtssCursor<'a> {
     order_ix: usize,
     start: Instant,
     m: Metrics,
-    /// Working skyline in *folded* coordinates (the dominance space):
-    /// record ids plus a columnar folded-TO block.
-    sky: SkyList,
-    /// Reused buffer for folded candidate coordinates (fully dynamic
-    /// queries fold every popped point; plain queries never touch this).
-    fold_scratch: Vec<u32>,
+    /// Working skyline: record ids plus keys — *folded* TO coordinates (the
+    /// dominance space), then the query's ordinals of the PO values.
+    sky: KeyBlock,
+    /// The key under test, laid out like the skyline's: a popped point's
+    /// folded TO coordinates or a subtree's folded lower corner, then the
+    /// current group's ordinals (written once per group).
+    cand: Vec<u32>,
     groups_skipped: u64,
     phase: DtssPhase<'a>,
     last_sample: ProgressSample,
@@ -748,6 +550,7 @@ impl<'a> DtssCursor<'a> {
         // lint:allow(time-source): Metrics.cpu timing site — cursor wall clock
         let start = Instant::now();
         let to_dims = dtss.table.to_dims();
+        let key_dims = to_dims + dtss.domain_sizes.len();
         let domains = prepared.domains;
         let mut m = Metrics {
             label_cache_hits: prepared.hits,
@@ -785,8 +588,8 @@ impl<'a> DtssCursor<'a> {
             order_ix: 0,
             start,
             m,
-            sky: SkyList::new(to_dims, dtss.table.kernel()),
-            fold_scratch: Vec::new(),
+            sky: KeyBlock::new(key_dims),
+            cand: vec![0; key_dims],
             groups_skipped: 0,
             phase: DtssPhase::NextGroup,
             last_sample: ProgressSample::default(),
@@ -813,8 +616,8 @@ impl<'a> DtssCursor<'a> {
             // lint:allow(time-source): Metrics.cpu timing site — replay-cursor wall clock
             start: Instant::now(),
             m: Metrics::default(),
-            sky: SkyList::new(dtss.table.to_dims(), dtss.table.kernel()),
-            fold_scratch: Vec::new(),
+            sky: KeyBlock::new(0),
+            cand: Vec::new(),
             groups_skipped: 0,
             phase: DtssPhase::Replay(queue),
             last_sample: ProgressSample::default(),
@@ -858,6 +661,81 @@ impl<'a> DtssCursor<'a> {
         };
     }
 
+    /// Writes the TO half of the key under test: `to` itself, or
+    /// `|to − reference|` for fully dynamic queries.
+    fn load_point(&mut self, to: &[u32]) {
+        let head = &mut self.cand[..to.len()];
+        match &self.reference {
+            None => head.copy_from_slice(to),
+            Some(r) => {
+                for ((slot, &a), &b) in head.iter_mut().zip(to).zip(r) {
+                    *slot = a.abs_diff(b);
+                }
+            }
+        }
+    }
+
+    /// Writes the TO half of the key under test for a subtree: the MBB's
+    /// lower corner, folded around the reference for fully dynamic queries.
+    fn load_corner(&mut self, mbb: &Mbb) {
+        let head = &mut self.cand[..mbb.dims()];
+        match &self.reference {
+            None => head.copy_from_slice(mbb.lo()),
+            Some(r) => head.copy_from_slice(&mbb.folded_corner(r)),
+        }
+    }
+
+    /// Point and subtree check of the key under test against the working
+    /// skyline, for a group with PO values `key`. A member prunes a
+    /// subtree iff it t-dominates the corner point, so both are exact
+    /// t-dominance (see [`Table::t_dominated_by_keys`]); in a prefiltered
+    /// group, the TO check of [`KeyBlock::dominated_on_to`]. Strict
+    /// dominance never holds between exact duplicates, so every copy of a
+    /// skyline point is confirmed on its own.
+    fn dominated(&mut self, key: &[u32], filtered: Option<&KeyBlock<bool>>) -> bool {
+        let table = &self.dtss.table;
+        let (hit, examined) = match filtered {
+            Some(f) => f.dominated_on_to(table.kernel(), &self.cand[..table.to_dims()]),
+            None => table.t_dominated_by_keys(&self.domains, &self.cand, key, &self.sky),
+        };
+        self.m.batch(examined);
+        hit
+    }
+
+    /// Confirms the key under test as skyline member `record`; inside a
+    /// prefiltered group it also becomes a same-key entry, which can
+    /// dominate the group's later points via TO.
+    fn emit(&mut self, record: RecordId, filtered: Option<&mut KeyBlock<bool>>) {
+        if let Some(filtered) = filtered {
+            filtered.push(false, &self.cand[..self.dtss.table.to_dims()]);
+        }
+        self.sky.push(record, &self.cand);
+        self.m.results += 1;
+    }
+
+    /// Per-group dominator prefilter ([`DtssConfig::filter_dominators`]):
+    /// the skyline members whose PO values are preferred-or-equal to the
+    /// group `key`, keyed by their folded TO coordinates and tagged with
+    /// their PO strictness. One dominance check per member.
+    fn filter_dominators(&mut self, key: &[u32]) -> KeyBlock<bool> {
+        let table = &self.dtss.table;
+        let to_dims = table.to_dims();
+        self.m.dominance_checks += self.sky.len() as u64;
+        let mut filtered = KeyBlock::new(to_dims);
+        for (r, s_key) in self.sky.iter() {
+            let s_po = table.po(r);
+            let can_dominate = s_po
+                .iter()
+                .zip(key)
+                .zip(&self.domains)
+                .all(|((&s, &k), d)| d.pref_or_equal(s, k));
+            if can_dominate {
+                filtered.push(s_po != key, &s_key[..to_dims]);
+            }
+        }
+        filtered
+    }
+
     /// Sets up the next group: dismissal check, prefilter, and the phase
     /// that will stream its points. Returns the new phase, or `None` when
     /// the group was dismissed.
@@ -865,24 +743,27 @@ impl<'a> DtssCursor<'a> {
         let dtss = self.dtss;
         let group = &dtss.groups[gi];
         let key = &group.key;
-        // Dismissal check against the current skyline.
-        let corner = group.root_corner(self.reference.as_deref());
+        let to_dims = dtss.table.to_dims();
+        for ((slot, &v), d) in self.cand[to_dims..].iter_mut().zip(key).zip(&self.domains) {
+            *slot = d.ordinal(v);
+        }
+        // Dismissal check against the current skyline: a member at least
+        // as good as the root corner, ties included (the paper's
+        // root-corner test).
+        self.load_corner(group.root_mbb());
         let (dominated, examined) =
-            self.sky
-                .group_dismissed(&self.domains, &dtss.table, &corner, key);
+            dtss.table
+                .covered_by_keys(&self.domains, &self.cand, key, &self.sky);
         self.m.batch(examined);
         if dominated {
             self.groups_skipped += 1;
             return None;
         }
 
-        // Optional per-group dominator prefilter: global entries whose PO
-        // values can dominate this key, with their PO strictness. The
-        // surviving positions feed the strictness-precomputed TO kernel.
-        let filtered: Option<Vec<(u32, bool)>> = dtss.cfg.filter_dominators.then(|| {
-            self.sky
-                .filter_dominators(&self.domains, &dtss.table, key, &mut self.m)
-        });
+        let filtered = dtss
+            .cfg
+            .filter_dominators
+            .then(|| self.filter_dominators(key));
 
         // Local skylines are computed under origin-anchored dominance and
         // are invalid for folded queries (§V-B).
@@ -951,16 +832,9 @@ impl SkylineCursor for DtssCursor<'_> {
                         .expect("Local phase requires precomputed skylines");
                     while let Some(&r) = local.get(ix) {
                         ix += 1;
-                        let to = dtss.table.to(r);
-                        if !dtss.point_dominated(
-                            to,
-                            &group.key,
-                            &self.domains,
-                            &self.sky,
-                            filtered.as_deref(),
-                            &mut self.m,
-                        ) {
-                            Dtss::emit(r, to, &mut self.sky, filtered.as_mut(), &mut self.m);
+                        self.load_point(dtss.table.to(r));
+                        if !self.dominated(&group.key, filtered.as_ref()) {
+                            self.emit(r, filtered.as_mut());
                             self.take_sample(0);
                             self.phase = DtssPhase::Local { gi, filtered, ix };
                             return Some(self.yielded(r));
@@ -980,59 +854,15 @@ impl SkylineCursor for DtssCursor<'_> {
                         self.m.heap_pops += 1;
                         match popped {
                             Popped::Node { id, mbb, .. } => {
-                                // Borrow the corner straight off the MBB in
-                                // the common (origin-anchored) case.
-                                let folded_corner;
-                                let corner: &[u32] = match &self.reference {
-                                    None => mbb.lo(),
-                                    Some(r) => {
-                                        folded_corner = mbb.folded_corner(r);
-                                        &folded_corner
-                                    }
-                                };
-                                if !dtss.node_dominated(
-                                    corner,
-                                    key,
-                                    &self.domains,
-                                    &self.sky,
-                                    filtered.as_deref(),
-                                    &mut self.m,
-                                ) {
+                                self.load_corner(mbb);
+                                if !self.dominated(key, filtered.as_ref()) {
                                     bf.expand(id);
                                 }
                             }
                             Popped::Record { point, record, .. } => {
-                                // Fold into the reused scratch; the common
-                                // (origin-anchored) query reads the popped
-                                // slice directly — no per-record rows.
-                                let folded: &[u32] = match &self.reference {
-                                    None => point,
-                                    Some(r) => {
-                                        self.fold_scratch.clear();
-                                        self.fold_scratch.extend(
-                                            point
-                                                .iter()
-                                                .zip(r.iter())
-                                                .map(|(&a, &b)| a.abs_diff(b)),
-                                        );
-                                        &self.fold_scratch
-                                    }
-                                };
-                                if !dtss.point_dominated(
-                                    folded,
-                                    key,
-                                    &self.domains,
-                                    &self.sky,
-                                    filtered.as_deref(),
-                                    &mut self.m,
-                                ) {
-                                    Dtss::emit(
-                                        record,
-                                        folded,
-                                        &mut self.sky,
-                                        filtered.as_mut(),
-                                        &mut self.m,
-                                    );
+                                self.load_point(point);
+                                if !self.dominated(key, filtered.as_ref()) {
+                                    self.emit(record, filtered.as_mut());
                                     self.take_sample(group.tree.io_count());
                                     self.phase = DtssPhase::Tree { gi, filtered, bf };
                                     return Some(self.yielded(record));
@@ -1067,6 +897,7 @@ impl SkylineCursor for DtssCursor<'_> {
 mod tests {
     use super::*;
     use crate::dominance::brute_force_po_skyline;
+    use crate::Kernel;
     use poset::PartialOrderBuilder;
     use proptest::prelude::*;
 
@@ -1297,9 +1128,8 @@ mod tests {
     }
 
     /// Oracle for fully dynamic queries: Pareto dominance on folded TO
-    /// coordinates plus the query partial order.
-    fn folded_oracle(t: &Table, dag: &poset::Dag, reference: &[u32]) -> Vec<u32> {
-        let doms = vec![PoDomain::new(dag.clone())];
+    /// coordinates plus the query partial orders.
+    fn folded_oracle(t: &Table, doms: &[PoDomain], reference: &[u32]) -> Vec<u32> {
         let fold = |row: &[u32]| -> Vec<u32> {
             row.iter()
                 .zip(reference.iter())
@@ -1311,7 +1141,7 @@ mod tests {
                 !(0..t.len()).any(|j| {
                     j != i
                         && crate::dominance::t_dominates(
-                            &doms,
+                            doms,
                             &fold(t.to_row(j)),
                             t.po_row(j),
                             &fold(t.to_row(i)),
@@ -1336,7 +1166,8 @@ mod tests {
                         .unwrap();
                     let mut got = run.skyline_records();
                     got.sort_unstable();
-                    let mut expect = folded_oracle(&fig5_table(), &dag, r);
+                    let doms = [PoDomain::new(dag.clone())];
+                    let mut expect = folded_oracle(&fig5_table(), &doms, r);
                     expect.sort_unstable();
                     assert_eq!(got, expect, "cfg={cfg:?} ref={r:?}");
                     // Reported coordinates are the originals.
@@ -1388,50 +1219,67 @@ mod tests {
     proptest! {
 
         #![proptest_config(ProptestConfig::with_cases(24))]
-        /// dTSS equals the oracle for random tables and random query orders,
-        /// across configurations, plain or fully dynamic around a random
-        /// reference point. Small value ranges make exact duplicates, in
-        /// plain and in folded coordinates, common.
+        /// dTSS equals the oracle for random tables over one or two PO
+        /// attributes and random query orders, under every configuration
+        /// and both kernels, plain and fully dynamic around a random
+        /// reference point; the kernels also agree on the emission order,
+        /// the skipped groups and every counter. Small value ranges make
+        /// exact duplicates, in plain and in folded coordinates, common;
+        /// with two PO attributes a confirmed member's ordinal can exceed
+        /// the candidate's, so the ordinal half of the box is exercised.
         #[test]
         fn equals_oracle(
-            rows in proptest::collection::vec((0u32..10, 0u32..10, 0u32..5), 1..60),
-            edge_mask in 0u32..1024,
-            cfg_ix in 0usize..configs().len(),
-            reference in (proptest::bool::ANY, 0u32..10, 0u32..10)
-                .prop_map(|(some, a, b)| some.then_some([a, b])),
+            rows in proptest::collection::vec((0u32..10, 0u32..10, 0u32..5, 0u32..3), 1..60),
+            po_dims in 1usize..=2,
+            edge_masks in (0u32..1024, 0u32..8),
+            folded_at in (0u32..10, 0u32..10),
         ) {
-            let mut t = Table::new(2, 1);
-            for &(a, b, v) in &rows {
-                t.push(&[a, b], &[v]);
+            let mut t = Table::new(2, po_dims);
+            for &(a, b, v, w) in &rows {
+                t.push(&[a, b], &[v, w][..po_dims]);
             }
-            // Random partial order over 5 values from the mask (forward
-            // edges only -> acyclic).
-            let mut edges = Vec::new();
-            let mut bit = 0;
-            for i in 0..5u32 {
-                for j in (i + 1)..5u32 {
-                    if edge_mask >> bit & 1 == 1 {
-                        edges.push((i, j));
+            // Random partial orders from the masks (forward edges only ->
+            // acyclic): 5 values on the first attribute, 3 on the second.
+            let dag = |size: u32, mask: u32| {
+                let mut edges = Vec::new();
+                let mut bit = 0;
+                for i in 0..size {
+                    for j in (i + 1)..size {
+                        if mask >> bit & 1 == 1 {
+                            edges.push((i, j));
+                        }
+                        bit += 1;
                     }
-                    bit += 1;
+                }
+                poset::Dag::from_edges(size, &edges).unwrap()
+            };
+            let dags = [dag(5, edge_masks.0), dag(3, edge_masks.1)][..po_dims].to_vec();
+            let sizes = [5, 3][..po_dims].to_vec();
+            let doms: Vec<PoDomain> = dags.iter().cloned().map(PoDomain::new).collect();
+            let q = PoQuery::new(dags);
+            for reference in [None, Some([folded_at.0, folded_at.1])] {
+                let mut expect = match &reference {
+                    None => brute_force_po_skyline(&doms, &t),
+                    Some(r) => folded_oracle(&t, &doms, r),
+                };
+                expect.sort_unstable();
+                for cfg in configs() {
+                    let [scalar, lanes] = [Kernel::Scalar, Kernel::Lanes].map(|kernel| {
+                        let dtss = Dtss::build(t.clone().with_kernel(kernel), sizes.clone(), cfg).unwrap();
+                        match &reference {
+                            None => dtss.query(&q).unwrap(),
+                            Some(r) => dtss.query_fully_dynamic(&q, r).unwrap(),
+                        }
+                    });
+                    let case = format!("{cfg:?} reference={reference:?}");
+                    let mut got = scalar.skyline_records();
+                    got.sort_unstable();
+                    prop_assert_eq!(&got, &expect, "{}", case);
+                    prop_assert_eq!(scalar.skyline_records(), lanes.skyline_records(), "{}", case);
+                    prop_assert_eq!(scalar.groups_skipped, lanes.groups_skipped, "{}", case);
+                    prop_assert_eq!(scalar.metrics.counters(), lanes.metrics.counters(), "{}", case);
                 }
             }
-            let dag = poset::Dag::from_edges(5, &edges).unwrap();
-            let mut expect = match &reference {
-                None => brute_force_po_skyline(&[PoDomain::new(dag.clone())], &t),
-                Some(r) => folded_oracle(&t, &dag, r),
-            };
-            expect.sort_unstable();
-            let cfg = configs()[cfg_ix];
-            let dtss = Dtss::build(t, vec![5], cfg).unwrap();
-            let q = PoQuery::new(vec![dag]);
-            let run = match &reference {
-                None => dtss.query(&q).unwrap(),
-                Some(r) => dtss.query_fully_dynamic(&q, r).unwrap(),
-            };
-            let mut got = run.skyline_records();
-            got.sort_unstable();
-            prop_assert_eq!(got, expect);
         }
     }
 }

@@ -24,19 +24,21 @@
 //!
 //! # The confirmed-skyline key block
 //!
-//! sTSS's point and MBB checks and the sharded merge test candidates
-//! against a list of *confirmed* skyline members, which they keep as a
-//! [`KeyBlock`]: the members' record ids plus a dense, dimension-major
-//! [`PointBlock`] of their transformed keys (TO values, then one
-//! topological ordinal per PO attribute — the point sTSS indexes). By the
-//! precedence argument of §IV-A a member can dominate a candidate only if
-//! its key is `<=` the candidate's key on every dimension, so under
-//! [`Kernel::Lanes`] the scan runs **box first, then refine**: one `<=`
-//! mask per [`LANES`] members rules out every member outside the box, and
-//! only the in-box ones, in list order, reach the exact refine (the PO
-//! closure probes). The first member the refine accepts is the list loop's
-//! first dominator, so the verdict and the examined-pair count are the
-//! list loop's, which [`Kernel::Scalar`] still runs as the oracle.
+//! Every engine tests candidates against a list of *confirmed* skyline
+//! members, and sTSS (points and MBBs), the sharded merge and dTSS
+//! (points, subtrees, group dismissal, and the prefiltered forms of the
+//! first two) all keep that list as a [`KeyBlock`]: one tag per member
+//! (its record id) plus a dense, dimension-major [`PointBlock`] of keys
+//! (TO values — folded ones in dTSS — then one topological ordinal per PO
+//! attribute). By the precedence argument of §IV-A a member can dominate a
+//! candidate only if its key is `<=` the candidate's key on every
+//! dimension, so every check is one call, [`KeyBlock::first_match`]: the
+//! box, then the check's exact refine (PO closure probes, interval-set
+//! covers or a strictness flag), in list order. [`Kernel::Scalar`] runs it
+//! as the list loop, the oracle; [`Kernel::Lanes`] tests the box for
+//! [`LANES`] members at a time and refines only the in-box ones. Because
+//! the box is implied by each refine, both stop at the list loop's first
+//! hit and return its examined-pair count.
 //!
 //! `Table` (the facade name the paper-facing API keeps) is an alias of this
 //! type.
@@ -412,16 +414,20 @@ impl PointStore {
         (false, examined)
     }
 
-    /// [`t_dominated_by_any`](Self::t_dominated_by_any) over a confirmed
-    /// [`KeyBlock`], box first: `cand_key` is the candidate's transformed
-    /// key (see [`key_into`](Self::key_into)) and `cand_po` its PO value
+    /// Is the candidate t-dominated by a member of a confirmed
+    /// [`KeyBlock`] whose keys are drawn from this store? `cand_key` is the
+    /// candidate's key (see [`key_into`](Self::key_into); dTSS folds its TO
+    /// values, members and candidate alike) and `cand_po` its PO value
     /// ids. A t-dominator's key is `<=` the candidate's on every dimension
     /// (TO values directly; ordinals because a preferred-or-equal value
-    /// never sorts later), so under [`Kernel::Lanes`] the block's box scan
-    /// skips every out-of-box member and refines the rest in list order
-    /// with the exact [`po_tail`], TO strictness read off the member's TO
-    /// row. [`Kernel::Scalar`] runs the scalar list loop over the block's
-    /// ids. Both return the list loop's `(dominated, pairs_examined)`.
+    /// never sorts later), so [`KeyBlock::first_match`] refines only
+    /// in-box members, with the exact [`po_tail`] and TO strictness read
+    /// off the member's key. Returns the list loop's `(dominated,
+    /// pairs_examined)` under the store's kernel.
+    ///
+    /// This is also dTSS's subtree check: a member prunes a subtree iff it
+    /// t-dominates the corner point (TO corner, group PO values), and that
+    /// strictness is the tie exclusion that keeps exact duplicates alive.
     #[inline]
     pub(crate) fn t_dominated_by_keys(
         &self,
@@ -432,14 +438,38 @@ impl PointStore {
     ) -> (bool, u64) {
         debug_assert_eq!(cand_key.len(), self.to_dims + self.po_dims);
         let cand_to = &cand_key[..self.to_dims];
-        match self.kernel {
-            Kernel::Scalar => {
-                self.t_dominated_by_any_scalar(domains, cand_to, cand_po, block.ids())
-            }
-            Kernel::Lanes => block.first_in_box(cand_key, |r| {
-                po_tail(domains, self.po(r), cand_po, self.to_window(r) != cand_to)
-            }),
-        }
+        block.first_match(self.kernel, cand_key, |r, key| {
+            po_tail(
+                domains,
+                self.po(r),
+                cand_po,
+                key[..self.to_dims] != *cand_to,
+            )
+        })
+    }
+
+    /// The corner check without tie exclusion, dTSS's group dismissal (the
+    /// paper's root-corner test): does some member have a key `<=`
+    /// `corner_key` and PO values preferred-or-equal to `corner_po` on
+    /// every attribute? Preferred-or-equal values never sort later, so the
+    /// refine implies the box. Returns the list loop's `(covered,
+    /// pairs_examined)` under the store's kernel.
+    #[inline]
+    pub(crate) fn covered_by_keys(
+        &self,
+        domains: &[PoDomain],
+        corner_key: &[u32],
+        corner_po: &[u32],
+        block: &KeyBlock,
+    ) -> (bool, u64) {
+        debug_assert_eq!(corner_key.len(), self.to_dims + self.po_dims);
+        block.first_match(self.kernel, corner_key, |r, _| {
+            self.po(r)
+                .iter()
+                .zip(corner_po)
+                .zip(domains)
+                .all(|((&s, &c), d)| d.pref_or_equal(s, c))
+        })
     }
 
     /// Appends record `id`'s **transformed key** to `out`: its TO values,
@@ -726,73 +756,109 @@ impl<'a> ShardView<'a> {
     }
 }
 
-/// Confirmed skyline members in list order — their record ids plus a
-/// dense, dimension-major [`PointBlock`] of their transformed keys (TO
-/// values, then one topological ordinal per PO attribute; see
-/// [`PointStore::key_into`]).
+/// Confirmed skyline members in list order: one tag per member (its
+/// record id; dTSS's dominator prefilter tags its members with their PO
+/// strictness instead) plus a dense, dimension-major [`PointBlock`] of
+/// their keys (for record ids, TO values then one topological ordinal per
+/// PO attribute; see [`PointStore::key_into`]).
 ///
-/// The key block is what the box filter scans: by the precedence argument
-/// of §IV-A, a member can t-dominate a candidate, or cover an MBB, only if
-/// its key is `<=` the candidate's key (the MBB's low corner) on every
-/// dimension. [`first_in_box`](Self::first_in_box) tests that box for
-/// [`LANES`] members at a time and hands only the in-box ones, in list
-/// order, to the caller's exact refine — so the verdict and the
-/// examined-pair count are those of the list loop over
-/// [`ids`](Self::ids), which [`Kernel::Scalar`] callers still run.
+/// Every confirmed-list check is one [`first_match`](Self::first_match)
+/// call: by the precedence argument of §IV-A, a member can t-dominate a
+/// candidate, or cover an MBB, only if its key is `<=` the candidate's key
+/// (the MBB's low corner) on every dimension, so the box filters the list
+/// ahead of each check's exact refine.
 #[derive(Debug, Clone)]
-pub(crate) struct KeyBlock {
-    ids: Vec<RecordId>,
+pub(crate) struct KeyBlock<T = RecordId> {
+    tags: Vec<T>,
     keys: PointBlock,
 }
 
-impl KeyBlock {
+impl<T: Copy> KeyBlock<T> {
     /// An empty block of `dims`-wide keys.
     pub(crate) fn new(dims: usize) -> Self {
         KeyBlock {
-            ids: Vec::new(),
+            tags: Vec::new(),
             keys: PointBlock::new(dims),
         }
     }
 
-    /// Appends member `id` with transformed key `key`.
+    /// Appends a member tagged `tag` with key `key`.
     #[inline]
-    pub(crate) fn push(&mut self, id: RecordId, key: &[u32]) {
-        self.ids.push(id);
+    pub(crate) fn push(&mut self, tag: T, key: &[u32]) {
+        self.tags.push(tag);
         self.keys.push(key);
     }
 
-    /// The members' record ids, in list order.
+    /// Number of members.
     #[inline]
-    pub(crate) fn ids(&self) -> &[RecordId] {
-        &self.ids
+    pub(crate) fn len(&self) -> usize {
+        self.tags.len()
     }
 
     /// True iff the block holds no members.
     #[inline]
     pub(crate) fn is_empty(&self) -> bool {
-        self.ids.is_empty()
+        self.tags.is_empty()
+    }
+
+    /// The members' `(tag, key)` pairs, in list order.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (T, &[u32])> {
+        self.tags.iter().copied().zip(self.keys.iter())
     }
 
     /// The first member, in list order, whose key is `<=` `corner` on
-    /// every dimension and that `refine` accepts. Returns `(hit,
-    /// examined)` with `examined` counted as the list loop counts it: the
-    /// hit's position plus one, or every member on a miss. `refine` must
-    /// accept only in-box members for that to equal the list loop's
-    /// answer.
+    /// every dimension and that `refine(tag, key)` accepts. Returns `(hit,
+    /// examined)` as the list loop counts it: the hit's position plus one,
+    /// or every member on a miss.
+    ///
+    /// [`Kernel::Scalar`] is that list loop, the oracle: the box test,
+    /// then `refine`, member by member. [`Kernel::Lanes`] is
+    /// [`PointBlock::first_in_box`], which tests the box for [`LANES`]
+    /// members at a time and calls `refine` only on the in-box ones, in
+    /// order. A refine that accepts only in-box members, as every
+    /// dominance refine does, gets the same answer from both.
     #[inline]
-    pub(crate) fn first_in_box(
+    pub(crate) fn first_match(
         &self,
+        kernel: Kernel,
         corner: &[u32],
-        mut refine: impl FnMut(RecordId) -> bool,
+        mut refine: impl FnMut(T, &[u32]) -> bool,
     ) -> (bool, u64) {
-        if self.keys.dims() == 0 {
-            // A zero-width box holds every member.
-            return match self.ids.iter().position(|&r| refine(r)) {
-                Some(i) => (true, i as u64 + 1),
-                None => (false, self.ids.len() as u64),
-            };
+        match kernel {
+            Kernel::Scalar => {
+                for (i, (tag, key)) in self.iter().enumerate() {
+                    if key.iter().zip(corner).all(|(k, c)| k <= c) && refine(tag, key) {
+                        return (true, i as u64 + 1);
+                    }
+                }
+                (false, self.len() as u64)
+            }
+            Kernel::Lanes => self
+                .keys
+                .first_in_box(corner, |i| refine(self.tags[i], self.keys.point(i))),
         }
-        self.keys.first_in_box(corner, |i| refine(self.ids[i]))
+    }
+}
+
+impl KeyBlock {
+    /// The members' record ids, in list order.
+    #[inline]
+    pub(crate) fn ids(&self) -> &[RecordId] {
+        &self.tags
+    }
+}
+
+impl KeyBlock<bool> {
+    /// The prefiltered check of dTSS's
+    /// [`filter_dominators`](crate::DtssConfig::filter_dominators): the
+    /// members are the skyline entries whose PO values are
+    /// preferred-or-equal to one group's, keyed by their (folded) TO values
+    /// and tagged with their PO strictness. A member dominates the TO point
+    /// or subtree corner `to` iff its key is `<=` `to` and it is PO-strict
+    /// or its key differs from `to`.
+    #[inline]
+    pub(crate) fn dominated_on_to(&self, kernel: Kernel, to: &[u32]) -> (bool, u64) {
+        self.first_match(kernel, to, |strict, key| strict || key != to)
     }
 }
 
@@ -1143,24 +1209,53 @@ pub(crate) mod tests {
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
-        /// The key-block scan, in point form, returns the scalar list
-        /// scan's `(hit, examined)` under both kernels, on every shape and
-        /// list length.
+        /// Every form of the key-block check returns, under both kernels,
+        /// the `(hit, examined)` of a plain list loop over its exact
+        /// predicate, on every shape and list length: the point form
+        /// (t-dominance), dTSS's corner forms with tie exclusion (the
+        /// subtree check, which is t-dominance of the corner) and without
+        /// it (group dismissal), and dTSS's prefiltered TO block with
+        /// PO-strictness flags.
         #[test]
         fn box_scan_point_form_matches_the_scalar_list_scan(seed in 0u64..1 << 20) {
             for (to_dims, po_dims, max_to) in BOX_SCAN_SHAPES {
                 for n in BOX_SCAN_LENGTHS {
                     let (store, doms, block, key, po) =
                         box_scan_case(to_dims, po_dims, n, seed, max_to);
-                    let expect =
-                        store.t_dominated_by_any_oracle(&doms, &key[..to_dims], &po, block.ids());
+                    let to = &key[..to_dims];
+                    let first = |hits: Vec<bool>| match hits.iter().position(|&h| h) {
+                        Some(i) => (true, i as u64 + 1),
+                        None => (false, hits.len() as u64),
+                    };
+                    let le = |s: &[u32]| s.iter().zip(to).all(|(s, c)| s <= c);
+                    let pref_or_equal = |r: RecordId| {
+                        store.po(r).iter().zip(&po).zip(&doms).all(|((&s, &c), d)| d.pref_or_equal(s, c))
+                    };
+                    let corner = |ties: bool| {
+                        first(block.ids().iter().map(|&r| {
+                            le(store.to(r))
+                                && pref_or_equal(r)
+                                && (ties || store.po(r) != po.as_slice() || store.to(r) != to)
+                        }).collect())
+                    };
+                    let point = store.t_dominated_by_any_oracle(&doms, to, &po, block.ids());
+                    prop_assert_eq!(corner(false), point);
+                    let covered = corner(true);
+                    let mut entries = Vec::new();
+                    let mut filtered = KeyBlock::new(to_dims);
+                    for &r in block.ids().iter().filter(|&&r| pref_or_equal(r)) {
+                        let strict = store.po(r) != po.as_slice();
+                        entries.push((strict, store.to(r)));
+                        filtered.push(strict, store.to(r));
+                    }
+                    let prefiltered =
+                        first(entries.iter().map(|&(strict, s)| le(s) && (strict || s != to)).collect());
                     for kernel in [Kernel::Scalar, Kernel::Lanes] {
                         let store = store.clone().with_kernel(kernel);
-                        prop_assert_eq!(
-                            store.t_dominated_by_keys(&doms, &key, &po, &block),
-                            expect,
-                            "{:?} dims=({},{}) max_to={} n={}", kernel, to_dims, po_dims, max_to, n
-                        );
+                        let case = format!("{kernel:?} dims=({to_dims},{po_dims}) max_to={max_to} n={n}");
+                        prop_assert_eq!(store.t_dominated_by_keys(&doms, &key, &po, &block), point, "{}", case);
+                        prop_assert_eq!(store.covered_by_keys(&doms, &key, &po, &block), covered, "{}", case);
+                        prop_assert_eq!(filtered.dominated_on_to(kernel, to), prefiltered, "{}", case);
                     }
                 }
             }

@@ -18,14 +18,15 @@
 //! probes). A popped MBB is compared the same way against its low corner;
 //! only in-box members reach the interval-set cover test of the MBB's
 //! ordinal runs, and the run sets are built only once some member is in
-//! the box. The paper's list loops stay as the [`Kernel::Scalar`] oracle;
-//! both kernels find the same first dominator after the same number of
-//! examined members.
+//! the box. Both checks are one [`KeyBlock::first_match`] call, which
+//! under [`Kernel::Scalar`](crate::Kernel::Scalar) is the list loop, the
+//! oracle; both kernels find the same first dominator after the same
+//! number of examined members.
 
 use crate::cursor::{SkylineCursor, SkylineEngine};
 use crate::progressive::{ProgressLog, ProgressSample};
-use crate::store::{KeyBlock, RecordId};
-use crate::{CoreError, Kernel, Metrics, PoDomain, Table};
+use crate::store::KeyBlock;
+use crate::{CoreError, Metrics, PoDomain, Table};
 use poset::{Dag, FullRangeIndex, IntervalSet};
 use rtree::{BestFirst, Mbb, PageConfig, Popped, RTree};
 use std::collections::{HashMap, VecDeque};
@@ -314,8 +315,8 @@ struct StssChecks<'a> {
 
 impl StssChecks<'_> {
     /// Is the candidate (transformed key `key`, PO value ids `po`)
-    /// t-dominated by the current skyline? Box first under
-    /// [`Kernel::Lanes`]; see [`PointStore::t_dominated_by_keys`].
+    /// t-dominated by the current skyline? See
+    /// [`PointStore::t_dominated_by_keys`].
     fn point_dominated(
         &self,
         key: &[u32],
@@ -355,42 +356,20 @@ impl StssChecks<'_> {
     /// one skyline point must be at least as good on every TO dim and
     /// cover every run on every PO dim (§IV-A step 7).
     ///
-    /// Under [`Kernel::Lanes`] the skyline's key block is box-scanned
-    /// against the MBB's low corner first. That is sound: a point that
-    /// covers the runs of the ordinal range `[lo, hi]` covers the value at
-    /// ordinal `lo`, so it is preferred-or-equal to that value and its own
-    /// ordinal is `<= lo`. The run sets are built only once some member is
-    /// in the box. [`Kernel::Scalar`] keeps the list loop as the oracle.
+    /// The skyline's key block is checked against the MBB's low corner as
+    /// the box. That is sound: a point that covers the runs of the ordinal
+    /// range `[lo, hi]` covers the value at ordinal `lo`, so it is
+    /// preferred-or-equal to that value and its own ordinal is `<= lo`. The
+    /// run sets are built only once some member is in the box.
     fn mbb_dominated(&self, mbb: &Mbb, skyline: &KeyBlock, m: &mut Metrics) -> bool {
-        if skyline.is_empty() {
-            return false;
-        }
-        let covers = |r: RecordId, runs: &[IntervalSet]| {
+        let mut runs: Option<Vec<IntervalSet>> = None;
+        let (hit, examined) = skyline.first_match(self.table.kernel(), mbb.lo(), |r, _| {
             let s_po = self.table.po(r);
-            runs.iter()
+            runs.get_or_insert_with(|| self.run_sets(mbb))
+                .iter()
                 .enumerate()
                 .all(|(d, runs)| self.domains[d].intervals(s_po[d]).covers_set(runs))
-        };
-        let (hit, examined) = match self.table.kernel() {
-            Kernel::Scalar => {
-                let runs = self.run_sets(mbb);
-                let to_min = &mbb.lo()[..self.table.to_dims()];
-                let ids = skyline.ids();
-                match ids.iter().position(|&r| {
-                    let s_to = self.table.to(r);
-                    s_to.iter().zip(to_min).all(|(sv, mv)| sv <= mv) && covers(r, &runs)
-                }) {
-                    Some(i) => (true, i as u64 + 1),
-                    None => (false, ids.len() as u64),
-                }
-            }
-            Kernel::Lanes => {
-                let mut runs = None;
-                skyline.first_in_box(mbb.lo(), |r| {
-                    covers(r, runs.get_or_insert_with(|| self.run_sets(mbb)))
-                })
-            }
-        };
+        });
         m.dominance_checks += examined;
         hit
     }
@@ -575,6 +554,8 @@ impl SkylineCursor for StssCursor<'_> {
 mod tests {
     use super::*;
     use crate::dominance::brute_force_po_skyline;
+    use crate::store::RecordId;
+    use crate::Kernel;
     use poset::Dag;
     use proptest::prelude::*;
     use rand::rngs::StdRng;
@@ -856,10 +837,11 @@ mod tests {
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
-        /// The key-block scan in MBB-corner form (box at the MBB's low
-        /// corner, `covers_set` refine) prunes exactly when the scalar list
-        /// loop does, after the same number of examined members, on every
-        /// shape and list length of the point-form test.
+        /// The MBB check (box at the MBB's low corner, `covers_set` refine)
+        /// prunes, under both kernels, exactly when a plain list loop over
+        /// the paper's predicate (TO values `<=` the corner, every run
+        /// covered) does, after the same number of examined members, on
+        /// every shape and list length of the point-form test.
         #[test]
         fn box_scan_mbb_form_matches_the_scalar_list_scan(seed in 0u64..1 << 20) {
             use crate::store::tests::{box_scan_case, BOX_SCAN_LENGTHS, BOX_SCAN_SHAPES};
@@ -884,23 +866,35 @@ mod tests {
                     let mbb = Mbb::new(lo, hi);
                     for range_strategy in [RangeStrategy::Naive, RangeStrategy::Dyadic] {
                         let cfg = StssConfig { range_strategy, ..Default::default() };
-                        let verdict = |kernel| {
-                            let table = store.clone().with_kernel(kernel);
-                            let checks = StssChecks {
-                                table: &table,
-                                domains: &doms,
-                                cfg,
-                                full_ranges: None,
-                            };
-                            let mut m = Metrics::default();
-                            let hit = checks.mbb_dominated(&mbb, &block, &mut m);
-                            (hit, m.dominance_checks)
+                        let checks = |table| StssChecks {
+                            table,
+                            domains: &doms,
+                            cfg,
+                            full_ranges: None,
                         };
-                        prop_assert_eq!(
-                            verdict(Kernel::Lanes),
-                            verdict(Kernel::Scalar),
-                            "dims=({},{}) max_to={} n={} {:?}", to_dims, po_dims, max_to, n, range_strategy
-                        );
+                        let tables = [Kernel::Scalar, Kernel::Lanes]
+                            .map(|kernel| store.clone().with_kernel(kernel));
+                        let runs = checks(&store).run_sets(&mbb);
+                        let prunes = |r: RecordId| {
+                            store.to(r).iter().zip(mbb.lo()).all(|(s, c)| s <= c)
+                                && runs.iter().enumerate().all(|(d, runs)| {
+                                    doms[d].intervals(store.po(r)[d]).covers_set(runs)
+                                })
+                        };
+                        let expect = match block.ids().iter().position(|&r| prunes(r)) {
+                            Some(i) => (true, i as u64 + 1),
+                            None => (false, n as u64),
+                        };
+                        for table in &tables {
+                            let mut m = Metrics::default();
+                            let hit = checks(table).mbb_dominated(&mbb, &block, &mut m);
+                            prop_assert_eq!(
+                                (hit, m.dominance_checks),
+                                expect,
+                                "{:?} dims=({},{}) max_to={} n={} {:?}",
+                                table.kernel(), to_dims, po_dims, max_to, n, range_strategy
+                            );
+                        }
                     }
                 }
             }

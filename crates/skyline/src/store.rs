@@ -29,15 +29,11 @@
 //! contiguous. Tail lanes past `len` are padded with `u32::MAX`, which can
 //! tie a candidate on every dimension but never beat it strictly — a pad
 //! lane's `lt` mask is always zero, so pads can never report dominance.
-//! The id-gather kernel (the strictness variant) transposes each group of
-//! [`LANES`] listed rows into a stack scratch instead (ids are arbitrary,
-//! so no mirror window applies).
 //!
 //! One scan exists in lane form only: [`PointBlock::first_in_box`], the
 //! box-then-refine filter over the mirror, which hands the in-box rows to
 //! a caller's exact test in record order. Its oracle is the caller's own
-//! list loop, which `tss_core`'s skyline checks keep under
-//! [`Kernel::Scalar`].
+//! list loop: `tss_core`'s key block runs it under [`Kernel::Scalar`].
 //!
 //! Counting convention: every kernel returns `(answer, pairs_examined)`.
 //! One *examined pair* is exactly one scalar dominance check of the seed
@@ -53,11 +49,6 @@ use std::sync::OnceLock;
 /// one 256-bit vector register (AVX2) and two 128-bit ones (SSE/NEON), the
 /// widths stable rustc reliably autovectorizes the accumulator loops to.
 pub const LANES: usize = 8;
-
-/// Widest stride the id-gather lane kernel transposes through its stack
-/// scratch; wider blocks take the scalar path (the workloads in this repo
-/// top out at 16 attributes).
-const LANE_MAX_DIMS: usize = 16;
 
 /// Which dominance-kernel variant a [`PointBlock`] (or
 /// `tss_core::PointStore`) dispatches to. Both variants are byte-identical
@@ -105,11 +96,14 @@ impl Default for Kernel {
 /// the coordinates of point `i`. Zero per-point allocations; `O(1)` slice
 /// access by record id. Alongside the row-major matrix the block maintains
 /// the dimension-major mirror the lane-chunked kernels scan (see the
-/// module docs); equality compares the logical contents only (`dims` +
-/// row-major data), not the mirror or the configured [`Kernel`].
+/// module docs); equality compares the logical contents only (`dims`, the
+/// point count and the row-major data), not the mirror or the configured
+/// [`Kernel`]. The point count is kept explicitly, so a zero-width block
+/// (`dims == 0`, no coordinates at all) still counts its points.
 #[derive(Debug, Clone, Default)]
 pub struct PointBlock {
     dims: usize,
+    len: usize,
     data: Vec<u32>,
     /// Dimension-major mirror: `soa[(chunk*dims + d)*LANES + lane]` =
     /// coordinate `d` of point `chunk*LANES + lane`; tail lanes hold
@@ -120,7 +114,7 @@ pub struct PointBlock {
 
 impl PartialEq for PointBlock {
     fn eq(&self, other: &Self) -> bool {
-        self.dims == other.dims && self.data == other.data
+        self.dims == other.dims && self.len == other.len && self.data == other.data
     }
 }
 
@@ -146,6 +140,7 @@ impl PointBlock {
     pub fn new(dims: usize) -> Self {
         PointBlock {
             dims,
+            len: 0,
             data: Vec::new(),
             soa: Vec::new(),
             kernel: Kernel::default(),
@@ -156,6 +151,7 @@ impl PointBlock {
     pub fn with_capacity(dims: usize, points: usize) -> Self {
         PointBlock {
             dims,
+            len: 0,
             data: Vec::with_capacity(dims * points),
             soa: Vec::with_capacity(points.div_ceil(LANES) * LANES * dims),
             kernel: Kernel::default(),
@@ -169,6 +165,7 @@ impl PointBlock {
         assert_eq!(data.len() % dims, 0, "flat data must be a whole matrix");
         let mut b = PointBlock {
             dims,
+            len: data.len() / dims,
             data,
             soa: Vec::new(),
             kernel: Kernel::default(),
@@ -209,13 +206,13 @@ impl PointBlock {
     /// Number of points.
     #[inline]
     pub fn len(&self) -> usize {
-        self.data.len() / self.dims
+        self.len
     }
 
     /// True iff the block holds no points.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.data.is_empty()
+        self.len == 0
     }
 
     /// Point dimensionality (the stride).
@@ -230,24 +227,13 @@ impl PointBlock {
         &self.data[i * self.dims..(i + 1) * self.dims]
     }
 
-    /// One bounds check per row instead of two: split the flat matrix at
-    /// the row start, then take the stride window off the tail.
-    #[inline]
-    fn row(&self, id: u32) -> &[u32] {
-        let (_, tail) = self.data.split_at(id as usize * self.dims);
-        &tail[..self.dims]
-    }
-
     /// Appends one point.
     #[inline]
     pub fn push(&mut self, coords: &[u32]) {
         assert_eq!(coords.len(), self.dims, "point width");
         self.data.extend_from_slice(coords);
-        if self.dims == 0 {
-            return;
-        }
-        let i = self.len() - 1;
-        let (chunk, lane) = (i / LANES, i % LANES);
+        let (chunk, lane) = (self.len / LANES, self.len % LANES);
+        self.len += 1;
         if lane == 0 {
             // New chunk: open it fully padded, then fill lane 0.
             self.soa
@@ -260,6 +246,7 @@ impl PointBlock {
 
     /// Removes all points, keeping the allocations.
     pub fn clear(&mut self) {
+        self.len = 0;
         self.data.clear();
         self.soa.clear();
     }
@@ -268,13 +255,14 @@ impl PointBlock {
     pub fn append(&mut self, other: &mut PointBlock) {
         assert_eq!(self.dims, other.dims, "stride mismatch");
         self.data.append(&mut other.data);
+        self.len += std::mem::take(&mut other.len);
         other.soa.clear();
         self.rebuild_soa();
     }
 
     /// Iterates over the points in record order.
     pub fn iter(&self) -> impl Iterator<Item = &[u32]> {
-        self.data.chunks_exact(self.dims)
+        (0..self.len).map(|i| self.point(i))
     }
 
     /// The whole flat coordinate matrix (row-major).
@@ -306,6 +294,7 @@ impl PointBlock {
             }
         }
         ids.truncate(write);
+        self.len = write;
         self.data.truncate(write * dims);
         self.rebuild_soa();
     }
@@ -318,7 +307,7 @@ impl PointBlock {
             self.soa.clear();
             return;
         }
-        let n = self.len();
+        let n = self.len;
         self.soa.clear();
         self.soa.resize(n.div_ceil(LANES) * dims * LANES, u32::MAX);
         for (i, row) in self.data.chunks_exact(dims).enumerate() {
@@ -409,7 +398,9 @@ impl PointBlock {
     /// columns, then walks the in-box lanes in order through the mask's
     /// trailing zeros. Pad lanes (`u32::MAX` everywhere) can pass the box
     /// when `corner` is `u32::MAX` everywhere, so the last chunk's mask is
-    /// cut at `len()` and `refine` never sees a position past it.
+    /// cut at `len()` and `refine` never sees a position past it. A
+    /// zero-width block has no columns, so every one of its points is in
+    /// the (empty) box.
     #[inline]
     pub fn first_in_box(
         &self,
@@ -417,8 +408,10 @@ impl PointBlock {
         mut refine: impl FnMut(usize) -> bool,
     ) -> (bool, u64) {
         debug_assert_eq!(corner.len(), self.dims);
-        let n = self.len();
-        for (chunk_no, chunk) in self.soa.chunks_exact(self.dims * LANES).enumerate() {
+        let n = self.len;
+        let stride = self.dims * LANES;
+        for chunk_no in 0..n.div_ceil(LANES) {
+            let chunk = &self.soa[chunk_no * stride..][..stride];
             let mut le = [1u32; LANES];
             for (col, &cd) in chunk.chunks_exact(LANES).zip(corner.iter()) {
                 for l in 0..LANES {
@@ -455,109 +448,6 @@ impl PointBlock {
     #[inline]
     pub fn corner_pruned(&self, corner: &[u32]) -> (bool, u64) {
         self.dominated(corner)
-    }
-
-    /// The strictness-precomputed variant for same-key groups: each entry
-    /// is `(point index, strict_elsewhere)`, where `strict_elsewhere`
-    /// records that the entry already beats the candidate strictly on some
-    /// dimension *outside* this block (e.g. a partially ordered attribute
-    /// shared group-wide). The entry then dominates iff its coordinates are
-    /// `<=` the candidate everywhere and, when not strict elsewhere, differ
-    /// from it somewhere — and "differs under `<=` everywhere" is "strictly
-    /// smaller somewhere", so one fused `le`/`lt` pass decides each pair.
-    #[inline]
-    pub fn dominated_with_strictness(&self, entries: &[(u32, bool)], cand: &[u32]) -> (bool, u64) {
-        debug_assert_eq!(cand.len(), self.dims);
-        match self.kernel {
-            Kernel::Scalar => self.dominated_with_strictness_scalar(entries, cand),
-            Kernel::Lanes => self.dominated_with_strictness_lanes(entries, cand),
-        }
-    }
-
-    fn dominated_with_strictness_scalar(
-        &self,
-        entries: &[(u32, bool)],
-        cand: &[u32],
-    ) -> (bool, u64) {
-        let mut examined = 0u64;
-        for &(id, strict) in entries {
-            examined += 1;
-            let mut le = true;
-            let mut lt = false;
-            for (&a, &b) in self.row(id).iter().zip(cand.iter()) {
-                le &= a <= b;
-                lt |= a < b;
-            }
-            if le && (strict || lt) {
-                return (true, examined);
-            }
-        }
-        (false, examined)
-    }
-
-    /// Id-gather lane kernel: each group of [`LANES`] listed rows is
-    /// transposed into a dimension-major stack scratch (one row slice per
-    /// id), then compared with the same mask loop as the full-block scan;
-    /// the sub-[`LANES`] tail runs scalar.
-    fn dominated_with_strictness_lanes(
-        &self,
-        entries: &[(u32, bool)],
-        cand: &[u32],
-    ) -> (bool, u64) {
-        let dims = self.dims;
-        if dims > LANE_MAX_DIMS {
-            return self.dominated_with_strictness_scalar(entries, cand);
-        }
-        let mut scratch = [0u32; LANES * LANE_MAX_DIMS];
-        let mut examined = 0u64;
-        let groups = entries.chunks_exact(LANES);
-        let tail = groups.remainder();
-        for group in groups {
-            let mut strict = [0u32; LANES];
-            for (l, &(id, s)) in group.iter().enumerate() {
-                strict[l] = s as u32;
-                let row = self.row(id);
-                for d in 0..dims {
-                    scratch[d * LANES + l] = row[d];
-                }
-            }
-            let mut le = [1u32; LANES];
-            let mut lt = [0u32; LANES];
-            for (col, &cd) in scratch[..dims * LANES].chunks_exact(LANES).zip(cand.iter()) {
-                for l in 0..LANES {
-                    le[l] &= (col[l] <= cd) as u32;
-                    lt[l] |= (col[l] < cd) as u32;
-                }
-                if dims > 4 && le.iter().fold(0u32, |a, &x| a | x) == 0 {
-                    break;
-                }
-            }
-            let mut any = 0u32;
-            for l in 0..LANES {
-                any |= le[l] & (strict[l] | lt[l]);
-            }
-            if any != 0 {
-                for l in 0..LANES {
-                    if le[l] & (strict[l] | lt[l]) != 0 {
-                        return (true, examined + l as u64 + 1);
-                    }
-                }
-            }
-            examined += LANES as u64;
-        }
-        for &(id, strict) in tail {
-            examined += 1;
-            let mut le = true;
-            let mut lt = false;
-            for (&a, &b) in self.row(id).iter().zip(cand.iter()) {
-                le &= a <= b;
-                lt |= a < b;
-            }
-            if le && (strict || lt) {
-                return (true, examined);
-            }
-        }
-        (false, examined)
     }
 }
 
@@ -639,20 +529,6 @@ mod tests {
     }
 
     #[test]
-    fn strictness_variant_matches_semantics() {
-        for kernel in [Kernel::Scalar, Kernel::Lanes] {
-            let b = PointBlock::from_rows(&[vec![2, 2], vec![4, 4]]).with_kernel(kernel);
-            // Equal coordinates dominate only when strict elsewhere.
-            assert!(!b.dominated_with_strictness(&[(0, false)], &[2, 2]).0);
-            assert!(b.dominated_with_strictness(&[(0, true)], &[2, 2]).0);
-            // Strictly better coordinates dominate either way.
-            assert!(b.dominated_with_strictness(&[(0, false)], &[3, 3]).0);
-            // Worse coordinates never do.
-            assert!(!b.dominated_with_strictness(&[(1, true)], &[3, 3]).0);
-        }
-    }
-
-    #[test]
     fn pad_lanes_never_dominate_a_max_candidate() {
         // A candidate at u32::MAX everywhere ties the tail pads on every
         // dimension; the pads must still not count as dominators (le
@@ -679,6 +555,40 @@ mod tests {
         });
         assert_eq!(got, (false, LANES as u64 + 3));
         assert_eq!(seen, (0..LANES + 3).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn zero_width_blocks_count_their_points() {
+        // No coordinates at all: the point count must not be derived from
+        // the (empty) matrix, and every point lies in the empty box.
+        for mut b in [PointBlock::new(0), PointBlock::from_rows(&[vec![]])] {
+            let pushed = b.len();
+            for _ in 0..(LANES + 3 - pushed) {
+                b.push(&[]);
+            }
+            assert!(!b.is_empty());
+            assert_eq!(b.len(), LANES + 3);
+            assert_eq!(b.iter().count(), LANES + 3);
+            assert!(b.iter().all(<[u32]>::is_empty));
+            let mut seen = Vec::new();
+            let got = b.first_in_box(&[], |i| {
+                seen.push(i);
+                false
+            });
+            assert_eq!(got, (false, LANES as u64 + 3));
+            assert_eq!(seen, (0..LANES + 3).collect::<Vec<_>>());
+            assert_eq!(
+                b.first_in_box(&[], |i| i == LANES + 1),
+                (true, LANES as u64 + 2)
+            );
+            let mut ids: Vec<u32> = (0..b.len() as u32).collect();
+            b.retain_with_ids(&mut ids, |id, _| id % 2 == 0);
+            assert_eq!(b.len(), ids.len());
+            b.clear();
+            assert!(b.is_empty());
+            assert_eq!(b.first_in_box(&[], |_| true), (false, 0));
+        }
+        assert_ne!(PointBlock::from_rows(&[vec![]]), PointBlock::new(0));
     }
 
     #[test]
@@ -750,17 +660,6 @@ mod tests {
             // corner_pruned ≡ (and ≡ dominated by the fused identity).
             prop_assert_eq!(lanes.corner_pruned(&cand), scalar.corner_pruned(&cand));
             prop_assert_eq!(scalar.corner_pruned(&cand), (s_hit, s_ex));
-
-            // dominated_with_strictness over a permuted id list with mixed
-            // strict flags.
-            let mut ids: Vec<u32> = (0..n as u32).collect();
-            ids.rotate_left(seed as usize % n);
-            let entries: Vec<(u32, bool)> =
-                ids.iter().map(|&id| (id, id % 3 == 0)).collect();
-            prop_assert_eq!(
-                lanes.dominated_with_strictness(&entries, &cand),
-                scalar.dominated_with_strictness(&entries, &cand)
-            );
 
             // first_in_box ≡ a list loop whose exact test implies the box:
             // same first hit, same examined count, and refine sees only
