@@ -3,8 +3,7 @@
 //!
 //! The candidate is the all-zero point, which nothing with positive
 //! coordinates can dominate, so every call scans the whole block — the
-//! worst case the lane kernel exists for and the same regime
-//! `pair_check_picos` calibrates. Both variants run in a single thread on
+//! worst case the lane kernel exists for. Both variants run in a single thread on
 //! the same [`PointBlock`] via the per-instance kernel override, so the
 //! ratio is pure kernel shape (AoS row walk vs SoA `[u32; 8]` chunks),
 //! not data or scheduling.
@@ -15,7 +14,7 @@ use criterion::{criterion_main, Criterion};
 use skyline::{Kernel, PointBlock};
 use std::hint::black_box;
 
-/// Fixed-seed coordinate stream (same LCG as the harness calibration).
+/// Fixed-seed coordinate stream (a 64-bit LCG).
 fn fill(block: &mut PointBlock, dims: usize, n: usize) {
     let mut state = 0x9e37_79b9_7f4a_7c15u64;
     let mut coords = vec![0u32; dims];

@@ -432,16 +432,16 @@ fn smoke() {
 /// plan per workload, so all rows but `wall_ns` are asserted identical
 /// across counts). The shard plan comes from the `BENCH_SHARDS`
 /// environment variable — set it for a fixed count, leave it unset for
-/// the adaptive sampling planner; either way the first worker count is
-/// cross-checked byte-for-byte against the other plan while measuring.
-/// The committed `BENCH_PR5.json` is a full-grid `--threads 1,2,4`
-/// adaptive run of this subcommand (`BENCH_PR4.json` its fixed-8-shard,
-/// all-pairs-merge predecessor); `BENCH_PR7.json` is the same grid under
-/// the lane-chunked kernels and the cost-model planner, with the kernel
-/// variant, per-pair-check calibration, and planner estimates recorded in
-/// every row (machine caveats stay machine-checkable: rows with
-/// `available_parallelism: 1` prove determinism, not speedup, and
-/// `pair_check_picos` pins the measuring CPU's kernel speed).
+/// one shard per available core, capped at 8; either way the first
+/// worker count is cross-checked byte-for-byte against the other plan
+/// while measuring.
+/// The committed `BENCH_PR5.json` and `BENCH_PR7.json` are full-grid
+/// `--threads 1,2,4` runs of this subcommand under the sampling planner
+/// this repository used to ship (`BENCH_PR4.json` is their fixed-8-shard,
+/// all-pairs-merge predecessor); they record that planner's estimates
+/// and a per-pair-check calibration that rows no longer carry (machine
+/// caveats stay machine-checkable: rows with `available_parallelism: 1`
+/// prove determinism, not speedup).
 fn bench_json(args: &[String]) {
     let mut smoke = false;
     let mut stream = false;

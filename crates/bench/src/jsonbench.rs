@@ -7,18 +7,18 @@
 //! `{algo, workload, threads, shards, wall_ns, metrics}`. Serial rows
 //! (`threads = 0`) are the same measurement as `BENCH_PR3.json`, so the
 //! trajectory stays comparable across PRs; a `--threads` axis re-runs the
-//! grid through the sharded parallel executors ([`BENCH_SHARDS`] fixed
-//! shards, `N` workers) and emits one row set per worker count. Everything
-//! except `wall_ns` is asserted identical across worker counts while the
-//! grid is built — the determinism contract of `tss_core::parallel`,
-//! enforced at measurement time. `--smoke` shrinks every cardinality so CI
-//! can do the same in seconds.
+//! grid through the sharded parallel executors (a fixed `BENCH_SHARDS`
+//! count or one shard per core, `N` workers) and emits one row set per
+//! worker count. Everything except `wall_ns` is asserted identical across
+//! worker counts while the grid is built — the determinism contract of
+//! `tss_core::parallel`, enforced at measurement time. `--smoke` shrinks
+//! every cardinality so CI can do the same in seconds.
 
 use crate::ipcbench::{bench_executor, ExecutorChoice};
 use crate::runner::{
-    bench_budget, generate, pair_check_picos, run_dtss, run_dtss_sharded, run_dynamic_sdc,
-    run_dynamic_sdc_sharded, run_sdc_plus, run_sdc_plus_sharded, run_stss, run_stss_sharded,
-    AlgoResult, Workload, BENCH_SHARDS,
+    bench_budget, generate, run_dtss, run_dtss_sharded, run_dynamic_sdc, run_dynamic_sdc_sharded,
+    run_sdc_plus, run_sdc_plus_sharded, run_stss, run_stss_sharded, AlgoResult, Workload,
+    BENCH_SHARDS,
 };
 use datagen::{Distribution, ExperimentParams};
 use tss_core::{DtssConfig, FaultPlan, Kernel, Metrics, ShardSpec, StssConfig};
@@ -45,26 +45,17 @@ pub struct BenchRow {
     /// Shard count the parallel executor actually ran with (the resolved
     /// plan); `0` for serial rows.
     pub shards: usize,
-    /// True iff `shards` came from the adaptive sampling planner rather
-    /// than a fixed `BENCH_SHARDS` count.
+    /// True iff `shards` came from [`ShardSpec::Adaptive`] (one shard per
+    /// worker, capped at [`BENCH_SHARDS`]) rather than a fixed
+    /// `BENCH_SHARDS` count.
     pub adaptive: bool,
     /// Dominance-kernel variant the whole row ran under (`"lanes"` unless
     /// `TSS_KERNEL=scalar` forced the oracle path). Reporting metadata:
     /// every counter in the row is variant-invariant by contract.
     pub kernel: &'static str,
-    /// Measured per-pair-check cost of the active kernel in picoseconds
-    /// ([`pair_check_picos`]) — turns the planner's pair-check estimates
-    /// into time. Machine-dependent, dropped by the CI row diffs.
-    pub pair_check_picos: u64,
-    /// Worker count the cost-model planner costed under (0 for serial and
+    /// Worker count the adaptive plan was sized for (0 for serial and
     /// fixed-plan rows).
     pub plan_workers: usize,
-    /// Planner estimate of run-phase pair checks (0 for serial and
-    /// fixed-plan rows).
-    pub est_run_checks: u64,
-    /// Planner estimate of serial merge pair checks (0 for serial and
-    /// fixed-plan rows).
-    pub est_merge_checks: u64,
     /// Executor the sharded run evaluated its shards through:
     /// `"inproc"` (scoped threads) or `"subprocess"` (the supervised
     /// worker-process pool behind `TSS_EXECUTOR=subprocess`). Serial rows
@@ -115,10 +106,7 @@ impl BenchRow {
             shards: r.plan.map_or(0, |p| p.shards),
             adaptive: r.plan.is_some_and(|p| p.adaptive),
             kernel: Kernel::active().name(),
-            pair_check_picos: pair_check_picos(),
             plan_workers: r.plan.map_or(0, |p| p.workers),
-            est_run_checks: r.plan.map_or(0, |p| p.est_run_checks),
-            est_merge_checks: r.plan.map_or(0, |p| p.est_merge_checks),
             executor: choice.name(),
             workers: match choice {
                 ExecutorChoice::Subprocess => threads,
@@ -198,11 +186,7 @@ fn assert_invariant(a: &BenchRow, ra: &AlgoResult, b: &BenchRow, rb: &AlgoResult
     assert_counters_identical(&label, &a.metrics, &b.metrics);
     assert_eq!(a.shards, b.shards, "plans are deterministic per workload");
     assert_eq!(a.adaptive, b.adaptive);
-    assert_eq!(
-        (a.plan_workers, a.est_run_checks, a.est_merge_checks),
-        (b.plan_workers, b.est_run_checks, b.est_merge_checks),
-        "the cost model is a pure function of (store, max, workers)"
-    );
+    assert_eq!(a.plan_workers, b.plan_workers);
 }
 
 /// Re-runs one workload's primary engines under both dominance-kernel
@@ -496,8 +480,7 @@ pub fn to_json(rows: &[BenchRow]) -> String {
     for (i, r) in rows.iter().enumerate() {
         out.push_str(&format!(
             "  {{\"algo\": \"{}\", \"workload\": \"{}\", \"threads\": {}, \"shards\": {}, \
-             \"adaptive\": {}, \"kernel\": \"{}\", \"pair_check_picos\": {}, \
-             \"plan_workers\": {}, \"est_run_checks\": {}, \"est_merge_checks\": {}, \
+             \"adaptive\": {}, \"kernel\": \"{}\", \"plan_workers\": {}, \
              \"executor\": \"{}\", \"workers\": {}, \
              \"available_parallelism\": {}, \
              \"wall_ns\": {}, \"fault_seed\": {}, \"fault_rate\": {}, \
@@ -508,10 +491,7 @@ pub fn to_json(rows: &[BenchRow]) -> String {
             r.shards,
             r.adaptive,
             r.kernel,
-            r.pair_check_picos,
             r.plan_workers,
-            r.est_run_checks,
-            r.est_merge_checks,
             r.executor,
             r.workers,
             r.available_parallelism,
@@ -561,10 +541,7 @@ pub(crate) mod tests {
             shards: 8,
             adaptive: true,
             kernel: "lanes",
-            pair_check_picos: 350,
             plan_workers: 2,
-            est_run_checks: 900,
-            est_merge_checks: 60,
             executor: "subprocess",
             workers: 2,
             available_parallelism: 4,
@@ -582,10 +559,7 @@ pub(crate) mod tests {
         assert!(s.contains("\"shards\": 8"));
         assert!(s.contains("\"adaptive\": true"));
         assert!(s.contains("\"kernel\": \"lanes\""));
-        assert!(s.contains("\"pair_check_picos\": 350"));
         assert!(s.contains("\"plan_workers\": 2"));
-        assert!(s.contains("\"est_run_checks\": 900"));
-        assert!(s.contains("\"est_merge_checks\": 60"));
         assert!(s.contains("\"available_parallelism\": 4"));
         assert!(s.contains("\"wall_ns\": 123"));
         // Fault-tolerance observability: injection config is part of the
@@ -620,7 +594,7 @@ pub(crate) mod tests {
 
     #[test]
     fn threaded_smoke_rows_hold_the_invariants() {
-        // One smoke pass at two worker counts under the adaptive planner:
+        // One smoke pass at two worker counts under the adaptive spec:
         // `emit_point` itself asserts identical skylines and work counters
         // between worker counts AND byte-identical merged record vectors
         // against the fixed-shard plan, so reaching the end *is* the
@@ -640,8 +614,9 @@ pub(crate) mod tests {
         assert_eq!(serial, t1);
         assert_eq!(t1, t2);
         for r in rows.iter().filter(|r| r.threads > 0) {
-            assert!(r.adaptive, "threaded rows carry the planner flag");
-            assert!((1..=BENCH_SHARDS).contains(&r.shards), "{}", r.workload);
+            assert!(r.adaptive, "threaded rows carry the adaptive flag");
+            // One shard per planned worker, under the cap.
+            assert_eq!((r.shards, r.plan_workers), (2, 2), "{}", r.workload);
         }
     }
 }

@@ -100,7 +100,7 @@ pub fn run_sdc_plus(w: &Workload) -> AlgoResult {
 }
 
 /// Default shard budget of the sharded parallel runners: the fixed count
-/// when `BENCH_SHARDS` is pinned, the planner's cap when it is not.
+/// when `BENCH_SHARDS` is pinned, the adaptive cap when it is not.
 /// Deliberately decoupled from the worker count: for a given plan every
 /// `--threads N` run partitions the data identically and does identical
 /// work, so skyline record sets and dominance-check counts are
@@ -108,10 +108,9 @@ pub fn run_sdc_plus(w: &Workload) -> AlgoResult {
 pub const BENCH_SHARDS: usize = 8;
 
 /// The shard spec the bench grid runs under, from the `BENCH_SHARDS`
-/// environment variable: set → that fixed shard count; unset → the
-/// cost-model planner ([`tss_core::ShardPlan`]) capped at [`BENCH_SHARDS`]
-/// and costed under this machine's observed parallelism. The planner is
-/// deterministic given `(store, max, workers)`, so grid rows are
+/// environment variable: set → that fixed shard count; unset →
+/// [`ShardSpec::Adaptive`] with this machine's observed parallelism `P`,
+/// i.e. `min(P, BENCH_SHARDS)` shards. Grid rows are therefore
 /// reproducible per machine class; the worker input is recorded in every
 /// row (`plan_workers`).
 pub fn bench_shard_spec() -> ShardSpec {
@@ -140,48 +139,6 @@ fn shard_spec_from(var: Option<&str>, workers: usize) -> ShardSpec {
     }
 }
 
-/// Measured cost of one pair check under the session's active dominance
-/// kernel, in **picoseconds** — the calibration input that turns the
-/// planner's pair-check estimates into time estimates when reading bench
-/// rows. Measured once per process from a short warmup (a synthetic
-/// 4-dim block scanned end to end, ≥ 2²⁰ pairs); the planner itself never
-/// consumes this — its decisions stay clock-free — so the value is
-/// reporting metadata, dropped by the CI row diffs.
-pub fn pair_check_picos() -> u64 {
-    use skyline::PointBlock;
-    use std::sync::OnceLock;
-    static CAL: OnceLock<u64> = OnceLock::new();
-    *CAL.get_or_init(|| {
-        const DIMS: usize = 4;
-        const ROWS: usize = 4096;
-        let mut state = 0x9E37_79B9_7F4A_7C15u64;
-        let mut block = PointBlock::new(DIMS);
-        let mut row = [0u32; DIMS];
-        for _ in 0..ROWS {
-            for c in &mut row {
-                state = state
-                    .wrapping_mul(6364136223846793005)
-                    .wrapping_add(1442695040888963407);
-                *c = (state >> 33) as u32 % 1000 + 1;
-            }
-            block.push(&row);
-        }
-        // The all-zero candidate is dominated by nothing, so every call
-        // scans all ROWS pairs with no early exit.
-        let cand = [0u32; DIMS];
-        let t0 = Instant::now();
-        let mut pairs = 0u64;
-        let mut hits = 0u64;
-        while pairs < 1 << 20 {
-            let (hit, examined) = block.dominated(&cand);
-            hits += u64::from(hit);
-            pairs += examined;
-        }
-        let elapsed = std::hint::black_box((t0.elapsed(), hits)).0;
-        ((elapsed.as_nanos() as u64).saturating_mul(1000) / pairs.max(1)).max(1)
-    })
-}
-
 /// The bench grid's pair-check [`Budget`], from the `TSS_BUDGET`
 /// environment variable (an allowance in `dominance_checks` units; unset
 /// → unlimited). Read per call, like `BENCH_SHARDS`, so tests can probe
@@ -202,9 +159,8 @@ fn budget_from(var: Option<&str>) -> Budget {
     }
 }
 
-/// Shared body of the sharded runners: resolves the shard plan and builds
-/// one engine per shard *untimed* (both systems index offline, and the
-/// planner's prefix sample is part of planning, not the query), then
+/// Shared body of the sharded runners: takes the resolved shard plan and
+/// builds one engine per shard *untimed* (both systems index offline), then
 /// executes the shards on up to `threads` scoped workers behind the
 /// fault-tolerant [`ThreadShardExecutor`], folds the local skylines with
 /// the sorted parallel merge under the [`bench_budget`] allowance, and
@@ -366,8 +322,8 @@ pub fn run_sdc_plus_sharded(
 
 /// Sharded parallel dTSS: group structures built per shard (untimed,
 /// order-independent), then one dynamic query evaluated per shard and
-/// merged under the *query's* partial orders — which are also what the
-/// adaptive planner samples under, since they define merge-time dominance.
+/// merged under the *query's* partial orders, which define merge-time
+/// dominance.
 pub fn run_dtss_sharded(
     w: &Workload,
     query_seed: u64,
@@ -689,15 +645,11 @@ mod tests {
         let (fp, ap) = (fixed.plan.unwrap(), adaptive.plan.unwrap());
         assert!(!fp.adaptive && ap.adaptive);
         assert_eq!(fp.shards, BENCH_SHARDS);
-        assert!((1..=BENCH_SHARDS).contains(&ap.shards));
-        assert!(ap.sampled > 0);
-        assert_eq!(ap.workers, 2);
-        assert!(
-            ap.est_run_checks > 0,
-            "the chosen count carries its cost estimates"
-        );
+        // One shard per worker, under the cap; no estimates.
+        assert_eq!((ap.shards, ap.workers), (2, 2));
+        assert_eq!((ap.est_run_checks, ap.est_merge_checks), (0, 0));
         // The sorted merge emits in (score, id) order — identical vectors,
-        // not merely identical sets, whatever the planner picked.
+        // not merely identical sets, whatever the partition.
         assert_eq!(fixed.records, adaptive.records);
         assert_eq!(fixed.skyline, adaptive.skyline);
     }
@@ -715,13 +667,6 @@ mod tests {
         );
         assert_eq!(shard_spec_from(Some("3"), 4), ShardSpec::Fixed(3));
         assert_eq!(shard_spec_from(Some(" 8 "), 1), ShardSpec::Fixed(8));
-    }
-
-    #[test]
-    fn pair_check_calibration_is_cached_and_positive() {
-        let a = pair_check_picos();
-        assert!(a >= 1, "a pair check costs at least a picosecond");
-        assert_eq!(a, pair_check_picos(), "one measurement per process");
     }
 
     #[test]

@@ -17,13 +17,13 @@
 //!   machine-checkable per row.
 //!
 //! Everything except the wall-clock columns (`wall_ns`,
-//! `updates_per_sec`, `repair_ns_*`, `pair_check_picos`) is a pure
+//! `updates_per_sec`, `repair_ns_*`) is a pure
 //! function of the op sequence: CI re-runs the grid at two worker counts
 //! and asserts the remaining columns byte-identical, and the grid builder
 //! itself asserts it while measuring.
 
 use crate::jsonbench::{available_parallelism, metrics_json};
-use crate::runner::{generate, pair_check_picos, Workload};
+use crate::runner::{generate, Workload};
 use datagen::{Distribution, ExperimentParams};
 use std::time::Instant;
 use tss_core::{
@@ -47,8 +47,6 @@ pub struct StreamBenchRow {
     pub window: usize,
     /// Dominance-kernel variant of the run.
     pub kernel: &'static str,
-    /// Per-pair-check calibration of the measuring CPU (picoseconds).
-    pub pair_check_picos: u64,
     /// `std::thread::available_parallelism()` of the measuring machine —
     /// rows from a 1-CPU container prove determinism, not speedup.
     pub available_parallelism: usize,
@@ -161,7 +159,6 @@ pub fn run_streaming(w: &Workload, window: usize, threads: usize, shards: usize)
         repair_shards: shards,
         window,
         kernel: Kernel::active().name(),
-        pair_check_picos: pair_check_picos(),
         available_parallelism: available_parallelism(),
         wall_ns: wall.as_nanos(),
         updates_per_sec: if secs > 0.0 {
@@ -304,7 +301,7 @@ pub fn stream_to_json(rows: &[StreamBenchRow]) -> String {
         out.push_str(&format!(
             "  {{\"algo\": \"{}\", \"workload\": \"{}\", \"threads\": {}, \
              \"repair_shards\": {}, \"window\": {}, \"kernel\": \"{}\", \
-             \"pair_check_picos\": {}, \"available_parallelism\": {}, \
+             \"available_parallelism\": {}, \
              \"wall_ns\": {}, \"updates_per_sec\": {}, \"cursor_points_served\": {}, \
              \"repair_ns_p50\": {}, \"repair_ns_p95\": {}, \"repair_ns_p99\": {}, \
              \"maintained_checks_sampled\": {}, \"recompute_checks_sampled\": {}, \
@@ -315,7 +312,6 @@ pub fn stream_to_json(rows: &[StreamBenchRow]) -> String {
             r.repair_shards,
             r.window,
             r.kernel,
-            r.pair_check_picos,
             r.available_parallelism,
             r.wall_ns,
             r.updates_per_sec,
@@ -357,7 +353,6 @@ mod tests {
             repair_shards: 4,
             window: 16,
             kernel: "lanes",
-            pair_check_picos: 350,
             available_parallelism: 1,
             wall_ns: 123,
             updates_per_sec: 456,

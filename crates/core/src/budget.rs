@@ -2,11 +2,11 @@
 //! cursor model.
 //!
 //! A [`Budget`] is an allowance of **pair checks**
-//! ([`Metrics::dominance_checks`] units) — the same clock-free,
-//! machine-independent currency the [`ShardPlan`](crate::ShardPlan) cost
-//! model estimates in — so admission control can bound a query's work
-//! deterministically: the same budget on the same data always confirms
-//! the same records, at any thread count, on any machine.
+//! ([`Metrics::dominance_checks`] units) — the clock-free,
+//! machine-independent currency every engine counts its work in — so
+//! admission control can bound a query's work deterministically: the
+//! same budget on the same data always confirms the same records, at any
+//! thread count, on any machine.
 //!
 //! [`BudgetedCursor`] wraps any [`SkylineCursor`]. Before each
 //! confirmation it compares the cursor's accumulated `dominance_checks`

@@ -46,15 +46,14 @@
 //! over the concatenated local skylines retains every cross-shard copy of
 //! a skyline tuple and no others.
 //!
-//! # Merge cost, and the two levers against it
+//! # Merge cost, and what contains it
 //!
 //! Per-shard skylines are supersets of their global contribution (a shard
 //! misses dominators living elsewhere), so total work grows with the shard
 //! count. The naive fold ([`merge_shard_skylines_all_pairs`]) checks every
 //! candidate against every *other* shard's full local skyline —
 //! `O(Σᵢ |localᵢ| · Σⱼ≠ᵢ |localⱼ|)` pair checks in the worst case, the
-//! last serial section of a sharded run. Two levers replace and contain
-//! that cost:
+//! last serial section of a sharded run. Two things contain that cost:
 //!
 //! * **Sorted, parallel merge** ([`merge_shard_skylines`]): candidates are
 //!   sorted by the strictly monotone
@@ -71,13 +70,11 @@
 //!   computed once, so a check runs box first: only members whose key is
 //!   `<=` the candidate's on every dimension reach the exact PO test, in
 //!   list order, with the list loop's verdict and pair count.
-//! * **Cost-model shard counts** ([`ShardPlan`]): the planner samples two
-//!   store prefixes, fits the skyline-growth exponent, and picks the shard
-//!   count whose *estimated pair-check total* — parallel run phase plus
-//!   serial merge bound — is minimal under the worker count the run will
-//!   actually use. Anti-correlated data (everything skyline, merge cost
-//!   quadratic in the shard count) lands on one or two shards; dominance-
-//!   heavy data fans out to the worker count.
+//! * **One shard per worker** ([`ShardSpec::Adaptive`]): one shard unless
+//!   the run has more than one worker, then `min(workers, max)`. Shards
+//!   beyond the worker count only run in later waves while every extra
+//!   local skyline feeds the merge, and a one-worker run gains nothing
+//!   from sharding at all. The count never depends on the data.
 //!
 //! # Fault tolerance
 //!
@@ -192,180 +189,57 @@ where
     })
 }
 
-/// How many prefix records [`ShardPlan::adaptive`] samples to estimate the
-/// local-skyline ratio.
-pub const PLAN_SAMPLE: usize = 512;
-
-/// A resolved shard-count decision: how many shards a sharded run uses,
-/// the measurements that picked the number, and the cost-model estimates
-/// the decision minimized.
-///
-/// The planner exists because merge cost scales with the total
-/// local-skyline size, which scales with the shard count: on
-/// anti-correlated data — where almost every tuple is skyline — more
-/// shards only buy more merge work, while on independent / correlated data
-/// local skylines are tiny and the run phase dominates.
-///
-/// # The cost model
-///
-/// Everything is expressed in **pair checks**, the unit both phases
-/// already count exactly ([`Metrics::dominance_checks`] /
-/// [`Metrics::merge_pair_checks`]) — never in clock time, so plans are
-/// deterministic and machine-independent. The planner samples **two**
-/// prefix sizes ([`PointStore::prefix_skyline_sample`] at half and full
-/// [`PLAN_SAMPLE`]) and fits the skyline-growth exponent
-///
-/// ```text
-/// α = log2(k_full / k_half) / log2(s_full / s_half)   clamped to [0, 1]
-/// ```
-///
-/// — `α ≈ 1` when everything is skyline (anti-correlated), `α ≈ 0` once
-/// the skyline has saturated — giving the extrapolated local-skyline size
-/// `k̂(x) = clamp(k_full · (x / s_full)^α, 1, x)` of an `x`-record shard.
-/// For each candidate count `s` in `1..=max` with shard size
-/// `x = len / s` under `w` workers it estimates
-///
-/// ```text
-/// run(s)   = x · k̂(x) · ⌈s / w⌉     (shard waves run in parallel)
-/// merge(s) = s · (s−1) · k̂(x)²      (serial; the all-pairs bound on
-///                                    Σᵢ |localᵢ| · Σⱼ≠ᵢ |localⱼ|)
-/// ```
-///
-/// and picks the `s` minimizing `run + merge`, smallest `s` on ties. At
-/// one worker only `s = 1` is costed: the shards would run back to back,
-/// so sharding can only add merge work, while the per-shard run term
-/// `x · k̂(x)` falls as `s` grows and would favour more shards.
-/// Deterministic (prefix samples, integer-rounded estimates, no RNG, no
-/// clock), so two runs over the same store always produce the same plan.
+/// A resolved shard-count decision: how many shards a sharded run uses
+/// and how that number was chosen. [`ShardSpec::resolve`] is the only
+/// place an adaptive count is decided; see [`ShardSpec::Adaptive`] for
+/// the rule.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ShardPlan {
     /// Number of shards the run partitions the store into.
     pub shards: usize,
-    /// True iff `shards` was picked by the sampling planner (false for
+    /// True iff `shards` came from [`ShardSpec::Adaptive`] (false for
     /// fixed / caller-supplied counts).
     pub adaptive: bool,
-    /// Records sampled by the planner (0 for fixed plans).
-    pub sampled: usize,
-    /// Skyline size of the sampled prefix (0 for fixed plans).
-    pub sample_skyline: usize,
-    /// Records in the half-size sample the growth exponent is fitted
-    /// against (0 for fixed plans).
-    pub sampled_half: usize,
-    /// Skyline size of the half-size sample (0 for fixed plans).
-    pub sample_skyline_half: usize,
-    /// Worker count the run/merge split was costed under (0 for fixed
+    /// Worker count the adaptive rule sized the plan for (0 for fixed
     /// plans).
     pub workers: usize,
-    /// Estimated run-phase pair checks of the chosen count (0 for fixed
-    /// plans).
+    /// Always 0: the rule estimates no pair checks. Kept, with
+    /// [`est_merge_checks`](Self::est_merge_checks), for readers of the
+    /// former planner's estimates (perfbench's `parallel.est_error`).
     pub est_run_checks: u64,
-    /// Estimated serial merge-phase pair checks of the chosen count (0 for
-    /// fixed plans).
+    /// Always 0, like [`est_run_checks`](Self::est_run_checks).
     pub est_merge_checks: u64,
 }
 
 impl ShardPlan {
-    /// A fixed plan: use exactly `shards` shards (clamped to at least 1),
-    /// no sampling, no estimates.
+    /// A fixed plan: use exactly `shards` shards (clamped to at least 1).
     pub fn fixed(shards: usize) -> Self {
         ShardPlan {
             shards: shards.max(1),
             adaptive: false,
-            sampled: 0,
-            sample_skyline: 0,
-            sampled_half: 0,
-            sample_skyline_half: 0,
             workers: 0,
             est_run_checks: 0,
             est_merge_checks: 0,
         }
     }
-
-    /// Samples the store and picks the shard count in `1..=max_shards`
-    /// whose estimated pair-check total (parallel run phase + serial merge
-    /// bound) is minimal under `workers` — see the type docs for the
-    /// model. Ties go to the smallest count; `workers <= 1` plans one
-    /// shard.
-    pub fn adaptive(
-        store: &PointStore,
-        domains: &[PoDomain],
-        max_shards: usize,
-        workers: usize,
-    ) -> Self {
-        let max = max_shards.max(1);
-        let w = workers.max(1);
-        let (sampled_half, sample_skyline_half) =
-            store.prefix_skyline_sample(domains, PLAN_SAMPLE / 2);
-        let (sampled, sample_skyline) = store.prefix_skyline_sample(domains, PLAN_SAMPLE);
-        let mut plan = ShardPlan {
-            shards: 1,
-            adaptive: true,
-            sampled,
-            sample_skyline,
-            sampled_half,
-            sample_skyline_half,
-            workers: w,
-            est_run_checks: 0,
-            est_merge_checks: 0,
-        };
-        let len = store.len();
-        if sampled == 0 || len == 0 {
-            return plan;
-        }
-        // Growth exponent from the two-point fit; a store too small for
-        // two distinct prefixes gets the conservative linear α = 1.
-        let alpha = if sampled_half == sampled {
-            1.0
-        } else {
-            let num = (sample_skyline as f64 / sample_skyline_half.max(1) as f64).log2();
-            let den = (sampled as f64 / sampled_half as f64).log2();
-            (num / den).clamp(0.0, 1.0)
-        };
-        let k_hat =
-            |x: f64| (sample_skyline as f64 * (x / sampled as f64).powf(alpha)).clamp(1.0, x);
-        // One worker runs the shards back to back: sharding only adds merge.
-        let candidates = if w == 1 { 1 } else { max.min(len) };
-        let mut best: Option<u64> = None;
-        for s in 1..=candidates {
-            let x = len as f64 / s as f64;
-            let k = k_hat(x);
-            // Shards run in ⌈s/w⌉ waves; the merge bound is charged
-            // serially — it is the run's final single-stream section.
-            let run = (x * k * s.div_ceil(w) as f64).round() as u64;
-            let merge = if s > 1 {
-                ((s * (s - 1)) as f64 * k * k).round() as u64
-            } else {
-                0
-            };
-            let total = run + merge;
-            // Strict `<`: ties keep the smaller (earlier) shard count.
-            if best.is_none_or(|b| total < b) {
-                best = Some(total);
-                plan.shards = s;
-                plan.est_run_checks = run;
-                plan.est_merge_checks = merge;
-            }
-        }
-        plan
-    }
 }
 
 /// How a sharded executor obtains its shard count: a caller-fixed number
-/// or the sampling planner with a budget. `usize` converts to `Fixed`, so
+/// or one shard per worker under a cap. `usize` converts to `Fixed`, so
 /// existing call sites read unchanged.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ShardSpec {
     /// Use exactly this many shards.
     Fixed(usize),
-    /// Let [`ShardPlan::adaptive`] pick a count in `1..=max`.
+    /// One shard when `workers <= 1`, else `min(workers, max)` (at least
+    /// 1) — see the module docs for why the count follows the workers.
     Adaptive {
-        /// Upper bound on the planned shard count.
+        /// Upper bound on the shard count.
         max: usize,
-        /// Worker count the cost model splits run/merge work under.
-        /// Explicit — not read from the machine — so a plan is a pure
-        /// function of `(store, domains, max, workers)` and stays
-        /// byte-identical across `--threads` settings; callers that want
-        /// machine-fitted plans pass their observed parallelism.
+        /// Worker count the run will use. Explicit — not read from the
+        /// machine — so a plan is a pure function of `(max, workers)` and
+        /// stays byte-identical across `--threads` settings; callers that
+        /// want machine-fitted plans pass their observed parallelism.
         workers: usize,
     },
 }
@@ -377,13 +251,18 @@ impl From<usize> for ShardSpec {
 }
 
 impl ShardSpec {
-    /// Resolves the spec against a concrete store into a [`ShardPlan`].
-    pub fn resolve(self, store: &PointStore, domains: &[PoDomain]) -> ShardPlan {
+    /// Resolves the spec into a [`ShardPlan`]. The store and its domains
+    /// are not read: the shard count never depends on the data.
+    pub fn resolve(self, _store: &PointStore, _domains: &[PoDomain]) -> ShardPlan {
         match self {
             ShardSpec::Fixed(n) => ShardPlan::fixed(n),
-            ShardSpec::Adaptive { max, workers } => {
-                ShardPlan::adaptive(store, domains, max, workers)
-            }
+            ShardSpec::Adaptive { max, workers } => ShardPlan {
+                shards: workers.clamp(1, max.max(1)),
+                adaptive: true,
+                workers: workers.max(1),
+                est_run_checks: 0,
+                est_merge_checks: 0,
+            },
         }
     }
 }
@@ -671,9 +550,8 @@ where
 /// [`ThreadShardExecutor`] and merges the local skylines — the one
 /// sharded entry point every engine-specific runner builds on.
 ///
-/// `spec` is resolved first (running the sampling planner for
-/// [`ShardSpec::Adaptive`]) and the decision is recorded in
-/// [`ParallelRun::plan`]. The merged record-id vector is identical
+/// `spec` is resolved first ([`ShardSpec::resolve`]) and the decision is
+/// recorded in [`ParallelRun::plan`]. The merged record-id vector is identical
 /// whatever the plan resolves to — only the per-shard locals and work
 /// counters depend on the partition.
 ///
@@ -940,60 +818,6 @@ mod tests {
             "sorted {} !< all-pairs {}",
             new_m.merge_pair_checks,
             old_m.merge_pair_checks
-        );
-    }
-
-    #[test]
-    fn cost_model_plans_follow_the_estimated_minimum() {
-        // Anti-diagonal data: every tuple is skyline, so α fits to 1 and
-        // k̂(x) = x. At one worker only the unsharded run is costed:
-        // run(1) = len².
-        let anti = anti_table(600);
-        let plan = ShardPlan::adaptive(&anti, &[], 8, 1);
-        assert!(plan.adaptive);
-        assert_eq!(plan.sampled, PLAN_SAMPLE.min(600));
-        assert_eq!(plan.sample_skyline, plan.sampled);
-        assert_eq!((plan.sampled_half, plan.sample_skyline_half), (256, 256));
-        assert_eq!(plan.shards, 1);
-        assert_eq!(plan.est_run_checks + plan.est_merge_checks, 600 * 600);
-        // With 8 workers the run phase parallelizes but the quadratic
-        // merge term still punishes fan-out: two shards win.
-        let plan8 = ShardPlan::adaptive(&anti, &[], 8, 8);
-        assert_eq!(plan8.shards, 2);
-        assert_eq!(plan8.est_run_checks, 300 * 300);
-        assert_eq!(plan8.est_merge_checks, 2 * 300 * 300);
-        // Dominance-heavy data: a chain has a single skyline point, so
-        // k̂ ≡ 1 and merge costs only s(s−1).
-        let mut chain = Table::new(2, 0);
-        for i in 0..600u32 {
-            chain.push(&[i, i], &[]);
-        }
-        let plan = ShardPlan::adaptive(&chain, &[], 8, 1);
-        assert_eq!(plan.sample_skyline, 1);
-        assert_eq!(plan.shards, 1, "one worker: fan-out only adds merge");
-        // At 8 workers the run phase splits across one wave; the optimum
-        // trades a slightly ragged 7-way split (600/7 ≈ 86 checks + 42
-        // merge) against the full budget (75 + 56).
-        let plan8 = ShardPlan::adaptive(&chain, &[], 8, 8);
-        assert_eq!(plan8.shards, 7);
-        assert_eq!(plan8.est_run_checks, 86);
-        assert_eq!(plan8.est_merge_checks, 42);
-        // Determinism: same inputs, same plan.
-        assert_eq!(plan8, ShardPlan::adaptive(&chain, &[], 8, 8));
-        // Fixed plans never sample and never estimate.
-        assert_eq!(
-            ShardPlan::fixed(0),
-            ShardPlan {
-                shards: 1,
-                adaptive: false,
-                sampled: 0,
-                sample_skyline: 0,
-                sampled_half: 0,
-                sample_skyline_half: 0,
-                workers: 0,
-                est_run_checks: 0,
-                est_merge_checks: 0,
-            }
         );
     }
 

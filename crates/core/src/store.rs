@@ -509,30 +509,6 @@ impl PointStore {
         to_sum + po_sum
     }
 
-    /// Estimates the local-skyline ratio from the store's prefix: computes
-    /// the exact skyline of the first `min(len, sample)` records with a
-    /// sorted filter over [`monotone_score`](Self::monotone_score) and
-    /// returns `(records_sampled, sample_skyline_size)`.
-    ///
-    /// Deterministic (no RNG — the rows of the generated and real-world
-    /// workloads this repo targets are row-order independent, so a prefix
-    /// is an unbiased sample) and cheap: `O(s log s)` to sort plus one
-    /// early-exiting batched kernel scan per sampled record. This is the
-    /// measurement behind [`ShardPlan`](crate::parallel::ShardPlan).
-    pub fn prefix_skyline_sample(&self, domains: &[PoDomain], sample: usize) -> (usize, usize) {
-        let s = self.n.min(sample);
-        let mut ids: Vec<RecordId> = (0..s as RecordId).collect();
-        ids.sort_unstable_by_key(|&r| (self.monotone_score(domains, r), r));
-        let mut confirmed: Vec<RecordId> = Vec::new();
-        for &r in &ids {
-            let (hit, _) = self.t_dominated_by_any(domains, self.to(r), self.po(r), &confirmed);
-            if !hit {
-                confirmed.push(r);
-            }
-        }
-        (s, confirmed.len())
-    }
-
     // --- Sharding -------------------------------------------------------
 
     /// Splits the store into `n` disjoint, contiguous record-id ranges —
@@ -585,12 +561,12 @@ impl PointStore {
         self.generation
     }
 
-    /// True iff physical record `id` has not been tombstoned.
+    /// True iff physical record `id` exists and has not been tombstoned.
+    /// An id at or past [`len`](Self::len) was never live.
     #[inline]
     pub fn is_live(&self, id: RecordId) -> bool {
-        debug_assert!((id as usize) < self.n);
         let (w, m) = Self::tomb_bit(id);
-        self.tombstones.get(w).is_none_or(|&x| x & m == 0)
+        (id as usize) < self.n && self.tombstones.get(w).is_none_or(|&x| x & m == 0)
     }
 
     /// Number of live (non-tombstoned) records; [`len`](Self::len) keeps
@@ -623,15 +599,15 @@ impl PointStore {
 
     /// Retires record `id` into the tombstone bitmap without moving any
     /// coordinate data. Returns `true` (and bumps the generation) iff the
-    /// record was live; expiring a tombstone is a no-op reporting `false`.
+    /// record was live; expiring a tombstone, or an id at or past
+    /// [`len`](Self::len), is a no-op reporting `false`.
     pub fn expire(&mut self, id: RecordId) -> bool {
-        assert!((id as usize) < self.n, "expire: record {id} out of range");
+        if !self.is_live(id) {
+            return false;
+        }
         let (w, m) = Self::tomb_bit(id);
         if self.tombstones.len() <= w {
             self.tombstones.resize(w + 1, 0);
-        }
-        if self.tombstones[w] & m != 0 {
-            return false;
         }
         self.tombstones[w] |= m;
         self.dead += 1;
@@ -1025,31 +1001,6 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn prefix_skyline_sample_is_exact_on_the_prefix() {
-        let doms = vec![PoDomain::new(Dag::paper_example())];
-        let mut t = PointStore::new(2, 1);
-        for i in 0..40u32 {
-            t.push(&[(i * 13) % 17, (i * 5) % 11], &[i % 9]);
-        }
-        // Sample covering everything == the brute-force skyline size.
-        let (sampled, k) = t.prefix_skyline_sample(&doms, 1000);
-        assert_eq!(sampled, 40);
-        assert_eq!(k, crate::dominance::brute_force_po_skyline(&doms, &t).len());
-        // A shorter prefix is the exact skyline of that prefix.
-        let mut head = PointStore::new(2, 1);
-        for i in 0..16usize {
-            head.push(t.to_row(i), t.po_row(i));
-        }
-        let (sampled, k) = t.prefix_skyline_sample(&doms, 16);
-        assert_eq!(sampled, 16);
-        assert_eq!(
-            k,
-            crate::dominance::brute_force_po_skyline(&doms, &head).len()
-        );
-        assert_eq!(PointStore::new(1, 0).prefix_skyline_sample(&[], 64), (0, 0));
-    }
-
-    #[test]
     fn epoch_mutation_tracks_generations_and_tombstones() {
         let mut t = PointStore::new(1, 1);
         assert_eq!(t.generation(), 0);
@@ -1063,7 +1014,11 @@ pub(crate) mod tests {
 
         assert!(t.expire(b), "first expiry succeeds");
         assert!(!t.expire(b), "double expiry is a no-op");
-        assert_eq!(t.generation(), 4, "the no-op did not bump the epoch");
+        // Ids at or past `len()` were never live: expiring one is a no-op.
+        for id in [3, 5, 64, 1000] {
+            assert!(!t.is_live(id) && !t.expire(id), "id {id}");
+        }
+        assert_eq!(t.generation(), 4, "the no-ops did not bump the epoch");
         assert_eq!((t.len(), t.live_len()), (3, 2));
         assert!(t.has_tombstones());
         assert!(t.is_live(a) && !t.is_live(b) && t.is_live(c));
@@ -1076,6 +1031,9 @@ pub(crate) mod tests {
         assert_eq!(t.generation(), 5);
         assert_eq!((t.len(), t.live_len()), (2, 2));
         assert!(!t.has_tombstones());
+        // Old id `c` fell past `len()` with the compaction.
+        assert!(!t.is_live(c) && !t.expire(c));
+        assert_eq!((t.generation(), t.live_len()), (5, 2));
         assert_eq!(t.to_block(), &[1, 3]);
         assert_eq!(t.po_block(), &[0, 2]);
     }

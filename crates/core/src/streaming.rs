@@ -122,8 +122,8 @@ pub struct StreamingConfig {
     /// identical at any value — this is purely a wall-clock knob.
     pub threads: usize,
     /// Number of chunks a repair's candidate list is partitioned into —
-    /// part of the deterministic work plan (like a
-    /// [`ShardPlan`](crate::parallel::ShardPlan)'s shard count), fixed
+    /// part of the deterministic work plan (like the count of a
+    /// [`ShardSpec::Fixed`](crate::parallel::ShardSpec::Fixed)), fixed
     /// independently of `threads`.
     pub repair_shards: usize,
     /// Admission-control pair-check allowance — see the module docs.
@@ -351,7 +351,9 @@ impl StreamingSkyline {
     }
 
     /// Tombstones record `id` and repairs the skyline if a member left.
-    /// Returns `true` iff the record was live. A departing *non-member*
+    /// Returns `true` iff the record was live; an id at or past the
+    /// store's [`len`](PointStore::len) never was, so it moves no counter
+    /// and no generation. A departing *non-member*
     /// never changes the skyline: its dominatees all keep a skyline
     /// dominator by transitivity, so no promotion search is needed.
     pub fn expire(&mut self, id: RecordId) -> bool {
@@ -690,6 +692,14 @@ mod tests {
     fn non_member_expiry_is_counter_free() {
         let mut s = StreamingSkyline::new(1, domains(), StreamingConfig::default());
         s.insert(&[1], &[0]); // member
+
+        // An id at or past the store's `len()` was never live: no panic,
+        // no counter, no generation bump.
+        let (generation, before) = (s.generation(), s.metrics());
+        for id in [1, 7, RecordId::MAX] {
+            assert!(!s.expire(id), "id {id}");
+        }
+        assert_eq!((s.generation(), s.metrics()), (generation, before));
         s.insert(&[5], &[0]); // dominated
         let before = s.metrics();
         assert!(s.expire(1));
@@ -700,6 +710,23 @@ mod tests {
             after.dominance_checks, before.dominance_checks,
             "a departing non-member needs no promotion search at all"
         );
+        assert_matches_recompute(&s);
+        // Expire dominated records until a compaction renumbers the store:
+        // the last id handed out then lies past `len()`.
+        for v in 0..2 * COMPACT_MIN_DEAD as u32 {
+            s.insert(&[10 + v], &[0]);
+        }
+        let len = s.store().len();
+        let mut next = 2;
+        while s.store().len() == len {
+            assert!(s.expire(next));
+            next += 1;
+        }
+        let past = len as RecordId - 1;
+        assert!(past as usize >= s.store().len());
+        let (generation, before) = (s.generation(), s.metrics());
+        assert!(!s.expire(past));
+        assert_eq!((s.generation(), s.metrics()), (generation, before));
         assert_matches_recompute(&s);
     }
 

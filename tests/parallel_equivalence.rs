@@ -265,8 +265,7 @@ proptest! {
 /// Acceptance: on an anti-correlated fig07-style workload (the paper's
 /// §VI stress case, where almost every tuple is skyline and merge cost
 /// dominates), the sorted merge does strictly less pair work than the
-/// all-pairs fold — and the adaptive planner reacts by picking fewer
-/// shards than the fixed default.
+/// all-pairs fold.
 #[test]
 fn anti_correlated_merge_does_less_pair_work() {
     let mut p = ExperimentParams::paper_static_default(Distribution::AntiCorrelated, 42);
@@ -308,43 +307,57 @@ fn anti_correlated_merge_does_less_pair_work() {
         assert!(new_m.merge_pair_checks < all_pairs_merge_bound(&locals));
         assert!(new_m.merge_strata > 0);
     }
-
-    // The cost model sees the skyline-heavy sample (merge cost ~ s·(s-1)·k̂²
-    // dwarfs the ⌈s/w⌉ run saving) and shrinks the partition.
-    let plan = ShardPlan::adaptive(&table, &domains, 8, 4);
-    assert!(plan.adaptive);
-    assert!(
-        plan.shards < 8,
-        "anti-correlated data must plan fewer shards, got {}",
-        plan.shards
-    );
-    assert!(plan.est_merge_checks > 0 && plan.workers == 4);
 }
 
-/// At one worker the shards would run back to back, so the planner must
-/// stay unsharded. On the Fig. 7 point (independent data, n = 10 000,
-/// seed 42) the run term `x·k̂(x)` falls as shards are added, so costing
-/// every count at one worker would pick 3 shards. Plans at two and four
-/// workers are pinned: the one-worker rule leaves them alone.
+/// The adaptive shard count is a rule: one shard unless the run has more
+/// than one worker, then one per worker up to `max` — at one worker the
+/// shards would run back to back, so sharding could only add merge work.
+/// The rule never reads the store: the Fig. 7 point (independent data,
+/// n = 10 000, seed 42) and an empty store get the same plans, and no
+/// plan carries estimates.
 #[test]
 fn one_worker_plans_stay_unsharded() {
     let mut p = ExperimentParams::paper_static_default(Distribution::Independent, 42);
     p.n = 10_000;
     let (table, dags) = p.materialize();
     let domains: Vec<PoDomain> = dags.into_iter().map(PoDomain::new).collect();
-    let plan = ShardPlan::adaptive(&table, &domains, 8, 1);
-    assert!(plan.adaptive && plan.sampled > 0);
-    assert_eq!(plan.shards, 1, "one worker must not shard: {plan:?}");
-    assert_eq!(plan.est_merge_checks, 0);
-    for (workers, shards, run, merge) in [
-        (2usize, 2usize, 11_556_209u64, 10_683_677u64),
-        (4, 3, 5_454_895, 16_068_174),
+    let empty = Table::new(table.to_dims(), table.po_dims());
+    for (max, workers, shards) in [
+        (8usize, 0usize, 1usize),
+        (8, 1, 1),
+        (8, 2, 2),
+        (8, 4, 4),
+        (8, 16, 8),
+        (0, 4, 1),
     ] {
-        let plan = ShardPlan::adaptive(&table, &domains, 8, workers);
+        let spec = ShardSpec::Adaptive { max, workers };
+        let plan = spec.resolve(&table, &domains);
         assert_eq!(
-            (plan.shards, plan.est_run_checks, plan.est_merge_checks),
-            (shards, run, merge),
-            "workers={workers}"
+            plan,
+            ShardPlan {
+                shards,
+                adaptive: true,
+                workers: workers.max(1),
+                est_run_checks: 0,
+                est_merge_checks: 0,
+            },
+            "max={max} workers={workers}"
+        );
+        assert_eq!(
+            spec.resolve(&empty, &domains),
+            plan,
+            "the store is never read"
         );
     }
+    // A fixed count passes through, clamped to one shard.
+    assert_eq!(
+        ShardSpec::Fixed(0).resolve(&table, &domains),
+        ShardPlan {
+            shards: 1,
+            adaptive: false,
+            workers: 0,
+            est_run_checks: 0,
+            est_merge_checks: 0,
+        }
+    );
 }
