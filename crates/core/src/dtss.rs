@@ -18,11 +18,22 @@
 //! * **Group skipping:** before touching a group's tree, its root MBB corner
 //!   is checked against the global skyline; a dominated corner dismisses the
 //!   whole group without reading a single page (the Fig. 5 `Gc` moment).
-//! * **One check:** the working skyline is a key block of folded TO values
-//!   followed by the query's ordinals of each member's PO values. A
-//!   dominator's key is `<=` the candidate's (or corner's) on every
+//! * **The group's front, then the key block:** inside a group every tuple
+//!   has the same PO values, so dominance there is plain TO dominance. The
+//!   tree walk keeps the group's *front*, the folded TO values of each
+//!   popped point that no earlier point of the group strictly dominates,
+//!   and tests every popped point and subtree corner against it first
+//!   ([`PointBlock::dominated`]). A front member `f` that strictly
+//!   dominates the key under test was itself either confirmed or rejected
+//!   by a confirmed member `s` that t-dominates it; `s` then t-dominates
+//!   the key too (transitivity), so the front rejects nothing the global
+//!   check would keep, and a front hit skips that check. A front miss
+//!   runs it unchanged: the working skyline is a key block of folded TO
+//!   values followed by the query's ordinals of each member's PO values.
+//!   A dominator's key is `<=` the candidate's (or corner's) on every
 //!   dimension, so point, subtree and group checks are all one
-//!   [`KeyBlock::first_match`] call: the box, then the exact refine.
+//!   [`KeyBlock::first_match`] call: the box, then the exact refine. Reads,
+//!   pops and emission are the paper's; only the pair counts differ.
 //! * **Optimizations (§V-B):** precomputed per-group *local skylines* (order
 //!   independent!) shrink each group to the only points that can possibly
 //!   qualify; a query-digest cache reuses full results of repeated orders.
@@ -34,6 +45,7 @@ use crate::stss::SkylinePoint;
 use crate::{CoreError, Metrics, PoDomain, Table};
 use poset::{Dag, Fnv64};
 use rtree::{BestFirst, Mbb, PageConfig, Popped, RTree};
+use skyline::PointBlock;
 use std::cell::RefCell;
 use std::collections::{HashMap, VecDeque};
 use std::hash::{Hash, Hasher};
@@ -85,7 +97,10 @@ impl PoQuery {
 
 /// Tuning knobs for [`Dtss`]. Defaults reproduce the paper's benchmark
 /// configuration (§VI-C: "no buffers, global main memory R-tree,
-/// pre-processing or caching mechanisms are used").
+/// pre-processing or caching mechanisms are used"): its page reads,
+/// pruning and emission order. They do not reproduce its pair-check
+/// counts, because each group's front (see the module docs) answers many
+/// checks before the global key block.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct DtssConfig {
     /// Page model for node capacities and local-skyline page charging.
@@ -109,17 +124,11 @@ pub struct DtssConfig {
 struct Group {
     key: Vec<u32>,
     tree: RTree,
+    /// The tree's root MBB, whose corner the dismissal check runs on.
+    root_mbb: Mbb,
     /// Local skyline record ids sorted by ascending TO coordinate sum, if
     /// precomputed.
     local_skyline: Option<Vec<u32>>,
-}
-
-impl Group {
-    /// The root MBB, whose corner the dismissal check runs on.
-    fn root_mbb(&self) -> &Mbb {
-        self.tree
-            .mbb(self.tree.root().expect("groups are non-empty"))
-    }
 }
 
 /// The dTSS operator: built once over a table, queried many times with
@@ -189,13 +198,12 @@ impl Dtss {
                 .push(i as u32);
         }
         let cap = crate::node_capacity(cfg.node_capacity, &cfg.page, table.to_dims())?;
-        // lint:allow(hash-iter): keys are sorted on the next line, so the group layout never sees the hasher's order
-        let mut group_keys: Vec<Vec<u32>> = by_key.keys().cloned().collect();
-        group_keys.sort_unstable(); // deterministic group layout
-        let groups = group_keys
+        // lint:allow(hash-iter): drained groups are sorted by key on the next line, so the group layout never sees the hasher's order
+        let mut keyed: Vec<(Vec<u32>, Vec<u32>)> = by_key.into_iter().collect();
+        keyed.sort_unstable_by(|a, b| a.0.cmp(&b.0)); // deterministic group layout
+        let groups = keyed
             .into_iter()
-            .map(|key| {
-                let records = by_key.remove(&key).unwrap();
+            .filter_map(|(key, records)| {
                 // Columnar group load: gather the members' TO rows into one
                 // flat matrix, never materializing per-point rows.
                 let mut coords = Vec::with_capacity(records.len() * table.to_dims());
@@ -203,6 +211,8 @@ impl Dtss {
                     coords.extend_from_slice(table.to_row(r as usize));
                 }
                 let tree = RTree::bulk_load_flat(table.to_dims(), cap, &coords, &records);
+                // Every group has a member, hence a root.
+                let root_mbb = tree.mbb(tree.root()?).clone();
                 let local_skyline = cfg.precompute_local.then(|| {
                     let (mut sky, _) = skyline::bbs(&tree);
                     sky.sort_by_key(|&r| (skyline::monotone_sum(table.to_row(r as usize)), r));
@@ -210,11 +220,12 @@ impl Dtss {
                     sky
                 });
                 tree.reset_io();
-                Group {
+                Some(Group {
                     key,
                     tree,
+                    root_mbb,
                     local_skyline,
-                }
+                })
             })
             .collect();
         Ok(Dtss {
@@ -277,18 +288,13 @@ impl Dtss {
         q: &PoQuery,
         reference: &[u32],
     ) -> Result<DtssCursor<'_>, CoreError> {
-        assert_eq!(
-            reference.len(),
-            self.table.to_dims(),
-            "reference must name one ideal value per TO attribute"
-        );
         self.cursor_inner(q, Some(reference), None)
     }
 
     /// Binds a query to this operator as a reusable [`SkylineEngine`]
     /// (validation happens here, so [`SkylineEngine::open`] cannot fail).
     pub fn engine(&self, query: PoQuery) -> Result<DtssQueryEngine<'_>, CoreError> {
-        self.validate(&query)?;
+        self.validate(&query, None)?;
         Ok(DtssQueryEngine { dtss: self, query })
     }
 
@@ -299,22 +305,28 @@ impl Dtss {
     /// folding (the paper's observation), so this path always scans the
     /// group trees — best-first around the reference point.
     ///
-    /// Reported skyline points carry their **original** TO coordinates.
+    /// Reported skyline points carry their **original** TO coordinates. A
+    /// `reference` that does not name one value per TO attribute is a
+    /// [`CoreError::ReferenceWidthMismatch`].
     pub fn query_fully_dynamic(
         &self,
         q: &PoQuery,
         reference: &[u32],
     ) -> Result<DtssRun, CoreError> {
-        assert_eq!(
-            reference.len(),
-            self.table.to_dims(),
-            "reference must name one ideal value per TO attribute"
-        );
         self.query_inner(q, Some(reference), None)
     }
 
-    /// Validates a query's shape against the data-resident structures.
-    fn validate(&self, q: &PoQuery) -> Result<(), CoreError> {
+    /// Validates a query's shape (and a fully dynamic query's reference
+    /// point) against the data-resident structures.
+    fn validate(&self, q: &PoQuery, reference: Option<&[u32]>) -> Result<(), CoreError> {
+        if let Some(r) = reference {
+            if r.len() != self.table.to_dims() {
+                return Err(CoreError::ReferenceWidthMismatch {
+                    expected: self.table.to_dims(),
+                    got: r.len(),
+                });
+            }
+        }
         if q.dags.len() != self.domain_sizes.len() {
             return Err(CoreError::DomainCountMismatch {
                 dags: q.dags.len(),
@@ -364,7 +376,7 @@ impl Dtss {
         reference: Option<&[u32]>,
         prepare: Option<&mut dyn FnMut() -> PreparedDomains>,
     ) -> Result<DtssRun, CoreError> {
-        self.validate(q)?;
+        self.validate(q, reference)?;
         let digest = Self::full_digest(q, reference);
         if self.cfg.cache {
             if let Some(entry) = self.cache.borrow().get(&digest) {
@@ -430,7 +442,7 @@ impl Dtss {
         reference: Option<&[u32]>,
         prepare: Option<&mut dyn FnMut() -> PreparedDomains>,
     ) -> Result<DtssCursor<'_>, CoreError> {
-        self.validate(q)?;
+        self.validate(q, reference)?;
         let digest = Self::full_digest(q, reference);
         if self.cfg.cache {
             if let Some(entry) = self.cache.borrow().get(&digest) {
@@ -492,11 +504,12 @@ impl SkylineEngine for DtssQueryEngine<'_> {
 enum DtssPhase<'a> {
     /// Pick (and possibly dismiss) the next group in ordinal-rank order.
     NextGroup,
-    /// Iterating a precomputed local skyline (§V-B).
+    /// Iterating a precomputed local skyline (§V-B); `local` is the part
+    /// not yet checked.
     Local {
         gi: usize,
         filtered: Option<KeyBlock<bool>>,
-        ix: usize,
+        local: &'a [u32],
     },
     /// Best-first traversal of a group's TO R-tree.
     Tree {
@@ -516,11 +529,17 @@ enum DtssPhase<'a> {
 /// Yielded points always carry their **original** TO coordinates, also for
 /// fully dynamic (folded) queries.
 ///
+/// Inside a group's tree walk each popped point and subtree corner meets
+/// the group's front first and the working skyline only on a front miss
+/// (see the module docs). The front never rejects what the working
+/// skyline would keep, so reads, pops, dismissals and emission order are
+/// those of the front-free walk; only the pair counts differ.
+///
 /// Unlike sTSS, the walk needs no duplicate-completion pass: node checks
-/// exclude exact ties, prefiltered checks need PO strictness or a TO
-/// difference, and a group's dismissal check runs before any of its own
-/// members is confirmed, so no check ever drops an exact copy of a skyline
-/// point.
+/// exclude exact ties, the front is strict TO dominance, prefiltered
+/// checks need PO strictness or a TO difference, and a group's dismissal
+/// check runs before any of its own members is confirmed, so no check
+/// ever drops an exact copy of a skyline point.
 pub struct DtssCursor<'a> {
     dtss: &'a Dtss,
     /// Per-query labelings (owned: possibly cloned out of a session cache).
@@ -538,6 +557,10 @@ pub struct DtssCursor<'a> {
     /// folded TO coordinates or a subtree's folded lower corner, then the
     /// current group's ordinals (written once per group).
     cand: Vec<u32>,
+    /// The current group's front: the folded TO values of every popped
+    /// point that no earlier point of the group strictly dominates, on the
+    /// table's kernel. Cleared when a group is entered.
+    front: PointBlock,
     groups_skipped: u64,
     phase: DtssPhase<'a>,
     last_sample: ProgressSample,
@@ -590,6 +613,7 @@ impl<'a> DtssCursor<'a> {
             m,
             sky: KeyBlock::new(key_dims),
             cand: vec![0; key_dims],
+            front: PointBlock::new(to_dims).with_kernel(dtss.table.kernel()),
             groups_skipped: 0,
             phase: DtssPhase::NextGroup,
             last_sample: ProgressSample::default(),
@@ -618,6 +642,7 @@ impl<'a> DtssCursor<'a> {
             m: Metrics::default(),
             sky: KeyBlock::new(0),
             cand: Vec::new(),
+            front: PointBlock::new(0),
             groups_skipped: 0,
             phase: DtssPhase::Replay(queue),
             last_sample: ProgressSample::default(),
@@ -702,13 +727,32 @@ impl<'a> DtssCursor<'a> {
         hit
     }
 
-    /// Confirms the key under test as skyline member `record`; inside a
-    /// prefiltered group it also becomes a same-key entry, which can
-    /// dominate the group's later points via TO.
-    fn emit(&mut self, record: RecordId, filtered: Option<&mut KeyBlock<bool>>) {
-        if let Some(filtered) = filtered {
-            filtered.push(false, &self.cand[..self.dtss.table.to_dims()]);
+    /// The tree walk's check of the key under test: the group's front
+    /// first, then [`dominated`](Self::dominated) on a front miss. A front
+    /// member strictly dominates the key's TO half, and with the group's
+    /// PO values that is t-dominance, so a hit rejects at once. On a miss
+    /// a popped `point` joins the front, whatever the global check then
+    /// decides; a subtree corner never does.
+    fn dominated_in_group(
+        &mut self,
+        key: &[u32],
+        filtered: Option<&KeyBlock<bool>>,
+        point: bool,
+    ) -> bool {
+        let to = &self.cand[..self.dtss.table.to_dims()];
+        let (hit, examined) = self.front.dominated(to);
+        self.m.batch(examined);
+        if hit {
+            return true;
         }
+        if point {
+            self.front.push(to);
+        }
+        self.dominated(key, filtered)
+    }
+
+    /// Confirms the key under test as skyline member `record`.
+    fn emit(&mut self, record: RecordId) {
         self.sky.push(record, &self.cand);
         self.m.results += 1;
     }
@@ -747,10 +791,11 @@ impl<'a> DtssCursor<'a> {
         for ((slot, &v), d) in self.cand[to_dims..].iter_mut().zip(key).zip(&self.domains) {
             *slot = d.ordinal(v);
         }
+        self.front.clear();
         // Dismissal check against the current skyline: a member at least
         // as good as the root corner, ties included (the paper's
         // root-corner test).
-        self.load_corner(group.root_mbb());
+        self.load_corner(&group.root_mbb);
         let (dominated, examined) =
             dtss.table
                 .covered_by_keys(&self.domains, &self.cand, key, &self.sky);
@@ -777,7 +822,7 @@ impl<'a> DtssCursor<'a> {
             return Some(DtssPhase::Local {
                 gi,
                 filtered,
-                ix: 0,
+                local,
             });
         }
         group.tree.reset_io();
@@ -821,22 +866,22 @@ impl SkylineCursor for DtssCursor<'_> {
                 }
                 DtssPhase::Local {
                     gi,
-                    mut filtered,
-                    mut ix,
+                    filtered,
+                    mut local,
                 } => {
                     let dtss = self.dtss;
                     let group = &dtss.groups[gi];
-                    let local = group
-                        .local_skyline
-                        .as_ref()
-                        .expect("Local phase requires precomputed skylines");
-                    while let Some(&r) = local.get(ix) {
-                        ix += 1;
+                    while let Some((&r, rest)) = local.split_first() {
+                        local = rest;
                         self.load_point(dtss.table.to(r));
                         if !self.dominated(&group.key, filtered.as_ref()) {
-                            self.emit(r, filtered.as_mut());
+                            self.emit(r);
                             self.take_sample(0);
-                            self.phase = DtssPhase::Local { gi, filtered, ix };
+                            self.phase = DtssPhase::Local {
+                                gi,
+                                filtered,
+                                local,
+                            };
                             return Some(self.yielded(r));
                         }
                     }
@@ -844,7 +889,7 @@ impl SkylineCursor for DtssCursor<'_> {
                 }
                 DtssPhase::Tree {
                     gi,
-                    mut filtered,
+                    filtered,
                     mut bf,
                 } => {
                     let dtss = self.dtss;
@@ -855,14 +900,14 @@ impl SkylineCursor for DtssCursor<'_> {
                         match popped {
                             Popped::Node { id, mbb, .. } => {
                                 self.load_corner(mbb);
-                                if !self.dominated(key, filtered.as_ref()) {
+                                if !self.dominated_in_group(key, filtered.as_ref(), false) {
                                     bf.expand(id);
                                 }
                             }
                             Popped::Record { point, record, .. } => {
                                 self.load_point(point);
-                                if !self.dominated(key, filtered.as_ref()) {
-                                    self.emit(record, filtered.as_mut());
+                                if !self.dominated_in_group(key, filtered.as_ref(), true) {
+                                    self.emit(record);
                                     self.take_sample(group.tree.io_count());
                                     self.phase = DtssPhase::Tree { gi, filtered, bf };
                                     return Some(self.yielded(record));
@@ -896,7 +941,7 @@ impl SkylineCursor for DtssCursor<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dominance::brute_force_po_skyline;
+    use crate::dominance::{brute_force_po_skyline, t_dominates};
     use crate::Kernel;
     use poset::PartialOrderBuilder;
     use proptest::prelude::*;
@@ -1210,10 +1255,148 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "one ideal value per TO attribute")]
-    fn fully_dynamic_rejects_bad_reference() {
+    fn fully_dynamic_query_rejects_a_wrong_width_reference() {
+        let cfg = DtssConfig {
+            cache: true,
+            ..Default::default()
+        };
+        let dtss = Dtss::build(fig5_table(), vec![3], cfg).unwrap();
+        let q = PoQuery::new(vec![order_b_over_c()]);
+        for reference in [&[][..], &[1], &[1, 2, 3]] {
+            assert_eq!(
+                dtss.query_fully_dynamic(&q, reference).err(),
+                Some(CoreError::ReferenceWidthMismatch {
+                    expected: 2,
+                    got: reference.len()
+                })
+            );
+        }
+        // A rejected query caches nothing.
+        assert!(dtss.cache.borrow().is_empty());
+    }
+
+    #[test]
+    fn fully_dynamic_cursor_rejects_a_wrong_width_reference() {
         let dtss = Dtss::build(fig5_table(), vec![3], DtssConfig::default()).unwrap();
-        let _ = dtss.query_fully_dynamic(&PoQuery::new(vec![order_b_over_c()]), &[1]);
+        let q = PoQuery::new(vec![order_b_over_c()]);
+        assert_eq!(
+            dtss.query_cursor_fully_dynamic(&q, &[1]).err(),
+            Some(CoreError::ReferenceWidthMismatch {
+                expected: 2,
+                got: 1
+            })
+        );
+        assert!(dtss.query_cursor_fully_dynamic(&q, &[1, 2]).is_ok());
+    }
+
+    /// A random partial order over `size` values from the bits of `mask`:
+    /// one bit per forward pair `(i, j)`, `i < j`, so the DAG is acyclic.
+    fn mask_dag(size: u32, mask: u32) -> Dag {
+        let mut edges = Vec::new();
+        let mut bit = 0;
+        for i in 0..size {
+            for j in (i + 1)..size {
+                if mask >> bit & 1 == 1 {
+                    edges.push((i, j));
+                }
+                bit += 1;
+            }
+        }
+        Dag::from_edges(size, &edges).unwrap()
+    }
+
+    /// What a tree walk did: the emitted records in order, and the work the
+    /// group front must leave as it is.
+    #[derive(Debug, PartialEq)]
+    struct Walk {
+        emitted: Vec<u32>,
+        heap_pops: u64,
+        io_reads: u64,
+        groups_skipped: u64,
+    }
+
+    /// The front-free walk of §V-A, written without the cursor's key
+    /// blocks: groups in ordinal-rank order, each dismissed when an emitted
+    /// point covers its root corner (TO values `<=`, PO values
+    /// preferred-or-equal), otherwise walked best-first with every subtree
+    /// corner and point checked by [`t_dominates`] against the emitted
+    /// list. TO values are folded around `reference` for fully dynamic
+    /// queries.
+    fn reference_walk(dtss: &Dtss, doms: &[PoDomain], reference: Option<&[u32]>) -> Walk {
+        let table = &dtss.table;
+        let fold = |to: &[u32]| -> Vec<u32> {
+            match reference {
+                None => to.to_vec(),
+                Some(r) => to.iter().zip(r).map(|(&a, &b)| a.abs_diff(b)).collect(),
+            }
+        };
+        let corner = |mbb: &Mbb| match reference {
+            None => mbb.lo().to_vec(),
+            Some(r) => mbb.folded_corner(r),
+        };
+        let rank = |g: &Group| -> u64 {
+            g.key
+                .iter()
+                .zip(doms)
+                .map(|(&v, d)| d.ordinal(v) as u64)
+                .sum()
+        };
+        let mut order: Vec<usize> = (0..dtss.groups.len()).collect();
+        order.sort_by_key(|&gi| (rank(&dtss.groups[gi]), gi));
+        // Emitted records with their (folded) TO values.
+        let mut emitted: Vec<(u32, Vec<u32>)> = Vec::new();
+        let dominated = |emitted: &[(u32, Vec<u32>)], to: &[u32], po: &[u32]| {
+            emitted
+                .iter()
+                .any(|(s, s_to)| t_dominates(doms, s_to, table.po(*s), to, po))
+        };
+        let mut walk = Walk {
+            emitted: Vec::new(),
+            heap_pops: 0,
+            io_reads: dtss
+                .cfg
+                .page
+                .data_pages(dtss.groups.len(), doms.len() + 2 * table.to_dims()),
+            groups_skipped: 0,
+        };
+        for gi in order {
+            let group = &dtss.groups[gi];
+            let root = corner(&group.root_mbb);
+            let covered = emitted.iter().any(|(s, s_to)| {
+                s_to.iter().zip(&root).all(|(a, c)| a <= c)
+                    && table
+                        .po(*s)
+                        .iter()
+                        .zip(&group.key)
+                        .zip(doms)
+                        .all(|((&a, &b), d)| d.pref_or_equal(a, b))
+            });
+            if covered {
+                walk.groups_skipped += 1;
+                continue;
+            }
+            group.tree.reset_io();
+            let mut bf = group.tree.best_first_from(reference);
+            while let Some(popped) = bf.pop() {
+                walk.heap_pops += 1;
+                match popped {
+                    Popped::Node { id, mbb, .. } => {
+                        if !dominated(&emitted, &corner(mbb), &group.key) {
+                            bf.expand(id);
+                        }
+                    }
+                    Popped::Record { point, record, .. } => {
+                        let to = fold(point);
+                        if !dominated(&emitted, &to, &group.key) {
+                            emitted.push((record, to));
+                        }
+                    }
+                }
+            }
+            walk.io_reads += group.tree.io_count();
+        }
+        walk.emitted = emitted.into_iter().map(|(r, _)| r).collect();
+        walk
     }
 
     proptest! {
@@ -1238,22 +1421,8 @@ mod tests {
             for &(a, b, v, w) in &rows {
                 t.push(&[a, b], &[v, w][..po_dims]);
             }
-            // Random partial orders from the masks (forward edges only ->
-            // acyclic): 5 values on the first attribute, 3 on the second.
-            let dag = |size: u32, mask: u32| {
-                let mut edges = Vec::new();
-                let mut bit = 0;
-                for i in 0..size {
-                    for j in (i + 1)..size {
-                        if mask >> bit & 1 == 1 {
-                            edges.push((i, j));
-                        }
-                        bit += 1;
-                    }
-                }
-                poset::Dag::from_edges(size, &edges).unwrap()
-            };
-            let dags = [dag(5, edge_masks.0), dag(3, edge_masks.1)][..po_dims].to_vec();
+            // 5 values on the first attribute, 3 on the second.
+            let dags = [mask_dag(5, edge_masks.0), mask_dag(3, edge_masks.1)][..po_dims].to_vec();
             let sizes = [5, 3][..po_dims].to_vec();
             let doms: Vec<PoDomain> = dags.iter().cloned().map(PoDomain::new).collect();
             let q = PoQuery::new(dags);
@@ -1278,6 +1447,62 @@ mod tests {
                     prop_assert_eq!(scalar.skyline_records(), lanes.skyline_records(), "{}", case);
                     prop_assert_eq!(scalar.groups_skipped, lanes.groups_skipped, "{}", case);
                     prop_assert_eq!(scalar.metrics.counters(), lanes.metrics.counters(), "{}", case);
+                }
+            }
+        }
+
+        /// The group front changes no decision of the walk: the cursor's
+        /// emission order, pops, page reads and dismissed groups equal the
+        /// front-free [`reference_walk`]'s, under both kernels, plain and
+        /// fully dynamic, with and without the dominator prefilter. Node
+        /// capacities of 2 to 4 give the group trees inner nodes, so
+        /// subtree corners meet the front too; duplicate rows are common.
+        #[test]
+        fn front_leaves_the_walk_unchanged(
+            rows in proptest::collection::vec((0u32..12, 0u32..12, 0u32..5, 0u32..3), 1..80),
+            po_dims in 1usize..=2,
+            edge_masks in (0u32..1024, 0u32..8),
+            folded_at in (0u32..12, 0u32..12),
+            capacity in 2usize..=4,
+        ) {
+            let mut t = Table::new(2, po_dims);
+            for &(a, b, v, w) in &rows {
+                t.push(&[a, b], &[v, w][..po_dims]);
+            }
+            let dags = [mask_dag(5, edge_masks.0), mask_dag(3, edge_masks.1)][..po_dims].to_vec();
+            let sizes = [5, 3][..po_dims].to_vec();
+            let doms: Vec<PoDomain> = dags.iter().cloned().map(PoDomain::new).collect();
+            let q = PoQuery::new(dags);
+            for filter_dominators in [false, true] {
+                let cfg = DtssConfig {
+                    node_capacity: Some(capacity),
+                    filter_dominators,
+                    ..Default::default()
+                };
+                for kernel in [Kernel::Scalar, Kernel::Lanes] {
+                    let dtss = Dtss::build(t.clone().with_kernel(kernel), sizes.clone(), cfg).unwrap();
+                    for reference in [None, Some([folded_at.0, folded_at.1])] {
+                        let reference = reference.as_ref().map(|r| &r[..]);
+                        let expect = reference_walk(&dtss, &doms, reference);
+                        let run = match reference {
+                            None => dtss.query(&q).unwrap(),
+                            Some(r) => dtss.query_fully_dynamic(&q, r).unwrap(),
+                        };
+                        let got = Walk {
+                            emitted: run.skyline_records(),
+                            heap_pops: run.metrics.heap_pops,
+                            io_reads: run.metrics.io_reads,
+                            groups_skipped: run.groups_skipped,
+                        };
+                        prop_assert_eq!(
+                            got,
+                            expect,
+                            "{:?} {:?} reference={:?}",
+                            cfg,
+                            kernel,
+                            reference
+                        );
+                    }
                 }
             }
         }

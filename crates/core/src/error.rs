@@ -30,6 +30,9 @@ pub enum CoreError {
     /// An explicit R-tree node capacity below
     /// [`rtree::MIN_CAPACITY`]: a node must hold two entries.
     NodeCapacityTooSmall { capacity: usize },
+    /// A fully dynamic query's reference point does not name one ideal
+    /// value per TO attribute.
+    ReferenceWidthMismatch { expected: usize, got: usize },
 }
 
 impl fmt::Display for CoreError {
@@ -60,6 +63,10 @@ impl fmt::Display for CoreError {
                 f,
                 "node capacity {capacity} is below the minimum of {}",
                 rtree::MIN_CAPACITY
+            ),
+            CoreError::ReferenceWidthMismatch { expected, got } => write!(
+                f,
+                "reference point has {got} value(s), the table has {expected} TO attribute(s)"
             ),
         }
     }

@@ -182,11 +182,6 @@ impl<'a> QuerySession<'a> {
         q: &PoQuery,
         reference: &[u32],
     ) -> Result<DtssRun, CoreError> {
-        assert_eq!(
-            reference.len(),
-            self.dtss.table().to_dims(),
-            "reference must name one ideal value per TO attribute"
-        );
         let dtss = self.dtss;
         dtss.query_inner(q, Some(reference), Some(&mut || self.prepare(q)))
     }
@@ -309,6 +304,22 @@ mod tests {
         assert_eq!(b.metrics.label_cache_hits, 1);
         let plain = dtss.query_fully_dynamic(&q, &[3, 3]).unwrap();
         assert_eq!(plain.skyline_records(), b.skyline_records());
+    }
+
+    #[test]
+    fn fully_dynamic_session_query_rejects_a_wrong_width_reference() {
+        let dtss = Dtss::build(fig5_table(), vec![3], DtssConfig::default()).unwrap();
+        let mut s = QuerySession::new(&dtss);
+        let q = PoQuery::new(vec![order_b_over_c()]);
+        assert_eq!(
+            s.query_fully_dynamic(&q, &[1, 2, 3]).err(),
+            Some(CoreError::ReferenceWidthMismatch {
+                expected: 2,
+                got: 3
+            })
+        );
+        // Validation runs before labeling: the session saw no lookup.
+        assert_eq!(s.stats(), SessionStats::default());
     }
 
     #[test]
