@@ -1,5 +1,5 @@
 //! Ablation — the §V-B design choices of dTSS: local-skyline
-//! precomputation, the dominator prefilter, and the query cache.
+//! precomputation and the query cache.
 
 mod common;
 
@@ -16,13 +16,6 @@ fn bench(c: &mut Criterion) {
             "local_skylines",
             DtssConfig {
                 precompute_local: true,
-                ..Default::default()
-            },
-        ),
-        (
-            "prefilter",
-            DtssConfig {
-                filter_dominators: true,
                 ..Default::default()
             },
         ),

@@ -424,10 +424,13 @@ fn smoke() {
 /// `--stream` switches to the streaming-maintenance grid (see
 /// [`bench::streambench`]): sliding-window maintained skylines measured
 /// while a snapshot cursor serves reads, with updates/sec, time-to-repair
-/// percentiles and the maintained-vs-recompute check columns per row; the
-/// committed `BENCH_PR9.json` is a full-scale `--stream --threads 1,2`
-/// run of this subcommand (its wall-clock columns carry the same
-/// `available_parallelism: 1` caveat as the earlier artifacts). `--threads` re-runs every grid point through
+/// percentiles and the maintained-vs-recompute check columns per row.
+/// Streaming repairs run serially, so `--stream` takes no `--threads`
+/// (a usage error); the committed `BENCH_PR9.json` is a full-scale run of
+/// this subcommand from when repairs were sharded across worker threads
+/// (its rows also carry that design's worker and chunk counts, and the
+/// same `available_parallelism: 1` caveat as the earlier artifacts).
+/// `--threads` re-runs every grid point through
 /// the sharded parallel executors once per listed worker count (one shard
 /// plan per workload, so all rows but `wall_ns` are asserted identical
 /// across counts). The shard plan comes from the `BENCH_SHARDS`
@@ -492,8 +495,12 @@ fn bench_json(args: &[String]) {
             }
         }
     }
+    if stream && !threads.is_empty() {
+        eprintln!("--threads does not apply to --stream: streaming repairs run serially");
+        std::process::exit(2);
+    }
     let (json, rows) = if stream {
-        let rows = bench::streambench::stream_grid(smoke, &threads);
+        let rows = bench::streambench::stream_grid(smoke);
         (bench::streambench::stream_to_json(&rows), rows.len())
     } else {
         let rows = bench::jsonbench::grid(smoke, &threads, bench::runner::bench_shard_spec());
@@ -509,8 +516,8 @@ fn bench_json(args: &[String]) {
 }
 
 /// Ablations over the paper's optional design choices (§IV-B range-set
-/// strategies; §V-B local skylines, prefilter and query cache) and the LRU
-/// page buffer.
+/// strategies; §V-B local skylines and query cache) and the LRU page
+/// buffer.
 fn ablations() {
     banner("Ablation — sTSS optimizations (independent, defaults)");
     let p = params::static_params(Distribution::Independent, 42);
@@ -553,13 +560,6 @@ fn ablations() {
             "local skylines",
             DtssConfig {
                 precompute_local: true,
-                ..Default::default()
-            },
-        ),
-        (
-            "dominator prefilter",
-            DtssConfig {
-                filter_dominators: true,
                 ..Default::default()
             },
         ),

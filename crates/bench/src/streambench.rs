@@ -17,18 +17,18 @@
 //!   machine-checkable per row.
 //!
 //! Everything except the wall-clock columns (`wall_ns`,
-//! `updates_per_sec`, `repair_ns_*`) is a pure
-//! function of the op sequence: CI re-runs the grid at two worker counts
-//! and asserts the remaining columns byte-identical, and the grid builder
-//! itself asserts it while measuring.
+//! `updates_per_sec`, `repair_ns_*`) is a pure function of the op
+//! sequence: CI re-runs the grid under both dominance kernels and asserts
+//! the remaining columns byte-identical. Repairs run serially, so the grid
+//! has no worker-count axis.
 
 use crate::jsonbench::{available_parallelism, metrics_json};
 use crate::runner::{generate, Workload};
 use datagen::{Distribution, ExperimentParams};
 use std::time::Instant;
 use tss_core::{
-    Budget, ExecPolicy, Kernel, Metrics, PoDomain, SkylineCursor, StreamingConfig,
-    StreamingSkyline, Stss, StssConfig, Table, WindowPolicy,
+    Budget, Kernel, Metrics, PoDomain, SkylineCursor, StreamingConfig, StreamingSkyline, Stss,
+    StssConfig, Table, WindowPolicy,
 };
 
 /// One measured streaming grid point.
@@ -39,10 +39,6 @@ pub struct StreamBenchRow {
     pub algo: &'static str,
     /// Grid point key, e.g. `"stream:anti:n=100000:w=256"`.
     pub workload: String,
-    /// Worker threads the repair jobs ran on (wall-clock knob only).
-    pub threads: usize,
-    /// Deterministic chunk count of each repair's candidate partition.
-    pub repair_shards: usize,
     /// Sliding-window capacity (`window_n`).
     pub window: usize,
     /// Dominance-kernel variant of the run.
@@ -83,13 +79,6 @@ pub const CURSOR_EVERY: usize = 128;
 /// Measure the exact recompute cost at every this many repairs.
 pub const SAMPLE_EVERY: u64 = 32;
 
-/// The outcome of one streamed workload: the row plus the final
-/// maintained record ids (what the cross-thread diffs compare).
-pub struct StreamRun {
-    pub row: StreamBenchRow,
-    pub records: Vec<u32>,
-}
-
 /// Nearest-rank percentile of an unsorted sample (0 for an empty one).
 fn percentile(sample: &mut [u64], pct: u64) -> u64 {
     if sample.is_empty() {
@@ -102,19 +91,15 @@ fn percentile(sample: &mut [u64], pct: u64) -> u64 {
 
 /// Replays `w` as an arrival stream through a maintained skyline and
 /// measures one grid point. Everything in the returned row except the
-/// wall-clock columns is a pure function of `(workload, window)` — the
-/// caller asserts that across worker counts.
-pub fn run_streaming(w: &Workload, window: usize, threads: usize, shards: usize) -> StreamRun {
+/// wall-clock columns is a pure function of `(workload, window)`.
+pub fn run_streaming(w: &Workload, window: usize) -> StreamBenchRow {
     let domains: Vec<PoDomain> = w.dags.iter().cloned().map(PoDomain::new).collect();
     let mut s = StreamingSkyline::new(
         w.params.to_dims,
         domains,
         StreamingConfig {
             window: WindowPolicy::Count(window),
-            threads,
-            repair_shards: shards,
             budget: Budget::UNLIMITED,
-            exec: ExecPolicy::default(),
         },
     );
     let mut repair_ns: Vec<u64> = Vec::new();
@@ -148,15 +133,13 @@ pub fn run_streaming(w: &Workload, window: usize, threads: usize, shards: usize)
     let mut metrics = s.metrics();
     metrics.cpu = wall;
     let secs = wall.as_secs_f64();
-    let row = StreamBenchRow {
+    StreamBenchRow {
         algo: "streamTSS",
         workload: format!(
             "stream:{}:n={}:w={window}",
             w.params.dist.short(),
             w.table.len()
         ),
-        threads,
-        repair_shards: shards,
         window,
         kernel: Kernel::active().name(),
         available_parallelism: available_parallelism(),
@@ -175,10 +158,6 @@ pub fn run_streaming(w: &Workload, window: usize, threads: usize, shards: usize)
         sampled_repairs,
         metrics,
         skyline: s.skyline_records().len(),
-    };
-    StreamRun {
-        row,
-        records: s.skyline_records().to_vec(),
     }
 }
 
@@ -200,26 +179,15 @@ fn window_recompute_checks(s: &StreamingSkyline, w: &Workload) -> u64 {
 /// Sliding-window capacity of the stream grid.
 pub const STREAM_WINDOW: usize = 256;
 
-/// Repair-chunk count of the stream grid (deterministic work plan,
-/// independent of the worker count).
-pub const STREAM_SHARDS: usize = 4;
-
 /// The streaming grid: the fig07-style anti-correlated stress stream and
 /// an independent control, at the paper's dynamic-study shape
-/// (`|TO| = 3, |PO| = 1, h = 6, d = 0.8`), one row per entry of
-/// `threads_axis` (default `[1]`). While measuring, asserts the final
-/// maintained records and every non-wall column identical across worker
-/// counts — the determinism contract of the repair executor, enforced at
-/// measurement time. `smoke` shrinks the stream so CI can do the same in
-/// seconds.
-pub fn stream_grid(smoke: bool, threads_axis: &[usize]) -> Vec<StreamBenchRow> {
+/// (`|TO| = 3, |PO| = 1, h = 6, d = 0.8`), one row each. While
+/// measuring, asserts that every stream repairs and that the sampled
+/// delta repairs cost fewer checks than recomputing. `smoke` shrinks the
+/// stream so CI can do the same in seconds.
+pub fn stream_grid(smoke: bool) -> Vec<StreamBenchRow> {
     const SEED: u64 = 42;
     let n = if smoke { 4_000 } else { 100_000 };
-    let threads_axis = if threads_axis.is_empty() {
-        &[1][..]
-    } else {
-        threads_axis
-    };
     let mut rows = Vec::new();
     for dist in [Distribution::AntiCorrelated, Distribution::Independent] {
         let mut p = ExperimentParams::paper_dynamic_default(dist, SEED);
@@ -227,68 +195,22 @@ pub fn stream_grid(smoke: bool, threads_axis: &[usize]) -> Vec<StreamBenchRow> {
         if smoke {
             p.dag_height = 4;
         }
-        let w = generate(&p);
-        let mut first: Option<StreamRun> = None;
-        for &t in threads_axis {
-            assert!(t >= 1, "threads axis entries are worker counts (>= 1)");
-            let run = run_streaming(&w, STREAM_WINDOW, t, STREAM_SHARDS);
+        let row = run_streaming(&generate(&p), STREAM_WINDOW);
+        assert!(
+            row.metrics.stream_repairs > 0,
+            "{}: the stream must exercise the repair path",
+            row.workload
+        );
+        if row.sampled_repairs > 0 {
             assert!(
-                run.row.metrics.stream_repairs > 0,
-                "{}: the stream must exercise the repair path",
-                run.row.workload
+                row.maintained_checks_sampled < row.recompute_checks_sampled,
+                "{}: delta repair ({} checks) must beat recompute-on-expiry ({} checks)",
+                row.workload,
+                row.maintained_checks_sampled,
+                row.recompute_checks_sampled
             );
-            if run.row.sampled_repairs > 0 {
-                assert!(
-                    run.row.maintained_checks_sampled < run.row.recompute_checks_sampled,
-                    "{}: delta repair ({} checks) must beat recompute-on-expiry ({} checks)",
-                    run.row.workload,
-                    run.row.maintained_checks_sampled,
-                    run.row.recompute_checks_sampled
-                );
-            }
-            match &first {
-                None => {
-                    first = Some(StreamRun {
-                        records: run.records.clone(),
-                        row: run.row.clone(),
-                    })
-                }
-                Some(f) => {
-                    let label = format!(
-                        "{} (threads {} vs {})",
-                        run.row.workload, f.row.threads, run.row.threads
-                    );
-                    assert_eq!(f.records, run.records, "{label}: final records differ");
-                    let strip = |m: &Metrics| Metrics {
-                        cpu: std::time::Duration::ZERO,
-                        ..*m
-                    };
-                    assert_eq!(
-                        strip(&f.row.metrics),
-                        strip(&run.row.metrics),
-                        "{label}: counters must be worker-count-invariant"
-                    );
-                    assert_eq!(
-                        (
-                            f.row.cursor_points_served,
-                            f.row.maintained_checks_sampled,
-                            f.row.recompute_checks_sampled,
-                            f.row.sampled_repairs,
-                            f.row.skyline,
-                        ),
-                        (
-                            run.row.cursor_points_served,
-                            run.row.maintained_checks_sampled,
-                            run.row.recompute_checks_sampled,
-                            run.row.sampled_repairs,
-                            run.row.skyline,
-                        ),
-                        "{label}: derived columns must be worker-count-invariant"
-                    );
-                }
-            }
-            rows.push(run.row);
         }
+        rows.push(row);
     }
     rows
 }
@@ -299,8 +221,8 @@ pub fn stream_to_json(rows: &[StreamBenchRow]) -> String {
     let mut out = String::from("[\n");
     for (i, r) in rows.iter().enumerate() {
         out.push_str(&format!(
-            "  {{\"algo\": \"{}\", \"workload\": \"{}\", \"threads\": {}, \
-             \"repair_shards\": {}, \"window\": {}, \"kernel\": \"{}\", \
+            "  {{\"algo\": \"{}\", \"workload\": \"{}\", \
+             \"window\": {}, \"kernel\": \"{}\", \
              \"available_parallelism\": {}, \
              \"wall_ns\": {}, \"updates_per_sec\": {}, \"cursor_points_served\": {}, \
              \"repair_ns_p50\": {}, \"repair_ns_p95\": {}, \"repair_ns_p99\": {}, \
@@ -308,8 +230,6 @@ pub fn stream_to_json(rows: &[StreamBenchRow]) -> String {
              \"sampled_repairs\": {}, \"metrics\": {}}}{}\n",
             r.algo,
             r.workload,
-            r.threads,
-            r.repair_shards,
             r.window,
             r.kernel,
             r.available_parallelism,
@@ -349,8 +269,6 @@ mod tests {
         let rows = vec![StreamBenchRow {
             algo: "streamTSS",
             workload: "stream:anti:n=100:w=16".into(),
-            threads: 2,
-            repair_shards: 4,
             window: 16,
             kernel: "lanes",
             available_parallelism: 1,
@@ -381,11 +299,8 @@ mod tests {
 
     #[test]
     fn smoke_stream_grid_holds_the_invariants() {
-        // Two worker counts: `stream_grid` itself asserts byte-identical
-        // records and counters between them while measuring, so reaching
-        // the end *is* the invariant check; spot-check the row layout.
-        let rows = stream_grid(true, &[1, 2]);
-        assert_eq!(rows.len(), 4, "2 workloads x 2 worker counts");
+        let rows = stream_grid(true);
+        assert_eq!(rows.len(), 2, "one row per workload");
         assert!(rows.iter().any(|r| r.workload.starts_with("stream:anti:")));
         assert!(rows.iter().any(|r| r.workload.starts_with("stream:indep:")));
         for r in &rows {

@@ -88,10 +88,11 @@ pub fn t_dominates(
 }
 
 /// The PO half of [`t_dominates`], entered once the TO part is known to be
-/// `<=` everywhere with strictness `to_strict`. The lane-chunked kernel in
-/// [`PointStore`](crate::PointStore) resolves its TO masks per lane and
-/// finishes each surviving lane through this exact tail, so both kernel
-/// variants share one PO decision path.
+/// `<=` everywhere with strictness `to_strict`. The key-block point check
+/// ([`KeyBlock::first_match`](crate::store::KeyBlock::first_match) under
+/// `PointStore::t_dominated_by_keys`) finishes every in-box member
+/// through this exact tail, so both kernel variants share one PO decision
+/// path.
 #[inline]
 pub(crate) fn po_tail(domains: &[PoDomain], po_a: &[u32], po_b: &[u32], to_strict: bool) -> bool {
     let mut strict = to_strict;

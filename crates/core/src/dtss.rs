@@ -111,12 +111,6 @@ pub struct DtssConfig {
     pub precompute_local: bool,
     /// Cache query results by digest (§V-B).
     pub cache: bool,
-    /// Pre-filter the global skyline once per group to the entries whose PO
-    /// values are preferred-or-equal to the group's key: a key block of
-    /// their folded TO values, each tagged with its PO strictness, so the
-    /// group's point and subtree checks compare TO values only. Exact; off
-    /// by default (paper-plain checks).
-    pub filter_dominators: bool,
 }
 
 /// One PO-value group: key, members, TO R-tree, optional local skyline.
@@ -508,13 +502,11 @@ enum DtssPhase<'a> {
     /// not yet checked.
     Local {
         gi: usize,
-        filtered: Option<KeyBlock<bool>>,
         local: &'a [u32],
     },
     /// Best-first traversal of a group's TO R-tree.
     Tree {
         gi: usize,
-        filtered: Option<KeyBlock<bool>>,
         bf: BestFirst<'a>,
     },
     /// Replaying a digest-cache hit.
@@ -536,10 +528,9 @@ enum DtssPhase<'a> {
 /// those of the front-free walk; only the pair counts differ.
 ///
 /// Unlike sTSS, the walk needs no duplicate-completion pass: node checks
-/// exclude exact ties, the front is strict TO dominance, prefiltered
-/// checks need PO strictness or a TO difference, and a group's dismissal
-/// check runs before any of its own members is confirmed, so no check
-/// ever drops an exact copy of a skyline point.
+/// exclude exact ties, the front is strict TO dominance, and a group's
+/// dismissal check runs before any of its own members is confirmed, so no
+/// check ever drops an exact copy of a skyline point.
 pub struct DtssCursor<'a> {
     dtss: &'a Dtss,
     /// Per-query labelings (owned: possibly cloned out of a session cache).
@@ -706,23 +697,21 @@ impl<'a> DtssCursor<'a> {
         let head = &mut self.cand[..mbb.dims()];
         match &self.reference {
             None => head.copy_from_slice(mbb.lo()),
-            Some(r) => head.copy_from_slice(&mbb.folded_corner(r)),
+            Some(r) => mbb.folded_corner(r, head),
         }
     }
 
     /// Point and subtree check of the key under test against the working
     /// skyline, for a group with PO values `key`. A member prunes a
     /// subtree iff it t-dominates the corner point, so both are exact
-    /// t-dominance (see [`Table::t_dominated_by_keys`]); in a prefiltered
-    /// group, the TO check of [`KeyBlock::dominated_on_to`]. Strict
+    /// t-dominance (see [`Table::t_dominated_by_keys`]). Strict
     /// dominance never holds between exact duplicates, so every copy of a
     /// skyline point is confirmed on its own.
-    fn dominated(&mut self, key: &[u32], filtered: Option<&KeyBlock<bool>>) -> bool {
-        let table = &self.dtss.table;
-        let (hit, examined) = match filtered {
-            Some(f) => f.dominated_on_to(table.kernel(), &self.cand[..table.to_dims()]),
-            None => table.t_dominated_by_keys(&self.domains, &self.cand, key, &self.sky),
-        };
+    fn dominated(&mut self, key: &[u32]) -> bool {
+        let (hit, examined) =
+            self.dtss
+                .table
+                .t_dominated_by_keys(&self.domains, &self.cand, key, &self.sky);
         self.m.batch(examined);
         hit
     }
@@ -733,12 +722,7 @@ impl<'a> DtssCursor<'a> {
     /// PO values that is t-dominance, so a hit rejects at once. On a miss
     /// a popped `point` joins the front, whatever the global check then
     /// decides; a subtree corner never does.
-    fn dominated_in_group(
-        &mut self,
-        key: &[u32],
-        filtered: Option<&KeyBlock<bool>>,
-        point: bool,
-    ) -> bool {
+    fn dominated_in_group(&mut self, key: &[u32], point: bool) -> bool {
         let to = &self.cand[..self.dtss.table.to_dims()];
         let (hit, examined) = self.front.dominated(to);
         self.m.batch(examined);
@@ -748,7 +732,7 @@ impl<'a> DtssCursor<'a> {
         if point {
             self.front.push(to);
         }
-        self.dominated(key, filtered)
+        self.dominated(key)
     }
 
     /// Confirms the key under test as skyline member `record`.
@@ -757,31 +741,8 @@ impl<'a> DtssCursor<'a> {
         self.m.results += 1;
     }
 
-    /// Per-group dominator prefilter ([`DtssConfig::filter_dominators`]):
-    /// the skyline members whose PO values are preferred-or-equal to the
-    /// group `key`, keyed by their folded TO coordinates and tagged with
-    /// their PO strictness. One dominance check per member.
-    fn filter_dominators(&mut self, key: &[u32]) -> KeyBlock<bool> {
-        let table = &self.dtss.table;
-        let to_dims = table.to_dims();
-        self.m.dominance_checks += self.sky.len() as u64;
-        let mut filtered = KeyBlock::new(to_dims);
-        for (r, s_key) in self.sky.iter() {
-            let s_po = table.po(r);
-            let can_dominate = s_po
-                .iter()
-                .zip(key)
-                .zip(&self.domains)
-                .all(|((&s, &k), d)| d.pref_or_equal(s, k));
-            if can_dominate {
-                filtered.push(s_po != key, &s_key[..to_dims]);
-            }
-        }
-        filtered
-    }
-
-    /// Sets up the next group: dismissal check, prefilter, and the phase
-    /// that will stream its points. Returns the new phase, or `None` when
+    /// Sets up the next group: dismissal check and the phase that will
+    /// stream its points. Returns the new phase, or `None` when
     /// the group was dismissed.
     fn enter_group(&mut self, gi: usize) -> Option<DtssPhase<'a>> {
         let dtss = self.dtss;
@@ -805,11 +766,6 @@ impl<'a> DtssCursor<'a> {
             return None;
         }
 
-        let filtered = dtss
-            .cfg
-            .filter_dominators
-            .then(|| self.filter_dominators(key));
-
         // Local skylines are computed under origin-anchored dominance and
         // are invalid for folded queries (§V-B).
         if let (Some(local), None) = (group.local_skyline.as_ref(), self.reference.as_ref()) {
@@ -819,15 +775,11 @@ impl<'a> DtssCursor<'a> {
                 .cfg
                 .page
                 .data_pages(local.len(), dtss.table.to_dims() + key.len());
-            return Some(DtssPhase::Local {
-                gi,
-                filtered,
-                local,
-            });
+            return Some(DtssPhase::Local { gi, local });
         }
         group.tree.reset_io();
         let bf = group.tree.best_first_from(self.reference.as_deref());
-        Some(DtssPhase::Tree { gi, filtered, bf })
+        Some(DtssPhase::Tree { gi, bf })
     }
 
     fn finish(&mut self) {
@@ -864,34 +816,22 @@ impl SkylineCursor for DtssCursor<'_> {
                         self.phase = DtssPhase::NextGroup;
                     }
                 }
-                DtssPhase::Local {
-                    gi,
-                    filtered,
-                    mut local,
-                } => {
+                DtssPhase::Local { gi, mut local } => {
                     let dtss = self.dtss;
                     let group = &dtss.groups[gi];
                     while let Some((&r, rest)) = local.split_first() {
                         local = rest;
                         self.load_point(dtss.table.to(r));
-                        if !self.dominated(&group.key, filtered.as_ref()) {
+                        if !self.dominated(&group.key) {
                             self.emit(r);
                             self.take_sample(0);
-                            self.phase = DtssPhase::Local {
-                                gi,
-                                filtered,
-                                local,
-                            };
+                            self.phase = DtssPhase::Local { gi, local };
                             return Some(self.yielded(r));
                         }
                     }
                     self.phase = DtssPhase::NextGroup;
                 }
-                DtssPhase::Tree {
-                    gi,
-                    filtered,
-                    mut bf,
-                } => {
+                DtssPhase::Tree { gi, mut bf } => {
                     let dtss = self.dtss;
                     let group = &dtss.groups[gi];
                     let key = &group.key;
@@ -900,16 +840,16 @@ impl SkylineCursor for DtssCursor<'_> {
                         match popped {
                             Popped::Node { id, mbb, .. } => {
                                 self.load_corner(mbb);
-                                if !self.dominated_in_group(key, filtered.as_ref(), false) {
+                                if !self.dominated_in_group(key, false) {
                                     bf.expand(id);
                                 }
                             }
                             Popped::Record { point, record, .. } => {
                                 self.load_point(point);
-                                if !self.dominated_in_group(key, filtered.as_ref(), true) {
+                                if !self.dominated_in_group(key, true) {
                                     self.emit(record);
                                     self.take_sample(group.tree.io_count());
-                                    self.phase = DtssPhase::Tree { gi, filtered, bf };
+                                    self.phase = DtssPhase::Tree { gi, bf };
                                     return Some(self.yielded(record));
                                 }
                             }
@@ -988,15 +928,6 @@ mod tests {
             DtssConfig::default(),
             DtssConfig {
                 precompute_local: true,
-                ..Default::default()
-            },
-            DtssConfig {
-                filter_dominators: true,
-                ..Default::default()
-            },
-            DtssConfig {
-                precompute_local: true,
-                filter_dominators: true,
                 ..Default::default()
             },
         ]
@@ -1332,7 +1263,11 @@ mod tests {
         };
         let corner = |mbb: &Mbb| match reference {
             None => mbb.lo().to_vec(),
-            Some(r) => mbb.folded_corner(r),
+            Some(r) => {
+                let mut corner = vec![0; mbb.dims()];
+                mbb.folded_corner(r, &mut corner);
+                corner
+            }
         };
         let rank = |g: &Group| -> u64 {
             g.key
@@ -1454,9 +1389,9 @@ mod tests {
         /// The group front changes no decision of the walk: the cursor's
         /// emission order, pops, page reads and dismissed groups equal the
         /// front-free [`reference_walk`]'s, under both kernels, plain and
-        /// fully dynamic, with and without the dominator prefilter. Node
-        /// capacities of 2 to 4 give the group trees inner nodes, so
-        /// subtree corners meet the front too; duplicate rows are common.
+        /// fully dynamic. Node capacities of 2 to 4 give the group trees
+        /// inner nodes, so subtree corners meet the front too; duplicate
+        /// rows are common.
         #[test]
         fn front_leaves_the_walk_unchanged(
             rows in proptest::collection::vec((0u32..12, 0u32..12, 0u32..5, 0u32..3), 1..80),
@@ -1473,36 +1408,26 @@ mod tests {
             let sizes = [5, 3][..po_dims].to_vec();
             let doms: Vec<PoDomain> = dags.iter().cloned().map(PoDomain::new).collect();
             let q = PoQuery::new(dags);
-            for filter_dominators in [false, true] {
-                let cfg = DtssConfig {
-                    node_capacity: Some(capacity),
-                    filter_dominators,
-                    ..Default::default()
-                };
-                for kernel in [Kernel::Scalar, Kernel::Lanes] {
-                    let dtss = Dtss::build(t.clone().with_kernel(kernel), sizes.clone(), cfg).unwrap();
-                    for reference in [None, Some([folded_at.0, folded_at.1])] {
-                        let reference = reference.as_ref().map(|r| &r[..]);
-                        let expect = reference_walk(&dtss, &doms, reference);
-                        let run = match reference {
-                            None => dtss.query(&q).unwrap(),
-                            Some(r) => dtss.query_fully_dynamic(&q, r).unwrap(),
-                        };
-                        let got = Walk {
-                            emitted: run.skyline_records(),
-                            heap_pops: run.metrics.heap_pops,
-                            io_reads: run.metrics.io_reads,
-                            groups_skipped: run.groups_skipped,
-                        };
-                        prop_assert_eq!(
-                            got,
-                            expect,
-                            "{:?} {:?} reference={:?}",
-                            cfg,
-                            kernel,
-                            reference
-                        );
-                    }
+            let cfg = DtssConfig {
+                node_capacity: Some(capacity),
+                ..Default::default()
+            };
+            for kernel in [Kernel::Scalar, Kernel::Lanes] {
+                let dtss = Dtss::build(t.clone().with_kernel(kernel), sizes.clone(), cfg).unwrap();
+                for reference in [None, Some([folded_at.0, folded_at.1])] {
+                    let reference = reference.as_ref().map(|r| &r[..]);
+                    let expect = reference_walk(&dtss, &doms, reference);
+                    let run = match reference {
+                        None => dtss.query(&q).unwrap(),
+                        Some(r) => dtss.query_fully_dynamic(&q, r).unwrap(),
+                    };
+                    let got = Walk {
+                        emitted: run.skyline_records(),
+                        heap_pops: run.metrics.heap_pops,
+                        io_reads: run.metrics.io_reads,
+                        groups_skipped: run.groups_skipped,
+                    };
+                    prop_assert_eq!(got, expect, "{:?} reference={:?}", kernel, reference);
                 }
             }
         }

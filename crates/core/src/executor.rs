@@ -21,11 +21,9 @@
 //!      process, whose crash, timeout or untrusted reply becomes a
 //!      `WorkerDied` / `WorkerTimeout` / `FrameCorrupted` error (see
 //!      [`crate::ipc::supervisor`]).
-//! 2. **Minimality validation** — whenever a fault plan is set, a job
-//!    whose result is a local skyline (every [`ShardJob::new`] job unless
-//!    it opts out with [`ShardJob::without_minimality_check`]) is checked
-//!    after each successful attempt; a dominated member fails the attempt
-//!    like a panic.
+//! 2. **Minimality validation** — whenever a fault plan is set, every
+//!    job's result (a local skyline) is checked after each successful
+//!    attempt; a dominated member fails the attempt like a panic.
 //! 3. **Scalar-oracle fallback** — a shard that failed every regular
 //!    attempt is recomputed once more, in process, with
 //!    [`ShardCtx::kernel`] forced to [`Kernel::Scalar`], the reference
@@ -55,8 +53,8 @@
 //! process that is an **injected panic** or a **corrupted local skyline**
 //! (a deterministically chosen dominated record appended to the local
 //! result), which the minimality validation catches: a check of the local
-//! skyline against the scalar oracle kernel
-//! ([`PointStore::t_dominated_by_any_oracle`]). Out of process it is a
+//! skyline with the scalar list loop
+//! ([`PointStore::t_dominated_by_any`]). Out of process it is a
 //! worker kill, stall or flipped reply byte
 //! ([`FaultPlan::injects_process`]). The plan never injects into the
 //! fallback attempt, so a fault-injected run always terminates with the
@@ -254,9 +252,6 @@ pub struct ShardJob<'a> {
     run: Box<dyn Fn(ShardCtx) -> (Vec<RecordId>, Metrics) + Send + Sync + 'a>,
     wire: Option<Box<dyn Fn() -> Vec<u8> + Send + Sync + 'a>>,
     range: Range<RecordId>,
-    /// The result is a local skyline, so the ladder may check it for
-    /// minimality.
-    local_skyline: bool,
 }
 
 impl<'a> ShardJob<'a> {
@@ -272,7 +267,6 @@ impl<'a> ShardJob<'a> {
             run: Box::new(run),
             wire: None,
             range,
-            local_skyline: true,
         }
     }
 
@@ -283,15 +277,6 @@ impl<'a> ShardJob<'a> {
     /// equivalence proptests pin.
     pub fn with_wire(mut self, encode: impl Fn() -> Vec<u8> + Send + Sync + 'a) -> Self {
         self.wire = Some(Box::new(encode));
-        self
-    }
-
-    /// Marks the job's result as **not** a local skyline (streaming's
-    /// repair screens return promotion candidates, which may dominate one
-    /// another), so the ladder never checks it for minimality. Such a job
-    /// must verify its results itself when faults are injected.
-    pub fn without_minimality_check(mut self) -> Self {
-        self.local_skyline = false;
         self
     }
 
@@ -313,8 +298,8 @@ pub struct ExecPolicy {
     /// `retries + 1` regular attempts, then one scalar-oracle fallback).
     pub retries: u32,
     /// Active fault plan, if any. While one is set, the ladder checks
-    /// every local-skyline job's result for minimality (corruption would
-    /// otherwise go unnoticed); fault-free runs skip the oracle pair work.
+    /// every job's result for minimality (corruption would otherwise go
+    /// unnoticed); fault-free runs skip the oracle pair work.
     pub faults: Option<FaultPlan>,
     /// Per-attempt deadline of the out-of-process executor: a remote
     /// attempt that has not answered within it is killed and retried
@@ -513,7 +498,7 @@ pub(crate) fn run_ladder(
     job: &ShardJob<'_>,
     mut transport: impl FnMut(ShardCtx, &mut Metrics) -> Attempt,
 ) -> Result<ShardOutcome, ShardError> {
-    let validate = job.local_skyline && policy.faults.is_some();
+    let validate = policy.faults.is_some();
     let checked = |ctx: ShardCtx, attempt: Attempt| -> Attempt {
         let (records, metrics) = attempt?;
         if validate {
@@ -648,8 +633,8 @@ fn corruption_target(
 }
 
 /// Minimality validation: a local skyline must be *minimal* — no member
-/// dominated by another member. Checked record by record against the
-/// scalar oracle kernel (a record never dominates its own equal self, so
+/// dominated by another member. Checked record by record with the scalar
+/// list loop (a record never dominates its own equal self, so
 /// the full list is a valid reference set). Returns the first dominated
 /// member found. The oracle pair work is deliberately uncounted — see the
 /// module docs.
@@ -659,7 +644,7 @@ fn validate_minimal(
     records: &[RecordId],
 ) -> Option<RecordId> {
     for &r in records {
-        let (hit, _) = store.t_dominated_by_any_oracle(domains, store.to(r), store.po(r), records);
+        let (hit, _) = store.t_dominated_by_any(domains, store.to(r), store.po(r), records);
         if hit {
             return Some(r);
         }
@@ -855,22 +840,6 @@ mod tests {
     }
 
     #[test]
-    fn opted_out_jobs_are_never_checked_for_minimality() {
-        let t = table(90);
-        let policy = ExecPolicy::with_faults(Some(FaultPlan::new(3, 0.0)));
-        let exec = ThreadShardExecutor::with_policy(2, policy);
-        let jobs: Vec<ShardJob<'_>> = corrupt_jobs(&t)
-            .into_iter()
-            .map(ShardJob::without_minimality_check)
-            .collect();
-        for r in exec.execute(&t, &[], &jobs) {
-            let o = r.expect("first attempt accepted");
-            assert_eq!(o.metrics.shard_retries, 0);
-            assert_eq!(o.metrics.shard_fallbacks, 0);
-        }
-    }
-
-    #[test]
     fn unrecoverable_jobs_surface_a_shard_error() {
         let t = table(30);
         let jobs: Vec<ShardJob<'_>> = t
@@ -919,7 +888,7 @@ mod tests {
         let bogus = corruption_target(&plan, 0, 0, &view.range(), &local)
             .expect("mixed shard has non-members");
         assert!(!local.contains(&bogus));
-        let (dominated, _) = t.t_dominated_by_any_oracle(&[], t.to(bogus), t.po(bogus), &local);
+        let (dominated, _) = t.t_dominated_by_any(&[], t.to(bogus), t.po(bogus), &local);
         assert!(dominated, "appended record must be detectable");
         // All-skyline shard: no target exists.
         let mut anti = Table::new(2, 0);

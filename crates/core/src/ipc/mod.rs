@@ -10,8 +10,8 @@
 //! * [`protocol`] — hand-rolled length-prefixed LE framing with a
 //!   per-frame FNV-1a checksum, plus the request/response and
 //!   store-window codecs (no serde, no new dependencies);
-//! * [`tasks`] — the builtin task codecs and the shared compute
-//!   functions both sides call (byte identity by construction);
+//! * [`tasks`] — the builtin task codec and the shared compute function
+//!   both sides call (byte identity by construction);
 //! * [`worker`] — the blocking serve loop a `tss-worker` entry runs;
 //! * [`supervisor`] — [`SubprocessExecutor`]: the remote transport of
 //!   the executors' shared recovery ladder — worker processes,
@@ -29,5 +29,5 @@ pub mod tasks;
 pub mod worker;
 
 pub use supervisor::{SubprocessExecutor, WorkerSpec, DEFAULT_DEADLINE};
-pub use tasks::{encode_local_skyline, encode_screen, local_skyline_job};
+pub use tasks::{encode_local_skyline, local_skyline_job};
 pub use worker::{serve_builtin, serve_io};

@@ -7,50 +7,37 @@
 //! allocations total, slice access by record id is `O(1)`, and a dominance
 //! scan over a candidate list walks memory linearly.
 //!
-//! The batched kernels below test one candidate against a whole block of
-//! records: the TO comparison is branch-free per pair (flag accumulation
-//! instead of per-dimension exits), rows early-exit on the first dominator,
-//! and every kernel returns `(answer, pairs_examined)` where one examined
-//! pair equals one scalar [`t_dominates`] call of the seed implementation —
-//! so the batched counts are never larger than the scalar loop's.
-//!
-//! Like [`skyline::PointBlock`], each kernel exists in a scalar and a
-//! lane-chunked variant behind one signature, selected by the store's
-//! [`Kernel`]: the lane path gathers [`LANES`] TO rows per iteration into a
-//! dimension-major scratch and resolves the `le`/`lt` masks vectorially,
-//! while the PO part of each surviving lane runs through the exact scalar
-//! tail in record order — results *and* examined-pair counts are identical
-//! across variants on every input.
+//! [`t_dominated_by_any`](PointStore::t_dominated_by_any) tests one
+//! candidate against a list of records: the plain list loop, with early
+//! exit on the first dominator, returning `(answer, pairs_examined)` where
+//! one examined pair is one exact [`t_dominates`] call. The store keeps no
+//! lane kernel of its own: every hot check runs against a [`KeyBlock`],
+//! whose keys sit in a [`PointBlock`], the one lane kernel set.
 //!
 //! # The confirmed-skyline key block
 //!
 //! Every engine tests candidates against a list of *confirmed* skyline
-//! members, and sTSS (points and MBBs), the sharded merge and dTSS
-//! (points, subtrees, group dismissal, and the prefiltered forms of the
-//! first two) all keep that list as a [`KeyBlock`]: one tag per member
-//! (its record id) plus a dense, dimension-major [`PointBlock`] of keys
+//! members, and sTSS (points and MBBs), the sharded merge, dTSS (points,
+//! subtrees and group dismissal) and streaming maintenance (arrivals and
+//! repair candidates) all keep that list as a [`KeyBlock`]: the members'
+//! record ids plus a dense, dimension-major [`PointBlock`] of keys
 //! (TO values — folded ones in dTSS — then one topological ordinal per PO
 //! attribute). By the precedence argument of §IV-A a member can dominate a
 //! candidate only if its key is `<=` the candidate's key on every
 //! dimension, so every check is one call, [`KeyBlock::first_match`]: the
-//! box, then the check's exact refine (PO closure probes, interval-set
-//! covers or a strictness flag), in list order. [`Kernel::Scalar`] runs it
-//! as the list loop, the oracle; [`Kernel::Lanes`] tests the box for
-//! [`LANES`] members at a time and refines only the in-box ones. Because
-//! the box is implied by each refine, both stop at the list loop's first
-//! hit and return its examined-pair count.
+//! box, then the check's exact refine (PO closure probes or interval-set
+//! covers), in list order. [`Kernel::Scalar`] runs it as the list loop,
+//! the oracle; [`Kernel::Lanes`] tests the box for
+//! [`LANES`](skyline::LANES) members at a time and refines only the
+//! in-box ones. Because the box is implied by each refine, both stop at
+//! the list loop's first hit and return its examined-pair count.
 //!
 //! `Table` (the facade name the paper-facing API keeps) is an alias of this
 //! type.
 
 use crate::dominance::{po_tail, t_dominates};
 use crate::{CoreError, PoDomain};
-use skyline::{Kernel, PointBlock, LANES};
-
-/// Widest TO stride the id-gather lane kernels transpose through their
-/// stack scratch (matches the `PointBlock` limit); wider stores take the
-/// scalar path.
-const LANE_MAX_DIMS: usize = 16;
+use skyline::{Kernel, PointBlock};
 
 /// Index of a tuple in a [`PointStore`] — the currency engines trade in.
 pub type RecordId = u32;
@@ -90,11 +77,11 @@ pub(crate) fn row_hash(to: &[u32], po: &[u32]) -> u64 {
 /// bumps a [`generation`](Self::generation) counter, so readers can
 /// snapshot a generation and detect staleness instead of observing torn
 /// state. All index-addressed accessors ([`to`](Self::to),
-/// [`po`](Self::po), the batched kernels, [`shards`](Self::shards)) keep
-/// operating on *physical* rows — tombstoned rows stay addressable until
-/// compaction — and the streaming layer passes explicitly live id lists,
-/// so `RecordId` windows, lane kernels and [`ShardView`]s work unchanged
-/// on live data.
+/// [`po`](Self::po), [`t_dominated_by_any`](Self::t_dominated_by_any),
+/// [`shards`](Self::shards)) keep operating on *physical* rows —
+/// tombstoned rows stay addressable until compaction — and the streaming
+/// layer passes explicitly live id lists, so `RecordId` windows and
+/// [`ShardView`]s work unchanged on live data.
 #[derive(Debug, Clone, Default)]
 pub struct PointStore {
     n: usize,
@@ -128,7 +115,7 @@ impl PointStore {
         }
     }
 
-    /// The dominance-kernel variant the batched kernels dispatch to
+    /// The dominance-kernel variant the key-block checks dispatch to
     /// (inherited by engine-internal [`skyline::PointBlock`]s built from
     /// this store).
     #[inline]
@@ -295,12 +282,13 @@ impl PointStore {
         Ok(())
     }
 
-    // --- Batched dominance kernels --------------------------------------
+    // --- Dominance checks ----------------------------------------------
 
     /// Does any of the listed records t-dominate the candidate tuple
-    /// `(cand_to, cand_po)`? One linear walk over the flat blocks with
-    /// early exit; each examined pair is one exact [`t_dominates`] check.
-    /// Returns `(dominated, pairs_examined)`.
+    /// `(cand_to, cand_po)`? The list loop: one exact [`t_dominates`]
+    /// check per listed record, in list order, stopping at the first
+    /// dominator, whatever the store's kernel. Returns `(dominated,
+    /// pairs_examined)`.
     #[inline]
     pub fn t_dominated_by_any(
         &self,
@@ -311,101 +299,8 @@ impl PointStore {
     ) -> (bool, u64) {
         debug_assert_eq!(cand_to.len(), self.to_dims);
         debug_assert_eq!(cand_po.len(), self.po_dims);
-        match self.kernel {
-            Kernel::Scalar => self.t_dominated_by_any_scalar(domains, cand_to, cand_po, ids),
-            Kernel::Lanes => self.t_dominated_by_any_lanes(domains, cand_to, cand_po, ids),
-        }
-    }
-
-    /// [`t_dominated_by_any`](Self::t_dominated_by_any) forced onto the
-    /// scalar oracle path, ignoring the store's configured kernel — the
-    /// reference check the executor ladder's minimality validation uses,
-    /// so corruption detection never depends on the kernel variant
-    /// under suspicion. Returns `(dominated, pairs_examined)`; callers that
-    /// must stay counter-identical to a validation-free run deliberately
-    /// do **not** feed the pair count into their [`Metrics`](crate::Metrics).
-    #[inline]
-    pub fn t_dominated_by_any_oracle(
-        &self,
-        domains: &[PoDomain],
-        cand_to: &[u32],
-        cand_po: &[u32],
-        ids: &[RecordId],
-    ) -> (bool, u64) {
-        self.t_dominated_by_any_scalar(domains, cand_to, cand_po, ids)
-    }
-
-    fn t_dominated_by_any_scalar(
-        &self,
-        domains: &[PoDomain],
-        cand_to: &[u32],
-        cand_po: &[u32],
-        ids: &[RecordId],
-    ) -> (bool, u64) {
         let mut examined = 0u64;
         for &id in ids {
-            examined += 1;
-            if t_dominates(domains, self.to_window(id), self.po(id), cand_to, cand_po) {
-                return (true, examined);
-            }
-        }
-        (false, examined)
-    }
-
-    /// Lane-chunked t-dominance: each group of [`LANES`] listed records
-    /// transposes its TO rows into a stack scratch and resolves the TO
-    /// `le`/`lt` masks vectorially; a lane whose TO part survives finishes
-    /// through the exact scalar [`po_tail`] in record order, so results and
-    /// examined-pair counts match the scalar walk bit for bit (pairs are
-    /// counted per record, with or without a PO evaluation — exactly as
-    /// [`t_dominates`] early-outs on a failed TO part).
-    fn t_dominated_by_any_lanes(
-        &self,
-        domains: &[PoDomain],
-        cand_to: &[u32],
-        cand_po: &[u32],
-        ids: &[RecordId],
-    ) -> (bool, u64) {
-        let dims = self.to_dims;
-        if dims > LANE_MAX_DIMS {
-            return self.t_dominated_by_any_scalar(domains, cand_to, cand_po, ids);
-        }
-        let mut scratch = [0u32; LANES * LANE_MAX_DIMS];
-        let mut examined = 0u64;
-        let groups = ids.chunks_exact(LANES);
-        let tail = groups.remainder();
-        for group in groups {
-            for (l, &id) in group.iter().enumerate() {
-                let row = self.to_window(id);
-                for d in 0..dims {
-                    scratch[d * LANES + l] = row[d];
-                }
-            }
-            let mut le = [1u32; LANES];
-            let mut lt = [0u32; LANES];
-            for (col, &cd) in scratch[..dims * LANES]
-                .chunks_exact(LANES)
-                .zip(cand_to.iter())
-            {
-                for l in 0..LANES {
-                    le[l] &= (col[l] <= cd) as u32;
-                    lt[l] |= (col[l] < cd) as u32;
-                }
-                if dims > 4 && le.iter().fold(0u32, |a, &x| a | x) == 0 {
-                    break;
-                }
-            }
-            let any_le = le.iter().fold(0u32, |a, &x| a | x);
-            if any_le != 0 {
-                for (l, &id) in group.iter().enumerate() {
-                    if le[l] != 0 && po_tail(domains, self.po(id), cand_po, lt[l] != 0) {
-                        return (true, examined + l as u64 + 1);
-                    }
-                }
-            }
-            examined += LANES as u64;
-        }
-        for &id in tail {
             examined += 1;
             if t_dominates(domains, self.to_window(id), self.po(id), cand_to, cand_po) {
                 return (true, examined);
@@ -732,11 +627,10 @@ impl<'a> ShardView<'a> {
     }
 }
 
-/// Confirmed skyline members in list order: one tag per member (its
-/// record id; dTSS's dominator prefilter tags its members with their PO
-/// strictness instead) plus a dense, dimension-major [`PointBlock`] of
-/// their keys (for record ids, TO values then one topological ordinal per
-/// PO attribute; see [`PointStore::key_into`]).
+/// Confirmed skyline members in list order: their record ids plus a
+/// dense, dimension-major [`PointBlock`] of their keys (TO values, folded
+/// ones in dTSS, then one topological ordinal per PO attribute; see
+/// [`PointStore::key_into`]).
 ///
 /// Every confirmed-list check is one [`first_match`](Self::first_match)
 /// call: by the precedence argument of §IV-A, a member can t-dominate a
@@ -744,66 +638,114 @@ impl<'a> ShardView<'a> {
 /// (the MBB's low corner) on every dimension, so the box filters the list
 /// ahead of each check's exact refine.
 #[derive(Debug, Clone)]
-pub(crate) struct KeyBlock<T = RecordId> {
-    tags: Vec<T>,
+pub(crate) struct KeyBlock {
+    ids: Vec<RecordId>,
     keys: PointBlock,
 }
 
-impl<T: Copy> KeyBlock<T> {
+impl KeyBlock {
     /// An empty block of `dims`-wide keys.
     pub(crate) fn new(dims: usize) -> Self {
         KeyBlock {
-            tags: Vec::new(),
+            ids: Vec::new(),
             keys: PointBlock::new(dims),
         }
     }
 
-    /// Appends a member tagged `tag` with key `key`.
+    /// Appends member `id` with key `key`.
     #[inline]
-    pub(crate) fn push(&mut self, tag: T, key: &[u32]) {
-        self.tags.push(tag);
+    pub(crate) fn push(&mut self, id: RecordId, key: &[u32]) {
+        self.ids.push(id);
         self.keys.push(key);
     }
 
     /// Number of members.
     #[inline]
     pub(crate) fn len(&self) -> usize {
-        self.tags.len()
+        self.ids.len()
     }
 
     /// True iff the block holds no members.
     #[inline]
     pub(crate) fn is_empty(&self) -> bool {
-        self.tags.is_empty()
+        self.ids.is_empty()
     }
 
-    /// The members' `(tag, key)` pairs, in list order.
-    pub(crate) fn iter(&self) -> impl Iterator<Item = (T, &[u32])> {
-        self.tags.iter().copied().zip(self.keys.iter())
+    /// The members' record ids, in list order.
+    #[inline]
+    pub(crate) fn ids(&self) -> &[RecordId] {
+        &self.ids
+    }
+
+    /// The members' record ids, for renumbering in place (keys stay).
+    #[inline]
+    pub(crate) fn ids_mut(&mut self) -> &mut [RecordId] {
+        &mut self.ids
+    }
+
+    /// Key of the member at list position `i`.
+    #[inline]
+    pub(crate) fn key(&self, i: usize) -> &[u32] {
+        self.keys.point(i)
+    }
+
+    /// Keeps the members whose `(id, key)` satisfy `keep`, in order: one
+    /// compaction pass over ids and keys.
+    pub(crate) fn retain(&mut self, keep: impl FnMut(RecordId, &[u32]) -> bool) {
+        self.keys.retain_with_ids(&mut self.ids, keep);
+    }
+
+    /// Merges the members of `other`, in any order, into this block, which
+    /// lists its members by ascending id: one pass, and the result lists
+    /// every member by ascending id.
+    pub(crate) fn merge_by_id(&mut self, other: &KeyBlock) {
+        if other.is_empty() {
+            return;
+        }
+        let mut order: Vec<usize> = (0..other.len()).collect();
+        order.sort_unstable_by_key(|&j| other.ids[j]);
+        let total = self.len() + other.len();
+        let mut merged = KeyBlock {
+            ids: Vec::with_capacity(total),
+            keys: PointBlock::with_capacity(self.keys.dims(), total),
+        };
+        let mut i = 0;
+        for j in order {
+            while i < self.len() && self.ids[i] < other.ids[j] {
+                merged.push(self.ids[i], self.key(i));
+                i += 1;
+            }
+            merged.push(other.ids[j], other.key(j));
+        }
+        for i in i..self.len() {
+            merged.push(self.ids[i], self.key(i));
+        }
+        *self = merged;
     }
 
     /// The first member, in list order, whose key is `<=` `corner` on
-    /// every dimension and that `refine(tag, key)` accepts. Returns `(hit,
+    /// every dimension and that `refine(id, key)` accepts. Returns `(hit,
     /// examined)` as the list loop counts it: the hit's position plus one,
     /// or every member on a miss.
     ///
     /// [`Kernel::Scalar`] is that list loop, the oracle: the box test,
     /// then `refine`, member by member. [`Kernel::Lanes`] is
-    /// [`PointBlock::first_in_box`], which tests the box for [`LANES`]
-    /// members at a time and calls `refine` only on the in-box ones, in
-    /// order. A refine that accepts only in-box members, as every
-    /// dominance refine does, gets the same answer from both.
+    /// [`PointBlock::first_in_box`], which tests the box for
+    /// [`LANES`](skyline::LANES) members at a time and calls `refine` only
+    /// on the in-box ones, in order. A refine that accepts only in-box
+    /// members, as every dominance refine does, gets the same answer from
+    /// both.
     #[inline]
     pub(crate) fn first_match(
         &self,
         kernel: Kernel,
         corner: &[u32],
-        mut refine: impl FnMut(T, &[u32]) -> bool,
+        mut refine: impl FnMut(RecordId, &[u32]) -> bool,
     ) -> (bool, u64) {
         match kernel {
             Kernel::Scalar => {
-                for (i, (tag, key)) in self.iter().enumerate() {
-                    if key.iter().zip(corner).all(|(k, c)| k <= c) && refine(tag, key) {
+                for (i, (id, key)) in self.ids.iter().copied().zip(self.keys.iter()).enumerate() {
+                    if key.iter().zip(corner).all(|(k, c)| k <= c) && refine(id, key) {
                         return (true, i as u64 + 1);
                     }
                 }
@@ -811,30 +753,8 @@ impl<T: Copy> KeyBlock<T> {
             }
             Kernel::Lanes => self
                 .keys
-                .first_in_box(corner, |i| refine(self.tags[i], self.keys.point(i))),
+                .first_in_box(corner, |i| refine(self.ids[i], self.keys.point(i))),
         }
-    }
-}
-
-impl KeyBlock {
-    /// The members' record ids, in list order.
-    #[inline]
-    pub(crate) fn ids(&self) -> &[RecordId] {
-        &self.tags
-    }
-}
-
-impl KeyBlock<bool> {
-    /// The prefiltered check of dTSS's
-    /// [`filter_dominators`](crate::DtssConfig::filter_dominators): the
-    /// members are the skyline entries whose PO values are
-    /// preferred-or-equal to one group's, keyed by their (folded) TO values
-    /// and tagged with their PO strictness. A member dominates the TO point
-    /// or subtree corner `to` iff its key is `<=` `to` and it is PO-strict
-    /// or its key differs from `to`.
-    #[inline]
-    pub(crate) fn dominated_on_to(&self, kernel: Kernel, to: &[u32]) -> (bool, u64) {
-        self.first_match(kernel, to, |strict, key| strict || key != to)
     }
 }
 
@@ -844,6 +764,7 @@ pub(crate) mod tests {
     use crate::Dominance;
     use poset::Dag;
     use proptest::prelude::*;
+    use skyline::LANES;
 
     #[test]
     fn push_and_access() {
@@ -906,38 +827,16 @@ pub(crate) mod tests {
     #[test]
     fn batched_kernel_counts_and_early_exits() {
         let doms = vec![PoDomain::new(Dag::paper_example())];
-        for kernel in [Kernel::Scalar, Kernel::Lanes] {
-            let mut t = PointStore::new(1, 1).with_kernel(kernel);
-            t.push(&[9], &[8]); // dominates nothing relevant
-            t.push(&[2], &[2]); // c at cost 2: dominates (3, f)
-            t.push(&[0], &[0]); // never reached once a dominator is found
-            let (hit, examined) = t.t_dominated_by_any(&doms, &[3], &[5], &[0, 1, 2]);
-            assert!(hit, "{kernel:?}");
-            assert_eq!(examined, 2, "{kernel:?}: early exit after record two");
-            let (miss, examined) = t.t_dominated_by_any(&doms, &[0], &[0], &[0, 1, 2]);
-            assert!(!miss, "{kernel:?}: duplicates of record 2 not dominated");
-            assert_eq!(examined, 3, "{kernel:?}");
-        }
-    }
-
-    #[test]
-    fn lane_kernel_matches_scalar_past_the_chunk_boundary() {
-        // Enough records that the lane path processes whole chunks plus a
-        // ragged tail, with a dominator planted inside a middle chunk so the
-        // early-exit pair count crosses kernel variants exactly.
-        let doms = vec![PoDomain::new(Dag::paper_example())];
-        let mut scalar = PointStore::new(2, 1).with_kernel(Kernel::Scalar);
-        for i in 0..21u32 {
-            let po = if i == 11 { 0 } else { 7 }; // record 11 holds `a`
-            scalar.push(&[i % 4 + 1, 3], &[po]);
-        }
-        let lanes = scalar.clone().with_kernel(Kernel::Lanes);
-        let ids: Vec<RecordId> = (0..21).collect();
-        for cand in [([1u32, 3], 2u32), ([0, 0], 0), ([4, 3], 7)] {
-            let s = scalar.t_dominated_by_any(&doms, &cand.0, &[cand.1], &ids);
-            let l = lanes.t_dominated_by_any(&doms, &cand.0, &[cand.1], &ids);
-            assert_eq!(s, l, "cand {cand:?}");
-        }
+        let mut t = PointStore::new(1, 1);
+        t.push(&[9], &[8]); // dominates nothing relevant
+        t.push(&[2], &[2]); // c at cost 2: dominates (3, f)
+        t.push(&[0], &[0]); // never reached once a dominator is found
+        let (hit, examined) = t.t_dominated_by_any(&doms, &[3], &[5], &[0, 1, 2]);
+        assert!(hit);
+        assert_eq!(examined, 2, "early exit after record two");
+        let (miss, examined) = t.t_dominated_by_any(&doms, &[0], &[0], &[0, 1, 2]);
+        assert!(!miss, "duplicates of record 2 not dominated");
+        assert_eq!(examined, 3);
     }
 
     #[test]
@@ -1170,10 +1069,9 @@ pub(crate) mod tests {
         /// Every form of the key-block check returns, under both kernels,
         /// the `(hit, examined)` of a plain list loop over its exact
         /// predicate, on every shape and list length: the point form
-        /// (t-dominance), dTSS's corner forms with tie exclusion (the
+        /// (t-dominance), and dTSS's corner forms with tie exclusion (the
         /// subtree check, which is t-dominance of the corner) and without
-        /// it (group dismissal), and dTSS's prefiltered TO block with
-        /// PO-strictness flags.
+        /// it (group dismissal).
         #[test]
         fn box_scan_point_form_matches_the_scalar_list_scan(seed in 0u64..1 << 20) {
             for (to_dims, po_dims, max_to) in BOX_SCAN_SHAPES {
@@ -1196,24 +1094,14 @@ pub(crate) mod tests {
                                 && (ties || store.po(r) != po.as_slice() || store.to(r) != to)
                         }).collect())
                     };
-                    let point = store.t_dominated_by_any_oracle(&doms, to, &po, block.ids());
+                    let point = store.t_dominated_by_any(&doms, to, &po, block.ids());
                     prop_assert_eq!(corner(false), point);
                     let covered = corner(true);
-                    let mut entries = Vec::new();
-                    let mut filtered = KeyBlock::new(to_dims);
-                    for &r in block.ids().iter().filter(|&&r| pref_or_equal(r)) {
-                        let strict = store.po(r) != po.as_slice();
-                        entries.push((strict, store.to(r)));
-                        filtered.push(strict, store.to(r));
-                    }
-                    let prefiltered =
-                        first(entries.iter().map(|&(strict, s)| le(s) && (strict || s != to)).collect());
                     for kernel in [Kernel::Scalar, Kernel::Lanes] {
                         let store = store.clone().with_kernel(kernel);
                         let case = format!("{kernel:?} dims=({to_dims},{po_dims}) max_to={max_to} n={n}");
                         prop_assert_eq!(store.t_dominated_by_keys(&doms, &key, &po, &block), point, "{}", case);
                         prop_assert_eq!(store.covered_by_keys(&doms, &key, &po, &block), covered, "{}", case);
-                        prop_assert_eq!(filtered.dominated_on_to(kernel, to), prefiltered, "{}", case);
                     }
                 }
             }
@@ -1221,11 +1109,9 @@ pub(crate) mod tests {
     }
 
     proptest! {
-        /// Both kernels agree with `Dominance::dominates_oracle` at every
-        /// TO width: the PO-only lane groups (0 dims), the all-lanes-dead
-        /// early break (past 4 dims) and the scalar fallback (past
-        /// `LANE_MAX_DIMS`). Each pair is checked alone, and the whole
-        /// rotated id list must report the oracle's first hit and the
+        /// The list loop agrees with `Dominance::dominates_oracle` at every
+        /// TO width, PO-only included. Each pair is checked alone, and the
+        /// whole rotated id list must report the oracle's first hit and the
         /// pairs examined up to it — duplicate candidates included.
         #[test]
         fn batched_kernel_agrees_with_oracle(
@@ -1268,21 +1154,14 @@ pub(crate) mod tests {
                 Some(i) => (true, i as u64 + 1),
                 None => (false, n as u64),
             };
-            for kernel in [Kernel::Scalar, Kernel::Lanes] {
-                let store = store.clone().with_kernel(kernel);
-                for &id in &ids {
-                    prop_assert_eq!(
-                        store.t_dominated_by_any(&doms, &cand_to, &cand_po, &[id]),
-                        (dominates(id), 1),
-                        "{:?} record {}", kernel, id
-                    );
-                }
+            for &id in &ids {
                 prop_assert_eq!(
-                    store.t_dominated_by_any(&doms, &cand_to, &cand_po, &ids),
-                    expect,
-                    "{:?}", kernel
+                    store.t_dominated_by_any(&doms, &cand_to, &cand_po, &[id]),
+                    (dominates(id), 1),
+                    "record {}", id
                 );
             }
+            prop_assert_eq!(store.t_dominated_by_any(&doms, &cand_to, &cand_po, &ids), expect);
         }
     }
 }

@@ -117,22 +117,22 @@ impl Mbb {
             .sum()
     }
 
-    /// The *folded lower-bound corner* w.r.t. a reference point `q`: per
-    /// dimension the minimum of `|x - q_d|` over the box extent. Any point
-    /// inside the box folds to coordinates dominating-or-equalling this
-    /// corner, which makes it the sound pruning corner for dynamic-skyline
-    /// BBS (§V-B fully dynamic queries).
-    pub fn folded_corner(&self, q: &[u32]) -> Vec<u32> {
+    /// Writes the *folded lower-bound corner* w.r.t. a reference point `q`
+    /// into `out`: per dimension the minimum of `|x - q_d|` over the box
+    /// extent. Any point inside the box folds to coordinates
+    /// dominating-or-equalling this corner, which makes it the sound
+    /// pruning corner for dynamic-skyline BBS (§V-B fully dynamic
+    /// queries).
+    pub fn folded_corner(&self, q: &[u32], out: &mut [u32]) {
         debug_assert_eq!(q.len(), self.dims());
-        (0..self.dims())
-            .map(|d| {
-                if q[d] < self.lo[d] {
-                    self.lo[d] - q[d]
-                } else {
-                    q[d].saturating_sub(self.hi[d])
-                }
-            })
-            .collect()
+        debug_assert_eq!(out.len(), self.dims());
+        for (d, slot) in out.iter_mut().enumerate() {
+            *slot = if q[d] < self.lo[d] {
+                self.lo[d] - q[d]
+            } else {
+                q[d].saturating_sub(self.hi[d])
+            };
+        }
     }
 }
 

@@ -60,8 +60,9 @@ fn folded_corner_lower_bounds_every_point() {
     // coordinates of every contained point.
     let root = tree.root().unwrap();
     let mut stack = vec![root];
+    let mut corner = [0u32; 2];
     while let Some(id) = stack.pop() {
-        let corner = tree.mbb(id).folded_corner(&q);
+        tree.mbb(id).folded_corner(&q, &mut corner);
         for child in tree.children_free(id) {
             match child {
                 rtree::ChildEntry::Node { id, .. } => stack.push(id),

@@ -50,16 +50,15 @@ use std::sync::OnceLock;
 /// widths stable rustc reliably autovectorizes the accumulator loops to.
 pub const LANES: usize = 8;
 
-/// Which dominance-kernel variant a [`PointBlock`] (or
-/// `tss_core::PointStore`) dispatches to. Both variants are byte-identical
-/// in results *and* examined-pair counts; `Scalar` is the oracle path,
-/// `Lanes` the autovectorized one.
+/// Which dominance-kernel variant a [`PointBlock`] (or the key-block
+/// checks of a `tss_core::PointStore`) dispatches to. Both variants are
+/// byte-identical in results *and* examined-pair counts; `Scalar` is the
+/// oracle path, `Lanes` the autovectorized one.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Kernel {
     /// The seed row-major scalar loops.
     Scalar,
-    /// [`LANES`]-wide chunked compares over the SoA mirror / gathered
-    /// groups.
+    /// [`LANES`]-wide chunked compares over the SoA mirror.
     Lanes,
 }
 
@@ -271,9 +270,10 @@ impl PointBlock {
         &self.data
     }
 
-    /// Keeps only the points whose `(index, coords)` satisfy `keep`,
+    /// Keeps only the points whose `(id, coords)` satisfy `keep`,
     /// compacting in place and preserving order. `ids` is a parallel vector
-    /// (one entry per point) compacted identically.
+    /// (one entry per point) compacted identically. A call that keeps every
+    /// point leaves the dimension-major mirror as it is.
     pub fn retain_with_ids(
         &mut self,
         ids: &mut Vec<u32>,
@@ -292,6 +292,9 @@ impl PointBlock {
                 }
                 write += 1;
             }
+        }
+        if write == self.len {
+            return;
         }
         ids.truncate(write);
         self.len = write;

@@ -84,10 +84,6 @@ fn check_all(table: &Table, dags: &[Dag], label: &str) {
             precompute_local: true,
             ..Default::default()
         },
-        DtssConfig {
-            filter_dominators: true,
-            ..Default::default()
-        },
     ] {
         let dtss = Dtss::build(table.clone(), sizes.clone(), cfg).unwrap();
         let run = dtss.query(&PoQuery::new(dags.to_vec())).unwrap();

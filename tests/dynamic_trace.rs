@@ -103,16 +103,11 @@ fn optimizations_do_not_change_results() {
             ..Default::default()
         },
         DtssConfig {
-            filter_dominators: true,
-            ..Default::default()
-        },
-        DtssConfig {
             cache: true,
             ..Default::default()
         },
         DtssConfig {
             precompute_local: true,
-            filter_dominators: true,
             cache: true,
             ..Default::default()
         },

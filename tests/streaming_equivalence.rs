@@ -1,17 +1,17 @@
 //! Facade acceptance for streaming skyline maintenance: for random
 //! insert/expire sequences (with deliberately duplicated rows), random
-//! partial orders, repair-shard counts 1..=8, worker counts 1..=4, both
-//! dominance kernels and seeded fault plans, the delta-maintained skyline
-//! is **byte-identical after every operation** to a from-scratch
-//! recompute on the surviving window — records and every non-fault
-//! counter. And on the fig07-style anti-correlated stream at n = 100 000,
-//! the repair path examines strictly fewer candidates than even a lower
-//! bound on what recompute-on-every-expiry would pay.
+//! partial orders and both dominance kernels, the delta-maintained
+//! skyline equals a from-scratch recompute on the surviving window
+//! **after every operation**, and the two kernels agree byte for byte on
+//! the records and every counter. And on the fig07-style anti-correlated
+//! stream at n = 100 000, the repair path examines strictly fewer
+//! candidates than even a lower bound on what recompute-on-every-expiry
+//! would pay.
 
 use proptest::prelude::*;
 use tss::core::{
-    brute_force_po_skyline, Budget, ExecPolicy, FaultPlan, Kernel, Metrics, PoDomain, RecordId,
-    StreamingConfig, StreamingSkyline, Stss, StssConfig, Table, WindowPolicy,
+    brute_force_po_skyline, Budget, Kernel, PoDomain, RecordId, StreamingConfig, StreamingSkyline,
+    Stss, StssConfig, Table, WindowPolicy,
 };
 use tss::datagen::{Distribution, ExperimentParams};
 use tss::poset::Dag;
@@ -30,18 +30,6 @@ fn mask_dag(edge_mask: u32) -> Dag {
         }
     }
     Dag::from_edges(5, &edges).expect("forward edges are acyclic")
-}
-
-/// Every counter except the wall clock and the fault-recovery trio — the
-/// set that must be byte-identical across threads, shards, kernels and
-/// fault plans.
-fn non_fault_counts(m: &Metrics) -> Metrics {
-    let mut m = *m;
-    m.cpu = std::time::Duration::ZERO;
-    m.shard_retries = 0;
-    m.shard_fallbacks = 0;
-    m.faults_injected = 0;
-    m
 }
 
 /// From-scratch oracle: brute-force skyline of the surviving window,
@@ -71,11 +59,10 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
     /// The maintenance contract, end to end through the facade: a
-    /// single-threaded unsharded scalar fault-free maintainer is the
-    /// reference; a lane-kernel maintainer with arbitrary `threads`,
-    /// `repair_shards` and (optionally) a saturating-rate fault plan must
-    /// track it byte-for-byte — and both must equal the from-scratch
-    /// recompute of the surviving window after **every** operation.
+    /// scalar-kernel maintainer is the reference, a lane-kernel maintainer
+    /// must track it byte for byte on the records and every counter, and
+    /// both must equal the from-scratch recompute of the surviving window
+    /// after **every** operation.
     ///
     /// Each op inserts one (often duplicated) row, then `sel` picks the
     /// expiry flavor: nothing, the oldest live tuple, or a current
@@ -85,37 +72,16 @@ proptest! {
         ops in proptest::collection::vec((0u32..6, 0u32..6, 0u32..5, 0u32..4), 1..48),
         edge_mask in 0u32..1024,
         window_sel in 0u32..4,
-        seed in 0u64..u64::MAX,
-        rate_ppm in 50_000u32..=1_000_000,
-        shards in 1usize..=8,
-        threads in 1usize..=4,
-        inject in proptest::bool::ANY,
     ) {
         let dag = mask_dag(edge_mask);
-        let window = window_of(window_sel);
-        let reference_cfg = StreamingConfig {
-            window,
-            threads: 1,
-            repair_shards: 1,
+        let cfg = StreamingConfig {
+            window: window_of(window_sel),
             budget: Budget::UNLIMITED,
-            exec: ExecPolicy::fault_free(),
         };
-        let variant_cfg = StreamingConfig {
-            window,
-            threads,
-            repair_shards: shards,
-            budget: Budget::UNLIMITED,
-            exec: if inject {
-                ExecPolicy::with_faults(Some(FaultPlan { seed, rate_ppm }))
-            } else {
-                ExecPolicy::fault_free()
-            },
-        };
-        let mut reference =
-            StreamingSkyline::new(2, vec![PoDomain::new(dag.clone())], reference_cfg)
-                .with_kernel(Kernel::Scalar);
-        let mut variant = StreamingSkyline::new(2, vec![PoDomain::new(dag)], variant_cfg)
-            .with_kernel(Kernel::Lanes);
+        let mut reference = StreamingSkyline::new(2, vec![PoDomain::new(dag.clone())], cfg)
+            .with_kernel(Kernel::Scalar);
+        let mut variant =
+            StreamingSkyline::new(2, vec![PoDomain::new(dag)], cfg).with_kernel(Kernel::Lanes);
 
         for &(a, b, v, sel) in &ops {
             reference.insert(&[a, b], &[v]);
@@ -147,24 +113,13 @@ proptest! {
             );
             prop_assert_eq!(
                 variant.skyline_records(), reference.skyline_records(),
-                "threads={} shards={} inject={}: records must be byte-identical",
-                threads, shards, inject
+                "records must be byte-identical across kernels"
             );
             prop_assert_eq!(
-                non_fault_counts(&variant.metrics()),
-                non_fault_counts(&reference.metrics()),
-                "threads={} shards={} inject={}: counters must be invariant",
-                threads, shards, inject
+                variant.metrics().counters(),
+                reference.metrics().counters(),
+                "counters must be identical across kernels"
             );
-        }
-        let vm = variant.metrics();
-        if inject {
-            // Injected faults are observable only through the recovery trio.
-            prop_assert!(vm.shard_retries + vm.shard_fallbacks >= vm.faults_injected.min(1));
-        } else {
-            prop_assert_eq!(vm.faults_injected, 0);
-            prop_assert_eq!(vm.shard_retries, 0);
-            prop_assert_eq!(vm.shard_fallbacks, 0);
         }
     }
 }
