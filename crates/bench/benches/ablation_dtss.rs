@@ -11,7 +11,7 @@ fn bench(c: &mut Criterion) {
     let mut g = c.benchmark_group("ablation_dtss");
     let p = common::dynamic_params(Distribution::Independent);
     for (name, cfg) in [
-        ("plain", DtssConfig::default()),
+        ("plain", bench::params::paper_dtss()),
         (
             "local_skylines",
             DtssConfig {

@@ -7,14 +7,13 @@ mod common;
 use criterion::{criterion_main, Criterion};
 use datagen::Distribution;
 use sdc::{DynamicSdc, SdcConfig};
-use tss_core::DtssConfig;
 
 fn bench(c: &mut Criterion) {
     let mut g = c.benchmark_group("fig12_dynamic_cardinality");
     for n in [5_000usize, 10_000, 20_000] {
         let mut p = common::dynamic_params(Distribution::Independent);
         p.n = n;
-        let (dtss, query) = common::build_dtss(&p, DtssConfig::default());
+        let (dtss, query) = common::build_dtss(&p, bench::params::paper_dtss());
         g.bench_function(format!("dtss/{n}"), |b| {
             b.iter(|| dtss.query(&query).unwrap().skyline.len())
         });

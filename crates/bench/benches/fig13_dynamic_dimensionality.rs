@@ -5,7 +5,6 @@ mod common;
 use criterion::{criterion_main, Criterion};
 use datagen::Distribution;
 use sdc::{DynamicSdc, SdcConfig};
-use tss_core::DtssConfig;
 
 fn bench(c: &mut Criterion) {
     let mut g = c.benchmark_group("fig13_dynamic_dimensionality");
@@ -13,7 +12,7 @@ fn bench(c: &mut Criterion) {
         let mut p = common::dynamic_params(Distribution::Independent);
         p.to_dims = to_d;
         p.po_dims = po_d;
-        let (dtss, query) = common::build_dtss(&p, DtssConfig::default());
+        let (dtss, query) = common::build_dtss(&p, bench::params::paper_dtss());
         g.bench_function(format!("dtss/to{to_d}_po{po_d}"), |b| {
             b.iter(|| dtss.query(&query).unwrap().skyline.len())
         });

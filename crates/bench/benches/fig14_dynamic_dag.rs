@@ -6,14 +6,13 @@ mod common;
 use criterion::{criterion_main, Criterion};
 use datagen::Distribution;
 use sdc::{DynamicSdc, SdcConfig};
-use tss_core::DtssConfig;
 
 fn bench(c: &mut Criterion) {
     let mut g = c.benchmark_group("fig14_dynamic_dag");
     for h in [2u32, 6, 10] {
         let mut p = common::dynamic_params(Distribution::AntiCorrelated);
         p.dag_height = h;
-        let (dtss, query) = common::build_dtss(&p, DtssConfig::default());
+        let (dtss, query) = common::build_dtss(&p, bench::params::paper_dtss());
         g.bench_function(format!("dtss/h{h}"), |b| {
             b.iter(|| dtss.query(&query).unwrap().skyline.len())
         });
@@ -31,7 +30,7 @@ fn bench(c: &mut Criterion) {
     for d10 in [2u32, 10] {
         let mut p = common::dynamic_params(Distribution::AntiCorrelated);
         p.dag_density = d10 as f64 / 10.0;
-        let (dtss, query) = common::build_dtss(&p, DtssConfig::default());
+        let (dtss, query) = common::build_dtss(&p, bench::params::paper_dtss());
         g.bench_function(format!("dtss/d0{d10}"), |b| {
             b.iter(|| dtss.query(&query).unwrap().skyline.len())
         });

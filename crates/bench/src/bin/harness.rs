@@ -217,7 +217,7 @@ fn dynamic_point(p: &ExperimentParams) -> (bench::runner::AlgoResult, bench::run
     let mut sky = 0usize;
     for &s in &seeds {
         let a = run_dynamic_sdc(&w, s);
-        let b = run_dtss(&w, s, DtssConfig::default());
+        let b = run_dtss(&w, s, params::paper_dtss());
         assert_eq!(a.skyline, b.skyline);
         sky = b.skyline;
         sdc_sum = sdc_sum.merge(&a.metrics);
@@ -354,7 +354,7 @@ fn cursors() {
     ));
     let p = params::dynamic_params(Distribution::Independent, 42);
     let w = generate(&p);
-    let timings = dtss_time_to_k(&w, 11, DtssConfig::default(), k);
+    let timings = dtss_time_to_k(&w, 11, params::paper_dtss(), k);
     println!(
         "dTSS: first {:.3}s ({} reads) -> k={} {:.3}s ({} reads)",
         timings.time_to_first(model()),
@@ -555,7 +555,7 @@ fn ablations() {
     let w = generate(&p);
     let mut t = TextTable::new(&["configuration", "total (s)", "checks", "reads"]);
     for (name, cfg) in [
-        ("paper default (plain)", DtssConfig::default()),
+        ("paper default (plain)", params::paper_dtss()),
         (
             "local skylines",
             DtssConfig {
@@ -636,7 +636,7 @@ fn ablations() {
         sizes,
         DtssConfig {
             cache: true,
-            ..Default::default()
+            ..params::paper_dtss()
         },
     )
     .unwrap();

@@ -11,7 +11,9 @@
 //!   wire payload carries its global start offset, its record window, the
 //!   data DAGs, and — for the dynamic engines — the query seed, from which
 //!   a worker process rebuilds the exact engine the in-process closure
-//!   would have built (default configs, the request's kernel) and runs it.
+//!   would have built (default configs, except dTSS, which runs the
+//!   paper's [`paper_dtss`](crate::params::paper_dtss); the request's
+//!   kernel) and runs it.
 //!   Both sides construct the engine from the same blocks and run the same
 //!   deterministic code, so records and counters are byte-identical across
 //!   executors — the property the CI subprocess smoke diff enforces.
@@ -35,7 +37,7 @@ use tss_core::ipc::protocol::{
 };
 use tss_core::ipc::tasks::dispatch_builtin;
 use tss_core::ipc::worker::serve_io;
-use tss_core::{Dtss, DtssConfig, Metrics, PoQuery, ShardCtx, ShardView, Stss, StssConfig};
+use tss_core::{Dtss, Metrics, PoQuery, ShardCtx, ShardView, Stss, StssConfig};
 
 /// Wire tag of a sharded sTSS run (build the index, emit the skyline).
 pub const TASK_STSS: u8 = 16;
@@ -164,7 +166,7 @@ fn run_engine(tag: u8, body: &[u8], ctx: ShardCtx) -> Result<(Vec<u32>, Metrics)
         }
         (TASK_DTSS, Some(seed)) => {
             let sizes: Vec<u32> = dags.iter().map(|d| d.len() as u32).collect();
-            let dtss = Dtss::build(store, sizes, DtssConfig::default())
+            let dtss = Dtss::build(store, sizes, crate::params::paper_dtss())
                 .map_err(|e| format!("dtss build: {e}"))?;
             let query = PoQuery::new(dags.iter().map(|d| permuted_order(d, seed)).collect());
             let run = dtss.query(&query).map_err(|e| format!("dtss query: {e}"))?;
@@ -270,7 +272,7 @@ mod tests {
         p.n = 1200;
         p.dag_height = 4;
         let w = generate(&p);
-        let serial = run_dtss_sharded(&w, 5, DtssConfig::default(), ShardSpec::Fixed(2), 1);
+        let serial = run_dtss_sharded(&w, 5, ShardSpec::Fixed(2), 1);
         let views = w.table.shards(2);
         let mut remote: Vec<u32> = Vec::new();
         for view in &views {

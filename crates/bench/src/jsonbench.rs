@@ -15,6 +15,7 @@
 //! every cardinality so CI can do the same in seconds.
 
 use crate::ipcbench::{bench_executor, ExecutorChoice};
+use crate::params::paper_dtss;
 use crate::runner::{
     bench_budget, generate, run_dtss, run_dtss_sharded, run_dynamic_sdc, run_dynamic_sdc_sharded,
     run_sdc_plus, run_sdc_plus_sharded, run_stss, run_stss_sharded, AlgoResult, Workload,
@@ -364,15 +365,12 @@ fn dynamic_point(
         threads_axis,
         spec,
         [
-            ("dTSS", run_dtss(&w, 11, DtssConfig::default())),
+            ("dTSS", run_dtss(&w, 11, paper_dtss())),
             ("SDC+rebuild", run_dynamic_sdc(&w, 11)),
         ],
         |t, s| {
             [
-                (
-                    "dTSS",
-                    run_dtss_sharded(&w, 11, DtssConfig::default(), s, t),
-                ),
+                ("dTSS", run_dtss_sharded(&w, 11, s, t)),
                 ("SDC+rebuild", run_dynamic_sdc_sharded(&w, 11, s, t)),
             ]
         },

@@ -2,6 +2,7 @@
 //! defaults so `harness all` finishes in minutes.
 
 use datagen::{Distribution, ExperimentParams};
+use tss_core::DtssConfig;
 
 /// True iff `TSS_FULL_SCALE=1` — restores the paper's exact Table III
 /// sweeps (hours of runtime, multi-GB resident data at N = 10M).
@@ -63,6 +64,19 @@ pub fn dynamic_params(dist: Distribution, seed: u64) -> ExperimentParams {
     let mut p = ExperimentParams::paper_dynamic_default(dist, seed);
     p.n = default_n();
     p
+}
+
+/// The dTSS configuration of the paper's experiments (§VI-C: "no
+/// buffers, global main memory R-tree, pre-processing or caching
+/// mechanisms are used"): local skylines off, so every query walks the
+/// group trees. The figure tables, the JSON grid's dTSS rows and the
+/// subprocess worker's dTSS task run it; [`DtssConfig::default`] serves
+/// plain queries from local skylines instead.
+pub fn paper_dtss() -> DtssConfig {
+    DtssConfig {
+        precompute_local: false,
+        ..DtssConfig::default()
+    }
 }
 
 /// Both distributions of the paper's evaluation.

@@ -320,17 +320,19 @@ pub fn run_sdc_plus_sharded(
     )
 }
 
-/// Sharded parallel dTSS: group structures built per shard (untimed,
+/// Sharded parallel dTSS in the paper's configuration
+/// ([`paper_dtss`](crate::params::paper_dtss), which the subprocess worker
+/// rebuilds too): group structures built per shard (untimed,
 /// order-independent), then one dynamic query evaluated per shard and
 /// merged under the *query's* partial orders, which define merge-time
 /// dominance.
 pub fn run_dtss_sharded(
     w: &Workload,
     query_seed: u64,
-    cfg: DtssConfig,
     spec: impl Into<ShardSpec>,
     threads: usize,
 ) -> AlgoResult {
+    let cfg = crate::params::paper_dtss();
     let sizes: Vec<u32> = w.dags.iter().map(|d| d.len() as u32).collect();
     let query = PoQuery::new(
         w.dags
@@ -622,7 +624,7 @@ mod tests {
         p.dag_height = 4;
         let wd = generate(&p);
         let d_serial = run_dtss(&wd, 5, DtssConfig::default());
-        let d_sharded = run_dtss_sharded(&wd, 5, DtssConfig::default(), BENCH_SHARDS, 2);
+        let d_sharded = run_dtss_sharded(&wd, 5, BENCH_SHARDS, 2);
         assert_eq!(d_sharded.skyline, d_serial.skyline);
         let r_sharded = run_dynamic_sdc_sharded(&wd, 5, BENCH_SHARDS, 2);
         assert_eq!(r_sharded.skyline, d_serial.skyline);

@@ -13,7 +13,8 @@
 //!   their values' topological ordinals, which guarantees precedence across
 //!   groups: a dominating group's values are all preferred-or-equal, hence
 //!   have ordinal-sum strictly below (distinct keys). Inside a group, BBS
-//!   over the TO tree gives precedence as usual, so every surviving point is
+//!   over the TO tree, or a scan of the group's local skyline in ascending
+//!   coordinate sum, gives precedence as usual, so every surviving point is
 //!   emitted immediately.
 //! * **Group skipping:** before touching a group's tree, its root MBB corner
 //!   is checked against the global skyline; a dominated corner dismisses the
@@ -34,9 +35,19 @@
 //!   dimension, so point, subtree and group checks are all one
 //!   [`KeyBlock::first_match`] call: the box, then the exact refine. Reads,
 //!   pops and emission are the paper's; only the pair counts differ.
-//! * **Optimizations (§V-B):** precomputed per-group *local skylines* (order
-//!   independent!) shrink each group to the only points that can possibly
-//!   qualify; a query-digest cache reuses full results of repeated orders.
+//! * **Local skylines (§V-B), on by default:** a group's local skyline does
+//!   not depend on the query's orders, and only its members can reach a
+//!   dynamic skyline. The build computes each one by SFS: the group's
+//!   members sorted by `(TO coordinate sum, id)` and filtered through one
+//!   reused [`PointBlock`], after dropping what the group's min-sum member
+//!   dominates. A plain query checks just those members, in that order,
+//!   against the global key block and pops no tree. Fully dynamic queries
+//!   fold the TO values around their reference, which invalidates local
+//!   skylines, so they walk the trees with the group front. So does every
+//!   query when [`DtssConfig::precompute_local`] is `false`, the paper's
+//!   §VI-C configuration.
+//! * **Result cache (§V-B), opt-in:** a query-digest cache reuses full
+//!   results of repeated orders.
 
 use crate::cursor::{SkylineCursor, SkylineEngine};
 use crate::progressive::ProgressSample;
@@ -48,7 +59,7 @@ use rtree::{BestFirst, Mbb, PageConfig, Popped, RTree};
 use skyline::PointBlock;
 use std::cell::RefCell;
 use std::collections::{HashMap, VecDeque};
-use std::hash::{Hash, Hasher};
+use std::hash::{BuildHasherDefault, Hash, Hasher};
 use std::time::Instant;
 
 /// A dynamic skyline query: one partial order per PO attribute, over the
@@ -95,22 +106,96 @@ impl PoQuery {
     }
 }
 
-/// Tuning knobs for [`Dtss`]. Defaults reproduce the paper's benchmark
-/// configuration (§VI-C: "no buffers, global main memory R-tree,
-/// pre-processing or caching mechanisms are used"): its page reads,
-/// pruning and emission order. They do not reproduce its pair-check
-/// counts, because each group's front (see the module docs) answers many
-/// checks before the global key block.
-#[derive(Debug, Clone, Copy, Default)]
+/// Tuning knobs for [`Dtss`].
+///
+/// By default, plain dynamic queries are served from per-group local
+/// skylines computed at build time (§V-B): a query checks only their
+/// members against the global key block and pops no group tree. Fully
+/// dynamic queries always walk the group trees.
+///
+/// The paper's benchmark configuration (§VI-C: "no buffers, global main
+/// memory R-tree, pre-processing or caching mechanisms are used") is
+/// `precompute_local: false`, which the harness's figure tables set. It
+/// reproduces the paper's page reads, pruning and emission order. It does
+/// not reproduce its pair-check counts, because each group's front (see
+/// the module docs) answers many checks before the global key block.
+#[derive(Debug, Clone, Copy)]
 pub struct DtssConfig {
     /// Page model for node capacities and local-skyline page charging.
     pub page: PageConfig,
     /// Explicit node capacity override.
     pub node_capacity: Option<usize>,
-    /// Precompute per-group local skylines at build time (§V-B).
+    /// Serve plain queries from per-group local skylines computed at build
+    /// time (§V-B). On by default; `false` is the paper's "no
+    /// pre-processing" configuration, in which every query walks the group
+    /// trees.
     pub precompute_local: bool,
     /// Cache query results by digest (§V-B).
     pub cache: bool,
+}
+
+impl Default for DtssConfig {
+    /// Local skylines on, the result cache off, the default page model.
+    fn default() -> Self {
+        DtssConfig {
+            page: PageConfig::default(),
+            node_capacity: None,
+            precompute_local: true,
+            cache: false,
+        }
+    }
+}
+
+/// A group's local skyline by SFS (sort-filter-skyline): the members
+/// sorted by `(TO coordinate sum, id)`, each kept unless a kept member
+/// strictly dominates it. A dominator's sum is strictly smaller, so it is
+/// kept first, and exact duplicates never dominate each other. The result
+/// is the set BBS over the group's tree confirms, in `(sum, id)` order,
+/// which is the order the cursor checks it in. The sort buffer and the
+/// kept block are reused across groups.
+struct LocalSfs<'t> {
+    table: &'t Table,
+    order: Vec<(u64, RecordId)>,
+    kept: PointBlock,
+}
+
+impl<'t> LocalSfs<'t> {
+    fn new(table: &'t Table) -> Self {
+        LocalSfs {
+            table,
+            order: Vec::new(),
+            kept: PointBlock::new(table.to_dims()).with_kernel(table.kernel()),
+        }
+    }
+
+    /// The local skyline of the group with members `records`.
+    fn run(&mut self, records: &[RecordId]) -> Vec<RecordId> {
+        let table = self.table;
+        self.order.clear();
+        self.order.extend(
+            records
+                .iter()
+                .map(|&r| (skyline::monotone_sum(table.to(r)), r)),
+        );
+        // The min-sum member is in the skyline: drop what it dominates
+        // before sorting.
+        if let Some(&(_, head)) = self.order.iter().min() {
+            let head = table.to(head);
+            self.order
+                .retain(|&(_, r)| !skyline::dominates(head, table.to(r)));
+        }
+        self.order.sort_unstable();
+        self.kept.clear();
+        let mut sky = Vec::new();
+        for &(_, r) in &self.order {
+            let to = table.to(r);
+            if !self.kept.dominated(to).0 {
+                self.kept.push(to);
+                sky.push(r);
+            }
+        }
+        sky
+    }
 }
 
 /// One PO-value group: key, members, TO R-tree, optional local skyline.
@@ -120,7 +205,7 @@ struct Group {
     tree: RTree,
     /// The tree's root MBB, whose corner the dismissal check runs on.
     root_mbb: Mbb,
-    /// Local skyline record ids sorted by ascending TO coordinate sum, if
+    /// Local skyline record ids sorted by `(TO coordinate sum, id)`, if
     /// precomputed.
     local_skyline: Option<Vec<u32>>,
 }
@@ -184,38 +269,37 @@ impl Dtss {
             return Err(CoreError::NoDimensions);
         }
         table.check_domains(&domain_sizes)?;
-        let mut by_key: HashMap<Vec<u32>, Vec<u32>> = HashMap::new();
+        // Group by borrowed PO rows, hashed with FNV-1a: one key allocation
+        // per group, not per row.
+        let mut by_key: HashMap<&[u32], Vec<RecordId>, BuildHasherDefault<Fnv64>> =
+            HashMap::default();
         for i in 0..table.len() {
-            by_key
-                .entry(table.po_row(i).to_vec())
-                .or_default()
-                .push(i as u32);
+            by_key.entry(table.po_row(i)).or_default().push(i as u32);
         }
         let cap = crate::node_capacity(cfg.node_capacity, &cfg.page, table.to_dims())?;
         // lint:allow(hash-iter): drained groups are sorted by key on the next line, so the group layout never sees the hasher's order
-        let mut keyed: Vec<(Vec<u32>, Vec<u32>)> = by_key.into_iter().collect();
-        keyed.sort_unstable_by(|a, b| a.0.cmp(&b.0)); // deterministic group layout
+        let mut keyed: Vec<(&[u32], Vec<RecordId>)> = by_key.into_iter().collect();
+        keyed.sort_unstable_by_key(|&(key, _)| key); // deterministic group layout
+
+        // Buffers reused by every group: the members' TO rows, and the
+        // local-skyline filter's order and kept points.
+        let mut coords = Vec::new();
+        let mut sfs = LocalSfs::new(&table);
         let groups = keyed
             .into_iter()
             .filter_map(|(key, records)| {
                 // Columnar group load: gather the members' TO rows into one
                 // flat matrix, never materializing per-point rows.
-                let mut coords = Vec::with_capacity(records.len() * table.to_dims());
+                coords.clear();
                 for &r in &records {
-                    coords.extend_from_slice(table.to_row(r as usize));
+                    coords.extend_from_slice(table.to(r));
                 }
                 let tree = RTree::bulk_load_flat(table.to_dims(), cap, &coords, &records);
                 // Every group has a member, hence a root.
                 let root_mbb = tree.mbb(tree.root()?).clone();
-                let local_skyline = cfg.precompute_local.then(|| {
-                    let (mut sky, _) = skyline::bbs(&tree);
-                    sky.sort_by_key(|&r| (skyline::monotone_sum(table.to_row(r as usize)), r));
-                    tree.reset_io();
-                    sky
-                });
-                tree.reset_io();
+                let local_skyline = cfg.precompute_local.then(|| sfs.run(&records));
                 Some(Group {
-                    key,
+                    key: key.to_vec(),
                     tree,
                     root_mbb,
                     local_skyline,
@@ -923,13 +1007,15 @@ mod tests {
         b.build().unwrap()
     }
 
+    /// The paper's no-preprocessing configuration, then the default
+    /// (local skylines).
     fn configs() -> Vec<DtssConfig> {
         vec![
-            DtssConfig::default(),
             DtssConfig {
-                precompute_local: true,
+                precompute_local: false,
                 ..Default::default()
             },
+            DtssConfig::default(),
         ]
     }
 
@@ -1410,6 +1496,7 @@ mod tests {
             let q = PoQuery::new(dags);
             let cfg = DtssConfig {
                 node_capacity: Some(capacity),
+                precompute_local: false,
                 ..Default::default()
             };
             for kernel in [Kernel::Scalar, Kernel::Lanes] {
@@ -1428,6 +1515,35 @@ mod tests {
                         groups_skipped: run.groups_skipped,
                     };
                     prop_assert_eq!(got, expect, "{:?} reference={:?}", kernel, reference);
+                }
+            }
+        }
+
+        /// Each group's SFS-built local skyline is the set BBS confirms
+        /// over the group's tree, in `(sum, id)` order, under both kernels.
+        /// Node capacities of 2 to 4 give the group trees inner nodes, so
+        /// BBS prunes subtrees; small value ranges make duplicate rows
+        /// common.
+        #[test]
+        fn local_skylines_equal_bbs_over_the_group_trees(
+            rows in proptest::collection::vec((0u32..8, 0u32..8, 0u32..8, 0u32..4), 1..100),
+            to_dims in 1usize..=3,
+            capacity in 2usize..=4,
+        ) {
+            let mut t = Table::new(to_dims, 1);
+            for &(a, b, c, v) in &rows {
+                t.push(&[a, b, c][..to_dims], &[v]);
+            }
+            let cfg = DtssConfig {
+                node_capacity: Some(capacity),
+                ..Default::default()
+            };
+            for kernel in [Kernel::Scalar, Kernel::Lanes] {
+                let dtss = Dtss::build(t.clone().with_kernel(kernel), vec![4], cfg).unwrap();
+                for group in &dtss.groups {
+                    let (mut expect, _) = skyline::bbs(&group.tree);
+                    expect.sort_by_key(|&r| (skyline::monotone_sum(t.to(r)), r));
+                    prop_assert_eq!(group.local_skyline.as_deref(), Some(&expect[..]), "{:?}", kernel);
                 }
             }
         }

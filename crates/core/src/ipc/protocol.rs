@@ -46,6 +46,15 @@ pub const RESP_ERR: u8 = 3;
 /// prefix, not a real task (the whole bench corpus is megabytes).
 pub const MAX_FRAME: u32 = 1 << 30;
 
+/// Upper bound on a shipped DAG's vertex count. The receiver labels each
+/// domain with an `n`-by-`n` reachability bitset, so a count read off the
+/// wire must not size anything unchecked: 200,000 vertices would be a
+/// 5 GB bitset. The bound is 64 times the paper's largest domain (a
+/// height-10 subset lattice of 1,024 values) and equals the largest
+/// lattice `poset`'s generator builds (height 16); a larger count is a
+/// decode error.
+pub const MAX_DAG_VERTICES: u32 = 1 << 16;
+
 /// Fixed framing overhead: the length prefix plus the checksum.
 pub const FRAME_OVERHEAD: u64 = 4 + 8;
 
@@ -464,12 +473,16 @@ pub fn put_dags<'d>(
 /// Inverse of [`put_dags`]: rebuilds the DAGs. Every structure derived
 /// from them (labelings, dyadic indexes, reachability) is a deterministic
 /// function of the edges, so dominance decisions — and examined-pair
-/// counts — are identical to the sender's.
+/// counts — are identical to the sender's. A vertex count above
+/// [`MAX_DAG_VERTICES`] is rejected before anything is allocated.
 pub fn get_dags(r: &mut Reader<'_>) -> Result<Vec<poset::Dag>, DecodeError> {
     let count = r.u32()? as usize;
     let mut dags = Vec::with_capacity(count.min(64));
     for _ in 0..count {
         let n = r.u32()?;
+        if n > MAX_DAG_VERTICES {
+            return Err("dag vertex count over MAX_DAG_VERTICES");
+        }
         let edges = r.u32()? as usize;
         let mut pairs = Vec::with_capacity(edges.min(1 << 20));
         for _ in 0..edges {

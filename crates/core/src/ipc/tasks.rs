@@ -207,5 +207,22 @@ mod tests {
             let err = dispatch_builtin(&task, CTX).expect_err("domain count mismatch");
             assert!(err.contains("DAG(s) supplied for 1 PO"), "{err}");
         }
+
+        // A 12-byte DAG section naming one domain of 200,000 vertices and
+        // no edges: every PO value of the window fits it, and labeling it
+        // would allocate a 5 GB reachability bitset. The decoder rejects
+        // the count first.
+        let mut huge = encode_local_skyline(&t.shards(1)[0], &[]);
+        let empty_dags = huge.split_off(huge.len() - 4);
+        assert_eq!(
+            empty_dags,
+            0u32.to_le_bytes(),
+            "an empty DAG list ends the task"
+        );
+        for word in [1u32, 200_000, 0] {
+            huge.extend_from_slice(&word.to_le_bytes());
+        }
+        let err = dispatch_builtin(&huge, CTX).expect_err("vertex count over the wire limit");
+        assert!(err.contains("MAX_DAG_VERTICES"), "{err}");
     }
 }

@@ -1,8 +1,8 @@
 //! STR (Sort-Tile-Recursive) bulk loading — the standard way to build a
 //! packed R-tree over a static data set, as the paper's disk indexes are.
 
-use crate::node::{LeafEntry, Node, NodeId, NodeKind};
-use crate::{Mbb, RTree};
+use crate::node::{Node, NodeId, NodeKind};
+use crate::RTree;
 
 impl RTree {
     /// Bulk-loads `points` (each `(coords, record)`) into a packed tree
@@ -26,10 +26,11 @@ impl RTree {
 
     /// Columnar STR bulk load: `coords` is the row-major flat coordinate
     /// matrix (`records.len() * dims` values), `records[i]` the record id of
-    /// row `i`. The tiling sorts an index array over the flat matrix, so no
-    /// per-point row is ever materialized; the resulting tree is identical
-    /// to [`bulk_load`](Self::bulk_load) on the same rows in the same
-    /// order.
+    /// row `i`. The tiling sorts an index array over the flat matrix, and
+    /// the leaves are cut out of one copy of the matrix in tiled order, so
+    /// no per-point row is ever materialized; the resulting tree is
+    /// identical to [`bulk_load`](Self::bulk_load) on the same rows in the
+    /// same order.
     pub fn bulk_load_flat(dims: usize, cap: usize, coords: &[u32], records: &[u32]) -> Self {
         let mut tree = RTree::new(dims, cap);
         let n = records.len();
@@ -38,7 +39,8 @@ impl RTree {
             return tree;
         }
         // --- Leaf level: tile (row, record) index pairs over the flat
-        // matrix, then cut leaves out of the reordered index array. -------
+        // matrix, then copy each leaf's rows into the tree's point block in
+        // tiled order. ----------------------------------------------------
         let mut items: Vec<(u32, u32)> = records
             .iter()
             .enumerate()
@@ -46,28 +48,18 @@ impl RTree {
             .collect();
         let mut bounds = Vec::new();
         str_tile_flat(&mut items, coords, dims, cap, 0, 0, &mut bounds);
+        tree.points.reserve_exact(coords.len());
+        tree.records.reserve_exact(n);
         let mut level: Vec<NodeId> = bounds
             .into_iter()
             .map(|(lo, hi)| {
-                let entries: Vec<LeafEntry> = items[lo..hi]
-                    .iter()
-                    .map(|&(row, record)| {
-                        let base = row as usize * dims;
-                        LeafEntry {
-                            point: coords[base..base + dims].into(),
-                            record,
-                        }
-                    })
-                    .collect();
-                tree.len += entries.len();
-                let mut mbb = Mbb::from_point(&entries[0].point);
-                for e in &entries[1..] {
-                    mbb.expand_point(&e.point);
+                let start = tree.records.len();
+                for &(row, record) in &items[lo..hi] {
+                    tree.points
+                        .extend_from_slice(&coords[row as usize * dims..][..dims]);
+                    tree.records.push(record);
                 }
-                tree.push_node(Node {
-                    mbb,
-                    kind: NodeKind::Leaf(entries),
-                })
+                tree.push_leaf(start)
             })
             .collect();
         let mut height = 1usize;

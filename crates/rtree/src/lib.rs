@@ -10,6 +10,15 @@
 //! * **IO accounting** — every node access is counted, so experiments can
 //!   charge the paper's 5 ms per page IO.
 //!
+//! # Leaf layout
+//!
+//! A tree keeps all its leaf points in one flat row-major block, with the
+//! record ids in a parallel vector. A leaf holds a range of rows of that
+//! block, and a best-first record entry is a row index. So loading a tree
+//! allocates per node, never per point, and popping a record reads its row
+//! directly, without going through its leaf. One node still models one
+//! disk page for IO accounting.
+//!
 //! Coordinates are `u32` throughout: the paper's totally ordered domains are
 //! integers in `0..10_000`, topological ordinals are `1..=|V|`, and postorder
 //! interval endpoints are `1..=|V|`. Smaller values are always preferred —

@@ -1,4 +1,5 @@
 use crate::Mbb;
+use std::ops::Range;
 
 /// Handle to a node in the tree's arena.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -11,17 +12,11 @@ impl NodeId {
     }
 }
 
-/// A leaf entry: an indexed point plus the caller's record id.
-#[derive(Debug, Clone)]
-pub(crate) struct LeafEntry {
-    pub point: Box<[u32]>,
-    pub record: u32,
-}
-
 /// Node payload: either data points (leaf) or child node ids (inner).
 #[derive(Debug, Clone)]
 pub(crate) enum NodeKind {
-    Leaf(Vec<LeafEntry>),
+    /// A leaf's entries: this range of rows of the tree's point block.
+    Leaf(Range<usize>),
     Inner(Vec<NodeId>),
 }
 
@@ -36,7 +31,7 @@ pub(crate) struct Node {
 impl Node {
     pub fn entry_count(&self) -> usize {
         match &self.kind {
-            NodeKind::Leaf(es) => es.len(),
+            NodeKind::Leaf(rows) => rows.len(),
             NodeKind::Inner(cs) => cs.len(),
         }
     }

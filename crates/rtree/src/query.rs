@@ -35,10 +35,11 @@ impl RTree {
         while let Some(id) = stack.pop() {
             self.access_node(id);
             match &self.nodes[id.idx()].kind {
-                NodeKind::Leaf(entries) => {
-                    for e in entries {
-                        if query.contains_point(&e.point) {
-                            visit(&e.point, e.record);
+                NodeKind::Leaf(rows) => {
+                    for i in rows.clone() {
+                        let point = self.row(i);
+                        if query.contains_point(point) {
+                            visit(point, self.records[i]);
                         }
                     }
                 }
@@ -91,8 +92,9 @@ impl RTree {
 #[derive(Debug, Clone, PartialEq, Eq)]
 enum HeapKind {
     Node(NodeId),
-    /// `(leaf node, entry index)` — points are referenced, not copied.
-    Record(NodeId, u32),
+    /// A row of the tree's point block — points are referenced, not
+    /// copied.
+    Record(u32),
 }
 
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -168,17 +170,11 @@ impl<'a> BestFirst<'a> {
                 mbb: &self.tree.nodes[id.idx()].mbb,
                 mindist: entry.mindist,
             },
-            HeapKind::Record(leaf, ix) => {
-                let NodeKind::Leaf(entries) = &self.tree.nodes[leaf.idx()].kind else {
-                    unreachable!("record entries always reference leaves")
-                };
-                let e = &entries[ix as usize];
-                Popped::Record {
-                    point: &e.point,
-                    record: e.record,
-                    mindist: entry.mindist,
-                }
-            }
+            HeapKind::Record(row) => Popped::Record {
+                point: self.tree.row(row as usize),
+                record: self.tree.records[row as usize],
+                mindist: entry.mindist,
+            },
         })
     }
 
@@ -187,16 +183,17 @@ impl<'a> BestFirst<'a> {
     pub fn expand(&mut self, id: NodeId) {
         self.tree.access_node(id);
         match &self.tree.nodes[id.idx()].kind {
-            NodeKind::Leaf(entries) => {
-                for (ix, e) in entries.iter().enumerate() {
+            NodeKind::Leaf(rows) => {
+                for i in rows.clone() {
+                    let point = self.tree.row(i);
                     let mindist = match &self.origin {
-                        None => point_mindist_l1(&e.point),
-                        Some(o) => point_mindist_l1_from(&e.point, o),
+                        None => point_mindist_l1(point),
+                        Some(o) => point_mindist_l1_from(point, o),
                     };
                     self.push(HeapEntry {
                         mindist,
                         seq: 0,
-                        kind: HeapKind::Record(id, ix as u32),
+                        kind: HeapKind::Record(i as u32),
                     });
                 }
             }

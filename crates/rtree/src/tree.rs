@@ -1,7 +1,8 @@
 use crate::buffer::LruBuffer;
-use crate::node::{LeafEntry, Node, NodeId, NodeKind};
+use crate::node::{Node, NodeId, NodeKind};
 use crate::{ChildEntry, Mbb};
 use std::cell::Cell;
+use std::ops::Range;
 
 /// Default maximum entries per node when no [`crate::PageConfig`] is used.
 pub const DEFAULT_CAPACITY: usize = 64;
@@ -21,7 +22,12 @@ pub struct RTree {
     pub(crate) nodes: Vec<Node>,
     pub(crate) root: Option<NodeId>,
     pub(crate) height: usize,
-    pub(crate) len: usize,
+    /// Every leaf entry's coordinates, row-major with stride `dims`, in
+    /// leaf order: a leaf holds a range of rows, so the tree keeps all its
+    /// points in one allocation rather than one per point.
+    pub(crate) points: Vec<u32>,
+    /// The record id of each row of `points`.
+    pub(crate) records: Vec<u32>,
     /// Node accesses since the last [`reset_io`](Self::reset_io). `Cell` so
     /// read-only traversals can account IOs without `&mut`.
     pub(crate) io: Cell<u64>,
@@ -40,7 +46,8 @@ impl RTree {
             nodes: Vec::new(),
             root: None,
             height: 0,
-            len: 0,
+            points: Vec::new(),
+            records: Vec::new(),
             io: Cell::new(0),
             buffer: None,
         }
@@ -73,13 +80,13 @@ impl RTree {
     /// Number of indexed points.
     #[inline]
     pub fn len(&self) -> usize {
-        self.len
+        self.records.len()
     }
 
     /// True iff no points are indexed.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.records.is_empty()
     }
 
     /// Tree height in levels (0 for empty, 1 for a single leaf).
@@ -147,11 +154,11 @@ impl RTree {
     pub fn children_free(&self, id: NodeId) -> Vec<ChildEntry<'_>> {
         let node = &self.nodes[id.idx()];
         match &node.kind {
-            NodeKind::Leaf(entries) => entries
-                .iter()
-                .map(|e| ChildEntry::Record {
-                    point: &e.point,
-                    record: e.record,
+            NodeKind::Leaf(rows) => rows
+                .clone()
+                .map(|i| ChildEntry::Record {
+                    point: self.row(i),
+                    record: self.records[i],
                 })
                 .collect(),
             NodeKind::Inner(children) => children
@@ -167,17 +174,23 @@ impl RTree {
     /// Iterates over all `(point, record)` pairs (no IO accounting; a debug
     /// and test convenience).
     pub fn iter_records(&self) -> Vec<(&[u32], u32)> {
-        let mut out = Vec::with_capacity(self.len);
+        let mut out = Vec::with_capacity(self.len());
         let mut stack: Vec<NodeId> = self.root.into_iter().collect();
         while let Some(id) = stack.pop() {
             match &self.nodes[id.idx()].kind {
-                NodeKind::Leaf(entries) => {
-                    out.extend(entries.iter().map(|e| (&*e.point, e.record)));
+                NodeKind::Leaf(rows) => {
+                    out.extend(rows.clone().map(|i| (self.row(i), self.records[i])));
                 }
                 NodeKind::Inner(children) => stack.extend(children.iter().copied()),
             }
         }
         out
+    }
+
+    /// Row `i` of the point block: the coordinates of one leaf entry.
+    #[inline]
+    pub(crate) fn row(&self, i: usize) -> &[u32] {
+        &self.points[i * self.dims..][..self.dims]
     }
 
     pub(crate) fn push_node(&mut self, node: Node) -> NodeId {
@@ -186,17 +199,31 @@ impl RTree {
         id
     }
 
+    /// Appends a leaf over the rows pushed to the point block since row
+    /// `start` (at least one).
+    pub(crate) fn push_leaf(&mut self, start: usize) -> NodeId {
+        let rows = start..self.records.len();
+        let mbb = self.rows_mbb(rows.clone());
+        self.push_node(Node {
+            mbb,
+            kind: NodeKind::Leaf(rows),
+        })
+    }
+
+    /// The tight MBB of a non-empty range of rows.
+    fn rows_mbb(&self, rows: Range<usize>) -> Mbb {
+        let mut mbb = Mbb::from_point(self.row(rows.start));
+        for i in rows.start + 1..rows.end {
+            mbb.expand_point(self.row(i));
+        }
+        mbb
+    }
+
     /// Recomputes a leaf/inner node's MBB from its entries.
     pub(crate) fn recompute_mbb(&self, id: NodeId) -> Mbb {
         let node = &self.nodes[id.idx()];
         match &node.kind {
-            NodeKind::Leaf(entries) => {
-                let mut mbb = Mbb::from_point(&entries[0].point);
-                for e in &entries[1..] {
-                    mbb.expand_point(&e.point);
-                }
-                mbb
-            }
+            NodeKind::Leaf(rows) => self.rows_mbb(rows.clone()),
             NodeKind::Inner(children) => {
                 let mut mbb = self.nodes[children[0].idx()].mbb.clone();
                 for c in &children[1..] {
@@ -211,7 +238,7 @@ impl RTree {
     /// containment, uniform leaf depth, capacity bounds.
     pub fn validate(&self) -> Result<(), String> {
         let Some(root) = self.root else {
-            return if self.len == 0 {
+            return if self.is_empty() {
                 Ok(())
             } else {
                 Err("len > 0 but no root".into())
@@ -228,8 +255,8 @@ impl RTree {
                 return Err(format!("height {} but leaves at depth {d}", self.height));
             }
         }
-        if count != self.len {
-            return Err(format!("len {} but {count} records reachable", self.len));
+        if count != self.len() {
+            return Err(format!("len {} but {count} records reachable", self.len()));
         }
         Ok(())
     }
@@ -257,13 +284,8 @@ impl RTree {
             ));
         }
         match &node.kind {
-            NodeKind::Leaf(entries) => {
-                for e in entries {
-                    if e.point.len() != self.dims {
-                        return Err("dimensionality mismatch in leaf".into());
-                    }
-                }
-                *count += entries.len();
+            NodeKind::Leaf(rows) => {
+                *count += rows.len();
                 leaf_depths.push(depth);
             }
             NodeKind::Inner(children) => {
@@ -305,28 +327,13 @@ impl RTree {
         match b {
             BuildNode::Leaf(points) => {
                 assert!(!points.is_empty() && points.len() <= self.cap, "leaf size");
-                let entries: Vec<LeafEntry> = points
-                    .iter()
-                    .map(|(p, r)| {
-                        assert_eq!(p.len(), self.dims, "point dimensionality");
-                        LeafEntry {
-                            point: p.clone().into_boxed_slice(),
-                            record: *r,
-                        }
-                    })
-                    .collect();
-                self.len += points.len();
-                let mut mbb = Mbb::from_point(&entries[0].point);
-                for e in &entries[1..] {
-                    mbb.expand_point(&e.point);
+                let start = self.records.len();
+                for (p, r) in points {
+                    assert_eq!(p.len(), self.dims, "point dimensionality");
+                    self.points.extend_from_slice(p);
+                    self.records.push(*r);
                 }
-                (
-                    self.push_node(Node {
-                        mbb,
-                        kind: NodeKind::Leaf(entries),
-                    }),
-                    depth,
-                )
+                (self.push_leaf(start), depth)
             }
             BuildNode::Inner(children) => {
                 assert!(!children.is_empty() && children.len() <= self.cap, "fanout");

@@ -3,8 +3,8 @@
 //!
 //! * [`brute_force`] — the `O(n²)` oracle the engines are tested against,
 //! * [`bbs`] — Branch-and-Bound Skyline over an R-tree (Papadias et al.),
-//!   the algorithm sTSS and dTSS instantiate; dTSS runs it to precompute
-//!   per-group local skylines,
+//!   the algorithm sTSS and dTSS instantiate (dTSS's tests check its
+//!   SFS-built local skylines against it),
 //! * [`PointBlock`] — the columnar point layout with the batched dominance
 //!   kernels every engine in the workspace calls.
 //!

@@ -79,11 +79,11 @@ fn check_all(table: &Table, dags: &[Dag], label: &str) {
 
     let sizes: Vec<u32> = dags.iter().map(|d| d.len() as u32).collect();
     for cfg in [
-        DtssConfig::default(),
         DtssConfig {
-            precompute_local: true,
+            precompute_local: false,
             ..Default::default()
         },
+        DtssConfig::default(),
     ] {
         let dtss = Dtss::build(table.clone(), sizes.clone(), cfg).unwrap();
         let run = dtss.query(&PoQuery::new(dags.to_vec())).unwrap();

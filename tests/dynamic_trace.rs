@@ -96,13 +96,22 @@ fn optimizations_do_not_change_results() {
         query(&[("a", "b"), ("b", "c")]),
         query(&[("c", "a")]),
     ];
-    let plain = Dtss::build(fig5_table(), vec![3], DtssConfig::default()).unwrap();
+    let plain = Dtss::build(
+        fig5_table(),
+        vec![3],
+        DtssConfig {
+            precompute_local: false,
+            ..Default::default()
+        },
+    )
+    .unwrap();
     for cfg in [
         DtssConfig {
             precompute_local: true,
             ..Default::default()
         },
         DtssConfig {
+            precompute_local: false,
             cache: true,
             ..Default::default()
         },
@@ -135,7 +144,15 @@ fn local_skyline_optimization_reduces_work() {
         t.push(&[6 + i % 5, 6 + i % 7], &[2]);
     }
     let q = query(&[("a", "b"), ("c", "b")]);
-    let plain = Dtss::build(t.clone(), vec![3], DtssConfig::default()).unwrap();
+    let plain = Dtss::build(
+        t.clone(),
+        vec![3],
+        DtssConfig {
+            precompute_local: false,
+            ..Default::default()
+        },
+    )
+    .unwrap();
     let local = Dtss::build(
         t,
         vec![3],
