@@ -39,13 +39,12 @@
 //!   not depend on the query's orders, and only its members can reach a
 //!   dynamic skyline. The build computes each one by SFS: the group's
 //!   members sorted by `(TO coordinate sum, id)` and filtered through one
-//!   reused [`PointBlock`], after dropping what the group's min-sum member
-//!   dominates. A plain query checks just those members, in that order,
-//!   against the global key block and pops no tree. Fully dynamic queries
-//!   fold the TO values around their reference, which invalidates local
-//!   skylines, so they walk the trees with the group front. So does every
-//!   query when [`DtssConfig::precompute_local`] is `false`, the paper's
-//!   §VI-C configuration.
+//!   reused [`PointBlock`]. A plain query checks just those members, in
+//!   that order, against the global key block and pops no tree. Fully
+//!   dynamic queries fold the TO values around their reference, which
+//!   invalidates local skylines, so they walk the trees with the group
+//!   front. So does every query when [`DtssConfig::precompute_local`] is
+//!   `false`, the paper's §VI-C configuration.
 //! * **Result cache (§V-B), opt-in:** a query-digest cache reuses full
 //!   results of repeated orders.
 
@@ -177,13 +176,6 @@ impl<'t> LocalSfs<'t> {
                 .iter()
                 .map(|&r| (skyline::monotone_sum(table.to(r)), r)),
         );
-        // The min-sum member is in the skyline: drop what it dominates
-        // before sorting.
-        if let Some(&(_, head)) = self.order.iter().min() {
-            let head = table.to(head);
-            self.order
-                .retain(|&(_, r)| !skyline::dominates(head, table.to(r)));
-        }
         self.order.sort_unstable();
         self.kept.clear();
         let mut sky = Vec::new();
@@ -1053,13 +1045,15 @@ mod tests {
         // topological sort assigns a ordinal 1 and c ordinal 2 (the paper
         // draws the equally admissible order c, a, b — the skyline is
         // identical). Ga must therefore be fully emitted before Gc.
-        let dtss = Dtss::build(fig5_table(), vec![3], DtssConfig::default()).unwrap();
-        let run = dtss.query(&PoQuery::new(vec![order_a_c_over_b()])).unwrap();
-        let recs = run.skyline_records();
-        let pos = |r: u32| recs.iter().position(|&x| x == r).unwrap();
-        for a_rec in [0u32, 1] {
-            for c_rec in [6u32, 7, 9] {
-                assert!(pos(a_rec) < pos(c_rec), "Ga before Gc: {recs:?}");
+        for cfg in configs() {
+            let dtss = Dtss::build(fig5_table(), vec![3], cfg).unwrap();
+            let run = dtss.query(&PoQuery::new(vec![order_a_c_over_b()])).unwrap();
+            let recs = run.skyline_records();
+            let pos = |r: u32| recs.iter().position(|&x| x == r).unwrap();
+            for a_rec in [0u32, 1] {
+                for c_rec in [6u32, 7, 9] {
+                    assert!(pos(a_rec) < pos(c_rec), "Ga before Gc: {recs:?} {cfg:?}");
+                }
             }
         }
     }
@@ -1165,15 +1159,17 @@ mod tests {
         // With no preferences at all, every group contributes its local
         // skyline (groups are mutually incomparable).
         let empty = poset::Dag::from_edges(3, &[]).unwrap();
-        let dtss = Dtss::build(fig5_table(), vec![3], DtssConfig::default()).unwrap();
-        let run = dtss.query(&PoQuery::new(vec![empty.clone()])).unwrap();
-        let domains = vec![PoDomain::new(empty)];
+        let domains = vec![PoDomain::new(empty.clone())];
         let mut expect = brute_force_po_skyline(&domains, &fig5_table());
         expect.sort_unstable();
-        let mut got = run.skyline_records();
-        got.sort_unstable();
-        assert_eq!(got, expect);
-        assert_eq!(run.groups_skipped, 0);
+        for cfg in configs() {
+            let dtss = Dtss::build(fig5_table(), vec![3], cfg).unwrap();
+            let run = dtss.query(&PoQuery::new(vec![empty.clone()])).unwrap();
+            let mut got = run.skyline_records();
+            got.sort_unstable();
+            assert_eq!(got, expect, "{cfg:?}");
+            assert_eq!(run.groups_skipped, 0, "{cfg:?}");
+        }
     }
 
     #[test]
@@ -1243,11 +1239,13 @@ mod tests {
 
     #[test]
     fn fully_dynamic_at_origin_equals_plain_query() {
-        let dtss = Dtss::build(fig5_table(), vec![3], DtssConfig::default()).unwrap();
         let q = PoQuery::new(vec![order_b_over_c()]);
-        let plain = dtss.query(&q).unwrap();
-        let folded = dtss.query_fully_dynamic(&q, &[0, 0]).unwrap();
-        assert_eq!(plain.skyline_records(), folded.skyline_records());
+        for cfg in configs() {
+            let dtss = Dtss::build(fig5_table(), vec![3], cfg).unwrap();
+            let plain = dtss.query(&q).unwrap();
+            let folded = dtss.query_fully_dynamic(&q, &[0, 0]).unwrap();
+            assert_eq!(plain.skyline_records(), folded.skyline_records(), "{cfg:?}");
+        }
     }
 
     #[test]

@@ -46,14 +46,20 @@ pub const RESP_ERR: u8 = 3;
 /// prefix, not a real task (the whole bench corpus is megabytes).
 pub const MAX_FRAME: u32 = 1 << 30;
 
-/// Upper bound on a shipped DAG's vertex count. The receiver labels each
-/// domain with an `n`-by-`n` reachability bitset, so a count read off the
-/// wire must not size anything unchecked: 200,000 vertices would be a
-/// 5 GB bitset. The bound is 64 times the paper's largest domain (a
-/// height-10 subset lattice of 1,024 values) and equals the largest
-/// lattice `poset`'s generator builds (height 16); a larger count is a
-/// decode error.
-pub const MAX_DAG_VERTICES: u32 = 1 << 16;
+/// Upper bound on one shipped DAG's vertex count: four times the paper's
+/// largest domain (a height-10 subset lattice of 1,024 values). The
+/// receiver labels each domain with an `n`-by-`n` reachability bitset, so
+/// a count read off the wire must not size anything unchecked: 200,000
+/// vertices would be a 5 GB bitset, and at this bound it is 2 MiB.
+pub const MAX_DAG_VERTICES: u32 = 1 << 12;
+
+/// Upper bound on the vertices of all DAGs in one payload, an empty DAG
+/// counting as one. The DAG count is read off the wire too, and each
+/// vertex costs a label, adjacency lists and a bitset row, so the budget
+/// spans the payload: with [`MAX_DAG_VERTICES`] it caps the bitsets at
+/// 8 MiB together (the sum of `n²` is at most the largest `n` times the
+/// sum of `n`), four maximum-size domains.
+pub const MAX_PAYLOAD_DAG_VERTICES: u32 = 1 << 14;
 
 /// Fixed framing overhead: the length prefix plus the checksum.
 pub const FRAME_OVERHEAD: u64 = 4 + 8;
@@ -473,15 +479,23 @@ pub fn put_dags<'d>(
 /// Inverse of [`put_dags`]: rebuilds the DAGs. Every structure derived
 /// from them (labelings, dyadic indexes, reachability) is a deterministic
 /// function of the edges, so dominance decisions — and examined-pair
-/// counts — are identical to the sender's. A vertex count above
-/// [`MAX_DAG_VERTICES`] is rejected before anything is allocated.
+/// counts — are identical to the sender's. Each DAG's vertex count is
+/// checked against [`MAX_DAG_VERTICES`] and the running total against
+/// [`MAX_PAYLOAD_DAG_VERTICES`] before that DAG is built, so a payload
+/// over either bound is a decode error having allocated at most the
+/// budget.
 pub fn get_dags(r: &mut Reader<'_>) -> Result<Vec<poset::Dag>, DecodeError> {
     let count = r.u32()? as usize;
     let mut dags = Vec::with_capacity(count.min(64));
+    let mut vertices = 0u32;
     for _ in 0..count {
         let n = r.u32()?;
         if n > MAX_DAG_VERTICES {
             return Err("dag vertex count over MAX_DAG_VERTICES");
+        }
+        vertices += n.max(1);
+        if vertices > MAX_PAYLOAD_DAG_VERTICES {
+            return Err("dag vertices over MAX_PAYLOAD_DAG_VERTICES");
         }
         let edges = r.u32()? as usize;
         let mut pairs = Vec::with_capacity(edges.min(1 << 20));
@@ -639,5 +653,45 @@ mod tests {
             d2[0].edges().collect::<Vec<_>>(),
             dag.edges().collect::<Vec<_>>()
         );
+    }
+
+    /// Edge-less DAG sections of the given vertex counts.
+    fn dag_sections(sizes: &[u32]) -> Vec<u8> {
+        let mut buf = Vec::new();
+        put_u32(&mut buf, sizes.len() as u32);
+        for &n in sizes {
+            put_u32(&mut buf, n);
+            put_u32(&mut buf, 0);
+        }
+        buf
+    }
+
+    #[test]
+    fn dag_vertex_counts_are_bounded_per_dag_and_per_payload() {
+        let max = MAX_DAG_VERTICES;
+        let fits = MAX_PAYLOAD_DAG_VERTICES / max;
+        let decode = |sizes: &[u32]| get_dags(&mut Reader::new(&dag_sections(sizes)));
+        // Both bounds are inclusive.
+        let at_budget = decode(&vec![max; fits as usize]).unwrap();
+        assert_eq!(at_budget.len(), fits as usize);
+        assert!(at_budget.iter().all(|d| d.len() == max as usize));
+        assert_eq!(
+            decode(&[max + 1]).unwrap_err(),
+            "dag vertex count over MAX_DAG_VERTICES"
+        );
+        // One more maximum-size DAG, or one more empty one, is over the
+        // payload's budget; so is a count far beyond what fits.
+        for sizes in [
+            vec![max; fits as usize + 1],
+            [vec![max; fits as usize], vec![0]].concat(),
+            vec![0; MAX_PAYLOAD_DAG_VERTICES as usize + 1],
+        ] {
+            assert_eq!(
+                decode(&sizes).unwrap_err(),
+                "dag vertices over MAX_PAYLOAD_DAG_VERTICES",
+                "{} DAGs",
+                sizes.len()
+            );
+        }
     }
 }

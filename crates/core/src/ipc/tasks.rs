@@ -118,6 +118,7 @@ pub fn dispatch_builtin(task: &[u8], _ctx: ShardCtx) -> Result<(Vec<RecordId>, M
 mod tests {
     use super::*;
     use crate::dominance::brute_force_po_skyline;
+    use crate::ipc::protocol::{put_u32, MAX_DAG_VERTICES, MAX_PAYLOAD_DAG_VERTICES};
     use crate::Table;
     use poset::Dag;
     use skyline::Kernel;
@@ -224,5 +225,26 @@ mod tests {
         }
         let err = dispatch_builtin(&huge, CTX).expect_err("vertex count over the wire limit");
         assert!(err.contains("MAX_DAG_VERTICES"), "{err}");
+
+        // Many maximum-size DAGs in one payload, over a zero-row window
+        // whose PO attribute count matches them: each DAG is within the
+        // per-DAG bound, so only the payload's vertex budget stops their
+        // bitsets from adding up. A budget's worth still runs.
+        let many = |dags: u32| {
+            let mut task = vec![TASK_LOCAL_SKYLINE];
+            put_u32(&mut task, 0);
+            put_window(&mut task, 1, dags as usize, &[], &[]);
+            put_u32(&mut task, dags);
+            for _ in 0..dags {
+                for word in [MAX_DAG_VERTICES, 0] {
+                    task.extend_from_slice(&word.to_le_bytes());
+                }
+            }
+            dispatch_builtin(&task, CTX)
+        };
+        let fits = MAX_PAYLOAD_DAG_VERTICES / MAX_DAG_VERTICES;
+        assert_eq!(many(fits).map(|(records, _)| records), Ok(vec![]));
+        let err = many(fits + 1).expect_err("vertices over the payload budget");
+        assert!(err.contains("MAX_PAYLOAD_DAG_VERTICES"), "{err}");
     }
 }

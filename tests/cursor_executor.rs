@@ -34,6 +34,18 @@ fn workload(n: usize, seed: u64) -> (Table, Dag) {
     (Table::from_parts(2, 1, to, po).unwrap(), dag)
 }
 
+/// dTSS's two plain-query paths: the paper's tree walk (no
+/// pre-processing), then the default scan of precomputed local skylines.
+fn dtss_configs() -> [DtssConfig; 2] {
+    [
+        DtssConfig {
+            precompute_local: false,
+            ..Default::default()
+        },
+        DtssConfig::default(),
+    ]
+}
+
 fn sorted(mut v: Vec<u32>) -> Vec<u32> {
     v.sort_unstable();
     v
@@ -69,16 +81,18 @@ fn cursor_equals_run_for_every_engine() {
     assert!(!expect.is_empty());
 
     // dTSS, bound to a query over the same DAG.
-    let dtss = Dtss::build(table.clone(), vec![dag.len() as u32], DtssConfig::default()).unwrap();
-    let q = PoQuery::new(vec![dag.clone()]);
-    let engine = dtss.engine(q.clone()).unwrap();
-    let d_expect = dtss.query(&q).unwrap().skyline_records();
-    assert_eq!(drain(&engine), d_expect, "dTSS cursor vs query");
-    assert_eq!(
-        sorted(d_expect),
-        sorted(expect.clone()),
-        "static and dynamic TSS agree on the same order"
-    );
+    for cfg in dtss_configs() {
+        let dtss = Dtss::build(table.clone(), vec![dag.len() as u32], cfg).unwrap();
+        let q = PoQuery::new(vec![dag.clone()]);
+        let engine = dtss.engine(q.clone()).unwrap();
+        let d_expect = dtss.query(&q).unwrap().skyline_records();
+        assert_eq!(drain(&engine), d_expect, "dTSS cursor vs query {cfg:?}");
+        assert_eq!(
+            sorted(d_expect),
+            sorted(expect.clone()),
+            "static and dynamic TSS agree on the same order {cfg:?}"
+        );
+    }
 
     // The three m-dominance baselines.
     for variant in [Variant::BbsPlus, Variant::Sdc, Variant::SdcPlus] {
@@ -104,7 +118,9 @@ fn cursor_equals_run_for_every_engine() {
 /// dTSS scalar `t_dominates` calls. The kernels examine pairs in the same
 /// order with the same early exit, so their `dominance_checks` may never
 /// exceed those ceilings — and every check must now flow through a batched
-/// kernel invocation (`dominance_batch_calls > 0`).
+/// kernel invocation (`dominance_batch_calls > 0`). The dTSS ceiling was
+/// set by the tree walk, so it binds the paper's configuration first; the
+/// default scan of precomputed local skylines must stay under it too.
 #[test]
 fn batched_kernel_spends_no_more_checks_than_the_seed_scalar_path() {
     const SEED_STSS_SCALAR_CHECKS: u64 = 10_839;
@@ -136,20 +152,22 @@ fn batched_kernel_spends_no_more_checks_than_the_seed_scalar_path() {
         "kernel calls are per-candidate, checks per pair examined"
     );
 
-    let dtss = Dtss::build(table, vec![dag.len() as u32], DtssConfig::default()).unwrap();
-    let mut c = dtss.query_cursor(&PoQuery::new(vec![dag])).unwrap();
-    while c.next().is_some() {}
-    let dm = c.metrics();
-    assert!(
-        dm.dominance_checks <= SEED_DTSS_SCALAR_CHECKS,
-        "dTSS batched kernel examined {} pairs, seed scalar path paid {}",
-        dm.dominance_checks,
-        SEED_DTSS_SCALAR_CHECKS
-    );
-    assert!(
-        dm.dominance_batch_calls > 0,
-        "dTSS must use the batched kernel"
-    );
+    for cfg in dtss_configs() {
+        let dtss = Dtss::build(table.clone(), vec![dag.len() as u32], cfg).unwrap();
+        let mut c = dtss.query_cursor(&PoQuery::new(vec![dag.clone()])).unwrap();
+        while c.next().is_some() {}
+        let dm = c.metrics();
+        assert!(
+            dm.dominance_checks <= SEED_DTSS_SCALAR_CHECKS,
+            "dTSS batched kernel examined {} pairs, seed scalar path paid {} ({cfg:?})",
+            dm.dominance_checks,
+            SEED_DTSS_SCALAR_CHECKS
+        );
+        assert!(
+            dm.dominance_batch_calls > 0,
+            "dTSS must use the batched kernel ({cfg:?})"
+        );
+    }
 }
 
 /// Early-termination soundness: for the progressive engines, the first `k`
@@ -172,17 +190,19 @@ fn k_prefix_is_a_prefix_of_the_progressive_order() {
     let prefix: Vec<u32> = stss.cursor().take_k(k).iter().map(|p| p.record).collect();
     assert_eq!(prefix, full[..k], "sTSS prefix");
 
-    let dtss = Dtss::build(table, vec![dag.len() as u32], DtssConfig::default()).unwrap();
-    let q = PoQuery::new(vec![dag]);
-    let d_full = dtss.query(&q).unwrap().skyline_records();
-    let d_prefix: Vec<u32> = dtss
-        .query_cursor(&q)
-        .unwrap()
-        .take_k(k)
-        .iter()
-        .map(|p| p.record)
-        .collect();
-    assert_eq!(d_prefix, d_full[..k], "dTSS prefix");
+    let q = PoQuery::new(vec![dag.clone()]);
+    for cfg in dtss_configs() {
+        let dtss = Dtss::build(table.clone(), vec![dag.len() as u32], cfg).unwrap();
+        let d_full = dtss.query(&q).unwrap().skyline_records();
+        let d_prefix: Vec<u32> = dtss
+            .query_cursor(&q)
+            .unwrap()
+            .take_k(k)
+            .iter()
+            .map(|p| p.record)
+            .collect();
+        assert_eq!(d_prefix, d_full[..k], "dTSS prefix {cfg:?}");
+    }
 }
 
 /// The acceptance property: pulling `k` results off an sTSS cursor performs

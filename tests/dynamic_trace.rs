@@ -35,6 +35,18 @@ fn query(prefs: &[(&str, &str)]) -> PoQuery {
     PoQuery::new(vec![b.build().unwrap()])
 }
 
+/// dTSS's two plain-query paths: the paper's tree walk (no
+/// pre-processing), then the default scan of precomputed local skylines.
+fn configs() -> [DtssConfig; 2] {
+    [
+        DtssConfig {
+            precompute_local: false,
+            ..Default::default()
+        },
+        DtssConfig::default(),
+    ]
+}
+
 fn sorted(mut v: Vec<u32>) -> Vec<u32> {
     v.sort_unstable();
     v
@@ -45,46 +57,57 @@ fn first_query_b_over_c() {
     // §V-A: Ga yields p1, p2; Gb yields p5, p6; Gc is dismissed wholesale
     // ("the execution terminates without considering the group's R-tree
     // entries at all").
-    let dtss = Dtss::build(fig5_table(), vec![3], DtssConfig::default()).unwrap();
-    assert_eq!(dtss.group_count(), 3);
-    let run = dtss.query(&query(&[("b", "c")])).unwrap();
-    assert_eq!(sorted(run.skyline_records()), vec![0, 1, 4, 5]);
-    assert_eq!(run.groups_skipped, 1);
-    // Emission order respects the group precedence: Ga (ordinal 1 value)
-    // before Gb.
-    assert_eq!(run.skyline_records()[..2], [0, 1]);
+    for cfg in configs() {
+        let dtss = Dtss::build(fig5_table(), vec![3], cfg).unwrap();
+        assert_eq!(dtss.group_count(), 3);
+        let run = dtss.query(&query(&[("b", "c")])).unwrap();
+        assert_eq!(sorted(run.skyline_records()), vec![0, 1, 4, 5], "{cfg:?}");
+        assert_eq!(run.groups_skipped, 1, "{cfg:?}");
+        // Emission order respects the group precedence: Ga (ordinal 1
+        // value) before Gb.
+        assert_eq!(run.skyline_records()[..2], [0, 1], "{cfg:?}");
+    }
 }
 
 #[test]
 fn second_query_a_c_over_b() {
     // Fig. 6: skyline p7, p8, p10 (Gc) and p1, p2 (Ga); Gb dismissed — "the
     // R-tree associated with this group is not examined".
-    let dtss = Dtss::build(fig5_table(), vec![3], DtssConfig::default()).unwrap();
-    let run = dtss.query(&query(&[("a", "b"), ("c", "b")])).unwrap();
-    assert_eq!(sorted(run.skyline_records()), vec![0, 1, 6, 7, 9]);
-    assert_eq!(run.groups_skipped, 1);
+    for cfg in configs() {
+        let dtss = Dtss::build(fig5_table(), vec![3], cfg).unwrap();
+        let run = dtss.query(&query(&[("a", "b"), ("c", "b")])).unwrap();
+        assert_eq!(
+            sorted(run.skyline_records()),
+            vec![0, 1, 6, 7, 9],
+            "{cfg:?}"
+        );
+        assert_eq!(run.groups_skipped, 1, "{cfg:?}");
+    }
 }
 
 #[test]
 fn no_rebuild_between_queries() {
-    // dTSS's defining property: the second query reuses the group trees.
-    // Its IO cost must therefore be a handful of node reads, while the
-    // dynamic SDC+ baseline pays full data passes per query.
-    let dtss = Dtss::build(fig5_table(), vec![3], DtssConfig::default()).unwrap();
-    let r1 = dtss.query(&query(&[("b", "c")])).unwrap();
-    let r2 = dtss.query(&query(&[("a", "b"), ("c", "b")])).unwrap();
-
+    // dTSS's defining property: the second query reuses what the build
+    // made (the group trees, and the local skylines by default). Its IO
+    // cost must therefore be a handful of node reads, while the dynamic
+    // SDC+ baseline pays full data passes per query.
     let dsdc = DynamicSdc::new(fig5_table(), SdcConfig::default());
     let b1 = dsdc.query(query(&[("b", "c")]).dags()).unwrap();
     let b2 = dsdc.query(query(&[("a", "b"), ("c", "b")]).dags()).unwrap();
-
-    // Same skylines.
-    assert_eq!(sorted(r1.skyline_records()), sorted(b1.skyline.clone()));
-    assert_eq!(sorted(r2.skyline_records()), sorted(b2.skyline.clone()));
-    // dTSS never writes; the baseline rebuilds per query.
-    assert_eq!(r1.metrics.io_writes + r2.metrics.io_writes, 0);
     assert!(b1.metrics.io_writes > 0 && b2.metrics.io_writes > 0);
-    assert!(b1.metrics.io_total() > r1.metrics.io_total());
+
+    for cfg in configs() {
+        let dtss = Dtss::build(fig5_table(), vec![3], cfg).unwrap();
+        let r1 = dtss.query(&query(&[("b", "c")])).unwrap();
+        let r2 = dtss.query(&query(&[("a", "b"), ("c", "b")])).unwrap();
+
+        // Same skylines.
+        assert_eq!(sorted(r1.skyline_records()), sorted(b1.skyline.clone()));
+        assert_eq!(sorted(r2.skyline_records()), sorted(b2.skyline.clone()));
+        // dTSS never writes; the baseline rebuilds per query.
+        assert_eq!(r1.metrics.io_writes + r2.metrics.io_writes, 0, "{cfg:?}");
+        assert!(b1.metrics.io_total() > r1.metrics.io_total(), "{cfg:?}");
+    }
 }
 
 #[test]
