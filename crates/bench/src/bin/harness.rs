@@ -9,7 +9,7 @@
 //!
 //! Absolute numbers differ from the paper's 2009 testbed; the *shapes* —
 //! who wins, by what factor, and how gaps grow with each parameter — are
-//! the reproduction targets, recorded side by side in EXPERIMENTS.md.
+//! the reproduction targets.
 
 use bench::params;
 use bench::report::{comparison_cells, comparison_header, TextTable};
@@ -18,7 +18,7 @@ use bench::runner::{
     run_sdc_plus, run_stss, sdc_plus_time_to_k, stss_time_to_k,
 };
 use datagen::{Distribution, ExperimentParams};
-use tss_core::{CostModel, DtssConfig, RangeStrategy, StssConfig};
+use tss_core::{CostModel, DtssConfig, StssConfig};
 
 fn main() {
     let cmd = std::env::args().nth(1).unwrap_or_else(|| "all".to_string());
@@ -515,41 +515,9 @@ fn bench_json(args: &[String]) {
     }
 }
 
-/// Ablations over the paper's optional design choices (§IV-B range-set
-/// strategies; §V-B local skylines and query cache) and the LRU page
-/// buffer.
+/// Ablations over the paper's optional design choices (§V-B local
+/// skylines and query cache) and the LRU page buffer.
 fn ablations() {
-    banner("Ablation — sTSS optimizations (independent, defaults)");
-    let p = params::static_params(Distribution::Independent, 42);
-    let w = generate(&p);
-    let mut t = TextTable::new(&["configuration", "total (s)", "checks", "reads"]);
-    for (name, cfg) in [
-        ("paper default (dyadic, list checks)", StssConfig::default()),
-        (
-            "naive range merging",
-            StssConfig {
-                range_strategy: RangeStrategy::Naive,
-                ..Default::default()
-            },
-        ),
-        (
-            "full range table",
-            StssConfig {
-                range_strategy: RangeStrategy::Full,
-                ..Default::default()
-            },
-        ),
-    ] {
-        let r = run_stss(&w, cfg);
-        t.row(vec![
-            name.to_string(),
-            format!("{:.3}", r.total_secs(model())),
-            r.metrics.dominance_checks.to_string(),
-            r.metrics.io_reads.to_string(),
-        ]);
-    }
-    print!("{}", t.render());
-
     banner("Ablation — dTSS optimizations (independent, defaults, 1 query)");
     let p = params::dynamic_params(Distribution::Independent, 42);
     let w = generate(&p);
@@ -573,6 +541,36 @@ fn ablations() {
         ]);
     }
     print!("{}", t.render());
+
+    banner("Ablation — dTSS query cache (repeat query)");
+    // Same table, query and configuration as the paper-default row above,
+    // so the cold query reads what that row reads.
+    let sizes: Vec<u32> = w.dags.iter().map(|d| d.len() as u32).collect();
+    let dtss = tss_core::Dtss::build(
+        w.table.clone(),
+        sizes,
+        DtssConfig {
+            cache: true,
+            ..params::paper_dtss()
+        },
+    )
+    .unwrap();
+    let q = tss_core::PoQuery::new(
+        w.dags
+            .iter()
+            .map(|d| bench::runner::permuted_order(d, 11))
+            .collect(),
+    );
+    let cold = dtss.query(&q).unwrap();
+    let warm = dtss.query(&q).unwrap();
+    println!(
+        "cold: {:?} ({} reads) -> warm: {:?} ({} reads, from_cache={})",
+        model().total_time(&cold.metrics),
+        cold.metrics.io_reads,
+        model().total_time(&warm.metrics),
+        warm.metrics.io_reads,
+        warm.from_cache
+    );
 
     banner("Ablation — LRU page buffer amortizes repeat queries (static indep)");
     // Within one BBS run every node is read at most once, so a buffer
@@ -628,32 +626,4 @@ fn ablations() {
         ]);
     }
     print!("{}", t.render());
-
-    banner("Ablation — dTSS query cache (repeat query)");
-    let sizes: Vec<u32> = w.dags.iter().map(|d| d.len() as u32).collect();
-    let dtss = tss_core::Dtss::build(
-        w.table.clone(),
-        sizes,
-        DtssConfig {
-            cache: true,
-            ..params::paper_dtss()
-        },
-    )
-    .unwrap();
-    let q = tss_core::PoQuery::new(
-        w.dags
-            .iter()
-            .map(|d| bench::runner::permuted_order(d, 11))
-            .collect(),
-    );
-    let cold = dtss.query(&q).unwrap();
-    let warm = dtss.query(&q).unwrap();
-    println!(
-        "cold: {:?} ({} reads) -> warm: {:?} ({} reads, from_cache={})",
-        model().total_time(&cold.metrics),
-        cold.metrics.io_reads,
-        model().total_time(&warm.metrics),
-        warm.metrics.io_reads,
-        warm.from_cache
-    );
 }

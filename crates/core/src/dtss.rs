@@ -603,10 +603,10 @@ enum DtssPhase<'a> {
 /// skyline would keep, so reads, pops, dismissals and emission order are
 /// those of the front-free walk; only the pair counts differ.
 ///
-/// Unlike sTSS, the walk needs no duplicate-completion pass: node checks
-/// exclude exact ties, the front is strict TO dominance, and a group's
-/// dismissal check runs before any of its own members is confirmed, so no
-/// check ever drops an exact copy of a skyline point.
+/// As in sTSS, exact copies of a skyline point are all confirmed by the
+/// walk: node checks exclude exact ties, the front is strict TO dominance,
+/// and a group's dismissal check runs before any of its own members is
+/// confirmed, so no check ever drops an exact copy of a skyline point.
 pub struct DtssCursor<'a> {
     dtss: &'a Dtss,
     /// Per-query labelings (owned: possibly cloned out of a session cache).

@@ -260,10 +260,12 @@ impl<'a> Reader<'a> {
         ]))
     }
 
-    /// Next length-prefixed `u32` slice.
+    /// Next length-prefixed `u32` slice. The reservation is capped by the
+    /// bytes left, so a count read off the wire sizes nothing that did not
+    /// arrive.
     pub fn u32s(&mut self) -> Result<Vec<u32>, DecodeError> {
         let n = self.u32()? as usize;
-        let mut out = Vec::with_capacity(n.min(1 << 20));
+        let mut out = Vec::with_capacity(n.min(self.remaining() / 4));
         for _ in 0..n {
             out.push(self.u32()?);
         }
@@ -483,7 +485,7 @@ pub fn put_dags<'d>(
 /// checked against [`MAX_DAG_VERTICES`] and the running total against
 /// [`MAX_PAYLOAD_DAG_VERTICES`] before that DAG is built, so a payload
 /// over either bound is a decode error having allocated at most the
-/// budget.
+/// budget. An edge list reserves no more pairs than the bytes left hold.
 pub fn get_dags(r: &mut Reader<'_>) -> Result<Vec<poset::Dag>, DecodeError> {
     let count = r.u32()? as usize;
     let mut dags = Vec::with_capacity(count.min(64));
@@ -498,7 +500,7 @@ pub fn get_dags(r: &mut Reader<'_>) -> Result<Vec<poset::Dag>, DecodeError> {
             return Err("dag vertices over MAX_PAYLOAD_DAG_VERTICES");
         }
         let edges = r.u32()? as usize;
-        let mut pairs = Vec::with_capacity(edges.min(1 << 20));
+        let mut pairs = Vec::with_capacity(edges.min(r.remaining() / 8));
         for _ in 0..edges {
             let u = r.u32()?;
             let v = r.u32()?;
@@ -664,6 +666,23 @@ mod tests {
             put_u32(&mut buf, 0);
         }
         buf
+    }
+
+    #[test]
+    fn counts_claiming_more_than_the_payload_holds_are_rejected() {
+        let claim = 1u32 << 20;
+        // A DAG section claiming 2^20 edges over one edge's bytes.
+        let mut dag = Vec::new();
+        for x in [1, 2, claim, 0, 1] {
+            put_u32(&mut dag, x);
+        }
+        assert_eq!(get_dags(&mut Reader::new(&dag)).unwrap_err(), "u32");
+        // A `u32s` prefix claiming 2^20 items over two items' bytes.
+        let mut list = Vec::new();
+        for x in [claim, 7, 8] {
+            put_u32(&mut list, x);
+        }
+        assert_eq!(Reader::new(&list).u32s().unwrap_err(), "u32");
     }
 
     #[test]

@@ -91,7 +91,7 @@ pub use session::{QuerySession, SessionStats};
 pub use skyline::{Kernel, LANES};
 pub use store::{PointStore, RecordId, ShardView};
 pub use streaming::{StreamingConfig, StreamingCursor, StreamingSkyline, WindowPolicy};
-pub use stss::{node_capacity, RangeStrategy, SkylinePoint, Stss, StssConfig, StssCursor, StssRun};
+pub use stss::{node_capacity, SkylinePoint, Stss, StssConfig, StssCursor, StssRun};
 
 /// The facade name of the columnar [`PointStore`]: the paper-facing API
 /// builds a `Table`, the engines consume it as the record-id-addressed

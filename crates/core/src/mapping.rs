@@ -14,20 +14,9 @@ pub struct PoDomain {
 }
 
 impl PoDomain {
-    /// Precomputes all structures for `dag` (default DFS spanning tree).
+    /// Precomputes all structures for `dag` (DFS spanning tree).
     pub fn new(dag: Dag) -> Self {
         let labeling = TssLabeling::build_default(&dag);
-        Self::from_labeling(dag, labeling)
-    }
-
-    /// Precomputes all structures with an explicit spanning tree (tests
-    /// reproducing the paper's Fig. 2 labels use its hand-drawn tree).
-    pub fn with_tree(dag: Dag, tree: poset::SpanningTree) -> Self {
-        let labeling = TssLabeling::build(&dag, tree);
-        Self::from_labeling(dag, labeling)
-    }
-
-    fn from_labeling(dag: Dag, labeling: TssLabeling) -> Self {
         let dyadic = DyadicIndex::build(&labeling);
         let reach = Reachability::build(&dag);
         PoDomain {

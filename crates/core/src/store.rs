@@ -42,26 +42,6 @@ use skyline::{Kernel, PointBlock};
 /// Index of a tuple in a [`PointStore`] — the currency engines trade in.
 pub type RecordId = u32;
 
-/// Digest of one tuple's attribute values, the key of sTSS's
-/// duplicate-completion multimap (hash -> records, resolved against the
-/// store by slice comparison).
-///
-/// Hashed with [`poset::Fnv64`] — fixed published constants — rather than
-/// `DefaultHasher`, whose algorithm is explicitly unspecified across rustc
-/// releases: the digest *values* must survive toolchain bumps so that
-/// anything derived from them (golden numbers, persisted fingerprints) is
-/// stable. Note the maps keyed on these digests are probe-only — never
-/// iterate one expecting a deterministic order; `HashMap`'s iteration
-/// order stays randomized per instance regardless of the hasher used for
-/// the key values.
-pub(crate) fn row_hash(to: &[u32], po: &[u32]) -> u64 {
-    use std::hash::{Hash, Hasher};
-    let mut h = poset::Fnv64::new();
-    to.hash(&mut h);
-    po.hash(&mut h);
-    h.finish()
-}
-
 /// A skyline input relation: `n` tuples with `to_dims` totally ordered
 /// integer attributes (smaller is better) and `po_dims` partially ordered
 /// attributes stored as value ids into their domain DAGs, both held as
@@ -953,16 +933,6 @@ pub(crate) mod tests {
         assert!(!survivors.contains(&64));
         // New id 0 is old id 1 after compaction.
         assert_eq!(t.to(0), &[1]);
-    }
-
-    #[test]
-    fn row_hash_is_toolchain_stable() {
-        // FNV-1a over the attribute slices: pinned so duplicate-map layout
-        // and derived digests survive toolchain bumps.
-        assert_eq!(row_hash(&[1, 2], &[3]), row_hash(&[1, 2], &[3]));
-        assert_ne!(row_hash(&[1, 2], &[3]), row_hash(&[1, 2], &[4]));
-        assert_ne!(row_hash(&[1, 2], &[3]), row_hash(&[1], &[2, 3]));
-        assert_eq!(row_hash(&[], &[]), 0x8820_1fb9_60ff_6465);
     }
 
     /// A store of `n` rows over the paper domain (tight TO values force

@@ -16,65 +16,40 @@
 //! then refine. A popped point is compared with every member's key for
 //! `key <= point`; only in-box members reach the exact PO test (closure
 //! probes). A popped MBB is compared the same way against its low corner;
-//! only in-box members reach the interval-set cover test of the MBB's
-//! ordinal runs, and the run sets are built only once some member is in
-//! the box. Both checks are one [`KeyBlock::first_match`] call, which
-//! under [`Kernel::Scalar`](crate::Kernel::Scalar) is the list loop, the
-//! oracle; both kernels find the same first dominator after the same
-//! number of examined members.
+//! only in-box members other than exact ties with the corner reach the
+//! interval-set cover test of the MBB's ordinal runs (dyadic range sets,
+//! built only once some member is in the box), so exact copies of a
+//! skyline point are never pruned. Both checks are one
+//! [`KeyBlock::first_match`] call, which under
+//! [`Kernel::Scalar`](crate::Kernel::Scalar) is the list loop, the oracle;
+//! both kernels find the same first dominator after the same number of
+//! examined members.
 
 use crate::cursor::{SkylineCursor, SkylineEngine};
 use crate::progressive::{ProgressLog, ProgressSample};
 use crate::store::KeyBlock;
 use crate::{CoreError, Metrics, PoDomain, Table};
-use poset::{Dag, FullRangeIndex, IntervalSet};
+use poset::{Dag, IntervalSet};
 use rtree::{BestFirst, Mbb, PageConfig, Popped, RTree};
-use std::collections::{HashMap, VecDeque};
 use std::time::Instant;
-
-/// How the merged interval set of an MBB's ordinal range is obtained —
-/// the space/time trade-off of §IV-B's first optimization.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum RangeStrategy {
-    /// Merge the per-value sets on the fly: `O(|range|)` time, no space.
-    Naive,
-    /// Precomputed dyadic ranges: `O(log |range|)` time, linear space — the
-    /// paper's recommended middle ground (default).
-    #[default]
-    Dyadic,
-    /// Precompute *every* range in a table: `O(1)` time, quadratic space —
-    /// the paper's first, discarded-for-space solution, kept for ablations.
-    Full,
-}
 
 /// Tuning knobs for [`Stss`]. sTSS runs the configuration the paper
 /// benchmarks ("for fairness we implement TSS without the main memory
 /// R-tree optimization"): point checks scan the skyline list, and an MBB is
-/// pruned only when one skyline point dominates all of it. The dyadic range
-/// index is on by default.
-#[derive(Debug, Clone, Copy)]
+/// pruned only when one skyline point dominates all of it. An MBB's run
+/// sets come from the dyadic range index (§IV-B), the paper's middle ground
+/// between merging per-value sets on the fly and a quadratic table of every
+/// range.
+#[derive(Debug, Clone, Copy, Default)]
 pub struct StssConfig {
     /// Page model used to derive the node capacity.
     pub page: PageConfig,
     /// Explicit node capacity override (else derived from `page`).
     pub node_capacity: Option<usize>,
-    /// Range-set lookup strategy for MBB checks (§IV-B first optimization).
-    pub range_strategy: RangeStrategy,
     /// Optional LRU page buffer (in pages) on the disk R-tree — the paper's
     /// "IO cost can be mitigated using buffers" remark; `None` (default)
     /// matches the paper's no-buffer benchmark setting.
     pub buffer_pages: Option<usize>,
-}
-
-impl Default for StssConfig {
-    fn default() -> Self {
-        StssConfig {
-            page: PageConfig::default(),
-            node_capacity: None,
-            range_strategy: RangeStrategy::Dyadic,
-            buffer_pages: None,
-        }
-    }
 }
 
 /// Resolves an engine's R-tree node capacity: the explicit override, else
@@ -113,10 +88,6 @@ pub struct Stss {
     table: Table,
     domains: Vec<PoDomain>,
     tree: RTree,
-    cfg: StssConfig,
-    /// Quadratic-space range tables, built only under
-    /// [`RangeStrategy::Full`].
-    full_ranges: Option<Vec<FullRangeIndex>>,
 }
 
 /// Result of a full [`Stss::run`].
@@ -140,15 +111,7 @@ impl Stss {
     /// every domain, maps tuples to the transformed space and bulk-loads the
     /// R-tree.
     pub fn build(table: Table, dags: Vec<Dag>, cfg: StssConfig) -> Result<Self, CoreError> {
-        if dags.len() != table.po_dims() {
-            return Err(CoreError::DomainCountMismatch {
-                dags: dags.len(),
-                po_dims: table.po_dims(),
-            });
-        }
-        let sizes: Vec<u32> = dags.iter().map(|d| d.len() as u32).collect();
-        table.check_domains(&sizes)?;
-        let domains: Vec<PoDomain> = dags.into_iter().map(PoDomain::new).collect();
+        let domains = Self::label(&table, dags)?;
         let dims = table.to_dims() + table.po_dims();
         if dims == 0 {
             return Err(CoreError::NoDimensions);
@@ -165,22 +128,10 @@ impl Stss {
         if let Some(pages) = cfg.buffer_pages {
             tree.enable_buffer(pages);
         }
-        let full_ranges = Self::build_full_ranges(&domains, cfg);
         Ok(Stss {
             table,
             domains,
             tree,
-            cfg,
-            full_ranges,
-        })
-    }
-
-    fn build_full_ranges(domains: &[PoDomain], cfg: StssConfig) -> Option<Vec<FullRangeIndex>> {
-        (cfg.range_strategy == RangeStrategy::Full).then(|| {
-            domains
-                .iter()
-                .map(|d| FullRangeIndex::build(d.labeling()))
-                .collect()
         })
     }
 
@@ -189,29 +140,21 @@ impl Stss {
     /// transformed keys — TO values, then one topological ordinal per PO
     /// attribute — as [`build`](Self::build) indexes them: the MBB checks
     /// and the skyline's box filter read them as such.
-    pub fn with_tree(
-        table: Table,
-        dags: Vec<Dag>,
-        tree: RTree,
-        cfg: StssConfig,
-    ) -> Result<Self, CoreError> {
-        if dags.len() != table.po_dims() {
-            return Err(CoreError::DomainCountMismatch {
-                dags: dags.len(),
-                po_dims: table.po_dims(),
-            });
-        }
-        let sizes: Vec<u32> = dags.iter().map(|d| d.len() as u32).collect();
-        table.check_domains(&sizes)?;
-        let domains: Vec<PoDomain> = dags.into_iter().map(PoDomain::new).collect();
-        let full_ranges = Self::build_full_ranges(&domains, cfg);
+    pub fn with_tree(table: Table, dags: Vec<Dag>, tree: RTree) -> Result<Self, CoreError> {
+        let domains = Self::label(&table, dags)?;
         Ok(Stss {
             table,
             domains,
             tree,
-            cfg,
-            full_ranges,
         })
+    }
+
+    /// Validates the table against the DAGs (their count, then every PO
+    /// value) and labels every domain.
+    fn label(table: &Table, dags: Vec<Dag>) -> Result<Vec<PoDomain>, CoreError> {
+        let sizes: Vec<u32> = dags.iter().map(|d| d.len() as u32).collect();
+        table.check_domains(&sizes)?;
+        Ok(dags.into_iter().map(PoDomain::new).collect())
     }
 
     /// The input table.
@@ -297,8 +240,6 @@ impl Stss {
         StssChecks {
             table: &self.table,
             domains: &self.domains,
-            cfg: self.cfg,
-            full_ranges: self.full_ranges.as_deref(),
         }
     }
 }
@@ -309,8 +250,6 @@ impl Stss {
 struct StssChecks<'a> {
     table: &'a Table,
     domains: &'a [PoDomain],
-    cfg: StssConfig,
-    full_ranges: Option<&'a [FullRangeIndex]>,
 }
 
 impl StssChecks<'_> {
@@ -331,44 +270,44 @@ impl StssChecks<'_> {
         hit
     }
 
-    /// Merged interval sets of the MBB's ordinal ranges, one per PO dim.
+    /// Merged interval sets of the MBB's ordinal ranges, one per PO dim,
+    /// from the dyadic range index.
     fn run_sets(&self, mbb: &Mbb) -> Vec<IntervalSet> {
         let to_dims = self.table.to_dims();
         (0..self.domains.len())
-            .map(|d| {
-                let lo = mbb.lo()[to_dims + d];
-                let hi = mbb.hi()[to_dims + d];
-                match self.cfg.range_strategy {
-                    RangeStrategy::Naive => self.domains[d].labeling().range_intervals(lo, hi),
-                    RangeStrategy::Dyadic => self.domains[d].range_intervals(lo, hi),
-                    RangeStrategy::Full => self
-                        .full_ranges
-                        .as_ref()
-                        .expect("built under RangeStrategy::Full")[d]
-                        .range(lo, hi)
-                        .clone(),
-                }
-            })
+            .map(|d| self.domains[d].range_intervals(mbb.lo()[to_dims + d], mbb.hi()[to_dims + d]))
             .collect()
     }
 
     /// Can the whole MBB be pruned? Paper-faithful single-dominator check:
     /// one skyline point must be at least as good on every TO dim and
-    /// cover every run on every PO dim (§IV-A step 7).
+    /// cover every run on every PO dim (§IV-A step 7), and its key must
+    /// differ from the MBB's low corner.
     ///
-    /// The skyline's key block is checked against the MBB's low corner as
+    /// The skyline's key block is checked against the low corner `lo` as
     /// the box. That is sound: a point that covers the runs of the ordinal
     /// range `[lo, hi]` covers the value at ordinal `lo`, so it is
     /// preferred-or-equal to that value and its own ordinal is `<= lo`. The
     /// run sets are built only once some member is in the box.
+    ///
+    /// Excluding a member whose key equals `lo` keeps the rule exact with
+    /// duplicates, as in BBS. A member `s` that passes covers every run, so
+    /// it is at least as good as every point `p` of the box on every
+    /// attribute; were `s` and `p` equal, `lo <= key(p) = key(s) <= lo`
+    /// would force `key(s) == lo`, so `s` dominates `p`. A leaf holding
+    /// only exact copies of a skyline point has that point's key as its low
+    /// corner, so it is never pruned and each copy is emitted at its own
+    /// mindist.
     fn mbb_dominated(&self, mbb: &Mbb, skyline: &KeyBlock, m: &mut Metrics) -> bool {
         let mut runs: Option<Vec<IntervalSet>> = None;
-        let (hit, examined) = skyline.first_match(self.table.kernel(), mbb.lo(), |r, _| {
+        let (hit, examined) = skyline.first_match(self.table.kernel(), mbb.lo(), |r, key| {
             let s_po = self.table.po(r);
-            runs.get_or_insert_with(|| self.run_sets(mbb))
-                .iter()
-                .enumerate()
-                .all(|(d, runs)| self.domains[d].intervals(s_po[d]).covers_set(runs))
+            key != mbb.lo()
+                && runs
+                    .get_or_insert_with(|| self.run_sets(mbb))
+                    .iter()
+                    .enumerate()
+                    .all(|(d, runs)| self.domains[d].intervals(s_po[d]).covers_set(runs))
         });
         m.dominance_checks += examined;
         hit
@@ -391,10 +330,10 @@ impl SkylineEngine for Stss {
 /// consumers control how much of the skyline — and of the index — is ever
 /// touched.
 ///
-/// Two phases: the live traversal, then the duplicate-completion scan. The
-/// MBB check's bounds are closed, so it prunes a leaf that holds only exact
-/// copies of a skyline point, yet copies never dominate each other; one
-/// table pass restores them.
+/// Every skyline point, exact copies included, is confirmed by the walk at
+/// its own mindist: the MBB check excludes ties with the box's low corner
+/// and the point check is strict dominance, so no check drops a copy of a
+/// skyline point.
 pub struct StssCursor<'a> {
     stss: &'a Stss,
     bf: BestFirst<'a>,
@@ -405,9 +344,6 @@ pub struct StssCursor<'a> {
     /// are fetched from the table on demand, so confirmation allocates one
     /// owned [`SkylinePoint`] — the one handed to the caller.
     skyline: KeyBlock,
-    /// `Some` once the traversal is exhausted and the duplicate-completion
-    /// queue has been computed.
-    extras: Option<VecDeque<SkylinePoint>>,
     last_sample: ProgressSample,
     finished: bool,
 }
@@ -422,14 +358,17 @@ impl<'a> StssCursor<'a> {
             start: Instant::now(),
             m: Metrics::default(),
             skyline: KeyBlock::new(stss.tree.dims()),
-            extras: None,
             last_sample: ProgressSample::default(),
             finished: false,
         }
     }
+}
 
-    /// Resumes the best-first traversal until the next confirmation.
-    fn advance_traversal(&mut self) -> Option<SkylinePoint> {
+impl SkylineCursor for StssCursor<'_> {
+    fn next(&mut self) -> Option<SkylinePoint> {
+        if self.finished {
+            return None;
+        }
         let stss = self.stss;
         let checks = stss.checks();
         let to_dims = stss.table.to_dims();
@@ -462,75 +401,7 @@ impl<'a> StssCursor<'a> {
                 }
             }
         }
-        None
-    }
-
-    /// Duplicate completion: exact copies of skyline points whose leaves
-    /// were pruned are skyline iff their representative is. One table scan
-    /// finds the missing copies.
-    fn compute_extras(&self) -> VecDeque<SkylinePoint> {
-        let stss = self.stss;
-        let mut extras = VecDeque::new();
-        if self.m.results == 0 {
-            return extras;
-        }
-        let mut emitted = vec![false; stss.table.len()];
-        let mut by_hash: HashMap<u64, Vec<u32>> = HashMap::new();
-        for &r in self.skyline.ids() {
-            emitted[r as usize] = true;
-            by_hash
-                .entry(crate::store::row_hash(
-                    stss.table.to_row(r as usize),
-                    stss.table.po_row(r as usize),
-                ))
-                .or_default()
-                .push(r);
-        }
-        for (i, &done) in emitted.iter().enumerate() {
-            if done {
-                continue;
-            }
-            let (to, po) = (stss.table.to_row(i), stss.table.po_row(i));
-            let Some(cands) = by_hash.get(&crate::store::row_hash(to, po)) else {
-                continue;
-            };
-            let is_dup = cands.iter().any(|&r| {
-                stss.table.to_row(r as usize) == to && stss.table.po_row(r as usize) == po
-            });
-            if is_dup {
-                extras.push_back(SkylinePoint {
-                    record: i as u32,
-                    to: to.to_vec(),
-                    po: po.to_vec(),
-                });
-            }
-        }
-        extras
-    }
-}
-
-impl SkylineCursor for StssCursor<'_> {
-    fn next(&mut self) -> Option<SkylinePoint> {
-        if self.finished {
-            return None;
-        }
-        if self.extras.is_none() {
-            if let Some(p) = self.advance_traversal() {
-                return Some(p);
-            }
-            self.extras = Some(self.compute_extras());
-        }
-        if let Some(sp) = self.extras.as_mut().and_then(VecDeque::pop_front) {
-            self.m.results += 1;
-            self.last_sample = ProgressSample {
-                results: self.m.results,
-                elapsed_cpu: self.start.elapsed(),
-                io_reads: self.stss.tree.io_count(),
-                dominance_checks: self.m.dominance_checks,
-            };
-            return Some(sp);
-        }
-        self.m.io_reads = self.stss.tree.io_count();
+        self.m.io_reads = stss.tree.io_count();
         self.m.cpu = self.start.elapsed();
         self.finished = true;
         None
@@ -554,7 +425,6 @@ impl SkylineCursor for StssCursor<'_> {
 mod tests {
     use super::*;
     use crate::dominance::brute_force_po_skyline;
-    use crate::store::RecordId;
     use crate::Kernel;
     use poset::Dag;
     use proptest::prelude::*;
@@ -583,31 +453,6 @@ mod tests {
             t.push(&[a1], &[a2]);
         }
         t
-    }
-
-    fn run_config(cfg: StssConfig) -> Vec<u32> {
-        let stss = Stss::build(fig3_table(), vec![Dag::paper_example()], cfg).unwrap();
-        let mut r = stss.run().skyline_records();
-        r.sort_unstable();
-        r
-    }
-
-    #[test]
-    fn fig3_skyline_all_configs() {
-        // Table II: final skyline = {p1..p5} = records 0..=4.
-        let expect: Vec<u32> = (0..5).collect();
-        for strategy in [
-            RangeStrategy::Naive,
-            RangeStrategy::Dyadic,
-            RangeStrategy::Full,
-        ] {
-            let cfg = StssConfig {
-                range_strategy: strategy,
-                node_capacity: Some(3),
-                ..Default::default()
-            };
-            assert_eq!(run_config(cfg), expect, "{strategy:?}");
-        }
     }
 
     #[test]
@@ -643,10 +488,10 @@ mod tests {
         }
     }
 
-    /// Regression (found by proptest): exact duplicates of a skyline point
-    /// sitting in a *different leaf* used to be coalesced by the
-    /// closed-bound MBB pruning; the duplicate-completion pass must restore
-    /// them under keep-all semantics.
+    /// Exact duplicates of a skyline point spread over tiny leaves, some
+    /// holding nothing but copies: the MBB check excludes ties with the
+    /// box's low corner, so the walk confirms every copy at its own
+    /// mindist and emission mindists never decrease.
     #[test]
     fn duplicates_across_pruned_leaves_are_completed() {
         let mut t = Table::new(2, 1);
@@ -667,7 +512,20 @@ mod tests {
             ..Default::default()
         };
         let stss = Stss::build(t, vec![dag], cfg).unwrap();
-        let mut got = stss.run().skyline_records();
+        let run = stss.run();
+        let mindists: Vec<u64> = run
+            .skyline
+            .iter()
+            .map(|p| {
+                let ordinal = stss.domains()[0].ordinal(p.po[0]) as u64;
+                p.to.iter().map(|&x| x as u64).sum::<u64>() + ordinal
+            })
+            .collect();
+        assert!(
+            mindists.windows(2).all(|w| w[0] <= w[1]),
+            "emitted out of mindist order: {mindists:?}"
+        );
+        let mut got = run.skyline_records();
         got.sort_unstable();
         assert_eq!(got, expect);
     }
@@ -774,23 +632,15 @@ mod tests {
             let domains = vec![PoDomain::new(dag1.clone()), PoDomain::new(dag2.clone())];
             let mut expect = brute_force_po_skyline(&domains, &table);
             expect.sort_unstable();
-            for cfg in [
+            let stss = Stss::build(
+                table,
+                vec![dag1.clone(), dag2.clone()],
                 StssConfig::default(),
-                StssConfig {
-                    range_strategy: RangeStrategy::Naive,
-                    ..Default::default()
-                },
-                StssConfig {
-                    range_strategy: RangeStrategy::Full,
-                    ..Default::default()
-                },
-            ] {
-                let stss =
-                    Stss::build(table.clone(), vec![dag1.clone(), dag2.clone()], cfg).unwrap();
-                let mut got = stss.run().skyline_records();
-                got.sort_unstable();
-                assert_eq!(got, expect, "seed={seed} cfg={cfg:?}");
-            }
+            )
+            .unwrap();
+            let mut got = stss.run().skyline_records();
+            got.sort_unstable();
+            assert_eq!(got, expect, "seed={seed}");
         }
     }
 
@@ -839,9 +689,10 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(48))]
         /// The MBB check (box at the MBB's low corner, `covers_set` refine)
         /// prunes, under both kernels, exactly when a plain list loop over
-        /// the paper's predicate (TO values `<=` the corner, every run
-        /// covered) does, after the same number of examined members, on
-        /// every shape and list length of the point-form test.
+        /// the paper's predicate (key other than the corner, TO values `<=`
+        /// the corner, every run covered) does, after the same number of
+        /// examined members, on every shape and list length of the
+        /// point-form test.
         #[test]
         fn box_scan_mbb_form_matches_the_scalar_list_scan(seed in 0u64..1 << 20) {
             use crate::store::tests::{box_scan_case, BOX_SCAN_LENGTHS, BOX_SCAN_SHAPES};
@@ -864,37 +715,40 @@ mod tests {
                         })
                         .collect();
                     let mbb = Mbb::new(lo, hi);
-                    for range_strategy in [RangeStrategy::Naive, RangeStrategy::Dyadic] {
-                        let cfg = StssConfig { range_strategy, ..Default::default() };
-                        let checks = |table| StssChecks {
-                            table,
-                            domains: &doms,
-                            cfg,
-                            full_ranges: None,
-                        };
-                        let tables = [Kernel::Scalar, Kernel::Lanes]
-                            .map(|kernel| store.clone().with_kernel(kernel));
-                        let runs = checks(&store).run_sets(&mbb);
-                        let prunes = |r: RecordId| {
-                            store.to(r).iter().zip(mbb.lo()).all(|(s, c)| s <= c)
-                                && runs.iter().enumerate().all(|(d, runs)| {
-                                    doms[d].intervals(store.po(r)[d]).covers_set(runs)
-                                })
-                        };
-                        let expect = match block.ids().iter().position(|&r| prunes(r)) {
-                            Some(i) => (true, i as u64 + 1),
-                            None => (false, n as u64),
-                        };
-                        for table in &tables {
-                            let mut m = Metrics::default();
-                            let hit = checks(table).mbb_dominated(&mbb, &block, &mut m);
-                            prop_assert_eq!(
-                                (hit, m.dominance_checks),
-                                expect,
-                                "{:?} dims=({},{}) max_to={} n={} {:?}",
-                                table.kernel(), to_dims, po_dims, max_to, n, range_strategy
-                            );
-                        }
+                    // The reference merges the per-value sets of each
+                    // ordinal range naively; the check reads the dyadic
+                    // index.
+                    let runs: Vec<IntervalSet> = doms
+                        .iter()
+                        .enumerate()
+                        .map(|(d, dom)| {
+                            let (lo, hi) = (mbb.lo()[to_dims + d], mbb.hi()[to_dims + d]);
+                            dom.labeling().range_intervals(lo, hi)
+                        })
+                        .collect();
+                    let prunes = |i: usize| {
+                        let r = block.ids()[i];
+                        block.key(i) != mbb.lo()
+                            && store.to(r).iter().zip(mbb.lo()).all(|(s, c)| s <= c)
+                            && runs.iter().enumerate().all(|(d, runs)| {
+                                doms[d].intervals(store.po(r)[d]).covers_set(runs)
+                            })
+                    };
+                    let expect = match (0..n).position(prunes) {
+                        Some(i) => (true, i as u64 + 1),
+                        None => (false, n as u64),
+                    };
+                    for kernel in [Kernel::Scalar, Kernel::Lanes] {
+                        let table = store.clone().with_kernel(kernel);
+                        let checks = StssChecks { table: &table, domains: &doms };
+                        let mut m = Metrics::default();
+                        let hit = checks.mbb_dominated(&mbb, &block, &mut m);
+                        prop_assert_eq!(
+                            (hit, m.dominance_checks),
+                            expect,
+                            "{:?} dims=({},{}) max_to={} n={}",
+                            kernel, to_dims, po_dims, max_to, n
+                        );
                     }
                 }
             }

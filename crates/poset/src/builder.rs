@@ -82,11 +82,6 @@ impl PartialOrderBuilder {
         let dag = Dag::from_labeled(self.labels, &self.edges)?;
         Ok(dag.transitive_reduction())
     }
-
-    /// Finalizes without the Hasse reduction — keeps the stated edges as-is.
-    pub fn build_raw(self) -> Result<Dag, PosetError> {
-        Dag::from_labeled(self.labels, &self.edges)
-    }
 }
 
 #[cfg(test)]

@@ -54,8 +54,6 @@ impl Dag {
     pub fn from_labeled(labels: Vec<String>, edges: &[(u32, u32)]) -> Result<Self, PosetError> {
         let n = labels.len() as u32;
         let mut children: Vec<Vec<ValueId>> = vec![Vec::new(); n as usize];
-        let mut parents: Vec<Vec<ValueId>> = vec![Vec::new(); n as usize];
-        let mut num_edges = 0usize;
         for &(u, v) in edges {
             if u == v {
                 return Err(PosetError::SelfLoop { node: u });
@@ -65,16 +63,20 @@ impl Dag {
                     return Err(PosetError::NodeOutOfRange { node, len: n });
                 }
             }
-            // Ignore duplicate parallel edges: they carry no extra preference.
-            if children[u as usize].contains(&ValueId(v)) {
-                continue;
-            }
             children[u as usize].push(ValueId(v));
-            parents[v as usize].push(ValueId(u));
-            num_edges += 1;
         }
-        for list in children.iter_mut().chain(parents.iter_mut()) {
+        // Duplicate parallel edges carry no extra preference: sort and
+        // dedup each child list, then derive the parents (ascending, since
+        // `u` is) and the edge count from what is left.
+        let mut parents: Vec<Vec<ValueId>> = vec![Vec::new(); n as usize];
+        let mut num_edges = 0usize;
+        for (u, list) in children.iter_mut().enumerate() {
             list.sort_unstable();
+            list.dedup();
+            num_edges += list.len();
+            for v in list.iter() {
+                parents[v.idx()].push(ValueId(u as u32));
+            }
         }
         let dag = Dag {
             labels,
@@ -341,6 +343,35 @@ mod tests {
     fn duplicate_edges_are_coalesced() {
         let d = Dag::from_edges(2, &[(0, 1), (0, 1)]).unwrap();
         assert_eq!(d.num_edges(), 1);
+        // Duplicates interleaved across several source vertices.
+        let edges = [
+            (0, 3),
+            (1, 3),
+            (0, 2),
+            (2, 4),
+            (0, 3),
+            (1, 4),
+            (2, 4),
+            (1, 3),
+            (0, 2),
+            (0, 3),
+            (3, 4),
+            (1, 4),
+        ];
+        let d = Dag::from_edges(5, &edges).unwrap();
+        assert_eq!(d.num_edges(), 6);
+        let ids = |xs: &[u32]| xs.iter().map(|&x| ValueId(x)).collect::<Vec<_>>();
+        assert_eq!(d.children(ValueId(0)), ids(&[2, 3]));
+        assert_eq!(d.children(ValueId(1)), ids(&[3, 4]));
+        assert_eq!(d.children(ValueId(2)), ids(&[4]));
+        assert_eq!(d.parents(ValueId(3)), ids(&[0, 1]));
+        assert_eq!(d.parents(ValueId(4)), ids(&[1, 2, 3]));
+        assert_eq!(d.edges().count(), 6);
+        let once = Dag::from_edges(5, &[(0, 2), (0, 3), (1, 3), (1, 4), (2, 4), (3, 4)]).unwrap();
+        assert_eq!(
+            d.edges().collect::<Vec<_>>(),
+            once.edges().collect::<Vec<_>>()
+        );
     }
 
     #[test]

@@ -139,25 +139,6 @@ pub fn subset_lattice(params: LatticeParams) -> Result<Dag, PosetError> {
     Dag::from_labeled(labels, &edges)
 }
 
-/// A random layered DAG: `n` nodes spread over `layers` levels, each node
-/// wired to a random sample of nodes in deeper levels. Not part of the
-/// paper's workloads — used by tests and fuzzing to exercise shapes the
-/// lattice cannot produce (long chains, stars, sparse forests).
-pub fn random_dag(n: u32, layers: u32, edge_prob: f64, seed: u64) -> Dag {
-    assert!(layers >= 1 && n >= 1);
-    let mut rng = StdRng::seed_from_u64(seed);
-    let layer_of: Vec<u32> = (0..n).map(|_| rng.gen_range(0..layers)).collect();
-    let mut edges = Vec::new();
-    for u in 0..n {
-        for v in 0..n {
-            if layer_of[u as usize] < layer_of[v as usize] && rng.gen::<f64>() < edge_prob {
-                edges.push((u, v));
-            }
-        }
-    }
-    Dag::from_edges(n, &edges).expect("layered edges are acyclic")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -292,13 +273,5 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn random_dag_is_valid_and_layered() {
-        let dag = random_dag(40, 5, 0.2, 11);
-        assert_eq!(dag.len(), 40);
-        // Acyclicity is enforced by construction; reachability must build.
-        let _ = Reachability::build(&dag);
     }
 }

@@ -1,4 +1,4 @@
-use crate::{Dag, IntervalSet, SpanningStrategy, SpanningTree, TopoOrder, ValueId};
+use crate::{Dag, IntervalSet, SpanningTree, TopoOrder, ValueId};
 
 /// The complete TSS labeling of a partially ordered domain (§III-B):
 /// topological ordinals for *precedence* plus propagated, merged interval
@@ -49,16 +49,9 @@ impl TssLabeling {
         TssLabeling { topo, tree, sets }
     }
 
-    /// Builds with the default ([`SpanningStrategy::Dfs`]) spanning tree.
+    /// Builds with the DFS spanning tree ([`SpanningTree::build`]).
     pub fn build_default(dag: &Dag) -> Self {
-        let tree = SpanningTree::build(dag, SpanningStrategy::default());
-        Self::build(dag, tree)
-    }
-
-    /// Builds with a given strategy.
-    pub fn build_with(dag: &Dag, strategy: SpanningStrategy) -> Self {
-        let tree = SpanningTree::build(dag, strategy);
-        Self::build(dag, tree)
+        Self::build(dag, SpanningTree::build(dag))
     }
 
     /// Number of values in the domain.
@@ -180,21 +173,20 @@ mod tests {
     }
 
     #[test]
-    fn exactness_on_paper_example_all_strategies() {
+    fn exactness_on_paper_example() {
         let dag = Dag::paper_example();
         let reach = Reachability::build(&dag);
-        for strat in [
-            SpanningStrategy::Dfs,
-            SpanningStrategy::MinParent,
-            SpanningStrategy::MaxParent,
+        for (name, tree) in [
+            ("dfs", SpanningTree::build(&dag)),
+            ("fig2a", SpanningTree::paper_example(&dag)),
         ] {
-            let lab = TssLabeling::build_with(&dag, strat);
+            let lab = TssLabeling::build(&dag, tree);
             for x in dag.values() {
                 for y in dag.values() {
                     assert_eq!(
                         lab.t_pref(x, y),
                         reach.preferred(x, y),
-                        "{strat:?}: {} vs {}",
+                        "{name}: {} vs {}",
                         dag.label(x),
                         dag.label(y)
                     );
@@ -256,12 +248,23 @@ mod tests {
     proptest! {
         /// The central invariant of the paper: the propagated labeling is
         /// EXACT — t-preference coincides with reachability for every pair,
-        /// on random DAGs, under every spanning strategy.
+        /// on random DAGs, under random spanning forests: each value's tree
+        /// parent is one of its DAG parents, or none.
         #[test]
-        fn t_pref_equals_reachability(dag in arb_dag(18), strat_ix in 0..3usize) {
-            let strat = [SpanningStrategy::Dfs, SpanningStrategy::MinParent, SpanningStrategy::MaxParent][strat_ix];
+        fn t_pref_equals_reachability(
+            dag in arb_dag(18),
+            picks in proptest::collection::vec(0usize..4, 18),
+        ) {
+            let parents = dag
+                .values()
+                .map(|v| match (dag.parents(v), picks[v.idx()]) {
+                    ([], _) | (_, 0) => None,
+                    (ps, k) => Some(ps[(k - 1) % ps.len()]),
+                })
+                .collect();
+            let tree = SpanningTree::from_parents(&dag, parents).unwrap();
             let reach = Reachability::build(&dag);
-            let lab = TssLabeling::build_with(&dag, strat);
+            let lab = TssLabeling::build(&dag, tree);
             for x in dag.values() {
                 for y in dag.values() {
                     prop_assert_eq!(lab.t_pref(x, y), reach.preferred(x, y));

@@ -8,10 +8,11 @@
 //! * [`TopoOrder`] — a topological sort of the DAG, mapping each value to an
 //!   ordinal in an artificial totally ordered domain `A_TO` (§III-B). This is
 //!   what gives TSS its *precedence* property.
-//! * [`SpanningTree`] + [`TssLabeling`] — a spanning tree of the DAG, the
-//!   `[minpost, post]` interval per node (Agrawal et al., §II-B), and the
-//!   propagated/merged multi-interval labeling that makes the TSS dominance
-//!   check *exact* (§III-B, Fig. 2(d)).
+//! * [`SpanningTree`] + [`TssLabeling`] — a depth-first spanning tree of
+//!   the DAG (or any forest of its edges), the `[minpost, post]` interval
+//!   per node (Agrawal et al., §II-B), and the propagated/merged
+//!   multi-interval labeling that makes the TSS dominance check *exact*
+//!   (§III-B, Fig. 2(d)).
 //! * [`MLabeling`] — the single-interval labeling of Chan et al. used by the
 //!   m-dominance baselines (§II-C), including *uncovered levels* and the
 //!   completely/partially covered strata.
@@ -61,7 +62,6 @@ pub mod generator;
 mod interval;
 mod labeling;
 mod mlabel;
-mod rangecache;
 mod reach;
 mod spanning;
 mod topo;
@@ -74,7 +74,6 @@ pub use fnv::Fnv64;
 pub use interval::{Interval, IntervalSet};
 pub use labeling::TssLabeling;
 pub use mlabel::MLabeling;
-pub use rangecache::FullRangeIndex;
 pub use reach::Reachability;
-pub use spanning::{SpanningStrategy, SpanningTree};
+pub use spanning::SpanningTree;
 pub use topo::TopoOrder;

@@ -1,4 +1,4 @@
-use crate::{Dag, Interval, SpanningStrategy, SpanningTree, TopoOrder, ValueId};
+use crate::{Dag, Interval, SpanningTree, TopoOrder, ValueId};
 
 /// The single-interval labeling of Chan et al. (described in §II-B/§II-C)
 /// that underlies **m-dominance** and the SDC family of baselines.
@@ -47,9 +47,9 @@ impl MLabeling {
         }
     }
 
-    /// Builds with the default DFS spanning tree.
+    /// Builds with the DFS spanning tree ([`SpanningTree::build`]).
     pub fn build_default(dag: &Dag) -> Self {
-        Self::build(dag, SpanningTree::build(dag, SpanningStrategy::default()))
+        Self::build(dag, SpanningTree::build(dag))
     }
 
     /// Number of values.

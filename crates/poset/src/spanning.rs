@@ -1,23 +1,5 @@
 use crate::{Dag, Interval, PosetError, ValueId};
 
-/// How the spanning tree is extracted from the DAG.
-///
-/// Any spanning forest whose edges are DAG edges yields a *correct* labeling;
-/// the choice only affects how many preferences the single-interval
-/// m-labeling captures (and hence how many false hits the SDC baselines
-/// suffer — §VI's density experiment turns exactly on this).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SpanningStrategy {
-    /// Depth-first discovery tree: roots in id order, children in id order;
-    /// the edge that first discovers a node becomes its tree edge.
-    #[default]
-    Dfs,
-    /// Each node's tree parent is its smallest-id DAG parent.
-    MinParent,
-    /// Each node's tree parent is its largest-id DAG parent.
-    MaxParent,
-}
-
 /// A spanning forest of a [`Dag`] together with the postorder interval
 /// labels `[minpost, post]` of Agrawal et al. (§II-B).
 ///
@@ -37,19 +19,38 @@ pub struct SpanningTree {
 }
 
 impl SpanningTree {
-    /// Extracts a spanning forest with the given strategy.
-    pub fn build(dag: &Dag, strategy: SpanningStrategy) -> Self {
-        let parent = match strategy {
-            SpanningStrategy::Dfs => dfs_parents(dag),
-            SpanningStrategy::MinParent => dag
-                .values()
-                .map(|v| dag.parents(v).first().copied())
-                .collect(),
-            SpanningStrategy::MaxParent => dag
-                .values()
-                .map(|v| dag.parents(v).last().copied())
-                .collect(),
-        };
+    /// Extracts the depth-first discovery forest: roots in id order,
+    /// children in id order; the edge that first discovers a node becomes
+    /// its tree edge.
+    ///
+    /// Any spanning forest whose edges are DAG edges yields a *correct*
+    /// labeling; the choice only affects how many preferences the
+    /// single-interval m-labeling captures (and hence how many false hits
+    /// the SDC baselines suffer). [`from_parents`](Self::from_parents)
+    /// takes any other forest.
+    pub fn build(dag: &Dag) -> Self {
+        let n = dag.len();
+        let mut parent: Vec<Option<ValueId>> = vec![None; n];
+        let mut discovered = vec![false; n];
+        let mut stack: Vec<ValueId> = Vec::new();
+        for root in dag.roots() {
+            if discovered[root.idx()] {
+                continue;
+            }
+            discovered[root.idx()] = true;
+            stack.push(root);
+            while let Some(u) = stack.pop() {
+                // Push children in reverse id order so they are *visited*
+                // in ascending id order.
+                for &c in dag.children(u).iter().rev() {
+                    if !discovered[c.idx()] {
+                        discovered[c.idx()] = true;
+                        parent[c.idx()] = Some(u);
+                        stack.push(c);
+                    }
+                }
+            }
+        }
         Self::from_parent_array(dag, parent)
     }
 
@@ -154,9 +155,10 @@ impl SpanningTree {
     /// The exact spanning tree the paper draws in Fig. 2(a) for
     /// [`Dag::paper_example`]: tree edges `a→b, b→{c,d,e}, c→f, d→g, g→{h,i}`.
     ///
-    /// (No algorithmic strategy reproduces this particular tree — the
-    /// paper's choice among equally valid parents is arbitrary — so tests
-    /// that check Fig. 2(d) verbatim use this explicit assignment.)
+    /// (The DFS forest of [`build`](Self::build) differs — it makes `a`
+    /// the parent of `c`; the paper's choice among equally valid parents is
+    /// arbitrary — so tests that check Fig. 2(d) verbatim use this explicit
+    /// assignment.)
     pub fn paper_example(dag: &Dag) -> Self {
         let id = |s: &str| dag.id_of(s).expect("paper example label");
         let mut parents = vec![None; dag.len()];
@@ -174,33 +176,6 @@ impl SpanningTree {
         }
         Self::from_parents(dag, parents).expect("paper tree edges are DAG edges")
     }
-}
-
-/// DFS discovery-tree parents: roots in id order, children in id order.
-fn dfs_parents(dag: &Dag) -> Vec<Option<ValueId>> {
-    let n = dag.len();
-    let mut parent: Vec<Option<ValueId>> = vec![None; n];
-    let mut discovered = vec![false; n];
-    let mut stack: Vec<ValueId> = Vec::new();
-    for root in dag.roots() {
-        if discovered[root.idx()] {
-            continue;
-        }
-        discovered[root.idx()] = true;
-        stack.push(root);
-        while let Some(u) = stack.pop() {
-            // Push children in reverse id order so they are *visited* in
-            // ascending id order.
-            for &c in dag.children(u).iter().rev() {
-                if !discovered[c.idx()] {
-                    discovered[c.idx()] = true;
-                    parent[c.idx()] = Some(u);
-                    stack.push(c);
-                }
-            }
-        }
-    }
-    parent
 }
 
 /// Iterative postorder over the forest; returns 1-based `post` and `minpost`.
@@ -264,18 +239,12 @@ mod tests {
     }
 
     #[test]
-    fn tree_edges_are_dag_edges_for_all_strategies() {
+    fn tree_edges_are_dag_edges() {
         let dag = Dag::paper_example();
-        for strat in [
-            SpanningStrategy::Dfs,
-            SpanningStrategy::MinParent,
-            SpanningStrategy::MaxParent,
-        ] {
-            let st = SpanningTree::build(&dag, strat);
-            for v in dag.values() {
-                if let Some(p) = st.parent(v) {
-                    assert!(dag.has_edge(p, v), "{strat:?}: tree edge must be DAG edge");
-                }
+        let st = SpanningTree::build(&dag);
+        for v in dag.values() {
+            if let Some(p) = st.parent(v) {
+                assert!(dag.has_edge(p, v), "tree edge must be DAG edge");
             }
         }
     }
@@ -283,26 +252,16 @@ mod tests {
     #[test]
     fn every_non_root_gets_a_parent() {
         let dag = Dag::paper_example();
-        for strat in [
-            SpanningStrategy::Dfs,
-            SpanningStrategy::MinParent,
-            SpanningStrategy::MaxParent,
-        ] {
-            let st = SpanningTree::build(&dag, strat);
-            for v in dag.values() {
-                assert_eq!(
-                    st.parent(v).is_none(),
-                    dag.parents(v).is_empty(),
-                    "{strat:?}"
-                );
-            }
+        let st = SpanningTree::build(&dag);
+        for v in dag.values() {
+            assert_eq!(st.parent(v).is_none(), dag.parents(v).is_empty());
         }
     }
 
     #[test]
     fn posts_are_a_permutation_and_subtrees_are_contiguous() {
         let dag = Dag::paper_example();
-        let st = SpanningTree::build(&dag, SpanningStrategy::Dfs);
+        let st = SpanningTree::build(&dag);
         let mut posts: Vec<_> = dag.values().map(|v| st.post(v)).collect();
         posts.sort_unstable();
         assert_eq!(posts, (1..=9).collect::<Vec<_>>());
@@ -318,7 +277,7 @@ mod tests {
     #[test]
     fn containment_iff_tree_ancestry() {
         let dag = Dag::paper_example();
-        let st = SpanningTree::build(&dag, SpanningStrategy::Dfs);
+        let st = SpanningTree::build(&dag);
         // Oracle: walk parents.
         let is_ancestor = |a: ValueId, d: ValueId| {
             let mut cur = Some(d);
@@ -356,7 +315,7 @@ mod tests {
     fn forest_with_multiple_roots() {
         // Two disjoint chains.
         let dag = Dag::from_edges(4, &[(0, 1), (2, 3)]).unwrap();
-        let st = SpanningTree::build(&dag, SpanningStrategy::Dfs);
+        let st = SpanningTree::build(&dag);
         assert_eq!(st.parent(ValueId(0)), None);
         assert_eq!(st.parent(ValueId(2)), None);
         let mut posts: Vec<_> = dag.values().map(|v| st.post(v)).collect();
@@ -367,7 +326,7 @@ mod tests {
     #[test]
     fn single_node_domain() {
         let dag = Dag::from_edges(1, &[]).unwrap();
-        let st = SpanningTree::build(&dag, SpanningStrategy::Dfs);
+        let st = SpanningTree::build(&dag);
         assert_eq!(st.tree_interval(ValueId(0)), Interval::new(1, 1));
         assert!(!st.is_empty());
         assert_eq!(st.len(), 1);

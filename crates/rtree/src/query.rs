@@ -218,23 +218,6 @@ impl<'a> BestFirst<'a> {
         }
     }
 
-    /// Number of entries currently enqueued (the paper's Table II tracks
-    /// heap contents step by step).
-    pub fn heap_len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// Snapshot of `(mindist, is_node)` pairs in ascending heap order — a
-    /// test aid for reproducing Table II.
-    pub fn heap_snapshot(&self) -> Vec<(u64, bool)> {
-        let mut entries: Vec<&HeapEntry> = self.heap.iter().map(|Reverse(e)| e).collect();
-        entries.sort_by_key(|e| (e.mindist, e.seq));
-        entries
-            .iter()
-            .map(|e| (e.mindist, matches!(e.kind, HeapKind::Node(_))))
-            .collect()
-    }
-
     fn push(&mut self, mut e: HeapEntry) {
         e.seq = self.seq;
         self.seq += 1;

@@ -1,6 +1,6 @@
 use crate::engine::{run_strata, SdcCursor, SdcRun};
 use crate::MdContext;
-use poset::{Dag, SpanningStrategy};
+use poset::Dag;
 use rtree::{PageConfig, RTree};
 use tss_core::{CoreError, SkylineCursor, SkylineEngine, Table};
 
@@ -16,28 +16,15 @@ pub enum Variant {
 }
 
 /// Configuration shared by the SDC family.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct SdcConfig {
     /// Page model for node capacities.
     pub page: PageConfig,
     /// Explicit node capacity override.
     pub node_capacity: Option<usize>,
-    /// Spanning-tree extraction strategy for the interval labels.
-    pub spanning: SpanningStrategy,
     /// Optional LRU page buffer (pages *per stratum tree*); `None` matches
     /// the paper's no-buffer setting.
     pub buffer_pages: Option<usize>,
-}
-
-impl Default for SdcConfig {
-    fn default() -> Self {
-        SdcConfig {
-            page: PageConfig::default(),
-            node_capacity: None,
-            spanning: SpanningStrategy::Dfs,
-            buffer_pages: None,
-        }
-    }
 }
 
 /// One stratum: its records live in their own R-tree over the transformed
@@ -73,7 +60,7 @@ impl SdcIndex {
         }
         let sizes: Vec<u32> = dags.iter().map(|d| d.len() as u32).collect();
         table.check_domains(&sizes)?;
-        let ctx = MdContext::new(&dags, table.to_dims(), cfg.spanning);
+        let ctx = MdContext::new(&dags, table.to_dims());
         let dims = ctx.transformed_dims();
         if dims == 0 {
             return Err(CoreError::NoDimensions);

@@ -1,4 +1,4 @@
-use poset::{Dag, MLabeling, Reachability, SpanningStrategy, SpanningTree, ValueId};
+use poset::{Dag, MLabeling, Reachability, ValueId};
 use tss_core::Table;
 
 /// Per-domain machinery for the m-dominance baselines: the single-interval
@@ -12,13 +12,9 @@ pub struct MdContext {
 }
 
 impl MdContext {
-    /// Builds labelings for every PO domain with the given spanning
-    /// strategy.
-    pub fn new(dags: &[Dag], to_dims: usize, strategy: SpanningStrategy) -> Self {
-        let mlabels = dags
-            .iter()
-            .map(|d| MLabeling::build(d, SpanningTree::build(d, strategy)))
-            .collect();
+    /// Builds labelings for every PO domain over its DFS spanning tree.
+    pub fn new(dags: &[Dag], to_dims: usize) -> Self {
+        let mlabels = dags.iter().map(MLabeling::build_default).collect();
         let reaches = dags.iter().map(Reachability::build).collect();
         MdContext {
             mlabels,
@@ -154,10 +150,7 @@ mod tests {
 
     fn ctx() -> (Dag, MdContext) {
         let dag = Dag::paper_example();
-        (
-            dag.clone(),
-            MdContext::new(&[dag], 1, SpanningStrategy::Dfs),
-        )
+        (dag.clone(), MdContext::new(&[dag], 1))
     }
 
     #[test]
@@ -199,7 +192,7 @@ mod tests {
     #[test]
     fn multi_dim_stratum_is_max() {
         let dag = Dag::paper_example();
-        let c = MdContext::new(&[dag.clone(), dag.clone()], 0, SpanningStrategy::Dfs);
+        let c = MdContext::new(&[dag.clone(), dag.clone()], 0);
         let h = dag.id_of("h").unwrap().0;
         let a = dag.id_of("a").unwrap().0;
         assert_eq!(c.stratum(&[a, a]), 0);
@@ -216,7 +209,7 @@ mod tests {
             pa in 0u32..9, pb in 0u32..9,
         ) {
             let dag = Dag::paper_example();
-            let c = MdContext::new(&[dag], 2, SpanningStrategy::Dfs);
+            let c = MdContext::new(&[dag], 2);
             let ta = c.transform(&to_a, &[pa]);
             let tb = c.transform(&to_b, &[pb]);
             if c.m_dominates(&ta, &tb) {
@@ -230,7 +223,7 @@ mod tests {
             pa in 0u32..9, pb in 0u32..9,
         ) {
             let dag = Dag::paper_example();
-            let c = MdContext::new(&[dag], 1, SpanningStrategy::Dfs);
+            let c = MdContext::new(&[dag], 1);
             if c.exact_dominates(&[0], &[pa], &[1], &[pb]) {
                 prop_assert!(c.stratum(&[pa]) <= c.stratum(&[pb]));
             }

@@ -1,6 +1,6 @@
 use crate::store::PointBlock;
 use crate::types::Stats;
-use rtree::{BestFirst, Popped, RTree};
+use rtree::{Popped, RTree};
 
 /// Branch-and-Bound Skyline (Papadias et al., §II-A) over an [`RTree`]:
 /// entries are popped from a heap in ascending L1 mindist to the origin;
@@ -21,97 +21,37 @@ use rtree::{BestFirst, Popped, RTree};
 /// dominated. Requiring `s != c` keeps the rule exact even when the data
 /// contains exact duplicates of skyline points.
 pub fn bbs(tree: &RTree) -> (Vec<u32>, Stats) {
+    tree.reset_io();
+    let mut bf = tree.best_first();
+    // Confirmed skyline coordinates, columnar (the batched-kernel window).
+    let mut skyline = PointBlock::new(tree.dims());
     let mut result = Vec::new();
-    let stats = bbs_visit(tree, |record, _point| result.push(record));
-    (result, stats)
-}
-
-/// BBS with a streaming callback: `emit(record, point)` fires the moment a
-/// skyline point is confirmed, so callers can measure progressiveness or
-/// feed downstream structures (dTSS does both).
-pub fn bbs_visit(tree: &RTree, mut emit: impl FnMut(u32, &[u32])) -> Stats {
-    let mut cursor = BbsCursor::new(tree);
-    for (record, point) in cursor.by_ref() {
-        emit(record, &point);
-    }
-    cursor.stats()
-}
-
-/// **Incremental BBS**: the best-first traversal as a pull-based iterator.
-/// Each [`next`](Iterator::next) call resumes the heap walk until the next
-/// confirmation, so consumers that stop after `k` results never expand the
-/// nodes ranked behind their prefix — top-k skylines at a fraction of the
-/// full run's page reads.
-///
-/// Yields `(record, point)` pairs in ascending-mindist confirmation order.
-/// `stats()` is observable mid-stream; `io_reads` uses the tree's shared
-/// counter (reset when the cursor is created), so drive one cursor at a
-/// time per tree if the per-run IO numbers matter.
-pub struct BbsCursor<'a> {
-    tree: &'a RTree,
-    bf: BestFirst<'a>,
-    /// Confirmed skyline coordinates, columnar (the batched-kernel window).
-    skyline_pts: PointBlock,
-    stats: Stats,
-}
-
-impl<'a> BbsCursor<'a> {
-    /// Starts a fresh traversal (resets the tree's IO counter).
-    pub fn new(tree: &'a RTree) -> Self {
-        Self::with_kernel(tree, crate::Kernel::default())
-    }
-
-    /// [`new`](Self::new) with an explicit dominance-kernel variant for the
-    /// confirmed-skyline window (callers embedding BBS propagate their own
-    /// store's kernel here so one run never mixes variants).
-    pub fn with_kernel(tree: &'a RTree, kernel: crate::Kernel) -> Self {
-        tree.reset_io();
-        BbsCursor {
-            tree,
-            bf: tree.best_first(),
-            skyline_pts: PointBlock::new(tree.dims()).with_kernel(kernel),
-            stats: Stats::default(),
-        }
-    }
-
-    /// Checks and IOs spent so far (final totals once exhausted).
-    pub fn stats(&self) -> Stats {
-        Stats {
-            io_reads: self.tree.io_count(),
-            ..self.stats
-        }
-    }
-}
-
-impl Iterator for BbsCursor<'_> {
-    type Item = (u32, Vec<u32>);
-
-    fn next(&mut self) -> Option<(u32, Vec<u32>)> {
-        while let Some(popped) = self.bf.pop() {
-            match popped {
-                Popped::Node { id, mbb, .. } => {
-                    let (pruned, examined) = self.skyline_pts.corner_pruned(mbb.lo());
-                    self.stats.batch(examined);
-                    if !pruned {
-                        self.bf.expand(id);
-                    }
+    let mut stats = Stats::default();
+    while let Some(popped) = bf.pop() {
+        match popped {
+            Popped::Node { id, mbb, .. } => {
+                let (pruned, examined) = skyline.corner_pruned(mbb.lo());
+                stats.batch(examined);
+                if !pruned {
+                    bf.expand(id);
                 }
-                Popped::Record { point, record, .. } => {
-                    let (dominated, examined) = self.skyline_pts.dominated(point);
-                    self.stats.batch(examined);
-                    if !dominated {
-                        // Precedence: no later entry can dominate `point`
-                        // (any dominator has a strictly smaller mindist,
-                        // except exact duplicates, which do not dominate) —
-                        // confirm now.
-                        self.skyline_pts.push(point);
-                        return Some((record, point.to_vec()));
-                    }
+            }
+            Popped::Record { point, record, .. } => {
+                let (dominated, examined) = skyline.dominated(point);
+                stats.batch(examined);
+                if !dominated {
+                    // Precedence: no later entry can dominate `point` (any
+                    // dominator has a strictly smaller mindist, except
+                    // exact duplicates, which do not dominate) — confirm
+                    // now.
+                    skyline.push(point);
+                    result.push(record);
                 }
             }
         }
-        None
     }
+    stats.io_reads = tree.io_count();
+    (result, stats)
 }
 
 #[cfg(test)]
@@ -197,35 +137,6 @@ mod tests {
         let (got, stats) = bbs(&t);
         assert!(got.is_empty());
         assert_eq!(stats.io_reads, 0);
-    }
-
-    #[test]
-    fn cursor_prefix_matches_full_run_and_reads_fewer_pages() {
-        // Convex staircase: every point is in the skyline (x up, y down)
-        // and the L1 mindists differ, so confirmations spread across the
-        // traversal and an early stop provably leaves pages unread.
-        let data = PointBlock::from_rows(
-            &(0..400u32)
-                .map(|i| vec![i * i, (399 - i) * (399 - i)])
-                .collect::<Vec<_>>(),
-        );
-        let t = tree_of(&data, 4);
-        let (full, full_stats) = bbs(&t);
-        assert!(full.len() > 4, "need a non-trivial skyline");
-        let mut cursor = BbsCursor::new(&t);
-        let prefix: Vec<u32> = cursor.by_ref().take(2).map(|(r, _)| r).collect();
-        assert_eq!(prefix, full[..2], "pull order equals emission order");
-        assert!(
-            cursor.stats().io_reads < full_stats.io_reads,
-            "a 2-prefix pull must not pay the full run's IO ({} vs {})",
-            cursor.stats().io_reads,
-            full_stats.io_reads
-        );
-        // Draining the rest completes the identical skyline.
-        let rest: Vec<u32> = cursor.map(|(r, _)| r).collect();
-        let mut all = prefix;
-        all.extend(rest);
-        assert_eq!(all, full);
     }
 
     proptest! {

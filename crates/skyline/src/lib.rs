@@ -3,8 +3,9 @@
 //!
 //! * [`brute_force`] — the `O(n²)` oracle the engines are tested against,
 //! * [`bbs`] — Branch-and-Bound Skyline over an R-tree (Papadias et al.),
-//!   the algorithm sTSS and dTSS instantiate (dTSS's tests check its
-//!   SFS-built local skylines against it),
+//!   the algorithm sTSS and dTSS instantiate in their own walks; no engine
+//!   calls it, and it stays as the reference of the TO tests and of dTSS's
+//!   SFS-built local skylines,
 //! * [`PointBlock`] — the columnar point layout with the batched dominance
 //!   kernels every engine in the workspace calls.
 //!
@@ -31,10 +32,7 @@
 //! corner-equality argument).
 //!
 //! BBS reports [`Stats`]: pairwise dominance checks and page IOs, the two
-//! efficiency measures of the paper's §III-A. It also comes as the
-//! explicit-state iterator [`BbsCursor`], which confirms one skyline point
-//! per `next()` call, so pulling a `k`-prefix and stopping costs
-//! proportionally less work.
+//! efficiency measures of the paper's §III-A.
 
 #![forbid(unsafe_code)]
 
@@ -43,7 +41,7 @@ mod brute;
 mod store;
 mod types;
 
-pub use bbs::{bbs, bbs_visit, BbsCursor};
+pub use bbs::bbs;
 pub use brute::brute_force;
 pub use store::{Kernel, PointBlock, LANES};
 pub use types::{dominates, monotone_sum, Stats};

@@ -1,11 +1,10 @@
 //! Cross-algorithm agreement on generated workloads: every algorithm in the
-//! workspace — sTSS in all configurations, the three SDC baselines, dTSS in
-//! all configurations, and the brute-force oracle — must produce the same
-//! skyline on the paper's synthetic data.
+//! workspace — sTSS, the three SDC baselines, dTSS in all configurations,
+//! and the brute-force oracle — must produce the same skyline on the
+//! paper's synthetic data.
 
 use tss::core::{
-    brute_force_po_skyline, Dtss, DtssConfig, PoDomain, PoQuery, RangeStrategy, Stss, StssConfig,
-    Table,
+    brute_force_po_skyline, Dtss, DtssConfig, PoDomain, PoQuery, Stss, StssConfig, Table,
 };
 use tss::datagen::{gen_po_matrix, gen_to_matrix, Distribution, TupleConfig};
 use tss::poset::generator::{subset_lattice, DensityMode, LatticeParams};
@@ -52,24 +51,12 @@ fn check_all(table: &Table, dags: &[Dag], label: &str) {
     let domains: Vec<PoDomain> = dags.iter().cloned().map(PoDomain::new).collect();
     let expect = sorted(brute_force_po_skyline(&domains, table));
 
-    for cfg in [
-        StssConfig::default(),
-        StssConfig {
-            range_strategy: RangeStrategy::Naive,
-            ..Default::default()
-        },
-        StssConfig {
-            range_strategy: RangeStrategy::Full,
-            ..Default::default()
-        },
-    ] {
-        let stss = Stss::build(table.clone(), dags.to_vec(), cfg).unwrap();
-        assert_eq!(
-            sorted(stss.run().skyline_records()),
-            expect,
-            "{label}: sTSS {cfg:?}"
-        );
-    }
+    let stss = Stss::build(table.clone(), dags.to_vec(), StssConfig::default()).unwrap();
+    assert_eq!(
+        sorted(stss.run().skyline_records()),
+        expect,
+        "{label}: sTSS"
+    );
 
     for variant in [Variant::BbsPlus, Variant::Sdc, Variant::SdcPlus] {
         let idx =

@@ -8,7 +8,7 @@
 //! plus the 15 table steps) and the exact page reads (6 of the 8 nodes;
 //! N4 and N7 are pruned unread).
 
-use tss::core::{RangeStrategy, Stss, StssConfig, Table};
+use tss::core::{PoDomain, Stss, StssConfig, Table};
 use tss::poset::Dag;
 use tss::rtree::{BuildNode, RTree};
 
@@ -50,13 +50,7 @@ fn fig3_tree() -> RTree {
 
 #[test]
 fn table2_step_by_step() {
-    let stss = Stss::with_tree(
-        fig3_table(),
-        vec![Dag::paper_example()],
-        fig3_tree(),
-        StssConfig::default(),
-    )
-    .unwrap();
+    let stss = Stss::with_tree(fig3_table(), vec![Dag::paper_example()], fig3_tree()).unwrap();
     let run = stss.run();
 
     // Final skyline: p1..p5, emitted in ascending mindist. p3 and p4 tie at
@@ -85,13 +79,7 @@ fn table2_step_by_step() {
 fn table2_emission_mindists() {
     // The mindists at which results pop: p1 at 5, p2 at 7, p3 at 9, p4 at
     // 9, p5 at 11 (the ⟨entry, mindist⟩ pairs of Table II).
-    let stss = Stss::with_tree(
-        fig3_table(),
-        vec![Dag::paper_example()],
-        fig3_tree(),
-        StssConfig::default(),
-    )
-    .unwrap();
+    let stss = Stss::with_tree(fig3_table(), vec![Dag::paper_example()], fig3_tree()).unwrap();
     let run = stss.run();
     let mindists: Vec<u64> = run
         .skyline
@@ -125,19 +113,22 @@ fn bulk_loaded_tree_gives_same_skyline() {
 
 #[test]
 fn range_strategies_reproduce_the_trace_results() {
-    for range_strategy in [
-        RangeStrategy::Naive,
-        RangeStrategy::Dyadic,
-        RangeStrategy::Full,
-    ] {
-        let cfg = StssConfig {
-            range_strategy,
-            ..Default::default()
-        };
-        let stss =
-            Stss::with_tree(fig3_table(), vec![Dag::paper_example()], fig3_tree(), cfg).unwrap();
-        let mut recs = stss.run().skyline_records();
-        recs.sort_unstable();
-        assert_eq!(recs, vec![0, 1, 2, 3, 4], "{cfg:?}");
+    // sTSS builds an MBB's run sets from the dyadic range index (§IV-B), its
+    // one range strategy. On every ordinal range of the domain it equals
+    // the naive merge of the per-value sets, and the hand-drawn tree's run
+    // reproduces the trace's skyline.
+    let dom = PoDomain::new(Dag::paper_example());
+    for lo in 1..=9 {
+        for hi in lo..=9 {
+            assert_eq!(
+                dom.range_intervals(lo, hi),
+                dom.labeling().range_intervals(lo, hi),
+                "[{lo}, {hi}]"
+            );
+        }
     }
+    let stss = Stss::with_tree(fig3_table(), vec![Dag::paper_example()], fig3_tree()).unwrap();
+    let mut recs = stss.run().skyline_records();
+    recs.sort_unstable();
+    assert_eq!(recs, vec![0, 1, 2, 3, 4]);
 }
