@@ -609,7 +609,8 @@ enum DtssPhase<'a> {
 /// confirmed, so no check ever drops an exact copy of a skyline point.
 pub struct DtssCursor<'a> {
     dtss: &'a Dtss,
-    /// Per-query labelings (owned: possibly cloned out of a session cache).
+    /// Per-query labelings (built for the query, or shared with a session
+    /// cache).
     domains: Vec<PoDomain>,
     reference: Option<Vec<u32>>,
     /// Group visit order by ascending ordinal-sum rank.

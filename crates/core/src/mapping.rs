@@ -1,12 +1,21 @@
 use poset::{Dag, DyadicIndex, IntervalSet, Reachability, TssLabeling, ValueId};
+use std::sync::Arc;
 
 /// Everything TSS precomputes about one partially ordered domain: the DAG,
 /// its exact interval labeling (topological ordinals + propagated interval
 /// sets), the dyadic range index over the topologically sorted domain, and
 /// the bitset transitive closure (ground truth, used by oracles and by the
 /// baselines' exact cross-checks).
+///
+/// The structures are immutable once built and shared behind one [`Arc`]:
+/// a clone is a reference count, so a session cache hands its labelings
+/// to every query without copying them.
 #[derive(Debug, Clone)]
-pub struct PoDomain {
+pub struct PoDomain(Arc<Parts>);
+
+/// The precomputed structures of a [`PoDomain`].
+#[derive(Debug, Clone)]
+struct Parts {
     dag: Dag,
     labeling: TssLabeling,
     dyadic: DyadicIndex,
@@ -19,67 +28,74 @@ impl PoDomain {
         let labeling = TssLabeling::build_default(&dag);
         let dyadic = DyadicIndex::build(&labeling);
         let reach = Reachability::build(&dag);
-        PoDomain {
+        PoDomain(Arc::new(Parts {
             dag,
             labeling,
             dyadic,
             reach,
-        }
+        }))
+    }
+
+    /// A copy that shares nothing with this domain, every part allocated at
+    /// its exact size: a freshly built domain still holds spare capacity
+    /// from its construction, which a cache should not keep alive.
+    pub(crate) fn compact(&self) -> PoDomain {
+        PoDomain(Arc::new((*self.0).clone()))
     }
 
     /// The domain DAG.
     #[inline]
     pub fn dag(&self) -> &Dag {
-        &self.dag
+        &self.0.dag
     }
 
     /// The exact TSS labeling.
     #[inline]
     pub fn labeling(&self) -> &TssLabeling {
-        &self.labeling
+        &self.0.labeling
     }
 
     /// The dyadic range index.
     #[inline]
     pub fn dyadic(&self) -> &DyadicIndex {
-        &self.dyadic
+        &self.0.dyadic
     }
 
     /// The transitive closure.
     #[inline]
     pub fn reach(&self) -> &Reachability {
-        &self.reach
+        &self.0.reach
     }
 
     /// Domain cardinality.
     #[inline]
     pub fn len(&self) -> usize {
-        self.dag.len()
+        self.0.dag.len()
     }
 
     /// True iff the domain is empty.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.dag.is_empty()
+        self.0.dag.is_empty()
     }
 
     /// The topological ordinal (1-based) of a raw value id — the value's
     /// coordinate in the constructed `A_TO` dimension.
     #[inline]
     pub fn ordinal(&self, raw: u32) -> u32 {
-        self.labeling.ordinal(ValueId(raw))
+        self.0.labeling.ordinal(ValueId(raw))
     }
 
     /// The interval set of a raw value id.
     #[inline]
     pub fn intervals(&self, raw: u32) -> &IntervalSet {
-        self.labeling.intervals(ValueId(raw))
+        self.0.labeling.intervals(ValueId(raw))
     }
 
     /// Merged interval set for an ordinal range, via the dyadic index.
     #[inline]
     pub fn range_intervals(&self, lo: u32, hi: u32) -> IntervalSet {
-        self.dyadic.range(lo, hi)
+        self.0.dyadic.range(lo, hi)
     }
 
     /// "At least as good": equal values or exact preference.
@@ -91,14 +107,14 @@ impl PoDomain {
     /// is kept as [`pref_labeled`](Self::pref_labeled) for cross-checks.
     #[inline]
     pub fn pref_or_equal(&self, a: u32, b: u32) -> bool {
-        self.reach.preferred_or_equal(ValueId(a), ValueId(b))
+        self.0.reach.preferred_or_equal(ValueId(a), ValueId(b))
     }
 
     /// Strict exact preference (one closure bit probe, see
     /// [`pref_or_equal`](Self::pref_or_equal)).
     #[inline]
     pub fn pref(&self, a: u32, b: u32) -> bool {
-        self.reach.preferred(ValueId(a), ValueId(b))
+        self.0.reach.preferred(ValueId(a), ValueId(b))
     }
 
     /// Strict exact preference decided by interval-label containment — the
@@ -106,7 +122,7 @@ impl PoDomain {
     /// by the exactness theorem; kept as an independent cross-check.
     #[inline]
     pub fn pref_labeled(&self, a: u32, b: u32) -> bool {
-        self.labeling.t_pref(ValueId(a), ValueId(b))
+        self.0.labeling.t_pref(ValueId(a), ValueId(b))
     }
 }
 

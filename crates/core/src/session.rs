@@ -151,7 +151,7 @@ impl<'a> QuerySession<'a> {
                 }
                 None => {
                     misses += 1;
-                    let dom = PoDomain::new(dag.clone());
+                    let dom = PoDomain::new(dag.clone()).compact();
                     self.labelings.insert(fp, dom.clone());
                     domains.push(dom);
                 }
@@ -204,7 +204,8 @@ impl<'a> QuerySession<'a> {
             }
         }
         self.misses += 1;
-        self.labelings.insert(fp, PoDomain::new(dag.clone()));
+        self.labelings
+            .insert(fp, PoDomain::new(dag.clone()).compact());
         true
     }
 }

@@ -26,18 +26,29 @@
 //! candidate only if its key is `<=` the candidate's key on every
 //! dimension, so every check is one call, [`KeyBlock::first_match`]: the
 //! box, then the check's exact refine (PO closure probes or interval-set
-//! covers), in list order. [`Kernel::Scalar`] runs it as the list loop,
+//! covers), member by member. [`Kernel::Scalar`] runs it as a plain loop,
 //! the oracle; [`Kernel::Lanes`] tests the box for
 //! [`LANES`](skyline::LANES) members at a time and refines only the
 //! in-box ones. Because the box is implied by each refine, both stop at
-//! the list loop's first hit and return its examined-pair count.
+//! the same first hit and return the same examined-pair count.
+//!
+//! Which members a check scans depends on the block's size. Below 256
+//! members it scans the whole list, in list order, and `examined` is the
+//! list loop's count. A block grown past that by pushes alone indexes
+//! itself on every key dimension (SDI's dimension indexing, with buckets
+//! bounded by quantiles of its keys): a dominator is `<=` the candidate on
+//! every dimension, so the check scans only the buckets at or below the
+//! candidate's on the dimension where they hold the fewest members,
+//! nearest bucket first, and `examined` counts the members of that scan.
+//! The answer is the list loop's either way. Streaming's block, which
+//! demotions, expiries and repairs rewrite in place, never indexes itself.
 //!
 //! `Table` (the facade name the paper-facing API keeps) is an alias of this
 //! type.
 
 use crate::dominance::{po_tail, t_dominates};
 use crate::{CoreError, PoDomain};
-use skyline::{Kernel, PointBlock};
+use skyline::{box_mask, Kernel, PointBlock, LANES};
 
 /// Index of a tuple in a [`PointStore`] — the currency engines trade in.
 pub type RecordId = u32;
@@ -607,36 +618,180 @@ impl<'a> ShardView<'a> {
     }
 }
 
-/// Confirmed skyline members in list order: their record ids plus a
-/// dense, dimension-major [`PointBlock`] of their keys (TO values, folded
-/// ones in dTSS, then one topological ordinal per PO attribute; see
-/// [`PointStore::key_into`]).
+/// Members a [`KeyBlock`] holds when it builds its dimension index.
+const INDEX_AT: usize = 256;
+
+/// Buckets per key dimension of a [`KeyBlock`]'s index.
+const BUCKETS: usize = 32;
+
+/// Chunks of [`LANES`] members per page of an index axis.
+const PAGE: usize = 32;
+
+/// Confirmed skyline members in list order: their record ids plus their
+/// keys (TO values, folded ones in dTSS, then one topological ordinal per
+/// PO attribute; see [`PointStore::key_into`]).
 ///
 /// Every confirmed-list check is one [`first_match`](Self::first_match)
 /// call: by the precedence argument of §IV-A, a member can t-dominate a
 /// candidate, or cover an MBB, only if its key is `<=` the candidate's key
 /// (the MBB's low corner) on every dimension, so the box filters the list
 /// ahead of each check's exact refine.
+///
+/// A block grown by [`push`](Self::push) alone indexes itself once it
+/// reaches [`INDEX_AT`] members (SDI's dimension indexing): per key
+/// dimension, [`BUCKETS`] buckets bounded by quantiles of the keys at that
+/// moment, each listing its members in list order. A member in the box
+/// lies, on every dimension, in the candidate's bucket or a lower one, so
+/// a check needs to scan only one dimension's buckets at or below the
+/// candidate's.
 #[derive(Debug, Clone)]
 pub(crate) struct KeyBlock {
     ids: Vec<RecordId>,
-    keys: PointBlock,
+    keys: Keys,
+}
+
+/// A [`KeyBlock`]'s keys, before and after it indexes itself.
+#[derive(Debug, Clone)]
+enum Keys {
+    /// One dense, dimension-major [`PointBlock`], scanned as one list. An
+    /// `indexable` block indexes itself on the push that brings it to
+    /// [`INDEX_AT`] members.
+    List { block: PointBlock, indexable: bool },
+    /// Row-major keys plus one axis per key dimension, whose buckets
+    /// mirror the keys for the lane kernel; the block keeps no whole-list
+    /// mirror.
+    Indexed { rows: Vec<u32>, axes: Vec<Axis> },
+}
+
+/// One key dimension of a [`KeyBlock`]'s index.
+#[derive(Debug, Clone)]
+struct Axis {
+    /// Lower bounds of buckets `1..BUCKETS`, ascending: a key value `v`
+    /// lies in bucket [`bucket(v)`](Self::bucket), the number of bounds at
+    /// or below `v`.
+    bounds: [u32; BUCKETS - 1],
+    /// `at_or_below[b]`: the members in buckets `0..=b`.
+    at_or_below: [u32; BUCKETS],
+    /// Per bucket, the numbers of its chunks, in list order.
+    buckets: Vec<Vec<u32>>,
+    /// The buckets' members, [`LANES`] to a chunk of `(1 + dims) * LANES`
+    /// words: their list positions, then their keys dimension-major, as
+    /// in a [`PointBlock`]'s mirror. A chunk's unfilled lanes hold
+    /// `u32::MAX`. Chunk `c` is chunk `c % PAGE` of page `c / PAGE`:
+    /// fixed-size pages grow the axis without copying it, so a growing
+    /// block leaves no freed copies of its index behind.
+    pages: Vec<Box<[u32]>>,
+    /// Chunks in use.
+    chunks: usize,
+}
+
+impl Axis {
+    /// The axis of dimension `d` over the block's current keys: bucket
+    /// bounds at the `b / BUCKETS` quantiles of the keys' values on `d`.
+    fn build(keys: &PointBlock, d: usize) -> Self {
+        let mut values: Vec<u32> = keys.iter().map(|key| key[d]).collect();
+        values.sort_unstable();
+        let n = values.len();
+        let mut axis = Axis {
+            bounds: std::array::from_fn(|b| values[(b + 1) * n / BUCKETS]),
+            at_or_below: [0; BUCKETS],
+            buckets: vec![Vec::new(); BUCKETS],
+            pages: Vec::new(),
+            chunks: 0,
+        };
+        for (pos, key) in keys.iter().enumerate() {
+            axis.push(d, pos as u32, key);
+        }
+        axis
+    }
+
+    /// The bucket of key value `v`.
+    #[inline]
+    fn bucket(&self, v: u32) -> usize {
+        self.bounds.partition_point(|&bound| bound <= v)
+    }
+
+    /// The members of bucket `b`.
+    #[inline]
+    fn count(&self, b: usize) -> usize {
+        let below = if b == 0 { 0 } else { self.at_or_below[b - 1] };
+        (self.at_or_below[b] - below) as usize
+    }
+
+    /// Files the member at list position `pos`, with key `key`, under its
+    /// value on dimension `d`.
+    fn push(&mut self, d: usize, pos: u32, key: &[u32]) {
+        let stride = (1 + key.len()) * LANES;
+        let b = self.bucket(key[d]);
+        let (full, lane) = (self.count(b) / LANES, self.count(b) % LANES);
+        if lane == 0 {
+            if self.chunks.is_multiple_of(PAGE) {
+                self.pages
+                    .push(vec![u32::MAX; PAGE * stride].into_boxed_slice());
+            }
+            self.buckets[b].push(self.chunks as u32);
+            self.chunks += 1;
+        }
+        let c = self.buckets[b][full] as usize;
+        let chunk = &mut self.pages[c / PAGE][c % PAGE * stride..][..stride];
+        chunk[lane] = pos;
+        for (col, &v) in chunk[LANES..].chunks_exact_mut(LANES).zip(key) {
+            col[lane] = v;
+        }
+        for count in &mut self.at_or_below[b..] {
+            *count += 1;
+        }
+    }
 }
 
 impl KeyBlock {
-    /// An empty block of `dims`-wide keys.
+    /// An empty block of `dims`-wide keys, which indexes itself once it
+    /// is large enough.
     pub(crate) fn new(dims: usize) -> Self {
         KeyBlock {
             ids: Vec::new(),
-            keys: PointBlock::new(dims),
+            keys: Keys::List {
+                block: PointBlock::new(dims),
+                indexable: dims > 0,
+            },
+        }
+    }
+
+    /// An empty block of `dims`-wide keys that never indexes itself, for
+    /// a caller that rewrites the block in place (see
+    /// [`retain`](Self::retain)).
+    pub(crate) fn unindexed(dims: usize) -> Self {
+        KeyBlock {
+            ids: Vec::new(),
+            keys: Keys::List {
+                block: PointBlock::new(dims),
+                indexable: false,
+            },
         }
     }
 
     /// Appends member `id` with key `key`.
     #[inline]
     pub(crate) fn push(&mut self, id: RecordId, key: &[u32]) {
+        let pos = self.ids.len() as u32;
         self.ids.push(id);
-        self.keys.push(key);
+        match &mut self.keys {
+            Keys::List { block, indexable } => {
+                block.push(key);
+                if *indexable && block.len() == INDEX_AT {
+                    self.keys = Keys::Indexed {
+                        rows: block.flat().to_vec(),
+                        axes: (0..block.dims()).map(|d| Axis::build(block, d)).collect(),
+                    };
+                }
+            }
+            Keys::Indexed { rows, axes } => {
+                rows.extend_from_slice(key);
+                for (d, axis) in axes.iter_mut().enumerate() {
+                    axis.push(d, pos, key);
+                }
+            }
+        }
     }
 
     /// Number of members.
@@ -663,21 +818,55 @@ impl KeyBlock {
         &mut self.ids
     }
 
+    /// Key width.
+    #[inline]
+    fn dims(&self) -> usize {
+        match &self.keys {
+            Keys::List { block, .. } => block.dims(),
+            Keys::Indexed { axes, .. } => axes.len(),
+        }
+    }
+
     /// Key of the member at list position `i`.
     #[inline]
     pub(crate) fn key(&self, i: usize) -> &[u32] {
-        self.keys.point(i)
+        match &self.keys {
+            Keys::List { block, .. } => block.point(i),
+            Keys::Indexed { rows, axes } => &rows[i * axes.len()..][..axes.len()],
+        }
+    }
+
+    /// Takes the block's keys as one list, dropping the index if the block
+    /// has one; a zero-width list is left in their place.
+    fn take_list(&mut self) -> PointBlock {
+        let placeholder = Keys::List {
+            block: PointBlock::new(0),
+            indexable: false,
+        };
+        match std::mem::replace(&mut self.keys, placeholder) {
+            Keys::List { block, .. } => block,
+            Keys::Indexed { rows, axes } => PointBlock::from_flat(axes.len(), rows),
+        }
     }
 
     /// Keeps the members whose `(id, key)` satisfy `keep`, in order: one
-    /// compaction pass over ids and keys.
+    /// compaction pass over ids and keys. The block drops its index, if it
+    /// has one, and answers every later check with the list loop: a block
+    /// rewritten in place (streaming's skyline, on every demotion and
+    /// expiry) would otherwise rebuild the index as often.
     pub(crate) fn retain(&mut self, keep: impl FnMut(RecordId, &[u32]) -> bool) {
-        self.keys.retain_with_ids(&mut self.ids, keep);
+        let mut block = self.take_list();
+        block.retain_with_ids(&mut self.ids, keep);
+        self.keys = Keys::List {
+            block,
+            indexable: false,
+        };
     }
 
     /// Merges the members of `other`, in any order, into this block, which
     /// lists its members by ascending id: one pass, and the result lists
-    /// every member by ascending id.
+    /// every member by ascending id. Like a block after
+    /// [`retain`](Self::retain), the merged block has no index.
     pub(crate) fn merge_by_id(&mut self, other: &KeyBlock) {
         if other.is_empty() {
             return;
@@ -687,7 +876,10 @@ impl KeyBlock {
         let total = self.len() + other.len();
         let mut merged = KeyBlock {
             ids: Vec::with_capacity(total),
-            keys: PointBlock::with_capacity(self.keys.dims(), total),
+            keys: Keys::List {
+                block: PointBlock::with_capacity(self.dims(), total),
+                indexable: false,
+            },
         };
         let mut i = 0;
         for j in order {
@@ -703,18 +895,26 @@ impl KeyBlock {
         *self = merged;
     }
 
-    /// The first member, in list order, whose key is `<=` `corner` on
-    /// every dimension and that `refine(id, key)` accepts. Returns `(hit,
-    /// examined)` as the list loop counts it: the hit's position plus one,
-    /// or every member on a miss.
+    /// The first member, in scan order, whose key is `<=` `corner` on every
+    /// dimension and that `refine(id, key)` accepts. Returns `(hit,
+    /// examined)`: the members scanned up to and including the hit, or
+    /// every scanned member on a miss.
     ///
-    /// [`Kernel::Scalar`] is that list loop, the oracle: the box test,
-    /// then `refine`, member by member. [`Kernel::Lanes`] is
-    /// [`PointBlock::first_in_box`], which tests the box for
-    /// [`LANES`](skyline::LANES) members at a time and calls `refine` only
-    /// on the in-box ones, in order. A refine that accepts only in-box
-    /// members, as every dominance refine does, gets the same answer from
-    /// both.
+    /// Without an index the scan is the whole list, in list order, and
+    /// `examined` is the list loop's count. With one, it is one dimension's
+    /// buckets: the dimension with the fewest members in the buckets at or
+    /// below the corner's (the first such on a tie), from the corner's own
+    /// bucket down to bucket 0, each bucket in list order. That scan
+    /// passes every in-box member, so a refine that accepts only in-box
+    /// members, as every dominance refine does, gets the list loop's
+    /// `hit`.
+    ///
+    /// [`Kernel::Scalar`] is the loop over the scan, the oracle: the box
+    /// test, then `refine`, member by member. [`Kernel::Lanes`] tests the
+    /// box for [`LANES`] members at a time ([`PointBlock::first_in_box`]
+    /// over the whole block, or [`box_mask`] over each chunk of a scanned
+    /// bucket) and calls `refine` only on the in-box ones, in order. Both
+    /// return the same `(hit, examined)`.
     #[inline]
     pub(crate) fn first_match(
         &self,
@@ -722,19 +922,98 @@ impl KeyBlock {
         corner: &[u32],
         mut refine: impl FnMut(RecordId, &[u32]) -> bool,
     ) -> (bool, u64) {
-        match kernel {
-            Kernel::Scalar => {
-                for (i, (id, key)) in self.ids.iter().copied().zip(self.keys.iter()).enumerate() {
-                    if key.iter().zip(corner).all(|(k, c)| k <= c) && refine(id, key) {
-                        return (true, i as u64 + 1);
+        let axes = match &self.keys {
+            Keys::List { block, .. } => {
+                return match kernel {
+                    Kernel::Scalar => self.scan(0..self.len(), corner, &mut refine),
+                    Kernel::Lanes => {
+                        block.first_in_box(corner, |i| refine(self.ids[i], block.point(i)))
                     }
-                }
-                (false, self.len() as u64)
+                };
             }
-            Kernel::Lanes => self
-                .keys
-                .first_in_box(corner, |i| refine(self.ids[i], self.keys.point(i))),
+            Keys::Indexed { axes, .. } => axes,
+        };
+        let Some((axis, top)) = axes
+            .iter()
+            .zip(corner)
+            .map(|(axis, &c)| (axis, axis.bucket(c)))
+            .min_by_key(|&(axis, b)| axis.at_or_below[b])
+        else {
+            return (false, 0);
+        };
+        let stride = (1 + corner.len()) * LANES;
+        let mut scanned = 0;
+        for b in (0..=top).rev() {
+            let mut left = axis.count(b);
+            for &c in &axis.buckets[b] {
+                let (c, page) = (c as usize % PAGE, &axis.pages[c as usize / PAGE]);
+                let (pos, mirror) = page[c * stride..][..stride].split_at(LANES);
+                let pos = &pos[..left.min(LANES)];
+                left -= pos.len();
+                let (hit, examined) = match kernel {
+                    Kernel::Scalar => {
+                        self.scan(pos.iter().map(|&p| p as usize), corner, &mut refine)
+                    }
+                    Kernel::Lanes => self.chunk_first_in_box(pos, mirror, corner, &mut refine),
+                };
+                scanned += examined;
+                if hit {
+                    return (true, scanned);
+                }
+            }
         }
+        (false, scanned)
+    }
+
+    /// [`PointBlock::first_in_box`] over one chunk of an index bucket: the
+    /// members at list positions `pos` (at most [`LANES`]), whose keys
+    /// `mirror` holds dimension-major.
+    #[inline]
+    fn chunk_first_in_box(
+        &self,
+        pos: &[u32],
+        mirror: &[u32],
+        corner: &[u32],
+        refine: &mut impl FnMut(RecordId, &[u32]) -> bool,
+    ) -> (bool, u64) {
+        let mut mask = box_mask(mirror, corner);
+        if pos.len() < LANES {
+            mask &= (1 << pos.len()) - 1;
+        }
+        while mask != 0 {
+            let lane = mask.trailing_zeros() as usize;
+            let p = pos[lane] as usize;
+            if refine(self.ids[p], self.key(p)) {
+                return (true, lane as u64 + 1);
+            }
+            mask &= mask - 1;
+        }
+        (false, pos.len() as u64)
+    }
+
+    /// True iff the block has built its dimension index.
+    #[cfg(test)]
+    pub(crate) fn indexed(&self) -> bool {
+        matches!(self.keys, Keys::Indexed { .. })
+    }
+
+    /// The list loop over the members at list positions `positions`, in
+    /// that order: the box test, then `refine`, stopping at the first hit.
+    fn scan(
+        &self,
+        positions: impl Iterator<Item = usize>,
+        corner: &[u32],
+        refine: &mut impl FnMut(RecordId, &[u32]) -> bool,
+    ) -> (bool, u64) {
+        let mut examined = 0;
+        for p in positions {
+            examined += 1;
+            let key = self.key(p);
+            if key.iter().zip(corner).all(|(k, c)| k <= c) && refine(self.ids[p], key) {
+                return (true, examined);
+            }
+        }
+        (false, examined)
     }
 }
 
@@ -744,7 +1023,6 @@ pub(crate) mod tests {
     use crate::Dominance;
     use poset::Dag;
     use proptest::prelude::*;
-    use skyline::LANES;
 
     #[test]
     fn push_and_access() {
@@ -935,18 +1213,30 @@ pub(crate) mod tests {
         assert_eq!(t.to(0), &[1]);
     }
 
-    /// A store of `n` rows over the paper domain (tight TO values force
-    /// `<=`/`<`/equality collisions; `max_to` pins every TO value at
-    /// `u32::MAX`), the key block of a rotated id list over all rows with
-    /// one repeated record, and a candidate `(key, po)` that is fresh, a
-    /// copy of a listed row, or a listed row worsened on TO.
+    /// How [`box_scan_case`] fills the stored rows' TO values.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub(crate) enum ToFill {
+        /// Values in `0..4`, forcing `<=`/`<`/equality collisions. Past
+        /// the index size every value a key takes is a bucket bound.
+        Tight,
+        /// As `Tight`, but the first TO value is `1` in every row: a key
+        /// dimension on which every member is equal.
+        FirstPinned,
+        /// `u32::MAX` everywhere.
+        Max,
+    }
+
+    /// A store of `n` rows over the paper domain, with TO values filled
+    /// as `fill` says, the key block of a rotated id list over all rows
+    /// with one repeated record, and a candidate `(key, po)` that is fresh,
+    /// a copy of a listed row, or a listed row worsened on TO.
     #[allow(clippy::type_complexity)]
     pub(crate) fn box_scan_case(
         to_dims: usize,
         po_dims: usize,
         n: usize,
         seed: u64,
-        max_to: bool,
+        fill: ToFill,
     ) -> (PointStore, Vec<PoDomain>, KeyBlock, Vec<u32>, Vec<u32>) {
         let mut s = seed;
         let mut next = move |m: u32| {
@@ -959,7 +1249,11 @@ pub(crate) mod tests {
         let mut store = PointStore::new(to_dims, po_dims);
         for _ in 0..n {
             let to: Vec<u32> = (0..to_dims)
-                .map(|_| if max_to { u32::MAX } else { next(4) })
+                .map(|d| match fill {
+                    ToFill::Max => u32::MAX,
+                    ToFill::FirstPinned if d == 0 => 1,
+                    _ => next(4),
+                })
                 .collect();
             let po: Vec<u32> = (0..po_dims).map(|_| next(9)).collect();
             store.push(&to, &po);
@@ -976,12 +1270,13 @@ pub(crate) mod tests {
             block.push(r, &key);
         }
         let pivot = ids[(seed / 7) as usize % n];
+        let max = fill == ToFill::Max;
         let (cand_to, cand_po): (Vec<u32>, Vec<u32>) = match seed % 3 {
-            0 if !max_to => (
+            0 if !max => (
                 (0..to_dims).map(|_| next(4)).collect(),
                 (0..po_dims).map(|_| next(9)).collect(),
             ),
-            1 if !max_to => (
+            1 if !max => (
                 store.to(pivot).iter().map(|&x| x + next(2)).collect(),
                 store.po(pivot).to_vec(),
             ),
@@ -995,8 +1290,9 @@ pub(crate) mod tests {
     }
 
     /// The list lengths the box-scan equivalence tests cover: just below,
-    /// at and just above multiples of [`LANES`].
-    pub(crate) const BOX_SCAN_LENGTHS: [usize; 9] = [
+    /// at and just above multiples of [`LANES`], and just below, at, just
+    /// above and well above the size at which a block indexes itself.
+    pub(crate) const BOX_SCAN_LENGTHS: [usize; 13] = [
         1,
         LANES - 1,
         LANES,
@@ -1006,22 +1302,28 @@ pub(crate) mod tests {
         2 * LANES + 1,
         3 * LANES - 1,
         5 * LANES + 3,
+        INDEX_AT - 1,
+        INDEX_AT,
+        INDEX_AT + 1,
+        4 * INDEX_AT + 3,
     ];
 
-    /// `(to_dims, po_dims, max_to)` shapes of the box-scan equivalence
-    /// tests: mixed, PO-only, TO-only (the shape of TO-only sharding),
-    /// `u32::MAX` TO values with no PO dims — the one shape whose pad lanes
-    /// pass the box — and no dimensions at all (a zero-width key block).
-    pub(crate) const BOX_SCAN_SHAPES: [(usize, usize, bool); 9] = [
-        (2, 2, false),
-        (1, 1, false),
-        (3, 1, false),
-        (0, 1, false),
-        (0, 2, false),
-        (2, 0, false),
-        (1, 0, false),
-        (2, 0, true),
-        (0, 0, false),
+    /// `(to_dims, po_dims, fill)` shapes of the box-scan equivalence
+    /// tests: mixed, mixed with one constant dimension, PO-only, TO-only
+    /// (the shape of TO-only sharding), `u32::MAX` TO values with no PO
+    /// dims — the one shape whose pad lanes pass the box — and no
+    /// dimensions at all (a zero-width key block).
+    pub(crate) const BOX_SCAN_SHAPES: [(usize, usize, ToFill); 10] = [
+        (2, 2, ToFill::Tight),
+        (2, 2, ToFill::FirstPinned),
+        (1, 1, ToFill::Tight),
+        (3, 1, ToFill::Tight),
+        (0, 1, ToFill::Tight),
+        (0, 2, ToFill::Tight),
+        (2, 0, ToFill::Tight),
+        (1, 0, ToFill::Tight),
+        (2, 0, ToFill::Max),
+        (0, 0, ToFill::Tight),
     ];
 
     #[test]
@@ -1036,18 +1338,22 @@ pub(crate) mod tests {
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
-        /// Every form of the key-block check returns, under both kernels,
-        /// the `(hit, examined)` of a plain list loop over its exact
-        /// predicate, on every shape and list length: the point form
-        /// (t-dominance), and dTSS's corner forms with tie exclusion (the
-        /// subtree check, which is t-dominance of the corner) and without
-        /// it (group dismissal).
+        /// Every form of the key-block check finds a member exactly when a
+        /// plain list loop over its exact predicate does, on every shape
+        /// and list length: the point form (t-dominance), and dTSS's corner
+        /// forms with tie exclusion (the subtree check, which is
+        /// t-dominance of the corner) and without it (group dismissal).
+        /// Both kernels return the same `(hit, examined)`; below the index
+        /// size that is the list loop's, and an indexed block examines no
+        /// more members than it holds.
         #[test]
         fn box_scan_point_form_matches_the_scalar_list_scan(seed in 0u64..1 << 20) {
-            for (to_dims, po_dims, max_to) in BOX_SCAN_SHAPES {
+            for (to_dims, po_dims, fill) in BOX_SCAN_SHAPES {
                 for n in BOX_SCAN_LENGTHS {
                     let (store, doms, block, key, po) =
-                        box_scan_case(to_dims, po_dims, n, seed, max_to);
+                        box_scan_case(to_dims, po_dims, n, seed, fill);
+                    let indexed = n >= INDEX_AT && to_dims + po_dims > 0;
+                    prop_assert_eq!(block.indexed(), indexed);
                     let to = &key[..to_dims];
                     let first = |hits: Vec<bool>| match hits.iter().position(|&h| h) {
                         Some(i) => (true, i as u64 + 1),
@@ -1067,14 +1373,82 @@ pub(crate) mod tests {
                     let point = store.t_dominated_by_any(&doms, to, &po, block.ids());
                     prop_assert_eq!(corner(false), point);
                     let covered = corner(true);
+                    let mut answers = Vec::new();
                     for kernel in [Kernel::Scalar, Kernel::Lanes] {
                         let store = store.clone().with_kernel(kernel);
-                        let case = format!("{kernel:?} dims=({to_dims},{po_dims}) max_to={max_to} n={n}");
-                        prop_assert_eq!(store.t_dominated_by_keys(&doms, &key, &po, &block), point, "{}", case);
-                        prop_assert_eq!(store.covered_by_keys(&doms, &key, &po, &block), covered, "{}", case);
+                        let case = format!("{kernel:?} dims=({to_dims},{po_dims}) {fill:?} n={n}");
+                        let got = (
+                            store.t_dominated_by_keys(&doms, &key, &po, &block),
+                            store.covered_by_keys(&doms, &key, &po, &block),
+                        );
+                        if indexed {
+                            prop_assert_eq!((got.0 .0, got.1 .0), (point.0, covered.0), "{}", case);
+                            prop_assert!(got.0 .1 <= n as u64 && got.1 .1 <= n as u64, "{}", case);
+                        } else {
+                            prop_assert_eq!(got, (point, covered), "{}", case);
+                        }
+                        answers.push(got);
+                    }
+                    prop_assert_eq!(answers[0], answers[1], "kernels differ: dims=({},{}) {:?} n={}", to_dims, po_dims, fill, n);
+                }
+            }
+        }
+    }
+
+    /// A block rewritten in place drops its index: after `retain`, or
+    /// after `merge_by_id` into an indexed block, every check is the list
+    /// loop again, with its `(hit, examined)`, under both kernels.
+    #[test]
+    fn rewritten_blocks_answer_as_the_list_loop() {
+        let check = |store: &PointStore, doms: &[PoDomain], block: &KeyBlock| {
+            assert!(!block.indexed());
+            let mut key = Vec::new();
+            for r in (0..store.len() as RecordId).step_by(7) {
+                // A member's own row, and that row worsened on TO.
+                for worse in [0, 1] {
+                    let to: Vec<u32> = store.to(r).iter().map(|&x| x + worse).collect();
+                    let po = store.po(r);
+                    let mut cand = PointStore::new(store.to_dims(), store.po_dims());
+                    cand.push(&to, po);
+                    key.clear();
+                    cand.key_into(doms, 0, &mut key);
+                    let expect = store.t_dominated_by_any(doms, &to, po, block.ids());
+                    for kernel in [Kernel::Scalar, Kernel::Lanes] {
+                        let store = store.clone().with_kernel(kernel);
+                        assert_eq!(
+                            store.t_dominated_by_keys(doms, &key, po, block),
+                            expect,
+                            "{kernel:?} record {r} worse {worse}"
+                        );
                     }
                 }
             }
+        };
+        for seed in 0..8u64 {
+            let (store, doms, mut block, _, _) =
+                box_scan_case(2, 2, INDEX_AT + 40, seed, ToFill::Tight);
+            assert!(block.indexed());
+            block.retain(|id, _| id % 5 != 0);
+            check(&store, &doms, &block);
+
+            // Even ids, ascending, past the index size; then the odd ones.
+            let (store, doms, _, _, _) =
+                box_scan_case(2, 2, 2 * INDEX_AT + 10, seed, ToFill::Tight);
+            let mut evens = KeyBlock::new(4);
+            let mut odds = KeyBlock::new(4);
+            let mut key = Vec::new();
+            for r in 0..store.len() as RecordId {
+                key.clear();
+                store.key_into(&doms, r, &mut key);
+                if r % 2 == 0 { &mut evens } else { &mut odds }.push(r, &key);
+            }
+            assert!(evens.indexed());
+            evens.merge_by_id(&odds);
+            assert_eq!(
+                evens.ids(),
+                (0..store.len() as RecordId).collect::<Vec<_>>()
+            );
+            check(&store, &doms, &evens);
         }
     }
 

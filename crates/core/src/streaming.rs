@@ -50,10 +50,11 @@
 //! are one [`KeyBlock::first_match`] call each. The block stays in step
 //! with every mutation: a demotion or a member expiry is one compaction
 //! pass, a repair's promotions are one merge pass, and a store compaction
-//! renumbers the ids and keeps the keys. Under [`Kernel::Scalar`] every
-//! check is the list loop, and under [`Kernel::Lanes`] it returns the list
-//! loop's answer and examined-pair count, so results and every counter
-//! are identical across kernels.
+//! renumbers the ids and keeps the keys. Since the block is rewritten in
+//! place, it never builds the dimension index the other engines' blocks
+//! grow: every check is the list loop under [`Kernel::Scalar`], and under
+//! [`Kernel::Lanes`] it returns the list loop's answer and examined-pair
+//! count, so results and every counter are identical across kernels.
 //!
 //! # Budget bounding
 //!
@@ -173,7 +174,7 @@ impl StreamingSkyline {
     pub fn new(to_dims: usize, domains: Vec<PoDomain>, config: StreamingConfig) -> Self {
         StreamingSkyline {
             store: PointStore::new(to_dims, domains.len()),
-            sky: KeyBlock::new(to_dims + domains.len()),
+            sky: KeyBlock::unindexed(to_dims + domains.len()),
             key: Vec::new(),
             domains,
             scores: Vec::new(),
@@ -364,7 +365,7 @@ impl StreamingSkyline {
         // 2. Screen in (score, id) order: the post-removal skyline, then
         //    the candidates promoted so far.
         cands.sort_unstable_by_key(|&p| (self.scores[p as usize], p));
-        let mut promoted = KeyBlock::new(self.store.to_dims() + self.store.po_dims());
+        let mut promoted = KeyBlock::unindexed(self.store.to_dims() + self.store.po_dims());
         for p in cands {
             self.key.clear();
             self.store.key_into(&self.domains, p, &mut self.key);

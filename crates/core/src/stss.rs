@@ -690,16 +690,16 @@ mod tests {
         /// The MBB check (box at the MBB's low corner, `covers_set` refine)
         /// prunes, under both kernels, exactly when a plain list loop over
         /// the paper's predicate (key other than the corner, TO values `<=`
-        /// the corner, every run covered) does, after the same number of
-        /// examined members, on every shape and list length of the
-        /// point-form test.
+        /// the corner, every run covered) does, on every shape and list
+        /// length of the point-form test. Both kernels examine the same
+        /// number of members: below the index size, the list loop's.
         #[test]
         fn box_scan_mbb_form_matches_the_scalar_list_scan(seed in 0u64..1 << 20) {
             use crate::store::tests::{box_scan_case, BOX_SCAN_LENGTHS, BOX_SCAN_SHAPES};
-            for (to_dims, po_dims, max_to) in BOX_SCAN_SHAPES {
+            for (to_dims, po_dims, fill) in BOX_SCAN_SHAPES {
                 for n in BOX_SCAN_LENGTHS {
                     let (store, doms, block, lo, _) =
-                        box_scan_case(to_dims, po_dims, n, seed, max_to);
+                        box_scan_case(to_dims, po_dims, n, seed, fill);
                     // Widen the candidate's key into an MBB: TO extents of
                     // up to 2, ordinal extents clamped to the domain.
                     let hi: Vec<u32> = lo
@@ -738,18 +738,22 @@ mod tests {
                         Some(i) => (true, i as u64 + 1),
                         None => (false, n as u64),
                     };
+                    let mut answers = Vec::new();
                     for kernel in [Kernel::Scalar, Kernel::Lanes] {
                         let table = store.clone().with_kernel(kernel);
                         let checks = StssChecks { table: &table, domains: &doms };
                         let mut m = Metrics::default();
-                        let hit = checks.mbb_dominated(&mbb, &block, &mut m);
-                        prop_assert_eq!(
-                            (hit, m.dominance_checks),
-                            expect,
-                            "{:?} dims=({},{}) max_to={} n={}",
-                            kernel, to_dims, po_dims, max_to, n
-                        );
+                        let got = (checks.mbb_dominated(&mbb, &block, &mut m), m.dominance_checks);
+                        let case = format!("{kernel:?} dims=({to_dims},{po_dims}) {fill:?} n={n}");
+                        if block.indexed() {
+                            prop_assert_eq!(got.0, expect.0, "{}", case);
+                            prop_assert!(got.1 <= n as u64, "{}", case);
+                        } else {
+                            prop_assert_eq!(got, expect, "{}", case);
+                        }
+                        answers.push(got);
                     }
+                    prop_assert_eq!(answers[0], answers[1], "kernels differ: dims=({},{}) {:?} n={}", to_dims, po_dims, fill, n);
                 }
             }
         }

@@ -39,12 +39,6 @@ impl DyadicIndex {
         DyadicIndex { sets, size, domain }
     }
 
-    /// Cardinality of the underlying domain.
-    #[inline]
-    pub fn domain_len(&self) -> usize {
-        self.domain
-    }
-
     /// Merged interval set of the ordinal range `[lo, hi]` (1-based,
     /// inclusive), assembled from `O(log)` precomputed dyadic sets.
     pub fn range(&self, lo: u32, hi: u32) -> IntervalSet {
@@ -70,12 +64,6 @@ impl DyadicIndex {
             r /= 2;
         }
         acc
-    }
-
-    /// Total number of stored intervals across all dyadic nodes — the space
-    /// overhead the paper trades for `O(log)` lookups.
-    pub fn stored_intervals(&self) -> usize {
-        self.sets.iter().map(|s| s.len()).sum()
     }
 }
 
@@ -122,7 +110,6 @@ mod tests {
         let dag = Dag::from_edges(1, &[]).unwrap();
         let lab = TssLabeling::build_default(&dag);
         let idx = DyadicIndex::build(&lab);
-        assert_eq!(idx.domain_len(), 1);
         assert_eq!(idx.range(1, 1), lab.range_intervals(1, 1));
     }
 
@@ -145,7 +132,6 @@ mod tests {
                 assert_eq!(idx.range(lo, hi), lab.range_intervals(lo, hi));
             }
         }
-        assert!(idx.stored_intervals() > 0);
     }
 
     fn arb_dag(max_n: usize) -> impl Strategy<Value = Dag> {

@@ -358,6 +358,22 @@ mod tests {
     }
 
     #[test]
+    fn wrong_dag_count_is_a_typed_error() {
+        for dags in [vec![], vec![Dag::paper_example(); 2]] {
+            let n = dags.len();
+            let err = SdcIndex::build(fig3_table(), dags, Variant::SdcPlus, SdcConfig::default())
+                .unwrap_err();
+            assert_eq!(
+                err,
+                tss_core::CoreError::DomainCountMismatch {
+                    dags: n,
+                    po_dims: 1
+                }
+            );
+        }
+    }
+
+    #[test]
     fn sdc_plus_builds_multiple_strata() {
         let dag = Dag::paper_example();
         let idx = SdcIndex::build(

@@ -52,12 +52,6 @@ impl SdcIndex {
         variant: Variant,
         cfg: SdcConfig,
     ) -> Result<Self, CoreError> {
-        if dags.len() != table.po_dims() {
-            return Err(CoreError::DomainCountMismatch {
-                dags: dags.len(),
-                po_dims: table.po_dims(),
-            });
-        }
         let sizes: Vec<u32> = dags.iter().map(|d| d.len() as u32).collect();
         table.check_domains(&sizes)?;
         let ctx = MdContext::new(&dags, table.to_dims());

@@ -43,5 +43,5 @@ mod types;
 
 pub use bbs::bbs;
 pub use brute::brute_force;
-pub use store::{Kernel, PointBlock, LANES};
+pub use store::{box_mask, Kernel, PointBlock, LANES};
 pub use types::{dominates, monotone_sum, Stats};

@@ -33,7 +33,9 @@
 //! One scan exists in lane form only: [`PointBlock::first_in_box`], the
 //! box-then-refine filter over the mirror, which hands the in-box rows to
 //! a caller's exact test in record order. Its oracle is the caller's own
-//! list loop: `tss_core`'s key block runs it under [`Kernel::Scalar`].
+//! list loop: `tss_core`'s key block runs it under [`Kernel::Scalar`]. Its
+//! chunk test, [`box_mask`], is public for mirrors kept outside a block:
+//! the key block's dimension index keeps one per bucket.
 //!
 //! Counting convention: every kernel returns `(answer, pairs_examined)`.
 //! One *examined pair* is exactly one scalar dominance check of the seed
@@ -414,17 +416,7 @@ impl PointBlock {
         let n = self.len;
         let stride = self.dims * LANES;
         for chunk_no in 0..n.div_ceil(LANES) {
-            let chunk = &self.soa[chunk_no * stride..][..stride];
-            let mut le = [1u32; LANES];
-            for (col, &cd) in chunk.chunks_exact(LANES).zip(corner.iter()) {
-                for l in 0..LANES {
-                    le[l] &= (col[l] <= cd) as u32;
-                }
-            }
-            let mut mask = 0u32;
-            for (l, &x) in le.iter().enumerate() {
-                mask |= x << l;
-            }
+            let mut mask = box_mask(&self.soa[chunk_no * stride..][..stride], corner);
             let base = chunk_no * LANES;
             if n - base < LANES {
                 mask &= (1u32 << (n - base)) - 1;
@@ -452,6 +444,30 @@ impl PointBlock {
     pub fn corner_pruned(&self, corner: &[u32]) -> (bool, u64) {
         self.dominated(corner)
     }
+}
+
+/// The box test of one dimension-major chunk of [`LANES`] points (laid out
+/// as in the [`PointBlock`] mirror: `chunk[d * LANES + lane]` holds
+/// dimension `d` of the chunk's point `lane`): bit `lane` of the result is
+/// set iff that point is `<=` `corner` on every dimension. One `<=`
+/// accumulator per lane, ANDed over the columns. A pad lane (`u32::MAX`
+/// everywhere) passes only a corner at `u32::MAX` everywhere, so callers
+/// cut the mask at their point count; a zero-width chunk passes every
+/// lane.
+#[inline]
+pub fn box_mask(chunk: &[u32], corner: &[u32]) -> u32 {
+    debug_assert_eq!(chunk.len(), corner.len() * LANES);
+    let mut le = [1u32; LANES];
+    for (col, &cd) in chunk.chunks_exact(LANES).zip(corner.iter()) {
+        for l in 0..LANES {
+            le[l] &= (col[l] <= cd) as u32;
+        }
+    }
+    let mut mask = 0u32;
+    for (l, &x) in le.iter().enumerate() {
+        mask |= x << l;
+    }
+    mask
 }
 
 impl From<Vec<Vec<u32>>> for PointBlock {
