@@ -68,8 +68,9 @@
 //!   shard's confirmed prefix is a key block (see the
 //!   [`store` docs](crate::PointStore)) and each candidate's key is
 //!   computed once, so a check runs box first: only members whose key is
-//!   `<=` the candidate's on every dimension reach the exact PO test, in
-//!   list order, with the list loop's verdict and pair count.
+//!   `<=` the candidate's on every dimension reach the exact PO test, with
+//!   the list loop's verdict. A block past 256 members scans through its
+//!   dimension index, and the pair count is the members it scanned.
 //! * **One shard per worker** ([`ShardSpec::Adaptive`]): one shard unless
 //!   the run has more than one worker, then `min(workers, max)`. Shards
 //!   beyond the worker count only run in later waves while every extra
@@ -367,9 +368,9 @@ pub fn merge_shard_skylines_all_pairs(
 /// dominatees, so a candidate only needs checking against the
 /// **already-confirmed** global-skyline members — and only those from
 /// *other* shards (its own shard's local run already cleared it), walked
-/// shard by shard with the early-exiting, box-filtered key-block scan (the
-/// [`t_dominated_by_any`](PointStore::t_dominated_by_any) list loop under
-/// [`Kernel::Scalar`](crate::Kernel::Scalar)). Pair
+/// shard by shard with the early-exiting, box-filtered key-block scan (a
+/// plain loop under [`Kernel::Scalar`](crate::Kernel::Scalar), through
+/// the block's dimension index once it passes 256 members). Pair
 /// work is therefore bounded by [`all_pairs_merge_bound`] and is usually a
 /// fraction of it; every examined pair is counted in `dominance_checks`
 /// and [`Metrics::merge_pair_checks`], and each equal-score stratum bumps

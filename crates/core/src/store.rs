@@ -637,13 +637,13 @@ const PAGE: usize = 32;
 /// (the MBB's low corner) on every dimension, so the box filters the list
 /// ahead of each check's exact refine.
 ///
-/// A block grown by [`push`](Self::push) alone indexes itself once it
-/// reaches [`INDEX_AT`] members (SDI's dimension indexing): per key
-/// dimension, [`BUCKETS`] buckets bounded by quantiles of the keys at that
-/// moment, each listing its members in list order. A member in the box
-/// lies, on every dimension, in the candidate's bucket or a lower one, so
-/// a check needs to scan only one dimension's buckets at or below the
-/// candidate's.
+/// A block made by [`new`](Self::new) and grown by [`push`](Self::push)
+/// alone indexes itself once it reaches [`INDEX_AT`] members (SDI's
+/// dimension indexing): per key dimension, [`BUCKETS`] buckets bounded by
+/// quantiles of the keys at that moment, each listing its members in list
+/// order. A member in the box lies, on every dimension, in the
+/// candidate's bucket or a lower one, so a check needs to scan only one
+/// dimension's buckets at or below the candidate's.
 #[derive(Debug, Clone)]
 pub(crate) struct KeyBlock {
     ids: Vec<RecordId>,

@@ -21,9 +21,10 @@
 //! built only once some member is in the box), so exact copies of a
 //! skyline point are never pruned. Both checks are one
 //! [`KeyBlock::first_match`] call, which under
-//! [`Kernel::Scalar`](crate::Kernel::Scalar) is the list loop, the oracle;
+//! [`Kernel::Scalar`](crate::Kernel::Scalar) is a plain loop, the oracle;
 //! both kernels find the same first dominator after the same number of
-//! examined members.
+//! examined members. Once the skyline passes 256 members, the block scans
+//! only the members its dimension index leaves in reach of the candidate.
 
 use crate::cursor::{SkylineCursor, SkylineEngine};
 use crate::progressive::{ProgressLog, ProgressSample};
