@@ -8,7 +8,7 @@ mod common;
 use criterion::{criterion_main, Criterion};
 use datagen::Distribution;
 use sdc::Variant;
-use tss_core::StssConfig;
+use tss_core::{SkylineCursor, StssConfig};
 
 fn bench(c: &mut Criterion) {
     let mut g = c.benchmark_group("fig11_progressiveness");
@@ -16,17 +16,15 @@ fn bench(c: &mut Criterion) {
     let stss = common::build_stss(&p, StssConfig::default());
     g.bench_function("tss/full_stream", |b| {
         b.iter(|| {
-            let mut n = 0u64;
-            stss.run_with(|_, _| n += 1);
-            n
+            let mut cursor = stss.cursor();
+            std::iter::from_fn(|| cursor.next()).count()
         })
     });
     let sdc = common::build_sdc(&p, Variant::SdcPlus);
     g.bench_function("sdc+/full_stream", |b| {
         b.iter(|| {
-            let mut n = 0u64;
-            sdc.run_with(&mut |_, _| n += 1);
-            n
+            let mut cursor = sdc.cursor();
+            std::iter::from_fn(|| cursor.next()).count()
         })
     });
     g.finish();

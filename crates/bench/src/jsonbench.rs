@@ -380,8 +380,8 @@ fn dynamic_point(
 /// The fixed grid: one seed (42), Fig. 7 cardinalities x Fig. 8
 /// dimensionalities plus one anti-correlated 2 TO + 2 PO point for the
 /// static engines, Fig. 12 cardinalities plus one 3 TO + 2 PO Fig. 13
-/// point for the dynamic ones. `smoke`
-/// shrinks every `n` to 2 000 tuples. `threads_axis`
+/// point and one anti-correlated 3 TO + 1 PO point for the dynamic ones.
+/// `smoke` shrinks every `n` to 2 000 tuples. `threads_axis`
 /// adds one sharded-parallel row set per entry (e.g. `[1, 2, 4]`); pass
 /// `[]` for the serial grid alone. `spec` picks the shard plan of the
 /// parallel rows — fixed or adaptive; either way each workload is
@@ -453,6 +453,17 @@ pub fn grid(smoke: bool, threads_axis: &[usize], spec: ShardSpec) -> Vec<BenchRo
         p.dag_height = 4;
     }
     let label = format!("fig13:n={dims_n}:dims=(3,2)");
+    dynamic_point(&mut rows, &label, &p, threads_axis, spec);
+
+    // Anti-correlated data in the paper's dynamic shape (3 TO + 1 PO): the
+    // largest dTSS skylines, past the 256 members at which a key block
+    // indexes itself, so the grid runs dTSS's indexed check.
+    let mut p = ExperimentParams::paper_dynamic_default(Distribution::AntiCorrelated, SEED);
+    p.n = dims_n;
+    if smoke {
+        p.dag_height = 4;
+    }
+    let label = format!("anti:n={dims_n}:dims=(3,1)");
     dynamic_point(&mut rows, &label, &p, threads_axis, spec);
     rows
 }
@@ -584,6 +595,10 @@ pub(crate) mod tests {
         assert!(rows
             .iter()
             .any(|r| r.workload.starts_with("fig13:") && r.algo == "dTSS"));
+        // The anti-correlated dynamic point reaches dTSS's indexed check.
+        assert!(rows
+            .iter()
+            .any(|r| r.workload.starts_with("anti:") && r.algo == "dTSS" && r.skyline >= 256));
         assert!(rows.iter().any(|r| r.algo == "sTSS"));
         assert!(rows.iter().any(|r| r.algo == "dTSS"));
         assert!(rows.iter().all(|r| r.threads == 0));

@@ -389,12 +389,21 @@ pub fn run_dynamic_sdc_sharded(
     )
 }
 
-/// Progressiveness timelines for Fig. 11: `(samples, final metrics)`.
+/// Progressiveness timeline for Fig. 11: one [`ProgressSample`] per
+/// confirmation, read off the cursor as it drains, plus the final metrics.
+fn timeline(mut cursor: impl SkylineCursor) -> (Vec<ProgressSample>, Metrics) {
+    let mut samples = Vec::new();
+    while cursor.next().is_some() {
+        samples.push(cursor.progress());
+    }
+    (samples, cursor.metrics())
+}
+
+/// Progressiveness timeline of sTSS.
 pub fn progressive_stss(w: &Workload) -> (Vec<ProgressSample>, Metrics) {
     let stss = Stss::build(w.table.clone(), w.dags.clone(), StssConfig::default())
         .expect("valid workload");
-    let (run, log) = stss.run_progressive();
-    (log.samples, run.metrics)
+    timeline(stss.cursor())
 }
 
 /// Progressiveness timeline of SDC+.
@@ -406,9 +415,7 @@ pub fn progressive_sdc_plus(w: &Workload) -> (Vec<ProgressSample>, Metrics) {
         SdcConfig::default(),
     )
     .expect("valid workload");
-    let mut samples = Vec::new();
-    let run = idx.run_with(&mut |_, s| samples.push(s));
-    (samples, run.metrics)
+    timeline(idx.cursor())
 }
 
 /// Latency profile of a top-k prefix pulled off a live [`SkylineCursor`]:

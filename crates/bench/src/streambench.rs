@@ -27,8 +27,8 @@ use crate::runner::{generate, Workload};
 use datagen::{Distribution, ExperimentParams};
 use std::time::Instant;
 use tss_core::{
-    Budget, Kernel, Metrics, PoDomain, SkylineCursor, StreamingConfig, StreamingSkyline, Stss,
-    StssConfig, Table, WindowPolicy,
+    Kernel, Metrics, PoDomain, SkylineCursor, StreamingConfig, StreamingSkyline, Stss, StssConfig,
+    Table, WindowPolicy,
 };
 
 /// One measured streaming grid point.
@@ -99,7 +99,6 @@ pub fn run_streaming(w: &Workload, window: usize) -> StreamBenchRow {
         domains,
         StreamingConfig {
             window: WindowPolicy::Count(window),
-            budget: Budget::UNLIMITED,
         },
     );
     let mut repair_ns: Vec<u64> = Vec::new();

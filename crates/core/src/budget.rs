@@ -28,9 +28,9 @@
 //! [`Exhausted`](BudgetOutcome::Exhausted) with the confirmed prefix
 //! otherwise.
 
-use crate::cursor::SkylineCursor;
+use crate::cursor::{ProgressSample, SkylineCursor};
 use crate::stss::SkylinePoint;
-use crate::{Metrics, ProgressSample};
+use crate::Metrics;
 
 /// An allowance of pair-check work ([`Metrics::dominance_checks`] units).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -194,7 +194,7 @@ impl<C: SkylineCursor> SkylineCursor for BudgetedCursor<C> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{SkylineEngine, Stss, StssConfig, Table};
+    use crate::{Stss, StssConfig, StssRun, Table};
     use poset::Dag;
 
     fn engine() -> Stss {
@@ -211,17 +211,23 @@ mod tests {
     #[test]
     fn unlimited_budget_changes_nothing() {
         let e = engine();
-        let (full, full_m) = e.collect_skyline();
-        let out = BudgetedCursor::run(e.open(), Budget::UNLIMITED);
+        let full = e.run();
+        let out = BudgetedCursor::run(e.cursor(), Budget::UNLIMITED);
         assert!(out.is_complete());
-        assert_eq!(out.points(), &full[..]);
-        assert_eq!(out.metrics().dominance_checks, full_m.dominance_checks);
+        assert_eq!(out.points(), &full.skyline[..]);
+        assert_eq!(
+            out.metrics().dominance_checks,
+            full.metrics.dominance_checks
+        );
     }
 
     #[test]
     fn every_exhausted_outcome_is_a_true_prefix() {
         let e = engine();
-        let (full, full_m) = e.collect_skyline();
+        let StssRun {
+            skyline: full,
+            metrics: full_m,
+        } = e.run();
         assert!(full.len() > 2, "need a non-trivial skyline");
         for limit in [
             0,
@@ -229,7 +235,7 @@ mod tests {
             full_m.dominance_checks / 3,
             full_m.dominance_checks / 2,
         ] {
-            let out = BudgetedCursor::run(e.open(), Budget::pair_checks(limit));
+            let out = BudgetedCursor::run(e.cursor(), Budget::pair_checks(limit));
             let got = out.points();
             assert_eq!(
                 got,
@@ -241,7 +247,7 @@ mod tests {
             }
         }
         // A budget at least the full cost completes.
-        let out = BudgetedCursor::run(e.open(), Budget::pair_checks(full_m.dominance_checks + 1));
+        let out = BudgetedCursor::run(e.cursor(), Budget::pair_checks(full_m.dominance_checks + 1));
         assert!(out.is_complete());
         assert_eq!(out.points().len(), full.len());
     }
@@ -249,7 +255,7 @@ mod tests {
     #[test]
     fn zero_budget_confirms_nothing() {
         let e = engine();
-        let out = BudgetedCursor::run(e.open(), Budget::pair_checks(0));
+        let out = BudgetedCursor::run(e.cursor(), Budget::pair_checks(0));
         match out {
             BudgetOutcome::Exhausted {
                 confirmed_prefix, ..
@@ -263,7 +269,7 @@ mod tests {
     #[test]
     fn exhausted_cursor_stays_exhausted() {
         let e = engine();
-        let mut c = BudgetedCursor::new(e.open(), Budget::pair_checks(1));
+        let mut c = BudgetedCursor::new(e.cursor(), Budget::pair_checks(1));
         while c.next().is_some() {}
         assert!(c.exhausted());
         assert!(c.next().is_none(), "no resurrection after exhaustion");

@@ -1,27 +1,38 @@
-//! The **pull-based execution model**: every skyline algorithm in the
-//! workspace is drivable through a [`SkylineCursor`] — results stream out
+//! The **pull-based execution model**: every skyline engine in the
+//! workspace is consumed through its [`SkylineCursor`] — results stream out
 //! one [`SkylinePoint`] per [`next`](SkylineCursor::next) call, in the
 //! engine's emission order, with [`Metrics`] and a [`ProgressSample`]
 //! observable mid-stream.
 //!
 //! The paper's headline property is *optimal progressiveness* (§IV,
 //! Fig. 11): skyline points are confirmed the moment the traversal reaches
-//! them. Push-style callbacks expose that property only to code willing to
-//! run the traversal to completion; a pull cursor makes it *consumable* —
-//! stop after the first `k` results (top-k prefixes), paginate, interleave
-//! many concurrent queries, or hand the cursor to an async executor. For
-//! precedence-based engines (sTSS, dTSS, BBS) stopping early also *costs*
-//! less: nodes that would only produce later results are never expanded, so
-//! a `k`-prefix pull performs strictly fewer page reads than a full run.
+//! them. A pull cursor makes that property *consumable* — stop after the
+//! first `k` results (top-k prefixes), paginate, or interleave many
+//! concurrent queries. For precedence-based engines (sTSS, dTSS) stopping
+//! early also *costs* less: nodes that would only produce later results are
+//! never expanded, so a `k`-prefix pull performs strictly fewer page reads
+//! than a full run.
 //!
-//! [`SkylineEngine`] is the object-safe factory trait every engine
-//! implements: sTSS, dTSS (bound to a query) and the three m-dominance
-//! baselines (BBS+/SDC/SDC+ in the `sdc` crate).
+//! The cursor is the one way to consume an engine. Each engine opens its
+//! own: [`Stss::cursor`](crate::Stss::cursor),
+//! [`Dtss::query_cursor`](crate::Dtss::query_cursor) and its fully dynamic
+//! form, [`QuerySession::cursor`](crate::QuerySession::cursor),
+//! [`StreamingSkyline::cursor`](crate::StreamingSkyline::cursor), and
+//! `SdcIndex::cursor` for the m-dominance baselines of the `sdc` crate.
+//! Everything else drives one of those cursors:
+//!
+//! * the draining `Stss::run`, `Dtss::query` and `SdcIndex::run` pull
+//!   [`take_k(usize::MAX)`](SkylineCursor::take_k) off a fresh cursor;
+//! * [`BudgetedCursor::run`](crate::BudgetedCursor::run) bounds a cursor's pair-check work and returns
+//!   the complete skyline or a sound prefix of it;
+//! * [`progress`](SkylineCursor::progress), read after each `next`, is the
+//!   emission timeline of Fig. 11;
+//! * a `Box<dyn SkylineCursor>` drives different engines through one type.
 //!
 //! # Top-k prefix example
 //!
 //! ```
-//! use tss_core::{SkylineCursor, SkylineEngine, Stss, StssConfig, Table};
+//! use tss_core::{SkylineCursor, Stss, StssConfig, Table};
 //! use poset::Dag;
 //!
 //! let mut table = Table::new(1, 1);
@@ -31,19 +42,40 @@
 //! let stss = Stss::build(table, vec![Dag::paper_example()], StssConfig::default()).unwrap();
 //!
 //! // Pull exactly two results and stop — the rest of the tree is never read.
-//! let mut cursor = stss.open();
+//! let mut cursor = stss.cursor();
 //! let top2 = cursor.take_k(2);
 //! assert_eq!(top2.len(), 2);
 //! assert!(cursor.metrics().results == 2);
 //!
 //! // The pulled prefix matches the full progressive order.
-//! let all = stss.open().take_k(usize::MAX);
+//! let all = stss.run().skyline;
 //! assert_eq!(&all[..2], &top2[..]);
 //! ```
 
-use crate::budget::{Budget, BudgetOutcome, BudgetedCursor};
 use crate::stss::SkylinePoint;
-use crate::{Metrics, ProgressSample};
+use crate::{CostModel, Metrics};
+use std::time::Duration;
+
+/// State of a run at the moment one skyline point was emitted — the raw
+/// material of the paper's progressiveness study (Fig. 11).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ProgressSample {
+    /// Results emitted so far (including this one).
+    pub results: u64,
+    /// CPU time elapsed since the run started.
+    pub elapsed_cpu: Duration,
+    /// Page reads so far.
+    pub io_reads: u64,
+    /// Dominance checks so far.
+    pub dominance_checks: u64,
+}
+
+impl ProgressSample {
+    /// Simulated elapsed time under the IO-charging model.
+    pub fn elapsed_total(&self, model: CostModel) -> Duration {
+        self.elapsed_cpu + model.io_cost * (self.io_reads as u32)
+    }
+}
 
 /// A pull-based stream of confirmed skyline points.
 ///
@@ -91,59 +123,6 @@ impl<C: SkylineCursor + ?Sized> SkylineCursor for Box<C> {
 
     fn progress(&self) -> ProgressSample {
         (**self).progress()
-    }
-}
-
-/// An engine whose skyline is consumable through a [`SkylineCursor`].
-///
-/// `open` starts a fresh traversal; engines are immutable indexes, so any
-/// number of cursors can be opened over the lifetime of the engine (one at
-/// a time if the engine tracks page IOs on a shared counter — see the
-/// engine's own docs).
-pub trait SkylineEngine {
-    /// Human-readable engine name (`"sTSS"`, `"dTSS"`, `"SDC+"`, …).
-    fn name(&self) -> &str;
-
-    /// Opens a cursor over a fresh run of this engine.
-    fn open(&self) -> Box<dyn SkylineCursor + '_>;
-
-    /// Convenience: drains a fresh cursor into `(skyline, metrics)`.
-    fn collect_skyline(&self) -> (Vec<SkylinePoint>, Metrics) {
-        let mut c = self.open();
-        let pts = c.take_k(usize::MAX);
-        let m = c.metrics();
-        (pts, m)
-    }
-
-    /// Convenience: runs a fresh cursor under a pair-check [`Budget`] —
-    /// the complete skyline when it fits the allowance, otherwise a
-    /// *sound confirmed prefix* of it (the anytime guarantee; see
-    /// [`BudgetedCursor`]).
-    fn collect_budgeted(&self, budget: Budget) -> BudgetOutcome {
-        BudgetedCursor::run(self.open(), budget)
-    }
-}
-
-/// Adapts any [`SkylineCursor`] into a standard [`Iterator`].
-///
-/// ```
-/// use tss_core::{CursorIter, SkylineEngine, Stss, StssConfig, Table};
-/// use poset::Dag;
-///
-/// let mut table = Table::new(1, 1);
-/// table.push(&[1], &[0]); // cheap, best airline
-/// table.push(&[0], &[8]); // cheaper, worst airline — incomparable
-/// let stss = Stss::build(table, vec![Dag::paper_example()], StssConfig::default()).unwrap();
-/// let records: Vec<u32> = CursorIter(stss.open()).map(|p| p.record).collect();
-/// assert_eq!(records.len(), 2);
-/// ```
-pub struct CursorIter<C>(pub C);
-
-impl<C: SkylineCursor> Iterator for CursorIter<C> {
-    type Item = SkylinePoint;
-
-    fn next(&mut self) -> Option<SkylinePoint> {
-        self.0.next()
     }
 }
 
@@ -200,11 +179,5 @@ mod tests {
         assert_eq!(c.metrics().results, 2);
         assert_eq!(c.take_k(usize::MAX).len(), 3);
         assert!(c.next().is_none(), "exhausted cursors stay exhausted");
-    }
-
-    #[test]
-    fn cursor_iter_adapts() {
-        let records: Vec<u32> = CursorIter(scripted(3)).map(|p| p.record).collect();
-        assert_eq!(records, vec![0, 1, 2]);
     }
 }

@@ -48,8 +48,7 @@
 //! * **Result cache (§V-B), opt-in:** a query-digest cache reuses full
 //!   results of repeated orders.
 
-use crate::cursor::{SkylineCursor, SkylineEngine};
-use crate::progressive::ProgressSample;
+use crate::cursor::{ProgressSample, SkylineCursor};
 use crate::store::{KeyBlock, RecordId};
 use crate::stss::SkylinePoint;
 use crate::{CoreError, Metrics, PoDomain, Table};
@@ -322,7 +321,9 @@ impl Dtss {
         &self.domain_sizes
     }
 
-    /// Evaluates a dynamic skyline query.
+    /// Evaluates a dynamic skyline query: drains a fresh
+    /// [`query_cursor`](Self::query_cursor), and with [`DtssConfig::cache`]
+    /// on memoizes the result.
     pub fn query(&self, q: &PoQuery) -> Result<DtssRun, CoreError> {
         self.query_inner(q, None, None)
     }
@@ -340,18 +341,6 @@ impl Dtss {
         self.cursor_inner(q, None, None)
     }
 
-    /// Budgeted query: drives [`query_cursor`](Self::query_cursor) under
-    /// a pair-check allowance — the full dynamic skyline when it fits,
-    /// otherwise a *sound confirmed prefix* of it (see
-    /// [`BudgetedCursor`](crate::BudgetedCursor)).
-    pub fn query_budgeted(
-        &self,
-        q: &PoQuery,
-        budget: crate::Budget,
-    ) -> Result<crate::BudgetOutcome, CoreError> {
-        Ok(crate::BudgetedCursor::run(self.query_cursor(q)?, budget))
-    }
-
     /// Cursor variant of [`Dtss::query_fully_dynamic`].
     pub fn query_cursor_fully_dynamic(
         &self,
@@ -359,13 +348,6 @@ impl Dtss {
         reference: &[u32],
     ) -> Result<DtssCursor<'_>, CoreError> {
         self.cursor_inner(q, Some(reference), None)
-    }
-
-    /// Binds a query to this operator as a reusable [`SkylineEngine`]
-    /// (validation happens here, so [`SkylineEngine::open`] cannot fail).
-    pub fn engine(&self, query: PoQuery) -> Result<DtssQueryEngine<'_>, CoreError> {
-        self.validate(&query, None)?;
-        Ok(DtssQueryEngine { dtss: self, query })
     }
 
     /// Evaluates a **fully dynamic** skyline query (§V-B): besides the
@@ -437,75 +419,42 @@ impl Dtss {
         }
     }
 
-    /// Shared query entry point. `prepare` runs lazily — a result-digest
-    /// cache hit skips the labeling work entirely — and is `None` for plain
-    /// (sessionless) queries, which label from scratch.
+    /// Shared query entry point: drains [`cursor_inner`](Self::cursor_inner)
+    /// and memoizes a freshly computed result in the digest cache.
     pub(crate) fn query_inner(
         &self,
         q: &PoQuery,
         reference: Option<&[u32]>,
         prepare: Option<&mut dyn FnMut() -> PreparedDomains>,
     ) -> Result<DtssRun, CoreError> {
-        self.validate(q, reference)?;
-        let digest = Self::full_digest(q, reference);
-        if self.cfg.cache {
-            if let Some(entry) = self.cache.borrow().get(&digest) {
-                // Digest collisions (different query, same hash) fall
-                // through to a fresh evaluation.
-                if entry.matches(q, reference) {
-                    let skyline = entry
-                        .records
-                        .iter()
-                        .map(|&r| SkylinePoint {
-                            record: r,
-                            to: self.table.to_row(r as usize).to_vec(),
-                            po: self.table.po_row(r as usize).to_vec(),
-                        })
-                        .collect::<Vec<_>>();
-                    return Ok(DtssRun {
-                        metrics: Metrics {
-                            results: skyline.len() as u64,
-                            ..Default::default()
-                        },
-                        skyline,
-                        groups_skipped: 0,
-                        groups_total: self.groups.len() as u64,
-                        from_cache: true,
-                    });
-                }
-            }
-        }
-        let prepared = match prepare {
-            Some(f) => f(),
-            None => self.prepare_fresh(q),
-        };
-        let mut cursor = DtssCursor::new_live(self, prepared, reference.map(<[u32]>::to_vec));
-        let mut skyline = Vec::new();
-        while let Some(p) = cursor.next() {
-            skyline.push(p);
-        }
-        let run = DtssRun {
-            metrics: cursor.metrics(),
-            groups_skipped: cursor.groups_skipped(),
-            groups_total: self.groups.len() as u64,
-            from_cache: false,
-            skyline,
-        };
-        if self.cfg.cache {
+        let mut cursor = self.cursor_inner(q, reference, prepare)?;
+        let skyline = cursor.take_k(usize::MAX);
+        if self.cfg.cache && !cursor.from_cache() {
             // On a digest collision the slot's first owner is kept: the
             // colliding query simply stays uncached.
             self.cache
                 .borrow_mut()
-                .entry(digest)
+                .entry(Self::full_digest(q, reference))
                 .or_insert_with(|| CachedResult {
                     query: q.clone(),
                     reference: reference.map(<[u32]>::to_vec),
-                    records: run.skyline.iter().map(|p| p.record).collect(),
+                    records: skyline.iter().map(|p| p.record).collect(),
                 });
         }
-        Ok(run)
+        Ok(DtssRun {
+            metrics: cursor.metrics(),
+            groups_skipped: cursor.groups_skipped(),
+            groups_total: cursor.groups_total(),
+            from_cache: cursor.from_cache(),
+            skyline,
+        })
     }
 
+    /// Shared cursor entry point. `prepare` runs lazily — a result-digest
+    /// cache hit replays the memoized records and skips the labeling work
+    /// entirely — and is `None` for plain (sessionless) queries, which
+    /// label from scratch. A digest collision (different query, same hash)
+    /// falls through to a fresh evaluation.
     pub(crate) fn cursor_inner(
         &self,
         q: &PoQuery,
@@ -513,9 +462,8 @@ impl Dtss {
         prepare: Option<&mut dyn FnMut() -> PreparedDomains>,
     ) -> Result<DtssCursor<'_>, CoreError> {
         self.validate(q, reference)?;
-        let digest = Self::full_digest(q, reference);
         if self.cfg.cache {
-            if let Some(entry) = self.cache.borrow().get(&digest) {
+            if let Some(entry) = self.cache.borrow().get(&Self::full_digest(q, reference)) {
                 if entry.matches(q, reference) {
                     return Ok(DtssCursor::new_replay(self, entry.records.clone()));
                 }
@@ -539,35 +487,6 @@ pub(crate) struct PreparedDomains {
     pub(crate) domains: Vec<PoDomain>,
     pub(crate) hits: u64,
     pub(crate) misses: u64,
-}
-
-/// A [`Dtss`] operator bound to one [`PoQuery`] — the [`SkylineEngine`]
-/// view of a dynamic skyline query. Built by [`Dtss::engine`], which
-/// validates the query so [`open`](SkylineEngine::open) cannot fail.
-pub struct DtssQueryEngine<'a> {
-    dtss: &'a Dtss,
-    query: PoQuery,
-}
-
-impl DtssQueryEngine<'_> {
-    /// The bound query.
-    pub fn query(&self) -> &PoQuery {
-        &self.query
-    }
-}
-
-impl SkylineEngine for DtssQueryEngine<'_> {
-    fn name(&self) -> &str {
-        "dTSS"
-    }
-
-    fn open(&self) -> Box<dyn SkylineCursor + '_> {
-        Box::new(
-            self.dtss
-                .query_cursor(&self.query)
-                .expect("query validated at engine construction"),
-        )
-    }
 }
 
 /// Where the cursor currently stands in the group-at-a-time walk.

@@ -68,16 +68,15 @@ pub mod ipc;
 mod mapping;
 mod metrics;
 pub mod parallel;
-mod progressive;
 mod session;
 mod store;
 mod streaming;
 mod stss;
 
 pub use budget::{Budget, BudgetOutcome, BudgetedCursor};
-pub use cursor::{CursorIter, SkylineCursor, SkylineEngine};
+pub use cursor::{ProgressSample, SkylineCursor};
 pub use dominance::{brute_force_po_skyline, t_dominates, t_dominates_weak_printed, Dominance};
-pub use dtss::{Dtss, DtssConfig, DtssCursor, DtssQueryEngine, DtssRun, PoQuery};
+pub use dtss::{Dtss, DtssConfig, DtssCursor, DtssRun, PoQuery};
 pub use error::{CoreError, ShardError, ShardErrorKind};
 pub use ipc::{SubprocessExecutor, WorkerSpec};
 pub use mapping::PoDomain;
@@ -86,7 +85,6 @@ pub use parallel::{
     sharded_skyline_exec, ExecPolicy, FaultKind, FaultPlan, ParallelRun, ProcessFaultKind,
     ShardCtx, ShardExecutor, ShardJob, ShardOutcome, ShardPlan, ShardSpec, ThreadShardExecutor,
 };
-pub use progressive::{ProgressLog, ProgressSample};
 pub use session::{QuerySession, SessionStats};
 pub use skyline::{Kernel, LANES};
 pub use store::{PointStore, RecordId, ShardView};

@@ -20,6 +20,11 @@
 //! per-attribute — a query mixing one new DAG with three seen ones still
 //! skips 3/4 of the labeling work.
 //!
+//! A labeling depends only on its DAG, never on the data, so a cached
+//! entry stays valid for as long as the session lives. As everywhere in the
+//! workspace, the [`cursor`](QuerySession::cursor) is the way to consume a
+//! query: [`query`](QuerySession::query) drains one.
+//!
 //! ```
 //! use poset::PartialOrderBuilder;
 //! use tss_core::{Dtss, DtssConfig, PoQuery, QuerySession, Table};
@@ -48,7 +53,6 @@
 
 use crate::dtss::PreparedDomains;
 use crate::{CoreError, Dtss, DtssCursor, DtssRun, PoDomain, PoQuery};
-use poset::Dag;
 use std::collections::HashMap;
 
 /// Aggregate statistics of one [`QuerySession`].
@@ -70,54 +74,22 @@ pub struct QuerySession<'a> {
     labelings: HashMap<u64, PoDomain>,
     hits: u64,
     misses: u64,
-    /// The data epoch ([`PointStore::generation`](crate::PointStore::generation))
-    /// this session's caches were stamped under.
-    data_generation: u64,
 }
 
 impl<'a> QuerySession<'a> {
-    /// Opens a session over `dtss` with an empty labeling cache, stamped
-    /// with the operator table's current epoch.
+    /// Opens a session over `dtss` with an empty labeling cache.
     pub fn new(dtss: &'a Dtss) -> Self {
         QuerySession {
             dtss,
             labelings: HashMap::new(),
             hits: 0,
             misses: 0,
-            data_generation: dtss.table().generation(),
         }
     }
 
     /// The underlying operator.
     pub fn dtss(&self) -> &'a Dtss {
         self.dtss
-    }
-
-    /// The data epoch the session's caches are stamped under.
-    pub fn data_generation(&self) -> u64 {
-        self.data_generation
-    }
-
-    /// Re-stamps the session onto a new data epoch, dropping every
-    /// epoch-scoped cache entry if the epoch actually moved. Returns
-    /// `true` iff caches were invalidated.
-    ///
-    /// Streaming deployments rebuild their [`Dtss`] operator periodically
-    /// from a [`StreamingSkyline`](crate::StreamingSkyline)'s mutable
-    /// store; the session outlives those rebuilds, so the rebuilding
-    /// caller hands the new store's generation here. The contract is that
-    /// no cached entry outlives the data epoch it was stamped under —
-    /// today the labeling cache is data-independent (DAG labelings depend
-    /// only on the DAG), making the clear purely conservative, but any
-    /// future data-dependent session cache (result digests, selectivity
-    /// summaries) inherits the invalidation for free.
-    pub fn sync_to_generation(&mut self, generation: u64) -> bool {
-        if generation == self.data_generation {
-            return false;
-        }
-        self.labelings.clear();
-        self.data_generation = generation;
-        true
     }
 
     /// Session-lifetime cache statistics.
@@ -193,21 +165,6 @@ impl<'a> QuerySession<'a> {
         let dtss = self.dtss;
         dtss.cursor_inner(q, None, Some(&mut || self.prepare(q)))
     }
-
-    /// Pre-warms the cache with a DAG (e.g. a canned preference template)
-    /// without running a query. Returns `true` if the DAG was new.
-    pub fn preload(&mut self, dag: &Dag) -> bool {
-        let fp = dag.fingerprint();
-        if let Some(dom) = self.labelings.get(&fp) {
-            if dom.dag().same_structure(dag) {
-                return false;
-            }
-        }
-        self.misses += 1;
-        self.labelings
-            .insert(fp, PoDomain::new(dag.clone()).compact());
-        true
-    }
 }
 
 #[cfg(test)]
@@ -215,7 +172,7 @@ mod tests {
     use super::*;
     use crate::DtssConfig;
     use crate::Table;
-    use poset::PartialOrderBuilder;
+    use poset::{Dag, PartialOrderBuilder};
 
     fn fig5_table() -> Table {
         let mut t = Table::new(2, 1);
@@ -324,17 +281,6 @@ mod tests {
     }
 
     #[test]
-    fn preload_warms_the_cache() {
-        let dtss = Dtss::build(fig5_table(), vec![3], DtssConfig::default()).unwrap();
-        let mut s = QuerySession::new(&dtss);
-        assert!(s.preload(&order_b_over_c()));
-        assert!(!s.preload(&order_b_over_c()), "second preload is a no-op");
-        let run = s.query(&PoQuery::new(vec![order_b_over_c()])).unwrap();
-        assert_eq!(run.metrics.label_cache_hits, 1);
-        assert_eq!(run.metrics.label_cache_misses, 0);
-    }
-
-    #[test]
     fn fingerprint_collision_degrades_to_a_miss() {
         // Forge a 64-bit collision: plant a *structurally different* DAG's
         // labeling under the fingerprint of the order we are about to
@@ -360,22 +306,6 @@ mod tests {
         // ...so the same query misses again rather than ever serving it.
         let again = s.query(&q).unwrap();
         assert_eq!(again.metrics.label_cache_misses, 1);
-    }
-
-    #[test]
-    fn generation_sync_invalidates_epoch_scoped_caches() {
-        let dtss = Dtss::build(fig5_table(), vec![3], DtssConfig::default()).unwrap();
-        let mut s = QuerySession::new(&dtss);
-        assert_eq!(s.data_generation(), dtss.table().generation());
-        let q = PoQuery::new(vec![order_b_over_c()]);
-        s.query(&q).unwrap();
-        // Same epoch: nothing is dropped, the cache stays warm.
-        assert!(!s.sync_to_generation(s.data_generation()));
-        assert_eq!(s.query(&q).unwrap().metrics.label_cache_hits, 1);
-        // A new epoch drops every cached labeling and re-stamps.
-        assert!(s.sync_to_generation(s.data_generation() + 1));
-        assert_eq!(s.stats().entries, 0);
-        assert_eq!(s.query(&q).unwrap().metrics.label_cache_misses, 1);
     }
 
     #[test]

@@ -56,40 +56,30 @@
 //! [`Kernel::Lanes`] it returns the list loop's answer and examined-pair
 //! count, so results and every counter are identical across kernels.
 //!
-//! # Budget bounding
-//!
-//! The [`Budget`] (e.g. from `TSS_BUDGET`, via
-//! [`StreamingConfig::from_env`]) is an **admission-control bound**, in
-//! the same pair-check currency as [`BudgetedCursor`](crate::BudgetedCursor):
-//! once the accumulated `dominance_checks` spend crosses the allowance,
-//! [`budget_exhausted`](StreamingSkyline::budget_exhausted) latches
-//! (sticky, like an exhausted cursor). Mutations keep repairing — a repair
-//! is an unsplittable unit of correctness, so truncating it would corrupt
-//! the maintained skyline — which means the final unit of work may
-//! overshoot, exactly as one `next()` may under a budgeted cursor.
-//!
 //! # Reading the skyline
 //!
-//! [`cursor`](StreamingSkyline::cursor) materializes a [`StreamingCursor`]
-//! that owns a snapshot of the skyline points *and* the store
-//! [`generation`](PointStore::generation) it was taken at — iterator
-//! invalidation is impossible by construction: later mutations touch the
-//! store, never the snapshot, and the stamped generation tells the reader
-//! exactly which epoch it is looking at.
+//! [`cursor`](StreamingSkyline::cursor), the one way to read the skyline,
+//! materializes a [`StreamingCursor`] that owns a snapshot of the skyline
+//! points *and* the store [`generation`](PointStore::generation) it was
+//! taken at — iterator invalidation is impossible by construction: later
+//! mutations touch the store, never the snapshot, and the stamped
+//! generation tells the reader exactly which epoch it is looking at. A
+//! snapshot is read once, so the cursor moves each point out to the
+//! reader rather than copying it.
 
-use crate::budget::Budget;
-use crate::cursor::{SkylineCursor, SkylineEngine};
+use crate::cursor::{ProgressSample, SkylineCursor};
 use crate::dominance::t_dominates;
 use crate::store::{KeyBlock, PointStore, RecordId};
 use crate::stss::SkylinePoint;
-use crate::{Metrics, PoDomain, ProgressSample};
+use crate::{Metrics, PoDomain};
 use skyline::Kernel;
 
 /// When the maintained window retires tuples automatically.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum WindowPolicy {
     /// No automatic expiry: tuples leave only through explicit
-    /// [`expire`](StreamingSkyline::expire) calls.
+    /// [`expire`](StreamingSkyline::expire) calls. The default.
+    #[default]
     Unbounded,
     /// Count-based sliding window: after each insert, the oldest live
     /// tuples are expired until at most `n` remain (`window_n` in the
@@ -98,40 +88,10 @@ pub enum WindowPolicy {
 }
 
 /// Configuration of a [`StreamingSkyline`].
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct StreamingConfig {
     /// Automatic-expiry policy.
     pub window: WindowPolicy,
-    /// Admission-control pair-check allowance — see the module docs.
-    pub budget: Budget,
-}
-
-impl Default for StreamingConfig {
-    /// Unbounded window, no budget.
-    fn default() -> Self {
-        StreamingConfig {
-            window: WindowPolicy::Unbounded,
-            budget: Budget::UNLIMITED,
-        }
-    }
-}
-
-impl StreamingConfig {
-    /// The default configuration with the `TSS_BUDGET` pair-check
-    /// allowance applied when the variable is set to an integer (the
-    /// bench runner rejects malformed values loudly; here a malformed
-    /// value degrades to [`Budget::UNLIMITED`] so library users cannot be
-    /// aborted by a stray environment variable).
-    pub fn from_env() -> StreamingConfig {
-        let budget = std::env::var("TSS_BUDGET")
-            .ok()
-            .and_then(|v| v.trim().parse::<u64>().ok())
-            .map_or(Budget::UNLIMITED, Budget::pair_checks);
-        StreamingConfig {
-            budget,
-            ..StreamingConfig::default()
-        }
-    }
 }
 
 /// Exact skyline maintenance over a mutable window — see the module docs
@@ -158,7 +118,6 @@ pub struct StreamingSkyline {
     oldest: RecordId,
     config: StreamingConfig,
     metrics: Metrics,
-    exhausted: bool,
 }
 
 /// Compaction trigger: at least this many tombstones *and* more dead than
@@ -181,7 +140,6 @@ impl StreamingSkyline {
             oldest: 0,
             config,
             metrics: Metrics::default(),
-            exhausted: false,
         }
     }
 
@@ -224,23 +182,6 @@ impl StreamingSkyline {
         Metrics {
             results: self.sky.len() as u64,
             ..self.metrics
-        }
-    }
-
-    /// True once the accumulated pair-check spend has crossed the
-    /// configured [`Budget`] — sticky, see the module docs.
-    pub fn budget_exhausted(&self) -> bool {
-        self.exhausted
-    }
-
-    /// Latches the budget flag once the spend crosses the allowance.
-    fn note_spend(&mut self) {
-        if self
-            .config
-            .budget
-            .exhausted_by(self.metrics.dominance_checks)
-        {
-            self.exhausted = true;
         }
     }
 
@@ -291,7 +232,6 @@ impl StreamingSkyline {
                 self.expire_oldest();
             }
         }
-        self.note_spend();
         id
     }
 
@@ -326,7 +266,6 @@ impl StreamingSkyline {
             self.repair(id);
         }
         self.maybe_compact();
-        self.note_spend();
         true
     }
 
@@ -422,7 +361,7 @@ impl StreamingSkyline {
     /// skyline. The cursor owns its points: later mutations cannot
     /// invalidate it, by construction.
     pub fn cursor(&self) -> StreamingCursor {
-        let points = self
+        let points: Vec<SkylinePoint> = self
             .sky
             .ids()
             .iter()
@@ -433,34 +372,26 @@ impl StreamingSkyline {
             })
             .collect();
         StreamingCursor {
-            points,
-            pos: 0,
+            len: points.len(),
+            points: points.into_iter(),
             generation: self.store.generation(),
             maintenance: self.metrics(),
         }
     }
 }
 
-impl SkylineEngine for StreamingSkyline {
-    fn name(&self) -> &str {
-        "streaming"
-    }
-
-    fn open(&self) -> Box<dyn SkylineCursor + '_> {
-        Box::new(self.cursor())
-    }
-}
-
 /// A snapshot cursor over one epoch of a [`StreamingSkyline`].
 ///
 /// Owns its points and the [`generation`](Self::generation) they were
-/// taken at; emits them in ascending record-id order. `metrics()` reports
-/// the *maintenance* metrics at snapshot time with `results` counting the
-/// points emitted so far — reading a maintained skyline does no dominance
-/// work of its own, the maintenance already paid for it.
+/// taken at; emits them in ascending record-id order, each moved out of
+/// the snapshot. `metrics()` reports the *maintenance* metrics at snapshot
+/// time with `results` counting the points emitted so far — reading a
+/// maintained skyline does no dominance work of its own, the maintenance
+/// already paid for it.
 pub struct StreamingCursor {
-    points: Vec<SkylinePoint>,
-    pos: usize,
+    points: std::vec::IntoIter<SkylinePoint>,
+    /// Snapshot size, independent of the read position.
+    len: usize,
     generation: u64,
     maintenance: Metrics,
 }
@@ -474,32 +405,35 @@ impl StreamingCursor {
     /// Number of points in the snapshot (independent of the read
     /// position).
     pub fn len(&self) -> usize {
-        self.points.len()
+        self.len
     }
 
     /// True iff the snapshot holds no points.
     pub fn is_empty(&self) -> bool {
-        self.points.is_empty()
+        self.len == 0
+    }
+
+    /// Points emitted so far.
+    fn read(&self) -> u64 {
+        (self.len - self.points.len()) as u64
     }
 }
 
 impl SkylineCursor for StreamingCursor {
     fn next(&mut self) -> Option<SkylinePoint> {
-        let p = self.points.get(self.pos).cloned();
-        self.pos += usize::from(p.is_some());
-        p
+        self.points.next()
     }
 
     fn metrics(&self) -> Metrics {
         Metrics {
-            results: self.pos as u64,
+            results: self.read(),
             ..self.maintenance
         }
     }
 
     fn progress(&self) -> ProgressSample {
         ProgressSample {
-            results: self.pos as u64,
+            results: self.read(),
             elapsed_cpu: std::time::Duration::ZERO,
             io_reads: self.maintenance.io_reads,
             dominance_checks: self.maintenance.dominance_checks,
@@ -624,7 +558,6 @@ mod tests {
     fn sliding_window_policy_evicts_fifo() {
         let cfg = StreamingConfig {
             window: WindowPolicy::Count(8),
-            ..StreamingConfig::default()
         };
         let mut s = StreamingSkyline::new(2, domains(), cfg);
         for i in 0..50u32 {
@@ -648,7 +581,6 @@ mod tests {
         let run = |kernel: Kernel| {
             let cfg = StreamingConfig {
                 window: WindowPolicy::Count(12),
-                ..StreamingConfig::default()
             };
             let mut s = StreamingSkyline::new(2, domains(), cfg).with_kernel(kernel);
             for i in 0..90u32 {
@@ -718,7 +650,6 @@ mod tests {
         // must stay exact across every renumbering.
         let cfg = StreamingConfig {
             window: WindowPolicy::Count(40),
-            ..StreamingConfig::default()
         };
         let mut s = StreamingSkyline::new(2, domains(), cfg);
         for i in 0..200u32 {
@@ -736,26 +667,6 @@ mod tests {
         s.expire_oldest();
         assert_eq!(s.live_len(), before - 1);
         assert_matches_recompute(&s);
-    }
-
-    #[test]
-    fn budget_flag_is_sticky_and_never_truncates_repairs() {
-        let cfg = StreamingConfig {
-            window: WindowPolicy::Count(6),
-            budget: Budget::pair_checks(10),
-        };
-        let mut s = StreamingSkyline::new(2, domains(), cfg);
-        for i in 0..40u32 {
-            let (to, po) = row(i);
-            s.insert(&to, &po);
-            // Correctness is never traded for the allowance.
-            assert_matches_recompute(&s);
-        }
-        assert!(s.budget_exhausted(), "10 pair checks cannot cover 40 rows");
-        assert!(
-            s.metrics().dominance_checks >= 10,
-            "the flag latches at the crossing"
-        );
     }
 
     #[test]
@@ -785,17 +696,23 @@ mod tests {
     }
 
     #[test]
-    fn engine_trait_reads_a_snapshot() {
+    fn snapshot_cursor_reads_each_point_once() {
+        // Anti-correlated TO values under one PO value: all 15 are skyline.
         let mut s = StreamingSkyline::new(2, domains(), StreamingConfig::default());
         for i in 0..15u32 {
-            let (to, po) = row(i);
-            s.insert(&to, &po);
+            s.insert(&[i, 14 - i], &[0]);
         }
-        assert_eq!(s.name(), "streaming");
-        let (pts, m) = s.collect_skyline();
+        let mut cur = s.cursor();
+        let len = cur.len();
+        assert_eq!(len, 15);
+        let first = cur.take_k(2);
+        assert_eq!((cur.len(), cur.metrics().results), (len, 2));
+        assert_eq!(cur.progress().results, 2);
+        let pts = [first, cur.take_k(usize::MAX)].concat();
         let records: Vec<RecordId> = pts.iter().map(|p| p.record).collect();
         assert_eq!(records, s.skyline_records());
-        assert_eq!(m.results, records.len() as u64);
+        assert_eq!(cur.metrics().results, records.len() as u64);
+        assert_eq!(cur.len(), len, "len is the snapshot's, not what is left");
         for p in &pts {
             assert_eq!(p.to, s.store().to(p.record));
             assert_eq!(p.po, s.store().po(p.record));
@@ -809,7 +726,6 @@ mod tests {
         // recomputes at every skyline-changing expiry would check.
         let cfg = StreamingConfig {
             window: WindowPolicy::Count(16),
-            ..StreamingConfig::default()
         };
         let mut s = StreamingSkyline::new(2, domains(), cfg);
         let mut recompute_checks = 0u64;

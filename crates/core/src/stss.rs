@@ -26,8 +26,7 @@
 //! examined members. Once the skyline passes 256 members, the block scans
 //! only the members its dimension index leaves in reach of the candidate.
 
-use crate::cursor::{SkylineCursor, SkylineEngine};
-use crate::progressive::{ProgressLog, ProgressSample};
+use crate::cursor::{ProgressSample, SkylineCursor};
 use crate::store::KeyBlock;
 use crate::{CoreError, Metrics, PoDomain, Table};
 use poset::{Dag, IntervalSet};
@@ -184,55 +183,15 @@ impl Stss {
         StssCursor::new(self)
     }
 
-    /// Full run: collects the skyline and metrics.
+    /// Full run: drains a fresh [`cursor`](Self::cursor) into the skyline
+    /// and its metrics.
     pub fn run(&self) -> StssRun {
         let mut c = self.cursor();
-        let mut skyline = Vec::new();
-        while let Some(p) = c.next() {
-            skyline.push(p);
-        }
+        let skyline = c.take_k(usize::MAX);
         StssRun {
             skyline,
             metrics: c.metrics(),
         }
-    }
-
-    /// Budgeted run: confirms points until the skyline completes or the
-    /// pair-check allowance runs out — the remaining allowance always
-    /// buys a *sound confirmed prefix* of the exact skyline (see
-    /// [`BudgetedCursor`](crate::BudgetedCursor)).
-    pub fn run_budgeted(&self, budget: crate::Budget) -> crate::BudgetOutcome {
-        crate::BudgetedCursor::run(self.cursor(), budget)
-    }
-
-    /// Full run that also records the emission timeline for progressiveness
-    /// studies (Fig. 11).
-    pub fn run_progressive(&self) -> (StssRun, ProgressLog) {
-        let mut c = self.cursor();
-        let mut skyline = Vec::new();
-        let mut samples = Vec::new();
-        while let Some(p) = c.next() {
-            samples.push(c.progress());
-            skyline.push(p);
-        }
-        let metrics = c.metrics();
-        (
-            StssRun { skyline, metrics },
-            ProgressLog {
-                samples,
-                final_metrics: metrics,
-            },
-        )
-    }
-
-    /// Streaming run: `emit` fires the instant a skyline point is confirmed
-    /// (optimal progressiveness), with a snapshot of the run state.
-    pub fn run_with(&self, mut emit: impl FnMut(&SkylinePoint, ProgressSample)) -> Metrics {
-        let mut c = self.cursor();
-        while let Some(p) = c.next() {
-            emit(&p, c.progress());
-        }
-        c.metrics()
     }
 
     /// The pure-data context of the dominance checks: everything they need
@@ -312,16 +271,6 @@ impl StssChecks<'_> {
         });
         m.dominance_checks += examined;
         hit
-    }
-}
-
-impl SkylineEngine for Stss {
-    fn name(&self) -> &str {
-        "sTSS"
-    }
-
-    fn open(&self) -> Box<dyn SkylineCursor + '_> {
-        Box::new(self.cursor())
     }
 }
 
@@ -473,16 +422,20 @@ mod tests {
     }
 
     #[test]
-    fn progress_log_is_monotone() {
+    fn progress_samples_are_monotone() {
         let stss = Stss::build(
             fig3_table(),
             vec![Dag::paper_example()],
             StssConfig::default(),
         )
         .unwrap();
-        let (run, log) = stss.run_progressive();
-        assert_eq!(log.samples.len(), run.skyline.len());
-        for w in log.samples.windows(2) {
+        let mut c = stss.cursor();
+        let mut samples = Vec::new();
+        while c.next().is_some() {
+            samples.push(c.progress());
+        }
+        assert_eq!(samples.len(), stss.run().skyline.len());
+        for w in samples.windows(2) {
             assert!(w[0].results < w[1].results);
             assert!(w[0].io_reads <= w[1].io_reads);
             assert!(w[0].dominance_checks <= w[1].dominance_checks);

@@ -75,21 +75,6 @@ impl EntryList {
     }
 }
 
-pub(crate) fn run_strata(index: &SdcIndex, emit: &mut dyn FnMut(u32, ProgressSample)) -> SdcRun {
-    let mut cursor = SdcCursor::new(index);
-    let mut skyline = Vec::new();
-    while let Some(p) = cursor.next() {
-        skyline.push(p.record);
-        emit(p.record, cursor.progress());
-    }
-    SdcRun {
-        skyline,
-        metrics: cursor.metrics(),
-        per_stratum: cursor.per_stratum.clone(),
-        false_hits_removed: cursor.false_hits_removed,
-    }
-}
-
 /// Pull-based executor for the SDC family: a **stratum-at-a-time** cursor.
 ///
 /// The engine's confirmation granularity is the stratum — exact strata
@@ -100,8 +85,9 @@ pub(crate) fn run_strata(index: &SdcIndex, emit: &mut dyn FnMut(u32, ProgressSam
 /// therefore never opens the R-trees of the remaining strata.
 ///
 /// Each buffered confirmation carries the [`ProgressSample`] captured at
-/// the moment the engine confirmed it, so progressiveness timelines are
-/// identical to the push-based run.
+/// the moment the engine confirmed it, so [`progress`](SkylineCursor::progress)
+/// reads the Fig. 11 timeline: a non-exact stratum's confirmations share
+/// one sample's reads and checks.
 pub struct SdcCursor<'a> {
     index: &'a SdcIndex,
     start: Instant,
@@ -431,7 +417,7 @@ mod tests {
     }
 
     #[test]
-    fn cursor_matches_push_run_and_stops_lazily() {
+    fn cursor_matches_run_and_stops_lazily() {
         use tss_core::SkylineCursor;
         let dag = Dag::paper_example();
         let idx = SdcIndex::build(
@@ -442,7 +428,6 @@ mod tests {
         )
         .unwrap();
         let full = idx.run();
-        // Pull-collect equals the push-based confirmation order.
         let mut c = idx.cursor();
         let mut got = Vec::new();
         while let Some(p) = c.next() {
@@ -463,6 +448,7 @@ mod tests {
 
     #[test]
     fn progressiveness_shape() {
+        use tss_core::SkylineCursor;
         // SDC+ confirms level-0 points one by one and the rest in stratum
         // bursts; totals must match.
         let dag = Dag::paper_example();
@@ -473,11 +459,12 @@ mod tests {
             SdcConfig::default(),
         )
         .unwrap();
+        let mut c = idx.cursor();
         let mut seen = Vec::new();
-        let run = idx.run_with(&mut |rec, s| {
-            seen.push((rec, s.results));
-        });
-        assert_eq!(seen.len(), run.skyline.len());
+        while let Some(p) = c.next() {
+            seen.push((p.record, c.progress().results));
+        }
+        assert_eq!(seen.len(), idx.run().skyline.len());
         // results counter strictly increases.
         for w in seen.windows(2) {
             assert!(w[0].1 < w[1].1);

@@ -1,8 +1,8 @@
-use crate::engine::{run_strata, SdcCursor, SdcRun};
+use crate::engine::{SdcCursor, SdcRun};
 use crate::MdContext;
 use poset::Dag;
 use rtree::{PageConfig, RTree};
-use tss_core::{CoreError, SkylineCursor, SkylineEngine, Table};
+use tss_core::{CoreError, SkylineCursor, Table};
 
 /// Which baseline algorithm to run (§II-C).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -131,18 +131,6 @@ impl SdcIndex {
         self.strata.iter().map(|s| s.tree.node_count() as u64).sum()
     }
 
-    /// Runs the algorithm, collecting the skyline and metrics.
-    pub fn run(&self) -> SdcRun {
-        run_strata(self, &mut |_, _| {})
-    }
-
-    /// Runs with a streaming callback `(record, sample)` fired whenever a
-    /// point is *confirmed* (immediately in exact strata; at stratum end
-    /// otherwise) — the progressiveness semantics of Fig. 11.
-    pub fn run_with(&self, emit: &mut dyn FnMut(u32, tss_core::ProgressSample)) -> SdcRun {
-        run_strata(self, emit)
-    }
-
     /// Opens a pull-based, stratum-at-a-time cursor (see [`SdcCursor`]):
     /// strata are processed lazily as the stream reaches them, so stopping
     /// after `k` results leaves the remaining strata's R-trees untouched.
@@ -150,25 +138,16 @@ impl SdcIndex {
         SdcCursor::new(self)
     }
 
-    /// Budgeted run: confirms points until the skyline completes or the
-    /// pair-check allowance runs out — an exhausted outcome is always a
-    /// *sound confirmed prefix* of the exact emission order (see
-    /// [`tss_core::BudgetedCursor`]).
-    pub fn run_budgeted(&self, budget: tss_core::Budget) -> tss_core::BudgetOutcome {
-        tss_core::BudgetedCursor::run(self.cursor(), budget)
-    }
-}
-
-impl SkylineEngine for SdcIndex {
-    fn name(&self) -> &str {
-        match self.variant {
-            Variant::BbsPlus => "BBS+",
-            Variant::Sdc => "SDC",
-            Variant::SdcPlus => "SDC+",
+    /// Runs the algorithm: drains a fresh [`cursor`](Self::cursor) into the
+    /// skyline's record ids, its metrics and its per-stratum counts.
+    pub fn run(&self) -> SdcRun {
+        let mut c = self.cursor();
+        let skyline = std::iter::from_fn(|| c.next()).map(|p| p.record).collect();
+        SdcRun {
+            skyline,
+            metrics: c.metrics(),
+            per_stratum: c.per_stratum().to_vec(),
+            false_hits_removed: c.false_hits_removed(),
         }
-    }
-
-    fn open(&self) -> Box<dyn SkylineCursor + '_> {
-        Box::new(self.cursor())
     }
 }

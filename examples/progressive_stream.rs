@@ -5,7 +5,7 @@
 //!
 //! Run with: `cargo run --release --example progressive_stream`
 
-use tss::core::{CostModel, ProgressSample, Stss, StssConfig, Table};
+use tss::core::{CostModel, ProgressSample, SkylineCursor, Stss, StssConfig, Table};
 use tss::datagen::{gen_po_matrix, gen_to_matrix, Distribution, TupleConfig};
 use tss::poset::generator::{subset_lattice, DensityMode, LatticeParams};
 use tss::sdc::{SdcConfig, SdcIndex, Variant};
@@ -34,20 +34,27 @@ fn main() {
     );
 
     // --- sTSS --------------------------------------------------------------
+    // One progress sample per confirmation, read off the cursor as it drains.
     let stss = Stss::build(table.clone(), vec![dag.clone()], StssConfig::default()).unwrap();
-    let (run, log) = stss.run_progressive();
-    let tss_samples = log.samples.clone();
+    let mut tss = stss.cursor();
+    let mut tss_samples: Vec<ProgressSample> = Vec::new();
+    while tss.next().is_some() {
+        tss_samples.push(tss.progress());
+    }
 
     // --- SDC+ --------------------------------------------------------------
     let idx = SdcIndex::build(table, vec![dag], Variant::SdcPlus, SdcConfig::default()).unwrap();
+    let mut sdc = idx.cursor();
     let mut sdc_samples: Vec<ProgressSample> = Vec::new();
-    let sdc_run = idx.run_with(&mut |_, s| sdc_samples.push(s));
+    while sdc.next().is_some() {
+        sdc_samples.push(sdc.progress());
+    }
 
-    assert_eq!(run.skyline.len(), sdc_run.skyline.len());
-    let total = run.skyline.len();
+    assert_eq!(tss_samples.len(), sdc_samples.len());
+    let total = tss_samples.len();
     println!(
         "skyline size: {total}  (SDC+ strata: {:?})\n",
-        sdc_run.per_stratum
+        sdc.per_stratum()
     );
 
     let model = CostModel::default();
@@ -67,9 +74,9 @@ fn main() {
     }
     println!(
         "\ntotals: sTSS {} reads / {} checks; SDC+ {} reads / {} checks",
-        run.metrics.io_reads,
-        run.metrics.dominance_checks,
-        sdc_run.metrics.io_reads,
-        sdc_run.metrics.dominance_checks
+        tss.metrics().io_reads,
+        tss.metrics().dominance_checks,
+        sdc.metrics().io_reads,
+        sdc.metrics().dominance_checks
     );
 }

@@ -3,7 +3,7 @@
 //!
 //! Run with: `cargo run --example quickstart`
 
-use tss::core::{CostModel, Stss, StssConfig, Table};
+use tss::core::{CostModel, SkylineCursor, Stss, StssConfig, Table};
 use tss::poset::PartialOrderBuilder;
 
 fn main() {
@@ -35,16 +35,22 @@ fn main() {
         table.push(&[price, weight], &[brand(b)]);
     }
 
-    // --- 3. Build the sTSS operator and stream the skyline. --------------
+    // --- 3. Build the sTSS operator and pull the skyline off its cursor. -
     let stss = Stss::build(table, vec![brands], StssConfig::default()).expect("valid input");
     println!("skyline (streamed in mindist order):");
-    let metrics = stss.run_with(|point, sample| {
+    let mut cursor = stss.cursor();
+    while let Some(point) = cursor.next() {
         let name = laptops[point.record as usize].0;
         println!(
             "  #{:<2} {}  price={:<5} weight={:<5} brand={}",
-            sample.results, name, point.to[0], point.to[1], laptops[point.record as usize].3,
+            cursor.progress().results,
+            name,
+            point.to[0],
+            point.to[1],
+            laptops[point.record as usize].3,
         );
-    });
+    }
+    let metrics = cursor.metrics();
 
     // --- 4. Metrics under the paper's 5 ms/IO cost model. ----------------
     let model = CostModel::default();

@@ -56,7 +56,6 @@ fn main() {
         vec![PoDomain::new(dag)],
         StreamingConfig {
             window: WindowPolicy::Count(WINDOW),
-            ..StreamingConfig::default()
         },
     );
 

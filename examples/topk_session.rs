@@ -5,8 +5,7 @@
 //! Run with: `cargo run --release --example topk_session`
 
 use tss::core::{
-    CostModel, Dtss, DtssConfig, PoQuery, QuerySession, SkylineCursor, SkylineEngine, Stss,
-    StssConfig, Table,
+    CostModel, Dtss, DtssConfig, PoQuery, QuerySession, SkylineCursor, Stss, StssConfig, Table,
 };
 use tss::datagen::{gen_po_matrix, gen_to_matrix, Distribution, TupleConfig};
 use tss::poset::generator::{subset_lattice, DensityMode, LatticeParams};
@@ -47,7 +46,7 @@ fn main() {
     // stop. The unexpanded subtrees are never read.
     let stss = Stss::build(table.clone(), vec![dag.clone()], StssConfig::default()).unwrap();
     let full = stss.run();
-    let mut cursor = stss.open();
+    let mut cursor = stss.cursor();
     let top10 = cursor.take_k(10);
     println!(
         "sTSS top-10: {} of {} results pulled — {} page reads vs {} for the full run ({:.1}%)",

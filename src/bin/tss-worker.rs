@@ -2,9 +2,8 @@
 //!
 //! Supervisors re-exec this binary and speak the length-prefixed,
 //! checksummed frame protocol of `tss_core::ipc::protocol` over
-//! stdin/stdout. It serves the builtin task codecs (local skyline,
-//! candidate screening) until the supervisor closes its end, then exits
-//! cleanly. Humans never run it directly; integration tests locate it
+//! stdin/stdout. It serves the one builtin task codec (local skyline)
+//! until the supervisor closes its end, then exits cleanly. Humans never run it directly; integration tests locate it
 //! via `env!("CARGO_BIN_EXE_tss-worker")`.
 
 #![forbid(unsafe_code)]

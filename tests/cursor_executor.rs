@@ -1,13 +1,11 @@
 //! The pull-based execution model, end to end: every engine in the
-//! workspace is drivable through `SkylineEngine::open` / `SkylineCursor`,
-//! cursors agree with the push-based `run()` paths, early termination is
-//! sound (a `k`-prefix equals the progressive order's prefix) and cheaper
+//! workspace is consumed through its own `SkylineCursor`, cursors agree
+//! with the draining `run()`/`query()` paths, early termination is sound
+//! (a `k`-prefix equals the progressive order's prefix) and cheaper
 //! (strictly fewer page reads than a full run), and `QuerySession` reuses
 //! DAG labelings across dynamic queries.
 
-use tss::core::{
-    Dtss, DtssConfig, PoQuery, QuerySession, SkylineCursor, SkylineEngine, Stss, StssConfig, Table,
-};
+use tss::core::{Dtss, DtssConfig, PoQuery, QuerySession, SkylineCursor, Stss, StssConfig, Table};
 use tss::datagen::{gen_po_matrix, gen_to_matrix, Distribution, TupleConfig};
 use tss::poset::generator::{subset_lattice, DensityMode, LatticeParams};
 use tss::poset::Dag;
@@ -51,8 +49,7 @@ fn sorted(mut v: Vec<u32>) -> Vec<u32> {
     v
 }
 
-fn drain(engine: &dyn SkylineEngine) -> Vec<u32> {
-    let mut c = engine.open();
+fn drain(mut c: impl SkylineCursor) -> Vec<u32> {
     let mut out = Vec::new();
     while let Some(p) = c.next() {
         out.push(p.record);
@@ -61,7 +58,7 @@ fn drain(engine: &dyn SkylineEngine) -> Vec<u32> {
 }
 
 /// Every engine, one workload: the cursor's collected result set equals the
-/// engine's own push/eager `run()` result set.
+/// engine's own draining `run()`/`query()` result set.
 #[test]
 fn cursor_equals_run_for_every_engine() {
     let (table, dag) = workload(1500, 3);
@@ -77,16 +74,19 @@ fn cursor_equals_run_for_every_engine() {
     )
     .unwrap();
     let expect = stss.run().skyline_records();
-    assert_eq!(drain(&stss), expect, "sTSS cursor vs run");
+    assert_eq!(drain(stss.cursor()), expect, "sTSS cursor vs run");
     assert!(!expect.is_empty());
 
-    // dTSS, bound to a query over the same DAG.
+    // dTSS, queried with the same DAG.
     for cfg in dtss_configs() {
         let dtss = Dtss::build(table.clone(), vec![dag.len() as u32], cfg).unwrap();
         let q = PoQuery::new(vec![dag.clone()]);
-        let engine = dtss.engine(q.clone()).unwrap();
         let d_expect = dtss.query(&q).unwrap().skyline_records();
-        assert_eq!(drain(&engine), d_expect, "dTSS cursor vs query {cfg:?}");
+        assert_eq!(
+            drain(dtss.query_cursor(&q).unwrap()),
+            d_expect,
+            "dTSS cursor vs query {cfg:?}"
+        );
         assert_eq!(
             sorted(d_expect),
             sorted(expect.clone()),
@@ -107,7 +107,7 @@ fn cursor_equals_run_for_every_engine() {
         )
         .unwrap();
         let s_expect = idx.run().skyline;
-        assert_eq!(drain(&idx), s_expect, "{variant:?} cursor vs run");
+        assert_eq!(drain(idx.cursor()), s_expect, "{variant:?} cursor vs run");
         assert_eq!(sorted(s_expect), sorted(expect.clone()), "{variant:?}");
     }
 }
@@ -265,34 +265,36 @@ fn query_session_reuses_labelings_across_queries() {
     assert_eq!(session.stats().entries, 1);
 }
 
-/// Engines are uniform: the same workload through the trait-object API
-/// yields one agreed-upon skyline for all five PO-capable engines.
+/// Engines are uniform: the same workload through boxed `dyn SkylineCursor`
+/// trait objects yields one agreed-upon skyline for all five PO-capable
+/// engines.
 #[test]
 fn trait_object_engines_agree() {
     let (table, dag) = workload(1000, 43);
     let stss = Stss::build(table.clone(), vec![dag.clone()], StssConfig::default()).unwrap();
     let dtss = Dtss::build(table.clone(), vec![dag.len() as u32], DtssConfig::default()).unwrap();
-    let bound = dtss.engine(PoQuery::new(vec![dag.clone()])).unwrap();
+    let q = PoQuery::new(vec![dag.clone()]);
+    let baseline = sorted(stss.run().skyline_records());
+    assert!(!baseline.is_empty());
     let sdc: Vec<SdcIndex> = [Variant::BbsPlus, Variant::Sdc, Variant::SdcPlus]
         .into_iter()
         .map(|v| {
             SdcIndex::build(table.clone(), vec![dag.clone()], v, SdcConfig::default()).unwrap()
         })
         .collect();
-    let mut engines: Vec<&dyn SkylineEngine> = vec![&stss, &bound];
-    engines.extend(sdc.iter().map(|i| i as &dyn SkylineEngine));
+    let mut cursors: Vec<(String, Box<dyn SkylineCursor + '_>)> = vec![
+        ("sTSS".into(), Box::new(stss.cursor())),
+        ("dTSS".into(), Box::new(dtss.query_cursor(&q).unwrap())),
+    ];
+    cursors.extend(
+        sdc.iter()
+            .map(|i| (format!("{:?}", i.variant()), Box::new(i.cursor()) as Box<_>)),
+    );
 
-    let baseline = sorted(drain(engines[0]));
-    assert!(!baseline.is_empty());
-    for engine in &engines {
-        let (pts, metrics) = engine.collect_skyline();
+    for (name, cursor) in &mut cursors {
+        let pts = cursor.take_k(usize::MAX);
         let got = sorted(pts.iter().map(|p| p.record).collect());
-        assert_eq!(got, baseline, "{}", engine.name());
-        assert_eq!(
-            metrics.results as usize,
-            baseline.len(),
-            "{}",
-            engine.name()
-        );
+        assert_eq!(got, baseline, "{name}");
+        assert_eq!(cursor.metrics().results as usize, baseline.len(), "{name}");
     }
 }

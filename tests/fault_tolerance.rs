@@ -11,8 +11,8 @@
 
 use proptest::prelude::*;
 use tss::core::{
-    brute_force_po_skyline, sharded_skyline_exec, Budget, BudgetOutcome, ExecPolicy, FaultPlan,
-    Metrics, PoDomain, ShardSpec, SkylineEngine, Stss, StssConfig, Table,
+    brute_force_po_skyline, sharded_skyline_exec, Budget, BudgetOutcome, BudgetedCursor,
+    ExecPolicy, FaultPlan, Metrics, PoDomain, ShardSpec, SkylineCursor, Stss, StssConfig, Table,
 };
 use tss::poset::Dag;
 use tss::sdc::{SdcConfig, SdcIndex, Variant};
@@ -68,6 +68,38 @@ fn stss_shard(
         .expect("shard build");
         let r = stss.run();
         (r.skyline_records(), r.metrics)
+    }
+}
+
+/// Budgets `numer`/4 of a full run's pair checks, then the full cost plus
+/// one, then no limit, over fresh cursors from `open`: each outcome's
+/// points are a prefix of the unbudgeted emission, and the last two are the
+/// whole of it.
+fn budgeted_runs_prefix_the_full_emission<C: SkylineCursor>(
+    name: &str,
+    open: impl Fn() -> C,
+    numer: u64,
+) {
+    let mut c = open();
+    let full = c.take_k(usize::MAX);
+    let full_checks = c.metrics().dominance_checks;
+    let out = BudgetedCursor::run(open(), Budget::pair_checks(full_checks * numer / 4));
+    let got = out.points();
+    assert!(got.len() <= full.len());
+    assert_eq!(
+        got,
+        &full[..got.len()],
+        "{name}: budgeted emission must prefix the exact one"
+    );
+    if out.is_complete() {
+        assert_eq!(got.len(), full.len());
+    }
+    let complete = BudgetedCursor::run(open(), Budget::pair_checks(full_checks + 1));
+    assert!(complete.is_complete(), "{name}");
+    assert_eq!(complete.points(), &full[..]);
+    match BudgetedCursor::run(open(), Budget::UNLIMITED) {
+        BudgetOutcome::Complete { skyline, .. } => assert_eq!(&skyline[..], &full[..]),
+        BudgetOutcome::Exhausted { .. } => panic!("{name}: unlimited budgets never exhaust"),
     }
 }
 
@@ -154,31 +186,8 @@ proptest! {
             .expect("valid workload");
         let sdc = SdcIndex::build(t, vec![dag], Variant::SdcPlus, SdcConfig::default())
             .expect("valid workload");
-        let engines: [&dyn SkylineEngine; 2] = [&stss, &sdc];
-        for engine in engines {
-            let (full, full_m) = engine.collect_skyline();
-            // Limits spanning 0 .. the full cost (numer/4 of it).
-            let limit = full_m.dominance_checks * numer / 4;
-            let out = engine.collect_budgeted(Budget::pair_checks(limit));
-            let got = out.points();
-            prop_assert!(got.len() <= full.len());
-            prop_assert_eq!(got, &full[..got.len()],
-                "{}: budgeted emission must prefix the exact one", engine.name());
-            if out.is_complete() {
-                prop_assert_eq!(got.len(), full.len());
-            }
-            let complete = engine.collect_budgeted(
-                Budget::pair_checks(full_m.dominance_checks + 1),
-            );
-            prop_assert!(complete.is_complete(), "{}", engine.name());
-            prop_assert_eq!(complete.points(), &full[..]);
-            match engine.collect_budgeted(Budget::UNLIMITED) {
-                BudgetOutcome::Complete { skyline, .. } =>
-                    prop_assert_eq!(&skyline[..], &full[..]),
-                BudgetOutcome::Exhausted { .. } =>
-                    prop_assert!(false, "unlimited budgets never exhaust"),
-            }
-        }
+        budgeted_runs_prefix_the_full_emission("sTSS", || stss.cursor(), numer);
+        budgeted_runs_prefix_the_full_emission("SDC+", || sdc.cursor(), numer);
     }
 
     /// The anytime guarantee, sharded side: a budgeted

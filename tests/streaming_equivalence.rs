@@ -10,8 +10,8 @@
 
 use proptest::prelude::*;
 use tss::core::{
-    brute_force_po_skyline, Budget, Kernel, PoDomain, RecordId, StreamingConfig, StreamingSkyline,
-    Stss, StssConfig, Table, WindowPolicy,
+    brute_force_po_skyline, Kernel, PoDomain, RecordId, StreamingConfig, StreamingSkyline, Stss,
+    StssConfig, Table, WindowPolicy,
 };
 use tss::datagen::{Distribution, ExperimentParams};
 use tss::poset::Dag;
@@ -76,7 +76,6 @@ proptest! {
         let dag = mask_dag(edge_mask);
         let cfg = StreamingConfig {
             window: window_of(window_sel),
-            budget: Budget::UNLIMITED,
         };
         let mut reference = StreamingSkyline::new(2, vec![PoDomain::new(dag.clone())], cfg)
             .with_kernel(Kernel::Scalar);
@@ -152,7 +151,6 @@ fn anti_correlated_stream_repairs_beat_recompute_on_expiry() {
         domains,
         StreamingConfig {
             window: WindowPolicy::Count(WINDOW),
-            ..StreamingConfig::default()
         },
     );
 
