@@ -112,20 +112,6 @@ pub trait SkylineCursor {
     }
 }
 
-impl<C: SkylineCursor + ?Sized> SkylineCursor for Box<C> {
-    fn next(&mut self) -> Option<SkylinePoint> {
-        (**self).next()
-    }
-
-    fn metrics(&self) -> Metrics {
-        (**self).metrics()
-    }
-
-    fn progress(&self) -> ProgressSample {
-        (**self).progress()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
