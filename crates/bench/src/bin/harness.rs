@@ -516,7 +516,7 @@ fn bench_json(args: &[String]) {
 }
 
 /// Ablations over the paper's optional design choices (§V-B local
-/// skylines and query cache) and the LRU page buffer.
+/// skylines and query cache).
 fn ablations() {
     banner("Ablation — dTSS optimizations (independent, defaults, 1 query)");
     let p = params::dynamic_params(Distribution::Independent, 42);
@@ -571,59 +571,4 @@ fn ablations() {
         warm.metrics.io_reads,
         warm.from_cache
     );
-
-    banner("Ablation — LRU page buffer amortizes repeat queries (static indep)");
-    // Within one BBS run every node is read at most once, so a buffer
-    // cannot help a single query; what it buys (the paper's §VI-B remark)
-    // is amortization ACROSS queries on the same index. We run the same
-    // query twice against a warm buffer sized to the tree.
-    let p = params::static_params(Distribution::Independent, 42);
-    let w = generate(&p);
-    let mut t = TextTable::new(&[
-        "algorithm",
-        "cold reads",
-        "warm reads",
-        "cold (s)",
-        "warm (s)",
-    ]);
-    {
-        let stss = tss_core::Stss::build(
-            w.table.clone(),
-            w.dags.clone(),
-            StssConfig {
-                buffer_pages: Some(100_000),
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        let cold = stss.run();
-        let warm = stss.run();
-        t.row(vec![
-            "TSS".into(),
-            cold.metrics.io_reads.to_string(),
-            warm.metrics.io_reads.to_string(),
-            format!("{:.3}", model().total_time(&cold.metrics).as_secs_f64()),
-            format!("{:.3}", model().total_time(&warm.metrics).as_secs_f64()),
-        ]);
-        let idx = sdc::SdcIndex::build(
-            w.table.clone(),
-            w.dags.clone(),
-            sdc::Variant::SdcPlus,
-            sdc::SdcConfig {
-                buffer_pages: Some(100_000),
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        let cold = idx.run();
-        let warm = idx.run();
-        t.row(vec![
-            "SDC+".into(),
-            cold.metrics.io_reads.to_string(),
-            warm.metrics.io_reads.to_string(),
-            format!("{:.3}", model().total_time(&cold.metrics).as_secs_f64()),
-            format!("{:.3}", model().total_time(&warm.metrics).as_secs_f64()),
-        ]);
-    }
-    print!("{}", t.render());
 }

@@ -205,9 +205,10 @@ fn run_sharded<E: Send>(
         .iter()
         .map(|&view| {
             ShardJob::new(view.range(), move |ctx| {
-                // The prebuilt engine is taken (not borrowed): a panicking
-                // attempt drops it mid-unwind, so retries never observe an
-                // engine whose interior IO counters were left mid-run.
+                // The prebuilt engine is taken (not borrowed) through a
+                // `Mutex`, because an engine need not be `Sync`: `Dtss`
+                // keeps its result cache in a `RefCell`. Retries rebuild
+                // their own.
                 let prebuilt = if ctx.kernel == base_kernel {
                     engines[ctx.shard]
                         .lock()

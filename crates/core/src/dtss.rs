@@ -117,10 +117,11 @@ impl PoQuery {
 /// reproduces the paper's page reads, pruning and emission order. It does
 /// not reproduce its pair-check counts, because each group's front (see
 /// the module docs) answers many checks before the global key block.
+///
+/// Node capacities and the page charges of the group directory and the
+/// local-skyline files use the default [`PageConfig`].
 #[derive(Debug, Clone, Copy)]
 pub struct DtssConfig {
-    /// Page model for node capacities and local-skyline page charging.
-    pub page: PageConfig,
     /// Explicit node capacity override.
     pub node_capacity: Option<usize>,
     /// Serve plain queries from per-group local skylines computed at build
@@ -133,10 +134,9 @@ pub struct DtssConfig {
 }
 
 impl Default for DtssConfig {
-    /// Local skylines on, the result cache off, the default page model.
+    /// Local skylines on, the result cache off.
     fn default() -> Self {
         DtssConfig {
-            page: PageConfig::default(),
             node_capacity: None,
             precompute_local: true,
             cache: false,
@@ -267,7 +267,7 @@ impl Dtss {
         for i in 0..table.len() {
             by_key.entry(table.po_row(i)).or_default().push(i as u32);
         }
-        let cap = crate::node_capacity(cfg.node_capacity, &cfg.page, table.to_dims())?;
+        let cap = crate::node_capacity(cfg.node_capacity, table.to_dims())?;
         // lint:allow(hash-iter): drained groups are sorted by key on the next line, so the group layout never sees the hasher's order
         let mut keyed: Vec<(&[u32], Vec<RecordId>)> = by_key.into_iter().collect();
         keyed.sort_unstable_by_key(|&(key, _)| key); // deterministic group layout
@@ -335,8 +335,8 @@ impl Dtss {
     ///
     /// With [`DtssConfig::cache`] on, a digest hit replays the memoized
     /// result; only fully materialized [`Dtss::query`] runs populate that
-    /// cache. The group trees' IO counters are shared, so open one cursor at
-    /// a time if per-run IO metrics matter.
+    /// cache. Each cursor counts its own page reads, so any number may be
+    /// open at once.
     pub fn query_cursor(&self, q: &PoQuery) -> Result<DtssCursor<'_>, CoreError> {
         self.cursor_inner(q, None, None)
     }
@@ -572,9 +572,7 @@ impl<'a> DtssCursor<'a> {
         // roots should be "stored in contiguous disk pages and retrieved
         // multiple at a time". One directory record ≈ key + 2·|TO| corner
         // coordinates.
-        m.io_reads += dtss
-            .cfg
-            .page
+        m.io_reads += PageConfig::default()
             .data_pages(dtss.groups.len(), dtss.domain_sizes.len() + 2 * to_dims);
         // Visit groups by ascending sum of ordinals: precedence across groups.
         let ranks: Vec<u64> = dtss
@@ -767,13 +765,10 @@ impl<'a> DtssCursor<'a> {
         if let (Some(local), None) = (group.local_skyline.as_ref(), self.reference.as_ref()) {
             // §V-B: only local skyline points can be global results.
             // Charge the pages of the stored local-skyline file.
-            self.m.io_reads += dtss
-                .cfg
-                .page
-                .data_pages(local.len(), dtss.table.to_dims() + key.len());
+            self.m.io_reads +=
+                PageConfig::default().data_pages(local.len(), dtss.table.to_dims() + key.len());
             return Some(DtssPhase::Local { gi, local });
         }
-        group.tree.reset_io();
         let bf = group.tree.best_first_from(self.reference.as_deref());
         Some(DtssPhase::Tree { gi, bf })
     }
@@ -844,14 +839,14 @@ impl SkylineCursor for DtssCursor<'_> {
                                 self.load_point(point);
                                 if !self.dominated_in_group(key, true) {
                                     self.emit(record);
-                                    self.take_sample(group.tree.io_count());
+                                    self.take_sample(bf.reads());
                                     self.phase = DtssPhase::Tree { gi, bf };
                                     return Some(self.yielded(record));
                                 }
                             }
                         }
                     }
-                    self.m.io_reads += group.tree.io_count();
+                    self.m.io_reads += bf.reads();
                     self.phase = DtssPhase::NextGroup;
                 }
             }
@@ -861,8 +856,8 @@ impl SkylineCursor for DtssCursor<'_> {
     fn metrics(&self) -> Metrics {
         let mut m = self.m;
         if !self.finished {
-            if let DtssPhase::Tree { gi, .. } = &self.phase {
-                m.io_reads += self.dtss.groups[*gi].tree.io_count();
+            if let DtssPhase::Tree { bf, .. } = &self.phase {
+                m.io_reads += bf.reads();
             }
             m.cpu = self.start.elapsed();
         }
@@ -1292,9 +1287,7 @@ mod tests {
         let mut walk = Walk {
             emitted: Vec::new(),
             heap_pops: 0,
-            io_reads: dtss
-                .cfg
-                .page
+            io_reads: PageConfig::default()
                 .data_pages(dtss.groups.len(), doms.len() + 2 * table.to_dims()),
             groups_skipped: 0,
         };
@@ -1314,7 +1307,6 @@ mod tests {
                 walk.groups_skipped += 1;
                 continue;
             }
-            group.tree.reset_io();
             let mut bf = group.tree.best_first_from(reference);
             while let Some(popped) = bf.pop() {
                 walk.heap_pops += 1;
@@ -1332,7 +1324,7 @@ mod tests {
                     }
                 }
             }
-            walk.io_reads += group.tree.io_count();
+            walk.io_reads += bf.reads();
         }
         walk.emitted = emitted.into_iter().map(|(r, _)| r).collect();
         walk

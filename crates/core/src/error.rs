@@ -153,25 +153,6 @@ impl ShardError {
         ShardError::new(shard, attempt, ShardErrorKind::Corrupted(offender))
     }
 
-    /// A dead worker process, with the observation that revealed it.
-    pub fn worker_died(shard: usize, attempt: u32, detail: impl Into<String>) -> ShardError {
-        ShardError::new(shard, attempt, ShardErrorKind::WorkerDied(detail.into()))
-    }
-
-    /// A worker killed for blowing its attempt deadline.
-    pub fn worker_timeout(shard: usize, attempt: u32) -> ShardError {
-        ShardError::new(shard, attempt, ShardErrorKind::WorkerTimeout)
-    }
-
-    /// An untrustworthy response frame, with the defect that condemned it.
-    pub fn frame_corrupted(shard: usize, attempt: u32, detail: impl Into<String>) -> ShardError {
-        ShardError::new(
-            shard,
-            attempt,
-            ShardErrorKind::FrameCorrupted(detail.into()),
-        )
-    }
-
     /// Attaches the shard's global record-id range.
     pub fn with_range(mut self, range: std::ops::Range<u32>) -> ShardError {
         self.range = range;
@@ -240,15 +221,21 @@ mod shard_error_tests {
 
     #[test]
     fn empty_range_is_omitted() {
-        let e = ShardError::worker_timeout(1, 0);
+        let e = ShardError::new(1, 0, ShardErrorKind::WorkerTimeout);
         let s = e.to_string();
         assert_eq!(s, "shard 1 attempt 0: worker-timeout");
-        assert!(ShardError::worker_died(0, 4, "EOF")
-            .to_string()
-            .contains("worker-died: EOF"));
-        assert!(ShardError::frame_corrupted(0, 1, "checksum mismatch")
-            .to_string()
-            .contains("frame-corrupted: checksum mismatch"));
+        assert!(
+            ShardError::new(0, 4, ShardErrorKind::WorkerDied("EOF".into()))
+                .to_string()
+                .contains("worker-died: EOF")
+        );
+        assert!(ShardError::new(
+            0,
+            1,
+            ShardErrorKind::FrameCorrupted("checksum mismatch".into())
+        )
+        .to_string()
+        .contains("frame-corrupted: checksum mismatch"));
         assert!(ShardError::corrupted(2, 1, 17)
             .to_string()
             .contains("record 17"));

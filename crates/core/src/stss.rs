@@ -42,31 +42,22 @@ use std::time::Instant;
 /// range.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct StssConfig {
-    /// Page model used to derive the node capacity.
-    pub page: PageConfig,
-    /// Explicit node capacity override (else derived from `page`).
+    /// Explicit node capacity override (else derived from the default page
+    /// model, see [`node_capacity`]).
     pub node_capacity: Option<usize>,
-    /// Optional LRU page buffer (in pages) on the disk R-tree — the paper's
-    /// "IO cost can be mitigated using buffers" remark; `None` (default)
-    /// matches the paper's no-buffer benchmark setting.
-    pub buffer_pages: Option<usize>,
 }
 
 /// Resolves an engine's R-tree node capacity: the explicit override, else
-/// the page model's capacity for `dims`-wide entries. An override below
-/// [`rtree::MIN_CAPACITY`] is a [`CoreError::NodeCapacityTooSmall`], not a
-/// panic inside the tree.
-pub fn node_capacity(
-    explicit: Option<usize>,
-    page: &PageConfig,
-    dims: usize,
-) -> Result<usize, CoreError> {
+/// the default [`PageConfig`]'s capacity for `dims`-wide entries. An
+/// override below [`rtree::MIN_CAPACITY`] is a
+/// [`CoreError::NodeCapacityTooSmall`], not a panic inside the tree.
+pub fn node_capacity(explicit: Option<usize>, dims: usize) -> Result<usize, CoreError> {
     match explicit {
         Some(capacity) if capacity < rtree::MIN_CAPACITY => {
             Err(CoreError::NodeCapacityTooSmall { capacity })
         }
         Some(capacity) => Ok(capacity),
-        None => Ok(page.capacity(dims)),
+        None => Ok(PageConfig::default().capacity(dims)),
     }
 }
 
@@ -116,7 +107,7 @@ impl Stss {
         if dims == 0 {
             return Err(CoreError::NoDimensions);
         }
-        let cap = node_capacity(cfg.node_capacity, &cfg.page, dims)?;
+        let cap = node_capacity(cfg.node_capacity, dims)?;
         // Transformed keys, materialized columnar: TO values then one
         // topological ordinal per PO attribute — no per-point rows.
         let ids: Vec<u32> = (0..table.len() as u32).collect();
@@ -124,10 +115,7 @@ impl Stss {
         for &r in &ids {
             table.key_into(&domains, r, &mut coords);
         }
-        let mut tree = RTree::bulk_load_flat(dims, cap, &coords, &ids);
-        if let Some(pages) = cfg.buffer_pages {
-            tree.enable_buffer(pages);
-        }
+        let tree = RTree::bulk_load_flat(dims, cap, &coords, &ids);
         Ok(Stss {
             table,
             domains,
@@ -177,8 +165,8 @@ impl Stss {
     ///
     /// Pulling a `k`-prefix and dropping the cursor leaves the unexpanded
     /// subtrees unread, so top-k consumption performs strictly fewer page
-    /// accesses than a full run. The tree's IO counter is shared, so open
-    /// one cursor at a time if the per-run IO metrics matter.
+    /// accesses than a full run. Each cursor counts its own page reads, so
+    /// any number may be open at once.
     pub fn cursor(&self) -> StssCursor<'_> {
         StssCursor::new(self)
     }
@@ -194,8 +182,8 @@ impl Stss {
         }
     }
 
-    /// The pure-data context of the dominance checks: everything they need
-    /// except the (interior-mutable) disk R-tree.
+    /// The context of the dominance checks: everything they need except
+    /// the disk R-tree.
     fn checks(&self) -> StssChecks<'_> {
         StssChecks {
             table: &self.table,
@@ -204,8 +192,7 @@ impl Stss {
     }
 }
 
-/// The pure-data slice of an [`Stss`] operator that dominance checks run
-/// on.
+/// The slice of an [`Stss`] operator that dominance checks run on.
 #[derive(Clone, Copy)]
 struct StssChecks<'a> {
     table: &'a Table,
@@ -300,7 +287,6 @@ pub struct StssCursor<'a> {
 
 impl<'a> StssCursor<'a> {
     fn new(stss: &'a Stss) -> Self {
-        stss.tree.reset_io();
         StssCursor {
             stss,
             bf: stss.tree.best_first(),
@@ -335,7 +321,7 @@ impl SkylineCursor for StssCursor<'_> {
                     if !checks.point_dominated(point, po, &self.skyline, &mut self.m) {
                         self.skyline.push(record, point);
                         self.m.results += 1;
-                        self.m.io_reads = stss.tree.io_count();
+                        self.m.io_reads = self.bf.reads();
                         self.last_sample = ProgressSample {
                             results: self.m.results,
                             elapsed_cpu: self.start.elapsed(),
@@ -351,7 +337,7 @@ impl SkylineCursor for StssCursor<'_> {
                 }
             }
         }
-        self.m.io_reads = stss.tree.io_count();
+        self.m.io_reads = self.bf.reads();
         self.m.cpu = self.start.elapsed();
         self.finished = true;
         None
@@ -360,7 +346,7 @@ impl SkylineCursor for StssCursor<'_> {
     fn metrics(&self) -> Metrics {
         let mut m = self.m;
         if !self.finished {
-            m.io_reads = self.stss.tree.io_count();
+            m.io_reads = self.bf.reads();
             m.cpu = self.start.elapsed();
         }
         m
@@ -414,7 +400,6 @@ mod tests {
             vec![Dag::paper_example()],
             StssConfig {
                 node_capacity: Some(3),
-                ..Default::default()
             },
         )
         .unwrap();
@@ -463,7 +448,6 @@ mod tests {
         expect.sort_unstable();
         let cfg = StssConfig {
             node_capacity: Some(2),
-            ..Default::default()
         };
         let stss = Stss::build(t, vec![dag], cfg).unwrap();
         let run = stss.run();
@@ -515,14 +499,13 @@ mod tests {
         for capacity in [0, 1] {
             let cfg = StssConfig {
                 node_capacity: Some(capacity),
-                ..Default::default()
             };
             assert_eq!(
                 Stss::build(fig3_table(), vec![Dag::paper_example()], cfg).unwrap_err(),
                 CoreError::NodeCapacityTooSmall { capacity }
             );
         }
-        assert!(node_capacity(Some(2), &PageConfig::default(), 3).is_ok());
+        assert!(node_capacity(Some(2), 3).is_ok());
     }
 
     #[test]
@@ -577,7 +560,6 @@ mod tests {
             height: 4,
             density: 0.8,
             seed: 5,
-            mode: poset::generator::DensityMode::Literal,
         })
         .unwrap();
         let v2 = dag2.len() as u32;
@@ -610,7 +592,6 @@ mod tests {
                 height,
                 density,
                 seed,
-                mode: poset::generator::DensityMode::Literal,
             })
             .unwrap()
         };
@@ -730,7 +711,7 @@ mod tests {
             let domains = vec![PoDomain::new(dag.clone())];
             let mut expect = brute_force_po_skyline(&domains, &t);
             expect.sort_unstable();
-            let cfg = StssConfig { node_capacity: Some(cap), ..Default::default() };
+            let cfg = StssConfig { node_capacity: Some(cap) };
             let stss = Stss::build(t, vec![dag], cfg).unwrap();
             let mut got = stss.run().skyline_records();
             got.sort_unstable();

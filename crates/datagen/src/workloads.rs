@@ -2,7 +2,7 @@
 //! settings for the static (§VI-B) and dynamic (§VI-C) studies.
 
 use crate::{gen_po_matrix, gen_to_matrix, Distribution, TupleConfig};
-use poset::generator::{subset_lattice, DensityMode, LatticeParams};
+use poset::generator::{subset_lattice, LatticeParams};
 use poset::Dag;
 
 /// The paper fixes every totally ordered domain to 10 000 values.
@@ -67,7 +67,6 @@ impl ExperimentParams {
                     height: self.dag_height,
                     density: self.dag_density,
                     seed: self.seed.wrapping_mul(0x9E37_79B9).wrapping_add(d as u64),
-                    mode: DensityMode::Literal,
                 })
                 .expect("height within bounds")
             })

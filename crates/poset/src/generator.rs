@@ -4,26 +4,14 @@
 //! for sets*: the lattice of all subsets of `h` distinct objects has height
 //! `h` and `2^h` nodes (`h = 8` gives the 256-node default domain). To
 //! control the density `d = |V| / 2^h`, lattice nodes are retained — along
-//! with their incident edges — with probability `d`.
+//! with their incident edges — with probability `d`. Only Hasse edges
+//! between two *retained* nodes survive, so dropping an intermediate node
+//! severs the preference path through it: that is what "retain lattice
+//! nodes along with their incoming and outgoing edges" implies.
 
 use crate::{Dag, PosetError};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-
-/// How dropped lattice nodes affect preferences between survivors.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum DensityMode {
-    /// Paper-literal: only Hasse edges between two *retained* nodes survive,
-    /// so dropping an intermediate node severs the preference path through
-    /// it. This is what "retain lattice nodes along with their incoming and
-    /// outgoing edges" implies and what we default to.
-    #[default]
-    Literal,
-    /// Alternative: rebuild the Hasse diagram of the *induced* suborder
-    /// (subset containment among retained nodes), preserving every
-    /// containment preference. Useful for sensitivity studies.
-    Induced,
-}
 
 /// Parameters for the subset-lattice generator (Table III).
 #[derive(Debug, Clone, Copy)]
@@ -34,8 +22,6 @@ pub struct LatticeParams {
     pub density: f64,
     /// RNG seed for reproducibility.
     pub seed: u64,
-    /// Treatment of severed paths; see [`DensityMode`].
-    pub mode: DensityMode,
 }
 
 impl LatticeParams {
@@ -45,7 +31,6 @@ impl LatticeParams {
             height: 8,
             density: 0.8,
             seed,
-            mode: DensityMode::Literal,
         }
     }
 
@@ -55,7 +40,6 @@ impl LatticeParams {
             height: 6,
             density: 0.8,
             seed,
-            mode: DensityMode::Literal,
         }
     }
 }
@@ -105,35 +89,18 @@ pub fn subset_lattice(params: LatticeParams) -> Result<Dag, PosetError> {
         }
     }
 
+    // Hasse edges of the full lattice, kept only between survivors:
+    // S -> S ∪ {x} for each x ∉ S.
     let mut edges: Vec<(u32, u32)> = Vec::new();
-    match params.mode {
-        DensityMode::Literal => {
-            // Hasse edges of the full lattice, kept only between survivors:
-            // S -> S ∪ {x} for each x ∉ S.
-            for mask in 0..total {
-                if !retained[mask] {
-                    continue;
-                }
-                for x in 0..h {
-                    let sup = mask | (1 << x);
-                    if sup != mask && retained[sup] {
-                        edges.push((id_of_mask[mask], id_of_mask[sup]));
-                    }
-                }
-            }
+    for mask in 0..total {
+        if !retained[mask] {
+            continue;
         }
-        DensityMode::Induced => {
-            // Full containment among survivors, then transitive reduction.
-            let survivors: Vec<usize> = (0..total).filter(|&m| retained[m]).collect();
-            for &a in &survivors {
-                for &b in &survivors {
-                    if a != b && a & b == a {
-                        edges.push((id_of_mask[a], id_of_mask[b]));
-                    }
-                }
+        for x in 0..h {
+            let sup = mask | (1 << x);
+            if sup != mask && retained[sup] {
+                edges.push((id_of_mask[mask], id_of_mask[sup]));
             }
-            let dag = Dag::from_labeled(labels, &edges)?;
-            return Ok(dag.transitive_reduction());
         }
     }
     Dag::from_labeled(labels, &edges)
@@ -150,7 +117,6 @@ mod tests {
             height: 4,
             density: 1.0,
             seed: 7,
-            mode: DensityMode::Literal,
         })
         .unwrap();
         assert_eq!(dag.len(), 16);
@@ -167,14 +133,12 @@ mod tests {
             height: 8,
             density: 0.2,
             seed: 42,
-            mode: DensityMode::Literal,
         })
         .unwrap();
         let hi = subset_lattice(LatticeParams {
             height: 8,
             density: 0.9,
             seed: 42,
-            mode: DensityMode::Literal,
         })
         .unwrap();
         assert!(lo.len() < hi.len());
@@ -189,7 +153,6 @@ mod tests {
             height: 6,
             density: 0.5,
             seed: 99,
-            mode: DensityMode::Literal,
         };
         let a = subset_lattice(p).unwrap();
         let b = subset_lattice(p).unwrap();
@@ -198,57 +161,11 @@ mod tests {
     }
 
     #[test]
-    fn literal_mode_severs_paths_induced_restores_them() {
-        // With a low density many intermediate subsets vanish; in Literal
-        // mode reachability shrinks, in Induced mode containment implies
-        // reachability for every surviving pair.
-        let lit = subset_lattice(LatticeParams {
-            height: 6,
-            density: 0.4,
-            seed: 3,
-            mode: DensityMode::Literal,
-        })
-        .unwrap();
-        let ind = subset_lattice(LatticeParams {
-            height: 6,
-            density: 0.4,
-            seed: 3,
-            mode: DensityMode::Induced,
-        })
-        .unwrap();
-        assert_eq!(lit.len(), ind.len(), "same node sample for same seed");
-        let rl = Reachability::build(&lit);
-        let ri = Reachability::build(&ind);
-        let mut lit_pairs = 0usize;
-        let mut ind_pairs = 0usize;
-        for x in lit.values() {
-            for y in lit.values() {
-                if rl.preferred(x, y) {
-                    lit_pairs += 1;
-                }
-                if ri.preferred(x, y) {
-                    ind_pairs += 1;
-                }
-            }
-        }
-        assert!(lit_pairs <= ind_pairs);
-        // Induced mode must realize exactly the containment order.
-        let mask_of = |label: &str| u32::from_str_radix(&label[1..], 16).unwrap();
-        for x in ind.values() {
-            for y in ind.values() {
-                let (mx, my) = (mask_of(ind.label(x)), mask_of(ind.label(y)));
-                assert_eq!(ri.preferred(x, y), x != y && mx & my == mx);
-            }
-        }
-    }
-
-    #[test]
     fn rejects_oversized_height() {
         let err = subset_lattice(LatticeParams {
             height: 20,
             density: 1.0,
             seed: 0,
-            mode: DensityMode::Literal,
         })
         .unwrap_err();
         assert!(matches!(err, PosetError::TooLarge { .. }));
@@ -262,7 +179,6 @@ mod tests {
                 height: 5,
                 density: 0.7,
                 seed,
-                mode: DensityMode::Literal,
             })
             .unwrap();
             let reach = Reachability::build(&dag);

@@ -83,18 +83,6 @@ impl Mbb {
         }
     }
 
-    /// True iff `p` lies inside the box (inclusive).
-    pub fn contains_point(&self, p: &[u32]) -> bool {
-        debug_assert_eq!(p.len(), self.dims());
-        (0..self.dims()).all(|d| self.lo[d] <= p[d] && p[d] <= self.hi[d])
-    }
-
-    /// True iff the boxes share at least one point.
-    pub fn intersects(&self, other: &Mbb) -> bool {
-        debug_assert_eq!(other.dims(), self.dims());
-        (0..self.dims()).all(|d| self.lo[d] <= other.hi[d] && other.lo[d] <= self.hi[d])
-    }
-
     /// True iff `other` lies fully inside `self`.
     pub fn contains_mbb(&self, other: &Mbb) -> bool {
         (0..self.dims()).all(|d| self.lo[d] <= other.lo[d] && other.hi[d] <= self.hi[d])
@@ -198,19 +186,15 @@ mod tests {
     }
 
     #[test]
-    fn containment_and_intersection() {
+    fn containment() {
         let big = Mbb::new(vec![0, 0], vec![10, 10]);
         let small = Mbb::new(vec![2, 2], vec![3, 3]);
         assert!(big.contains_mbb(&small));
         assert!(!small.contains_mbb(&big));
-        assert!(big.intersects(&small));
-        assert!(big.contains_point(&[10, 0]));
-        assert!(!big.contains_point(&[11, 0]));
-        let disjoint = Mbb::new(vec![11, 11], vec![12, 12]);
-        assert!(!big.intersects(&disjoint));
-        // Touching boxes intersect (closed boxes).
-        let touching = Mbb::new(vec![10, 10], vec![12, 12]);
-        assert!(big.intersects(&touching));
+        // Closed boxes: a box contains itself and its own faces.
+        assert!(big.contains_mbb(&big));
+        assert!(big.contains_mbb(&Mbb::new(vec![10, 0], vec![10, 10])));
+        assert!(!big.contains_mbb(&Mbb::new(vec![10, 10], vec![12, 12])));
     }
 
     #[test]

@@ -6,9 +6,10 @@
 //! * **best-first traversal** ([`BestFirst`]) — the caller-driven heap walk
 //!   underlying BBS and all of its descendants (entries are popped in
 //!   ascending L1 *mindist* to the origin, the "most preferable point"),
-//! * **range queries** over closed boxes,
-//! * **IO accounting** — every node access is counted, so experiments can
-//!   charge the paper's 5 ms per page IO.
+//! * **IO accounting** — each traversal counts the nodes it expands
+//!   ([`BestFirst::reads`]), so experiments can charge the paper's 5 ms per
+//!   page IO. The tree itself is read-only data with no counter or page
+//!   buffer inside, so any number of traversals, on any threads, share it.
 //!
 //! # Leaf layout
 //!
@@ -27,7 +28,6 @@
 
 #![forbid(unsafe_code)]
 
-mod buffer;
 mod bulk;
 mod geom;
 mod node;

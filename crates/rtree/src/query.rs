@@ -1,5 +1,5 @@
-//! Read-side algorithms: axis-aligned range queries and the caller-driven
-//! best-first traversal that BBS-family algorithms are built on.
+//! The caller-driven best-first traversal that BBS-family algorithms are
+//! built on.
 
 use crate::geom::{point_mindist_l1, point_mindist_l1_from};
 use crate::node::{NodeId, NodeKind};
@@ -8,52 +8,6 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 impl RTree {
-    /// Collects every `(point, record)` inside the closed box `[lo, hi]`.
-    /// Charges one IO per node visited.
-    pub fn range_query(&self, lo: &[u32], hi: &[u32]) -> Vec<(Vec<u32>, u32)> {
-        let mut out = Vec::new();
-        self.range_visit(lo, hi, &mut |point, record| {
-            out.push((point.to_vec(), record))
-        });
-        out
-    }
-
-    /// Counts points inside the closed box.
-    pub fn range_count(&self, lo: &[u32], hi: &[u32]) -> usize {
-        let mut n = 0usize;
-        self.range_visit(lo, hi, &mut |_, _| n += 1);
-        n
-    }
-
-    /// Shared traversal: calls `visit(point, record)` for every match.
-    fn range_visit(&self, lo: &[u32], hi: &[u32], visit: &mut dyn FnMut(&[u32], u32)) {
-        assert_eq!(lo.len(), self.dims, "query dimensionality");
-        assert_eq!(hi.len(), self.dims, "query dimensionality");
-        let query = Mbb::new(lo.to_vec(), hi.to_vec());
-        let Some(root) = self.root else { return };
-        let mut stack = vec![root];
-        while let Some(id) = stack.pop() {
-            self.access_node(id);
-            match &self.nodes[id.idx()].kind {
-                NodeKind::Leaf(rows) => {
-                    for i in rows.clone() {
-                        let point = self.row(i);
-                        if query.contains_point(point) {
-                            visit(point, self.records[i]);
-                        }
-                    }
-                }
-                NodeKind::Inner(children) => {
-                    for &c in children {
-                        if query.intersects(&self.nodes[c.idx()].mbb) {
-                            stack.push(c);
-                        }
-                    }
-                }
-            }
-        }
-    }
-
     /// Starts a best-first (ascending L1 mindist) traversal. The caller
     /// pops entries and decides, per node, whether to [`BestFirst::expand`]
     /// it or prune the whole subtree — exactly the control flow of BBS.
@@ -75,6 +29,7 @@ impl RTree {
             heap: BinaryHeap::new(),
             seq: 1,
             origin,
+            reads: 0,
         };
         if let Some(root) = self.root {
             let mindist = bf.node_mindist(root);
@@ -138,6 +93,10 @@ pub enum Popped<'a> {
 
 /// Caller-driven best-first traversal (see [`RTree::best_first`]).
 ///
+/// The traversal counts its own page reads: one per [`expand`](Self::expand),
+/// the paper's one IO per node access with no buffer (§VI). Any number of
+/// traversals may walk one tree at once, each with its own count.
+///
 /// ```
 /// # use rtree::{RTree, Popped};
 /// let t = RTree::bulk_load(2, 4, vec![(vec![3, 3], 0), (vec![1, 1], 1)]);
@@ -150,6 +109,7 @@ pub enum Popped<'a> {
 ///     }
 /// }
 /// assert_eq!(order, vec![1, 0]); // ascending mindist
+/// assert_eq!(bf.reads(), 1); // one leaf, read once
 /// ```
 pub struct BestFirst<'a> {
     tree: &'a RTree,
@@ -157,6 +117,8 @@ pub struct BestFirst<'a> {
     seq: u64,
     /// Reference point for mindists (`None` = the origin).
     origin: Option<Vec<u32>>,
+    /// Nodes expanded so far: this traversal's page reads.
+    reads: u64,
 }
 
 impl<'a> BestFirst<'a> {
@@ -178,10 +140,10 @@ impl<'a> BestFirst<'a> {
         })
     }
 
-    /// Expands a node previously popped: reads it (one IO) and enqueues its
-    /// children / points.
+    /// Expands a node previously popped: reads it (one page read) and
+    /// enqueues its children / points.
     pub fn expand(&mut self, id: NodeId) {
-        self.tree.access_node(id);
+        self.reads += 1;
         match &self.tree.nodes[id.idx()].kind {
             NodeKind::Leaf(rows) => {
                 for i in rows.clone() {
@@ -210,6 +172,11 @@ impl<'a> BestFirst<'a> {
         }
     }
 
+    /// Pages this traversal has read: the nodes it expanded.
+    pub fn reads(&self) -> u64 {
+        self.reads
+    }
+
     fn node_mindist(&self, id: NodeId) -> u64 {
         let mbb = &self.tree.nodes[id.idx()].mbb;
         match &self.origin {
@@ -230,33 +197,16 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
-    fn sample_tree(cap: usize) -> (RTree, Vec<(Vec<u32>, u32)>) {
+    fn sample_tree(cap: usize) -> RTree {
         let pts: Vec<(Vec<u32>, u32)> = (0..300u32)
             .map(|i| (vec![(i * 17) % 100, (i * 31) % 100], i))
             .collect();
-        (RTree::bulk_load(2, cap, pts.clone()), pts)
-    }
-
-    #[test]
-    fn range_query_matches_scan() {
-        let (t, pts) = sample_tree(8);
-        let lo = [20u32, 30];
-        let hi = [60u32, 70];
-        let mut got: Vec<u32> = t.range_query(&lo, &hi).iter().map(|&(_, r)| r).collect();
-        got.sort_unstable();
-        let mut expect: Vec<u32> = pts
-            .iter()
-            .filter(|(p, _)| (lo[0]..=hi[0]).contains(&p[0]) && (lo[1]..=hi[1]).contains(&p[1]))
-            .map(|&(_, r)| r)
-            .collect();
-        expect.sort_unstable();
-        assert_eq!(got, expect);
-        assert_eq!(t.range_count(&lo, &hi), expect.len());
+        RTree::bulk_load(2, cap, pts)
     }
 
     #[test]
     fn best_first_visits_points_in_mindist_order() {
-        let (t, _) = sample_tree(4);
+        let t = sample_tree(4);
         let mut bf = t.best_first();
         let mut last = 0u64;
         let mut count = 0;
@@ -276,17 +226,29 @@ mod tests {
         assert_eq!(count, 300);
     }
 
+    /// Expanding everything reads every node once, also when a second
+    /// traversal of the same tree runs in between: each counts its own.
     #[test]
     fn best_first_io_equals_node_count_when_expanding_everything() {
-        let (t, _) = sample_tree(4);
-        t.reset_io();
-        let mut bf = t.best_first();
-        while let Some(p) = bf.pop() {
-            if let Popped::Node { id, .. } = p {
-                bf.expand(id);
+        let t = sample_tree(4);
+        let expand_all = |bf: &mut BestFirst| {
+            while let Some(p) = bf.pop() {
+                if let Popped::Node { id, .. } = p {
+                    bf.expand(id);
+                }
+            }
+        };
+        let mut a = t.best_first();
+        for _ in 0..3 {
+            if let Some(Popped::Node { id, .. }) = a.pop() {
+                a.expand(id);
             }
         }
-        assert_eq!(t.io_count() as usize, t.node_count());
+        let mut b = t.best_first();
+        expand_all(&mut b);
+        expand_all(&mut a);
+        assert_eq!(a.reads() as usize, t.node_count());
+        assert_eq!(b.reads() as usize, t.node_count());
     }
 
     #[test]
@@ -297,44 +259,17 @@ mod tests {
 
     #[test]
     fn pruning_skips_subtrees() {
-        let (t, _) = sample_tree(4);
-        t.reset_io();
+        let t = sample_tree(4);
         // Prune everything: only the root entry pops, zero expansions.
         let mut bf = t.best_first();
         let popped = bf.pop().unwrap();
         assert!(matches!(popped, Popped::Node { .. }));
         // Dropping without expand = prune. Nothing further pops.
-        assert_eq!(t.io_count(), 0);
+        assert!(bf.pop().is_none());
+        assert_eq!(bf.reads(), 0);
     }
 
     proptest! {
-        /// Range queries agree with a linear scan on arbitrary data/boxes.
-        #[test]
-        fn range_query_equals_scan(
-            pts in proptest::collection::vec((0u32..50, 0u32..50), 1..120),
-            q in ((0u32..50), (0u32..50), (0u32..50), (0u32..50)),
-            cap in 2usize..10,
-        ) {
-            let data: Vec<(Vec<u32>, u32)> = pts
-                .iter()
-                .enumerate()
-                .map(|(i, &(x, y))| (vec![x, y], i as u32))
-                .collect();
-            let t = RTree::bulk_load(2, cap, data.clone());
-            t.validate().unwrap();
-            let lo = [q.0.min(q.2), q.1.min(q.3)];
-            let hi = [q.0.max(q.2), q.1.max(q.3)];
-            let mut got: Vec<u32> = t.range_query(&lo, &hi).iter().map(|&(_, r)| r).collect();
-            got.sort_unstable();
-            let mut expect: Vec<u32> = data
-                .iter()
-                .filter(|(p, _)| lo[0] <= p[0] && p[0] <= hi[0] && lo[1] <= p[1] && p[1] <= hi[1])
-                .map(|&(_, r)| r)
-                .collect();
-            expect.sort_unstable();
-            prop_assert_eq!(&got, &expect);
-        }
-
         /// Best-first yields every record exactly once, in ascending mindist.
         #[test]
         fn best_first_complete_and_ordered(

@@ -1,7 +1,5 @@
-use crate::buffer::LruBuffer;
 use crate::node::{Node, NodeId, NodeKind};
 use crate::{ChildEntry, Mbb};
-use std::cell::Cell;
 use std::ops::Range;
 
 /// Default maximum entries per node when no [`crate::PageConfig`] is used.
@@ -10,7 +8,9 @@ pub const DEFAULT_CAPACITY: usize = 64;
 /// Smallest node capacity a tree accepts: a node must hold two entries.
 pub const MIN_CAPACITY: usize = 2;
 
-/// An R-tree over `u32` coordinates with IO accounting.
+/// An R-tree over `u32` coordinates: plain read-only data once built, so
+/// any number of traversals may share it, each counting its own page reads
+/// ([`BestFirst::reads`](crate::BestFirst::reads)).
 ///
 /// See the [crate docs](crate) for the design rationale. Build one with
 /// [`RTree::bulk_load`] (STR) or — for reproducing the paper's worked
@@ -28,11 +28,6 @@ pub struct RTree {
     pub(crate) points: Vec<u32>,
     /// The record id of each row of `points`.
     pub(crate) records: Vec<u32>,
-    /// Node accesses since the last [`reset_io`](Self::reset_io). `Cell` so
-    /// read-only traversals can account IOs without `&mut`.
-    pub(crate) io: Cell<u64>,
-    /// Optional LRU page buffer: buffered accesses are not charged.
-    pub(crate) buffer: Option<LruBuffer>,
 }
 
 impl RTree {
@@ -48,21 +43,7 @@ impl RTree {
             height: 0,
             points: Vec::new(),
             records: Vec::new(),
-            io: Cell::new(0),
-            buffer: None,
         }
-    }
-
-    /// Enables an LRU page buffer of `pages` nodes: node accesses that hit
-    /// the buffer are not charged as IOs (the paper's "IO cost can be
-    /// mitigated using buffers" remark). Clears any previous buffer state.
-    pub fn enable_buffer(&mut self, pages: usize) {
-        self.buffer = Some(LruBuffer::new(pages));
-    }
-
-    /// Disables the page buffer.
-    pub fn disable_buffer(&mut self) {
-        self.buffer = None;
     }
 
     /// Dimensionality of indexed points.
@@ -113,45 +94,10 @@ impl RTree {
         &self.nodes[id.idx()].mbb
     }
 
-    /// Node accesses since construction / the last reset. One access models
-    /// one page IO, per the paper's cost model.
-    #[inline]
-    pub fn io_count(&self) -> u64 {
-        self.io.get()
-    }
-
-    /// Resets the IO counter (buffer contents are kept: a warm buffer is
-    /// exactly what cross-query amortization means).
-    pub fn reset_io(&self) {
-        self.io.set(0);
-    }
-
-    #[inline]
-    pub(crate) fn charge_io(&self) {
-        self.io.set(self.io.get() + 1);
-    }
-
-    /// Accounts one access to `id`: free on a buffer hit, one IO otherwise.
-    #[inline]
-    pub(crate) fn access_node(&self, id: NodeId) {
-        match &self.buffer {
-            Some(buf) if buf.touch(id.0) => {}
-            _ => self.charge_io(),
-        }
-    }
-
-    /// Reads a node's children, charging one IO. This is the only sanctioned
-    /// way for algorithms to descend the tree.
-    pub fn read_children(&self, id: NodeId) -> Vec<ChildEntry<'_>> {
-        self.access_node(id);
-        self.children_free(id)
-    }
-
-    /// Reads a node's children **without** charging an IO — for callers that
-    /// model the node as already buffered (e.g. re-reading the root entry
-    /// that produced a heap entry). Use sparingly; experiments should prefer
-    /// [`read_children`](Self::read_children).
-    pub fn children_free(&self, id: NodeId) -> Vec<ChildEntry<'_>> {
+    /// A node's children: subtrees with their MBBs, or a leaf's points.
+    /// Reading a node here charges no page read; traversals count their
+    /// own (see [`BestFirst::reads`](crate::BestFirst::reads)).
+    pub fn children(&self, id: NodeId) -> Vec<ChildEntry<'_>> {
         let node = &self.nodes[id.idx()];
         match &node.kind {
             NodeKind::Leaf(rows) => rows
@@ -171,8 +117,8 @@ impl RTree {
         }
     }
 
-    /// Iterates over all `(point, record)` pairs (no IO accounting; a debug
-    /// and test convenience).
+    /// Iterates over all `(point, record)` pairs (a debug and test
+    /// convenience).
     pub fn iter_records(&self) -> Vec<(&[u32], u32)> {
         let mut out = Vec::with_capacity(self.len());
         let mut stack: Vec<NodeId> = self.root.into_iter().collect();
@@ -337,14 +283,12 @@ impl RTree {
             }
             BuildNode::Inner(children) => {
                 assert!(!children.is_empty() && children.len() <= self.cap, "fanout");
+                let (first, leaf_depth) = self.build_structure(&children[0], depth + 1);
                 let mut ids = Vec::with_capacity(children.len());
-                let mut child_depth = None;
-                for c in children {
+                ids.push(first);
+                for c in &children[1..] {
                     let (id, d) = self.build_structure(c, depth + 1);
-                    match child_depth {
-                        None => child_depth = Some(d),
-                        Some(prev) => assert_eq!(prev, d, "uneven leaf depths"),
-                    }
+                    assert_eq!(leaf_depth, d, "uneven leaf depths");
                     ids.push(id);
                 }
                 let mut mbb = self.nodes[ids[0].idx()].mbb.clone();
@@ -356,7 +300,7 @@ impl RTree {
                         mbb,
                         kind: NodeKind::Inner(ids),
                     }),
-                    child_depth.unwrap(),
+                    leaf_depth,
                 )
             }
         }
@@ -373,7 +317,6 @@ mod tests {
         assert!(t.is_empty());
         assert_eq!(t.height(), 0);
         assert!(t.validate().is_ok());
-        assert_eq!(t.io_count(), 0);
     }
 
     #[test]
@@ -393,7 +336,7 @@ mod tests {
         assert_eq!(t.height(), 3);
         t.validate().unwrap();
         // Root children mindists match Table II step 1: e1=4, e3=6.
-        let kids = t.read_children(t.root().unwrap());
+        let kids = t.children(t.root().unwrap());
         let mut mds: Vec<u64> = kids
             .iter()
             .map(|c| match c {
@@ -403,27 +346,6 @@ mod tests {
             .collect();
         mds.sort_unstable();
         assert_eq!(mds, vec![4, 6]);
-        assert_eq!(t.io_count(), 1);
-    }
-
-    #[test]
-    fn io_accounting_and_reset() {
-        let t = RTree::from_structure(
-            1,
-            2,
-            BuildNode::Inner(vec![
-                BuildNode::Leaf(vec![(vec![1], 1)]),
-                BuildNode::Leaf(vec![(vec![2], 2)]),
-            ]),
-        );
-        let root = t.root().unwrap();
-        let _ = t.read_children(root);
-        let _ = t.read_children(root);
-        assert_eq!(t.io_count(), 2);
-        let _ = t.children_free(root);
-        assert_eq!(t.io_count(), 2, "children_free is not charged");
-        t.reset_io();
-        assert_eq!(t.io_count(), 0);
     }
 
     #[test]

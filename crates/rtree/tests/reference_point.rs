@@ -1,5 +1,5 @@
 //! Integration tests for the reference-point best-first traversal (dynamic
-//! skylines) and the LRU page buffer.
+//! skylines).
 
 use rtree::{Popped, RTree};
 
@@ -63,7 +63,7 @@ fn folded_corner_lower_bounds_every_point() {
     let mut corner = [0u32; 2];
     while let Some(id) = stack.pop() {
         tree.mbb(id).folded_corner(&q, &mut corner);
-        for child in tree.children_free(id) {
+        for child in tree.children(id) {
             match child {
                 rtree::ChildEntry::Node { id, .. } => stack.push(id),
                 rtree::ChildEntry::Record { point, .. } => {
@@ -74,54 +74,6 @@ fn folded_corner_lower_bounds_every_point() {
             }
         }
     }
-}
-
-#[test]
-fn buffer_absorbs_repeated_queries() {
-    let (mut tree, _) = grid_tree(4);
-    tree.enable_buffer(tree.node_count());
-    tree.reset_io();
-    let cold = {
-        let _ = tree.range_query(&[0, 0], &[40, 40]);
-        tree.io_count()
-    };
-    tree.reset_io();
-    let warm = {
-        let _ = tree.range_query(&[0, 0], &[40, 40]);
-        tree.io_count()
-    };
-    assert!(cold > 0);
-    assert_eq!(warm, 0, "fully buffered re-query must be free");
-
-    // A small buffer absorbs only part of the working set.
-    tree.disable_buffer();
-    tree.enable_buffer(2);
-    tree.reset_io();
-    let _ = tree.range_query(&[0, 0], &[40, 40]);
-    let first = tree.io_count();
-    tree.reset_io();
-    let _ = tree.range_query(&[0, 0], &[40, 40]);
-    let second = tree.io_count();
-    assert!(second > 0 && second <= first);
-}
-
-#[test]
-fn disabled_buffer_restores_full_charging() {
-    let (mut tree, _) = grid_tree(4);
-    tree.enable_buffer(64);
-    let _ = tree.range_count(&[0, 0], &[99, 99]);
-    tree.disable_buffer();
-    tree.reset_io();
-    let a = {
-        let _ = tree.range_count(&[0, 0], &[99, 99]);
-        tree.io_count()
-    };
-    tree.reset_io();
-    let b = {
-        let _ = tree.range_count(&[0, 0], &[99, 99]);
-        tree.io_count()
-    };
-    assert_eq!(a, b, "no buffering: identical queries cost identical IOs");
 }
 
 #[test]

@@ -8,8 +8,8 @@
 //! overhead that, unlike query-time IOs, cannot be amortized with buffers.
 //!
 //! We charge: read + write for the sort pass, a read pass for bulk loading,
-//! and a write per index page created, using the same [`PageConfig`] model
-//! as everything else.
+//! and a write per index page created, using the default [`PageConfig`]
+//! model like everything else.
 
 use crate::{SdcConfig, SdcIndex, SdcRun, Variant};
 use poset::Dag;
@@ -30,11 +30,6 @@ impl DynamicSdc {
         DynamicSdc { table, cfg }
     }
 
-    /// The page model in use.
-    pub fn page(&self) -> PageConfig {
-        self.cfg.page
-    }
-
     /// Evaluates a dynamic skyline query: rebuilds the SDC+ index for the
     /// supplied partial orders (charged as IOs), then runs it.
     pub fn query(&self, dags: &[Dag]) -> Result<SdcRun, CoreError> {
@@ -47,7 +42,7 @@ impl DynamicSdc {
             self.cfg,
         )?;
         let record_dims = self.table.to_dims() + self.table.po_dims();
-        let data_pages = self.cfg.page.data_pages(self.table.len(), record_dims);
+        let data_pages = PageConfig::default().data_pages(self.table.len(), record_dims);
         let rebuild = Metrics {
             // External sort: read + write the data; bulk load: read it back.
             io_reads: 2 * data_pages,

@@ -146,7 +146,8 @@ impl<'a> SdcCursor<'a> {
             dominance_checks: m.dominance_checks,
         };
 
-        stratum.tree.reset_io();
+        // Reads before this stratum; its own traversal counts the rest.
+        let reads_before = m.io_reads;
         let mut local = EntryList::new(index.ctx.transformed_dims(), index.table.kernel());
         let mut bf = stratum.tree.best_first();
         while let Some(popped) = bf.pop() {
@@ -214,14 +215,13 @@ impl<'a> SdcCursor<'a> {
                         // Level-0 stratum: m-dominance is exact, the point
                         // is final — stream it out now.
                         m.results += 1;
-                        m.io_reads += stratum.tree.io_count();
-                        stratum.tree.reset_io();
+                        m.io_reads = reads_before + bf.reads();
                         self.buffer.push_back((record, sample(m, &self.start)));
                     }
                 }
             }
         }
-        m.io_reads += stratum.tree.io_count();
+        m.io_reads = reads_before + bf.reads();
         if !stratum.exact {
             // Stratum boundary: local candidates are now genuine results.
             for &r in &local.ids {
@@ -330,7 +330,6 @@ mod tests {
         for capacity in [0, 1] {
             let cfg = SdcConfig {
                 node_capacity: Some(capacity),
-                ..SdcConfig::default()
             };
             let err = SdcIndex::build(
                 fig3_table(),
@@ -489,7 +488,6 @@ mod tests {
             height: 4,
             density: 0.7,
             seed: 2,
-            mode: poset::generator::DensityMode::Literal,
         })
         .unwrap();
         for seed in 0..3 {

@@ -1,7 +1,7 @@
 use crate::engine::{SdcCursor, SdcRun};
 use crate::MdContext;
 use poset::Dag;
-use rtree::{PageConfig, RTree};
+use rtree::RTree;
 use tss_core::{CoreError, SkylineCursor, Table};
 
 /// Which baseline algorithm to run (§II-C).
@@ -18,13 +18,9 @@ pub enum Variant {
 /// Configuration shared by the SDC family.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct SdcConfig {
-    /// Page model for node capacities.
-    pub page: PageConfig,
-    /// Explicit node capacity override.
+    /// Explicit node capacity override (else derived from the default page
+    /// model, see [`tss_core::node_capacity`]).
     pub node_capacity: Option<usize>,
-    /// Optional LRU page buffer (pages *per stratum tree*); `None` matches
-    /// the paper's no-buffer setting.
-    pub buffer_pages: Option<usize>,
 }
 
 /// One stratum: its records live in their own R-tree over the transformed
@@ -59,7 +55,7 @@ impl SdcIndex {
         if dims == 0 {
             return Err(CoreError::NoDimensions);
         }
-        let cap = tss_core::node_capacity(cfg.node_capacity, &cfg.page, dims)?;
+        let cap = tss_core::node_capacity(cfg.node_capacity, dims)?;
 
         // Partition records into strata per the variant.
         let stratum_of = |po: &[u32]| -> usize {
@@ -89,18 +85,11 @@ impl SdcIndex {
             .zip(records)
             .enumerate()
             .filter(|(_, (_, recs))| !recs.is_empty())
-            .map(|(level, (flat, recs))| {
-                let mut tree = RTree::bulk_load_flat(dims, cap, &flat, &recs);
-                if let Some(pages) = cfg.buffer_pages {
-                    tree.enable_buffer(pages);
-                }
-                Stratum {
-                    tree,
-                    // m-dominance is exact among completely covered points;
-                    // for BBS+ a "stratum 0" mixes levels, so it is never
-                    // exact.
-                    exact: level == 0 && variant != Variant::BbsPlus,
-                }
+            .map(|(level, (flat, recs))| Stratum {
+                tree: RTree::bulk_load_flat(dims, cap, &flat, &recs),
+                // m-dominance is exact among completely covered points; for
+                // BBS+ a "stratum 0" mixes levels, so it is never exact.
+                exact: level == 0 && variant != Variant::BbsPlus,
             })
             .collect();
         Ok(SdcIndex {

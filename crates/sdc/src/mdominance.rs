@@ -1,5 +1,4 @@
 use poset::{Dag, MLabeling, Reachability, ValueId};
-use tss_core::Table;
 
 /// Per-domain machinery for the m-dominance baselines: the single-interval
 /// labeling (with uncovered levels) plus the exact reachability oracle used
@@ -129,16 +128,6 @@ impl MdContext {
     /// m-dominance is exact.
     pub fn completely_covered(&self, po: &[u32]) -> bool {
         self.stratum(po) == 0
-    }
-
-    /// Transformed coordinates for a whole table as one flat row-major
-    /// matrix (record id = row index).
-    pub fn transform_table_flat(&self, table: &Table) -> Vec<u32> {
-        let mut out = Vec::with_capacity(table.len() * self.transformed_dims());
-        for i in 0..table.len() {
-            self.transform_into(table.to_row(i), table.po_row(i), &mut out);
-        }
-        out
     }
 }
 

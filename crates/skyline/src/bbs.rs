@@ -9,8 +9,8 @@ use rtree::{Popped, RTree};
 /// (optimal progressiveness via precedence).
 ///
 /// Returns `(record ids in discovery order, stats)`. `stats.io_reads` counts
-/// the R-tree node accesses of **this run** (the tree's counter is reset on
-/// entry), which is how the paper reports BBS's IO optimality.
+/// the R-tree nodes **this run** expanded ([`rtree::BestFirst::reads`]),
+/// which is how the paper reports BBS's IO optimality.
 ///
 /// # Pruning and duplicates
 ///
@@ -21,7 +21,6 @@ use rtree::{Popped, RTree};
 /// dominated. Requiring `s != c` keeps the rule exact even when the data
 /// contains exact duplicates of skyline points.
 pub fn bbs(tree: &RTree) -> (Vec<u32>, Stats) {
-    tree.reset_io();
     let mut bf = tree.best_first();
     // Confirmed skyline coordinates, columnar (the batched-kernel window).
     let mut skyline = PointBlock::new(tree.dims());
@@ -50,7 +49,7 @@ pub fn bbs(tree: &RTree) -> (Vec<u32>, Stats) {
             }
         }
     }
-    stats.io_reads = tree.io_count();
+    stats.io_reads = bf.reads();
     (result, stats)
 }
 

@@ -7,7 +7,7 @@
 
 use tss::core::{CostModel, ProgressSample, SkylineCursor, Stss, StssConfig, Table};
 use tss::datagen::{gen_po_matrix, gen_to_matrix, Distribution, TupleConfig};
-use tss::poset::generator::{subset_lattice, DensityMode, LatticeParams};
+use tss::poset::generator::{subset_lattice, LatticeParams};
 use tss::sdc::{SdcConfig, SdcIndex, Variant};
 
 fn main() {
@@ -16,7 +16,6 @@ fn main() {
         height: 6,
         density: 0.8,
         seed: 42,
-        mode: DensityMode::Literal,
     })
     .unwrap();
     let to = gen_to_matrix(TupleConfig {

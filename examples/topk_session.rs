@@ -8,7 +8,7 @@ use tss::core::{
     CostModel, Dtss, DtssConfig, PoQuery, QuerySession, SkylineCursor, Stss, StssConfig, Table,
 };
 use tss::datagen::{gen_po_matrix, gen_to_matrix, Distribution, TupleConfig};
-use tss::poset::generator::{subset_lattice, DensityMode, LatticeParams};
+use tss::poset::generator::{subset_lattice, LatticeParams};
 use tss::poset::Dag;
 
 /// A different preference order with the same shape: the DAG with its node
@@ -26,7 +26,6 @@ fn main() {
         height: 5,
         density: 0.8,
         seed: 42,
-        mode: DensityMode::Literal,
     })
     .unwrap();
     let to = gen_to_matrix(TupleConfig {

@@ -7,7 +7,7 @@ use tss::core::{
     brute_force_po_skyline, Dtss, DtssConfig, PoDomain, PoQuery, Stss, StssConfig, Table,
 };
 use tss::datagen::{gen_po_matrix, gen_to_matrix, Distribution, TupleConfig};
-use tss::poset::generator::{subset_lattice, DensityMode, LatticeParams};
+use tss::poset::generator::{subset_lattice, LatticeParams};
 use tss::poset::Dag;
 use tss::sdc::{SdcConfig, SdcIndex, Variant};
 
@@ -25,7 +25,6 @@ fn workload(
                 height,
                 density: 0.8,
                 seed: seed + d as u64,
-                mode: DensityMode::Literal,
             })
             .unwrap()
         })

@@ -2,12 +2,13 @@
 //! workspace is consumed through its own `SkylineCursor`, cursors agree
 //! with the draining `run()`/`query()` paths, early termination is sound
 //! (a `k`-prefix equals the progressive order's prefix) and cheaper
-//! (strictly fewer page reads than a full run), and `QuerySession` reuses
-//! DAG labelings across dynamic queries.
+//! (strictly fewer page reads than a full run), each cursor counts its own
+//! page reads however many share an index, and `QuerySession` reuses DAG
+//! labelings across dynamic queries.
 
 use tss::core::{Dtss, DtssConfig, PoQuery, QuerySession, SkylineCursor, Stss, StssConfig, Table};
 use tss::datagen::{gen_po_matrix, gen_to_matrix, Distribution, TupleConfig};
-use tss::poset::generator::{subset_lattice, DensityMode, LatticeParams};
+use tss::poset::generator::{subset_lattice, LatticeParams};
 use tss::poset::Dag;
 use tss::sdc::{SdcConfig, SdcIndex, Variant};
 
@@ -18,7 +19,6 @@ fn workload(n: usize, seed: u64) -> (Table, Dag) {
         height: 5,
         density: 0.8,
         seed,
-        mode: DensityMode::Literal,
     })
     .unwrap();
     let to = gen_to_matrix(TupleConfig {
@@ -69,7 +69,6 @@ fn cursor_equals_run_for_every_engine() {
         vec![dag.clone()],
         StssConfig {
             node_capacity: Some(SCALED_CAPACITY),
-            ..Default::default()
         },
     )
     .unwrap();
@@ -102,7 +101,6 @@ fn cursor_equals_run_for_every_engine() {
             variant,
             SdcConfig {
                 node_capacity: Some(SCALED_CAPACITY),
-                ..Default::default()
             },
         )
         .unwrap();
@@ -132,7 +130,6 @@ fn batched_kernel_spends_no_more_checks_than_the_seed_scalar_path() {
         vec![dag.clone()],
         StssConfig {
             node_capacity: Some(SCALED_CAPACITY),
-            ..Default::default()
         },
     )
     .unwrap();
@@ -182,7 +179,6 @@ fn k_prefix_is_a_prefix_of_the_progressive_order() {
         vec![dag.clone()],
         StssConfig {
             node_capacity: Some(SCALED_CAPACITY),
-            ..Default::default()
         },
     )
     .unwrap();
@@ -215,7 +211,6 @@ fn k_pull_reads_strictly_fewer_pages_than_a_full_run() {
         vec![dag],
         StssConfig {
             node_capacity: Some(SCALED_CAPACITY),
-            ..Default::default()
         },
     )
     .unwrap();
@@ -231,6 +226,78 @@ fn k_pull_reads_strictly_fewer_pages_than_a_full_run() {
         prefix_reads,
         full.metrics.io_reads
     );
+}
+
+/// Page reads of one drain of an `open`ed cursor, and of another that is
+/// interrupted after 5 points while a second cursor, opened then, drains
+/// the same index.
+fn lone_and_interleaved_reads<C: SkylineCursor>(open: impl Fn() -> C) -> (u64, u64) {
+    let mut lone = open();
+    while lone.next().is_some() {}
+    let mut a = open();
+    assert_eq!(a.take_k(5).len(), 5);
+    drain(open());
+    while a.next().is_some() {}
+    (lone.metrics().io_reads, a.metrics().io_reads)
+}
+
+/// Each cursor counts its own page reads: a cursor that another cursor's
+/// full drain over the same index interrupts reads exactly what a lone
+/// drain reads. Covers sTSS, dTSS's group-tree walk and SDC+, at a node
+/// capacity small enough that every walk spans many pages.
+#[test]
+fn interleaved_cursors_count_their_own_reads() {
+    const CAPACITY: usize = 8;
+    let (table, dag) = workload(4000, 5);
+
+    let stss = Stss::build(
+        table.clone(),
+        vec![dag.clone()],
+        StssConfig {
+            node_capacity: Some(CAPACITY),
+        },
+    )
+    .unwrap();
+    let (lone, interleaved) = lone_and_interleaved_reads(|| stss.cursor());
+    assert!(lone > 0);
+    assert_eq!(interleaved, lone, "sTSS");
+
+    let dtss = Dtss::build(
+        table.clone(),
+        vec![dag.len() as u32],
+        DtssConfig {
+            node_capacity: Some(CAPACITY),
+            precompute_local: false,
+            ..Default::default()
+        },
+    )
+    .unwrap();
+    let q = PoQuery::new(vec![dag.clone()]);
+    let (lone, interleaved) = lone_and_interleaved_reads(|| dtss.query_cursor(&q).unwrap());
+    assert_eq!(interleaved, lone, "dTSS");
+
+    let sdc = SdcIndex::build(
+        table,
+        vec![dag],
+        Variant::SdcPlus,
+        SdcConfig {
+            node_capacity: Some(CAPACITY),
+        },
+    )
+    .unwrap();
+    let (lone, interleaved) = lone_and_interleaved_reads(|| sdc.cursor());
+    assert_eq!(interleaved, lone, "SDC+");
+}
+
+/// The static indexes and the R-tree hold no interior mutability, so
+/// threads may share one index and run cursors over it at once. A compile
+/// time check: the test body only names the bounds.
+#[test]
+fn static_indexes_are_sync() {
+    fn assert_sync<T: Sync>() {}
+    assert_sync::<Stss>();
+    assert_sync::<SdcIndex>();
+    assert_sync::<tss::rtree::RTree>();
 }
 
 /// The acceptance property: a repeated-DAG dTSS query through

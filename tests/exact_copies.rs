@@ -45,7 +45,6 @@ fn exact_copies_survive_on_an_indexed_skyline() {
     let sizes: Vec<u32> = dags.iter().map(|d| d.len() as u32).collect();
     let stss_cfg = StssConfig {
         node_capacity: Some(CAPACITY),
-        ..Default::default()
     };
     for kernel in [Kernel::Scalar, Kernel::Lanes] {
         let table: Table = table.clone().with_kernel(kernel);

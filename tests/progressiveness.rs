@@ -7,7 +7,7 @@
 
 use tss::core::{CostModel, Metrics, ProgressSample, SkylineCursor, Stss, StssConfig, Table};
 use tss::datagen::{gen_po_matrix, gen_to_matrix, Distribution, TupleConfig};
-use tss::poset::generator::{subset_lattice, DensityMode, LatticeParams};
+use tss::poset::generator::{subset_lattice, LatticeParams};
 use tss::sdc::{SdcConfig, SdcIndex, Variant};
 
 /// The paper's experiments run 100k–10M tuples against 4KB pages (capacity
@@ -20,14 +20,12 @@ const SCALED_CAPACITY: usize = 32;
 fn stss_config() -> StssConfig {
     StssConfig {
         node_capacity: Some(SCALED_CAPACITY),
-        ..Default::default()
     }
 }
 
 fn sdc_config() -> SdcConfig {
     SdcConfig {
         node_capacity: Some(SCALED_CAPACITY),
-        ..Default::default()
     }
 }
 
@@ -36,7 +34,6 @@ fn workload(n: usize, dist: Distribution, seed: u64) -> (Table, tss::poset::Dag)
         height: 5,
         density: 0.8,
         seed,
-        mode: DensityMode::Literal,
     })
     .unwrap();
     let to = gen_to_matrix(TupleConfig {

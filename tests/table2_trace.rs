@@ -101,7 +101,6 @@ fn bulk_loaded_tree_gives_same_skyline() {
         vec![Dag::paper_example()],
         StssConfig {
             node_capacity: Some(3),
-            ..Default::default()
         },
     )
     .unwrap();

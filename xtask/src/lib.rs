@@ -121,7 +121,7 @@ mod tests {
         )));
         assert!(!in_engine_crate_src(Path::new("crates/datagen/src/lib.rs")));
         assert!(!in_engine_crate_src(Path::new(
-            "crates/rtree/tests/dynamic_and_buffer.rs"
+            "crates/rtree/tests/reference_point.rs"
         )));
     }
 }
