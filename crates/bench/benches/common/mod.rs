@@ -1,14 +1,14 @@
 #![allow(dead_code)]
 
-//! Shared setup for the per-figure Criterion benches: small, fixed-seed
-//! workloads (Criterion measures algorithmic CPU; the IO-charged totals are
-//! the harness binary's job) and prebuilt indexes so only the query phase
-//! is timed.
+//! Shared setup for the Criterion benches: small, fixed-seed workloads
+//! (Criterion measures algorithmic CPU; the IO-charged totals are the
+//! harness binary's job) and prebuilt indexes so only the query phase is
+//! timed.
 
 use criterion::Criterion;
 use datagen::{Distribution, ExperimentParams};
 use sdc::{SdcConfig, SdcIndex, Variant};
-use tss_core::{Dtss, DtssConfig, PoQuery, Stss, StssConfig};
+use tss_core::{Stss, StssConfig};
 
 /// Bench-scale cardinality (deliberately small; `harness` covers scale).
 pub const BENCH_N: usize = 10_000;
@@ -29,13 +29,6 @@ pub fn static_params(dist: Distribution) -> ExperimentParams {
     p
 }
 
-/// Dynamic workload with the paper's §VI-C defaults, scaled.
-pub fn dynamic_params(dist: Distribution) -> ExperimentParams {
-    let mut p = ExperimentParams::paper_dynamic_default(dist, 42);
-    p.n = BENCH_N;
-    p
-}
-
 /// Prebuilt sTSS operator for a parameter setting.
 pub fn build_stss(p: &ExperimentParams, cfg: StssConfig) -> Stss {
     let w = bench::runner::generate(p);
@@ -46,20 +39,4 @@ pub fn build_stss(p: &ExperimentParams, cfg: StssConfig) -> Stss {
 pub fn build_sdc(p: &ExperimentParams, variant: Variant) -> SdcIndex {
     let w = bench::runner::generate(p);
     SdcIndex::build(w.table, w.dags, variant, SdcConfig::default()).expect("valid workload")
-}
-
-/// Prebuilt dTSS operator plus a query order.
-pub fn build_dtss(p: &ExperimentParams, cfg: DtssConfig) -> (Dtss, PoQuery) {
-    let w = bench::runner::generate(p);
-    let sizes: Vec<u32> = w.dags.iter().map(|d| d.len() as u32).collect();
-    let query = PoQuery::new(
-        w.dags
-            .iter()
-            .map(|d| bench::runner::permuted_order(d, 11))
-            .collect(),
-    );
-    (
-        Dtss::build(w.table, sizes, cfg).expect("valid workload"),
-        query,
-    )
 }

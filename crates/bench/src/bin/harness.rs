@@ -515,8 +515,8 @@ fn bench_json(args: &[String]) {
     }
 }
 
-/// Ablations over the paper's optional design choices (§V-B local
-/// skylines and query cache).
+/// Ablation over the paper's optional dTSS design choice (§V-B local
+/// skylines): the paper's configuration against the default.
 fn ablations() {
     banner("Ablation — dTSS optimizations (independent, defaults, 1 query)");
     let p = params::dynamic_params(Distribution::Independent, 42);
@@ -541,34 +541,4 @@ fn ablations() {
         ]);
     }
     print!("{}", t.render());
-
-    banner("Ablation — dTSS query cache (repeat query)");
-    // Same table, query and configuration as the paper-default row above,
-    // so the cold query reads what that row reads.
-    let sizes: Vec<u32> = w.dags.iter().map(|d| d.len() as u32).collect();
-    let dtss = tss_core::Dtss::build(
-        w.table.clone(),
-        sizes,
-        DtssConfig {
-            cache: true,
-            ..params::paper_dtss()
-        },
-    )
-    .unwrap();
-    let q = tss_core::PoQuery::new(
-        w.dags
-            .iter()
-            .map(|d| bench::runner::permuted_order(d, 11))
-            .collect(),
-    );
-    let cold = dtss.query(&q).unwrap();
-    let warm = dtss.query(&q).unwrap();
-    println!(
-        "cold: {:?} ({} reads) -> warm: {:?} ({} reads, from_cache={})",
-        model().total_time(&cold.metrics),
-        cold.metrics.io_reads,
-        model().total_time(&warm.metrics),
-        warm.metrics.io_reads,
-        warm.from_cache
-    );
 }

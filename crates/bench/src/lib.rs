@@ -5,8 +5,9 @@
 //!
 //! * the `harness` binary (`cargo run --release -p bench --bin harness -- all`)
 //!   regenerates every figure as a text table, one subcommand per figure;
-//! * the Criterion benches (`cargo bench`) time the same runners on scaled
-//!   workloads, one bench target per figure.
+//! * the Criterion benches (`cargo bench`) time what no table times, on
+//!   scaled workloads: sTSS against the BBS+/SDC/SDC+ ladder, the
+//!   dominance kernel and the merge.
 //!
 //! Scales: the paper sweeps cardinalities up to 10M tuples on 2009 disks.
 //! The default sweeps here are laptop-sized (see [`params`]); set

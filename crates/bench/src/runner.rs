@@ -11,7 +11,6 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use sdc::{DynamicSdc, SdcConfig, SdcIndex, Variant};
-use std::sync::Mutex;
 use std::time::Instant;
 use tss_core::parallel::merge_jobs_exec;
 use tss_core::{
@@ -168,13 +167,14 @@ fn budget_from(var: Option<&str>) -> Budget {
 /// counts are the exact sum of the per-shard metrics plus the merge
 /// phase.
 ///
-/// Each prebuilt engine serves attempt 0 of its shard; recovery attempts
-/// (retries after an injected or genuine panic, and the scalar-oracle
-/// fallback of last resort) rebuild the shard's engine inside the timed
-/// phase at [`ShardCtx::kernel`](tss_core::ShardCtx::kernel) — recovery
-/// work is genuinely part of the run. Kernel equivalence (bit-identical
-/// results and counters across kernels) keeps the recovered rows
-/// byte-comparable with fault-free ones.
+/// Engines are read-only (`Sync`), so each prebuilt engine is lent to
+/// every attempt of its shard that runs on the base kernel: attempt 0 and
+/// the retries after an injected or genuine panic. Only the scalar-oracle
+/// fallback of last resort, whose
+/// [`ShardCtx::kernel`](tss_core::ShardCtx::kernel) differs from the base
+/// kernel, rebuilds the shard's engine, inside the timed phase. Kernel
+/// equivalence (bit-identical results and counters across kernels) keeps
+/// the recovered rows byte-comparable with fault-free ones.
 ///
 /// Every job also carries its wire payload (`wire`, one of the
 /// [`crate::ipcbench`] engine codecs): under `TSS_EXECUTOR=subprocess`
@@ -183,7 +183,7 @@ fn budget_from(var: Option<&str>) -> Budget {
 /// records and non-wall counters — worker processes rebuild the same
 /// engine from the shipped window and run the same deterministic code.
 #[allow(clippy::too_many_arguments)]
-fn run_sharded<E: Send>(
+fn run_sharded<E: Sync>(
     name: &'static str,
     table: &Table,
     domains: &[PoDomain],
@@ -195,30 +195,18 @@ fn run_sharded<E: Send>(
 ) -> AlgoResult {
     let views = table.shards(plan.shards);
     let base_kernel = table.kernel();
-    let engines: Vec<Mutex<Option<E>>> = views
-        .iter()
-        .map(|v| Mutex::new(Some(build(v, base_kernel))))
-        .collect();
+    let engines: Vec<E> = views.iter().map(|v| build(v, base_kernel)).collect();
     let t0 = Instant::now();
     let (build, run, engines, wire) = (&build, &run, &engines, &wire);
     let jobs: Vec<ShardJob<'_>> = views
         .iter()
         .map(|&view| {
             ShardJob::new(view.range(), move |ctx| {
-                // The prebuilt engine is taken (not borrowed) through a
-                // `Mutex`, because an engine need not be `Sync`: `Dtss`
-                // keeps its result cache in a `RefCell`. Retries rebuild
-                // their own.
-                let prebuilt = if ctx.kernel == base_kernel {
-                    engines[ctx.shard]
-                        .lock()
-                        .unwrap_or_else(|poisoned| poisoned.into_inner())
-                        .take()
+                let (local, m) = if ctx.kernel == base_kernel {
+                    run(&engines[ctx.shard])
                 } else {
-                    None
+                    run(&build(&view, ctx.kernel))
                 };
-                let engine = prebuilt.unwrap_or_else(|| build(&view, ctx.kernel));
-                let (local, m) = run(&engine);
                 let global: Vec<u32> = local.into_iter().map(|r| r + view.start()).collect();
                 (global, m)
             })

@@ -45,19 +45,16 @@
 //!   invalidates local skylines, so they walk the trees with the group
 //!   front. So does every query when [`DtssConfig::precompute_local`] is
 //!   `false`, the paper's §VI-C configuration.
-//! * **Result cache (§V-B), opt-in:** a query-digest cache reuses full
-//!   results of repeated orders.
 
 use crate::cursor::{ProgressSample, SkylineCursor};
 use crate::store::{KeyBlock, RecordId};
 use crate::stss::SkylinePoint;
 use crate::{CoreError, Metrics, PoDomain, Table};
 use poset::{Dag, Fnv64};
-use rtree::{BestFirst, Mbb, PageConfig, Popped, RTree};
+use rtree::{BestFirst, Mbb, Popped, RTree};
 use skyline::PointBlock;
-use std::cell::RefCell;
-use std::collections::{HashMap, VecDeque};
-use std::hash::{BuildHasherDefault, Hash, Hasher};
+use std::collections::HashMap;
+use std::hash::BuildHasherDefault;
 use std::time::Instant;
 
 /// A dynamic skyline query: one partial order per PO attribute, over the
@@ -77,31 +74,6 @@ impl PoQuery {
     pub fn dags(&self) -> &[Dag] {
         &self.dags
     }
-
-    /// A canonical digest of the query — the per-attribute
-    /// [`Dag::fingerprint`]s combined in order with a toolchain-stable
-    /// FNV-1a — used as the result-cache key. Like any 64-bit hash it can
-    /// collide; the cache verifies every hit against the stored query (see
-    /// [`DtssConfig::cache`]).
-    pub fn digest(&self) -> u64 {
-        let mut h = Fnv64::new();
-        for dag in &self.dags {
-            dag.fingerprint().hash(&mut h);
-        }
-        h.finish()
-    }
-
-    /// Structural equality with another query: same attribute count and
-    /// [`Dag::same_structure`] per attribute — the collision guard behind
-    /// every digest-cache hit.
-    pub fn same_structure(&self, other: &PoQuery) -> bool {
-        self.dags.len() == other.dags.len()
-            && self
-                .dags
-                .iter()
-                .zip(other.dags.iter())
-                .all(|(a, b)| a.same_structure(b))
-    }
 }
 
 /// Tuning knobs for [`Dtss`].
@@ -117,9 +89,11 @@ impl PoQuery {
 /// reproduces the paper's page reads, pruning and emission order. It does
 /// not reproduce its pair-check counts, because each group's front (see
 /// the module docs) answers many checks before the global key block.
+/// No configuration buffers pages or caches results.
 ///
 /// Node capacities and the page charges of the group directory and the
-/// local-skyline files use the default [`PageConfig`].
+/// local-skyline files follow rtree's page model
+/// ([`rtree::page_capacity`], [`rtree::data_pages`]).
 #[derive(Debug, Clone, Copy)]
 pub struct DtssConfig {
     /// Explicit node capacity override.
@@ -129,17 +103,14 @@ pub struct DtssConfig {
     /// pre-processing" configuration, in which every query walks the group
     /// trees.
     pub precompute_local: bool,
-    /// Cache query results by digest (§V-B).
-    pub cache: bool,
 }
 
 impl Default for DtssConfig {
-    /// Local skylines on, the result cache off.
+    /// Local skylines on.
     fn default() -> Self {
         DtssConfig {
             node_capacity: None,
             precompute_local: true,
-            cache: false,
         }
     }
 }
@@ -202,31 +173,13 @@ struct Group {
 }
 
 /// The dTSS operator: built once over a table, queried many times with
-/// different partial orders.
+/// different partial orders. Read-only once built: each query keeps its
+/// state in its own cursor, so threads may share one operator.
 #[derive(Debug)]
 pub struct Dtss {
     table: Table,
     domain_sizes: Vec<u32>,
     groups: Vec<Group>,
-    cfg: DtssConfig,
-    cache: RefCell<HashMap<u64, CachedResult>>,
-}
-
-/// One memoized query result. The digest key is a 64-bit hash, so the
-/// entry keeps the query (and reference point) it was computed for and
-/// every hit is verified structurally — a collision degrades to a miss
-/// instead of replaying the wrong skyline.
-#[derive(Debug, Clone)]
-struct CachedResult {
-    query: PoQuery,
-    reference: Option<Vec<u32>>,
-    records: Vec<u32>,
-}
-
-impl CachedResult {
-    fn matches(&self, q: &PoQuery, reference: Option<&[u32]>) -> bool {
-        self.query.same_structure(q) && self.reference.as_deref() == reference
-    }
 }
 
 /// Result of one [`Dtss::query`].
@@ -240,8 +193,6 @@ pub struct DtssRun {
     pub groups_skipped: u64,
     /// Total number of groups.
     pub groups_total: u64,
-    /// True iff served from the query cache.
-    pub from_cache: bool,
 }
 
 impl DtssRun {
@@ -301,8 +252,6 @@ impl Dtss {
             table,
             domain_sizes,
             groups,
-            cfg,
-            cache: RefCell::new(HashMap::new()),
         })
     }
 
@@ -322,23 +271,18 @@ impl Dtss {
     }
 
     /// Evaluates a dynamic skyline query: drains a fresh
-    /// [`query_cursor`](Self::query_cursor), and with [`DtssConfig::cache`]
-    /// on memoizes the result.
+    /// [`query_cursor`](Self::query_cursor).
     pub fn query(&self, q: &PoQuery) -> Result<DtssRun, CoreError> {
-        self.query_inner(q, None, None)
+        Ok(self.query_cursor(q)?.drain())
     }
 
     /// Opens a pull-based cursor over a dynamic skyline query: groups are
     /// visited, dismissed and traversed lazily, one confirmation per
     /// [`next`](SkylineCursor::next) call, so a top-k consumer never touches
-    /// groups ranked after its prefix.
-    ///
-    /// With [`DtssConfig::cache`] on, a digest hit replays the memoized
-    /// result; only fully materialized [`Dtss::query`] runs populate that
-    /// cache. Each cursor counts its own page reads, so any number may be
-    /// open at once.
+    /// groups ranked after its prefix. Each cursor counts its own page
+    /// reads, so any number may be open at once.
     pub fn query_cursor(&self, q: &PoQuery) -> Result<DtssCursor<'_>, CoreError> {
-        self.cursor_inner(q, None, None)
+        self.cursor_inner(q, None, || PreparedDomains::fresh(q))
     }
 
     /// Cursor variant of [`Dtss::query_fully_dynamic`].
@@ -347,7 +291,7 @@ impl Dtss {
         q: &PoQuery,
         reference: &[u32],
     ) -> Result<DtssCursor<'_>, CoreError> {
-        self.cursor_inner(q, Some(reference), None)
+        self.cursor_inner(q, Some(reference), || PreparedDomains::fresh(q))
     }
 
     /// Evaluates a **fully dynamic** skyline query (§V-B): besides the
@@ -365,7 +309,7 @@ impl Dtss {
         q: &PoQuery,
         reference: &[u32],
     ) -> Result<DtssRun, CoreError> {
-        self.query_inner(q, Some(reference), None)
+        Ok(self.query_cursor_fully_dynamic(q, reference)?.drain())
     }
 
     /// Validates a query's shape (and a fully dynamic query's reference
@@ -397,85 +341,19 @@ impl Dtss {
         Ok(())
     }
 
-    /// Result-cache key: the query digest, salted with the reference point
-    /// for fully dynamic queries.
-    fn full_digest(q: &PoQuery, reference: Option<&[u32]>) -> u64 {
-        let mut digest = q.digest();
-        if let Some(r) = reference {
-            let mut h = Fnv64::new();
-            digest.hash(&mut h);
-            r.hash(&mut h);
-            digest = h.finish();
-        }
-        digest
-    }
-
-    /// Labels every query DAG from scratch (no session cache).
-    fn prepare_fresh(&self, q: &PoQuery) -> PreparedDomains {
-        PreparedDomains {
-            domains: q.dags.iter().cloned().map(PoDomain::new).collect(),
-            hits: 0,
-            misses: q.dags.len() as u64,
-        }
-    }
-
-    /// Shared query entry point: drains [`cursor_inner`](Self::cursor_inner)
-    /// and memoizes a freshly computed result in the digest cache.
-    pub(crate) fn query_inner(
-        &self,
-        q: &PoQuery,
-        reference: Option<&[u32]>,
-        prepare: Option<&mut dyn FnMut() -> PreparedDomains>,
-    ) -> Result<DtssRun, CoreError> {
-        let mut cursor = self.cursor_inner(q, reference, prepare)?;
-        let skyline = cursor.take_k(usize::MAX);
-        if self.cfg.cache && !cursor.from_cache() {
-            // On a digest collision the slot's first owner is kept: the
-            // colliding query simply stays uncached.
-            self.cache
-                .borrow_mut()
-                .entry(Self::full_digest(q, reference))
-                .or_insert_with(|| CachedResult {
-                    query: q.clone(),
-                    reference: reference.map(<[u32]>::to_vec),
-                    records: skyline.iter().map(|p| p.record).collect(),
-                });
-        }
-        Ok(DtssRun {
-            metrics: cursor.metrics(),
-            groups_skipped: cursor.groups_skipped(),
-            groups_total: cursor.groups_total(),
-            from_cache: cursor.from_cache(),
-            skyline,
-        })
-    }
-
-    /// Shared cursor entry point. `prepare` runs lazily — a result-digest
-    /// cache hit replays the memoized records and skips the labeling work
-    /// entirely — and is `None` for plain (sessionless) queries, which
-    /// label from scratch. A digest collision (different query, same hash)
-    /// falls through to a fresh evaluation.
+    /// Shared cursor entry point. `prepare` labels the query's DAGs, from
+    /// scratch or through a session cache; it runs only once the query is
+    /// valid, so a rejected query never labels anything.
     pub(crate) fn cursor_inner(
         &self,
         q: &PoQuery,
         reference: Option<&[u32]>,
-        prepare: Option<&mut dyn FnMut() -> PreparedDomains>,
+        prepare: impl FnOnce() -> PreparedDomains,
     ) -> Result<DtssCursor<'_>, CoreError> {
         self.validate(q, reference)?;
-        if self.cfg.cache {
-            if let Some(entry) = self.cache.borrow().get(&Self::full_digest(q, reference)) {
-                if entry.matches(q, reference) {
-                    return Ok(DtssCursor::new_replay(self, entry.records.clone()));
-                }
-            }
-        }
-        let prepared = match prepare {
-            Some(f) => f(),
-            None => self.prepare_fresh(q),
-        };
-        Ok(DtssCursor::new_live(
+        Ok(DtssCursor::new(
             self,
-            prepared,
+            prepare(),
             reference.map(<[u32]>::to_vec),
         ))
     }
@@ -487,6 +365,17 @@ pub(crate) struct PreparedDomains {
     pub(crate) domains: Vec<PoDomain>,
     pub(crate) hits: u64,
     pub(crate) misses: u64,
+}
+
+impl PreparedDomains {
+    /// Labels every query DAG from scratch (no session cache).
+    fn fresh(q: &PoQuery) -> Self {
+        PreparedDomains {
+            domains: q.dags.iter().cloned().map(PoDomain::new).collect(),
+            hits: 0,
+            misses: q.dags.len() as u64,
+        }
+    }
 }
 
 /// Where the cursor currently stands in the group-at-a-time walk.
@@ -504,8 +393,6 @@ enum DtssPhase<'a> {
         gi: usize,
         bf: BestFirst<'a>,
     },
-    /// Replaying a digest-cache hit.
-    Replay(VecDeque<SkylinePoint>),
     Done,
 }
 
@@ -551,12 +438,11 @@ pub struct DtssCursor<'a> {
     groups_skipped: u64,
     phase: DtssPhase<'a>,
     last_sample: ProgressSample,
-    from_cache: bool,
     finished: bool,
 }
 
 impl<'a> DtssCursor<'a> {
-    fn new_live(dtss: &'a Dtss, prepared: PreparedDomains, reference: Option<Vec<u32>>) -> Self {
+    fn new(dtss: &'a Dtss, prepared: PreparedDomains, reference: Option<Vec<u32>>) -> Self {
         // lint:allow(time-source): Metrics.cpu timing site — cursor wall clock
         let start = Instant::now();
         let to_dims = dtss.table.to_dims();
@@ -572,8 +458,7 @@ impl<'a> DtssCursor<'a> {
         // roots should be "stored in contiguous disk pages and retrieved
         // multiple at a time". One directory record ≈ key + 2·|TO| corner
         // coordinates.
-        m.io_reads += PageConfig::default()
-            .data_pages(dtss.groups.len(), dtss.domain_sizes.len() + 2 * to_dims);
+        m.io_reads += rtree::data_pages(dtss.groups.len(), dtss.domain_sizes.len() + 2 * to_dims);
         // Visit groups by ascending sum of ordinals: precedence across groups.
         let ranks: Vec<u64> = dtss
             .groups
@@ -602,37 +487,7 @@ impl<'a> DtssCursor<'a> {
             groups_skipped: 0,
             phase: DtssPhase::NextGroup,
             last_sample: ProgressSample::default(),
-            from_cache: false,
             finished: false,
-        }
-    }
-
-    fn new_replay(dtss: &'a Dtss, records: Vec<u32>) -> Self {
-        let queue = records
-            .into_iter()
-            .map(|r| SkylinePoint {
-                record: r,
-                to: dtss.table.to_row(r as usize).to_vec(),
-                po: dtss.table.po_row(r as usize).to_vec(),
-            })
-            .collect();
-        DtssCursor {
-            dtss,
-            domains: Vec::new(),
-            reference: None,
-            order: Vec::new(),
-            order_ix: 0,
-            // lint:allow(time-source): Metrics.cpu timing site — replay-cursor wall clock
-            start: Instant::now(),
-            m: Metrics::default(),
-            sky: KeyBlock::new(0),
-            cand: Vec::new(),
-            front: PointBlock::new(0),
-            groups_skipped: 0,
-            phase: DtssPhase::Replay(queue),
-            last_sample: ProgressSample::default(),
-            from_cache: true,
-            finished: true, // replay: metrics are final from the start
         }
     }
 
@@ -646,9 +501,16 @@ impl<'a> DtssCursor<'a> {
         self.dtss.groups.len() as u64
     }
 
-    /// True iff this cursor replays a digest-cache hit.
-    pub fn from_cache(&self) -> bool {
-        self.from_cache
+    /// Pulls every remaining point: the draining [`Dtss::query`] and
+    /// [`QuerySession::query`](crate::QuerySession::query) forms.
+    pub(crate) fn drain(mut self) -> DtssRun {
+        let skyline = self.take_k(usize::MAX);
+        DtssRun {
+            metrics: self.metrics(),
+            groups_skipped: self.groups_skipped,
+            groups_total: self.groups_total(),
+            skyline,
+        }
     }
 
     /// The owned point handed to the caller: original TO coordinates.
@@ -765,8 +627,7 @@ impl<'a> DtssCursor<'a> {
         if let (Some(local), None) = (group.local_skyline.as_ref(), self.reference.as_ref()) {
             // §V-B: only local skyline points can be global results.
             // Charge the pages of the stored local-skyline file.
-            self.m.io_reads +=
-                PageConfig::default().data_pages(local.len(), dtss.table.to_dims() + key.len());
+            self.m.io_reads += rtree::data_pages(local.len(), dtss.table.to_dims() + key.len());
             return Some(DtssPhase::Local { gi, local });
         }
         let bf = group.tree.best_first_from(self.reference.as_deref());
@@ -788,13 +649,6 @@ impl SkylineCursor for DtssCursor<'_> {
             let phase = std::mem::replace(&mut self.phase, DtssPhase::Done);
             match phase {
                 DtssPhase::Done => return None,
-                DtssPhase::Replay(mut queue) => {
-                    let sp = queue.pop_front()?;
-                    self.m.results += 1;
-                    self.take_sample(0);
-                    self.phase = DtssPhase::Replay(queue);
-                    return Some(sp);
-                }
                 DtssPhase::NextGroup => {
                     let Some(&gi) = self.order.get(self.order_ix) else {
                         self.finish();
@@ -974,74 +828,6 @@ mod tests {
     }
 
     #[test]
-    fn cache_round_trip() {
-        let cfg = DtssConfig {
-            cache: true,
-            ..Default::default()
-        };
-        let dtss = Dtss::build(fig5_table(), vec![3], cfg).unwrap();
-        let q = PoQuery::new(vec![order_b_over_c()]);
-        let first = dtss.query(&q).unwrap();
-        assert!(!first.from_cache);
-        let second = dtss.query(&q).unwrap();
-        assert!(second.from_cache);
-        assert_eq!(first.skyline_records(), second.skyline_records());
-        assert_eq!(second.metrics.io_reads, 0);
-        // A different order is a cache miss.
-        let third = dtss.query(&PoQuery::new(vec![order_a_c_over_b()])).unwrap();
-        assert!(!third.from_cache);
-    }
-
-    #[test]
-    fn digest_collision_is_not_served_from_the_cache() {
-        // Forge a collision: plant a different query's result under the
-        // digest of the one we are about to run. A key-only cache would
-        // replay the wrong skyline; the structural guard must evaluate
-        // afresh and leave the forged entry in place (first owner wins).
-        let cfg = DtssConfig {
-            cache: true,
-            ..Default::default()
-        };
-        let dtss = Dtss::build(fig5_table(), vec![3], cfg).unwrap();
-        let q = PoQuery::new(vec![order_b_over_c()]);
-        let wrong_q = PoQuery::new(vec![order_a_c_over_b()]);
-        assert!(!q.same_structure(&wrong_q));
-        let wrong_records = dtss.query(&wrong_q).unwrap().skyline_records();
-        let digest = Dtss::full_digest(&q, None);
-        dtss.cache.borrow_mut().insert(
-            digest,
-            CachedResult {
-                query: wrong_q.clone(),
-                reference: None,
-                records: wrong_records.clone(),
-            },
-        );
-
-        let run = dtss.query(&q).unwrap();
-        assert!(!run.from_cache, "collision must not replay");
-        let mut got = run.skyline_records();
-        got.sort_unstable();
-        assert_eq!(got, vec![0, 1, 4, 5]);
-        // Cursor path takes the same guard.
-        let mut c = dtss.query_cursor(&q).unwrap();
-        assert!(!c.from_cache());
-        let mut pulled = Vec::new();
-        while let Some(p) = c.next() {
-            pulled.push(p.record);
-        }
-        pulled.sort_unstable();
-        assert_eq!(pulled, vec![0, 1, 4, 5]);
-        // First owner keeps the slot; the forged entry is still there.
-        assert!(dtss.cache.borrow()[&digest].query.same_structure(&wrong_q));
-        // The *reference point* is part of the verified identity too.
-        let folded = dtss.query_fully_dynamic(&q, &[3, 3]).unwrap();
-        assert!(!folded.from_cache);
-        let replay = dtss.query_fully_dynamic(&q, &[3, 3]).unwrap();
-        assert!(replay.from_cache);
-        assert_eq!(folded.skyline_records(), replay.skyline_records());
-    }
-
-    #[test]
     fn node_capacity_below_two_is_a_typed_error() {
         for capacity in [0, 1] {
             let cfg = DtssConfig {
@@ -1164,33 +950,8 @@ mod tests {
     }
 
     #[test]
-    fn fully_dynamic_cache_keys_include_reference() {
-        let cfg = DtssConfig {
-            cache: true,
-            ..Default::default()
-        };
-        let dtss = Dtss::build(fig5_table(), vec![3], cfg).unwrap();
-        let q = PoQuery::new(vec![order_b_over_c()]);
-        let a = dtss.query_fully_dynamic(&q, &[3, 3]).unwrap();
-        assert!(!a.from_cache);
-        let b = dtss.query_fully_dynamic(&q, &[3, 3]).unwrap();
-        assert!(b.from_cache);
-        assert_eq!(a.skyline_records(), b.skyline_records());
-        // Same order, different reference: a miss.
-        let c = dtss.query_fully_dynamic(&q, &[4, 4]).unwrap();
-        assert!(!c.from_cache);
-        // And the plain query is yet another key.
-        let d = dtss.query(&q).unwrap();
-        assert!(!d.from_cache);
-    }
-
-    #[test]
     fn fully_dynamic_query_rejects_a_wrong_width_reference() {
-        let cfg = DtssConfig {
-            cache: true,
-            ..Default::default()
-        };
-        let dtss = Dtss::build(fig5_table(), vec![3], cfg).unwrap();
+        let dtss = Dtss::build(fig5_table(), vec![3], DtssConfig::default()).unwrap();
         let q = PoQuery::new(vec![order_b_over_c()]);
         for reference in [&[][..], &[1], &[1, 2, 3]] {
             assert_eq!(
@@ -1201,8 +962,6 @@ mod tests {
                 })
             );
         }
-        // A rejected query caches nothing.
-        assert!(dtss.cache.borrow().is_empty());
     }
 
     #[test]
@@ -1287,8 +1046,7 @@ mod tests {
         let mut walk = Walk {
             emitted: Vec::new(),
             heap_pops: 0,
-            io_reads: PageConfig::default()
-                .data_pages(dtss.groups.len(), doms.len() + 2 * table.to_dims()),
+            io_reads: rtree::data_pages(dtss.groups.len(), doms.len() + 2 * table.to_dims()),
             groups_skipped: 0,
         };
         for gi in order {
@@ -1407,7 +1165,6 @@ mod tests {
             let cfg = DtssConfig {
                 node_capacity: Some(capacity),
                 precompute_local: false,
-                ..Default::default()
             };
             for kernel in [Kernel::Scalar, Kernel::Lanes] {
                 let dtss = Dtss::build(t.clone().with_kernel(kernel), sizes.clone(), cfg).unwrap();

@@ -14,11 +14,11 @@
 //! [`Metrics::label_cache_misses`] counters on every run report what the
 //! cache did.
 //!
-//! The session is deliberately separate from [`DtssConfig::cache`] (the
-//! §V-B result-digest cache): results are only reusable when *every*
-//! attribute's order repeats exactly, while labelings are reusable
-//! per-attribute — a query mixing one new DAG with three seen ones still
-//! skips 3/4 of the labeling work.
+//! The session caches labelings, not results: a result is only reusable
+//! when *every* attribute's order repeats exactly, while labelings are
+//! reusable per attribute — a query mixing one new DAG with three seen
+//! ones still skips 3/4 of the labeling work. The operator itself caches
+//! no results: every query runs in its own cursor.
 //!
 //! A labeling depends only on its DAG, never on the data, so a cached
 //! entry stays valid for as long as the session lives. As everywhere in the
@@ -138,13 +138,12 @@ impl<'a> QuerySession<'a> {
         }
     }
 
-    /// Evaluates a dynamic skyline query, reusing cached labelings. The
-    /// run's [`Metrics`](crate::Metrics) report this query's cache hits and
-    /// misses; labeling is skipped entirely (both counters zero) when the
-    /// operator serves the result from its digest cache.
+    /// Evaluates a dynamic skyline query, reusing cached labelings: drains
+    /// a fresh [`cursor`](Self::cursor). The run's
+    /// [`Metrics`](crate::Metrics) report this query's cache hits and
+    /// misses.
     pub fn query(&mut self, q: &PoQuery) -> Result<DtssRun, CoreError> {
-        let dtss = self.dtss;
-        dtss.query_inner(q, None, Some(&mut || self.prepare(q)))
+        Ok(self.cursor(q)?.drain())
     }
 
     /// Fully dynamic variant (§V-B): TO dominance is folded around
@@ -155,7 +154,9 @@ impl<'a> QuerySession<'a> {
         reference: &[u32],
     ) -> Result<DtssRun, CoreError> {
         let dtss = self.dtss;
-        dtss.query_inner(q, Some(reference), Some(&mut || self.prepare(q)))
+        Ok(dtss
+            .cursor_inner(q, Some(reference), || self.prepare(q))?
+            .drain())
     }
 
     /// Opens a pull-based cursor for `q`, reusing cached labelings. The
@@ -163,7 +164,7 @@ impl<'a> QuerySession<'a> {
     /// session.
     pub fn cursor(&mut self, q: &PoQuery) -> Result<DtssCursor<'a>, CoreError> {
         let dtss = self.dtss;
-        dtss.cursor_inner(q, None, Some(&mut || self.prepare(q)))
+        dtss.cursor_inner(q, None, || self.prepare(q))
     }
 }
 

@@ -30,7 +30,7 @@ use crate::cursor::{ProgressSample, SkylineCursor};
 use crate::store::KeyBlock;
 use crate::{CoreError, Metrics, PoDomain, Table};
 use poset::{Dag, IntervalSet};
-use rtree::{BestFirst, Mbb, PageConfig, Popped, RTree};
+use rtree::{BestFirst, Mbb, Popped, RTree};
 use std::time::Instant;
 
 /// Tuning knobs for [`Stss`]. sTSS runs the configuration the paper
@@ -48,7 +48,8 @@ pub struct StssConfig {
 }
 
 /// Resolves an engine's R-tree node capacity: the explicit override, else
-/// the default [`PageConfig`]'s capacity for `dims`-wide entries. An
+/// the page model's capacity for `dims`-wide entries
+/// ([`rtree::page_capacity`]). An
 /// override below [`rtree::MIN_CAPACITY`] is a
 /// [`CoreError::NodeCapacityTooSmall`], not a panic inside the tree.
 pub fn node_capacity(explicit: Option<usize>, dims: usize) -> Result<usize, CoreError> {
@@ -57,7 +58,7 @@ pub fn node_capacity(explicit: Option<usize>, dims: usize) -> Result<usize, Core
             Err(CoreError::NodeCapacityTooSmall { capacity })
         }
         Some(capacity) => Ok(capacity),
-        None => Ok(PageConfig::default().capacity(dims)),
+        None => Ok(rtree::page_capacity(dims)),
     }
 }
 

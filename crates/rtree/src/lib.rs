@@ -38,5 +38,5 @@ mod tree;
 pub use geom::Mbb;
 pub use node::{ChildEntry, NodeId};
 pub use query::{BestFirst, Popped};
-pub use stats::PageConfig;
-pub use tree::{BuildNode, RTree, DEFAULT_CAPACITY, MIN_CAPACITY};
+pub use stats::{data_pages, page_capacity};
+pub use tree::{BuildNode, RTree, MIN_CAPACITY};

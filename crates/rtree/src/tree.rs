@@ -2,9 +2,6 @@ use crate::node::{Node, NodeId, NodeKind};
 use crate::{ChildEntry, Mbb};
 use std::ops::Range;
 
-/// Default maximum entries per node when no [`crate::PageConfig`] is used.
-pub const DEFAULT_CAPACITY: usize = 64;
-
 /// Smallest node capacity a tree accepts: a node must hold two entries.
 pub const MIN_CAPACITY: usize = 2;
 

@@ -8,12 +8,11 @@
 //! overhead that, unlike query-time IOs, cannot be amortized with buffers.
 //!
 //! We charge: read + write for the sort pass, a read pass for bulk loading,
-//! and a write per index page created, using the default [`PageConfig`]
-//! model like everything else.
+//! and a write per index page created, using rtree's page model
+//! ([`rtree::data_pages`]) like everything else.
 
 use crate::{SdcConfig, SdcIndex, SdcRun, Variant};
 use poset::Dag;
-use rtree::PageConfig;
 use tss_core::{CoreError, Metrics, Table};
 
 /// The dynamic SDC+ baseline: holds only the raw table; every query pays a
@@ -42,7 +41,7 @@ impl DynamicSdc {
             self.cfg,
         )?;
         let record_dims = self.table.to_dims() + self.table.po_dims();
-        let data_pages = PageConfig::default().data_pages(self.table.len(), record_dims);
+        let data_pages = rtree::data_pages(self.table.len(), record_dims);
         let rebuild = Metrics {
             // External sort: read + write the data; bulk load: read it back.
             io_reads: 2 * data_pages,

@@ -268,7 +268,6 @@ fn interleaved_cursors_count_their_own_reads() {
         DtssConfig {
             node_capacity: Some(CAPACITY),
             precompute_local: false,
-            ..Default::default()
         },
     )
     .unwrap();
@@ -289,14 +288,15 @@ fn interleaved_cursors_count_their_own_reads() {
     assert_eq!(interleaved, lone, "SDC+");
 }
 
-/// The static indexes and the R-tree hold no interior mutability, so
-/// threads may share one index and run cursors over it at once. A compile
-/// time check: the test body only names the bounds.
+/// The static indexes, dTSS and the R-tree hold no interior mutability,
+/// so threads may share one index or operator and run cursors over it at
+/// once. A compile time check: the test body only names the bounds.
 #[test]
 fn static_indexes_are_sync() {
     fn assert_sync<T: Sync>() {}
     assert_sync::<Stss>();
     assert_sync::<SdcIndex>();
+    assert_sync::<Dtss>();
     assert_sync::<tss::rtree::RTree>();
 }
 

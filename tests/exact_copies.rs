@@ -77,7 +77,6 @@ fn exact_copies_survive_on_an_indexed_skyline() {
             let cfg = DtssConfig {
                 node_capacity: Some(CAPACITY),
                 precompute_local,
-                ..Default::default()
             };
             let dtss = Dtss::build(table.clone(), sizes.clone(), cfg).unwrap();
             let got = dtss.query(&PoQuery::new(dags.clone())).unwrap();

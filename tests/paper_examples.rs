@@ -111,15 +111,7 @@ fn table1_row2_all_algorithms() {
 fn changing_the_order_changes_the_skyline() {
     // The paper's point: p3, p7 leave and p5, p10 enter between "no
     // preference" (Fig. 1(b) + any-airline) and order one.
-    let dtss = Dtss::build(
-        tickets(),
-        vec![4],
-        DtssConfig {
-            cache: true,
-            ..Default::default()
-        },
-    )
-    .unwrap();
+    let dtss = Dtss::build(tickets(), vec![4], DtssConfig::default()).unwrap();
     let free = Dag::from_edges(4, &[]).unwrap();
     let r_free = dtss.query(&PoQuery::new(vec![free])).unwrap();
     let r_one = dtss.query(&PoQuery::new(vec![order_one()])).unwrap();
