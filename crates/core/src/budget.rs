@@ -28,8 +28,7 @@
 //! [`Exhausted`](BudgetOutcome::Exhausted) with the confirmed prefix
 //! otherwise.
 
-use crate::cursor::{ProgressSample, SkylineCursor};
-use crate::stss::SkylinePoint;
+use crate::cursor::{ProgressSample, SkylineCursor, SkylinePoint};
 use crate::Metrics;
 
 /// An allowance of pair-check work ([`Metrics::dominance_checks`] units).

@@ -4,6 +4,12 @@
 //! engine's emission order, with [`Metrics`] and a [`ProgressSample`]
 //! observable mid-stream.
 //!
+//! A point is its record id. Rows never leave the engine's table: a
+//! caller that wants a point's attribute values reads them by id from
+//! [`Stss::table`](crate::Stss::table), [`Dtss::table`](crate::Dtss::table),
+//! `SdcIndex::table`, or [`StreamingSkyline::store`](crate::StreamingSkyline::store)
+//! while its generation still equals the snapshot's.
+//!
 //! The paper's headline property is *optimal progressiveness* (§IV,
 //! Fig. 11): skyline points are confirmed the moment the traversal reaches
 //! them. A pull cursor makes that property *consumable* — stop after the
@@ -52,9 +58,17 @@
 //! assert_eq!(&all[..2], &top2[..]);
 //! ```
 
-use crate::stss::SkylinePoint;
+use crate::store::RecordId;
 use crate::{CostModel, Metrics};
 use std::time::Duration;
+
+/// One skyline result: the record id of a confirmed point. Its attribute
+/// values stay in the engine's table, addressed by this id.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SkylinePoint {
+    /// Row index into the engine's table.
+    pub record: RecordId,
+}
 
 /// State of a run at the moment one skyline point was emitted — the raw
 /// material of the paper's progressiveness study (Fig. 11).
@@ -147,13 +161,7 @@ mod tests {
 
     fn scripted(n: u32) -> Scripted {
         Scripted {
-            points: (0..n)
-                .map(|i| SkylinePoint {
-                    record: i,
-                    to: vec![i],
-                    po: vec![],
-                })
-                .collect(),
+            points: (0..n).map(|record| SkylinePoint { record }).collect(),
             m: Metrics::default(),
         }
     }

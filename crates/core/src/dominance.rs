@@ -152,19 +152,13 @@ pub fn t_dominates_weak_printed(
 /// dominated (ground-truth reachability dominance), in input order.
 pub fn brute_force_po_skyline(domains: &[PoDomain], table: &Table) -> Vec<u32> {
     let dom = Dominance::new(domains);
-    (0..table.len())
+    let n = table.len() as u32;
+    (0..n)
         .filter(|&i| {
-            !(0..table.len()).any(|j| {
-                j != i
-                    && dom.dominates_oracle(
-                        table.to_row(j),
-                        table.po_row(j),
-                        table.to_row(i),
-                        table.po_row(i),
-                    )
+            !(0..n).any(|j| {
+                j != i && dom.dominates_oracle(table.to(j), table.po(j), table.to(i), table.po(i))
             })
         })
-        .map(|i| i as u32)
         .collect()
 }
 

@@ -15,7 +15,8 @@
 //!   have ordinal-sum strictly below (distinct keys). Inside a group, BBS
 //!   over the TO tree, or a scan of the group's local skyline in ascending
 //!   coordinate sum, gives precedence as usual, so every surviving point is
-//!   emitted immediately.
+//!   emitted immediately, as its record id: plain and fully dynamic
+//!   queries alike leave the rows in [`Dtss::table`].
 //! * **Group skipping:** before touching a group's tree, its root MBB corner
 //!   is checked against the global skyline; a dominated corner dismisses the
 //!   whole group without reading a single page (the Fig. 5 `Gc` moment).
@@ -46,9 +47,8 @@
 //!   front. So does every query when [`DtssConfig::precompute_local`] is
 //!   `false`, the paper's §VI-C configuration.
 
-use crate::cursor::{ProgressSample, SkylineCursor};
+use crate::cursor::{ProgressSample, SkylineCursor, SkylinePoint};
 use crate::store::{KeyBlock, RecordId};
-use crate::stss::SkylinePoint;
 use crate::{CoreError, Metrics, PoDomain, Table};
 use poset::{Dag, Fnv64};
 use rtree::{BestFirst, Mbb, Popped, RTree};
@@ -215,8 +215,8 @@ impl Dtss {
         // per group, not per row.
         let mut by_key: HashMap<&[u32], Vec<RecordId>, BuildHasherDefault<Fnv64>> =
             HashMap::default();
-        for i in 0..table.len() {
-            by_key.entry(table.po_row(i)).or_default().push(i as u32);
+        for r in 0..table.len() as RecordId {
+            by_key.entry(table.po(r)).or_default().push(r);
         }
         let cap = crate::node_capacity(cfg.node_capacity, table.to_dims())?;
         // lint:allow(hash-iter): drained groups are sorted by key on the next line, so the group layout never sees the hasher's order
@@ -301,8 +301,7 @@ impl Dtss {
     /// folding (the paper's observation), so this path always scans the
     /// group trees — best-first around the reference point.
     ///
-    /// Reported skyline points carry their **original** TO coordinates. A
-    /// `reference` that does not name one value per TO attribute is a
+    /// A `reference` that does not name one value per TO attribute is a
     /// [`CoreError::ReferenceWidthMismatch`].
     pub fn query_fully_dynamic(
         &self,
@@ -399,9 +398,6 @@ enum DtssPhase<'a> {
 /// Pull-based dTSS executor: the §V-A group walk as an explicit-state
 /// iterator. Groups are ranked, dismissed and traversed lazily — a consumer
 /// that stops after `k` results never reads the trees of later groups.
-///
-/// Yielded points always carry their **original** TO coordinates, also for
-/// fully dynamic (folded) queries.
 ///
 /// Inside a group's tree walk each popped point and subtree corner meets
 /// the group's front first and the working skyline only on a front miss
@@ -510,15 +506,6 @@ impl<'a> DtssCursor<'a> {
             groups_skipped: self.groups_skipped,
             groups_total: self.groups_total(),
             skyline,
-        }
-    }
-
-    /// The owned point handed to the caller: original TO coordinates.
-    fn yielded(&self, record: u32) -> SkylinePoint {
-        SkylinePoint {
-            record,
-            to: self.dtss.table.to_row(record as usize).to_vec(),
-            po: self.dtss.table.po_row(record as usize).to_vec(),
         }
     }
 
@@ -671,7 +658,7 @@ impl SkylineCursor for DtssCursor<'_> {
                             self.emit(r);
                             self.take_sample(0);
                             self.phase = DtssPhase::Local { gi, local };
-                            return Some(self.yielded(r));
+                            return Some(SkylinePoint { record: r });
                         }
                     }
                     self.phase = DtssPhase::NextGroup;
@@ -695,7 +682,7 @@ impl SkylineCursor for DtssCursor<'_> {
                                     self.emit(record);
                                     self.take_sample(bf.reads());
                                     self.phase = DtssPhase::Tree { gi, bf };
-                                    return Some(self.yielded(record));
+                                    return Some(SkylinePoint { record });
                                 }
                             }
                         }
@@ -895,20 +882,19 @@ mod tests {
                 .map(|(&a, &b)| a.abs_diff(b))
                 .collect()
         };
-        (0..t.len())
+        (0..t.len() as u32)
             .filter(|&i| {
-                !(0..t.len()).any(|j| {
+                !(0..t.len() as u32).any(|j| {
                     j != i
                         && crate::dominance::t_dominates(
                             doms,
-                            &fold(t.to_row(j)),
-                            t.po_row(j),
-                            &fold(t.to_row(i)),
-                            t.po_row(i),
+                            &fold(t.to(j)),
+                            t.po(j),
+                            &fold(t.to(i)),
+                            t.po(i),
                         )
                 })
             })
-            .map(|i| i as u32)
             .collect()
     }
 
@@ -929,10 +915,6 @@ mod tests {
                     let mut expect = folded_oracle(&fig5_table(), &doms, r);
                     expect.sort_unstable();
                     assert_eq!(got, expect, "cfg={cfg:?} ref={r:?}");
-                    // Reported coordinates are the originals.
-                    for p in &run.skyline {
-                        assert_eq!(p.to, fig5_table().to_row(p.record as usize));
-                    }
                 }
             }
         }

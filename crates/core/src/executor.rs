@@ -808,7 +808,7 @@ mod tests {
                         .collect();
                     if ctx.kernel != Kernel::Scalar {
                         // Sneak in some dominated record of the shard.
-                        if let Some(bad) = view.record_ids().find(|r| !local.contains(r)) {
+                        if let Some(bad) = view.range().find(|r| !local.contains(r)) {
                             local.push(bad);
                         }
                     }
@@ -852,7 +852,7 @@ mod tests {
                         // lint:allow(panic-path): test-only deterministic failure (cfg(test) is ratchet-exempt anyway)
                         panic!("shard {i} is broken on every kernel");
                     }
-                    (view.record_ids().collect(), Metrics::default())
+                    (view.range().collect(), Metrics::default())
                 })
             })
             .collect();

@@ -397,7 +397,7 @@ mod tests {
             .into_iter()
             .map(|v| {
                 ShardJob::new(v.range(), move |_ctx| {
-                    (v.record_ids().collect(), Metrics::default())
+                    (v.range().collect(), Metrics::default())
                 })
             })
             .collect();

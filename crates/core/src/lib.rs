@@ -74,7 +74,7 @@ mod streaming;
 mod stss;
 
 pub use budget::{Budget, BudgetOutcome, BudgetedCursor};
-pub use cursor::{ProgressSample, SkylineCursor};
+pub use cursor::{ProgressSample, SkylineCursor, SkylinePoint};
 pub use dominance::{brute_force_po_skyline, t_dominates, t_dominates_weak_printed, Dominance};
 pub use dtss::{Dtss, DtssConfig, DtssCursor, DtssRun, PoQuery};
 pub use error::{CoreError, ShardError, ShardErrorKind};
@@ -89,7 +89,7 @@ pub use session::{QuerySession, SessionStats};
 pub use skyline::{Kernel, LANES};
 pub use store::{PointStore, RecordId, ShardView};
 pub use streaming::{StreamingConfig, StreamingCursor, StreamingSkyline, WindowPolicy};
-pub use stss::{node_capacity, SkylinePoint, Stss, StssConfig, StssCursor, StssRun};
+pub use stss::{node_capacity, Stss, StssConfig, StssCursor, StssRun};
 
 /// The facade name of the columnar [`PointStore`]: the paper-facing API
 /// builds a `Table`, the engines consume it as the record-id-addressed

@@ -217,18 +217,6 @@ impl PointStore {
         &self.po[i * self.po_dims..(i + 1) * self.po_dims]
     }
 
-    /// The TO coordinates of tuple `i` (index-typed convenience).
-    #[inline]
-    pub fn to_row(&self, i: usize) -> &[u32] {
-        &self.to[i * self.to_dims..(i + 1) * self.to_dims]
-    }
-
-    /// The PO value ids of tuple `i` (index-typed convenience).
-    #[inline]
-    pub fn po_row(&self, i: usize) -> &[u32] {
-        &self.po[i * self.po_dims..(i + 1) * self.po_dims]
-    }
-
     /// The flat row-major TO block.
     #[inline]
     pub fn to_block(&self) -> &[u32] {
@@ -258,7 +246,7 @@ impl PointStore {
             });
         }
         for i in 0..self.n {
-            let row = self.po_row(i);
+            let row = self.po(i as RecordId);
             for (d, (&v, &s)) in row.iter().zip(sizes.iter()).enumerate() {
                 if v >= s {
                     return Err(CoreError::PoValueOutOfRange {
@@ -462,12 +450,6 @@ impl PointStore {
         self.n - self.dead
     }
 
-    /// True iff any record has been tombstoned since the last compaction.
-    #[inline]
-    pub fn has_tombstones(&self) -> bool {
-        self.dead > 0
-    }
-
     /// Iterates the live record ids in ascending physical order.
     pub fn live_ids(&self) -> impl Iterator<Item = RecordId> + '_ {
         (0..self.n as RecordId).filter(|&id| self.is_live(id))
@@ -590,11 +572,6 @@ impl<'a> ShardView<'a> {
     pub fn po_block(&self) -> &'a [u32] {
         let d = self.store.po_dims;
         &self.store.po[self.start as usize * d..self.end as usize * d]
-    }
-
-    /// Iterates the shard's global record ids.
-    pub fn record_ids(&self) -> impl Iterator<Item = RecordId> {
-        self.start..self.end
     }
 
     /// An owned copy of the shard as a standalone store (records renumbered
@@ -1030,7 +1007,7 @@ pub(crate) mod tests {
         t.push(&[1, 2], &[0]);
         t.push(&[3, 4], &[5]);
         assert_eq!(t.len(), 2);
-        assert_eq!(t.to_row(0), &[1, 2]);
+        assert_eq!(t.to(0), &[1, 2]);
         assert_eq!(t.to(1), &[3, 4]);
         assert_eq!(t.po(1), &[5]);
         assert_eq!((t.to_dims(), t.po_dims()), (2, 1));
@@ -1059,8 +1036,8 @@ pub(crate) mod tests {
     fn po_only_store() {
         let t = PointStore::from_parts(0, 2, vec![], vec![1, 2, 3, 4]).unwrap();
         assert_eq!(t.len(), 2);
-        assert_eq!(t.po_row(0), &[1, 2]);
-        assert!(t.to_row(0).is_empty());
+        assert_eq!(t.po(0), &[1, 2]);
+        assert!(t.to(0).is_empty());
     }
 
     #[test]
@@ -1117,12 +1094,12 @@ pub(crate) mod tests {
                 assert_eq!(v.to_block().len(), v.len() * 2);
                 assert_eq!(v.po_block().len(), v.len());
                 // Zero-copy: the window aliases the parent block.
-                assert_eq!(v.to_block().as_ptr(), t.to_row(v.start() as usize).as_ptr());
+                assert_eq!(v.to_block().as_ptr(), t.to(v.start()).as_ptr());
                 // The owned copy round-trips row for row.
                 let owned = v.to_store();
-                for (local, global) in v.record_ids().enumerate() {
-                    assert_eq!(owned.to_row(local), t.to(global));
-                    assert_eq!(owned.po_row(local), t.po(global));
+                for (local, global) in (0..).zip(v.range()) {
+                    assert_eq!(owned.to(local), t.to(global));
+                    assert_eq!(owned.po(local), t.po(global));
                 }
             }
             assert_eq!(next, 10);
@@ -1167,7 +1144,6 @@ pub(crate) mod tests {
         assert_eq!((a, b, c), (0, 1, 2));
         assert_eq!(t.generation(), 3);
         assert_eq!((t.len(), t.live_len()), (3, 3));
-        assert!(!t.has_tombstones());
 
         assert!(t.expire(b), "first expiry succeeds");
         assert!(!t.expire(b), "double expiry is a no-op");
@@ -1177,7 +1153,6 @@ pub(crate) mod tests {
         }
         assert_eq!(t.generation(), 4, "the no-ops did not bump the epoch");
         assert_eq!((t.len(), t.live_len()), (3, 2));
-        assert!(t.has_tombstones());
         assert!(t.is_live(a) && !t.is_live(b) && t.is_live(c));
         assert_eq!(t.live_ids().collect::<Vec<_>>(), vec![0, 2]);
         // Physical accessors still address the tombstoned row.
@@ -1187,7 +1162,6 @@ pub(crate) mod tests {
         assert_eq!(survivors, vec![0, 2]);
         assert_eq!(t.generation(), 5);
         assert_eq!((t.len(), t.live_len()), (2, 2));
-        assert!(!t.has_tombstones());
         // Old id `c` fell past `len()` with the compaction.
         assert!(!t.is_live(c) && !t.expire(c));
         assert_eq!((t.generation(), t.live_len()), (5, 2));

@@ -59,18 +59,21 @@
 //! # Reading the skyline
 //!
 //! [`cursor`](StreamingSkyline::cursor), the one way to read the skyline,
-//! materializes a [`StreamingCursor`] that owns a snapshot of the skyline
-//! points *and* the store [`generation`](PointStore::generation) it was
-//! taken at — iterator invalidation is impossible by construction: later
-//! mutations touch the store, never the snapshot, and the stamped
-//! generation tells the reader exactly which epoch it is looking at. A
-//! snapshot is read once, so the cursor moves each point out to the
-//! reader rather than copying it.
+//! opens a [`StreamingCursor`] that owns a copy of the skyline's record
+//! ids, stamped with the store [`generation`](PointStore::generation) it
+//! was taken at: one allocation per snapshot. Iterator invalidation is
+//! impossible by construction: later mutations touch the store, never the
+//! snapshot, and the stamped generation tells the reader exactly which
+//! epoch it is looking at. Rows stay in the store; a reader that wants a
+//! point's attribute values reads them through
+//! [`store`](StreamingSkyline::store) while its generation still equals
+//! the snapshot's. The maintainer compacts the store on its own (at least
+//! 64 tombstones, and at least as many as live rows), and a compaction
+//! renumbers the ids.
 
-use crate::cursor::{ProgressSample, SkylineCursor};
+use crate::cursor::{ProgressSample, SkylineCursor, SkylinePoint};
 use crate::dominance::t_dominates;
 use crate::store::{KeyBlock, PointStore, RecordId};
-use crate::stss::SkylinePoint;
 use crate::{Metrics, PoDomain};
 use skyline::Kernel;
 
@@ -120,8 +123,9 @@ pub struct StreamingSkyline {
     metrics: Metrics,
 }
 
-/// Compaction trigger: at least this many tombstones *and* more dead than
-/// live rows. Deterministic — a pure function of the operation sequence.
+/// Compaction trigger: at least this many tombstones *and* at least as
+/// many dead as live rows. Deterministic — a pure function of the
+/// operation sequence.
 const COMPACT_MIN_DEAD: usize = 64;
 
 impl StreamingSkyline {
@@ -327,10 +331,10 @@ impl StreamingSkyline {
         self.sky.merge_by_id(&promoted);
     }
 
-    /// Compacts the store once tombstones outnumber live rows (and exceed
-    /// [`COMPACT_MIN_DEAD`]), translating every id the maintainer holds
-    /// through the survivor map. Live order is preserved, so the skyline
-    /// stays ascending.
+    /// Compacts the store once tombstones are at least as many as live
+    /// rows (and at least [`COMPACT_MIN_DEAD`]), translating every id the
+    /// maintainer holds through the survivor map. Live order is preserved,
+    /// so the skyline stays ascending.
     fn maybe_compact(&mut self) {
         let dead = self.store.len() - self.store.live_len();
         if dead < COMPACT_MIN_DEAD || dead * 2 < self.store.len() {
@@ -357,23 +361,13 @@ impl StreamingSkyline {
         self.oldest = survivors.partition_point(|&s| s < self.oldest) as RecordId;
     }
 
-    /// Materializes a generation-stamped snapshot cursor over the current
-    /// skyline. The cursor owns its points: later mutations cannot
-    /// invalidate it, by construction.
+    /// Opens a generation-stamped snapshot cursor over the current
+    /// skyline: one copy of its id list, the snapshot's one allocation.
+    /// Later mutations cannot invalidate it, by construction.
     pub fn cursor(&self) -> StreamingCursor {
-        let points: Vec<SkylinePoint> = self
-            .sky
-            .ids()
-            .iter()
-            .map(|&r| SkylinePoint {
-                record: r,
-                to: self.store.to(r).to_vec(),
-                po: self.store.po(r).to_vec(),
-            })
-            .collect();
         StreamingCursor {
-            len: points.len(),
-            points: points.into_iter(),
+            ids: self.sky.ids().to_vec().into_iter(),
+            len: self.sky.len(),
             generation: self.store.generation(),
             maintenance: self.metrics(),
         }
@@ -382,14 +376,16 @@ impl StreamingSkyline {
 
 /// A snapshot cursor over one epoch of a [`StreamingSkyline`].
 ///
-/// Owns its points and the [`generation`](Self::generation) they were
-/// taken at; emits them in ascending record-id order, each moved out of
-/// the snapshot. `metrics()` reports the *maintenance* metrics at snapshot
-/// time with `results` counting the points emitted so far — reading a
-/// maintained skyline does no dominance work of its own, the maintenance
-/// already paid for it.
+/// Owns the skyline's record ids and the [`generation`](Self::generation)
+/// they were taken at, and emits them in ascending order. A point's rows
+/// stay in the store: read them through
+/// [`StreamingSkyline::store`] while its generation still equals the
+/// snapshot's (a compaction renumbers ids). `metrics()` reports the
+/// *maintenance* metrics at snapshot time with `results` counting the
+/// points emitted so far — reading a maintained skyline does no dominance
+/// work of its own, the maintenance already paid for it.
 pub struct StreamingCursor {
-    points: std::vec::IntoIter<SkylinePoint>,
+    ids: std::vec::IntoIter<RecordId>,
     /// Snapshot size, independent of the read position.
     len: usize,
     generation: u64,
@@ -415,13 +411,13 @@ impl StreamingCursor {
 
     /// Points emitted so far.
     fn read(&self) -> u64 {
-        (self.len - self.points.len()) as u64
+        (self.len - self.ids.len()) as u64
     }
 }
 
 impl SkylineCursor for StreamingCursor {
     fn next(&mut self) -> Option<SkylinePoint> {
-        self.points.next()
+        self.ids.next().map(|record| SkylinePoint { record })
     }
 
     fn metrics(&self) -> Metrics {
@@ -713,10 +709,6 @@ mod tests {
         assert_eq!(records, s.skyline_records());
         assert_eq!(cur.metrics().results, records.len() as u64);
         assert_eq!(cur.len(), len, "len is the snapshot's, not what is left");
-        for p in &pts {
-            assert_eq!(p.to, s.store().to(p.record));
-            assert_eq!(p.po, s.store().po(p.record));
-        }
     }
 
     #[test]

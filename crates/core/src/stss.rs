@@ -9,7 +9,8 @@
 //! extend the partial orders; ties only between exact duplicates, which do
 //! not dominate). Every check is exact, so a point that survives is
 //! immediately — and permanently — a skyline point: optimal
-//! progressiveness.
+//! progressiveness. The cursor hands it out as its record id; its
+//! attribute values stay in [`Stss::table`].
 //!
 //! Checks run against the confirmed skyline, kept as a key block of the
 //! popped points (see the [`store` docs](crate::PointStore)): box first,
@@ -26,7 +27,7 @@
 //! examined members. Once the skyline passes 256 members, the block scans
 //! only the members its dimension index leaves in reach of the candidate.
 
-use crate::cursor::{ProgressSample, SkylineCursor};
+use crate::cursor::{ProgressSample, SkylineCursor, SkylinePoint};
 use crate::store::KeyBlock;
 use crate::{CoreError, Metrics, PoDomain, Table};
 use poset::{Dag, IntervalSet};
@@ -60,17 +61,6 @@ pub fn node_capacity(explicit: Option<usize>, dims: usize) -> Result<usize, Core
         Some(capacity) => Ok(capacity),
         None => Ok(rtree::page_capacity(dims)),
     }
-}
-
-/// One skyline result: the record index plus its attribute values.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SkylinePoint {
-    /// Row index into the input [`Table`].
-    pub record: u32,
-    /// TO coordinates.
-    pub to: Vec<u32>,
-    /// PO value ids.
-    pub po: Vec<u32>,
 }
 
 /// The sTSS operator: an immutable index over a table, runnable any number
@@ -278,9 +268,8 @@ pub struct StssCursor<'a> {
     start: Instant,
     m: Metrics,
     /// Confirmed skyline records in emission order, with their transformed
-    /// keys (the popped R-tree points) for the box filter; attribute values
-    /// are fetched from the table on demand, so confirmation allocates one
-    /// owned [`SkylinePoint`] — the one handed to the caller.
+    /// keys (the popped R-tree points) for the box filter. Attribute values
+    /// stay in the table: confirmation hands out the record id alone.
     skyline: KeyBlock,
     last_sample: ProgressSample,
     finished: bool,
@@ -308,7 +297,6 @@ impl SkylineCursor for StssCursor<'_> {
         }
         let stss = self.stss;
         let checks = stss.checks();
-        let to_dims = stss.table.to_dims();
         while let Some(popped) = self.bf.pop() {
             self.m.heap_pops += 1;
             match popped {
@@ -318,7 +306,7 @@ impl SkylineCursor for StssCursor<'_> {
                     }
                 }
                 Popped::Record { point, record, .. } => {
-                    let po = stss.table.po_row(record as usize);
+                    let po = stss.table.po(record);
                     if !checks.point_dominated(point, po, &self.skyline, &mut self.m) {
                         self.skyline.push(record, point);
                         self.m.results += 1;
@@ -329,11 +317,7 @@ impl SkylineCursor for StssCursor<'_> {
                             io_reads: self.m.io_reads,
                             dominance_checks: self.m.dominance_checks,
                         };
-                        return Some(SkylinePoint {
-                            record,
-                            to: point[..to_dims].to_vec(),
-                            po: po.to_vec(),
-                        });
+                        return Some(SkylinePoint { record });
                     }
                 }
             }
@@ -452,12 +436,14 @@ mod tests {
         };
         let stss = Stss::build(t, vec![dag], cfg).unwrap();
         let run = stss.run();
+        let table = stss.table();
         let mindists: Vec<u64> = run
             .skyline
             .iter()
             .map(|p| {
-                let ordinal = stss.domains()[0].ordinal(p.po[0]) as u64;
-                p.to.iter().map(|&x| x as u64).sum::<u64>() + ordinal
+                let ordinal = stss.domains()[0].ordinal(table.po(p.record)[0]) as u64;
+                let to = table.to(p.record);
+                to.iter().map(|&x| x as u64).sum::<u64>() + ordinal
             })
             .collect();
         assert!(

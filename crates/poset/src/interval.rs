@@ -131,11 +131,6 @@ impl IntervalSet {
         }
     }
 
-    /// True iff the integer `p` is in the set.
-    pub fn covers_point(&self, p: u32) -> bool {
-        self.covers_interval(&Interval::point(p))
-    }
-
     /// True iff every run of `other` is contained in some run of `self` —
     /// i.e. `other ⊆ self` as sets of integers. This is exactly the
     /// *t-preference* test of Definition 1 once both sides are normalized.
@@ -177,11 +172,6 @@ impl IntervalSet {
         }
         let merged = self.union(other);
         *self = merged;
-    }
-
-    /// Iterates over every covered integer (ascending). Test helper.
-    pub fn iter_points(&self) -> impl Iterator<Item = u32> + '_ {
-        self.ivs.iter().flat_map(|iv| iv.lo..=iv.hi)
     }
 }
 
@@ -252,12 +242,12 @@ mod tests {
         let s = set(&[(1, 2), (5, 8), (10, 10)]);
         assert!(s.covers_interval(&Interval::new(5, 8)));
         assert!(s.covers_interval(&Interval::new(6, 7)));
-        assert!(s.covers_point(10));
+        assert!(s.covers_interval(&Interval::point(10)));
         assert!(!s.covers_interval(&Interval::new(2, 5)));
-        assert!(!s.covers_point(3));
-        assert!(!s.covers_point(0));
-        assert!(!s.covers_point(11));
-        assert!(!IntervalSet::empty().covers_point(1));
+        assert!(!s.covers_interval(&Interval::point(3)));
+        assert!(!s.covers_interval(&Interval::point(0)));
+        assert!(!s.covers_interval(&Interval::point(11)));
+        assert!(!IntervalSet::empty().covers_interval(&Interval::point(1)));
     }
 
     #[test]
@@ -284,12 +274,6 @@ mod tests {
         let before = c.clone();
         c.union_in_place(&set(&[(2, 2)]));
         assert_eq!(c, before);
-    }
-
-    #[test]
-    fn iter_points_enumerates_members() {
-        let s = set(&[(1, 2), (5, 5)]);
-        assert_eq!(s.iter_points().collect::<Vec<_>>(), vec![1, 2, 5]);
     }
 
     #[test]

@@ -105,13 +105,6 @@ impl TssLabeling {
         x != y && self.sets[x.idx()].covers_set(&self.sets[y.idx()])
     }
 
-    /// `x == y` or `t_pref(x, y)` — "at least as good", the per-dimension
-    /// relation used by t-dominance.
-    #[inline]
-    pub fn t_pref_or_equal(&self, x: ValueId, y: ValueId) -> bool {
-        x == y || self.t_pref(x, y)
-    }
-
     /// Merged interval set for a *range of ordinals* `[lo, hi]` (1-based,
     /// inclusive): the normalized union of `L(v)` over every value whose
     /// topological ordinal falls in the range.
@@ -169,7 +162,6 @@ mod tests {
         assert!(!lab.t_pref(id("d"), id("c")));
         // Not reflexive.
         assert!(!lab.t_pref(id("c"), id("c")));
-        assert!(lab.t_pref_or_equal(id("c"), id("c")));
     }
 
     #[test]
@@ -219,7 +211,7 @@ mod tests {
         for v in dag.values() {
             assert_eq!(
                 lab.intervals(v).cardinality() as usize,
-                reach.descendant_count(v),
+                reach.descendants(v).len(),
                 "L({}) must cover exactly the reachable posts",
                 dag.label(v)
             );
@@ -283,8 +275,12 @@ mod tests {
                     .into_iter()
                     .map(|u| lab.post(u))
                     .collect();
-                let got: std::collections::BTreeSet<u32> =
-                    lab.intervals(v).iter_points().collect();
+                let got: std::collections::BTreeSet<u32> = lab
+                    .intervals(v)
+                    .intervals()
+                    .iter()
+                    .flat_map(|iv| iv.lo..=iv.hi)
+                    .collect();
                 prop_assert_eq!(got, expect);
             }
         }

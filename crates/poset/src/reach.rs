@@ -73,12 +73,6 @@ impl Reachability {
         x == y || self.reaches(x, y)
     }
 
-    /// Number of values reachable from `x`, including `x` itself.
-    pub fn descendant_count(&self, x: ValueId) -> usize {
-        let row = &self.bits[x.idx() * self.words_per_row..(x.idx() + 1) * self.words_per_row];
-        row.iter().map(|w| w.count_ones() as usize).sum()
-    }
-
     /// All values reachable from `x`, including `x`, in id order.
     pub fn descendants(&self, x: ValueId) -> Vec<ValueId> {
         (0..self.n as u32)
@@ -113,7 +107,7 @@ mod tests {
         assert!(r.reaches(ValueId(0), ValueId(3)));
         assert!(!r.reaches(ValueId(1), ValueId(2)));
         assert!(!r.reaches(ValueId(2), ValueId(1)));
-        assert_eq!(r.descendant_count(ValueId(0)), 4);
+        assert_eq!(r.descendants(ValueId(0)).len(), 4);
         assert_eq!(r.descendants(ValueId(1)), vec![ValueId(1), ValueId(3)]);
     }
 
@@ -131,7 +125,7 @@ mod tests {
                 .collect::<Vec<_>>()
         );
         // R(e) = {e, g, h, i}
-        assert_eq!(r.descendant_count(id("e")), 4);
+        assert_eq!(r.descendants(id("e")).len(), 4);
         // f reaches h via the non-tree edge but not g or i.
         assert!(r.reaches(id("f"), id("h")));
         assert!(!r.reaches(id("f"), id("g")));

@@ -187,6 +187,7 @@ fn str_tile(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tree::tests::entries;
 
     fn grid_points(side: u32) -> Vec<(Vec<u32>, u32)> {
         let mut pts = Vec::new();
@@ -208,7 +209,7 @@ mod tests {
         assert_eq!(t.len(), 1);
         assert_eq!(t.height(), 1);
         t.validate().unwrap();
-        assert_eq!(t.iter_records(), vec![(&[1u32, 2][..], 7)]);
+        assert_eq!(entries(&t), vec![(&[1u32, 2][..], 7)]);
     }
 
     #[test]
@@ -233,7 +234,7 @@ mod tests {
         pts.extend(grid_points(8).into_iter().map(|(p, r)| (p, r + 1000)));
         let t = RTree::bulk_load(2, 5, pts);
         assert_eq!(t.len(), 128);
-        let mut recs: Vec<u32> = t.iter_records().iter().map(|&(_, r)| r).collect();
+        let mut recs: Vec<u32> = entries(&t).iter().map(|&(_, r)| r).collect();
         recs.sort_unstable();
         let mut expect: Vec<u32> = (0..64).chain(1000..1064).collect();
         expect.sort_unstable();
@@ -265,7 +266,7 @@ mod tests {
             let pairs = RTree::bulk_load(2, cap, pts.clone());
             flat.validate().unwrap();
             assert_eq!(flat.node_count(), pairs.node_count(), "cap={cap}");
-            assert_eq!(flat.iter_records(), pairs.iter_records(), "cap={cap}");
+            assert_eq!(entries(&flat), entries(&pairs), "cap={cap}");
         }
         // Empty flat load.
         let t = RTree::bulk_load_flat(3, 4, &[], &[]);

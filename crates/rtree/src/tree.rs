@@ -114,22 +114,6 @@ impl RTree {
         }
     }
 
-    /// Iterates over all `(point, record)` pairs (a debug and test
-    /// convenience).
-    pub fn iter_records(&self) -> Vec<(&[u32], u32)> {
-        let mut out = Vec::with_capacity(self.len());
-        let mut stack: Vec<NodeId> = self.root.into_iter().collect();
-        while let Some(id) = stack.pop() {
-            match &self.nodes[id.idx()].kind {
-                NodeKind::Leaf(rows) => {
-                    out.extend(rows.clone().map(|i| (self.row(i), self.records[i])));
-                }
-                NodeKind::Inner(children) => stack.extend(children.iter().copied()),
-            }
-        }
-        out
-    }
-
     /// Row `i` of the point block: the coordinates of one leaf entry.
     #[inline]
     pub(crate) fn row(&self, i: usize) -> &[u32] {
@@ -305,8 +289,24 @@ impl RTree {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+
+    /// Every `(point, record)` pair of the tree, leaves in depth-first
+    /// order from the last child.
+    pub(crate) fn entries(t: &RTree) -> Vec<(&[u32], u32)> {
+        let mut out = Vec::with_capacity(t.len());
+        let mut stack: Vec<NodeId> = t.root.into_iter().collect();
+        while let Some(id) = stack.pop() {
+            match &t.nodes[id.idx()].kind {
+                NodeKind::Leaf(rows) => {
+                    out.extend(rows.clone().map(|i| (t.row(i), t.records[i])));
+                }
+                NodeKind::Inner(children) => stack.extend(children.iter().copied()),
+            }
+        }
+        out
+    }
 
     #[test]
     fn empty_tree() {
@@ -359,7 +359,7 @@ mod tests {
     }
 
     #[test]
-    fn iter_records_sees_everything() {
+    fn from_structure_keeps_every_record() {
         let t = RTree::from_structure(
             2,
             3,
@@ -368,7 +368,7 @@ mod tests {
                 BuildNode::Leaf(vec![(vec![3, 3], 30)]),
             ]),
         );
-        let mut recs: Vec<u32> = t.iter_records().iter().map(|&(_, r)| r).collect();
+        let mut recs: Vec<u32> = entries(&t).iter().map(|&(_, r)| r).collect();
         recs.sort_unstable();
         assert_eq!(recs, vec![10, 20, 30]);
     }

@@ -182,8 +182,7 @@ impl<'a> SdcCursor<'a> {
                     if m_dominated {
                         continue;
                     }
-                    let (to_p, po_p) =
-                        (table.to_row(record as usize), table.po_row(record as usize));
+                    let (to_p, po_p) = (table.to(record), table.po(record));
                     if !stratum.exact {
                         // 2. exact check against confirmed results.
                         let dominated_g = self.global.ids.iter().any(|&r| {
@@ -247,11 +246,7 @@ impl SkylineCursor for SdcCursor<'_> {
             return None;
         };
         self.last_sample = sample;
-        Some(SkylinePoint {
-            record,
-            to: self.index.table.to_row(record as usize).to_vec(),
-            po: self.index.table.po_row(record as usize).to_vec(),
-        })
+        Some(SkylinePoint { record })
     }
 
     fn metrics(&self) -> Metrics {
@@ -369,7 +364,7 @@ mod tests {
         )
         .unwrap();
         // Paper domain has uncovered levels 0, 1, 2 (all populated by fig3).
-        assert_eq!(idx.strata_count(), 3);
+        assert_eq!(idx.strata.len(), 3);
         let sdc = SdcIndex::build(
             fig3_table(),
             vec![dag.clone()],
@@ -377,7 +372,7 @@ mod tests {
             SdcConfig::default(),
         )
         .unwrap();
-        assert_eq!(sdc.strata_count(), 2);
+        assert_eq!(sdc.strata.len(), 2);
         let bbs = SdcIndex::build(
             fig3_table(),
             vec![dag],
@@ -385,7 +380,7 @@ mod tests {
             SdcConfig::default(),
         )
         .unwrap();
-        assert_eq!(bbs.strata_count(), 1);
+        assert_eq!(bbs.strata.len(), 1);
     }
 
     #[test]

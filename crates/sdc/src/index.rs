@@ -75,10 +75,10 @@ impl SdcIndex {
         // the bulk loader.
         let mut coords: Vec<Vec<u32>> = vec![Vec::new(); n_strata];
         let mut records: Vec<Vec<u32>> = vec![Vec::new(); n_strata];
-        for i in 0..table.len() {
-            let s = stratum_of(table.po_row(i));
-            ctx.transform_into(table.to_row(i), table.po_row(i), &mut coords[s]);
-            records[s].push(i as u32);
+        for r in 0..table.len() as u32 {
+            let s = stratum_of(table.po(r));
+            ctx.transform_into(table.to(r), table.po(r), &mut coords[s]);
+            records[s].push(r);
         }
         let strata = coords
             .into_iter()
@@ -103,11 +103,6 @@ impl SdcIndex {
     /// The algorithm variant.
     pub fn variant(&self) -> Variant {
         self.variant
-    }
-
-    /// Number of non-empty strata.
-    pub fn strata_count(&self) -> usize {
-        self.strata.len()
     }
 
     /// The input table.

@@ -38,16 +38,18 @@ fn main() {
     // --- 3. Build the sTSS operator and pull the skyline off its cursor. -
     let stss = Stss::build(table, vec![brands], StssConfig::default()).expect("valid input");
     println!("skyline (streamed in mindist order):");
+    // Each point is a record id; its attribute values stay in the table.
     let mut cursor = stss.cursor();
     while let Some(point) = cursor.next() {
-        let name = laptops[point.record as usize].0;
+        let (name, _, _, label) = laptops[point.record as usize];
+        let to = stss.table().to(point.record);
         println!(
             "  #{:<2} {}  price={:<5} weight={:<5} brand={}",
             cursor.progress().results,
             name,
-            point.to[0],
-            point.to[1],
-            laptops[point.record as usize].3,
+            to[0],
+            to[1],
+            label,
         );
     }
     let metrics = cursor.metrics();

@@ -68,8 +68,8 @@ fn main() {
         s.insert(&[price, SIZE_CAP - size], &[city_id[city]]);
 
         if (i + 1) % 25 == 0 {
-            // A snapshot cursor: owns its points and the epoch it saw, so
-            // later inserts/expiries can never invalidate the read.
+            // A snapshot cursor: owns the skyline's ids and the epoch it
+            // saw, so later inserts/expiries can never invalidate the read.
             let cursor = s.cursor();
             println!(
                 "after {:3} arrivals: {:2} live houses, skyline {:2} (snapshot @ epoch {})",
@@ -84,18 +84,17 @@ fn main() {
     println!("\nmaintained skyline of the {WINDOW} freshest houses:");
     let mut cursor = s.cursor();
     while let Some(p) = cursor.next() {
+        // Rows stay in the store: read them by id while the store is still
+        // at the snapshot's generation.
+        assert_eq!(s.generation(), cursor.generation());
+        let (to, po) = (s.store().to(p.record), s.store().po(p.record));
         let city = CITY_PRICES
             .iter()
             .zip(&city_id)
-            .find(|&(_, &id)| id == p.po[0])
+            .find(|&(_, &id)| id == po[0])
             .map(|((name, _), _)| *name)
             .unwrap();
-        println!(
-            "  {:9} {:3} m²  {:7} EUR",
-            city,
-            SIZE_CAP - p.to[1],
-            p.to[0]
-        );
+        println!("  {:9} {:3} m²  {:7} EUR", city, SIZE_CAP - to[1], to[0]);
     }
 
     let m = s.metrics();

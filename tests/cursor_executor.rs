@@ -6,7 +6,10 @@
 //! page reads however many share an index, and `QuerySession` reuses DAG
 //! labelings across dynamic queries.
 
-use tss::core::{Dtss, DtssConfig, PoQuery, QuerySession, SkylineCursor, Stss, StssConfig, Table};
+use tss::core::{
+    Dtss, DtssConfig, PoDomain, PoQuery, QuerySession, RecordId, SkylineCursor, SkylinePoint,
+    StreamingConfig, StreamingSkyline, Stss, StssConfig, Table, WindowPolicy,
+};
 use tss::datagen::{gen_po_matrix, gen_to_matrix, Distribution, TupleConfig};
 use tss::poset::generator::{subset_lattice, LatticeParams};
 use tss::poset::Dag;
@@ -333,10 +336,12 @@ fn query_session_reuses_labelings_across_queries() {
 }
 
 /// Engines are uniform: the same workload through boxed `dyn SkylineCursor`
-/// trait objects yields one agreed-upon skyline for all five PO-capable
-/// engines.
+/// trait objects yields one agreed-upon skyline for all six PO-capable
+/// engines, a streaming skyline fed the same rows included. Each yields
+/// bare record ids: a point is exactly as wide as its id.
 #[test]
 fn trait_object_engines_agree() {
+    assert_eq!(size_of::<SkylinePoint>(), size_of::<RecordId>());
     let (table, dag) = workload(1000, 43);
     let stss = Stss::build(table.clone(), vec![dag.clone()], StssConfig::default()).unwrap();
     let dtss = Dtss::build(table.clone(), vec![dag.len() as u32], DtssConfig::default()).unwrap();
@@ -349,9 +354,21 @@ fn trait_object_engines_agree() {
             SdcIndex::build(table.clone(), vec![dag.clone()], v, SdcConfig::default()).unwrap()
         })
         .collect();
+    // No expiry and no compaction: the stream's ids are the table's.
+    let mut stream = StreamingSkyline::new(
+        table.to_dims(),
+        vec![PoDomain::new(dag.clone())],
+        StreamingConfig {
+            window: WindowPolicy::Unbounded,
+        },
+    );
+    for r in 0..table.len() as RecordId {
+        stream.insert(table.to(r), table.po(r));
+    }
     let mut cursors: Vec<(String, Box<dyn SkylineCursor + '_>)> = vec![
         ("sTSS".into(), Box::new(stss.cursor())),
         ("dTSS".into(), Box::new(dtss.query_cursor(&q).unwrap())),
+        ("streaming".into(), Box::new(stream.cursor())),
     ];
     cursors.extend(
         sdc.iter()

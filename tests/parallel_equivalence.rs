@@ -218,9 +218,9 @@ proptest! {
         // Exact duplicates of one row, appended at the end so they tend to
         // land in a different shard than the original.
         let (dup_row, dup_count) = dup;
-        let src = dup_row % rows.len();
+        let src = (dup_row % rows.len()) as u32;
         for _ in 0..dup_count {
-            t.push(t.to_row(src).to_vec().as_slice(), t.po_row(src).to_vec().as_slice());
+            t.push(t.to(src).to_vec().as_slice(), t.po(src).to_vec().as_slice());
         }
         let dag = mask_dag(edge_mask);
         let domains = vec![PoDomain::new(dag)];

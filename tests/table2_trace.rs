@@ -81,12 +81,13 @@ fn table2_emission_mindists() {
     // 9, p5 at 11 (the ⟨entry, mindist⟩ pairs of Table II).
     let stss = Stss::with_tree(fig3_table(), vec![Dag::paper_example()], fig3_tree()).unwrap();
     let run = stss.run();
+    let table = stss.table();
     let mindists: Vec<u64> = run
         .skyline
         .iter()
         .map(|p| {
             // Transformed point: A1 + ordinal (= id + 1 alphabetically).
-            (p.to[0] + p.po[0] + 1) as u64
+            (table.to(p.record)[0] + table.po(p.record)[0] + 1) as u64
         })
         .collect();
     assert_eq!(mindists, vec![5, 7, 9, 9, 11]);
