@@ -5,8 +5,8 @@ Usage: python3 .github/harness-counts.py HARNESS > harness-counts.txt
 
 HARNESS is a built harness binary (target/release/harness). The script
 runs two grids, each in an environment stripped of every TSS_* and
-BENCH_* variable so that kernels, fault plans, executors and budgets
-stay at their defaults:
+BENCH_* variable so that kernels, fault plans and executors stay at
+their defaults:
 
 * `HARNESS bench --json --threads 1` with BENCH_SHARDS=8, so the sharded
   rows do not depend on the machine's core count;
@@ -32,7 +32,6 @@ DROPPED = {
     "workers",
     "fault_seed",
     "fault_rate",
-    "budget_limit",
     "updates_per_sec",
     "repair_ns_p50",
     "repair_ns_p95",

@@ -1,4 +1,4 @@
-//! Merge phase in isolation: sorted parallel merge vs the all-pairs fold
+//! Merge phase in isolation: the sorted merge vs the all-pairs fold
 //! over prebuilt per-shard local skylines, across local-skyline ratios.
 //!
 //! The distribution is the ratio dial — independent data keeps local
@@ -70,15 +70,13 @@ fn bench(c: &mut Criterion) {
                     .len()
             })
         });
-        for threads in [1usize, 4] {
-            g.bench_function(format!("sorted/t{threads}/{}/{n}", dist.short()), |b| {
-                b.iter(|| {
-                    merge_shard_skylines(&input.table, &input.domains, &input.locals, threads)
-                        .0
-                        .len()
-                })
-            });
-        }
+        g.bench_function(format!("sorted/{}/{n}", dist.short()), |b| {
+            b.iter(|| {
+                merge_shard_skylines(&input.table, &input.domains, &input.locals, 1)
+                    .0
+                    .len()
+            })
+        });
     }
     g.finish();
 }

@@ -17,9 +17,8 @@
 use crate::ipcbench::{bench_executor, ExecutorChoice};
 use crate::params::paper_dtss;
 use crate::runner::{
-    bench_budget, generate, run_dtss, run_dtss_sharded, run_dynamic_sdc, run_dynamic_sdc_sharded,
-    run_sdc_plus, run_sdc_plus_sharded, run_stss, run_stss_sharded, AlgoResult, Workload,
-    BENCH_SHARDS,
+    generate, run_dtss, run_dtss_sharded, run_dynamic_sdc, run_dynamic_sdc_sharded, run_sdc_plus,
+    run_sdc_plus_sharded, run_stss, run_stss_sharded, AlgoResult, Workload, BENCH_SHARDS,
 };
 use datagen::{Distribution, ExperimentParams};
 use tss_core::{DtssConfig, FaultPlan, Kernel, Metrics, ShardSpec, StssConfig};
@@ -81,9 +80,6 @@ pub struct BenchRow {
     pub fault_seed: Option<u64>,
     /// Injection probability of the active [`FaultPlan`] (0.0 when off).
     pub fault_rate: f64,
-    /// Pair-check allowance the sharded rows ran under (`TSS_BUDGET`),
-    /// `None` for unlimited.
-    pub budget_limit: Option<u64>,
     /// Full execution metrics of the run.
     pub metrics: Metrics,
     /// Skyline cardinality (cross-run sanity anchor).
@@ -117,7 +113,6 @@ impl BenchRow {
             wall_ns: r.metrics.cpu.as_nanos(),
             fault_seed: faults.map(|f| f.seed),
             fault_rate: faults.map_or(0.0, |f| f.rate()),
-            budget_limit: bench_budget().limit(),
             metrics: r.metrics,
             skyline: r.skyline,
         }
@@ -234,12 +229,6 @@ fn emit_point(
     serial: [(&'static str, AlgoResult); 2],
     mut sharded: impl FnMut(usize, ShardSpec) -> [(&'static str, AlgoResult); 2],
 ) {
-    // An active `TSS_BUDGET` degrades the sharded runs to sound prefixes,
-    // so equality against the unbudgeted serial engines (and across shard
-    // plans, whose pair-check spend differs) weakens to soundness; the
-    // cross-thread byte-identity below still holds exactly — budgets are
-    // deterministic and thread-invariant.
-    let budgeted = bench_budget().limit().is_some();
     let [(algo_a, a), (algo_b, b)] = serial;
     assert_eq!(a.skyline, b.skyline, "engines must agree on {workload}");
     let serial_set: Option<Vec<u32>> = a.records.clone().map(|mut r| {
@@ -252,60 +241,47 @@ fn emit_point(
     for &t in threads_axis {
         assert!(t >= 1, "threads axis entries are worker counts (>= 1)");
         let [(algo_a, a), (algo_b, b)] = sharded(t, spec);
-        if !budgeted {
-            assert_eq!(a.skyline, b.skyline, "engines must agree on {workload}");
-        }
+        assert_eq!(a.skyline, b.skyline, "engines must agree on {workload}");
         // The sharded executors must produce the serial engines' skyline
         // (emission order differs — score order vs engine order — so
         // compare as record-id sets).
         if let (Some(serial_set), Some(records)) = (&serial_set, &a.records) {
-            if budgeted {
-                for r in records {
-                    assert!(
-                        serial_set.binary_search(r).is_ok(),
-                        "{algo_a}/{workload}: budgeted run emitted non-skyline record {r}"
-                    );
-                }
-            } else {
-                let mut sharded_set = records.clone();
-                sharded_set.sort_unstable();
-                assert_records_identical(
-                    &format!("{algo_a}/{workload} (sharded vs serial, as sorted sets)"),
-                    &Some(sharded_set),
-                    &Some(serial_set.clone()),
-                );
-            }
+            let mut sharded_set = records.clone();
+            sharded_set.sort_unstable();
+            assert_records_identical(
+                &format!("{algo_a}/{workload} (sharded vs serial, as sorted sets)"),
+                &Some(sharded_set),
+                &Some(serial_set.clone()),
+            );
         }
         let ra = BenchRow::of(algo_a, workload.to_string(), t, &a);
         let rb = BenchRow::of(algo_b, workload.to_string(), t, &b);
         match &first {
             None => {
-                if !budgeted {
-                    let other = match spec {
-                        ShardSpec::Fixed(_) => ShardSpec::Adaptive {
-                            max: BENCH_SHARDS,
-                            workers: t,
-                        },
-                        ShardSpec::Adaptive { .. } => ShardSpec::Fixed(BENCH_SHARDS),
-                    };
-                    let [(_, oa), (_, ob)] = sharded(t, other);
-                    assert_records_identical(
-                        &format!(
-                            "{algo_a}/{workload} (across shard plans {:?} vs {:?})",
-                            a.plan, oa.plan
-                        ),
-                        &a.records,
-                        &oa.records,
-                    );
-                    assert_records_identical(
-                        &format!(
-                            "{algo_b}/{workload} (across shard plans {:?} vs {:?})",
-                            b.plan, ob.plan
-                        ),
-                        &b.records,
-                        &ob.records,
-                    );
-                }
+                let other = match spec {
+                    ShardSpec::Fixed(_) => ShardSpec::Adaptive {
+                        max: BENCH_SHARDS,
+                        workers: t,
+                    },
+                    ShardSpec::Adaptive { .. } => ShardSpec::Fixed(BENCH_SHARDS),
+                };
+                let [(_, oa), (_, ob)] = sharded(t, other);
+                assert_records_identical(
+                    &format!(
+                        "{algo_a}/{workload} (across shard plans {:?} vs {:?})",
+                        a.plan, oa.plan
+                    ),
+                    &a.records,
+                    &oa.records,
+                );
+                assert_records_identical(
+                    &format!(
+                        "{algo_b}/{workload} (across shard plans {:?} vs {:?})",
+                        b.plan, ob.plan
+                    ),
+                    &b.records,
+                    &ob.records,
+                );
                 first = Some([(ra.clone(), a), (rb.clone(), b)]);
             }
             Some([(fa, fra), (fb, frb)]) => {
@@ -493,7 +469,7 @@ pub fn to_json(rows: &[BenchRow]) -> String {
              \"executor\": \"{}\", \"workers\": {}, \
              \"available_parallelism\": {}, \
              \"wall_ns\": {}, \"fault_seed\": {}, \"fault_rate\": {}, \
-             \"budget_limit\": {}, \"metrics\": {}}}{}\n",
+             \"metrics\": {}}}{}\n",
             r.algo,
             r.workload,
             r.threads,
@@ -507,7 +483,6 @@ pub fn to_json(rows: &[BenchRow]) -> String {
             r.wall_ns,
             opt(r.fault_seed),
             r.fault_rate,
-            opt(r.budget_limit),
             metrics_json(&r.metrics, r.skyline),
             if i + 1 == rows.len() { "" } else { "," }
         ));
@@ -557,7 +532,6 @@ pub(crate) mod tests {
             wall_ns: 123,
             fault_seed: Some(7),
             fault_rate: 0.25,
-            budget_limit: None,
             metrics: distinct_counters(),
             skyline: 2,
         }];
@@ -575,7 +549,6 @@ pub(crate) mod tests {
         // row shape (unset config emits null).
         assert!(s.contains("\"fault_seed\": 7"));
         assert!(s.contains("\"fault_rate\": 0.25"));
-        assert!(s.contains("\"budget_limit\": null"));
         // Out-of-process observability: the executor axis is part of the
         // row shape.
         assert!(s.contains("\"executor\": \"subprocess\""));

@@ -138,34 +138,13 @@ fn shard_spec_from(var: Option<&str>, workers: usize) -> ShardSpec {
     }
 }
 
-/// The bench grid's pair-check [`Budget`], from the `TSS_BUDGET`
-/// environment variable (an allowance in `dominance_checks` units; unset
-/// → unlimited). Read per call, like `BENCH_SHARDS`, so tests can probe
-/// the mapping without mutating the process environment.
-pub fn bench_budget() -> Budget {
-    budget_from(std::env::var("TSS_BUDGET").ok().as_deref())
-}
-
-/// The pure mapping behind [`bench_budget`].
-fn budget_from(var: Option<&str>) -> Budget {
-    match var {
-        Some(v) => Budget::pair_checks(
-            v.trim()
-                .parse::<u64>()
-                .unwrap_or_else(|_| panic!("TSS_BUDGET must be a pair-check allowance, got {v:?}")),
-        ),
-        None => Budget::UNLIMITED,
-    }
-}
-
 /// Shared body of the sharded runners: takes the resolved shard plan and
 /// builds one engine per shard *untimed* (both systems index offline), then
 /// executes the shards on up to `threads` scoped workers behind the
 /// fault-tolerant [`ThreadShardExecutor`], folds the local skylines with
-/// the sorted parallel merge under the [`bench_budget`] allowance, and
-/// reports the *wall clock* of the timed phase as `metrics.cpu`. All
-/// counts are the exact sum of the per-shard metrics plus the merge
-/// phase.
+/// the sorted merge, and reports the *wall clock* of the timed phase as
+/// `metrics.cpu`. All counts are the exact sum of the per-shard metrics
+/// plus the merge phase.
 ///
 /// Engines are read-only (`Sync`), so each prebuilt engine is lent to
 /// every attempt of its shard that runs on the base kernel: attempt 0 and
@@ -216,7 +195,7 @@ fn run_sharded<E: Sync>(
     let parallel = match bench_executor() {
         ExecutorChoice::InProc => {
             let executor = ThreadShardExecutor::new(threads);
-            merge_jobs_exec(table, domains, &executor, threads, bench_budget(), jobs)
+            merge_jobs_exec(table, domains, &executor, Budget::UNLIMITED, jobs)
         }
         ExecutorChoice::Subprocess => {
             // Re-exec this binary behind the harness's hidden `tss-worker`
@@ -231,7 +210,7 @@ fn run_sharded<E: Sync>(
                 policy = policy.with_deadline(deadline);
             }
             let executor = SubprocessExecutor::with_policy(spec, threads, policy);
-            merge_jobs_exec(table, domains, &executor, threads, bench_budget(), jobs)
+            merge_jobs_exec(table, domains, &executor, Budget::UNLIMITED, jobs)
         }
     }
     .unwrap_or_else(|e| {
@@ -251,8 +230,8 @@ fn run_sharded<E: Sync>(
 }
 
 /// Sharded parallel sTSS: one index per shard (built untimed), run on up
-/// to `threads` workers, local skylines merged with the sorted parallel
-/// merge. `spec` is a fixed shard count or [`ShardSpec::Adaptive`].
+/// to `threads` workers, local skylines merged with the sorted merge.
+/// `spec` is a fixed shard count or [`ShardSpec::Adaptive`].
 pub fn run_stss_sharded(
     w: &Workload,
     cfg: StssConfig,

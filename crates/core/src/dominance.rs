@@ -1,63 +1,15 @@
 use crate::{PoDomain, Table};
 
-/// Dominance evaluator over mixed TO/PO tuples, parameterized by the
-/// precomputed [`PoDomain`]s. Since the TSS labeling is exact, the
-/// t-dominance it implements *is* the ground-truth Pareto dominance; the
-/// separate reachability-based path exists for oracle cross-checks.
-#[derive(Debug, Clone, Copy)]
-pub struct Dominance<'a> {
-    domains: &'a [PoDomain],
-}
-
-impl<'a> Dominance<'a> {
-    /// A dominance evaluator over the given PO domains (one per PO dim).
-    pub fn new(domains: &'a [PoDomain]) -> Self {
-        Dominance { domains }
-    }
-
-    /// **t-dominance** (Definition 2, with condition (ii) corrected to the
-    /// form the paper's own Table II applies — see
-    /// [`t_dominates_weak_printed`]): `a` t-dominates `b` iff
-    /// * `a.to[d] <= b.to[d]` on every TO dimension,
-    /// * `a.po[d]` equals or is t-preferred over `b.po[d]` on every PO
-    ///   dimension, and
-    /// * at least one comparison is strict.
-    #[inline]
-    pub fn t_dominates(&self, to_a: &[u32], po_a: &[u32], to_b: &[u32], po_b: &[u32]) -> bool {
-        t_dominates(self.domains, to_a, po_a, to_b, po_b)
-    }
-
-    /// Ground-truth dominance via the bitset transitive closure (identical
-    /// to [`t_dominates`] by the exactness theorem; kept as an independent
-    /// oracle).
-    pub fn dominates_oracle(&self, to_a: &[u32], po_a: &[u32], to_b: &[u32], po_b: &[u32]) -> bool {
-        let mut strict = false;
-        for (x, y) in to_a.iter().zip(to_b.iter()) {
-            if x > y {
-                return false;
-            }
-            if x < y {
-                strict = true;
-            }
-        }
-        for (d, dom) in self.domains.iter().enumerate() {
-            let (x, y) = (po_a[d], po_b[d]);
-            if x == y {
-                continue;
-            }
-            if dom.reach().preferred(poset::ValueId(x), poset::ValueId(y)) {
-                strict = true;
-            } else {
-                return false;
-            }
-        }
-        strict
-    }
-}
-
-/// Free-function form of exact t-dominance (see [`Dominance::t_dominates`]).
+/// Exact **t-dominance** over mixed TO/PO tuples (Definition 2, with
+/// condition (ii) corrected to the form the paper's own Table II applies):
+/// `a` t-dominates `b` iff
+/// * `a.to[d] <= b.to[d]` on every TO dimension,
+/// * `a.po[d]` equals or is t-preferred over `b.po[d]` on every PO
+///   dimension, and
+/// * at least one comparison is strict.
 ///
-/// This is the pair primitive of the batched kernels in
+/// Since the TSS labeling is exact, this *is* the ground-truth Pareto
+/// dominance. It is the pair primitive of the batched kernels in
 /// [`PointStore`](crate::PointStore): the TO comparison accumulates both
 /// flags branch-free (no per-dimension exit — dimensionalities are small
 /// and mispredictions cost more than the spare compares), and the PO loop
@@ -109,15 +61,10 @@ pub(crate) fn po_tail(domains: &[PoDomain], po_a: &[u32], po_b: &[u32], to_stric
     strict
 }
 
-/// Definition 2 *as printed* in the paper: condition (ii) only requires that
-/// `b` is **not** t-preferred over `a` per PO dimension, so PO-incomparable
-/// pairs can still dominate through a TO dimension.
-///
-/// This contradicts the paper's own worked example (Table II step 6 keeps
-/// `p2` although `p1` beats it on the TO attribute and is merely
-/// incomparable on the PO one) and is provided only so the discrepancy can
-/// be studied; the `table2_pairs` test below pins it.
-pub fn t_dominates_weak_printed(
+/// Ground-truth dominance via the bitset transitive closure: the same
+/// relation as [`t_dominates`] by the exactness theorem, kept as an
+/// independent oracle.
+pub(crate) fn dominates_oracle(
     domains: &[PoDomain],
     to_a: &[u32],
     po_a: &[u32],
@@ -138,11 +85,10 @@ pub fn t_dominates_weak_printed(
         if x == y {
             continue;
         }
-        if dom.pref(y, x) {
-            return false; // (ii): b must not be preferred over a
-        }
-        if dom.pref(x, y) {
-            strict = true; // (iii)(b)
+        if dom.reach().preferred(poset::ValueId(x), poset::ValueId(y)) {
+            strict = true;
+        } else {
+            return false;
         }
     }
     strict
@@ -151,12 +97,12 @@ pub fn t_dominates_weak_printed(
 /// `O(n²)` skyline oracle over a [`Table`]: record indices of all tuples not
 /// dominated (ground-truth reachability dominance), in input order.
 pub fn brute_force_po_skyline(domains: &[PoDomain], table: &Table) -> Vec<u32> {
-    let dom = Dominance::new(domains);
     let n = table.len() as u32;
     (0..n)
         .filter(|&i| {
             !(0..n).any(|j| {
-                j != i && dom.dominates_oracle(table.to(j), table.po(j), table.to(i), table.po(i))
+                j != i
+                    && dominates_oracle(domains, table.to(j), table.po(j), table.to(i), table.po(i))
             })
         })
         .collect()
@@ -170,6 +116,44 @@ mod tests {
 
     fn paper_domain() -> Vec<PoDomain> {
         vec![PoDomain::new(Dag::paper_example())]
+    }
+
+    /// Definition 2 *as printed* in the paper: condition (ii) only
+    /// requires that `b` is **not** t-preferred over `a` per PO dimension,
+    /// so PO-incomparable pairs can still dominate through a TO dimension.
+    ///
+    /// This contradicts the paper's own worked example (Table II step 6
+    /// keeps `p2` although `p1` beats it on the TO attribute and is merely
+    /// incomparable on the PO one), which `table2_pairs` pins.
+    fn t_dominates_weak_printed(
+        domains: &[PoDomain],
+        to_a: &[u32],
+        po_a: &[u32],
+        to_b: &[u32],
+        po_b: &[u32],
+    ) -> bool {
+        let mut strict = false;
+        for (x, y) in to_a.iter().zip(to_b.iter()) {
+            if x > y {
+                return false;
+            }
+            if x < y {
+                strict = true;
+            }
+        }
+        for (d, dom) in domains.iter().enumerate() {
+            let (x, y) = (po_a[d], po_b[d]);
+            if x == y {
+                continue;
+            }
+            if dom.pref(y, x) {
+                return false; // (ii): b must not be preferred over a
+            }
+            if dom.pref(x, y) {
+                strict = true; // (iii)(b)
+            }
+        }
+        strict
     }
 
     // Fig. 3(a) ids: a=0 b=1 c=2 d=3 e=4 f=5 g=6 h=7 i=8.
@@ -251,10 +235,9 @@ mod tests {
         ) {
             let _ = seed;
             let doms = paper_domain();
-            let d = Dominance::new(&doms);
             prop_assert_eq!(
                 t_dominates(&doms, &to_a, &[pa], &to_b, &[pb]),
-                d.dominates_oracle(&to_a, &[pa], &to_b, &[pb])
+                dominates_oracle(&doms, &to_a, &[pa], &to_b, &[pb])
             );
         }
 

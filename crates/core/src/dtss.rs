@@ -58,21 +58,46 @@ use std::hash::BuildHasherDefault;
 use std::time::Instant;
 
 /// A dynamic skyline query: one partial order per PO attribute, over the
-/// same value ids the data was loaded with.
+/// same value ids the data was loaded with, and, for a **fully dynamic**
+/// query (§V-B), a reference point.
 #[derive(Debug, Clone)]
 pub struct PoQuery {
     dags: Vec<Dag>,
+    reference: Option<Vec<u32>>,
 }
 
 impl PoQuery {
     /// Wraps the per-attribute partial orders.
     pub fn new(dags: Vec<Dag>) -> Self {
-        PoQuery { dags }
+        PoQuery {
+            dags,
+            reference: None,
+        }
+    }
+
+    /// The same query made **fully dynamic** (§V-B): besides the partial
+    /// orders, it names the *ideal value* of every TO attribute, and TO
+    /// dominance is taken on the folded coordinates `|x − reference|`. The
+    /// precomputed local skylines are invalid under folding (the paper's
+    /// observation), so such a query always scans the group trees —
+    /// best-first around the reference point.
+    ///
+    /// A `reference` that does not name one value per TO attribute makes
+    /// the query fail with [`CoreError::ReferenceWidthMismatch`] before
+    /// anything is labeled.
+    pub fn with_reference(mut self, reference: Vec<u32>) -> Self {
+        self.reference = Some(reference);
+        self
     }
 
     /// The partial orders.
     pub fn dags(&self) -> &[Dag] {
         &self.dags
+    }
+
+    /// The reference point of a fully dynamic query.
+    pub fn reference(&self) -> Option<&[u32]> {
+        self.reference.as_deref()
     }
 }
 
@@ -270,7 +295,8 @@ impl Dtss {
         &self.domain_sizes
     }
 
-    /// Evaluates a dynamic skyline query: drains a fresh
+    /// Evaluates a dynamic skyline query, fully dynamic if it carries a
+    /// reference point ([`PoQuery::with_reference`]): drains a fresh
     /// [`query_cursor`](Self::query_cursor).
     pub fn query(&self, q: &PoQuery) -> Result<DtssRun, CoreError> {
         Ok(self.query_cursor(q)?.drain())
@@ -282,39 +308,13 @@ impl Dtss {
     /// groups ranked after its prefix. Each cursor counts its own page
     /// reads, so any number may be open at once.
     pub fn query_cursor(&self, q: &PoQuery) -> Result<DtssCursor<'_>, CoreError> {
-        self.cursor_inner(q, None, || PreparedDomains::fresh(q))
-    }
-
-    /// Cursor variant of [`Dtss::query_fully_dynamic`].
-    pub fn query_cursor_fully_dynamic(
-        &self,
-        q: &PoQuery,
-        reference: &[u32],
-    ) -> Result<DtssCursor<'_>, CoreError> {
-        self.cursor_inner(q, Some(reference), || PreparedDomains::fresh(q))
-    }
-
-    /// Evaluates a **fully dynamic** skyline query (§V-B): besides the
-    /// partial orders, the query names the *ideal value* of every TO
-    /// attribute; TO dominance is taken on the folded coordinates
-    /// `|x − reference|`. The precomputed local skylines are invalid under
-    /// folding (the paper's observation), so this path always scans the
-    /// group trees — best-first around the reference point.
-    ///
-    /// A `reference` that does not name one value per TO attribute is a
-    /// [`CoreError::ReferenceWidthMismatch`].
-    pub fn query_fully_dynamic(
-        &self,
-        q: &PoQuery,
-        reference: &[u32],
-    ) -> Result<DtssRun, CoreError> {
-        Ok(self.query_cursor_fully_dynamic(q, reference)?.drain())
+        self.cursor_inner(q, || PreparedDomains::fresh(q))
     }
 
     /// Validates a query's shape (and a fully dynamic query's reference
     /// point) against the data-resident structures.
-    fn validate(&self, q: &PoQuery, reference: Option<&[u32]>) -> Result<(), CoreError> {
-        if let Some(r) = reference {
+    fn validate(&self, q: &PoQuery) -> Result<(), CoreError> {
+        if let Some(r) = q.reference() {
             if r.len() != self.table.to_dims() {
                 return Err(CoreError::ReferenceWidthMismatch {
                     expected: self.table.to_dims(),
@@ -346,15 +346,10 @@ impl Dtss {
     pub(crate) fn cursor_inner(
         &self,
         q: &PoQuery,
-        reference: Option<&[u32]>,
         prepare: impl FnOnce() -> PreparedDomains,
     ) -> Result<DtssCursor<'_>, CoreError> {
-        self.validate(q, reference)?;
-        Ok(DtssCursor::new(
-            self,
-            prepare(),
-            reference.map(<[u32]>::to_vec),
-        ))
+        self.validate(q)?;
+        Ok(DtssCursor::new(self, prepare(), q.reference.clone()))
     }
 }
 
@@ -906,9 +901,8 @@ mod tests {
             for dag_fn in [order_b_over_c as fn() -> poset::Dag, order_a_c_over_b] {
                 for r in &references {
                     let dag = dag_fn();
-                    let run = dtss
-                        .query_fully_dynamic(&PoQuery::new(vec![dag.clone()]), r)
-                        .unwrap();
+                    let q = PoQuery::new(vec![dag.clone()]).with_reference(r.to_vec());
+                    let run = dtss.query(&q).unwrap();
                     let mut got = run.skyline_records();
                     got.sort_unstable();
                     let doms = [PoDomain::new(dag.clone())];
@@ -926,7 +920,7 @@ mod tests {
         for cfg in configs() {
             let dtss = Dtss::build(fig5_table(), vec![3], cfg).unwrap();
             let plain = dtss.query(&q).unwrap();
-            let folded = dtss.query_fully_dynamic(&q, &[0, 0]).unwrap();
+            let folded = dtss.query(&q.clone().with_reference(vec![0, 0])).unwrap();
             assert_eq!(plain.skyline_records(), folded.skyline_records(), "{cfg:?}");
         }
     }
@@ -937,7 +931,8 @@ mod tests {
         let q = PoQuery::new(vec![order_b_over_c()]);
         for reference in [&[][..], &[1], &[1, 2, 3]] {
             assert_eq!(
-                dtss.query_fully_dynamic(&q, reference).err(),
+                dtss.query(&q.clone().with_reference(reference.to_vec()))
+                    .err(),
                 Some(CoreError::ReferenceWidthMismatch {
                     expected: 2,
                     got: reference.len()
@@ -951,13 +946,13 @@ mod tests {
         let dtss = Dtss::build(fig5_table(), vec![3], DtssConfig::default()).unwrap();
         let q = PoQuery::new(vec![order_b_over_c()]);
         assert_eq!(
-            dtss.query_cursor_fully_dynamic(&q, &[1]).err(),
+            dtss.query_cursor(&q.clone().with_reference(vec![1])).err(),
             Some(CoreError::ReferenceWidthMismatch {
                 expected: 2,
                 got: 1
             })
         );
-        assert!(dtss.query_cursor_fully_dynamic(&q, &[1, 2]).is_ok());
+        assert!(dtss.query_cursor(&q.with_reference(vec![1, 2])).is_ok());
     }
 
     /// A random partial order over `size` values from the bits of `mask`:
@@ -1108,7 +1103,7 @@ mod tests {
                         let dtss = Dtss::build(t.clone().with_kernel(kernel), sizes.clone(), cfg).unwrap();
                         match &reference {
                             None => dtss.query(&q).unwrap(),
-                            Some(r) => dtss.query_fully_dynamic(&q, r).unwrap(),
+                            Some(r) => dtss.query(&q.clone().with_reference(r.to_vec())).unwrap(),
                         }
                     });
                     let case = format!("{cfg:?} reference={reference:?}");
@@ -1155,7 +1150,7 @@ mod tests {
                     let expect = reference_walk(&dtss, &doms, reference);
                     let run = match reference {
                         None => dtss.query(&q).unwrap(),
-                        Some(r) => dtss.query_fully_dynamic(&q, r).unwrap(),
+                        Some(r) => dtss.query(&q.clone().with_reference(r.to_vec())).unwrap(),
                     };
                     let got = Walk {
                         emitted: run.skyline_records(),

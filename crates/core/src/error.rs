@@ -165,7 +165,7 @@ impl ShardError {
     }
 
     /// Zero-based attempt the failure was observed on (the scalar-oracle
-    /// fallback attempt is `retries + 1`).
+    /// fallback attempt is `DEFAULT_RETRIES + 1`).
     pub fn attempt(&self) -> u32 {
         self.attempt
     }

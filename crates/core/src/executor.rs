@@ -9,9 +9,9 @@
 //! with one claim loop (`claim_shards`) and recover each shard through one
 //! deterministic ladder (`run_ladder`):
 //!
-//! 1. **Regular attempts** — `retries + 1` attempts
-//!    ([`ExecPolicy::retries`]) on the store's configured kernel, each
-//!    through a *transport*:
+//! 1. **Regular attempts** — `DEFAULT_RETRIES + 1` attempts
+//!    ([`ExecPolicy::DEFAULT_RETRIES`]) on the store's configured kernel,
+//!    each through a *transport*:
 //!    * **in process**, the job's closure under
 //!      [`std::panic::catch_unwind`] (this module is the only place in the
 //!      workspace allowed to call it — `cargo run -p xtask -- lint` fences
@@ -216,7 +216,7 @@ pub enum ProcessFaultKind {
 pub struct ShardCtx {
     /// Index of the shard being evaluated.
     pub shard: usize,
-    /// Zero-based attempt number; `retries + 1` is the fallback.
+    /// Zero-based attempt number; `DEFAULT_RETRIES + 1` is the fallback.
     pub attempt: u32,
     /// Kernel variant the job should compute with. Honoring it is what
     /// makes the fallback a genuine oracle recompute; kernel equivalence
@@ -294,9 +294,6 @@ impl<'a> ShardJob<'a> {
 /// Retry and fault-injection policy of an executor.
 #[derive(Debug, Clone, Copy)]
 pub struct ExecPolicy {
-    /// Regular-path retry attempts after the first (the ladder runs
-    /// `retries + 1` regular attempts, then one scalar-oracle fallback).
-    pub retries: u32,
     /// Active fault plan, if any. While one is set, the ladder checks
     /// every job's result for minimality (corruption would otherwise go
     /// unnoticed); fault-free runs skip the oracle pair work.
@@ -312,13 +309,14 @@ pub struct ExecPolicy {
 }
 
 impl ExecPolicy {
-    /// Default bounded retry count.
+    /// Regular-path retry attempts after the first: the ladder runs
+    /// `DEFAULT_RETRIES + 1` regular attempts, then one scalar-oracle
+    /// fallback.
     pub const DEFAULT_RETRIES: u32 = 2;
 
-    /// A policy with the default retry budget and the given plan.
+    /// A policy with the given plan.
     pub fn with_faults(faults: Option<FaultPlan>) -> ExecPolicy {
         ExecPolicy {
-            retries: Self::DEFAULT_RETRIES,
             faults,
             deadline: None,
         }
@@ -482,8 +480,8 @@ pub(crate) fn run_in_process(
     })
 }
 
-/// The one per-shard recovery ladder: `retries + 1` regular attempts on
-/// the store's kernel through `transport`, then one in-process
+/// The one per-shard recovery ladder: `DEFAULT_RETRIES + 1` regular
+/// attempts on the store's kernel through `transport`, then one in-process
 /// scalar-oracle fallback; never panics, never loses the shard silently.
 ///
 /// `transport` runs one regular attempt — in process or on a worker
@@ -510,7 +508,7 @@ pub(crate) fn run_ladder(
         Ok((records, metrics))
     };
     let mut tally = Metrics::default();
-    for attempt in 0..=policy.retries {
+    for attempt in 0..=ExecPolicy::DEFAULT_RETRIES {
         let ctx = ShardCtx {
             shard,
             attempt,
@@ -537,7 +535,7 @@ pub(crate) fn run_ladder(
     // terminates exactly.
     let ctx = ShardCtx {
         shard,
-        attempt: policy.retries + 1,
+        attempt: ExecPolicy::DEFAULT_RETRIES + 1,
         kernel: Kernel::Scalar,
     };
     let (records, metrics) = checked(ctx, attempt_in_process(job, ctx, None, &mut tally))?;

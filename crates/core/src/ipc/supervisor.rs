@@ -7,7 +7,7 @@
 //! Scheduling and recovery live in the `executor` module: shards are
 //! claimed by the claim loop both executors share — here with one worker
 //! process per pool thread — and every shard walks the one recovery
-//! ladder (`retries + 1` regular attempts, then the in-process
+//! ladder (`DEFAULT_RETRIES + 1` regular attempts, then the in-process
 //! scalar-oracle fallback, every recovery tally kept by the ladder).
 //! What stays here is the **remote transport** those regular attempts
 //! ride: it ships the job's wire payload to the thread's worker, at the

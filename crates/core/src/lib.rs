@@ -75,7 +75,7 @@ mod stss;
 
 pub use budget::{Budget, BudgetOutcome, BudgetedCursor};
 pub use cursor::{ProgressSample, SkylineCursor, SkylinePoint};
-pub use dominance::{brute_force_po_skyline, t_dominates, t_dominates_weak_printed, Dominance};
+pub use dominance::{brute_force_po_skyline, t_dominates};
 pub use dtss::{Dtss, DtssConfig, DtssCursor, DtssRun, PoQuery};
 pub use error::{CoreError, ShardError, ShardErrorKind};
 pub use ipc::{SubprocessExecutor, WorkerSpec};

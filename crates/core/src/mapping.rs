@@ -55,12 +55,6 @@ impl PoDomain {
         &self.0.labeling
     }
 
-    /// The dyadic range index.
-    #[inline]
-    pub fn dyadic(&self) -> &DyadicIndex {
-        &self.0.dyadic
-    }
-
     /// The transitive closure.
     #[inline]
     pub fn reach(&self) -> &Reachability {

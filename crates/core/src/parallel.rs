@@ -7,29 +7,24 @@
 //! [`PointStore::shards`] hands out zero-copy [`ShardView`] windows over
 //! the flat TO/PO blocks — so any exact engine can run per shard on the
 //! scoped OS threads of a [`ThreadShardExecutor`] (no extra dependencies,
-//! `std::thread::scope` only) and the local skylines are folded back
-//! together by [`merge_shard_skylines`], which checks candidates against
-//! per-shard key blocks of confirmed members, box first.
+//! `std::thread::scope` only), and the local skylines are folded back
+//! together on the calling thread by [`merge_shard_skylines`], which
+//! checks candidates against per-shard key blocks of confirmed members,
+//! box first.
 //!
 //! # Determinism contract
 //!
-//! Everything observable is **invariant to the worker count**:
-//!
-//! * the shard boundaries depend only on `(len, shard_count)`, never on
-//!   `threads`;
-//! * each shard job is self-contained, so its result and [`Metrics`] are
-//!   the same on any thread;
-//! * the merge phase partitions candidates into equal-score strata — a
-//!   partition fixed by the data alone — and each stratum's checks run
-//!   against the confirmed prefix *frozen* at stratum start, so every
-//!   verdict and every examined-pair count is independent of how the
-//!   stratum is chunked across workers; results apply in sorted order.
+//! The thread count schedules shard jobs and changes nothing else. The
+//! shard boundaries depend only on `(len, shard_count)`; each shard job is
+//! self-contained, so its result and [`Metrics`] are the same on any
+//! thread; and the merge runs serially over the recovered locals in an
+//! order fixed by the data alone.
 //!
 //! Running the same store with the same shard count at 1, 2 or 4 threads
 //! therefore produces byte-identical skyline record-id vectors and
 //! identical `dominance_checks` / `dominance_batch_calls` /
-//! `merge_pair_checks` — only the wall clock changes. Per-shard and
-//! per-stratum metrics are combined with the exact componentwise
+//! `merge_pair_checks` — only the wall clock changes. Per-shard metrics
+//! and the merge's are combined with the exact componentwise
 //! [`Metrics::merge`], so no count is ever estimated. The merged skyline
 //! is emitted in `(score, record id)` order, which does not mention the
 //! shard boundaries at all — so the record-id *vector* (not just the set)
@@ -55,17 +50,17 @@
 //! `O(Σᵢ |localᵢ| · Σⱼ≠ᵢ |localⱼ|)` pair checks in the worst case, the
 //! last serial section of a sharded run. Two things contain that cost:
 //!
-//! * **Sorted, parallel merge** ([`merge_shard_skylines`]): candidates are
-//!   sorted by the strictly monotone
+//! * **Sorted merge** ([`merge_shard_skylines`]): candidates are sorted
+//!   by the strictly monotone
 //!   [`monotone_score`](PointStore::monotone_score) (ties by record id),
 //!   so each one needs checking only against the *already-confirmed*
 //!   global-skyline prefix of the other shards — an SFS/SaLSa-style
 //!   filter. Equal-score candidates can never dominate each other, so
-//!   each equal-score stratum is evaluated concurrently (`map_slice`)
-//!   against the prefix frozen at stratum start. Per-candidate pair work
-//!   is bounded by the all-pairs bound above and is typically a fraction
-//!   of it ([`Metrics::merge_pair_checks`] counts it exactly). Each
-//!   shard's confirmed prefix is a key block (see the
+//!   each equal-score stratum is checked, serially, against the prefix
+//!   frozen at stratum start, and its survivors join the prefix together.
+//!   Per-candidate pair work is bounded by the all-pairs bound above and
+//!   is typically a fraction of it ([`Metrics::merge_pair_checks`] counts
+//!   it exactly). Each shard's confirmed prefix is a key block (see the
 //!   [`store` docs](crate::PointStore)) and each candidate's key is
 //!   computed once, so a check runs box first: only members whose key is
 //!   `<=` the candidate's on every dimension reach the exact PO test, with
@@ -147,47 +142,6 @@ pub fn sum_metrics<'a>(metrics: impl IntoIterator<Item = &'a Metrics>) -> Metric
     metrics
         .into_iter()
         .fold(Metrics::default(), |acc, m| acc.merge(m))
-}
-
-/// Minimum items per worker before [`map_slice`] bothers spawning.
-const MIN_ITEMS_PER_THREAD: usize = 16;
-
-/// Applies `f` to every item of a slice, fanning contiguous chunks out to
-/// up to `threads` scoped threads, and returns the results in item order.
-/// The chunking never changes what is computed — `f` sees each item
-/// exactly once — so any per-item counting embedded in `R` is invariant to
-/// the worker count. Small inputs run inline.
-pub(crate) fn map_slice<T, R, F>(threads: usize, items: &[T], f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    let workers = threads
-        .max(1)
-        .min(items.len().div_ceil(MIN_ITEMS_PER_THREAD));
-    if workers <= 1 {
-        return items.iter().map(f).collect();
-    }
-    let chunk = items.len().div_ceil(workers);
-    std::thread::scope(|s| {
-        let handles: Vec<_> = items
-            .chunks(chunk)
-            .map(|c| (c, s.spawn(|| c.iter().map(&f).collect::<Vec<R>>())))
-            .collect();
-        let mut out = Vec::with_capacity(items.len());
-        for (c, h) in handles {
-            match h.join() {
-                Ok(part) => out.extend(part),
-                // A panicked worker loses nothing: its chunk is recomputed
-                // inline, in order. A deterministic panic in `f` then
-                // resurfaces on the caller's thread — `f`'s own failure —
-                // while every other chunk's results survive.
-                Err(_) => out.extend(c.iter().map(&f)),
-            }
-        }
-        out
-    })
 }
 
 /// A resolved shard-count decision: how many shards a sharded run uses
@@ -359,8 +313,8 @@ pub fn merge_shard_skylines_all_pairs(
     (records, m)
 }
 
-/// Sorted, parallel fold of per-shard local skylines into the global
-/// skyline — the SFS/SaLSa idea applied to the merge phase.
+/// Sorted fold of per-shard local skylines into the global skyline — the
+/// SFS/SaLSa idea applied to the merge phase.
 ///
 /// Candidates (the concatenated locals) are sorted by the strictly
 /// monotone [`monotone_score`](PointStore::monotone_score), ties broken by
@@ -377,34 +331,32 @@ pub fn merge_shard_skylines_all_pairs(
 /// [`Metrics::merge_strata`].
 ///
 /// Equal-score candidates can never dominate each other (strict
-/// monotonicity), so each stratum is evaluated concurrently on up to
-/// `threads` workers (`map_slice`) against the per-shard confirmed
-/// prefixes *frozen* at stratum start — no intra-stratum reconciliation is
-/// needed, survivors apply in sorted order, and every verdict and count is
-/// invariant to the worker count. Exact duplicates always tie on score and
-/// never dominate, so all cross-shard copies of a skyline tuple survive,
+/// monotonicity), so each stratum is checked against the per-shard
+/// confirmed prefixes *frozen* at stratum start, and its survivors are
+/// confirmed once the whole stratum is checked: no check scans a member
+/// of its own stratum. Exact duplicates always tie on score and never
+/// dominate, so all cross-shard copies of a skyline tuple survive,
 /// exactly as in the all-pairs fold.
 ///
 /// Survivors are emitted in `(score, record id)` order — an order that
 /// never mentions shard boundaries, making the returned vector
 /// byte-identical across shard plans, not merely set-equal. `locals` hold
-/// **global** record ids.
+/// **global** record ids. The merge runs on the calling thread; `_threads`
+/// is not read.
 pub fn merge_shard_skylines(
     store: &PointStore,
     domains: &[PoDomain],
     locals: &[Vec<RecordId>],
-    threads: usize,
+    _threads: usize,
 ) -> (Vec<RecordId>, Metrics) {
-    let (records, m, _) =
-        merge_shard_skylines_budgeted(store, domains, locals, threads, Budget::UNLIMITED);
+    let (records, m, _) = sorted_merge(store, domains, locals, Budget::UNLIMITED);
     (records, m)
 }
 
-/// [`merge_shard_skylines`] under a [`Budget`] of merge
-/// pair checks: the merge stops at the first **stratum boundary** where
-/// the accumulated merge `dominance_checks` meet the allowance (the last
-/// stratum may overshoot — strata are the indivisible unit of the frozen-
-/// prefix parallelism). Returns `(records, metrics, exhausted)`.
+/// [`merge_shard_skylines`] under a [`Budget`] of merge pair checks: the
+/// merge stops at the first **stratum boundary** where the accumulated
+/// merge `dominance_checks` meet the allowance (the last stratum may
+/// overshoot). Returns `(records, metrics, exhausted)`.
 ///
 /// Stopping early is *sound*: any dominator of a candidate scores
 /// strictly lower, so it sits in an earlier stratum — either confirmed
@@ -415,11 +367,10 @@ pub fn merge_shard_skylines(
 /// anytime guarantee [`ParallelRun::exhausted`] advertises. The stop
 /// point depends only on counts, never on threads or clocks, so budgeted
 /// runs stay deterministic.
-pub fn merge_shard_skylines_budgeted(
+fn sorted_merge(
     store: &PointStore,
     domains: &[PoDomain],
     locals: &[Vec<RecordId>],
-    threads: usize,
     budget: Budget,
 ) -> (Vec<RecordId>, Metrics, bool) {
     let mut m = Metrics::default();
@@ -445,8 +396,9 @@ pub fn merge_shard_skylines_budgeted(
     // order with its key — the candidate's own shard is skipped during
     // checks.
     let mut confirmed: Vec<KeyBlock> = vec![KeyBlock::new(dims); locals.len()];
-    // Candidate positions of the current stratum.
-    let mut stratum: Vec<usize> = Vec::new();
+    // Candidate positions of the current stratum that no confirmed member
+    // dominates.
+    let mut survivors: Vec<usize> = Vec::new();
     let mut start = 0;
     while start < cands.len() {
         if budget.exhausted_by(m.dominance_checks) {
@@ -458,39 +410,27 @@ pub fn merge_shard_skylines_budgeted(
         while end < cands.len() && cands[end].0 == score {
             end += 1;
         }
-        stratum.clear();
-        stratum.extend(start..end);
         m.merge_strata += 1;
-        // Frozen-prefix fan-out: every stratum member is checked against
-        // the confirmed blocks as of stratum start, so verdicts and counts
-        // depend only on the (data-determined) stratum partition.
-        let frozen = &confirmed;
-        let verdicts = map_slice(threads, &stratum, |&i| {
-            let (_, r, shard) = cands[i];
+        survivors.clear();
+        'stratum: for (i, &(_, r, shard)) in (start..end).zip(&cands[start..end]) {
             let po = store.po(r);
-            let mut local = Metrics::default();
-            let mut dominated = false;
-            for (j, other) in frozen.iter().enumerate() {
+            for (j, other) in confirmed.iter().enumerate() {
                 if j == shard as usize || other.is_empty() {
                     continue;
                 }
                 let (hit, examined) = store.t_dominated_by_keys(domains, key(i), po, other);
-                local.batch(examined);
-                local.merge_pair_checks += examined;
+                m.batch(examined);
+                m.merge_pair_checks += examined;
                 if hit {
-                    dominated = true;
-                    break;
+                    continue 'stratum;
                 }
             }
-            (dominated, local)
-        });
-        for (&i, (dominated, local)) in stratum.iter().zip(&verdicts) {
-            m = m.merge(local);
-            if !*dominated {
-                let (_, r, shard) = cands[i];
-                confirmed[shard as usize].push(r, key(i));
-                records.push(r);
-            }
+            survivors.push(i);
+        }
+        for &i in &survivors {
+            let (_, r, shard) = cands[i];
+            confirmed[shard as usize].push(r, key(i));
+            records.push(r);
         }
         start = end;
     }
@@ -501,8 +441,8 @@ pub fn merge_shard_skylines_budgeted(
 /// The lower-level sharded front: runs prepared [`ShardJob`]s — each
 /// already yielding its local skyline as **global** record ids plus its
 /// metrics — through a [`ShardExecutor`], then folds the recovered locals
-/// with the sorted [`merge_shard_skylines_budgeted`] on `threads`
-/// workers. [`sharded_skyline_exec`] and the bench runners are thin fronts
+/// with the sorted merge ([`merge_shard_skylines`]) on the calling
+/// thread. [`sharded_skyline_exec`] and the bench runners are thin fronts
 /// over this; the returned plan is the implied fixed one — callers that
 /// planned adaptively overwrite [`ParallelRun::plan`].
 ///
@@ -514,7 +454,6 @@ pub fn merge_jobs_exec<E>(
     store: &PointStore,
     domains: &[PoDomain],
     executor: &E,
-    threads: usize,
     budget: Budget,
     jobs: Vec<ShardJob<'_>>,
 ) -> Result<ParallelRun, ShardError>
@@ -535,8 +474,7 @@ where
         Some(limit) => Budget::pair_checks(limit.saturating_sub(shard_spent)),
         None => Budget::UNLIMITED,
     };
-    let (records, merge_metrics, exhausted) =
-        merge_shard_skylines_budgeted(store, domains, &locals, threads, remaining);
+    let (records, merge_metrics, exhausted) = sorted_merge(store, domains, &locals, remaining);
     Ok(ParallelRun {
         records,
         locals,
@@ -567,9 +505,11 @@ where
 ///
 /// The retry / fault-injection [`ExecPolicy`] and the pair-check
 /// [`Budget`] are caller-controlled: [`ExecPolicy::default`] reads the
-/// environment, [`Budget::UNLIMITED`] never stops early. The partition is
-/// fixed by the plan, so the result is identical for every `threads`
-/// value — see the module docs for the full determinism contract.
+/// environment, [`Budget::UNLIMITED`] never stops early. `threads` sizes
+/// the executor's worker pool and nothing else: the partition is fixed by
+/// the plan and the merge runs on the calling thread, so the result is
+/// identical for every `threads` value — see the module docs for the
+/// determinism contract.
 pub fn sharded_skyline_exec<F>(
     store: &PointStore,
     domains: &[PoDomain],
@@ -596,7 +536,7 @@ where
         })
         .collect();
     let executor = ThreadShardExecutor::with_policy(threads, policy);
-    let mut run = merge_jobs_exec(store, domains, &executor, threads, budget, jobs)?;
+    let mut run = merge_jobs_exec(store, domains, &executor, budget, jobs)?;
     run.plan = plan;
     Ok(run)
 }
@@ -638,20 +578,6 @@ mod tests {
             stss_shard,
         )
         .unwrap()
-    }
-
-    #[test]
-    fn map_slice_matches_serial_map() {
-        let items: Vec<u64> = (0..1000).collect();
-        let expect: Vec<u64> = items.iter().map(|&x| x * 3 + 1).collect();
-        for threads in [1usize, 2, 4, 32] {
-            assert_eq!(
-                map_slice(threads, &items, |&x| x * 3 + 1),
-                expect,
-                "threads={threads}"
-            );
-        }
-        assert!(map_slice(4, &[] as &[u64], |&x| x).is_empty());
     }
 
     #[test]
@@ -763,37 +689,27 @@ mod tests {
             let mut old_sorted = old.clone();
             old_sorted.sort_unstable();
             assert_eq!(old_sorted, oracle, "all-pairs shards={shards}");
-            for threads in [1usize, 2, 4] {
-                let (new, new_m) = merge_shard_skylines(&t, &domains, &locals, threads);
-                let mut new_sorted = new.clone();
-                new_sorted.sort_unstable();
-                assert_eq!(
-                    new_sorted, oracle,
-                    "sorted shards={shards} threads={threads}"
-                );
-                assert_eq!(new_m.results, old_m.results);
-                assert!(
-                    new_m.merge_pair_checks <= all_pairs_merge_bound(&locals),
-                    "shards={shards}: {} > bound {}",
-                    new_m.merge_pair_checks,
-                    all_pairs_merge_bound(&locals)
-                );
-            }
+            let (new, new_m) = merge_shard_skylines(&t, &domains, &locals, 1);
+            let mut new_sorted = new.clone();
+            new_sorted.sort_unstable();
+            assert_eq!(new_sorted, oracle, "sorted shards={shards}");
+            assert_eq!(new_m.results, old_m.results);
+            assert!(
+                new_m.merge_pair_checks <= all_pairs_merge_bound(&locals),
+                "shards={shards}: {} > bound {}",
+                new_m.merge_pair_checks,
+                all_pairs_merge_bound(&locals)
+            );
         }
     }
 
     #[test]
-    fn sorted_merge_is_thread_and_plan_invariant() {
+    fn sorted_merge_is_plan_invariant() {
         let t = to_only_table(150);
         let mut baseline: Option<Vec<RecordId>> = None;
         for shards in [1usize, 2, 4, 8] {
             let locals = brute_locals(&t, &[], shards);
-            let (r1, m1) = merge_shard_skylines(&t, &[], &locals, 1);
-            for threads in [2usize, 4] {
-                let (rt, mt) = merge_shard_skylines(&t, &[], &locals, threads);
-                assert_eq!(rt, r1, "shards={shards} threads={threads}");
-                assert_eq!(mt, m1, "metrics invariant to merge threads");
-            }
+            let (r1, _) = merge_shard_skylines(&t, &[], &locals, 1);
             // Emission order is (score, id): identical across shard plans.
             match &baseline {
                 None => baseline = Some(r1),
@@ -810,7 +726,7 @@ mod tests {
         let t = anti_table(64);
         let locals = brute_locals(&t, &[], 8);
         let (old, old_m) = merge_shard_skylines_all_pairs(&t, &[], &locals);
-        let (new, new_m) = merge_shard_skylines(&t, &[], &locals, 2);
+        let (new, new_m) = merge_shard_skylines(&t, &[], &locals, 1);
         assert_eq!(old.len(), 64);
         assert_eq!(new.len(), 64);
         assert_eq!(old_m.merge_pair_checks, all_pairs_merge_bound(&locals));

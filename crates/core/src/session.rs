@@ -146,33 +146,20 @@ impl<'a> QuerySession<'a> {
         Ok(self.cursor(q)?.drain())
     }
 
-    /// Fully dynamic variant (§V-B): TO dominance is folded around
-    /// `reference`, labelings still come from the session cache.
-    pub fn query_fully_dynamic(
-        &mut self,
-        q: &PoQuery,
-        reference: &[u32],
-    ) -> Result<DtssRun, CoreError> {
-        let dtss = self.dtss;
-        Ok(dtss
-            .cursor_inner(q, Some(reference), || self.prepare(q))?
-            .drain())
-    }
-
-    /// Opens a pull-based cursor for `q`, reusing cached labelings. The
-    /// cursor borrows only the operator, so it outlives later calls on the
+    /// Opens a pull-based cursor for `q`, plain or fully dynamic
+    /// ([`PoQuery::with_reference`]), reusing cached labelings. The cursor
+    /// borrows only the operator, so it outlives later calls on the
     /// session.
     pub fn cursor(&mut self, q: &PoQuery) -> Result<DtssCursor<'a>, CoreError> {
         let dtss = self.dtss;
-        dtss.cursor_inner(q, None, || self.prepare(q))
+        dtss.cursor_inner(q, || self.prepare(q))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::DtssConfig;
-    use crate::Table;
+    use crate::{DtssConfig, Metrics, Table};
     use poset::{Dag, PartialOrderBuilder};
 
     fn fig5_table() -> Table {
@@ -259,9 +246,10 @@ mod tests {
         let a = s.query(&q).unwrap();
         assert_eq!(a.metrics.label_cache_misses, 1);
         // Same DAG, folded query: the labeling is reused across query kinds.
-        let b = s.query_fully_dynamic(&q, &[3, 3]).unwrap();
+        let folded = q.with_reference(vec![3, 3]);
+        let b = s.query(&folded).unwrap();
         assert_eq!(b.metrics.label_cache_hits, 1);
-        let plain = dtss.query_fully_dynamic(&q, &[3, 3]).unwrap();
+        let plain = dtss.query(&folded).unwrap();
         assert_eq!(plain.skyline_records(), b.skyline_records());
     }
 
@@ -269,9 +257,9 @@ mod tests {
     fn fully_dynamic_session_query_rejects_a_wrong_width_reference() {
         let dtss = Dtss::build(fig5_table(), vec![3], DtssConfig::default()).unwrap();
         let mut s = QuerySession::new(&dtss);
-        let q = PoQuery::new(vec![order_b_over_c()]);
+        let q = PoQuery::new(vec![order_b_over_c()]).with_reference(vec![1, 2, 3]);
         assert_eq!(
-            s.query_fully_dynamic(&q, &[1, 2, 3]).err(),
+            s.query(&q).err(),
             Some(CoreError::ReferenceWidthMismatch {
                 expected: 2,
                 got: 3
@@ -279,6 +267,51 @@ mod tests {
         );
         // Validation runs before labeling: the session saw no lookup.
         assert_eq!(s.stats(), SessionStats::default());
+    }
+
+    #[test]
+    fn fully_dynamic_cursor_matches_the_operator_cursor() {
+        let dtss = Dtss::build(fig5_table(), vec![3], DtssConfig::default()).unwrap();
+        let mut s = QuerySession::new(&dtss);
+        let q = PoQuery::new(vec![order_a_c_over_b()]);
+        // A wrong-width reference fails before the session looks anything up.
+        assert_eq!(
+            s.cursor(&q.clone().with_reference(vec![1])).err(),
+            Some(CoreError::ReferenceWidthMismatch {
+                expected: 2,
+                got: 1
+            })
+        );
+        assert_eq!(s.stats(), SessionStats::default());
+        // Every counter but the cache's own equals the operator cursor's.
+        let work = |m: &Metrics| -> Vec<(&str, u64)> {
+            Metrics::COUNTERS
+                .iter()
+                .copied()
+                .zip(m.counters())
+                .filter(|(name, _)| !name.starts_with("label_cache"))
+                .collect()
+        };
+        for reference in [[0, 0], [3, 3], [5, 1], [2, 4]] {
+            let folded = q.clone().with_reference(reference.to_vec());
+            let via_session = s.cursor(&folded).unwrap().drain();
+            let plain = dtss.query_cursor(&folded).unwrap().drain();
+            assert_eq!(
+                via_session.skyline_records(),
+                plain.skyline_records(),
+                "{reference:?}"
+            );
+            assert_eq!(via_session.groups_skipped, plain.groups_skipped);
+            assert_eq!(work(&via_session.metrics), work(&plain.metrics));
+        }
+        assert_eq!(
+            s.stats(),
+            SessionStats {
+                hits: 3,
+                misses: 1,
+                entries: 1
+            }
+        );
     }
 
     #[test]

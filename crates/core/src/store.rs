@@ -370,7 +370,7 @@ impl PointStore {
     ///   already-confirmed prefix), and
     /// * equal-score records can never dominate each other, so an
     ///   equal-score stratum is checkable against a frozen prefix in any
-    ///   order — or concurrently.
+    ///   order.
     #[inline]
     pub fn monotone_score(&self, domains: &[PoDomain], id: RecordId) -> u64 {
         let to_sum: u64 = self.to(id).iter().map(|&x| x as u64).sum();
@@ -997,7 +997,7 @@ impl KeyBlock {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
-    use crate::Dominance;
+    use crate::dominance::dominates_oracle;
     use poset::Dag;
     use proptest::prelude::*;
 
@@ -1112,7 +1112,6 @@ pub(crate) mod tests {
     #[test]
     fn monotone_score_is_strict_under_dominance() {
         let doms = vec![PoDomain::new(Dag::paper_example())];
-        let oracle = Dominance::new(&doms);
         let mut t = PointStore::new(2, 1);
         for a in 0..4u32 {
             for b in 0..4u32 {
@@ -1124,7 +1123,7 @@ pub(crate) mod tests {
         let n = t.len() as u32;
         for i in 0..n {
             for j in 0..n {
-                if oracle.dominates_oracle(t.to(i), t.po(i), t.to(j), t.po(j)) {
+                if dominates_oracle(&doms, t.to(i), t.po(i), t.to(j), t.po(j)) {
                     assert!(
                         t.monotone_score(&doms, i) < t.monotone_score(&doms, j),
                         "dominator must score strictly lower ({i} vs {j})"
@@ -1427,7 +1426,7 @@ pub(crate) mod tests {
     }
 
     proptest! {
-        /// The list loop agrees with `Dominance::dominates_oracle` at every
+        /// The list loop agrees with the closure oracle at every
         /// TO width, PO-only included. Each pair is checked alone, and the
         /// whole rotated id list must report the oracle's first hit and the
         /// pairs examined up to it — duplicate candidates included.
@@ -1446,7 +1445,6 @@ pub(crate) mod tests {
                 (s >> 33) as u32 % m
             };
             let doms = vec![PoDomain::new(Dag::paper_example())];
-            let oracle = Dominance::new(&doms);
             let mut store = PointStore::new(to_dims, 1);
             for _ in 0..n {
                 let to: Vec<u32> = (0..to_dims).map(|_| next(5)).collect();
@@ -1467,7 +1465,7 @@ pub(crate) mod tests {
             let mut ids: Vec<RecordId> = (0..n as u32).collect();
             ids.rotate_left(seed as usize % n);
             let dominates =
-                |id: RecordId| oracle.dominates_oracle(store.to(id), store.po(id), &cand_to, &cand_po);
+                |id: RecordId| dominates_oracle(&doms, store.to(id), store.po(id), &cand_to, &cand_po);
             let expect = match ids.iter().position(|&id| dominates(id)) {
                 Some(i) => (true, i as u64 + 1),
                 None => (false, n as u64),

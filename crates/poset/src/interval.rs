@@ -17,23 +17,11 @@ impl Interval {
         Interval { lo, hi }
     }
 
-    /// A single point `[p, p]`.
-    #[inline]
-    pub fn point(p: u32) -> Self {
-        Interval { lo: p, hi: p }
-    }
-
     /// True iff `self` contains `other` (covers or coincides — the relation
     /// used by Definition 1 of the paper).
     #[inline]
     pub fn contains(&self, other: &Interval) -> bool {
         self.lo <= other.lo && other.hi <= self.hi
-    }
-
-    /// True iff `self` contains the integer `p`.
-    #[inline]
-    pub fn contains_point(&self, p: u32) -> bool {
-        self.lo <= p && p <= self.hi
     }
 
     /// Number of integers covered.
@@ -118,17 +106,6 @@ impl IntervalSet {
     /// Total number of integers covered.
     pub fn cardinality(&self) -> u64 {
         self.ivs.iter().map(|iv| iv.len() as u64).sum()
-    }
-
-    /// True iff some interval of the set fully contains `iv`.
-    ///
-    /// Binary search on the sorted runs: `O(log n)`.
-    pub fn covers_interval(&self, iv: &Interval) -> bool {
-        // Find the last run with lo <= iv.lo; only it can contain iv.
-        match self.ivs.partition_point(|run| run.lo <= iv.lo) {
-            0 => false,
-            i => self.ivs[i - 1].contains(iv),
-        }
     }
 
     /// True iff every run of `other` is contained in some run of `self` —
@@ -235,19 +212,6 @@ mod tests {
     fn normalization_drops_subsumed() {
         let s = set(&[(1, 9), (3, 6), (1, 2)]);
         assert_eq!(s.intervals(), &[Interval::new(1, 9)]);
-    }
-
-    #[test]
-    fn covers_interval_binary_search() {
-        let s = set(&[(1, 2), (5, 8), (10, 10)]);
-        assert!(s.covers_interval(&Interval::new(5, 8)));
-        assert!(s.covers_interval(&Interval::new(6, 7)));
-        assert!(s.covers_interval(&Interval::point(10)));
-        assert!(!s.covers_interval(&Interval::new(2, 5)));
-        assert!(!s.covers_interval(&Interval::point(3)));
-        assert!(!s.covers_interval(&Interval::point(0)));
-        assert!(!s.covers_interval(&Interval::point(11)));
-        assert!(!IntervalSet::empty().covers_interval(&Interval::point(1)));
     }
 
     #[test]

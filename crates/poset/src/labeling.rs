@@ -126,6 +126,7 @@ impl TssLabeling {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reach::tests::descendants;
     use crate::{Interval, Reachability};
     use proptest::prelude::*;
 
@@ -211,7 +212,7 @@ mod tests {
         for v in dag.values() {
             assert_eq!(
                 lab.intervals(v).cardinality() as usize,
-                reach.descendants(v).len(),
+                descendants(&reach, v).len(),
                 "L({}) must cover exactly the reachable posts",
                 dag.label(v)
             );
@@ -270,8 +271,7 @@ mod tests {
             let reach = Reachability::build(&dag);
             let lab = TssLabeling::build_default(&dag);
             for v in dag.values() {
-                let expect: std::collections::BTreeSet<u32> = reach
-                    .descendants(v)
+                let expect: std::collections::BTreeSet<u32> = descendants(&reach, v)
                     .into_iter()
                     .map(|u| lab.post(u))
                     .collect();

@@ -72,19 +72,19 @@ impl Reachability {
     pub fn preferred_or_equal(&self, x: ValueId, y: ValueId) -> bool {
         x == y || self.reaches(x, y)
     }
-
-    /// All values reachable from `x`, including `x`, in id order.
-    pub fn descendants(&self, x: ValueId) -> Vec<ValueId> {
-        (0..self.n as u32)
-            .map(ValueId)
-            .filter(|&y| self.reaches(x, y))
-            .collect()
-    }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+
+    /// All values reachable from `x`, including `x`, in id order.
+    pub(crate) fn descendants(r: &Reachability, x: ValueId) -> Vec<ValueId> {
+        (0..r.n as u32)
+            .map(ValueId)
+            .filter(|&y| r.reaches(x, y))
+            .collect()
+    }
 
     #[test]
     fn chain_reachability() {
@@ -107,8 +107,8 @@ mod tests {
         assert!(r.reaches(ValueId(0), ValueId(3)));
         assert!(!r.reaches(ValueId(1), ValueId(2)));
         assert!(!r.reaches(ValueId(2), ValueId(1)));
-        assert_eq!(r.descendants(ValueId(0)).len(), 4);
-        assert_eq!(r.descendants(ValueId(1)), vec![ValueId(1), ValueId(3)]);
+        assert_eq!(descendants(&r, ValueId(0)).len(), 4);
+        assert_eq!(descendants(&r, ValueId(1)), vec![ValueId(1), ValueId(3)]);
     }
 
     #[test]
@@ -118,14 +118,14 @@ mod tests {
         let id = |s: &str| d.id_of(s).unwrap();
         // R(c) = {c, f, g, h, i}
         assert_eq!(
-            r.descendants(id("c")),
+            descendants(&r, id("c")),
             ["c", "f", "g", "h", "i"]
                 .iter()
                 .map(|s| id(s))
                 .collect::<Vec<_>>()
         );
         // R(e) = {e, g, h, i}
-        assert_eq!(r.descendants(id("e")).len(), 4);
+        assert_eq!(descendants(&r, id("e")).len(), 4);
         // f reaches h via the non-tree edge but not g or i.
         assert!(r.reaches(id("f"), id("h")));
         assert!(!r.reaches(id("f"), id("g")));

@@ -51,8 +51,8 @@ impl RTree {
         tree.points.reserve_exact(coords.len());
         tree.records.reserve_exact(n);
         let mut level: Vec<NodeId> = bounds
-            .into_iter()
-            .map(|(lo, hi)| {
+            .iter()
+            .map(|&(lo, hi)| {
                 let start = tree.records.len();
                 for &(row, record) in &items[lo..hi] {
                     tree.points
@@ -63,24 +63,23 @@ impl RTree {
             })
             .collect();
         let mut height = 1usize;
-        // --- Upper levels: STR-pack child MBB centers ----------------------
+        // --- Upper levels: STR-pack child MBB centers, one flat matrix per
+        // level with the node ids as the records. --------------------------
+        let mut centers = Vec::new();
         while level.len() > 1 {
-            let mut centers: Vec<(Vec<u32>, u32)> = level
+            centers.clear();
+            for &id in &level {
+                let mbb = &tree.nodes[id.idx()].mbb;
+                centers.extend((0..dims).map(|d| mbb.lo()[d] / 2 + mbb.hi()[d] / 2));
+            }
+            let mut items: Vec<(u32, u32)> = (0u32..).zip(level.iter().map(|id| id.0)).collect();
+            bounds.clear();
+            str_tile_flat(&mut items, &centers, dims, cap, 0, 0, &mut bounds);
+            level = bounds
                 .iter()
-                .map(|&id| {
-                    let mbb = &tree.nodes[id.idx()].mbb;
-                    let center: Vec<u32> = (0..dims)
-                        .map(|d| mbb.lo()[d] / 2 + mbb.hi()[d] / 2)
-                        .collect();
-                    (center, id.0)
-                })
-                .collect();
-            let groups = str_tile(&mut centers, dims, cap, 0);
-            level = groups
-                .into_iter()
-                .map(|group| {
+                .map(|&(lo, hi)| {
                     let children: Vec<NodeId> =
-                        group.into_iter().map(|(_, id)| NodeId(id)).collect();
+                        items[lo..hi].iter().map(|&(_, id)| NodeId(id)).collect();
                     let mut mbb = tree.nodes[children[0].idx()].mbb.clone();
                     for c in &children[1..] {
                         mbb.expand_mbb(&tree.nodes[c.idx()].mbb);
@@ -99,11 +98,12 @@ impl RTree {
     }
 }
 
-/// The flat-matrix twin of [`str_tile`]: recursively reorders `(row,
-/// record)` index pairs over the row-major `coords` matrix and records the
-/// final leaf cut points in `bounds` as `[lo, hi)` ranges into `items`.
-/// Sort keys (coordinate, then record id) match `str_tile`, so both tilings
-/// produce identical trees.
+/// Sort-Tile-Recursive over a flat matrix: recursively reorders `(row,
+/// record)` index pairs over the row-major `coords` matrix, sorting by one
+/// dimension per recursion level (coordinate, then record id), and records
+/// the final page cut points in `bounds` as `[lo, hi)` ranges into
+/// `items`. Leaves tile the data rows; upper levels tile their children's
+/// MBB centers with node ids as the records.
 fn str_tile_flat(
     items: &mut [(u32, u32)],
     coords: &[u32],
@@ -133,6 +133,8 @@ fn str_tile_flat(
         }
         return;
     }
+    // Number of pages overall, slabs along this dimension = ceil(P^(1/k))
+    // where k = remaining dimensions.
     let pages = n.div_ceil(cap);
     let k = (dims - dim) as f64;
     let slabs = (pages as f64).powf(1.0 / k).ceil() as usize;
@@ -151,37 +153,6 @@ fn str_tile_flat(
         );
         off = end;
     }
-}
-
-/// Recursively tiles `items` into groups of at most `cap`, sorting by one
-/// dimension per recursion level (classic STR). Retained for the upper
-/// levels, which tile child-MBB centers (few, already materialized).
-fn str_tile(
-    items: &mut [(Vec<u32>, u32)],
-    dims: usize,
-    cap: usize,
-    dim: usize,
-) -> Vec<Vec<(Vec<u32>, u32)>> {
-    let n = items.len();
-    if n <= cap {
-        return vec![items.to_vec()];
-    }
-    items.sort_unstable_by(|a, b| a.0[dim].cmp(&b.0[dim]).then_with(|| a.1.cmp(&b.1)));
-    if dim + 1 == dims {
-        // Last dimension: chunk straight into pages.
-        return items.chunks(cap).map(|c| c.to_vec()).collect();
-    }
-    // Number of pages overall, slabs along this dimension = ceil(P^(1/k))
-    // where k = remaining dimensions.
-    let pages = n.div_ceil(cap);
-    let k = (dims - dim) as f64;
-    let slabs = (pages as f64).powf(1.0 / k).ceil() as usize;
-    let slab_size = n.div_ceil(slabs.max(1));
-    let mut out = Vec::new();
-    for chunk in items.chunks_mut(slab_size) {
-        out.extend(str_tile(chunk, dims, cap, dim + 1));
-    }
-    out
 }
 
 #[cfg(test)]

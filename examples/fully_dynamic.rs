@@ -66,7 +66,7 @@ fn main() {
     ];
 
     for (who, q, ideal) in scenarios {
-        let run = dtss.query_fully_dynamic(&q, &ideal).unwrap();
+        let run = dtss.query(&q.with_reference(ideal.to_vec())).unwrap();
         let names: Vec<&str> = run
             .skyline
             .iter()

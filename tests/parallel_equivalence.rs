@@ -196,11 +196,10 @@ proptest! {
         );
     }
 
-    /// Merge-focused equivalence: for random stores, DAGs, shard counts
-    /// and merge thread counts — duplicates included — the sorted parallel
-    /// merge, the all-pairs merge and the single-shard oracle agree on the
-    /// record set; the sorted merge's record *vector* and metrics are
-    /// invariant to both the thread count and the shard partition; and its
+    /// Merge-focused equivalence: for random stores, DAGs and shard
+    /// counts — duplicates included — the sorted merge, the all-pairs merge
+    /// and the single-shard oracle agree on the record set; the sorted
+    /// merge's record *vector* is invariant to the shard partition; and its
     /// pair work never exceeds the all-pairs bound
     /// `Σᵢ |localᵢ| · Σⱼ≠ᵢ |localⱼ|`.
     #[test]
@@ -209,7 +208,6 @@ proptest! {
         dup in (0usize..8, 1usize..4),
         edge_mask in 0u32..1024,
         shards in 1usize..=8,
-        threads in 1usize..=4,
     ) {
         let mut t = Table::new(2, 1);
         for &(a, b, v) in &rows {
@@ -236,10 +234,7 @@ proptest! {
         old_sorted.sort_unstable();
         prop_assert_eq!(&old_sorted, &oracle, "all-pairs merge vs oracle");
 
-        let (one, one_m) = merge_shard_skylines(&t, &domains, &locals, 1);
-        let (new, new_m) = merge_shard_skylines(&t, &domains, &locals, threads);
-        prop_assert_eq!(&new, &one, "merge threads change nothing");
-        prop_assert_eq!(new_m, one_m, "merge metrics invariant to threads");
+        let (new, new_m) = merge_shard_skylines(&t, &domains, &locals, 1);
         let mut new_sorted = new.clone();
         new_sorted.sort_unstable();
         prop_assert_eq!(&new_sorted, &oracle, "sorted merge vs oracle");
@@ -256,7 +251,7 @@ proptest! {
         // to the byte-identical record vector ((score, id) emission order).
         let other_shards = shards % 8 + 1;
         let other_locals = brute_locals(&t, &domains, other_shards);
-        let (other, _) = merge_shard_skylines(&t, &domains, &other_locals, threads);
+        let (other, _) = merge_shard_skylines(&t, &domains, &other_locals, 1);
         prop_assert_eq!(&other, &new,
             "shard plans {} and {} must emit identical vectors", shards, other_shards);
     }
@@ -291,22 +286,20 @@ fn anti_correlated_merge_does_less_pair_work() {
     assert!(total > 500, "anti-correlated locals must be skyline-heavy");
 
     let (old, old_m) = merge_shard_skylines_all_pairs(&table, &domains, &locals);
-    for threads in [1usize, 2, 4] {
-        let (new, new_m) = merge_shard_skylines(&table, &domains, &locals, threads);
-        let mut a = old.clone();
-        let mut b = new.clone();
-        a.sort_unstable();
-        b.sort_unstable();
-        assert_eq!(a, b, "same merged skyline");
-        assert!(
-            new_m.merge_pair_checks < old_m.merge_pair_checks,
-            "threads={threads}: sorted {} must beat all-pairs {}",
-            new_m.merge_pair_checks,
-            old_m.merge_pair_checks
-        );
-        assert!(new_m.merge_pair_checks < all_pairs_merge_bound(&locals));
-        assert!(new_m.merge_strata > 0);
-    }
+    let (new, new_m) = merge_shard_skylines(&table, &domains, &locals, 1);
+    let mut a = old.clone();
+    let mut b = new.clone();
+    a.sort_unstable();
+    b.sort_unstable();
+    assert_eq!(a, b, "same merged skyline");
+    assert!(
+        new_m.merge_pair_checks < old_m.merge_pair_checks,
+        "sorted {} must beat all-pairs {}",
+        new_m.merge_pair_checks,
+        old_m.merge_pair_checks
+    );
+    assert!(new_m.merge_pair_checks < all_pairs_merge_bound(&locals));
+    assert!(new_m.merge_strata > 0);
 }
 
 /// The adaptive shard count is a rule: one shard unless the run has more

@@ -1,6 +1,6 @@
 //! In-repo static analysis for the TSS workspace.
 //!
-//! `cargo run -p xtask -- lint` runs six rule families that turn the
+//! `cargo run -p xtask -- lint` runs seven rule families that turn the
 //! repo's doc-comment contracts into red builds:
 //!
 //! | rule          | contract it guards                                          |
@@ -9,6 +9,7 @@
 //! | `hasher`      | no `DefaultHasher`/`RandomState` (pinned FNV-1a everywhere) |
 //! | `panic-path`  | per-crate unwrap/expect/panic! counts only ratchet down     |
 //! | `process`     | `Command`/`process::exit` only in `core::ipc` + worker bins |
+//! | `thread`      | threads start only in the claim loop + the IPC pipe reader  |
 //! | `time-source` | wall clocks only in `bench` and waived Metrics.cpu sites    |
 //! | `unwind`      | `catch_unwind` only inside the shard executor module        |
 //!
@@ -23,6 +24,7 @@ pub mod rules {
     pub mod determinism;
     pub mod panics;
     pub mod process;
+    pub mod thread;
     pub mod timesrc;
     pub mod unwind;
 }
@@ -36,6 +38,7 @@ pub const ALL_RULES: &[&str] = &[
     "hasher",
     "panic-path",
     "process",
+    "thread",
     "time-source",
     "unwind",
 ];
@@ -61,6 +64,9 @@ pub fn lint(root: &Path, only: Option<&str>) -> Vec<Finding> {
         }
         if run("process") {
             rules::process::check(&rel, &lexed, &mut out);
+        }
+        if run("thread") {
+            rules::thread::check(&rel, &lexed, &mut out);
         }
         if run("time-source") {
             rules::timesrc::check(&rel, &lexed, &mut out);

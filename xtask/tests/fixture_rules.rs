@@ -94,6 +94,27 @@ fn process_waiver_passes() {
     assert!(f.is_empty(), "{f:#?}");
 }
 
+/// The thread fence: a rogue fan-out (`thread::scope`) and a detached
+/// `thread::spawn` in lib code are flagged, while the executor's claim
+/// loop next to them starts the same scoped workers exempt; the scope's
+/// `.spawn()` method calls are not flagged.
+#[test]
+fn thread_starts_banned_outside_the_executor() {
+    let f = lint("thread_violation", "thread");
+    assert_eq!(f.len(), 2, "{f:#?}");
+    assert!(f.iter().all(|x| x.rule == "thread"));
+    assert!(f.iter().all(|x| x.path.ends_with("crates/core/src/lib.rs")));
+    assert_eq!(f.iter().map(|x| x.line).collect::<Vec<_>>(), vec![3, 10]);
+    assert!(f[0].msg.contains("`thread::scope`"));
+    assert!(f[1].msg.contains("`thread::spawn`"));
+}
+
+#[test]
+fn thread_waiver_passes() {
+    let f = lint("thread_waived", "thread");
+    assert!(f.is_empty(), "{f:#?}");
+}
+
 #[test]
 fn time_source_banned_outside_bench() {
     let f = lint("time_violation", "time-source");
