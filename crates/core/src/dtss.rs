@@ -8,11 +8,13 @@
 //! * **Build once:** tuples are partitioned into *groups* by their PO value
 //!   combination; each group gets its own R-tree over the TO attributes.
 //!   Groups and trees are *independent of any partial order*.
-//! * **Per query:** the supplied DAGs are topologically sorted and labeled
-//!   (cheap — the domains are small). Groups are visited in ascending sum of
-//!   their values' topological ordinals, which guarantees precedence across
-//!   groups: a dominating group's values are all preferred-or-equal, hence
-//!   have ordinal-sum strictly below (distinct keys). Inside a group, BBS
+//! * **Per query:** the supplied DAGs are topologically sorted and their
+//!   transitive closures computed (cheap — the domains are small); no
+//!   interval labels are built, since only sTSS's MBB checks read them.
+//!   Groups are visited in ascending sum of their values' topological
+//!   ordinals, which guarantees precedence across groups: a dominating
+//!   group's values are all preferred-or-equal, hence have ordinal-sum
+//!   strictly below (distinct keys). Inside a group, BBS
 //!   over the TO tree, or a scan of the group's local skyline in ascending
 //!   coordinate sum, gives precedence as usual, so every surviving point is
 //!   emitted immediately, as its record id: plain and fully dynamic

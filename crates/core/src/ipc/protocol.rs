@@ -479,7 +479,7 @@ pub fn put_dags<'d>(
 }
 
 /// Inverse of [`put_dags`]: rebuilds the DAGs. Every structure derived
-/// from them (labelings, dyadic indexes, reachability) is a deterministic
+/// from them (ordinals, reachability, sTSS's range labels) is a deterministic
 /// function of the edges, so dominance decisions — and examined-pair
 /// counts — are identical to the sender's. Each DAG's vertex count is
 /// checked against [`MAX_DAG_VERTICES`] and the running total against

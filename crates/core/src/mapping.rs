@@ -1,58 +1,43 @@
-use poset::{Dag, DyadicIndex, IntervalSet, Reachability, TssLabeling, ValueId};
+use poset::{Dag, Reachability, TopoOrder, ValueId};
 use std::sync::Arc;
 
-/// Everything TSS precomputes about one partially ordered domain: the DAG,
-/// its exact interval labeling (topological ordinals + propagated interval
-/// sets), the dyadic range index over the topologically sorted domain, and
-/// the bitset transitive closure (ground truth, used by oracles and by the
-/// baselines' exact cross-checks).
+/// What every engine reads about one partially ordered domain: the DAG,
+/// its topological ordinals (the value's `A_TO` coordinate, which gives
+/// precedence, §III-B) and its bitset transitive closure (the exact test of
+/// a value pair).
+///
+/// Interval labels merged over ordinal ranges answer only sTSS's MBB checks
+/// (§IV-B), so sTSS builds them with its index
+/// ([`Stss::range_labels`](crate::Stss::range_labels)); dTSS, the query
+/// session, streaming, the merge and every point check read the ordinals
+/// and the closure alone.
 ///
 /// The structures are immutable once built and shared behind one [`Arc`]:
-/// a clone is a reference count, so a session cache hands its labelings
-/// to every query without copying them.
+/// a clone is a reference count, so a session cache hands its domains to
+/// every query without copying them.
 #[derive(Debug, Clone)]
 pub struct PoDomain(Arc<Parts>);
 
 /// The precomputed structures of a [`PoDomain`].
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct Parts {
     dag: Dag,
-    labeling: TssLabeling,
-    dyadic: DyadicIndex,
+    topo: TopoOrder,
     reach: Reachability,
 }
 
 impl PoDomain {
-    /// Precomputes all structures for `dag` (DFS spanning tree).
+    /// Sorts `dag` topologically and computes its transitive closure.
     pub fn new(dag: Dag) -> Self {
-        let labeling = TssLabeling::build_default(&dag);
-        let dyadic = DyadicIndex::build(&labeling);
+        let topo = TopoOrder::build(&dag);
         let reach = Reachability::build(&dag);
-        PoDomain(Arc::new(Parts {
-            dag,
-            labeling,
-            dyadic,
-            reach,
-        }))
-    }
-
-    /// A copy that shares nothing with this domain, every part allocated at
-    /// its exact size: a freshly built domain still holds spare capacity
-    /// from its construction, which a cache should not keep alive.
-    pub(crate) fn compact(&self) -> PoDomain {
-        PoDomain(Arc::new((*self.0).clone()))
+        PoDomain(Arc::new(Parts { dag, topo, reach }))
     }
 
     /// The domain DAG.
     #[inline]
     pub fn dag(&self) -> &Dag {
         &self.0.dag
-    }
-
-    /// The exact TSS labeling.
-    #[inline]
-    pub fn labeling(&self) -> &TssLabeling {
-        &self.0.labeling
     }
 
     /// The transitive closure.
@@ -77,28 +62,16 @@ impl PoDomain {
     /// coordinate in the constructed `A_TO` dimension.
     #[inline]
     pub fn ordinal(&self, raw: u32) -> u32 {
-        self.0.labeling.ordinal(ValueId(raw))
-    }
-
-    /// The interval set of a raw value id.
-    #[inline]
-    pub fn intervals(&self, raw: u32) -> &IntervalSet {
-        self.0.labeling.intervals(ValueId(raw))
-    }
-
-    /// Merged interval set for an ordinal range, via the dyadic index.
-    #[inline]
-    pub fn range_intervals(&self, lo: u32, hi: u32) -> IntervalSet {
-        self.0.dyadic.range(lo, hi)
+        self.0.topo.ordinal(ValueId(raw))
     }
 
     /// "At least as good": equal values or exact preference.
     ///
     /// Answered with one bit probe of the precomputed transitive closure —
-    /// the cheapest exact decision for a *value pair*. The interval labels
-    /// (whose job is the range/MBB queries a closure cannot answer) remain
-    /// the decision procedure for everything range-shaped; their pair form
-    /// is kept as [`pref_labeled`](Self::pref_labeled) for cross-checks.
+    /// the cheapest exact decision for a *value pair*. Interval-label
+    /// containment decides the same pairs (the exactness theorem, checked
+    /// against the closure by poset's labeling tests); its job is the
+    /// range/MBB queries a closure cannot answer.
     #[inline]
     pub fn pref_or_equal(&self, a: u32, b: u32) -> bool {
         self.0.reach.preferred_or_equal(ValueId(a), ValueId(b))
@@ -109,14 +82,6 @@ impl PoDomain {
     #[inline]
     pub fn pref(&self, a: u32, b: u32) -> bool {
         self.0.reach.preferred(ValueId(a), ValueId(b))
-    }
-
-    /// Strict exact preference decided by interval-label containment — the
-    /// paper's Definition 1 procedure. Equivalent to [`pref`](Self::pref)
-    /// by the exactness theorem; kept as an independent cross-check.
-    #[inline]
-    pub fn pref_labeled(&self, a: u32, b: u32) -> bool {
-        self.0.labeling.t_pref(ValueId(a), ValueId(b))
     }
 }
 
@@ -132,24 +97,17 @@ mod tests {
         // Ordinals: deterministic topo sort is alphabetical here.
         assert_eq!(dom.ordinal(0), 1); // a
         assert_eq!(dom.ordinal(8), 9); // i
-                                       // The closure-bit pair preference and
-                                       // the interval-label decision
-                                       // procedure agree on every pair (the
-                                       // exactness theorem).
+
+        // The two closure probes agree: preferred-or-equal is equality or
+        // strict preference.
         for x in 0..9u32 {
             for y in 0..9u32 {
-                assert_eq!(dom.pref(x, y), dom.pref_labeled(x, y), "({x}, {y})");
                 assert_eq!(
                     dom.pref_or_equal(x, y),
-                    x == y || dom.pref_labeled(x, y),
+                    x == y || dom.pref(x, y),
                     "({x}, {y})"
                 );
             }
         }
-        // Dyadic range equals labeling range.
-        assert_eq!(
-            dom.range_intervals(2, 7),
-            dom.labeling().range_intervals(2, 7)
-        );
     }
 }

@@ -1,14 +1,16 @@
 //! The **query-session cache** for the dynamic workload (§V): a
-//! fingerprint-keyed store of per-attribute topological sorts and TSS
-//! interval labelings, shared across the many [`Dtss`] queries one user (or
-//! one connection) issues.
+//! fingerprint-keyed store of per-attribute labelings — each one a
+//! [`PoDomain`]: the DAG, its topological ordinals and its transitive
+//! closure — shared across the many [`Dtss`] queries one user (or one
+//! connection) issues.
 //!
-//! Every dTSS query must topologically sort and interval-label each of its
-//! partial orders before the group walk can start (§V-A). The paper argues
-//! this is cheap *relative to the data* — but a serving system evaluating
-//! millions of per-user preference DAGs pays it on every query, and real
-//! preference DAGs repeat: the same user queries again, different users
-//! share canned preference templates. A [`QuerySession`] memoizes the
+//! Every dTSS query must topologically sort each of its partial orders and
+//! compute its closure before the group walk can start (§V-A); dTSS reads
+//! no interval labels, so none are built. The paper argues this is cheap
+//! *relative to the data* — but a serving system evaluating millions of
+//! per-user preference DAGs pays it on every query, and real preference
+//! DAGs repeat: the same user queries again, different users share canned
+//! preference templates. A [`QuerySession`] memoizes the
 //! labeling work by [`Dag::fingerprint`], so a repeated DAG skips the
 //! relabeling entirely; the [`Metrics::label_cache_hits`] /
 //! [`Metrics::label_cache_misses`] counters on every run report what the
@@ -123,7 +125,7 @@ impl<'a> QuerySession<'a> {
                 }
                 None => {
                     misses += 1;
-                    let dom = PoDomain::new(dag.clone()).compact();
+                    let dom = PoDomain::new(dag.clone());
                     self.labelings.insert(fp, dom.clone());
                     domains.push(dom);
                 }

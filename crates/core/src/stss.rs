@@ -20,7 +20,9 @@
 //! only in-box members other than exact ties with the corner reach the
 //! interval-set cover test of the MBB's ordinal runs (dyadic range sets,
 //! built only once some member is in the box), so exact copies of a
-//! skyline point are never pruned. Both checks are one
+//! skyline point are never pruned. The interval labels and their dyadic
+//! range index are sTSS's own ([`Stss::range_labels`]): they are built
+//! with the R-tree, and no other engine reads them. Both checks are one
 //! [`KeyBlock::first_match`] call, which under
 //! [`Kernel::Scalar`](crate::Kernel::Scalar) is a plain loop, the oracle;
 //! both kernels find the same first dominator after the same number of
@@ -30,7 +32,7 @@
 use crate::cursor::{ProgressSample, SkylineCursor, SkylinePoint};
 use crate::store::KeyBlock;
 use crate::{CoreError, Metrics, PoDomain, Table};
-use poset::{Dag, IntervalSet};
+use poset::{Dag, DyadicIndex, IntervalSet, TssLabeling};
 use rtree::{BestFirst, Mbb, Popped, RTree};
 use std::time::Instant;
 
@@ -69,6 +71,9 @@ pub fn node_capacity(explicit: Option<usize>, dims: usize) -> Result<usize, Core
 pub struct Stss {
     table: Table,
     domains: Vec<PoDomain>,
+    /// One dyadic range index per PO attribute, indexed by the domain's
+    /// topological ordinals.
+    labels: Vec<DyadicIndex>,
     tree: RTree,
 }
 
@@ -93,7 +98,7 @@ impl Stss {
     /// every domain, maps tuples to the transformed space and bulk-loads the
     /// R-tree.
     pub fn build(table: Table, dags: Vec<Dag>, cfg: StssConfig) -> Result<Self, CoreError> {
-        let domains = Self::label(&table, dags)?;
+        let (domains, labels) = Self::label(&table, dags)?;
         let dims = table.to_dims() + table.po_dims();
         if dims == 0 {
             return Err(CoreError::NoDimensions);
@@ -110,6 +115,7 @@ impl Stss {
         Ok(Stss {
             table,
             domains,
+            labels,
             tree,
         })
     }
@@ -120,20 +126,25 @@ impl Stss {
     /// attribute — as [`build`](Self::build) indexes them: the MBB checks
     /// and the skyline's box filter read them as such.
     pub fn with_tree(table: Table, dags: Vec<Dag>, tree: RTree) -> Result<Self, CoreError> {
-        let domains = Self::label(&table, dags)?;
+        let (domains, labels) = Self::label(&table, dags)?;
         Ok(Stss {
             table,
             domains,
+            labels,
             tree,
         })
     }
 
     /// Validates the table against the DAGs (their count, then every PO
-    /// value) and labels every domain.
-    fn label(table: &Table, dags: Vec<Dag>) -> Result<Vec<PoDomain>, CoreError> {
+    /// value), then builds every domain and its range labels.
+    fn label(
+        table: &Table,
+        dags: Vec<Dag>,
+    ) -> Result<(Vec<PoDomain>, Vec<DyadicIndex>), CoreError> {
         let sizes: Vec<u32> = dags.iter().map(|d| d.len() as u32).collect();
         table.check_domains(&sizes)?;
-        Ok(dags.into_iter().map(PoDomain::new).collect())
+        let labels = dags.iter().map(range_labels).collect();
+        Ok((dags.into_iter().map(PoDomain::new).collect(), labels))
     }
 
     /// The input table.
@@ -144,6 +155,15 @@ impl Stss {
     /// The precomputed PO domains.
     pub fn domains(&self) -> &[PoDomain] {
         &self.domains
+    }
+
+    /// The range labels of every PO attribute, which only the MBB checks
+    /// read: a dyadic range index over the exact interval labels (§III-B,
+    /// §IV-B), indexed by the topological ordinals of
+    /// [`domains`](Self::domains). Its leaf at ordinal `o` is the interval
+    /// set of the value whose ordinal is `o`.
+    pub fn range_labels(&self) -> &[DyadicIndex] {
+        &self.labels
     }
 
     /// The disk R-tree in the transformed space.
@@ -179,8 +199,15 @@ impl Stss {
         StssChecks {
             table: &self.table,
             domains: &self.domains,
+            labels: &self.labels,
         }
     }
+}
+
+/// Labels `dag`'s values with their exact interval sets (DFS spanning
+/// tree) and indexes the sets by topological ordinal over dyadic ranges.
+fn range_labels(dag: &Dag) -> DyadicIndex {
+    DyadicIndex::build(&TssLabeling::build_default(dag))
 }
 
 /// The slice of an [`Stss`] operator that dominance checks run on.
@@ -188,6 +215,7 @@ impl Stss {
 struct StssChecks<'a> {
     table: &'a Table,
     domains: &'a [PoDomain],
+    labels: &'a [DyadicIndex],
 }
 
 impl StssChecks<'_> {
@@ -212,8 +240,11 @@ impl StssChecks<'_> {
     /// from the dyadic range index.
     fn run_sets(&self, mbb: &Mbb) -> Vec<IntervalSet> {
         let to_dims = self.table.to_dims();
-        (0..self.domains.len())
-            .map(|d| self.domains[d].range_intervals(mbb.lo()[to_dims + d], mbb.hi()[to_dims + d]))
+        let (lo, hi) = (&mbb.lo()[to_dims..], &mbb.hi()[to_dims..]);
+        self.labels
+            .iter()
+            .zip(lo.iter().zip(hi))
+            .map(|(index, (&lo, &hi))| index.range(lo, hi))
             .collect()
     }
 
@@ -236,16 +267,20 @@ impl StssChecks<'_> {
     /// only exact copies of a skyline point has that point's key as its low
     /// corner, so it is never pruned and each copy is emitted at its own
     /// mindist.
+    ///
+    /// A member's interval sets are read at the ordinals its key holds, so
+    /// the refine touches neither the table nor the domains.
     fn mbb_dominated(&self, mbb: &Mbb, skyline: &KeyBlock, m: &mut Metrics) -> bool {
+        let to_dims = self.table.to_dims();
         let mut runs: Option<Vec<IntervalSet>> = None;
-        let (hit, examined) = skyline.first_match(self.table.kernel(), mbb.lo(), |r, key| {
-            let s_po = self.table.po(r);
+        let (hit, examined) = skyline.first_match(self.table.kernel(), mbb.lo(), |_, key| {
             key != mbb.lo()
                 && runs
                     .get_or_insert_with(|| self.run_sets(mbb))
                     .iter()
-                    .enumerate()
-                    .all(|(d, runs)| self.domains[d].intervals(s_po[d]).covers_set(runs))
+                    .zip(&key[to_dims..])
+                    .zip(self.labels)
+                    .all(|((runs, &ord), index)| index.at(ord).covers_set(runs))
         });
         m.dominance_checks += examined;
         hit
@@ -347,7 +382,7 @@ mod tests {
     use super::*;
     use crate::dominance::brute_force_po_skyline;
     use crate::Kernel;
-    use poset::Dag;
+    use poset::{Dag, ValueId};
     use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -587,19 +622,15 @@ mod tests {
             lattice(4, 0.8, 5),
             lattice(5, 0.6, 11),
         ] {
-            let dom = PoDomain::new(dag);
-            let n = dom.len() as u32;
+            let (labels, naive) = (range_labels(&dag), TssLabeling::build_default(&dag));
+            let n = dag.len() as u32;
             for lo in 1..=n {
                 for hi in lo..=n {
-                    let runs = dom.range_intervals(lo, hi);
-                    assert_eq!(runs, dom.labeling().range_intervals(lo, hi));
-                    for v in 0..n {
-                        if dom.intervals(v).covers_set(&runs) {
-                            assert!(
-                                dom.ordinal(v) <= lo,
-                                "value {v} (ordinal {}) covers [{lo}, {hi}]",
-                                dom.ordinal(v)
-                            );
+                    let runs = labels.range(lo, hi);
+                    assert_eq!(runs, naive.range_intervals(lo, hi));
+                    for ord in 1..=n {
+                        if labels.at(ord).covers_set(&runs) {
+                            assert!(ord <= lo, "ordinal {ord} covers [{lo}, {hi}]");
                         }
                     }
                 }
@@ -622,6 +653,12 @@ mod tests {
                 for n in BOX_SCAN_LENGTHS {
                     let (store, doms, block, lo, _) =
                         box_scan_case(to_dims, po_dims, n, seed, fill);
+                    let labels: Vec<DyadicIndex> =
+                        doms.iter().map(|dom| range_labels(dom.dag())).collect();
+                    let naive: Vec<TssLabeling> = doms
+                        .iter()
+                        .map(|dom| TssLabeling::build_default(dom.dag()))
+                        .collect();
                     // Widen the candidate's key into an MBB: TO extents of
                     // up to 2, ordinal extents clamped to the domain.
                     let hi: Vec<u32> = lo
@@ -638,14 +675,15 @@ mod tests {
                         .collect();
                     let mbb = Mbb::new(lo, hi);
                     // The reference merges the per-value sets of each
-                    // ordinal range naively; the check reads the dyadic
-                    // index.
-                    let runs: Vec<IntervalSet> = doms
+                    // ordinal range naively and reads a member's sets by its
+                    // PO values; the check reads the dyadic index at the
+                    // ordinals of the member's key.
+                    let runs: Vec<IntervalSet> = naive
                         .iter()
                         .enumerate()
-                        .map(|(d, dom)| {
+                        .map(|(d, lab)| {
                             let (lo, hi) = (mbb.lo()[to_dims + d], mbb.hi()[to_dims + d]);
-                            dom.labeling().range_intervals(lo, hi)
+                            lab.range_intervals(lo, hi)
                         })
                         .collect();
                     let prunes = |i: usize| {
@@ -653,7 +691,7 @@ mod tests {
                         block.key(i) != mbb.lo()
                             && store.to(r).iter().zip(mbb.lo()).all(|(s, c)| s <= c)
                             && runs.iter().enumerate().all(|(d, runs)| {
-                                doms[d].intervals(store.po(r)[d]).covers_set(runs)
+                                naive[d].intervals(ValueId(store.po(r)[d])).covers_set(runs)
                             })
                     };
                     let expect = match (0..n).position(prunes) {
@@ -663,7 +701,7 @@ mod tests {
                     let mut answers = Vec::new();
                     for kernel in [Kernel::Scalar, Kernel::Lanes] {
                         let table = store.clone().with_kernel(kernel);
-                        let checks = StssChecks { table: &table, domains: &doms };
+                        let checks = StssChecks { table: &table, domains: &doms, labels: &labels };
                         let mut m = Metrics::default();
                         let got = (checks.mbb_dominated(&mbb, &block, &mut m), m.dominance_checks);
                         let case = format!("{kernel:?} dims=({to_dims},{po_dims}) {fill:?} n={n}");
@@ -676,6 +714,55 @@ mod tests {
                         answers.push(got);
                     }
                     prop_assert_eq!(answers[0], answers[1], "kernels differ: dims=({},{}) {:?} n={}", to_dims, po_dims, fill, n);
+                }
+            }
+        }
+    }
+
+    /// A random partial order over up to `max_n` values: each forward pair
+    /// `(i, j)`, `i < j`, is an edge with probability 1/4, so the DAG is
+    /// acyclic.
+    fn arb_dag(max_n: u32) -> impl Strategy<Value = Dag> {
+        (1..=max_n).prop_flat_map(|n| {
+            let pairs: Vec<(u32, u32)> = (0..n)
+                .flat_map(|i| ((i + 1)..n).map(move |j| (i, j)))
+                .collect();
+            let len = pairs.len();
+            proptest::collection::vec(proptest::bool::weighted(0.25), len).prop_map(move |mask| {
+                let edges: Vec<(u32, u32)> = pairs
+                    .iter()
+                    .zip(mask)
+                    .filter_map(|(&e, keep)| keep.then_some(e))
+                    .collect();
+                Dag::from_edges(n, &edges).unwrap()
+            })
+        })
+    }
+
+    proptest! {
+        /// The domains and sTSS's range labels are built apart, and the
+        /// MBB check reads the labels at the ordinals of the keys, which
+        /// come from the domains. So the labels must be indexed by the
+        /// domain's ordinals: the leaf at `PoDomain::ordinal(v)` is `v`'s
+        /// interval set, and the range set of `[lo, hi]` is the union of
+        /// the sets of the values whose ordinals fall in it.
+        #[test]
+        fn range_labels_are_indexed_by_the_domain_ordinals(dag in arb_dag(14)) {
+            let stss = Stss::build(Table::new(0, 1), vec![dag.clone()], StssConfig::default())
+                .unwrap();
+            let (dom, labels) = (&stss.domains()[0], &stss.range_labels()[0]);
+            let lab = TssLabeling::build_default(&dag);
+            for v in dag.values() {
+                prop_assert_eq!(labels.at(dom.ordinal(v.0)), lab.intervals(v));
+            }
+            let n = dag.len() as u32;
+            for lo in 1..=n {
+                for hi in lo..=n {
+                    let mut union = IntervalSet::empty();
+                    for v in dag.values().filter(|v| (lo..=hi).contains(&dom.ordinal(v.0))) {
+                        union.union_in_place(lab.intervals(v));
+                    }
+                    prop_assert_eq!(labels.range(lo, hi), union, "[{}, {}]", lo, hi);
                 }
             }
         }

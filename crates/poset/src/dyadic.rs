@@ -39,6 +39,18 @@ impl DyadicIndex {
         DyadicIndex { sets, size, domain }
     }
 
+    /// The interval set of the value holding ordinal `ord` (1-based): the
+    /// range `[ord, ord]`, read off its leaf without a merge.
+    #[inline]
+    pub fn at(&self, ord: u32) -> &IntervalSet {
+        assert!(
+            ord >= 1 && ord as usize <= self.domain,
+            "ordinal {ord} out of domain 1..={}",
+            self.domain
+        );
+        &self.sets[self.size + (ord as usize - 1)]
+    }
+
     /// Merged interval set of the ordinal range `[lo, hi]` (1-based,
     /// inclusive), assembled from `O(log)` precomputed dyadic sets.
     pub fn range(&self, lo: u32, hi: u32) -> IntervalSet {
@@ -85,6 +97,11 @@ mod tests {
         let (_, lab) = paper_labeling();
         let idx = DyadicIndex::build(&lab);
         for lo in 1..=9u32 {
+            assert_eq!(
+                idx.at(lo),
+                lab.intervals(lab.topo().value_at(lo)),
+                "leaf {lo}"
+            );
             for hi in lo..=9u32 {
                 assert_eq!(
                     idx.range(lo, hi),

@@ -78,12 +78,6 @@ impl TssLabeling {
         &self.tree
     }
 
-    /// The 1-based ordinal of `v` in the topologically sorted domain.
-    #[inline]
-    pub fn ordinal(&self, v: ValueId) -> u32 {
-        self.topo.ordinal(v)
-    }
-
     /// The final (propagated + merged) interval set of `v` — the "Final"
     /// column of Fig. 2(d).
     #[inline]
@@ -293,7 +287,7 @@ mod tests {
             for x in dag.values() {
                 for y in dag.values() {
                     if reach.preferred(x, y) {
-                        prop_assert!(lab.ordinal(x) < lab.ordinal(y));
+                        prop_assert!(lab.topo().ordinal(x) < lab.topo().ordinal(y));
                     }
                 }
             }

@@ -8,8 +8,8 @@
 //! plus the 15 table steps) and the exact page reads (6 of the 8 nodes;
 //! N4 and N7 are pruned unread).
 
-use tss::core::{PoDomain, Stss, StssConfig, Table};
-use tss::poset::Dag;
+use tss::core::{Stss, StssConfig, Table};
+use tss::poset::{Dag, TssLabeling};
 use tss::rtree::{BuildNode, RTree};
 
 /// Fig. 3(a): (A1, A2) tuples; A2 ids: a=0 b=1 c=2 d=3 e=4 f=5 g=6 h=7 i=8.
@@ -113,21 +113,22 @@ fn bulk_loaded_tree_gives_same_skyline() {
 
 #[test]
 fn range_strategies_reproduce_the_trace_results() {
-    // sTSS builds an MBB's run sets from the dyadic range index (§IV-B), its
-    // one range strategy. On every ordinal range of the domain it equals
-    // the naive merge of the per-value sets, and the hand-drawn tree's run
-    // reproduces the trace's skyline.
-    let dom = PoDomain::new(Dag::paper_example());
+    // sTSS builds an MBB's run sets from its own dyadic range index
+    // (§IV-B), its one range strategy. On every ordinal range of the domain
+    // it equals the naive merge of the per-value sets, and the hand-drawn
+    // tree's run reproduces the trace's skyline.
+    let stss = Stss::with_tree(fig3_table(), vec![Dag::paper_example()], fig3_tree()).unwrap();
+    let dyadic = &stss.range_labels()[0];
+    let naive = TssLabeling::build_default(&Dag::paper_example());
     for lo in 1..=9 {
         for hi in lo..=9 {
             assert_eq!(
-                dom.range_intervals(lo, hi),
-                dom.labeling().range_intervals(lo, hi),
+                dyadic.range(lo, hi),
+                naive.range_intervals(lo, hi),
                 "[{lo}, {hi}]"
             );
         }
     }
-    let stss = Stss::with_tree(fig3_table(), vec![Dag::paper_example()], fig3_tree()).unwrap();
     let mut recs = stss.run().skyline_records();
     recs.sort_unstable();
     assert_eq!(recs, vec![0, 1, 2, 3, 4]);
